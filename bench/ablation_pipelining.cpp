@@ -1,61 +1,68 @@
-// Section 5 ablation: projected end-to-end time for a pipelined
-// implementation that streams input slices through the phase chain so CPU
-// and transfers overlap.
+// Section 5 ablation: CPU/network overlap of pipelined track join, measured
+// on the event-driven fabric.
 //
 // "A pipelined implementation can reduce end-to-end time by overlapping
 // CPU and network. Track join is more complex than hash join, offering
-// more choices for overlap." Each run's measured per-phase CPU times and
-// per-phase transfer volumes feed a two-resource (CPU, NIC) pipeline
-// schedule; K is the number of input slices in flight.
+// more choices for overlap." Section 1 runs pipelined 2TJ-R and 4TJ on
+// workloads X and Y under both egress schedulers and prints each run's
+// modeled makespan next to its barrier makespan (the same run's sum of
+// per-stage maxima, i.e. what the barrier fabric would take) and the
+// overlap won. Hash join has no pipelined driver yet: its overlap row
+// returns once Grace hash join runs on the event fabric. Section 2 is the
+// scheduler x chunk x window grid behind the EXPERIMENTS.md blame table.
 #include <cinttypes>
 #include <cstdio>
 
 #include "bench/real_bench.h"
 #include "core/pipelined_track_join.h"
-#include "costmodel/pipeline.h"
 #include "workload/generator.h"
 
 namespace tj {
 namespace bench {
 namespace {
 
-void Project(const char* label, const RealJoinSpec& spec, bool original_order,
+void Overlap(const char* label, const RealJoinSpec& spec, bool original_order,
              uint64_t scale, uint32_t nodes, uint64_t seed) {
-  JoinConfig config = RealConfig(spec);
   Workload w = InstantiateReal(spec, nodes, scale, original_order, seed);
-  NetworkTimeModel model;
-
-  std::printf("%s\n", label);
-  std::printf("  %-6s %10s %10s %10s %10s %10s %8s\n", "algo", "K=1", "K=4",
-              "K=16", "K=64", "bound", "speedup");
-  const JoinAlgorithm algorithms[] = {JoinAlgorithm::kHash,
-                                      JoinAlgorithm::kTrack2R,
-                                      JoinAlgorithm::kTrack4};
-  for (JoinAlgorithm algorithm : algorithms) {
-    JoinResult result = RunAlgorithm(algorithm, w.r, w.s, config);
-    auto stages = BuildPipelineStages(result, model, nodes,
-                                      static_cast<double>(scale));
-    double cpu = 0, net = 0;
-    for (const auto& stage : stages) {
-      cpu += stage.cpu_seconds;
-      net += stage.net_seconds;
+  std::printf("%s %" PRIu64 " x %" PRIu64 " tuples (1/%" PRIu64
+              " scale), %u nodes\n",
+              label, w.r.TotalRows(), w.s.TotalRows(), scale, nodes);
+  std::printf("  %-6s %-5s %12s %12s %8s\n", "algo", "sched", "makespan",
+              "barrier", "overlap");
+  struct Algo {
+    const char* name;
+    TrackJoinVersion version;
+  };
+  const Algo algorithms[] = {{"2TJ-R", TrackJoinVersion::k2Phase},
+                             {"4TJ", TrackJoinVersion::k4Phase}};
+  for (const Algo& algo : algorithms) {
+    for (bool drr : {false, true}) {
+      JoinConfig config = RealConfig(spec);
+      config.pipeline.enabled = true;
+      config.pipeline.drr = drr;
+      Result<JoinResult> result =
+          TryRunPipelinedTrackJoin(w.r, w.s, config, algo.version);
+      if (!result.ok()) {
+        std::printf("  %-6s %-5s  error: %s\n", algo.name, drr ? "drr" : "fifo",
+                    result.status().ToString().c_str());
+        continue;
+      }
+      std::printf("  %-6s %-5s %11.4fs %11.4fs %+7.1f%%\n", algo.name,
+                  drr ? "drr" : "fifo", result->makespan_seconds,
+                  result->barrier_makespan_seconds,
+                  100.0 * (1.0 - result->makespan_seconds /
+                                     result->barrier_makespan_seconds));
     }
-    double serial = PipelineMakespan(stages, 1);
-    double k64 = PipelineMakespan(stages, 64);
-    std::printf("  %-6s %10.2f %10.2f %10.2f %10.2f %10.2f %7.2fx\n",
-                JoinAlgorithmName(algorithm), serial,
-                PipelineMakespan(stages, 4), PipelineMakespan(stages, 16),
-                k64, std::max(cpu, net), serial / k64);
   }
   std::printf("\n");
 }
 
 // Event-driven fabric grid: egress scheduler (fifo | drr) x chunk size x
-// credit window, on the EXPERIMENTS.md "Makespan blame" workload. Unlike
-// the cost-model projection above, each cell runs the real pipelined
-// driver and decomposes its critical path, so the table shows where the
-// single-FIFO egress loses time to head-of-line blocking and what DRR
-// buys back. Blame columns are percent of makespan.
+// credit window, on the EXPERIMENTS.md "Makespan blame" workload. Each
+// cell runs the real pipelined driver and decomposes its critical path,
+// so the table shows where the single-FIFO egress loses time to
+// head-of-line blocking and what DRR buys back. Blame columns are percent
+// of makespan.
 void FabricGridCell(const Workload& w, bool drr, uint64_t chunk_bytes,
                     uint64_t window_bytes) {
   JoinConfig config;
@@ -129,16 +136,15 @@ int main(int argc, char** argv) {
   tj::bench::Args args = tj::bench::ParseArgs(argc, argv);
   uint32_t nodes = args.nodes ? args.nodes : 4;
   std::printf(
-      "=== Ablation (paper section 5): pipelined execution projection, %u "
-      "nodes ===\n"
-      "Seconds at paper scale; K = input slices in flight; 'bound' = "
-      "max(total CPU, total NET).\n(Single-core CPU seconds projected "
-      "linearly — the paper's nodes had 16 hardware threads,\nso the CPU "
-      "side is an upper bound.)\n\n",
+      "=== Ablation (paper section 5): CPU/network overlap on the event "
+      "fabric, %u nodes ===\n"
+      "Modeled seconds at the simulated scale; 'barrier' = the same run's "
+      "sum of per-stage maxima;\n'overlap' = 1 - makespan/barrier. Hash "
+      "join has no pipelined driver yet, so no HJ row.\n\n",
       nodes);
-  tj::bench::Project("Workload X, original ordering:", tj::WorkloadX(1), true,
+  tj::bench::Overlap("Workload X, original ordering:", tj::WorkloadX(1), true,
                      args.scale ? args.scale : 2000, nodes, args.seed);
-  tj::bench::Project("Workload Y, shuffled:", tj::WorkloadY(), false,
+  tj::bench::Overlap("Workload Y, shuffled:", tj::WorkloadY(), false,
                      args.scale ? args.scale : 500, nodes, args.seed);
   tj::bench::FabricGrid(args.nodes ? args.nodes : 8,
                         args.scale ? args.scale : 100000, args.seed);

@@ -35,7 +35,7 @@ const char* DirectionName(Direction dir);
 /// barrier and pipelined drivers can name the variant without a header cycle.
 enum class TrackJoinVersion : uint8_t { k2Phase = 2, k3Phase = 3, k4Phase = 4 };
 
-/// Event-driven micro-batch execution knobs (the pipelined 3TJ/4TJ drivers;
+/// Event-driven micro-batch execution knobs (the pipelined track join;
 /// see core/pipelined_track_join.h and net/pipelined_fabric.h).
 struct PipelineConfig {
   /// Run the pipelined driver instead of the barrier driver.
@@ -130,7 +130,7 @@ struct JoinConfig {
   /// phase fails with DeadlineExceeded. See Fabric::SetPhaseDeadline.
   double phase_deadline_seconds = 0;
 
-  /// Event-driven micro-batch execution (pipelined 3TJ/4TJ). Off by
+  /// Event-driven micro-batch execution (pipelined track join). Off by
   /// default; tjsim's --pipeline flag enables it. Requires the plain wire
   /// format (delta_tracking / group_locations off), because micro-batch
   /// chunking relies on entry-aligned, context-free encodings.

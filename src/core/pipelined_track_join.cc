@@ -122,17 +122,16 @@ Result<JoinResult> TryRunPipelinedTrackJoin(const PartitionedTable& r,
                                             TrackJoinVersion version,
                                             Direction direction) {
   TJ_CHECK_EQ(r.num_nodes(), s.num_nodes());
-  if (version == TrackJoinVersion::k2Phase) {
-    return Status::InvalidArgument(
-        "pipelined track join supports the 3- and 4-phase versions only");
-  }
   TJ_RETURN_IF_ERROR(RequirePlainWireFormat(config, "pipelined track join"));
 
   const uint32_t n = r.num_nodes();
   const bool four_phase = version == TrackJoinVersion::k4Phase;
+  // 2-phase tracking carries keys only; every entry implies count 1.
+  const bool with_counts = version != TrackJoinVersion::k2Phase;
   const uint32_t width_r = config.key_bytes + r.payload_width();
   const uint32_t width_s = config.key_bytes + s.payload_width();
-  const uint32_t track_entry_bytes = config.key_bytes + config.count_bytes;
+  const uint32_t track_entry_bytes =
+      config.key_bytes + (with_counts ? config.count_bytes : 0);
   const uint32_t pair_bytes = config.key_bytes + config.node_bytes;
   // EOS fan-in: every tracker terminates every instruction stream to every
   // holder; every holder then terminates every data stream to every joiner.
@@ -250,10 +249,10 @@ Result<JoinResult> TryRunPipelinedTrackJoin(const PartitionedTable& r,
       std::vector<KeyCount> r_keys = AggregateSortedKeys(st.r);
       std::vector<KeyCount> s_keys = AggregateSortedKeys(st.s);
       fabric.ChargeCpuBytes((st.r.size() + st.s.size()) * config.key_bytes);
-      auto r_msgs = EncodeTrackingMessages(r_keys, config, /*with_counts=*/true,
-                                           n, &st.pool);
-      auto s_msgs = EncodeTrackingMessages(s_keys, config, /*with_counts=*/true,
-                                           n, &st.pool);
+      auto r_msgs =
+          EncodeTrackingMessages(r_keys, config, with_counts, n, &st.pool);
+      auto s_msgs =
+          EncodeTrackingMessages(s_keys, config, with_counts, n, &st.pool);
       for (uint32_t step = 0; step < n; ++step) {
         const uint32_t dst = fan_out_dst(node, step);
         fabric.ChargeCpuBytes(r_msgs[dst].size() + s_msgs[dst].size());
@@ -404,7 +403,7 @@ Result<JoinResult> TryRunPipelinedTrackJoin(const PartitionedTable& r,
       TrackEntry entry;
       entry.key = reader.GetUint(config.key_bytes);
       entry.node = chunk.src;
-      entry.count = reader.GetUint(config.count_bytes);
+      entry.count = with_counts ? reader.GetUint(config.count_bytes) : 1;
       stream.pending.push_back(entry);
     }
     if (!chunk.data.empty()) {
@@ -697,7 +696,11 @@ Result<JoinResult> TryRunPipelinedTrackJoin(const PartitionedTable& r,
   // in the wall column (stages overlap, so these steps do NOT add up to
   // the makespan — that is the whole point).
   StepProfile profile;
-  profile.algorithm = four_phase ? "4tj-p" : "3tj-p";
+  if (version == TrackJoinVersion::k2Phase) {
+    profile.algorithm = direction == Direction::kRtoS ? "2tj-r-p" : "2tj-s-p";
+  } else {
+    profile.algorithm = four_phase ? "4tj-p" : "3tj-p";
+  }
   profile.num_nodes = n;
   for (const auto& stage : fabric.stage_stats()) {
     StepRecord record;

@@ -1,8 +1,10 @@
-// Event-driven micro-batch track join (pipelined 3TJ/4TJ).
+// Event-driven micro-batch track join (pipelined 2TJ/3TJ/4TJ).
 //
 // The barrier driver (core/track_join.h) runs the paper's de-pipelined
 // phases; this driver runs the same algorithm as a dataflow over the
-// pipelined fabric (net/pipelined_fabric.h):
+// pipelined fabric (net/pipelined_fabric.h). Its 2-phase version is the
+// paper's streaming pseudocode (Section 2): keys-only tracking, one fixed
+// broadcast direction, no migrations.
 //
 //  * Sources sort + aggregate locally, then emit their tracking streams in
 //    key-range micro-batch chunks under credit-based flow control.
@@ -33,9 +35,10 @@
 
 namespace tj {
 
-/// Runs the pipelined track join (3- or 4-phase only; the 2-phase variant
-/// has no per-key scheduling worth pipelining). Requires the plain wire
-/// format (delta_tracking / group_locations off). The result carries
+/// Runs the pipelined track join in any version; `direction` is the fixed
+/// broadcast direction of the 2-phase version (and, as in the barrier
+/// driver, ignored by the 3- and 4-phase schedulers). Requires the plain
+/// wire format (delta_tracking / group_locations off). The result carries
 /// makespan_seconds and barrier_makespan_seconds in addition to everything
 /// the barrier driver reports. `config.pipeline` supplies the chunk size,
 /// inbox budget and CPU bandwidth.

@@ -1,120 +1,8 @@
 #include "costmodel/pipeline.h"
 
 #include <algorithm>
-#include <map>
-
-#include "common/logging.h"
 
 namespace tj {
-
-namespace {
-
-/// Message types whose transfer belongs to a named phase, across all join
-/// drivers in this library.
-const std::map<std::string, std::vector<MessageType>>& PhaseTransfers() {
-  static const auto* kMap = new std::map<std::string, std::vector<MessageType>>{
-      // Track join driver.
-      {"hash partition & transfer keys",
-       {MessageType::kTrackR, MessageType::kTrackS}},
-      {"generate schedules & send locations",
-       {MessageType::kLocationsToR, MessageType::kLocationsToS,
-        MessageType::kMigrateR, MessageType::kMigrateS}},
-      {"selective broadcast & migrate",
-       {MessageType::kDataR, MessageType::kDataS, MessageType::kMigrationDataR,
-        MessageType::kMigrationDataS}},
-      // Hash join driver.
-      {"hash partition & transfer R tuples", {MessageType::kDataR}},
-      {"hash partition & transfer S tuples", {MessageType::kDataS}},
-      // Broadcast join driver.
-      {"broadcast tuples", {MessageType::kDataR, MessageType::kDataS}},
-      // Rid / late-materialized hash joins.
-      {"transfer key columns", {MessageType::kTrackR, MessageType::kTrackS}},
-      {"join keys & return rids", {MessageType::kRidR, MessageType::kRidS}},
-      {"join keys & request payloads",
-       {MessageType::kRidR, MessageType::kRidS}},
-      {"fetch & forward tuples", {MessageType::kDataR, MessageType::kDataS}},
-      {"fetch payloads", {MessageType::kDataR, MessageType::kDataS}},
-      // Semi-join prologue.
-      {"broadcast bloom filters", {MessageType::kFilter}},
-  };
-  return *kMap;
-}
-
-}  // namespace
-
-std::vector<PipelineStage> BuildPipelineStages(const JoinResult& result,
-                                               const NetworkTimeModel& model,
-                                               uint32_t num_nodes,
-                                               double time_scale) {
-  TJ_CHECK_GT(num_nodes, 0u);
-  std::vector<PipelineStage> stages;
-  stages.reserve(result.phase_seconds.size());
-  const auto& transfers = PhaseTransfers();
-  for (const auto& [name, cpu] : result.phase_seconds) {
-    PipelineStage stage;
-    stage.name = name;
-    stage.cpu_seconds = cpu * time_scale;
-    auto it = transfers.find(name);
-    if (it != transfers.end()) {
-      uint64_t bytes = 0;
-      for (MessageType type : it->second) {
-        bytes += result.traffic.NetworkBytes(type);
-      }
-      // Per-node senders run concurrently; the average NIC's share decides
-      // (consistent with the Tables 3/4 transfer rows).
-      stage.net_seconds = static_cast<double>(bytes) / num_nodes /
-                          model.node_bandwidth_bytes_per_sec * time_scale;
-    }
-    stages.push_back(std::move(stage));
-  }
-  return stages;
-}
-
-double PipelineMakespan(const std::vector<PipelineStage>& stages,
-                        uint32_t chunks) {
-  TJ_CHECK_GE(chunks, 1u);
-  if (stages.empty()) return 0;
-  const size_t num_stages = stages.size();
-  // ready[p] per chunk: finish time of the chunk's previous stage.
-  // Greedy list schedule: repeatedly start the ready sub-task with the
-  // earliest ready time; CPU and NET are independent FIFO resources and a
-  // stage's transfer follows its CPU burst.
-  double cpu_free = 0, net_free = 0;
-  // Per chunk: current stage index and time it became ready.
-  std::vector<size_t> next_stage(chunks, 0);
-  std::vector<double> ready_at(chunks, 0.0);
-  size_t remaining = chunks * num_stages;
-  double makespan = 0;
-  while (remaining > 0) {
-    // Pick the ready chunk with the earliest ready time (ties: lowest id).
-    size_t best = chunks;
-    for (size_t c = 0; c < chunks; ++c) {
-      if (next_stage[c] >= num_stages) continue;
-      if (best == chunks || ready_at[c] < ready_at[best]) best = c;
-    }
-    TJ_CHECK_LT(best, chunks);
-    const PipelineStage& stage = stages[next_stage[best]];
-    double cpu_start = std::max(ready_at[best], cpu_free);
-    double cpu_end = cpu_start + stage.cpu_seconds / chunks;
-    cpu_free = cpu_end;
-    double net_start = std::max(cpu_end, net_free);
-    double net_end = net_start + stage.net_seconds / chunks;
-    net_free = net_end;
-    ready_at[best] = net_end;
-    makespan = std::max(makespan, net_end);
-    ++next_stage[best];
-    --remaining;
-  }
-  return makespan;
-}
-
-double DepipelinedSeconds(const std::vector<PipelineStage>& stages) {
-  double total = 0;
-  for (const auto& stage : stages) {
-    total += stage.cpu_seconds + stage.net_seconds;
-  }
-  return total;
-}
 
 PipelineBounds MakespanBounds(const std::vector<PipelineStage>& stages) {
   PipelineBounds bounds;
@@ -124,7 +12,7 @@ PipelineBounds MakespanBounds(const std::vector<PipelineStage>& stages) {
     net += stage.net_seconds;
   }
   bounds.lower_seconds = std::max(cpu, net);
-  bounds.upper_seconds = DepipelinedSeconds(stages);
+  bounds.upper_seconds = cpu + net;
   return bounds;
 }
 

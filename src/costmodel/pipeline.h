@@ -1,23 +1,17 @@
-// Pipelined execution schedule model (paper Section 5).
+// Analytic envelope of a pipelined run's makespan (paper Section 5).
 //
-// The library executes joins de-pipelined (like the paper's measurements);
-// a production implementation would stream input slices through the phase
-// sequence so CPU work and transfers overlap. This module computes the
-// makespan of that schedule without rewriting the algorithms: the measured
-// per-phase CPU times and per-phase transfer volumes become a chain of
-// stages, the input is notionally cut into `chunks` slices, and a
-// two-resource (CPU, NIC) list schedule yields the end-to-end time.
-//
-// chunks = 1 degenerates to the de-pipelined sum; chunks -> infinity
-// approaches max(total CPU, total NET) — the classic pipeline bounds.
+// The event-driven fabric (net/pipelined_fabric.h) is the model of
+// pipelined time; this module only brackets its result. A run's step
+// profile becomes a chain of stages, each a CPU burst plus a transfer, and
+// no schedule of that chain can beat saturating the busier resource or be
+// worse than running every stage back to back.
 #ifndef TJ_COSTMODEL_PIPELINE_H_
 #define TJ_COSTMODEL_PIPELINE_H_
 
 #include <string>
 #include <vector>
 
-#include "core/join_types.h"
-#include "net/time_model.h"
+#include "obs/step_profile.h"
 
 namespace tj {
 
@@ -28,30 +22,11 @@ struct PipelineStage {
   double net_seconds = 0;
 };
 
-/// Derives the stage chain of a finished join run: per-phase wall-clock CPU
-/// (scaled by `time_scale`) plus the modeled transfer time of the message
-/// types that phase emits, at `model`'s bandwidth with `num_nodes` NICs
-/// transferring concurrently. Understands the phase names of every join
-/// driver in this library; unknown phases count as CPU-only.
-std::vector<PipelineStage> BuildPipelineStages(const JoinResult& result,
-                                               const NetworkTimeModel& model,
-                                               uint32_t num_nodes,
-                                               double time_scale = 1.0);
-
-/// Makespan of pushing `chunks` equal input slices through the stage chain
-/// with one CPU resource and one NET resource (both FIFO, work-conserving).
-/// Precondition: chunks >= 1.
-double PipelineMakespan(const std::vector<PipelineStage>& stages,
-                        uint32_t chunks);
-
-/// Convenience: total de-pipelined time (== PipelineMakespan(stages, 1)).
-double DepipelinedSeconds(const std::vector<PipelineStage>& stages);
-
 /// Theoretical envelope for any pipelined schedule of `stages`: no schedule
 /// beats saturating the busier resource (lower = max(Σcpu, Σnet)), and none
 /// is worse than running every stage back to back with no overlap at all
-/// (upper = DepipelinedSeconds). The event-driven fabric's measured
-/// makespan must land inside; tests and the CI makespan gate pin this.
+/// (upper = Σcpu + Σnet). The event-driven fabric's makespan must land
+/// inside; tests and the CI makespan gate pin this.
 struct PipelineBounds {
   double lower_seconds = 0;
   double upper_seconds = 0;
@@ -65,8 +40,7 @@ PipelineBounds MakespanBounds(const std::vector<PipelineStage>& stages);
 
 /// Derives the stage chain of a *pipelined* run from its step profile:
 /// each step's busiest-node CPU seconds and busiest-NIC transfer seconds
-/// become one stage. Unlike BuildPipelineStages (which reprices a barrier
-/// run's traffic), this reads the modeled numbers the pipelined fabric
+/// become one stage, read from the modeled numbers the pipelined fabric
 /// already computed — MakespanBounds of the result brackets the run's own
 /// makespan_seconds.
 std::vector<PipelineStage> StagesFromProfile(const StepProfile& profile);

@@ -9,7 +9,6 @@
 #ifndef TJ_NET_TIME_MODEL_H_
 #define TJ_NET_TIME_MODEL_H_
 
-#include <algorithm>
 #include <cstdint>
 
 #include "net/traffic.h"
@@ -60,40 +59,6 @@ struct PipelineCostModel {
   }
   double CpuSeconds(uint64_t bytes) const {
     return static_cast<double>(bytes) / cpu_bandwidth_bytes_per_sec;
-  }
-};
-
-/// CPU/network overlap projection (paper Section 5: "A pipelined
-/// implementation can reduce end-to-end time by overlapping CPU and
-/// network. Track join is more complex than hash join, offering more
-/// choices for overlap.").
-///
-/// The de-pipelined execution the paper (and this library) measures runs
-/// CPU work and transfers back to back; a pipelined implementation streams
-/// chunks so the two resources run concurrently. With `chunks` pipeline
-/// stages the classic bound interpolates between the serial sum and the
-/// perfect-overlap maximum:
-///   time(K) = max(cpu, net) + (cpu + net - max(cpu, net)) / K
-struct OverlapEstimate {
-  double cpu_seconds = 0;
-  double net_seconds = 0;
-
-  /// Fully de-pipelined end-to-end time (what Table 2 reports).
-  double DepipelinedSeconds() const { return cpu_seconds + net_seconds; }
-
-  /// Perfect-overlap lower bound: the busier resource decides.
-  double PipelinedSeconds() const { return std::max(cpu_seconds, net_seconds); }
-
-  /// Finite pipeline of `chunks` stages (chunks >= 1).
-  double PipelinedSeconds(uint32_t chunks) const {
-    double bound = PipelinedSeconds();
-    return bound + (DepipelinedSeconds() - bound) / std::max(1u, chunks);
-  }
-
-  /// DepipelinedSeconds / PipelinedSeconds.
-  double Speedup() const {
-    double pipelined = PipelinedSeconds();
-    return pipelined > 0 ? DepipelinedSeconds() / pipelined : 1.0;
   }
 };
 

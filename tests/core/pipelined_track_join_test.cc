@@ -64,19 +64,20 @@ void ExpectAuditsEqual(const ScheduleAuditLog& barrier,
 // byte-identical traffic (network, local and retransmit ledgers all
 // compared cell by cell), checksum, cardinalities and EXPLAIN audits.
 void ExpectPipelinedMatchesBarrier(const Workload& w, JoinConfig config,
-                                   TrackJoinVersion version) {
+                                   TrackJoinVersion version,
+                                   Direction direction = Direction::kRtoS) {
   ScheduleAuditLog barrier_audit, pipelined_audit;
   JoinConfig barrier_config = config;
   barrier_config.pipeline.enabled = false;
   barrier_config.schedule_audit = &barrier_audit;
   Result<JoinResult> barrier =
-      TryRunTrackJoin(w.r, w.s, barrier_config, version);
+      TryRunTrackJoin(w.r, w.s, barrier_config, version, direction);
   ASSERT_TRUE(barrier.ok()) << barrier.status().ToString();
 
   JoinConfig pipelined_config = config;
   pipelined_config.schedule_audit = &pipelined_audit;
-  Result<JoinResult> pipelined =
-      TryRunPipelinedTrackJoin(w.r, w.s, pipelined_config, version);
+  Result<JoinResult> pipelined = TryRunPipelinedTrackJoin(
+      w.r, w.s, pipelined_config, version, direction);
   ASSERT_TRUE(pipelined.ok()) << pipelined.status().ToString();
 
   EXPECT_EQ(pipelined->output_rows, barrier->output_rows);
@@ -88,6 +89,25 @@ void ExpectPipelinedMatchesBarrier(const Workload& w, JoinConfig config,
   ExpectAuditsEqual(barrier_audit, pipelined_audit);
   EXPECT_GT(pipelined->makespan_seconds, 0.0);
   EXPECT_GT(pipelined->barrier_makespan_seconds, 0.0);
+}
+
+TEST(PipelinedTrackJoinTest, TwoPhaseByteIdenticalToBarrierBothDirections) {
+  // Keys-only tracking (every entry implies count 1) and a fixed broadcast
+  // direction: the paper's streaming 2TJ pseudocode on the event fabric.
+  Workload w = SmallWorkload();
+  for (Direction direction : {Direction::kRtoS, Direction::kStoR}) {
+    SCOPED_TRACE(direction == Direction::kRtoS ? "R->S" : "S->R");
+    ExpectPipelinedMatchesBarrier(w, BaseConfig(), TrackJoinVersion::k2Phase,
+                                  direction);
+  }
+  Result<JoinResult> r_to_s = TryRunPipelinedTrackJoin(
+      w.r, w.s, BaseConfig(), TrackJoinVersion::k2Phase, Direction::kRtoS);
+  Result<JoinResult> s_to_r = TryRunPipelinedTrackJoin(
+      w.r, w.s, BaseConfig(), TrackJoinVersion::k2Phase, Direction::kStoR);
+  ASSERT_TRUE(r_to_s.ok());
+  ASSERT_TRUE(s_to_r.ok());
+  EXPECT_EQ(r_to_s->profile.algorithm, "2tj-r-p");
+  EXPECT_EQ(s_to_r->profile.algorithm, "2tj-s-p");
 }
 
 TEST(PipelinedTrackJoinTest, ThreePhaseByteIdenticalToBarrier) {
@@ -240,11 +260,14 @@ TEST(PipelinedTrackJoinTest, EmptyInputsTerminate) {
   spec.num_nodes = 3;
   spec.matched_keys = 0;
   Workload w = GenerateWorkload(spec);
-  Result<JoinResult> pipelined =
-      TryRunPipelinedTrackJoin(w.r, w.s, BaseConfig(),
-                               TrackJoinVersion::k4Phase);
-  ASSERT_TRUE(pipelined.ok()) << pipelined.status().ToString();
-  EXPECT_EQ(pipelined->output_rows, 0u);
+  for (TrackJoinVersion version :
+       {TrackJoinVersion::k2Phase, TrackJoinVersion::k4Phase}) {
+    Result<JoinResult> pipelined =
+        TryRunPipelinedTrackJoin(w.r, w.s, BaseConfig(), version);
+    ASSERT_TRUE(pipelined.ok()) << pipelined.status().ToString();
+    EXPECT_EQ(pipelined->output_rows, 0u);
+    EXPECT_EQ(pipelined->traffic.TotalNetworkBytes(), 0u);
+  }
 }
 
 TEST(PipelinedTrackJoinTest, TinyChunksAndInboxBudgetStayByteIdentical) {
@@ -255,6 +278,17 @@ TEST(PipelinedTrackJoinTest, TinyChunksAndInboxBudgetStayByteIdentical) {
   config.pipeline.chunk_bytes = 256;
   config.pipeline.inbox_budget_bytes = 256 * 4;
   ExpectPipelinedMatchesBarrier(w, config, TrackJoinVersion::k4Phase);
+  // 2TJ across chunk sizes from below one entry (every entry its own
+  // chunk) to above most per-link messages (one chunk per stream).
+  for (uint64_t chunk : {1u, 64u, 256u, 4096u}) {
+    for (Direction direction : {Direction::kRtoS, Direction::kStoR}) {
+      SCOPED_TRACE("2tj chunk=" + std::to_string(chunk));
+      config.pipeline.chunk_bytes = chunk;
+      config.pipeline.inbox_budget_bytes = chunk * 4;
+      ExpectPipelinedMatchesBarrier(w, config, TrackJoinVersion::k2Phase,
+                                    direction);
+    }
+  }
 }
 
 TEST(PipelinedTrackJoinTest, StragglerSourceSaturatesInboxButResultsHold) {
@@ -510,13 +544,13 @@ TEST(PipelinedTrackJoinTest, BlameMakespanSitsInsideCostModelBounds) {
   EXPECT_GT(makespan, 0.0);
 }
 
-TEST(PipelinedTrackJoinTest, RejectsTwoPhaseAndCompressedWireFormats) {
+TEST(PipelinedTrackJoinTest, RejectsCompressedWireFormats) {
   Workload w = SmallWorkload();
-  EXPECT_FALSE(TryRunPipelinedTrackJoin(w.r, w.s, BaseConfig(),
-                                        TrackJoinVersion::k2Phase)
-                   .ok());
   JoinConfig delta = BaseConfig();
   delta.delta_tracking = true;
+  EXPECT_FALSE(
+      TryRunPipelinedTrackJoin(w.r, w.s, delta, TrackJoinVersion::k2Phase)
+          .ok());
   EXPECT_FALSE(
       TryRunPipelinedTrackJoin(w.r, w.s, delta, TrackJoinVersion::k3Phase)
           .ok());

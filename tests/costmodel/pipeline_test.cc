@@ -2,56 +2,10 @@
 
 #include <gtest/gtest.h>
 
-#include "baseline/hash_join.h"
-#include "core/track_join.h"
-#include "workload/generator.h"
-
 namespace tj {
 namespace {
 
-TEST(PipelineMakespanTest, OneChunkIsSerialSum) {
-  std::vector<PipelineStage> stages = {
-      {"a", 2.0, 3.0}, {"b", 1.0, 0.0}, {"c", 0.5, 4.5}};
-  EXPECT_DOUBLE_EQ(PipelineMakespan(stages, 1), 11.0);
-  EXPECT_DOUBLE_EQ(DepipelinedSeconds(stages), 11.0);
-}
-
-TEST(PipelineMakespanTest, ManyChunksApproachResourceBound) {
-  // Total CPU 4, total NET 8: the bound is 8.
-  std::vector<PipelineStage> stages = {{"a", 1.0, 5.0}, {"b", 3.0, 3.0}};
-  double bound = 8.0;
-  EXPECT_NEAR(PipelineMakespan(stages, 1000), bound, 0.1);
-  EXPECT_GE(PipelineMakespan(stages, 1000), bound - 1e-9);
-}
-
-TEST(PipelineMakespanTest, MonotoneInChunks) {
-  std::vector<PipelineStage> stages = {
-      {"a", 2.0, 1.0}, {"b", 0.5, 3.0}, {"c", 2.5, 0.5}};
-  double prev = PipelineMakespan(stages, 1);
-  for (uint32_t chunks : {2u, 4u, 8u, 32u, 128u}) {
-    double now = PipelineMakespan(stages, chunks);
-    EXPECT_LE(now, prev + 1e-9) << chunks;
-    prev = now;
-  }
-  // Never below the resource bound.
-  EXPECT_GE(prev, 5.0 - 1e-9);  // CPU bound: 2 + 0.5 + 2.5.
-}
-
-TEST(PipelineMakespanTest, TwoChunksHandComputed) {
-  // One stage, cpu 2 net 2, two chunks: chunk0 cpu [0,1], net [1,2];
-  // chunk1 cpu [1,2], net [2,3] -> makespan 3.
-  std::vector<PipelineStage> stages = {{"a", 2.0, 2.0}};
-  EXPECT_DOUBLE_EQ(PipelineMakespan(stages, 2), 3.0);
-}
-
-TEST(PipelineMakespanTest, EmptyAndCpuOnly) {
-  EXPECT_DOUBLE_EQ(PipelineMakespan({}, 4), 0.0);
-  std::vector<PipelineStage> cpu_only = {{"a", 5.0, 0.0}};
-  // A single CPU resource cannot pipeline with itself.
-  EXPECT_DOUBLE_EQ(PipelineMakespan(cpu_only, 16), 5.0);
-}
-
-TEST(PipelineMakespanTest, ProfileMakespanBoundsMatchesStageBounds) {
+TEST(MakespanBoundsTest, ProfileMakespanBoundsMatchesStageBounds) {
   // ProfileMakespanBounds is MakespanBounds over StagesFromProfile: lower
   // is the perfect-overlap resource bound, upper the de-pipelined sum.
   StepProfile profile;
@@ -69,58 +23,6 @@ TEST(PipelineMakespanTest, ProfileMakespanBoundsMatchesStageBounds) {
   EXPECT_DOUBLE_EQ(bounds.lower_seconds, 4.0);  // max(2.5 cpu, 4.0 net).
   EXPECT_DOUBLE_EQ(bounds.upper_seconds, 6.5);
   EXPECT_LE(bounds.lower_seconds, bounds.upper_seconds);
-}
-
-TEST(BuildPipelineStagesTest, MapsTrackJoinPhases) {
-  WorkloadSpec spec;
-  spec.num_nodes = 4;
-  spec.matched_keys = 400;
-  spec.r_payload = 8;
-  spec.s_payload = 24;
-  Workload w = GenerateWorkload(spec);
-  JoinConfig config;
-  config.key_bytes = 4;
-  JoinResult result = RunTrackJoin4(w.r, w.s, config);
-
-  NetworkTimeModel model{1e9};
-  auto stages = BuildPipelineStages(result, model, 4);
-  ASSERT_EQ(stages.size(), result.phase_seconds.size());
-
-  // The tracking, scheduling and data phases must carry transfer time; the
-  // local sort/join phases must not.
-  double net_total = 0;
-  for (const auto& stage : stages) {
-    net_total += stage.net_seconds;
-    if (stage.name == "sort local R tuples" ||
-        stage.name == "final merge-join R->S") {
-      EXPECT_DOUBLE_EQ(stage.net_seconds, 0.0);
-    }
-    if (stage.name == "selective broadcast & migrate") {
-      EXPECT_GT(stage.net_seconds, 0.0);
-    }
-  }
-  // All network bytes are attributed to some phase.
-  double expected =
-      static_cast<double>(result.traffic.TotalNetworkBytes()) / 4 / 1e9;
-  EXPECT_NEAR(net_total, expected, expected * 1e-9);
-}
-
-TEST(BuildPipelineStagesTest, HashJoinPhasesAndScale) {
-  WorkloadSpec spec;
-  spec.num_nodes = 4;
-  spec.matched_keys = 200;
-  Workload w = GenerateWorkload(spec);
-  JoinConfig config;
-  config.key_bytes = 4;
-  JoinResult result = RunHashJoin(w.r, w.s, config);
-  NetworkTimeModel model{1e9};
-  auto stages = BuildPipelineStages(result, model, 4, /*time_scale=*/10.0);
-  auto base = BuildPipelineStages(result, model, 4, /*time_scale=*/1.0);
-  ASSERT_EQ(stages.size(), base.size());
-  for (size_t i = 0; i < stages.size(); ++i) {
-    EXPECT_NEAR(stages[i].cpu_seconds, base[i].cpu_seconds * 10, 1e-12);
-    EXPECT_NEAR(stages[i].net_seconds, base[i].net_seconds * 10, 1e-12);
-  }
 }
 
 TEST(MakespanBoundsTest, HandComputedBounds) {
@@ -143,13 +45,12 @@ TEST(MakespanBoundsTest, EmptyStagesCollapseToZero) {
   EXPECT_TRUE(bounds.Contains(0.0));
 }
 
-TEST(MakespanBoundsTest, PipelineMakespanStaysInsideBounds) {
-  std::vector<PipelineStage> stages = {
-      {"a", 2.0, 1.0}, {"b", 0.5, 3.0}, {"c", 2.5, 0.5}};
-  PipelineBounds bounds = MakespanBounds(stages);
-  for (uint32_t chunks : {1u, 2u, 8u, 64u, 512u}) {
-    EXPECT_TRUE(bounds.Contains(PipelineMakespan(stages, chunks))) << chunks;
-  }
+TEST(MakespanBoundsTest, CpuOnlyStagesCannotOverlap) {
+  // A single CPU resource cannot pipeline with itself: both bounds are the
+  // CPU sum.
+  PipelineBounds bounds = MakespanBounds({{"a", 5.0, 0.0}, {"b", 1.5, 0.0}});
+  EXPECT_DOUBLE_EQ(bounds.lower_seconds, 6.5);
+  EXPECT_DOUBLE_EQ(bounds.upper_seconds, 6.5);
 }
 
 TEST(StagesFromProfileTest, MirrorsStepRecords) {
@@ -176,30 +77,6 @@ TEST(StagesFromProfileTest, MirrorsStepRecords) {
 
   PipelineBounds bounds = MakespanBounds(stages);
   EXPECT_DOUBLE_EQ(bounds.upper_seconds, 1.875);
-}
-
-TEST(PipelineMakespanTest, RealJoinPipelinesBetweenBounds) {
-  WorkloadSpec spec;
-  spec.num_nodes = 4;
-  spec.matched_keys = 500;
-  spec.r_payload = 16;
-  spec.s_payload = 48;
-  Workload w = GenerateWorkload(spec);
-  JoinConfig config;
-  config.key_bytes = 4;
-  JoinResult result = RunTrackJoin4(w.r, w.s, config);
-  NetworkTimeModel model;  // Paper bandwidth: net dominates CPU here.
-  auto stages = BuildPipelineStages(result, model, 4, /*time_scale=*/1000);
-
-  double serial = PipelineMakespan(stages, 1);
-  double pipelined = PipelineMakespan(stages, 64);
-  double cpu_total = 0, net_total = 0;
-  for (const auto& stage : stages) {
-    cpu_total += stage.cpu_seconds;
-    net_total += stage.net_seconds;
-  }
-  EXPECT_LT(pipelined, serial);
-  EXPECT_GE(pipelined, std::max(cpu_total, net_total) - 1e-9);
 }
 
 }  // namespace

@@ -8,9 +8,9 @@
 #include "baseline/hash_join.h"
 #include "common/rng.h"
 #include "core/late_hash_join.h"
+#include "core/pipelined_track_join.h"
 #include "core/recovery.h"
 #include "core/rid_hash_join.h"
-#include "core/streaming_track_join.h"
 #include "core/track_join.h"
 #include "exec/local_join.h"
 #include "workload/generator.h"
@@ -60,6 +60,14 @@ WorkloadSpec RandomSpec(Rng* rng) {
   return spec;
 }
 
+/// The pipelined track-join versions the sweeps cover (2TJ in its R->S
+/// direction, as tjsim's 2tj-r).
+std::vector<std::pair<const char*, TrackJoinVersion>> PipelinedVersions() {
+  return {{"p2TJ-R", TrackJoinVersion::k2Phase},
+          {"p3TJ", TrackJoinVersion::k3Phase},
+          {"p4TJ", TrackJoinVersion::k4Phase}};
+}
+
 JoinChecksum Reference(const Workload& w, uint64_t* rows) {
   TupleBlock all_r(w.r.payload_width()), all_s(w.s.payload_width());
   for (uint32_t node = 0; node < w.r.num_nodes(); ++node) {
@@ -101,8 +109,14 @@ TEST_P(ChaosTest, EveryAlgorithmMatchesReference) {
     check("2TJ-S", RunTrackJoin2(w.r, w.s, config, Direction::kStoR));
     check("3TJ", RunTrackJoin3(w.r, w.s, config));
     check("4TJ", RunTrackJoin4(w.r, w.s, config));
-    check("s2TJ",
-          RunStreamingTrackJoin2(w.r, w.s, config, Direction::kRtoS, 128));
+    for (const auto& [name, version] : PipelinedVersions()) {
+      Result<JoinResult> run =
+          TryRunPipelinedTrackJoin(w.r, w.s, config, version);
+      ASSERT_TRUE(run.ok()) << name << " seed=" << GetParam()
+                            << " round=" << round << ": "
+                            << run.status().ToString();
+      check(name, *run);
+    }
     check("rid-HJ", RunRidHashJoin(w.r, w.s, config));
     check("late-HJ", RunLateMaterializedHashJoin(w.r, w.s, config));
   }
@@ -186,9 +200,10 @@ TEST_P(FaultChaosTest, RecoverableFaultsLeaveResultsExact) {
           TryRunTrackJoin(w.r, w.s, config, TrackJoinVersion::k3Phase));
     check("4TJ", TryRunTrackJoin(w.r, w.s, faulty, TrackJoinVersion::k4Phase),
           TryRunTrackJoin(w.r, w.s, config, TrackJoinVersion::k4Phase));
-    check("s2TJ",
-          TryRunStreamingTrackJoin2(w.r, w.s, faulty, Direction::kRtoS, 128),
-          TryRunStreamingTrackJoin2(w.r, w.s, config, Direction::kRtoS, 128));
+    for (const auto& [name, version] : PipelinedVersions()) {
+      check(name, TryRunPipelinedTrackJoin(w.r, w.s, faulty, version),
+            TryRunPipelinedTrackJoin(w.r, w.s, config, version));
+    }
     check("rid-HJ", TryRunRidHashJoin(w.r, w.s, faulty),
           TryRunRidHashJoin(w.r, w.s, config));
     check("late-HJ", TryRunLateMaterializedHashJoin(w.r, w.s, faulty),

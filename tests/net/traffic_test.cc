@@ -106,32 +106,5 @@ TEST(TrafficTest, EveryMessageTypeHasAClass) {
   }
 }
 
-TEST(OverlapEstimateTest, BoundsAndSpeedup) {
-  OverlapEstimate est;
-  est.cpu_seconds = 3.0;
-  est.net_seconds = 9.0;
-  EXPECT_DOUBLE_EQ(est.DepipelinedSeconds(), 12.0);
-  EXPECT_DOUBLE_EQ(est.PipelinedSeconds(), 9.0);
-  EXPECT_DOUBLE_EQ(est.Speedup(), 12.0 / 9.0);
-  // One chunk = no overlap; many chunks approach the bound.
-  EXPECT_DOUBLE_EQ(est.PipelinedSeconds(1), 12.0);
-  EXPECT_DOUBLE_EQ(est.PipelinedSeconds(3), 10.0);
-  EXPECT_NEAR(est.PipelinedSeconds(1000), 9.0, 0.01);
-}
-
-TEST(OverlapEstimateTest, CpuBoundCase) {
-  OverlapEstimate est;
-  est.cpu_seconds = 10.0;
-  est.net_seconds = 2.0;
-  EXPECT_DOUBLE_EQ(est.PipelinedSeconds(), 10.0);
-  EXPECT_DOUBLE_EQ(est.Speedup(), 1.2);
-}
-
-TEST(OverlapEstimateTest, ZeroIsSafe) {
-  OverlapEstimate est;
-  EXPECT_DOUBLE_EQ(est.Speedup(), 1.0);
-  EXPECT_DOUBLE_EQ(est.PipelinedSeconds(5), 0.0);
-}
-
 }  // namespace
 }  // namespace tj

@@ -16,7 +16,6 @@
 #include "core/late_hash_join.h"
 #include "core/rid_hash_join.h"
 #include "core/semi_join.h"
-#include "core/streaming_track_join.h"
 #include "core/track_join.h"
 #include "net/fault_injector.h"
 #include "workload/generator.h"
@@ -101,8 +100,6 @@ TEST(StepProfileTest, PhaseSumsMatchRunTotalsForEveryAlgorithm) {
                          RunTrackJoin2(w.r, w.s, config, Direction::kStoR));
   CheckProfileMatchesRun("3tj", RunTrackJoin3(w.r, w.s, config));
   CheckProfileMatchesRun("4tj", RunTrackJoin4(w.r, w.s, config));
-  CheckProfileMatchesRun(
-      "stj-r", RunStreamingTrackJoin2(w.r, w.s, config, Direction::kRtoS, 64));
   CheckProfileMatchesRun("rid-hj", RunRidHashJoin(w.r, w.s, config));
   CheckProfileMatchesRun("late-hj",
                          RunLateMaterializedHashJoin(w.r, w.s, config));

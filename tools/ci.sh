@@ -146,7 +146,7 @@ pipeline_trace_tmp="$(mktemp -t tjsim_pipeline_trace.XXXXXX.json)"
 trap 'rm -f "${trace_tmp}" "${pipeline_trace_tmp}"' EXIT
 # One algorithm per trace: each pipelined run restarts its modeled clock,
 # so a shared file would interleave two timelines.
-for algo in 3tj 4tj; do
+for algo in 2tj-r 3tj 4tj; do
   "${smoke_dir}/tools/tjsim" --nodes=4 --keys=20000 --rmult=2 --smult=3 \
       --algo="${algo}" --pipeline --trace="${pipeline_trace_tmp}" >/dev/null
   python3 tools/check_trace_schema.py trace "${pipeline_trace_tmp}" --pipeline

@@ -110,7 +110,8 @@ execution:
   --delta              delta-compress tracking keys
   --group              node-group location messages
   --bandwidth=GBPS     NIC GB/s for the time model (default 0.093)
-  --pipeline           event-driven micro-batch execution for 3tj/4tj:
+  --pipeline           event-driven micro-batch execution for 2tj-r/2tj-s/
+                       3tj/4tj (any other algorithm is a usage error):
                        tracking, scheduling and transfers overlap; reports
                        modeled makespan vs the barrier sum-of-phases.
                        Incompatible with --delta/--group (plain wire format
@@ -249,6 +250,29 @@ std::vector<std::string> SplitList(const char* s) {
   }
   if (!cur.empty()) out.push_back(cur);
   return out;
+}
+
+// The track joins: the only algorithms with per-key schedules (EXPLAIN)
+// and with a pipelined driver (--pipeline).
+struct TrackAlgo {
+  tj::TrackJoinVersion version;
+  tj::Direction direction;
+};
+
+std::optional<TrackAlgo> TrackAlgoByName(const std::string& name) {
+  if (name == "2tj-r") {
+    return TrackAlgo{tj::TrackJoinVersion::k2Phase, tj::Direction::kRtoS};
+  }
+  if (name == "2tj-s") {
+    return TrackAlgo{tj::TrackJoinVersion::k2Phase, tj::Direction::kStoR};
+  }
+  if (name == "3tj") {
+    return TrackAlgo{tj::TrackJoinVersion::k3Phase, tj::Direction::kRtoS};
+  }
+  if (name == "4tj") {
+    return TrackAlgo{tj::TrackJoinVersion::k4Phase, tj::Direction::kRtoS};
+  }
+  return std::nullopt;
 }
 
 Options Parse(int argc, char** argv) {
@@ -458,8 +482,19 @@ Options Parse(int argc, char** argv) {
   if (!opt.blame.empty() && !opt.pipeline) {
     std::fprintf(stderr,
                  "--blame decomposes the pipelined makespan; add --pipeline "
-                 "(and a pipelined algorithm: 3tj or 4tj)\n");
+                 "(and a pipelined algorithm: 2tj-r, 2tj-s, 3tj or 4tj)\n");
     std::exit(1);
+  }
+  if (opt.pipeline) {
+    for (const std::string& algo : opt.algos) {
+      if (!TrackAlgoByName(algo)) {
+        std::fprintf(stderr,
+                     "--pipeline runs only the pipelined algorithms "
+                     "(--algo=2tj-r,2tj-s,3tj,4tj); '%s' is not one\n",
+                     algo.c_str());
+        std::exit(1);
+      }
+    }
   }
   return opt;
 }
@@ -477,27 +512,13 @@ tj::Result<tj::JoinResult> RunByName(const std::string& name,
   if (name == "bj-s") {
     return tj::TryRunBroadcastJoin(r, s, config, tj::Direction::kStoR);
   }
-  if (name == "2tj-r") {
-    return tj::TryRunTrackJoin(r, s, config, tj::TrackJoinVersion::k2Phase,
-                               tj::Direction::kRtoS);
-  }
-  if (name == "2tj-s") {
-    return tj::TryRunTrackJoin(r, s, config, tj::TrackJoinVersion::k2Phase,
-                               tj::Direction::kStoR);
-  }
-  if (name == "3tj") {
+  if (std::optional<TrackAlgo> track = TrackAlgoByName(name)) {
     if (config.pipeline.enabled) {
-      return tj::TryRunPipelinedTrackJoin(r, s, config,
-                                          tj::TrackJoinVersion::k3Phase);
+      return tj::TryRunPipelinedTrackJoin(r, s, config, track->version,
+                                          track->direction);
     }
-    return tj::TryRunTrackJoin(r, s, config, tj::TrackJoinVersion::k3Phase);
-  }
-  if (name == "4tj") {
-    if (config.pipeline.enabled) {
-      return tj::TryRunPipelinedTrackJoin(r, s, config,
-                                          tj::TrackJoinVersion::k4Phase);
-    }
-    return tj::TryRunTrackJoin(r, s, config, tj::TrackJoinVersion::k4Phase);
+    return tj::TryRunTrackJoin(r, s, config, track->version,
+                               track->direction);
   }
   if (name == "rid-hj") return tj::TryRunRidHashJoin(r, s, config);
   if (name == "late-hj") {
@@ -654,11 +675,9 @@ int main(int argc, char** argv) {
     bool known = false;
     // The scheduler audit only exists for the track joins — the baselines
     // never make per-key decisions.
-    const bool track_algo = algo == "2tj-r" || algo == "2tj-s" ||
-                            algo == "3tj" || algo == "4tj";
     tj::ScheduleAuditLog audit;
     tj::JoinConfig run_config = config;
-    if (!opt.explain.empty() && track_algo) {
+    if (!opt.explain.empty() && TrackAlgoByName(algo)) {
       run_config.schedule_audit = &audit;
     }
     run_config.collect_blame = !opt.blame.empty();
