@@ -8,6 +8,7 @@
 #include <cstdio>
 
 #include "bench/bench_util.h"
+#include "common/logging.h"
 #include "common/rng.h"
 #include "encoding/delta.h"
 #include "encoding/prefix_group.h"
@@ -46,7 +47,8 @@ void RunToggles(uint64_t scale, uint32_t nodes, uint64_t seed) {
     config.key_bytes = 4;
     config.delta_tracking = combo.delta;
     config.group_locations = combo.group;
-    JoinResult result = RunTrackJoin4(w.r, w.s, config);
+    JoinResult result = ValueOrDie(TryRunTrackJoin(w.r, w.s, config,
+                                                   TrackJoinVersion::k4Phase));
     double p = static_cast<double>(scale);
     std::printf("  %-28s %14.3f %14.3f %14.3f\n", combo.name,
                 Gib(result.traffic.NetworkBytes(TrafficClass::kKeysAndCounts) * p),

@@ -8,6 +8,7 @@
 #include <cstdio>
 
 #include "bench/bench_util.h"
+#include "common/logging.h"
 #include "costmodel/network_cost.h"
 
 namespace tj {
@@ -48,16 +49,19 @@ void Compare(uint32_t nodes, uint32_t r_payload, uint32_t s_payload,
   std::printf("  N=%u, payloads %u/%u bytes, %" PRIu64 " unique keys:\n",
               nodes, r_payload, s_payload, keys);
   report("BJ-R", BroadcastJoinCost(stats, true),
-         RunBroadcastJoin(w.r, w.s, config, Direction::kRtoS)
+         ValueOrDie(TryRunBroadcastJoin(w.r, w.s, config, Direction::kRtoS))
              .traffic.TotalNetworkBytes());
   report("HJ", HashJoinCost(stats, /*discount_local=*/true),
-         RunHashJoin(w.r, w.s, config).traffic.TotalNetworkBytes());
+         ValueOrDie(TryRunHashJoin(w.r, w.s, config))
+             .traffic.TotalNetworkBytes());
   // The model prices location messages at wk (the node label is amortized
   // away, Section 2.4); run the simulator the same way via grouping.
   JoinConfig grouped = config;
   grouped.group_locations = true;
   report("2TJ-R", TrackJoin2Cost(stats),
-         RunTrackJoin2(w.r, w.s, grouped, Direction::kRtoS)
+         ValueOrDie(TryRunTrackJoin(w.r, w.s, grouped,
+                                    TrackJoinVersion::k2Phase,
+                                    Direction::kRtoS))
              .traffic.TotalNetworkBytes());
   std::printf("\n");
 }

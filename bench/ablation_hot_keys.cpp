@@ -13,6 +13,7 @@
 #include <cstdio>
 
 #include "bench/bench_util.h"
+#include "common/logging.h"
 
 namespace tj {
 namespace bench {
@@ -47,7 +48,7 @@ void Sweep(uint32_t nodes, uint64_t seed) {
     spec.r_payload = 64;  // Fat fragment side...
     spec.s_payload = 8;   // ...thin broadcast side.
     spec.seed = seed;
-    Workload w = GenerateZipfWorkload(spec);
+    Workload w = ValueOrDie(TryGenerateZipfWorkload(spec));
 
     JoinConfig config;
     config.key_bytes = 4;
@@ -55,9 +56,11 @@ void Sweep(uint32_t nodes, uint64_t seed) {
     split.hot_key_threshold = 200000;
     split.hot_key_max_split = 4;
 
-    JoinResult hj = RunHashJoin(w.r, w.s, config);
-    JoinResult off = RunTrackJoin4(w.r, w.s, config);
-    JoinResult on = RunTrackJoin4(w.r, w.s, split);
+    JoinResult hj = ValueOrDie(TryRunHashJoin(w.r, w.s, config));
+    JoinResult off = ValueOrDie(TryRunTrackJoin(w.r, w.s, config,
+                                                TrackJoinVersion::k4Phase));
+    JoinResult on = ValueOrDie(TryRunTrackJoin(w.r, w.s, split,
+                                               TrackJoinVersion::k4Phase));
     if (off.checksum.digest() != hj.checksum.digest() ||
         on.checksum.digest() != hj.checksum.digest() ||
         on.output_rows != off.output_rows) {

@@ -9,6 +9,7 @@
 #include <cstdio>
 
 #include "bench/bench_util.h"
+#include "common/logging.h"
 #include "core/rid_hash_join.h"
 
 namespace tj {
@@ -32,9 +33,11 @@ void Sweep(uint64_t scale, uint32_t nodes, uint64_t seed) {
     JoinConfig config;
     config.key_bytes = 4;
     double p = static_cast<double>(scale);
-    JoinResult hj = RunHashJoin(w.r, w.s, config);
-    JoinResult rid = RunRidHashJoin(w.r, w.s, config);
-    JoinResult tj2 = RunTrackJoin2(w.r, w.s, config, Direction::kRtoS);
+    JoinResult hj = ValueOrDie(TryRunHashJoin(w.r, w.s, config));
+    JoinResult rid = ValueOrDie(TryRunRidHashJoin(w.r, w.s, config));
+    JoinResult tj2 = ValueOrDie(TryRunTrackJoin(w.r, w.s, config,
+                                                TrackJoinVersion::k2Phase,
+                                                Direction::kRtoS));
     std::printf("  %-10u %12.3f %12.3f %12.3f\n", wide,
                 Gib(hj.traffic.TotalNetworkBytes() * p),
                 Gib(rid.traffic.TotalNetworkBytes() * p),
@@ -60,9 +63,10 @@ void OutputBlowup(uint64_t scale, uint32_t nodes, uint64_t seed) {
     JoinConfig config;
     config.key_bytes = 4;
     double p = static_cast<double>(scale);
-    JoinResult hj = RunHashJoin(w.r, w.s, config);
-    JoinResult rid = RunRidHashJoin(w.r, w.s, config);
-    JoinResult tj4 = RunTrackJoin4(w.r, w.s, config);
+    JoinResult hj = ValueOrDie(TryRunHashJoin(w.r, w.s, config));
+    JoinResult rid = ValueOrDie(TryRunRidHashJoin(w.r, w.s, config));
+    JoinResult tj4 = ValueOrDie(TryRunTrackJoin(w.r, w.s, config,
+                                                TrackJoinVersion::k4Phase));
     std::printf("  %-6u %12.3f %12.3f %12.3f\n", m,
                 Gib(hj.traffic.TotalNetworkBytes() * p),
                 Gib(rid.traffic.TotalNetworkBytes() * p),

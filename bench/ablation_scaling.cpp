@@ -10,6 +10,7 @@
 #include <cstdio>
 
 #include "bench/bench_util.h"
+#include "common/logging.h"
 
 namespace tj {
 namespace bench {
@@ -29,10 +30,14 @@ void Sweep(uint64_t keys, uint64_t seed) {
     JoinConfig config;
     config.key_bytes = 4;
     auto mib = [](uint64_t b) { return b / double(1 << 20); };
-    JoinResult bj = RunBroadcastJoin(w.r, w.s, config, Direction::kRtoS);
-    JoinResult hj = RunHashJoin(w.r, w.s, config);
-    JoinResult tj2 = RunTrackJoin2(w.r, w.s, config, Direction::kRtoS);
-    JoinResult tj4 = RunTrackJoin4(w.r, w.s, config);
+    JoinResult bj = ValueOrDie(TryRunBroadcastJoin(w.r, w.s, config,
+                                                   Direction::kRtoS));
+    JoinResult hj = ValueOrDie(TryRunHashJoin(w.r, w.s, config));
+    JoinResult tj2 = ValueOrDie(TryRunTrackJoin(w.r, w.s, config,
+                                                TrackJoinVersion::k2Phase,
+                                                Direction::kRtoS));
+    JoinResult tj4 = ValueOrDie(TryRunTrackJoin(w.r, w.s, config,
+                                                TrackJoinVersion::k4Phase));
     if (tj4.checksum.digest() != hj.checksum.digest()) {
       std::fprintf(stderr, "FATAL: results disagree at N=%u\n", nodes);
       std::exit(1);

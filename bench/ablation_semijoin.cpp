@@ -10,6 +10,7 @@
 #include <cstdio>
 
 #include "bench/bench_util.h"
+#include "common/logging.h"
 #include "core/semi_join.h"
 
 namespace tj {
@@ -37,12 +38,13 @@ void Sweep(uint64_t scale, uint32_t nodes, uint64_t seed) {
     SemiJoinConfig semi;
     double p = static_cast<double>(scale);
 
-    JoinResult hj = RunHashJoin(w.r, w.s, config);
-    JoinResult fhj = RunFilteredHashJoin(w.r, w.s, config, semi);
-    JoinResult tj = RunTrackJoin2(w.r, w.s, config, Direction::kRtoS);
-    JoinResult ftj = RunFilteredTrackJoin(w.r, w.s, config, semi,
-                                          TrackJoinVersion::k2Phase,
-                                          Direction::kRtoS);
+    JoinResult hj = ValueOrDie(TryRunHashJoin(w.r, w.s, config));
+    JoinResult fhj = ValueOrDie(TryRunFilteredHashJoin(w.r, w.s, config, semi));
+    JoinResult tj = ValueOrDie(TryRunTrackJoin(w.r, w.s, config,
+                                               TrackJoinVersion::k2Phase,
+                                               Direction::kRtoS));
+    JoinResult ftj = ValueOrDie(TryRunFilteredTrackJoin(
+        w.r, w.s, config, semi, TrackJoinVersion::k2Phase, Direction::kRtoS));
     std::printf("  %-12.2f %10.3f %10.3f %10.3f %10.3f %10.3f\n", selectivity,
                 Gib(hj.traffic.TotalNetworkBytes() * p),
                 Gib(fhj.traffic.TotalNetworkBytes() * p),

@@ -10,6 +10,7 @@
 #include <cstdio>
 
 #include "bench/bench_util.h"
+#include "common/logging.h"
 #include "net/time_model.h"
 
 namespace tj {
@@ -32,15 +33,17 @@ void Sweep(uint32_t nodes, uint64_t seed) {
     spec.r_payload = 12;
     spec.s_payload = 28;
     spec.seed = seed;
-    Workload w = GenerateZipfWorkload(spec);
+    Workload w = ValueOrDie(TryGenerateZipfWorkload(spec));
     JoinConfig config;
     config.key_bytes = 4;
     JoinConfig balanced = config;
     balanced.balance_loads = true;
 
-    JoinResult hj = RunHashJoin(w.r, w.s, config);
-    JoinResult tj4 = RunTrackJoin4(w.r, w.s, config);
-    JoinResult tj4b = RunTrackJoin4(w.r, w.s, balanced);
+    JoinResult hj = ValueOrDie(TryRunHashJoin(w.r, w.s, config));
+    JoinResult tj4 = ValueOrDie(TryRunTrackJoin(w.r, w.s, config,
+                                                TrackJoinVersion::k4Phase));
+    JoinResult tj4b = ValueOrDie(TryRunTrackJoin(w.r, w.s, balanced,
+                                                 TrackJoinVersion::k4Phase));
     if (tj4.checksum.digest() != hj.checksum.digest() ||
         tj4b.checksum.digest() != hj.checksum.digest()) {
       std::fprintf(stderr, "FATAL: join results disagree at theta=%.2f\n",

@@ -20,6 +20,7 @@
 
 #include "baseline/broadcast_join.h"
 #include "baseline/hash_join.h"
+#include "common/logging.h"
 #include "common/thread_pool.h"
 #include "core/track_join.h"
 #include "costmodel/reprice.h"
@@ -74,19 +75,23 @@ inline JoinResult RunAlgorithm(JoinAlgorithm algorithm,
                                const JoinConfig& config) {
   switch (algorithm) {
     case JoinAlgorithm::kBroadcastR:
-      return RunBroadcastJoin(r, s, config, Direction::kRtoS);
+      return ValueOrDie(TryRunBroadcastJoin(r, s, config, Direction::kRtoS));
     case JoinAlgorithm::kBroadcastS:
-      return RunBroadcastJoin(r, s, config, Direction::kStoR);
+      return ValueOrDie(TryRunBroadcastJoin(r, s, config, Direction::kStoR));
     case JoinAlgorithm::kHash:
-      return RunHashJoin(r, s, config);
+      return ValueOrDie(TryRunHashJoin(r, s, config));
     case JoinAlgorithm::kTrack2R:
-      return RunTrackJoin2(r, s, config, Direction::kRtoS);
+      return ValueOrDie(TryRunTrackJoin(r, s, config, TrackJoinVersion::k2Phase,
+                                        Direction::kRtoS));
     case JoinAlgorithm::kTrack2S:
-      return RunTrackJoin2(r, s, config, Direction::kStoR);
+      return ValueOrDie(TryRunTrackJoin(r, s, config, TrackJoinVersion::k2Phase,
+                                        Direction::kStoR));
     case JoinAlgorithm::kTrack3:
-      return RunTrackJoin3(r, s, config);
+      return ValueOrDie(
+          TryRunTrackJoin(r, s, config, TrackJoinVersion::k3Phase));
     case JoinAlgorithm::kTrack4:
-      return RunTrackJoin4(r, s, config);
+      return ValueOrDie(
+          TryRunTrackJoin(r, s, config, TrackJoinVersion::k4Phase));
   }
   std::abort();
 }

@@ -6,6 +6,7 @@
 // Both inputs have almost entirely unique keys, so every track join
 // version behaves alike; we report 2TJ-R (the paper's configuration).
 #include "bench/real_bench.h"
+#include "common/logging.h"
 
 int main(int argc, char** argv) {
   tj::bench::Args args = tj::bench::ParseArgs(argc, argv);
@@ -27,9 +28,9 @@ int main(int argc, char** argv) {
     tj::Workload w =
         tj::InstantiateReal(spec, nodes, scale, /*original_order=*/true,
                             args.seed + q);
-    tj::JoinResult hj = tj::RunHashJoin(w.r, w.s, config);
-    tj::JoinResult tj2 =
-        tj::RunTrackJoin2(w.r, w.s, config, tj::Direction::kRtoS);
+    tj::JoinResult hj = tj::ValueOrDie(tj::TryRunHashJoin(w.r, w.s, config));
+    tj::JoinResult tj2 = tj::ValueOrDie(tj::TryRunTrackJoin(
+        w.r, w.s, config, tj::TrackJoinVersion::k2Phase, tj::Direction::kRtoS));
     if (hj.checksum.digest() != tj2.checksum.digest()) {
       std::fprintf(stderr, "FATAL: join results disagree on Q%d\n", q);
       return 1;

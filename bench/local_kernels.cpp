@@ -18,6 +18,7 @@
 #include <string>
 
 #include "bench/real_bench.h"
+#include "common/logging.h"
 #include "common/rng.h"
 #include "core/track_join.h"
 #include "exec/partition.h"
@@ -117,8 +118,9 @@ int main(int argc, char** argv) {
   JoinConfig config = bench::RealConfig(WorkloadX(1));
   config.thread_pool = p;
   Workload w = InstantiateReal(WorkloadX(1), 4, join_scale, true, args.seed);
-  StepProfile hj = RunHashJoin(w.r, w.s, config).profile;
-  StepProfile tj4 = RunTrackJoin4(w.r, w.s, config).profile;
+  StepProfile hj = ValueOrDie(TryRunHashJoin(w.r, w.s, config)).profile;
+  StepProfile tj4 = ValueOrDie(
+      TryRunTrackJoin(w.r, w.s, config, TrackJoinVersion::k4Phase)).profile;
 
   double n = static_cast<double>(rows);
   std::printf("{\n");

@@ -16,6 +16,7 @@
 
 #include "baseline/hash_join.h"
 #include "bench/real_bench.h"
+#include "common/logging.h"
 #include "obs/step_profile.h"
 
 namespace tj {
@@ -38,7 +39,7 @@ Steps RunSteps(const RealJoinSpec& spec, bool original_order, uint64_t scale,
   JoinConfig config = RealConfig(spec);
   config.thread_pool = pool;
   Workload w = InstantiateReal(spec, nodes, scale, original_order, seed);
-  JoinResult result = RunHashJoin(w.r, w.s, config);
+  JoinResult result = ValueOrDie(TryRunHashJoin(w.r, w.s, config));
   const StepProfile& prof = result.profile;
   double p = static_cast<double>(scale);
   Steps steps{};

@@ -17,6 +17,7 @@
 #include <cstdio>
 
 #include "bench/real_bench.h"
+#include "common/logging.h"
 #include "core/track_join.h"
 #include "obs/step_profile.h"
 
@@ -33,7 +34,8 @@ void RunColumn(const char* header, const RealJoinSpec& spec,
   JoinConfig config = RealConfig(spec);
   config.thread_pool = pool;
   Workload w = InstantiateReal(spec, nodes, scale, original_order, seed);
-  JoinResult result = RunTrackJoin4(w.r, w.s, config);
+  JoinResult result = ValueOrDie(TryRunTrackJoin(w.r, w.s, config,
+                                                 TrackJoinVersion::k4Phase));
   const StepProfile& prof = result.profile;
   const double p = static_cast<double>(scale);
   auto cpu = [&](const char* name) { return prof.WallSeconds(name) * p; };

@@ -7,6 +7,7 @@
 #include <cstdio>
 
 #include "baseline/hash_join.h"
+#include "common/logging.h"
 #include "core/track_join.h"
 #include "costmodel/reprice.h"
 #include "workload/real.h"
@@ -25,8 +26,9 @@ int main() {
               static_cast<unsigned long long>(w.s.TotalRows()));
 
   // 1. Encoding schemes re-price the same transfer schedule.
-  tj::JoinResult hj = tj::RunHashJoin(w.r, w.s, config);
-  tj::JoinResult tj4 = tj::RunTrackJoin4(w.r, w.s, config);
+  tj::JoinResult hj = tj::ValueOrDie(tj::TryRunHashJoin(w.r, w.s, config));
+  tj::JoinResult tj4 = tj::ValueOrDie(tj::TryRunTrackJoin(
+      w.r, w.s, config, tj::TrackJoinVersion::k4Phase));
   std::printf("encoding scheme sweep (MiB, same schedules re-priced):\n");
   std::printf("  %-14s %10s %10s\n", "scheme", "hash join", "track join");
   for (auto scheme :
@@ -62,7 +64,8 @@ int main() {
     tj::JoinConfig tuned = config;
     tuned.delta_tracking = t.delta;
     tuned.group_locations = t.group;
-    tj::JoinResult result = tj::RunTrackJoin4(w.r, w.s, tuned);
+    tj::JoinResult result = tj::ValueOrDie(tj::TryRunTrackJoin(
+        w.r, w.s, tuned, tj::TrackJoinVersion::k4Phase));
     if (result.checksum.digest() != hj.checksum.digest()) {
       std::fprintf(stderr, "join results disagree!\n");
       return 1;

@@ -11,6 +11,7 @@
 #include <cstdlib>
 
 #include "baseline/hash_join.h"
+#include "common/logging.h"
 #include "core/track_join.h"
 #include "workload/generator.h"
 
@@ -44,11 +45,13 @@ int main(int argc, char** argv) {
     auto mib = [](const tj::JoinResult& r) {
       return static_cast<double>(r.traffic.TotalNetworkBytes()) / (1 << 20);
     };
-    tj::JoinResult hj = tj::RunHashJoin(w.r, w.s, config);
-    tj::JoinResult tj2 =
-        tj::RunTrackJoin2(w.r, w.s, config, tj::Direction::kRtoS);
-    tj::JoinResult tj3 = tj::RunTrackJoin3(w.r, w.s, config);
-    tj::JoinResult tj4 = tj::RunTrackJoin4(w.r, w.s, config);
+    tj::JoinResult hj = tj::ValueOrDie(tj::TryRunHashJoin(w.r, w.s, config));
+    tj::JoinResult tj2 = tj::ValueOrDie(tj::TryRunTrackJoin(
+        w.r, w.s, config, tj::TrackJoinVersion::k2Phase, tj::Direction::kRtoS));
+    tj::JoinResult tj3 = tj::ValueOrDie(tj::TryRunTrackJoin(
+        w.r, w.s, config, tj::TrackJoinVersion::k3Phase));
+    tj::JoinResult tj4 = tj::ValueOrDie(tj::TryRunTrackJoin(
+        w.r, w.s, config, tj::TrackJoinVersion::k4Phase));
     if (tj4.checksum.digest() != hj.checksum.digest()) {
       std::fprintf(stderr, "join results disagree!\n");
       return 1;

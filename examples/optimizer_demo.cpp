@@ -8,6 +8,7 @@
 
 #include "baseline/broadcast_join.h"
 #include "baseline/hash_join.h"
+#include "common/logging.h"
 #include "core/track_join.h"
 #include "costmodel/optimizer.h"
 #include "workload/generator.h"
@@ -18,19 +19,27 @@ tj::JoinResult Run(tj::JoinAlgorithm algorithm, const tj::Workload& w,
                    const tj::JoinConfig& config) {
   switch (algorithm) {
     case tj::JoinAlgorithm::kBroadcastR:
-      return tj::RunBroadcastJoin(w.r, w.s, config, tj::Direction::kRtoS);
+      return tj::ValueOrDie(tj::TryRunBroadcastJoin(w.r, w.s, config,
+                                                    tj::Direction::kRtoS));
     case tj::JoinAlgorithm::kBroadcastS:
-      return tj::RunBroadcastJoin(w.r, w.s, config, tj::Direction::kStoR);
+      return tj::ValueOrDie(tj::TryRunBroadcastJoin(w.r, w.s, config,
+                                                    tj::Direction::kStoR));
     case tj::JoinAlgorithm::kHash:
-      return tj::RunHashJoin(w.r, w.s, config);
+      return tj::ValueOrDie(tj::TryRunHashJoin(w.r, w.s, config));
     case tj::JoinAlgorithm::kTrack2R:
-      return tj::RunTrackJoin2(w.r, w.s, config, tj::Direction::kRtoS);
+      return tj::ValueOrDie(tj::TryRunTrackJoin(w.r, w.s, config,
+                                                tj::TrackJoinVersion::k2Phase,
+                                                tj::Direction::kRtoS));
     case tj::JoinAlgorithm::kTrack2S:
-      return tj::RunTrackJoin2(w.r, w.s, config, tj::Direction::kStoR);
+      return tj::ValueOrDie(tj::TryRunTrackJoin(w.r, w.s, config,
+                                                tj::TrackJoinVersion::k2Phase,
+                                                tj::Direction::kStoR));
     case tj::JoinAlgorithm::kTrack3:
-      return tj::RunTrackJoin3(w.r, w.s, config);
+      return tj::ValueOrDie(tj::TryRunTrackJoin(w.r, w.s, config,
+                                                tj::TrackJoinVersion::k3Phase));
     case tj::JoinAlgorithm::kTrack4:
-      return tj::RunTrackJoin4(w.r, w.s, config);
+      return tj::ValueOrDie(tj::TryRunTrackJoin(w.r, w.s, config,
+                                                tj::TrackJoinVersion::k4Phase));
   }
   std::abort();
 }

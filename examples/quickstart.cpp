@@ -8,6 +8,7 @@
 
 #include "baseline/broadcast_join.h"
 #include "baseline/hash_join.h"
+#include "common/logging.h"
 #include "core/track_join.h"
 #include "workload/generator.h"
 
@@ -38,17 +39,23 @@ int main() {
     tj::JoinResult result;
   };
   std::vector<Run> runs;
-  runs.push_back({"hash join", tj::RunHashJoin(workload.r, workload.s, config)});
+  runs.push_back({"hash join", tj::ValueOrDie(tj::TryRunHashJoin(
+                                   workload.r, workload.s, config))});
   runs.push_back({"broadcast join (R)",
-                  tj::RunBroadcastJoin(workload.r, workload.s, config,
-                                       tj::Direction::kRtoS)});
+                  tj::ValueOrDie(tj::TryRunBroadcastJoin(
+                      workload.r, workload.s, config, tj::Direction::kRtoS))});
   runs.push_back({"2-phase track join",
-                  tj::RunTrackJoin2(workload.r, workload.s, config,
-                                    tj::Direction::kRtoS)});
-  runs.push_back(
-      {"3-phase track join", tj::RunTrackJoin3(workload.r, workload.s, config)});
-  runs.push_back(
-      {"4-phase track join", tj::RunTrackJoin4(workload.r, workload.s, config)});
+                  tj::ValueOrDie(tj::TryRunTrackJoin(
+                      workload.r, workload.s, config,
+                      tj::TrackJoinVersion::k2Phase, tj::Direction::kRtoS))});
+  runs.push_back({"3-phase track join",
+                  tj::ValueOrDie(tj::TryRunTrackJoin(
+                      workload.r, workload.s, config,
+                      tj::TrackJoinVersion::k3Phase))});
+  runs.push_back({"4-phase track join",
+                  tj::ValueOrDie(tj::TryRunTrackJoin(
+                      workload.r, workload.s, config,
+                      tj::TrackJoinVersion::k4Phase))});
 
   for (const Run& run : runs) {
     if (run.result.checksum.digest() != runs[0].result.checksum.digest()) {

@@ -14,6 +14,7 @@
 #include <cstdio>
 
 #include "baseline/broadcast_join.h"
+#include "common/logging.h"
 #include "common/rng.h"
 #include "core/track_join.h"
 #include "ops/aggregate.h"
@@ -78,21 +79,23 @@ int main() {
   };
 
   // Join 1: fact x orders on order_id — 4-phase track join.
-  tj::JoinResult j1 = tj::RunTrackJoin4(lineitems, orders, config);
+  tj::JoinResult j1 = tj::ValueOrDie(tj::TryRunTrackJoin(
+      lineitems, orders, config, tj::TrackJoinVersion::k4Phase));
   report("lineitems JOIN orders", j1);
 
   // Join 2: re-key on customer_id (offset 0 of the lineitem payload, which
   // is now the leading payload segment of the join output).
   tj::PartitionedTable by_customer =
       tj::RekeyByPayloadField(*j1.output, /*offset=*/0, /*bytes=*/4, "j1");
-  tj::JoinResult j2 = tj::RunTrackJoin4(by_customer, customers, config);
+  tj::JoinResult j2 = tj::ValueOrDie(tj::TryRunTrackJoin(
+      by_customer, customers, config, tj::TrackJoinVersion::k4Phase));
   report("... JOIN customers", j2);
 
   // Join 3: products is tiny — broadcast join wins (paper Section 3.1).
   tj::PartitionedTable by_product =
       tj::RekeyByPayloadField(*j2.output, /*offset=*/4, /*bytes=*/4, "j2");
-  tj::JoinResult j3 =
-      tj::RunBroadcastJoin(by_product, products, config, tj::Direction::kStoR);
+  tj::JoinResult j3 = tj::ValueOrDie(tj::TryRunBroadcastJoin(
+      by_product, products, config, tj::Direction::kStoR));
   report("... JOIN products (BJ-S)", j3);
 
   uint64_t expected = kOrders * kLineitemsPerOrder;
@@ -110,7 +113,8 @@ int main() {
   tj::AggregateConfig agg;
   agg.group_by = tj::FieldRef::Payload(4, 4);
   agg.value = tj::FieldRef::Payload(8, 8);
-  tj::AggregateResult totals = tj::RunDistributedAggregate(*j3.output, agg);
+  tj::AggregateResult totals = tj::ValueOrDie(tj::TryRunDistributedAggregate(
+      *j3.output, agg));
   total_network += totals.traffic.TotalNetworkBytes();
   std::printf("%-28s %10llu groups %10s network (pre-aggregated)\n",
               "SUM(amount) BY product",

@@ -9,14 +9,6 @@
 
 namespace tj {
 
-JoinResult RunBroadcastJoin(const PartitionedTable& r,
-                            const PartitionedTable& s,
-                            const JoinConfig& config, Direction direction) {
-  Result<JoinResult> result = TryRunBroadcastJoin(r, s, config, direction);
-  TJ_CHECK(result.ok()) << result.status().ToString();
-  return std::move(result).value();
-}
-
 Result<JoinResult> TryRunBroadcastJoin(const PartitionedTable& r,
                                        const PartitionedTable& s,
                                        const JoinConfig& config,

@@ -22,11 +22,6 @@ Result<JoinResult> TryRunBroadcastJoin(const PartitionedTable& r,
                                        const JoinConfig& config,
                                        Direction direction);
 
-/// Infallible wrapper: aborts if the run fails.
-JoinResult RunBroadcastJoin(const PartitionedTable& r,
-                            const PartitionedTable& s,
-                            const JoinConfig& config, Direction direction);
-
 }  // namespace tj
 
 #endif  // TJ_BASELINE_BROADCAST_JOIN_H_

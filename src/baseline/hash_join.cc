@@ -10,13 +10,6 @@
 
 namespace tj {
 
-JoinResult RunHashJoin(const PartitionedTable& r, const PartitionedTable& s,
-                       const JoinConfig& config) {
-  Result<JoinResult> result = TryRunHashJoin(r, s, config);
-  TJ_CHECK(result.ok()) << result.status().ToString();
-  return std::move(result).value();
-}
-
 Result<JoinResult> TryRunHashJoin(const PartitionedTable& r,
                                   const PartitionedTable& s,
                                   const JoinConfig& config) {

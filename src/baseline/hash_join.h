@@ -22,10 +22,6 @@ Result<JoinResult> TryRunHashJoin(const PartitionedTable& r,
                                   const PartitionedTable& s,
                                   const JoinConfig& config);
 
-/// Infallible wrapper: aborts if the run fails.
-JoinResult RunHashJoin(const PartitionedTable& r, const PartitionedTable& s,
-                       const JoinConfig& config);
-
 }  // namespace tj
 
 #endif  // TJ_BASELINE_HASH_JOIN_H_

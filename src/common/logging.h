@@ -8,8 +8,12 @@
 
 #include <cstdlib>
 #include <iostream>
+#include <source_location>
 #include <sstream>
 #include <string>
+#include <utility>
+
+#include "common/status.h"
 
 namespace tj {
 namespace internal {
@@ -69,5 +73,23 @@ LogLevel SetLogLevel(LogLevel level);
     if (!_tj_st.ok())                                          \
       TJ_LOG(Fatal) << "Status not OK: " << _tj_st.ToString(); \
   } while (0)
+
+namespace tj {
+
+/// Unwraps a Result that cannot fail in context (tests, benches, examples
+/// on fault-free fabrics); aborts with the error, reported at the caller's
+/// line, otherwise. Library code propagates errors instead.
+template <typename T>
+T ValueOrDie(Result<T> result,
+             std::source_location loc = std::source_location::current()) {
+  if (!result.ok()) {
+    internal::LogMessage(internal::LogLevel::kFatal, loc.file_name(),
+                         static_cast<int>(loc.line()))
+        << "Result not OK: " << result.status().ToString();
+  }
+  return std::move(result).value();
+}
+
+}  // namespace tj
 
 #endif  // TJ_COMMON_LOGGING_H_

@@ -148,21 +148,6 @@ struct JoinConfig {
   uint64_t MsgBytes() const { return key_bytes + node_bytes; }
 };
 
-/// Guard shared by the streaming and pipelined drivers: both chunk their
-/// wire streams at entry boundaries, which only the plain fixed-width
-/// encodings allow (delta-coded keys and node-grouped pairs carry
-/// cross-entry context).
-inline Status RequirePlainWireFormat(const JoinConfig& config,
-                                     const char* driver) {
-  if (config.delta_tracking || config.group_locations) {
-    return Status::InvalidArgument(
-        std::string(driver) +
-        " requires the plain wire format (delta_tracking and "
-        "group_locations must be off)");
-  }
-  return Status::OK();
-}
-
 /// Outcome of a distributed join run: verified output fingerprint, full
 /// traffic matrix and per-phase wall-clock breakdown.
 struct JoinResult {

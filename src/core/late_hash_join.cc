@@ -261,14 +261,4 @@ Result<JoinResult> TryRunLateMaterializedHashJoin(const PartitionedTable& r,
   return result;
 }
 
-JoinResult RunLateMaterializedHashJoin(const PartitionedTable& r,
-                                       const PartitionedTable& s,
-                                       const JoinConfig& config,
-                                       uint32_t rid_bytes) {
-  Result<JoinResult> result =
-      TryRunLateMaterializedHashJoin(r, s, config, rid_bytes);
-  TJ_CHECK(result.ok()) << result.status().ToString();
-  return std::move(result).value();
-}
-
 }  // namespace tj

@@ -28,12 +28,6 @@ Result<JoinResult> TryRunLateMaterializedHashJoin(const PartitionedTable& r,
                                                   const JoinConfig& config,
                                                   uint32_t rid_bytes = 4);
 
-/// Infallible wrapper: aborts if the run fails.
-JoinResult RunLateMaterializedHashJoin(const PartitionedTable& r,
-                                       const PartitionedTable& s,
-                                       const JoinConfig& config,
-                                       uint32_t rid_bytes = 4);
-
 }  // namespace tj
 
 #endif  // TJ_CORE_LATE_HASH_JOIN_H_

@@ -95,6 +95,18 @@ struct PipelineNodeState {
   BufferPool pool;
 };
 
+/// The driver chunks its wire streams at entry boundaries, which only the
+/// plain fixed-width encodings allow (delta-coded keys and node-grouped
+/// pairs carry cross-entry context).
+Status RequirePlainWireFormat(const JoinConfig& config) {
+  if (config.delta_tracking || config.group_locations) {
+    return Status::InvalidArgument(
+        "pipelined track join requires the plain wire format "
+        "(delta_tracking and group_locations must be off)");
+  }
+  return Status::OK();
+}
+
 /// Decodes a plain (fixed-width, order-preserving) <key, node> pair chunk.
 Status DecodePlainPairs(const ByteBuffer& data, const JoinConfig& config,
                         std::vector<KeyNodePair>* out) {
@@ -122,7 +134,7 @@ Result<JoinResult> TryRunPipelinedTrackJoin(const PartitionedTable& r,
                                             TrackJoinVersion version,
                                             Direction direction) {
   TJ_CHECK_EQ(r.num_nodes(), s.num_nodes());
-  TJ_RETURN_IF_ERROR(RequirePlainWireFormat(config, "pipelined track join"));
+  TJ_RETURN_IF_ERROR(RequirePlainWireFormat(config));
 
   const uint32_t n = r.num_nodes();
   const bool four_phase = version == TrackJoinVersion::k4Phase;
@@ -170,20 +182,16 @@ Result<JoinResult> TryRunPipelinedTrackJoin(const PartitionedTable& r,
   if (audit != nullptr) audit->Reset(n);
 
   std::vector<PipelineNodeState> nodes(n);
-  for (PipelineNodeState& st : nodes) {
+  for (uint32_t node = 0; node < n; ++node) {
+    PipelineNodeState& st = nodes[node];
     st.streams_r.resize(n);
     st.streams_s.resize(n);
-    st.planner.emplace(config, version, direction, n, /*tracker=*/0, width_r,
-                       width_s, audit);
     st.in_r = TupleBlock(r.payload_width());
     st.in_s = TupleBlock(s.payload_width());
     st.mig_r = TupleBlock(r.payload_width());
     st.mig_s = TupleBlock(s.payload_width());
-  }
-  // The planner's tracker id is positional; re-emplace with the right id.
-  for (uint32_t node = 0; node < n; ++node) {
-    nodes[node].planner.emplace(config, version, direction, n, node, width_r,
-                                width_s, audit);
+    st.planner.emplace(config, version, direction, n, node, width_r, width_s,
+                       audit);
   }
 
   const uint32_t out_width = r.payload_width() + s.payload_width();
@@ -437,19 +445,25 @@ Result<JoinResult> TryRunPipelinedTrackJoin(const PartitionedTable& r,
   };
 
   // Routes each instructed key's home run and streams the rows out. Used
-  // for both selective-broadcast locations and migrations — the only
-  // difference is the outgoing data type (and that migrations never route
-  // to self).
+  // for selective-broadcast locations, migrations and hot-split fragments —
+  // the only differences are the outgoing data type, that migrations never
+  // route to self, and that a fragment instruction splits the run across
+  // its workers instead of copying it whole.
   auto route_and_send = [&](const Chunk& chunk, const TupleBlock& block,
                             uint32_t row_width, MessageType data_type,
                             std::vector<KeyNodePair>& pairs) -> Status {
     TJ_RETURN_IF_ERROR(DecodePlainPairs(chunk.data, config, &pairs));
     PipelineNodeState& st = nodes[chunk.dst];
     std::vector<std::vector<uint32_t>> rows(n);
-    for (const KeyNodePair& pair : pairs) {
-      auto [lo, hi] = block.EqualRange(pair.key);
-      for (uint64_t row = lo; row < hi; ++row) {
-        rows[pair.node].push_back(static_cast<uint32_t>(row));
+    if (chunk.type == MessageType::kFragmentR ||
+        chunk.type == MessageType::kFragmentS) {
+      SplitHotRuns(block, pairs, &rows);
+    } else {
+      for (const KeyNodePair& pair : pairs) {
+        auto [lo, hi] = block.EqualRange(pair.key);
+        for (uint64_t row = lo; row < hi; ++row) {
+          rows[pair.node].push_back(static_cast<uint32_t>(row));
+        }
       }
     }
     for (uint32_t step = 0; step < n; ++step) {
@@ -487,46 +501,13 @@ Result<JoinResult> TryRunPipelinedTrackJoin(const PartitionedTable& r,
               chunk, st.s, width_s, MessageType::kMigrationDataS, pairs));
           break;
         case MessageType::kFragmentR:
-        case MessageType::kFragmentS: {
-          // Split each hot key's run into w near-equal contiguous pieces,
-          // one per worker in instruction order (earlier workers absorb
-          // the remainder) — identical arithmetic to the barrier driver.
-          const bool is_r = chunk.type == MessageType::kFragmentR;
-          const TupleBlock& block = is_r ? st.r : st.s;
-          const MessageType data_type = is_r ? MessageType::kMigrationDataR
-                                             : MessageType::kMigrationDataS;
-          TJ_RETURN_IF_ERROR(DecodePlainPairs(chunk.data, config, &pairs));
-          std::vector<std::vector<uint32_t>> rows(n);
-          size_t i = 0;
-          while (i < pairs.size()) {
-            const uint64_t key = pairs[i].key;
-            size_t j = i;
-            while (j < pairs.size() && pairs[j].key == key) ++j;
-            const uint64_t w = j - i;
-            auto [lo, hi] = block.EqualRange(key);
-            const uint64_t count = hi - lo;
-            uint64_t row = lo;
-            for (uint64_t k = 0; k < w; ++k) {
-              const uint64_t take = count / w + (k < count % w ? 1 : 0);
-              auto& dst_rows = rows[pairs[i + k].node];
-              for (uint64_t t = 0; t < take; ++t) {
-                dst_rows.push_back(static_cast<uint32_t>(row++));
-              }
-            }
-            i = j;
-          }
-          const uint32_t row_width = is_r ? width_r : width_s;
-          for (uint32_t step = 0; step < n; ++step) {
-            const uint32_t dst = fan_out_dst(chunk.dst, step);
-            if (rows[dst].empty()) continue;
-            ByteBuffer buf = st.pool.Acquire();
-            block.SerializeRowsIndexed(rows[dst], config.key_bytes, &buf);
-            fabric.ChargeCpuBytes(buf.size());
-            send_sliced_data(chunk.dst, dst, data_type, buf, row_width);
-            st.pool.Recycle(std::move(buf));
-          }
+          TJ_RETURN_IF_ERROR(route_and_send(
+              chunk, st.r, width_r, MessageType::kMigrationDataR, pairs));
           break;
-        }
+        case MessageType::kFragmentS:
+          TJ_RETURN_IF_ERROR(route_and_send(
+              chunk, st.s, width_s, MessageType::kMigrationDataS, pairs));
+          break;
         default:
           return Status::Internal("unexpected instruction chunk type");
       }

@@ -24,13 +24,6 @@ struct KeyRef {
 
 }  // namespace
 
-JoinResult RunRidHashJoin(const PartitionedTable& r, const PartitionedTable& s,
-                          const JoinConfig& config, uint32_t rid_bytes) {
-  Result<JoinResult> result = TryRunRidHashJoin(r, s, config, rid_bytes);
-  TJ_CHECK(result.ok()) << result.status().ToString();
-  return std::move(result).value();
-}
-
 Result<JoinResult> TryRunRidHashJoin(const PartitionedTable& r,
                                      const PartitionedTable& s,
                                      const JoinConfig& config,

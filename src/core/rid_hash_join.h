@@ -33,10 +33,6 @@ Result<JoinResult> TryRunRidHashJoin(const PartitionedTable& r,
                                      const JoinConfig& config,
                                      uint32_t rid_bytes = 4);
 
-/// Infallible wrapper: aborts if the run fails.
-JoinResult RunRidHashJoin(const PartitionedTable& r, const PartitionedTable& s,
-                          const JoinConfig& config, uint32_t rid_bytes = 4);
-
 }  // namespace tj
 
 #endif  // TJ_CORE_RID_HASH_JOIN_H_

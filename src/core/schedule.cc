@@ -262,6 +262,29 @@ HotKeyPlan PlanHotSplit(const KeyPlacement& placement, uint32_t width_r,
   return best;
 }
 
+void SplitHotRuns(const TupleBlock& block,
+                  const std::vector<KeyNodePair>& pairs,
+                  std::vector<std::vector<uint32_t>>* rows_per_dest) {
+  size_t i = 0;
+  while (i < pairs.size()) {
+    const uint64_t key = pairs[i].key;
+    size_t j = i;
+    while (j < pairs.size() && pairs[j].key == key) ++j;
+    const uint64_t w = j - i;
+    auto [lo, hi] = block.EqualRange(key);
+    const uint64_t count = hi - lo;
+    uint64_t row = lo;
+    for (uint64_t k = 0; k < w; ++k) {
+      const uint64_t take = count / w + (k < count % w ? 1 : 0);
+      auto& dst_rows = (*rows_per_dest)[pairs[i + k].node];
+      for (uint64_t t = 0; t < take; ++t) {
+        dst_rows.push_back(static_cast<uint32_t>(row++));
+      }
+    }
+    i = j;
+  }
+}
+
 Direction CheaperBroadcastDirection(const KeyPlacement& placement,
                                     uint64_t* cost_out) {
   uint64_t rs = SelectiveBroadcastCost(placement, Direction::kRtoS);

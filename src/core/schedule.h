@@ -124,6 +124,15 @@ struct HotKeyPlan {
 HotKeyPlan PlanHotSplit(const KeyPlacement& placement, uint32_t width_r,
                         uint32_t width_s, uint32_t max_split);
 
+/// The holder side of a hot split, as PlanHotSplit's cost model assumes it:
+/// `pairs` lists each fragmented key's w workers consecutively, in split
+/// order. Cuts the key's run of `block` (sorted by key) into w contiguous
+/// near-equal pieces, earlier workers absorbing the remainder rows, and
+/// appends piece k's row indices to (*rows_per_dest)[k-th worker].
+void SplitHotRuns(const TupleBlock& block,
+                  const std::vector<KeyNodePair>& pairs,
+                  std::vector<std::vector<uint32_t>>* rows_per_dest);
+
 /// Max modeled tuple bytes received by any node under a
 /// migrate-and-broadcast schedule (kept targets receive the broadcast they
 /// lack; the destination also absorbs every migrated payload).

@@ -39,9 +39,9 @@ void MergeResult(const FilteredInputs& pre, JoinResult* result) {
 
 }  // namespace
 
-FilteredInputs ExchangeFiltersAndPrune(const PartitionedTable& r,
-                                       const PartitionedTable& s,
-                                       const SemiJoinConfig& semi) {
+Result<FilteredInputs> ExchangeFiltersAndPrune(const PartitionedTable& r,
+                                               const PartitionedTable& s,
+                                               const SemiJoinConfig& semi) {
   TJ_CHECK_EQ(r.num_nodes(), s.num_nodes());
   const uint32_t n = r.num_nodes();
   Fabric fabric(n);
@@ -51,7 +51,8 @@ FilteredInputs ExchangeFiltersAndPrune(const PartitionedTable& r,
 
   // Broadcast both tables' per-node filters (one serialized copy to each
   // other node; the figures count this under the Filter class).
-  fabric.RunPhase("broadcast bloom filters", [&](uint32_t node) {
+  TJ_RETURN_IF_ERROR(fabric.RunPhaseReliable(
+      "broadcast bloom filters", [&](uint32_t node) {
     ByteBuffer r_buf, s_buf;
     r_filters[node].Serialize(&r_buf);
     s_filters[node].Serialize(&s_buf);
@@ -60,7 +61,8 @@ FilteredInputs ExchangeFiltersAndPrune(const PartitionedTable& r,
       fabric.Send(node, dst, MessageType::kFilter, r_buf);
       fabric.Send(node, dst, MessageType::kFilter, s_buf);
     }
-  });
+    return Status::OK();
+  }));
 
   FilteredInputs out{PartitionedTable(r.name(), n, r.payload_width()),
                      PartitionedTable(s.name(), n, s.payload_width()),
@@ -81,7 +83,8 @@ FilteredInputs ExchangeFiltersAndPrune(const PartitionedTable& r,
     }
     return false;
   };
-  fabric.RunPhase("apply filters", [&](uint32_t node) {
+  TJ_RETURN_IF_ERROR(fabric.RunPhaseReliable(
+      "apply filters", [&](uint32_t node) {
     const TupleBlock& rb = r.node(node);
     for (uint64_t row = 0; row < rb.size(); ++row) {
       if (may_match(s_filters, rb.Key(row))) {
@@ -98,7 +101,8 @@ FilteredInputs ExchangeFiltersAndPrune(const PartitionedTable& r,
         ++out.s_rows_pruned;
       }
     }
-  });
+    return Status::OK();
+  }));
 
   out.filter_traffic = fabric.traffic();
   out.phase_seconds = fabric.phase_seconds();
@@ -110,7 +114,7 @@ Result<JoinResult> TryRunFilteredHashJoin(const PartitionedTable& r,
                                           const PartitionedTable& s,
                                           const JoinConfig& config,
                                           const SemiJoinConfig& semi) {
-  FilteredInputs pre = ExchangeFiltersAndPrune(r, s, semi);
+  TJ_ASSIGN_OR_RETURN(FilteredInputs pre, ExchangeFiltersAndPrune(r, s, semi));
   Result<JoinResult> run = TryRunHashJoin(pre.r, pre.s, config);
   TJ_RETURN_IF_ERROR(run.status());
   JoinResult result = std::move(run).value();
@@ -124,33 +128,13 @@ Result<JoinResult> TryRunFilteredTrackJoin(const PartitionedTable& r,
                                            const SemiJoinConfig& semi,
                                            TrackJoinVersion version,
                                            Direction direction) {
-  FilteredInputs pre = ExchangeFiltersAndPrune(r, s, semi);
+  TJ_ASSIGN_OR_RETURN(FilteredInputs pre, ExchangeFiltersAndPrune(r, s, semi));
   Result<JoinResult> run = TryRunTrackJoin(pre.r, pre.s, config, version,
                                            direction);
   TJ_RETURN_IF_ERROR(run.status());
   JoinResult result = std::move(run).value();
   MergeResult(pre, &result);
   return result;
-}
-
-JoinResult RunFilteredHashJoin(const PartitionedTable& r,
-                               const PartitionedTable& s,
-                               const JoinConfig& config,
-                               const SemiJoinConfig& semi) {
-  Result<JoinResult> result = TryRunFilteredHashJoin(r, s, config, semi);
-  TJ_CHECK(result.ok()) << result.status().ToString();
-  return std::move(result).value();
-}
-
-JoinResult RunFilteredTrackJoin(const PartitionedTable& r,
-                                const PartitionedTable& s,
-                                const JoinConfig& config,
-                                const SemiJoinConfig& semi,
-                                TrackJoinVersion version, Direction direction) {
-  Result<JoinResult> result =
-      TryRunFilteredTrackJoin(r, s, config, semi, version, direction);
-  TJ_CHECK(result.ok()) << result.status().ToString();
-  return std::move(result).value();
 }
 
 }  // namespace tj

@@ -38,9 +38,9 @@ struct FilteredInputs {
   uint64_t r_rows_pruned = 0;
   uint64_t s_rows_pruned = 0;
 };
-FilteredInputs ExchangeFiltersAndPrune(const PartitionedTable& r,
-                                       const PartitionedTable& s,
-                                       const SemiJoinConfig& semi);
+Result<FilteredInputs> ExchangeFiltersAndPrune(const PartitionedTable& r,
+                                               const PartitionedTable& s,
+                                               const SemiJoinConfig& semi);
 
 /// Grace hash join behind two-way Bloom filtering. The filter broadcast is
 /// modeled-reliable (each node prunes with locally built filters; the sends
@@ -60,18 +60,6 @@ Result<JoinResult> TryRunFilteredTrackJoin(const PartitionedTable& r,
                                            TrackJoinVersion version,
                                            Direction direction =
                                                Direction::kRtoS);
-
-/// Infallible wrappers: abort if the run fails.
-JoinResult RunFilteredHashJoin(const PartitionedTable& r,
-                               const PartitionedTable& s,
-                               const JoinConfig& config,
-                               const SemiJoinConfig& semi);
-JoinResult RunFilteredTrackJoin(const PartitionedTable& r,
-                                const PartitionedTable& s,
-                                const JoinConfig& config,
-                                const SemiJoinConfig& semi,
-                                TrackJoinVersion version,
-                                Direction direction = Direction::kRtoS);
 
 }  // namespace tj
 

@@ -65,14 +65,6 @@ void RouteKeyRun(const TupleBlock& block, uint64_t key,
 
 }  // namespace
 
-JoinResult RunTrackJoin(const PartitionedTable& r, const PartitionedTable& s,
-                        const JoinConfig& config, TrackJoinVersion version,
-                        Direction direction) {
-  Result<JoinResult> result = TryRunTrackJoin(r, s, config, version, direction);
-  TJ_CHECK(result.ok()) << result.status().ToString();
-  return std::move(result).value();
-}
-
 Result<JoinResult> TryRunTrackJoin(const PartitionedTable& r,
                                    const PartitionedTable& s,
                                    const JoinConfig& config,
@@ -296,10 +288,9 @@ Result<JoinResult> TryRunTrackJoin(const PartitionedTable& r,
                                       MessageType::kMigrationDataS, &st.s));
 
     // Hot-split fragments: a non-worker holder splits each instructed
-    // key's run into w near-equal contiguous chunks, one per worker in
-    // instruction order (earlier workers absorb the remainder rows), ships
-    // them as migration data, and drops the run locally. Workers merge the
-    // chunks next to their own kept rows in phase 8.
+    // key's run across its workers (SplitHotRuns), ships the pieces as
+    // migration data, and drops the run locally. Workers merge the chunks
+    // next to their own kept rows in phase 8.
     auto run_fragments = [&](MessageType instr, MessageType data,
                              TupleBlock* block) -> Status {
       std::vector<std::vector<uint32_t>> rows(n);
@@ -311,25 +302,8 @@ Result<JoinResult> TryRunTrackJoin(const PartitionedTable& r,
       auto instr_msgs = fabric.TakeInbox(node, instr);
       for (const auto& msg : instr_msgs) {
         TJ_RETURN_IF_ERROR(TryDecodeKeyNodePairs(msg, frag_config, &pairs));
-        size_t i = 0;
-        while (i < pairs.size()) {
-          const uint64_t key = pairs[i].key;
-          size_t j = i;
-          while (j < pairs.size() && pairs[j].key == key) ++j;
-          const uint64_t w = j - i;
-          auto [lo, hi] = block->EqualRange(key);
-          const uint64_t count = hi - lo;
-          uint64_t row = lo;
-          for (uint64_t k = 0; k < w; ++k) {
-            const uint64_t take = count / w + (k < count % w ? 1 : 0);
-            auto& dst_rows = rows[pairs[i + k].node];
-            for (uint64_t t = 0; t < take; ++t) {
-              dst_rows.push_back(static_cast<uint32_t>(row++));
-            }
-          }
-          if (count > 0) fragmented.Insert(key);
-          i = j;
-        }
+        SplitHotRuns(*block, pairs, &rows);
+        for (const auto& pair : pairs) fragmented.Insert(pair.key);
       }
       for (auto& msg : instr_msgs) st.pool.Recycle(std::move(msg.data));
       SendRowsPerDest(&fabric, node, data, *block, config.key_bytes, rows,

@@ -39,33 +39,6 @@ Result<JoinResult> TryRunTrackJoin(const PartitionedTable& r,
                                    TrackJoinVersion version,
                                    Direction direction = Direction::kRtoS);
 
-/// Infallible wrapper: aborts if the run fails. Use only without an active
-/// fault policy.
-JoinResult RunTrackJoin(const PartitionedTable& r, const PartitionedTable& s,
-                        const JoinConfig& config, TrackJoinVersion version,
-                        Direction direction = Direction::kRtoS);
-
-/// 2-phase track join with an explicit selective-broadcast direction.
-inline JoinResult RunTrackJoin2(const PartitionedTable& r,
-                                const PartitionedTable& s,
-                                const JoinConfig& config, Direction direction) {
-  return RunTrackJoin(r, s, config, TrackJoinVersion::k2Phase, direction);
-}
-
-/// 3-phase track join (per-key direction).
-inline JoinResult RunTrackJoin3(const PartitionedTable& r,
-                                const PartitionedTable& s,
-                                const JoinConfig& config) {
-  return RunTrackJoin(r, s, config, TrackJoinVersion::k3Phase);
-}
-
-/// 4-phase track join (per-key migration + broadcast; traffic-optimal).
-inline JoinResult RunTrackJoin4(const PartitionedTable& r,
-                                const PartitionedTable& s,
-                                const JoinConfig& config) {
-  return RunTrackJoin(r, s, config, TrackJoinVersion::k4Phase);
-}
-
 }  // namespace tj
 
 #endif  // TJ_CORE_TRACK_JOIN_H_

@@ -76,16 +76,6 @@ std::vector<ByteBuffer> EncodeTrackingMessages(
   return per_dest;
 }
 
-std::vector<TrackEntry> DecodeTrackingMessage(const Message& message,
-                                              const JoinConfig& config,
-                                              bool with_counts) {
-  std::vector<TrackEntry> entries;
-  Status status =
-      TryDecodeTrackingMessage(message, config, with_counts, &entries);
-  TJ_CHECK(status.ok()) << status.ToString();
-  return entries;
-}
-
 Status TryDecodeTrackingMessage(const Message& message,
                                 const JoinConfig& config, bool with_counts,
                                 std::vector<TrackEntry>* out) {
@@ -381,14 +371,6 @@ ByteBuffer EncodeKeyNodePairs(const std::vector<KeyNodePair>& pairs,
     writer.PutUint(p.node, config.node_bytes);
   }
   return out;
-}
-
-std::vector<KeyNodePair> DecodeKeyNodePairs(const Message& message,
-                                            const JoinConfig& config) {
-  std::vector<KeyNodePair> pairs;
-  Status status = TryDecodeKeyNodePairs(message, config, &pairs);
-  TJ_CHECK(status.ok()) << status.ToString();
-  return pairs;
 }
 
 std::vector<WireChunk> SliceEntryMessage(const ByteBuffer& message,

@@ -43,14 +43,8 @@ std::vector<ByteBuffer> EncodeTrackingMessages(
 
 /// Parses one tracking message back into (key, src, count) entries.
 /// Duplicate (key, node) chunks are NOT merged here; MergeTrackEntries does.
-/// Aborts on malformed input; use the Try variant for untrusted bytes.
-std::vector<TrackEntry> DecodeTrackingMessage(const Message& message,
-                                              const JoinConfig& config,
-                                              bool with_counts);
-
-/// Bounds-checked variant: malformed payloads (truncated varints, sizes not
-/// a multiple of the entry width, trailing bytes) return Status::Corruption
-/// instead of aborting. Used by the Status-propagating join pipelines.
+/// Malformed payloads (truncated varints, sizes not a multiple of the entry
+/// width, trailing bytes) return Status::Corruption.
 Status TryDecodeTrackingMessage(const Message& message,
                                 const JoinConfig& config, bool with_counts,
                                 std::vector<TrackEntry>* out);
@@ -186,15 +180,11 @@ std::vector<WireChunk> SliceEntryMessage(const ByteBuffer& message,
 
 /// Serializes / parses <key, node> pair messages (location lists and
 /// migration instructions). With cfg.group_locations the node-grouped
-/// encoding of Section 2.4 is used.
+/// encoding of Section 2.4 is used. Malformed payloads return
+/// Status::Corruption.
 ByteBuffer EncodeKeyNodePairs(const std::vector<KeyNodePair>& pairs,
                               const JoinConfig& config,
                               BufferPool* pool = nullptr);
-std::vector<KeyNodePair> DecodeKeyNodePairs(const Message& message,
-                                            const JoinConfig& config);
-
-/// Bounds-checked variant of DecodeKeyNodePairs: malformed payloads return
-/// Status::Corruption instead of aborting.
 Status TryDecodeKeyNodePairs(const Message& message, const JoinConfig& config,
                              std::vector<KeyNodePair>* out);
 

@@ -195,13 +195,6 @@ Result<KeyPartitionLayout> TryRadixPartitionKeys(const TupleBlock& block,
   return layout;
 }
 
-PartitionLayout RadixPartition(const TupleBlock& block, uint32_t num_parts,
-                               ThreadPool* pool) {
-  Result<PartitionLayout> result = TryRadixPartition(block, num_parts, pool);
-  TJ_CHECK(result.ok()) << result.status().ToString();
-  return std::move(result).value();
-}
-
 std::vector<uint32_t> HeavyPartitions(const std::vector<uint64_t>& bounds,
                                       double factor) {
   std::vector<uint32_t> heavy;
@@ -214,46 +207,6 @@ std::vector<uint32_t> HeavyPartitions(const std::vector<uint64_t>& bounds,
     }
   }
   return heavy;
-}
-
-std::vector<TupleBlock> HashPartitionBlock(const TupleBlock& block,
-                                           uint32_t num_parts) {
-  Result<PartitionLayout> result = TryRadixPartition(block, num_parts);
-  TJ_CHECK(result.ok()) << result.status().ToString();
-  PartitionLayout& layout = result.value();
-  std::vector<TupleBlock> parts;
-  parts.reserve(num_parts);
-  for (uint32_t p = 0; p < num_parts; ++p) {
-    TupleBlock part(block.payload_width());
-    part.Reserve(layout.Size(p));
-    for (uint64_t row = layout.Begin(p); row < layout.End(p); ++row) {
-      part.AppendFrom(layout.tuples, row);
-    }
-    parts.push_back(std::move(part));
-  }
-  return parts;
-}
-
-Result<std::vector<std::vector<uint32_t>>> TryHashPartitionIndexes(
-    const TupleBlock& block, uint32_t num_parts, ThreadPool* pool) {
-  Result<KeyPartitionLayout> result =
-      TryRadixPartitionKeys(block, num_parts, pool);
-  if (!result.ok()) return result.status();
-  const KeyPartitionLayout& layout = result.value();
-  std::vector<std::vector<uint32_t>> indexes(num_parts);
-  for (uint32_t p = 0; p < num_parts; ++p) {
-    indexes[p].assign(layout.row_ids.begin() + layout.Begin(p),
-                      layout.row_ids.begin() + layout.End(p));
-  }
-  return indexes;
-}
-
-std::vector<std::vector<uint32_t>> HashPartitionIndexes(const TupleBlock& block,
-                                                        uint32_t num_parts) {
-  Result<std::vector<std::vector<uint32_t>>> result =
-      TryHashPartitionIndexes(block, num_parts);
-  TJ_CHECK(result.ok()) << result.status().ToString();
-  return std::move(result).value();
 }
 
 }  // namespace tj

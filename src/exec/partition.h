@@ -69,31 +69,12 @@ Result<KeyPartitionLayout> TryRadixPartitionKeys(const TupleBlock& block,
                                                  uint32_t num_parts,
                                                  ThreadPool* pool = nullptr);
 
-/// Infallible wrapper: aborts on error.
-PartitionLayout RadixPartition(const TupleBlock& block, uint32_t num_parts,
-                               ThreadPool* pool = nullptr);
-
 /// Skew guard: indexes of partitions holding more than `factor` times the
 /// mean partition size (from a layout's bounds). The radix kernels split
 /// such partitions' work across threads by input chunk; callers that
 /// process per-partition can use this to subdivide heavy partitions.
 std::vector<uint32_t> HeavyPartitions(const std::vector<uint64_t>& bounds,
                                       double factor);
-
-/// Splits `block` into `num_parts` blocks by hash of key.
-/// (Compatibility wrapper over TryRadixPartition; aborts on num_parts == 0.)
-std::vector<TupleBlock> HashPartitionBlock(const TupleBlock& block,
-                                           uint32_t num_parts);
-
-/// Row indexes of `block` destined for each partition (no copying).
-/// (Compatibility wrapper over TryRadixPartitionKeys.)
-std::vector<std::vector<uint32_t>> HashPartitionIndexes(const TupleBlock& block,
-                                                        uint32_t num_parts);
-
-/// Status-returning variant of HashPartitionIndexes: InvalidArgument when
-/// num_parts == 0, OutOfRange when the block has >= 2^32 rows.
-Result<std::vector<std::vector<uint32_t>>> TryHashPartitionIndexes(
-    const TupleBlock& block, uint32_t num_parts, ThreadPool* pool = nullptr);
 
 }  // namespace tj
 

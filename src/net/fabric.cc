@@ -47,7 +47,7 @@ void Fabric::SetFaultPolicy(const FaultPolicy& policy, uint64_t seed) {
 
 void Fabric::Send(uint32_t src, uint32_t dst, MessageType type,
                   ByteBuffer data) {
-  TJ_CHECK(in_phase_) << "Send outside RunPhase";
+  TJ_CHECK(in_phase_) << "Send outside RunPhaseReliable";
   TJ_CHECK_LT(src, num_nodes_);
   TJ_CHECK_LT(dst, num_nodes_);
   // Cells indexed by src are only written by node src's own phase work, so
@@ -85,7 +85,7 @@ void Fabric::SendBytes(uint32_t src, uint32_t dst, MessageType type,
 
 Status Fabric::RunPhaseReliable(const std::string& name,
                                 const std::function<Status(uint32_t)>& fn) {
-  TJ_CHECK(!in_phase_) << "nested RunPhase";
+  TJ_CHECK(!in_phase_) << "nested RunPhaseReliable";
   in_phase_ = true;
   const uint64_t phase = phase_index_++;
   std::vector<Status> statuses(num_nodes_);
@@ -231,15 +231,6 @@ void Fabric::RecordPhaseStats(const std::string& name, double wall_seconds) {
                            static_cast<int64_t>(traffic_.EgressBytes(node)));
     }
   }
-}
-
-void Fabric::RunPhase(const std::string& name,
-                      const std::function<void(uint32_t)>& fn) {
-  Status status = RunPhaseReliable(name, [&fn](uint32_t node) {
-    fn(node);
-    return Status::OK();
-  });
-  TJ_CHECK(status.ok()) << "phase failed: " << status.ToString();
 }
 
 Status Fabric::DeliverBarrier(const std::string& name) {

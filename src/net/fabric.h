@@ -94,8 +94,8 @@ class Fabric {
   const FailureReport& failure() const { return failure_; }
 
   /// Queues a message for delivery after the current phase. Callable only
-  /// from inside RunPhase, and only by the node whose id is `src` (this is
-  /// what makes concurrent phases race-free).
+  /// from inside RunPhaseReliable, and only by the node whose id is `src`
+  /// (this is what makes concurrent phases race-free).
   void Send(uint32_t src, uint32_t dst, MessageType type, ByteBuffer data);
 
   /// Accounting-only variant: counts `bytes` of traffic without payload.
@@ -113,11 +113,6 @@ class Fabric {
   /// but callers are expected to abandon the fabric on error.
   Status RunPhaseReliable(const std::string& name,
                           const std::function<Status(uint32_t node)>& fn);
-
-  /// Infallible legacy wrapper: aborts if the phase fails. Use only on
-  /// fabrics without an active fault policy.
-  void RunPhase(const std::string& name,
-                const std::function<void(uint32_t node)>& fn);
 
   /// Consumes and returns node's inbox (messages delivered at barriers so
   /// far and not yet taken).

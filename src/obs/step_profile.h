@@ -7,8 +7,9 @@
 // transmissions), local copies, and fault-recovery overhead (retransmits,
 // duplicates, acks/nacks), each split by message type. The records are
 // produced by Fabric's phase-scoped instrumentation (net/fabric.h), so
-// algorithms label a phase once at RunPhase and the whole breakdown falls
-// out; benches (table2/3/4) and `tjsim --profile` render the same records.
+// algorithms label a phase once at RunPhaseReliable and the whole breakdown
+// falls out; benches (table2/3/4) and `tjsim --profile` render the same
+// records.
 //
 // Profiling is passive: it only reads the fabric's ledgers at each barrier,
 // so enabling it changes neither join results nor any TrafficMatrix cell.

@@ -34,8 +34,8 @@ constexpr uint32_t kCountBytes = 8;
 
 }  // namespace
 
-AggregateResult RunDistributedAggregate(const PartitionedTable& table,
-                                        const AggregateConfig& config) {
+Result<AggregateResult> TryRunDistributedAggregate(
+    const PartitionedTable& table, const AggregateConfig& config) {
   const uint32_t n = table.num_nodes();
   const uint32_t payload_width = config.sum_bytes + kCountBytes;
   AggregateResult result{PartitionedTable("agg", n, payload_width),
@@ -47,9 +47,9 @@ AggregateResult RunDistributedAggregate(const PartitionedTable& table,
   Fabric fabric(n);
   std::vector<std::unordered_map<uint64_t, Partial>> finals(n);
 
-  fabric.RunPhase(config.pre_aggregate ? "local pre-aggregate & shuffle"
-                                       : "shuffle rows",
-                  [&](uint32_t node) {
+  TJ_RETURN_IF_ERROR(fabric.RunPhaseReliable(
+      config.pre_aggregate ? "local pre-aggregate & shuffle" : "shuffle rows",
+      [&](uint32_t node) {
     const TupleBlock& block = table.node(node);
     std::vector<ByteBuffer> out(n);
     std::vector<ByteWriter> writers;
@@ -96,9 +96,11 @@ AggregateResult RunDistributedAggregate(const PartitionedTable& table,
         fabric.Send(node, dst, MessageType::kTrackR, std::move(out[dst]));
       }
     }
-  });
+    return Status::OK();
+  }));
 
-  fabric.RunPhase("final aggregate", [&](uint32_t node) {
+  TJ_RETURN_IF_ERROR(fabric.RunPhaseReliable("final aggregate",
+                                             [&](uint32_t node) {
     auto msgs = fabric.TakeInbox(node, MessageType::kTrackR);
     // Size the final table from the incoming bytes: every fixed-width wire
     // record is at most one new group, so this bound is exact for disjoint
@@ -135,7 +137,8 @@ AggregateResult RunDistributedAggregate(const PartitionedTable& table,
       }
       result.output.node(node).Append(group, payload.data());
     }
-  });
+    return Status::OK();
+  }));
 
   result.traffic = fabric.traffic();
   result.phase_seconds = fabric.phase_seconds();

@@ -20,6 +20,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/status.h"
 #include "net/traffic.h"
 #include "storage/table.h"
 
@@ -60,9 +61,10 @@ struct AggregateResult {
   uint64_t input_rows = 0;
 };
 
-/// Runs the distributed aggregation over `table`.
-AggregateResult RunDistributedAggregate(const PartitionedTable& table,
-                                        const AggregateConfig& config);
+/// Runs the distributed aggregation over `table`. Fails with the fabric's
+/// phase error (never a partial result) if a phase fails.
+Result<AggregateResult> TryRunDistributedAggregate(
+    const PartitionedTable& table, const AggregateConfig& config);
 
 }  // namespace tj
 

@@ -54,11 +54,6 @@ std::pair<uint64_t, uint64_t> TupleBlock::EqualRange(uint64_t key) const {
           static_cast<uint64_t>(hi - keys_.begin())};
 }
 
-void TupleBlock::DeserializeRows(ByteReader* in, uint32_t key_bytes) {
-  Status status = TryDeserializeRows(in, key_bytes);
-  TJ_CHECK(status.ok()) << status.ToString();
-}
-
 Status TupleBlock::TryDeserializeRows(ByteReader* in, uint32_t key_bytes) {
   const uint32_t row_bytes = key_bytes + payload_width_;
   TJ_CHECK_GT(row_bytes, 0u);

@@ -93,11 +93,7 @@ class TupleBlock {
   std::pair<uint64_t, uint64_t> EqualRange(uint64_t key) const;
 
   /// Appends rows parsed from `in`, each `key_bytes` + payload_width bytes,
-  /// until `in` is exhausted. Aborts on malformed input; use the Try
-  /// variant for untrusted bytes.
-  void DeserializeRows(ByteReader* in, uint32_t key_bytes);
-
-  /// Bounds-checked variant: input whose size is not a whole number of rows
+  /// until `in` is exhausted. Input whose size is not a whole number of rows
   /// returns Status::Corruption (and appends nothing).
   Status TryDeserializeRows(ByteReader* in, uint32_t key_bytes);
 

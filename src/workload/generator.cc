@@ -144,8 +144,13 @@ Workload GenerateWorkload(const WorkloadSpec& spec) {
 }
 
 Result<Workload> TryGenerateZipfWorkload(const ZipfWorkloadSpec& spec) {
-  TJ_CHECK_GT(spec.num_nodes, 0u);
-  TJ_CHECK_GT(spec.key_domain, 0u);
+  if (spec.num_nodes == 0) {
+    return Status::InvalidArgument("zipf workload needs at least one node");
+  }
+  if (spec.key_domain == 0) {
+    return Status::InvalidArgument(
+        "zipf workload needs a non-empty key domain (key_domain > 0)");
+  }
   Workload w{PartitionedTable("R", spec.num_nodes, spec.r_payload),
              PartitionedTable("S", spec.num_nodes, spec.s_payload), 0};
   Rng rng(spec.seed ^ 0x21bfULL);
@@ -206,12 +211,6 @@ Status AddOutputProduct(uint64_t key, uint64_t r_count, uint64_t s_count,
   }
   *total = sum;
   return Status::OK();
-}
-
-Workload GenerateZipfWorkload(const ZipfWorkloadSpec& spec) {
-  Result<Workload> w = TryGenerateZipfWorkload(spec);
-  TJ_CHECK(w.ok()) << w.status().ToString();
-  return std::move(w).value();
 }
 
 void ShuffleTable(PartitionedTable* table, uint64_t seed) {

@@ -107,10 +107,11 @@ struct ZipfWorkloadSpec {
 /// (domain, theta) match, so the distribution setup runs once, and theta=0
 /// degenerates to plain uniform sampling (see ZipfGenerator).
 ///
-/// The exact output count can overflow uint64 under extreme skew (a hot
-/// key with ~2^32 copies on each side): the Try variant detects any
-/// overflowing per-key product or running sum and returns
-/// Status::InvalidArgument instead of silently wrapping.
+/// Returns Status::InvalidArgument for an empty cluster (num_nodes == 0)
+/// or an empty key domain (key_domain == 0). The exact output count can
+/// overflow uint64 under extreme skew (a hot key with ~2^32 copies on each
+/// side): any overflowing per-key product or running sum also returns
+/// InvalidArgument instead of silently wrapping.
 Result<Workload> TryGenerateZipfWorkload(const ZipfWorkloadSpec& spec);
 
 /// Accumulates one key's exact output contribution (r_count x s_count)
@@ -118,9 +119,6 @@ Result<Workload> TryGenerateZipfWorkload(const ZipfWorkloadSpec& spec);
 /// product or the running sum overflows uint64; *total is untouched then.
 Status AddOutputProduct(uint64_t key, uint64_t r_count, uint64_t s_count,
                         uint64_t* total);
-
-/// CHECK-failing convenience wrapper around TryGenerateZipfWorkload.
-Workload GenerateZipfWorkload(const ZipfWorkloadSpec& spec);
 
 }  // namespace tj
 

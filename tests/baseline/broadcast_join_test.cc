@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/logging.h"
 #include "workload/generator.h"
 
 namespace tj {
@@ -20,8 +21,10 @@ TEST(BroadcastJoinTest, CorrectOutputBothDirections) {
   spec.r_multiplicity = 2;
   spec.s_multiplicity = 2;
   Workload w = GenerateWorkload(spec);
-  JoinResult r = RunBroadcastJoin(w.r, w.s, TestConfig(), Direction::kRtoS);
-  JoinResult s = RunBroadcastJoin(w.r, w.s, TestConfig(), Direction::kStoR);
+  JoinResult r = ValueOrDie(TryRunBroadcastJoin(w.r, w.s, TestConfig(),
+                                                Direction::kRtoS));
+  JoinResult s = ValueOrDie(TryRunBroadcastJoin(w.r, w.s, TestConfig(),
+                                                Direction::kStoR));
   EXPECT_EQ(r.output_rows, w.expected_output_rows);
   EXPECT_EQ(s.output_rows, w.expected_output_rows);
   EXPECT_EQ(r.checksum.digest(), s.checksum.digest());
@@ -36,13 +39,15 @@ TEST(BroadcastJoinTest, TrafficIsNMinusOneTimesTable) {
   Workload w = GenerateWorkload(spec);
   JoinConfig config = TestConfig();
 
-  JoinResult r = RunBroadcastJoin(w.r, w.s, config, Direction::kRtoS);
+  JoinResult r = ValueOrDie(TryRunBroadcastJoin(w.r, w.s, config,
+                                                Direction::kRtoS));
   uint64_t expected_r =
       w.r.TotalRows() * (config.key_bytes + spec.r_payload) * (6 - 1);
   EXPECT_EQ(r.traffic.TotalNetworkBytes(), expected_r);
   EXPECT_EQ(r.traffic.NetworkBytes(TrafficClass::kSTuples), 0u);
 
-  JoinResult s = RunBroadcastJoin(w.r, w.s, config, Direction::kStoR);
+  JoinResult s = ValueOrDie(TryRunBroadcastJoin(w.r, w.s, config,
+                                                Direction::kStoR));
   uint64_t expected_s =
       w.s.TotalRows() * (config.key_bytes + spec.s_payload) * (6 - 1);
   EXPECT_EQ(s.traffic.TotalNetworkBytes(), expected_s);
@@ -54,7 +59,8 @@ TEST(BroadcastJoinTest, SingleNodeIsFree) {
   spec.num_nodes = 1;
   spec.matched_keys = 50;
   Workload w = GenerateWorkload(spec);
-  JoinResult result = RunBroadcastJoin(w.r, w.s, TestConfig(), Direction::kRtoS);
+  JoinResult result = ValueOrDie(TryRunBroadcastJoin(w.r, w.s, TestConfig(),
+                                                     Direction::kRtoS));
   EXPECT_EQ(result.output_rows, 50u);
   EXPECT_EQ(result.traffic.TotalNetworkBytes(), 0u);
 }
@@ -65,7 +71,8 @@ TEST(BroadcastJoinTest, EmptyMovingTable) {
   spec.num_nodes = 3;
   spec.matched_keys = 10;
   Workload w = GenerateWorkload(spec);
-  JoinResult result = RunBroadcastJoin(r, w.s, TestConfig(), Direction::kRtoS);
+  JoinResult result = ValueOrDie(TryRunBroadcastJoin(r, w.s, TestConfig(),
+                                                     Direction::kRtoS));
   EXPECT_EQ(result.output_rows, 0u);
   EXPECT_EQ(result.traffic.TotalNetworkBytes(), 0u);
 }

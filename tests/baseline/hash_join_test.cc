@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/logging.h"
 #include "workload/generator.h"
 
 namespace tj {
@@ -20,7 +21,7 @@ TEST(HashJoinTest, JoinsCorrectCardinality) {
   spec.r_multiplicity = 2;
   spec.s_multiplicity = 3;
   Workload w = GenerateWorkload(spec);
-  JoinResult result = RunHashJoin(w.r, w.s, TestConfig());
+  JoinResult result = ValueOrDie(TryRunHashJoin(w.r, w.s, TestConfig()));
   EXPECT_EQ(result.output_rows, w.expected_output_rows);
   EXPECT_EQ(result.checksum.count(), w.expected_output_rows);
 }
@@ -33,7 +34,7 @@ TEST(HashJoinTest, TrafficIsAboutOneMinusOneOverN) {
   spec.s_payload = 28;
   Workload w = GenerateWorkload(spec);
   JoinConfig config = TestConfig();
-  JoinResult result = RunHashJoin(w.r, w.s, config);
+  JoinResult result = ValueOrDie(TryRunHashJoin(w.r, w.s, config));
 
   double full_r = w.r.TotalRows() * (config.key_bytes + spec.r_payload);
   double full_s = w.s.TotalRows() * (config.key_bytes + spec.s_payload);
@@ -57,10 +58,10 @@ TEST(HashJoinTest, PlacementInvariant) {
   Workload w = GenerateWorkload(spec);
   JoinConfig config = TestConfig();
 
-  JoinResult before = RunHashJoin(w.r, w.s, config);
+  JoinResult before = ValueOrDie(TryRunHashJoin(w.r, w.s, config));
   ShuffleTable(&w.r, 1);
   ShuffleTable(&w.s, 2);
-  JoinResult after = RunHashJoin(w.r, w.s, config);
+  JoinResult after = ValueOrDie(TryRunHashJoin(w.r, w.s, config));
   EXPECT_EQ(before.output_rows, after.output_rows);
   EXPECT_EQ(before.checksum.digest(), after.checksum.digest());
   double b = static_cast<double>(before.traffic.TotalNetworkBytes());
@@ -73,7 +74,7 @@ TEST(HashJoinTest, SingleNodeHasNoNetworkTraffic) {
   spec.num_nodes = 1;
   spec.matched_keys = 100;
   Workload w = GenerateWorkload(spec);
-  JoinResult result = RunHashJoin(w.r, w.s, TestConfig());
+  JoinResult result = ValueOrDie(TryRunHashJoin(w.r, w.s, TestConfig()));
   EXPECT_EQ(result.output_rows, 100u);
   EXPECT_EQ(result.traffic.TotalNetworkBytes(), 0u);
   EXPECT_GT(result.traffic.TotalLocalBytes(), 0u);
@@ -81,7 +82,7 @@ TEST(HashJoinTest, SingleNodeHasNoNetworkTraffic) {
 
 TEST(HashJoinTest, EmptyInputs) {
   PartitionedTable r("R", 3, 4), s("S", 3, 4);
-  JoinResult result = RunHashJoin(r, s, TestConfig());
+  JoinResult result = ValueOrDie(TryRunHashJoin(r, s, TestConfig()));
   EXPECT_EQ(result.output_rows, 0u);
   EXPECT_EQ(result.traffic.TotalNetworkBytes(), 0u);
 }
@@ -90,7 +91,7 @@ TEST(HashJoinTest, StepBreakdownNames) {
   WorkloadSpec spec;
   spec.matched_keys = 20;
   Workload w = GenerateWorkload(spec);
-  JoinResult result = RunHashJoin(w.r, w.s, TestConfig());
+  JoinResult result = ValueOrDie(TryRunHashJoin(w.r, w.s, TestConfig()));
   ASSERT_EQ(result.phase_seconds.size(), 5u);
   EXPECT_EQ(result.phase_seconds[0].first, "hash partition & transfer R tuples");
   EXPECT_EQ(result.phase_seconds[4].first, "final merge-join");

@@ -3,6 +3,7 @@
 // bottleneck node's ingress when schedules have free choices.
 #include <gtest/gtest.h>
 
+#include "common/logging.h"
 #include "common/rng.h"
 #include "core/schedule.h"
 #include "core/track_join.h"
@@ -122,15 +123,17 @@ TEST(BalancedTrackJoinTest, SameOutputSameTotalLowerPeak) {
   spec.s_theta = 1.0;
   spec.r_payload = 12;
   spec.s_payload = 28;
-  Workload w = GenerateZipfWorkload(spec);
+  Workload w = ValueOrDie(TryGenerateZipfWorkload(spec));
 
   JoinConfig plain;
   plain.key_bytes = 4;
   JoinConfig balanced = plain;
   balanced.balance_loads = true;
 
-  JoinResult a = RunTrackJoin4(w.r, w.s, plain);
-  JoinResult b = RunTrackJoin4(w.r, w.s, balanced);
+  JoinResult a = ValueOrDie(TryRunTrackJoin(w.r, w.s, plain,
+                                            TrackJoinVersion::k4Phase));
+  JoinResult b = ValueOrDie(TryRunTrackJoin(w.r, w.s, balanced,
+                                            TrackJoinVersion::k4Phase));
   EXPECT_EQ(a.output_rows, w.expected_output_rows);
   EXPECT_EQ(b.output_rows, a.output_rows);
   EXPECT_EQ(b.checksum.digest(), a.checksum.digest());
@@ -152,8 +155,10 @@ TEST(BalancedTrackJoinTest, UniformWorkloadsUnaffected) {
   plain.key_bytes = 4;
   JoinConfig balanced = plain;
   balanced.balance_loads = true;
-  JoinResult a = RunTrackJoin4(w.r, w.s, plain);
-  JoinResult b = RunTrackJoin4(w.r, w.s, balanced);
+  JoinResult a = ValueOrDie(TryRunTrackJoin(w.r, w.s, plain,
+                                            TrackJoinVersion::k4Phase));
+  JoinResult b = ValueOrDie(TryRunTrackJoin(w.r, w.s, balanced,
+                                            TrackJoinVersion::k4Phase));
   EXPECT_EQ(b.checksum.digest(), a.checksum.digest());
   EXPECT_EQ(b.traffic.TotalNetworkBytes(), a.traffic.TotalNetworkBytes());
 }

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "baseline/hash_join.h"
+#include "common/logging.h"
 #include "core/schedule.h"
 #include "core/track_join.h"
 #include "core/tracker.h"
@@ -151,14 +152,16 @@ TEST(HotSplitTest, SplitOutputIdenticalAndComputeSpread) {
   spec.r_theta = 1.2;
   spec.s_theta = 1.2;
   spec.seed = 99;
-  Workload w = GenerateZipfWorkload(spec);
+  Workload w = ValueOrDie(TryGenerateZipfWorkload(spec));
 
   JoinConfig config;
   config.key_bytes = 4;
-  JoinResult off = RunTrackJoin4(w.r, w.s, config);
+  JoinResult off = ValueOrDie(TryRunTrackJoin(w.r, w.s, config,
+                                              TrackJoinVersion::k4Phase));
   config.hot_key_threshold = 10000;
   config.hot_key_max_split = 4;
-  JoinResult on = RunTrackJoin4(w.r, w.s, config);
+  JoinResult on = ValueOrDie(TryRunTrackJoin(w.r, w.s, config,
+                                             TrackJoinVersion::k4Phase));
 
   EXPECT_EQ(off.output_rows, w.expected_output_rows);
   EXPECT_EQ(on.output_rows, off.output_rows);
@@ -199,13 +202,15 @@ TEST(HotSplitTest, UniformWorkloadUnaffected) {
   spec.s_rows = 6000;
   spec.r_theta = 0.0;
   spec.s_theta = 0.0;
-  Workload w = GenerateZipfWorkload(spec);
+  Workload w = ValueOrDie(TryGenerateZipfWorkload(spec));
 
   JoinConfig config;
   config.key_bytes = 4;
-  JoinResult off = RunTrackJoin4(w.r, w.s, config);
+  JoinResult off = ValueOrDie(TryRunTrackJoin(w.r, w.s, config,
+                                              TrackJoinVersion::k4Phase));
   config.hot_key_threshold = 1000;  // Far above any uniform key's product.
-  JoinResult on = RunTrackJoin4(w.r, w.s, config);
+  JoinResult on = ValueOrDie(TryRunTrackJoin(w.r, w.s, config,
+                                             TrackJoinVersion::k4Phase));
 
   EXPECT_EQ(on.checksum, off.checksum);
   EXPECT_EQ(on.traffic.TotalNetworkBytes(), off.traffic.TotalNetworkBytes());

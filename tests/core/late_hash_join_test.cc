@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "baseline/hash_join.h"
+#include "common/logging.h"
 #include "core/track_join.h"
 #include "costmodel/network_cost.h"
 #include "workload/generator.h"
@@ -27,8 +28,9 @@ TEST(LateHashJoinTest, MatchesHashJoinOutput) {
   spec.r_unmatched = 120;
   spec.s_unmatched = 80;
   Workload w = GenerateWorkload(spec);
-  JoinResult reference = RunHashJoin(w.r, w.s, TestConfig());
-  JoinResult late = RunLateMaterializedHashJoin(w.r, w.s, TestConfig());
+  JoinResult reference = ValueOrDie(TryRunHashJoin(w.r, w.s, TestConfig()));
+  JoinResult late = ValueOrDie(TryRunLateMaterializedHashJoin(w.r, w.s,
+                                                              TestConfig()));
   EXPECT_EQ(late.output_rows, reference.output_rows);
   EXPECT_EQ(late.checksum.digest(), reference.checksum.digest());
 }
@@ -52,8 +54,10 @@ TEST(LateHashJoinTest, FetchTrafficScalesWithOutput) {
   spec.s_multiplicity = 4;
   Workload big = GenerateWorkload(spec);
 
-  JoinResult small_run = RunLateMaterializedHashJoin(small.r, small.s, TestConfig());
-  JoinResult big_run = RunLateMaterializedHashJoin(big.r, big.s, TestConfig());
+  JoinResult small_run = ValueOrDie(
+      TryRunLateMaterializedHashJoin(small.r, small.s, TestConfig()));
+  JoinResult big_run = ValueOrDie(TryRunLateMaterializedHashJoin(big.r, big.s,
+                                                                 TestConfig()));
   EXPECT_EQ(big_run.output_rows, small_run.output_rows * 4);
   double ratio = static_cast<double>(tuple_bytes(big_run)) /
                  static_cast<double>(tuple_bytes(small_run));
@@ -68,7 +72,7 @@ TEST(LateHashJoinTest, TracksAnalyticCost) {
   spec.s_payload = 40;
   Workload w = GenerateWorkload(spec);
   JoinConfig config = TestConfig();
-  JoinResult run = RunLateMaterializedHashJoin(w.r, w.s, config);
+  JoinResult run = ValueOrDie(TryRunLateMaterializedHashJoin(w.r, w.s, config));
 
   JoinStats stats;
   stats.num_nodes = 16;
@@ -99,8 +103,9 @@ TEST(LateHashJoinTest, OutputBlowupHurtsLateMaterialization) {
   spec.r_payload = 33;
   spec.s_payload = 43;
   Workload w = GenerateWorkload(spec);
-  JoinResult early = RunHashJoin(w.r, w.s, TestConfig());
-  JoinResult late = RunLateMaterializedHashJoin(w.r, w.s, TestConfig());
+  JoinResult early = ValueOrDie(TryRunHashJoin(w.r, w.s, TestConfig()));
+  JoinResult late = ValueOrDie(TryRunLateMaterializedHashJoin(w.r, w.s,
+                                                              TestConfig()));
   EXPECT_EQ(late.checksum.digest(), early.checksum.digest());
   EXPECT_GT(late.traffic.TotalNetworkBytes(),
             2 * early.traffic.TotalNetworkBytes());
@@ -108,7 +113,9 @@ TEST(LateHashJoinTest, OutputBlowupHurtsLateMaterialization) {
 
 TEST(LateHashJoinTest, EmptyAndKeyOnlyInputs) {
   PartitionedTable r("R", 3, 4), s("S", 3, 8);
-  EXPECT_EQ(RunLateMaterializedHashJoin(r, s, TestConfig()).output_rows, 0u);
+  EXPECT_EQ(
+      ValueOrDie(TryRunLateMaterializedHashJoin(r, s, TestConfig())).output_rows,
+      0u);
 
   WorkloadSpec spec;
   spec.num_nodes = 3;
@@ -116,7 +123,8 @@ TEST(LateHashJoinTest, EmptyAndKeyOnlyInputs) {
   spec.r_payload = 0;
   spec.s_payload = 0;
   Workload w = GenerateWorkload(spec);
-  JoinResult run = RunLateMaterializedHashJoin(w.r, w.s, TestConfig());
+  JoinResult run = ValueOrDie(TryRunLateMaterializedHashJoin(w.r, w.s,
+                                                             TestConfig()));
   EXPECT_EQ(run.output_rows, 100u);
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "baseline/hash_join.h"
+#include "common/logging.h"
 #include "core/track_join.h"
 #include "workload/generator.h"
 
@@ -26,8 +27,8 @@ TEST(RidHashJoinTest, MatchesHashJoinOutput) {
   spec.r_unmatched = 100;
   spec.s_unmatched = 100;
   Workload w = GenerateWorkload(spec);
-  JoinResult reference = RunHashJoin(w.r, w.s, TestConfig());
-  JoinResult rid = RunRidHashJoin(w.r, w.s, TestConfig());
+  JoinResult reference = ValueOrDie(TryRunHashJoin(w.r, w.s, TestConfig()));
+  JoinResult rid = ValueOrDie(TryRunRidHashJoin(w.r, w.s, TestConfig()));
   EXPECT_EQ(rid.output_rows, reference.output_rows);
   EXPECT_EQ(rid.checksum.digest(), reference.checksum.digest());
 }
@@ -39,7 +40,7 @@ TEST(RidHashJoinTest, OnlyNarrowPayloadsTravel) {
   spec.r_payload = 40;  // Wide: execution stays at R.
   spec.s_payload = 4;
   Workload w = GenerateWorkload(spec);
-  JoinResult result = RunRidHashJoin(w.r, w.s, TestConfig());
+  JoinResult result = ValueOrDie(TryRunRidHashJoin(w.r, w.s, TestConfig()));
   EXPECT_EQ(result.traffic.NetworkBytes(TrafficClass::kRTuples), 0u);
   EXPECT_GT(result.traffic.NetworkBytes(TrafficClass::kSTuples), 0u);
 }
@@ -55,8 +56,8 @@ TEST(RidHashJoinTest, BeatsPlainHashJoinOnWidePayloads) {
   spec.r_unmatched = 2000;  // Hash join pays full freight for these.
   spec.s_unmatched = 2000;
   Workload w = GenerateWorkload(spec);
-  JoinResult rid = RunRidHashJoin(w.r, w.s, TestConfig());
-  JoinResult plain = RunHashJoin(w.r, w.s, TestConfig());
+  JoinResult rid = ValueOrDie(TryRunRidHashJoin(w.r, w.s, TestConfig()));
+  JoinResult plain = ValueOrDie(TryRunHashJoin(w.r, w.s, TestConfig()));
   EXPECT_LT(rid.traffic.TotalNetworkBytes(), plain.traffic.TotalNetworkBytes());
 }
 
@@ -72,15 +73,17 @@ TEST(RidHashJoinTest, SubsumedByTwoPhaseTrackJoin) {
   spec.r_unmatched = 400;
   spec.s_unmatched = 400;
   Workload w = GenerateWorkload(spec);
-  JoinResult rid = RunRidHashJoin(w.r, w.s, TestConfig());
-  JoinResult tj2 = RunTrackJoin2(w.r, w.s, TestConfig(), Direction::kRtoS);
+  JoinResult rid = ValueOrDie(TryRunRidHashJoin(w.r, w.s, TestConfig()));
+  JoinResult tj2 = ValueOrDie(TryRunTrackJoin(w.r, w.s, TestConfig(),
+                                              TrackJoinVersion::k2Phase,
+                                              Direction::kRtoS));
   EXPECT_EQ(rid.checksum.digest(), tj2.checksum.digest());
   EXPECT_LT(tj2.traffic.TotalNetworkBytes(), rid.traffic.TotalNetworkBytes());
 }
 
 TEST(RidHashJoinTest, EmptyAndUnmatchedInputs) {
   PartitionedTable r("R", 3, 4), s("S", 3, 8);
-  JoinResult empty = RunRidHashJoin(r, s, TestConfig());
+  JoinResult empty = ValueOrDie(TryRunRidHashJoin(r, s, TestConfig()));
   EXPECT_EQ(empty.output_rows, 0u);
 
   WorkloadSpec spec;
@@ -89,7 +92,7 @@ TEST(RidHashJoinTest, EmptyAndUnmatchedInputs) {
   spec.r_unmatched = 200;
   spec.s_unmatched = 200;
   Workload w = GenerateWorkload(spec);
-  JoinResult result = RunRidHashJoin(w.r, w.s, TestConfig());
+  JoinResult result = ValueOrDie(TryRunRidHashJoin(w.r, w.s, TestConfig()));
   EXPECT_EQ(result.output_rows, 0u);
   // Keys travel; no tuples do.
   EXPECT_EQ(result.traffic.NetworkBytes(TrafficClass::kRTuples), 0u);
@@ -103,7 +106,7 @@ TEST(RidHashJoinTest, DuplicateKeysOnBothSides) {
   spec.r_multiplicity = 4;
   spec.s_multiplicity = 6;
   Workload w = GenerateWorkload(spec);
-  JoinResult rid = RunRidHashJoin(w.r, w.s, TestConfig());
+  JoinResult rid = ValueOrDie(TryRunRidHashJoin(w.r, w.s, TestConfig()));
   EXPECT_EQ(rid.output_rows, w.expected_output_rows);
 }
 

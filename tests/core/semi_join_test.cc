@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "baseline/hash_join.h"
+#include "common/logging.h"
 #include "workload/generator.h"
 
 namespace tj {
@@ -28,7 +29,7 @@ WorkloadSpec SelectiveSpec() {
 TEST(SemiJoinTest, PruningNeverDropsMatches) {
   Workload w = GenerateWorkload(SelectiveSpec());
   SemiJoinConfig semi;
-  FilteredInputs pre = ExchangeFiltersAndPrune(w.r, w.s, semi);
+  FilteredInputs pre = ValueOrDie(ExchangeFiltersAndPrune(w.r, w.s, semi));
   // All matched rows survive.
   EXPECT_GE(pre.r.TotalRows(), 200u);
   EXPECT_GE(pre.s.TotalRows(), 200u);
@@ -40,19 +41,21 @@ TEST(SemiJoinTest, PruningNeverDropsMatches) {
 
 TEST(SemiJoinTest, FilteredHashJoinCorrect) {
   Workload w = GenerateWorkload(SelectiveSpec());
-  JoinResult plain = RunHashJoin(w.r, w.s, TestConfig());
-  JoinResult filtered = RunFilteredHashJoin(w.r, w.s, TestConfig(), {});
+  JoinResult plain = ValueOrDie(TryRunHashJoin(w.r, w.s, TestConfig()));
+  JoinResult filtered = ValueOrDie(TryRunFilteredHashJoin(w.r, w.s,
+                                                          TestConfig(), {}));
   EXPECT_EQ(filtered.output_rows, plain.output_rows);
   EXPECT_EQ(filtered.checksum.digest(), plain.checksum.digest());
 }
 
 TEST(SemiJoinTest, FilteredTrackJoinCorrectAllVersions) {
   Workload w = GenerateWorkload(SelectiveSpec());
-  JoinResult plain = RunHashJoin(w.r, w.s, TestConfig());
+  JoinResult plain = ValueOrDie(TryRunHashJoin(w.r, w.s, TestConfig()));
   for (auto version : {TrackJoinVersion::k2Phase, TrackJoinVersion::k3Phase,
                        TrackJoinVersion::k4Phase}) {
-    JoinResult filtered =
-        RunFilteredTrackJoin(w.r, w.s, TestConfig(), {}, version);
+    JoinResult filtered = ValueOrDie(TryRunFilteredTrackJoin(w.r, w.s,
+                                                             TestConfig(), {},
+                                                             version));
     EXPECT_EQ(filtered.output_rows, plain.output_rows);
     EXPECT_EQ(filtered.checksum.digest(), plain.checksum.digest());
   }
@@ -60,8 +63,9 @@ TEST(SemiJoinTest, FilteredTrackJoinCorrectAllVersions) {
 
 TEST(SemiJoinTest, FilteringShrinksHashJoinTupleTraffic) {
   Workload w = GenerateWorkload(SelectiveSpec());
-  JoinResult plain = RunHashJoin(w.r, w.s, TestConfig());
-  JoinResult filtered = RunFilteredHashJoin(w.r, w.s, TestConfig(), {});
+  JoinResult plain = ValueOrDie(TryRunHashJoin(w.r, w.s, TestConfig()));
+  JoinResult filtered = ValueOrDie(TryRunFilteredHashJoin(w.r, w.s,
+                                                          TestConfig(), {}));
   uint64_t plain_tuples = plain.traffic.NetworkBytes(TrafficClass::kRTuples) +
                           plain.traffic.NetworkBytes(TrafficClass::kSTuples);
   uint64_t filtered_tuples =
@@ -76,9 +80,10 @@ TEST(SemiJoinTest, TrackJoinTrackingShrinksButTuplesUnchanged) {
   // only thin the tracking phase.
   Workload w = GenerateWorkload(SelectiveSpec());
   JoinConfig config = TestConfig();
-  JoinResult plain = RunTrackJoin4(w.r, w.s, config);
-  JoinResult filtered =
-      RunFilteredTrackJoin(w.r, w.s, config, {}, TrackJoinVersion::k4Phase);
+  JoinResult plain = ValueOrDie(TryRunTrackJoin(w.r, w.s, config,
+                                                TrackJoinVersion::k4Phase));
+  JoinResult filtered = ValueOrDie(TryRunFilteredTrackJoin(
+      w.r, w.s, config, {}, TrackJoinVersion::k4Phase));
   EXPECT_LT(filtered.traffic.NetworkBytes(TrafficClass::kKeysAndCounts),
             plain.traffic.NetworkBytes(TrafficClass::kKeysAndCounts));
   // Tuple traffic identical up to Bloom false positives (which never add
@@ -94,7 +99,7 @@ TEST(SemiJoinTest, NonSelectiveInputsGainNothing) {
   spec.num_nodes = 4;
   spec.matched_keys = 500;
   Workload w = GenerateWorkload(spec);
-  FilteredInputs pre = ExchangeFiltersAndPrune(w.r, w.s, {});
+  FilteredInputs pre = ValueOrDie(ExchangeFiltersAndPrune(w.r, w.s, {}));
   EXPECT_EQ(pre.r_rows_pruned, 0u);
   EXPECT_EQ(pre.s_rows_pruned, 0u);
   EXPECT_GT(pre.filter_traffic.NetworkBytes(TrafficClass::kFilter), 0u);

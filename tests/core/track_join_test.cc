@@ -9,6 +9,7 @@
 
 #include "baseline/hash_join.h"
 #include "common/hash.h"
+#include "common/logging.h"
 #include "core/schedule.h"
 #include "core/tracker.h"
 #include "exec/key_aggregate.h"
@@ -40,7 +41,8 @@ TEST(TrackJoinTest, FullyCollocatedTransfersNoPayloads) {
   spec.collocation = Collocation::kInter;
   Workload w = GenerateWorkload(spec);
 
-  JoinResult result = RunTrackJoin4(w.r, w.s, TestConfig());
+  JoinResult result = ValueOrDie(TryRunTrackJoin(w.r, w.s, TestConfig(),
+                                                 TrackJoinVersion::k4Phase));
   EXPECT_EQ(result.output_rows, w.expected_output_rows);
   EXPECT_EQ(result.traffic.NetworkBytes(TrafficClass::kRTuples), 0u);
   EXPECT_EQ(result.traffic.NetworkBytes(TrafficClass::kSTuples), 0u);
@@ -59,7 +61,8 @@ TEST(TrackJoinTest, UnmatchedKeysNeverShipTuples) {
   Workload w = GenerateWorkload(spec);
   for (auto version : {TrackJoinVersion::k2Phase, TrackJoinVersion::k3Phase,
                        TrackJoinVersion::k4Phase}) {
-    JoinResult result = RunTrackJoin(w.r, w.s, TestConfig(), version);
+    JoinResult result = ValueOrDie(TryRunTrackJoin(w.r, w.s, TestConfig(),
+                                                   version));
     EXPECT_EQ(result.output_rows, 0u);
     EXPECT_EQ(result.traffic.NetworkBytes(TrafficClass::kRTuples), 0u);
     EXPECT_EQ(result.traffic.NetworkBytes(TrafficClass::kSTuples), 0u);
@@ -75,11 +78,15 @@ TEST(TrackJoinTest, TwoPhaseSendsOnlyChosenDirection) {
   spec.s_payload = 32;
   Workload w = GenerateWorkload(spec);
 
-  JoinResult rs = RunTrackJoin2(w.r, w.s, TestConfig(), Direction::kRtoS);
+  JoinResult rs = ValueOrDie(TryRunTrackJoin(w.r, w.s, TestConfig(),
+                                             TrackJoinVersion::k2Phase,
+                                             Direction::kRtoS));
   EXPECT_EQ(rs.traffic.NetworkBytes(TrafficClass::kSTuples), 0u);
   EXPECT_GT(rs.traffic.NetworkBytes(TrafficClass::kRTuples), 0u);
 
-  JoinResult sr = RunTrackJoin2(w.r, w.s, TestConfig(), Direction::kStoR);
+  JoinResult sr = ValueOrDie(TryRunTrackJoin(w.r, w.s, TestConfig(),
+                                             TrackJoinVersion::k2Phase,
+                                             Direction::kStoR));
   EXPECT_EQ(sr.traffic.NetworkBytes(TrafficClass::kRTuples), 0u);
   EXPECT_GT(sr.traffic.NetworkBytes(TrafficClass::kSTuples), 0u);
 }
@@ -96,11 +103,13 @@ TEST(TrackJoinTest, ThreePhasePicksCheaperSidePerKey) {
   JoinConfig config = TestConfig();
 
   uint64_t tj3_payload =
-      RunTrackJoin3(w.r, w.s, config)
+      ValueOrDie(TryRunTrackJoin(w.r, w.s, config, TrackJoinVersion::k3Phase))
           .traffic.NetworkBytes(TrafficClass::kRTuples) +
-      RunTrackJoin3(w.r, w.s, config).traffic.NetworkBytes(TrafficClass::kSTuples);
+      ValueOrDie(TryRunTrackJoin(w.r, w.s, config, TrackJoinVersion::k3Phase))
+          .traffic.NetworkBytes(TrafficClass::kSTuples);
   uint64_t tj2s_payload =
-      RunTrackJoin2(w.r, w.s, config, Direction::kStoR)
+      ValueOrDie(TryRunTrackJoin(w.r, w.s, config, TrackJoinVersion::k2Phase,
+                                 Direction::kStoR))
           .traffic.NetworkBytes(TrafficClass::kSTuples);
   EXPECT_LT(tj3_payload, tj2s_payload);
 }
@@ -176,7 +185,8 @@ TEST_P(PlannedVsMeasured, DriverTrafficMatchesScheduler) {
   Workload w = GenerateWorkload(spec);
   JoinConfig config = TestConfig();
 
-  JoinResult result = RunTrackJoin(w.r, w.s, config, version, Direction::kRtoS);
+  JoinResult result = ValueOrDie(TryRunTrackJoin(w.r, w.s, config, version,
+                                                 Direction::kRtoS));
   EXPECT_EQ(result.output_rows, w.expected_output_rows);
   EXPECT_EQ(MeasuredScheduleBytes(result),
             PlannedCost(w, config, version, Direction::kRtoS));
@@ -191,7 +201,8 @@ TEST(TrackJoinTest, PhaseBreakdownIsComplete) {
   WorkloadSpec spec;
   spec.matched_keys = 50;
   Workload w = GenerateWorkload(spec);
-  JoinResult result = RunTrackJoin4(w.r, w.s, TestConfig());
+  JoinResult result = ValueOrDie(TryRunTrackJoin(w.r, w.s, TestConfig(),
+                                                 TrackJoinVersion::k4Phase));
   ASSERT_GE(result.phase_seconds.size(), 9u);
   EXPECT_EQ(result.phase_seconds.front().first, "sort local R tuples");
   EXPECT_EQ(result.phase_seconds.back().first, "final merge-join S->R");
@@ -209,8 +220,10 @@ TEST(TrackJoinTest, CompressionTogglesPreserveResults) {
   compressed.delta_tracking = true;
   compressed.group_locations = true;
 
-  JoinResult a = RunTrackJoin4(w.r, w.s, plain);
-  JoinResult b = RunTrackJoin4(w.r, w.s, compressed);
+  JoinResult a = ValueOrDie(TryRunTrackJoin(w.r, w.s, plain,
+                                            TrackJoinVersion::k4Phase));
+  JoinResult b = ValueOrDie(TryRunTrackJoin(w.r, w.s, compressed,
+                                            TrackJoinVersion::k4Phase));
   EXPECT_EQ(a.output_rows, b.output_rows);
   EXPECT_EQ(a.checksum.digest(), b.checksum.digest());
   // Dense keys: compressed tracking must not exceed plain tracking.

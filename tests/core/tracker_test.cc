@@ -51,7 +51,10 @@ TEST(TrackerTest, EncodeDecodeWithoutCounts) {
   std::vector<TrackEntry> all;
   for (uint32_t dst = 0; dst < 4; ++dst) {
     if (messages[dst].empty()) continue;
-    auto entries = DecodeTrackingMessage(Msg(9, messages[dst]), config, false);
+    std::vector<TrackEntry> entries;
+    ASSERT_TRUE(TryDecodeTrackingMessage(Msg(9, messages[dst]), config,
+                                         /*with_counts=*/false, &entries)
+                    .ok());
     for (const auto& e : entries) {
       EXPECT_EQ(HashPartition(e.key, 4), dst);  // Routed by hash.
       EXPECT_EQ(e.node, 9u);
@@ -71,7 +74,10 @@ TEST(TrackerTest, EncodeDecodeWithCounts) {
   std::vector<TrackEntry> all;
   for (uint32_t dst = 0; dst < 2; ++dst) {
     if (messages[dst].empty()) continue;
-    auto entries = DecodeTrackingMessage(Msg(1, messages[dst]), config, true);
+    std::vector<TrackEntry> entries;
+    ASSERT_TRUE(TryDecodeTrackingMessage(Msg(1, messages[dst]), config,
+                                         /*with_counts=*/true, &entries)
+                    .ok());
     all.insert(all.end(), entries.begin(), entries.end());
   }
   MergeTrackEntries(&all);
@@ -89,7 +95,10 @@ TEST(TrackerTest, CountSaturationSplitsIntoChunks) {
   auto messages = EncodeTrackingMessages(keys, config, true, 1);
   // 700 = 255 + 255 + 190: three chunks.
   EXPECT_EQ(messages[0].size(), 3u * (4 + 1));
-  auto entries = DecodeTrackingMessage(Msg(2, messages[0]), config, true);
+  std::vector<TrackEntry> entries;
+  ASSERT_TRUE(TryDecodeTrackingMessage(Msg(2, messages[0]), config,
+                                       /*with_counts=*/true, &entries)
+                  .ok());
   MergeTrackEntries(&entries);
   ASSERT_EQ(entries.size(), 1u);
   EXPECT_EQ(entries[0].count, 700u);
@@ -108,7 +117,10 @@ TEST(TrackerTest, DeltaTrackingRoundTrip) {
   for (uint32_t dst = 0; dst < 3; ++dst) {
     delta_bytes += messages[dst].size();
     if (messages[dst].empty()) continue;
-    auto entries = DecodeTrackingMessage(Msg(4, messages[dst]), config, true);
+    std::vector<TrackEntry> entries;
+    ASSERT_TRUE(TryDecodeTrackingMessage(Msg(4, messages[dst]), config,
+                                         /*with_counts=*/true, &entries)
+                    .ok());
     all.insert(all.end(), entries.begin(), entries.end());
   }
   EXPECT_LT(delta_bytes, plain_bytes);  // Dense keys compress.
@@ -155,7 +167,9 @@ TEST(TrackerTest, KeyNodePairCodecs) {
   std::vector<KeyNodePair> pairs = {{100, 3}, {200, 0}, {100, 1}};
   Message msg{0, MessageType::kLocationsToR, EncodeKeyNodePairs(pairs, config)};
   EXPECT_EQ(msg.data.size(), pairs.size() * config.MsgBytes());
-  EXPECT_EQ(DecodeKeyNodePairs(msg, config), pairs);
+  std::vector<KeyNodePair> decoded;
+  ASSERT_TRUE(TryDecodeKeyNodePairs(msg, config, &decoded).ok());
+  EXPECT_EQ(decoded, pairs);
 }
 
 TEST(TrackerTest, GroupedKeyNodePairCodecs) {
@@ -166,7 +180,8 @@ TEST(TrackerTest, GroupedKeyNodePairCodecs) {
   for (uint64_t k = 0; k < 50; ++k) pairs.push_back({k, 2});
   Message msg{0, MessageType::kLocationsToR, EncodeKeyNodePairs(pairs, config)};
   EXPECT_LT(msg.data.size(), 50u * 5);  // Node label amortized.
-  auto decoded = DecodeKeyNodePairs(msg, config);
+  std::vector<KeyNodePair> decoded;
+  ASSERT_TRUE(TryDecodeKeyNodePairs(msg, config, &decoded).ok());
   ASSERT_EQ(decoded.size(), 50u);
   for (const auto& p : decoded) EXPECT_EQ(p.node, 2u);
 }

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/logging.h"
 #include "core/track_join.h"
 #include "workload/generator.h"
 
@@ -33,7 +34,8 @@ TEST(ClassEstimatorTest, FullSampleIsExact) {
   JoinConfig config = TestConfig();
 
   ClassEstimate estimate = EstimateClasses(w.r, w.s, config, 1.0);
-  JoinResult run = RunTrackJoin4(w.r, w.s, config);
+  JoinResult run = ValueOrDie(TryRunTrackJoin(w.r, w.s, config,
+                                              TrackJoinVersion::k4Phase));
   EXPECT_DOUBLE_EQ(estimate.schedule_bytes,
                    static_cast<double>(ScheduleBytes(run)));
   EXPECT_EQ(estimate.sampled_keys, 400u);

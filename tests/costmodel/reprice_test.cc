@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "baseline/hash_join.h"
+#include "common/logging.h"
 #include "core/track_join.h"
 #include "workload/generator.h"
 
@@ -18,7 +19,8 @@ TEST(RepriceTest, IdentityPricingReproducesPhysicalBytes) {
   Workload w = GenerateWorkload(spec);
   JoinConfig config;
   config.key_bytes = 4;
-  JoinResult result = RunTrackJoin4(w.r, w.s, config);
+  JoinResult result = ValueOrDie(TryRunTrackJoin(w.r, w.s, config,
+                                                 TrackJoinVersion::k4Phase));
 
   PricingSpec pricing;
   pricing.physical = config;
@@ -49,7 +51,7 @@ TEST(RepriceTest, HalvingWidthsHalvesTupleTraffic) {
   Workload w = GenerateWorkload(spec);
   JoinConfig config;
   config.key_bytes = 4;
-  JoinResult result = RunHashJoin(w.r, w.s, config);
+  JoinResult result = ValueOrDie(TryRunHashJoin(w.r, w.s, config));
 
   PricingSpec pricing;
   pricing.physical = config;
@@ -73,7 +75,7 @@ TEST(RepriceTest, FractionalBitsSupported) {
   Workload w = GenerateWorkload(spec);
   JoinConfig config;
   config.key_bytes = 4;
-  JoinResult result = RunHashJoin(w.r, w.s, config);
+  JoinResult result = ValueOrDie(TryRunHashJoin(w.r, w.s, config));
 
   PricingSpec pricing;
   pricing.physical = config;

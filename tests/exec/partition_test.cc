@@ -5,6 +5,7 @@
 #include <cstring>
 
 #include "common/hash.h"
+#include "common/logging.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
 
@@ -27,13 +28,13 @@ TupleBlock RandomBlock(Rng* rng, size_t n, uint32_t width) {
 TEST(PartitionTest, EveryRowLandsByHash) {
   Rng rng(3);
   TupleBlock block = RandomBlock(&rng, 2000, 4);
-  auto parts = HashPartitionBlock(block, 7);
-  ASSERT_EQ(parts.size(), 7u);
+  PartitionLayout layout = ValueOrDie(TryRadixPartition(block, 7));
+  ASSERT_EQ(layout.num_parts(), 7u);
   uint64_t total = 0;
-  for (uint32_t p = 0; p < parts.size(); ++p) {
-    total += parts[p].size();
-    for (uint64_t row = 0; row < parts[p].size(); ++row) {
-      EXPECT_EQ(HashPartition(parts[p].Key(row), 7), p);
+  for (uint32_t p = 0; p < layout.num_parts(); ++p) {
+    total += layout.Size(p);
+    for (uint64_t row = layout.Begin(p); row < layout.End(p); ++row) {
+      EXPECT_EQ(HashPartition(layout.tuples.Key(row), 7), p);
     }
   }
   EXPECT_EQ(total, block.size());
@@ -42,12 +43,13 @@ TEST(PartitionTest, EveryRowLandsByHash) {
 TEST(PartitionTest, IndexesMatchBlocks) {
   Rng rng(5);
   TupleBlock block = RandomBlock(&rng, 1000, 0);
-  auto parts = HashPartitionBlock(block, 4);
-  auto indexes = HashPartitionIndexes(block, 4);
+  PartitionLayout parts = ValueOrDie(TryRadixPartition(block, 4));
+  KeyPartitionLayout keys = ValueOrDie(TryRadixPartitionKeys(block, 4));
   for (uint32_t p = 0; p < 4; ++p) {
-    ASSERT_EQ(parts[p].size(), indexes[p].size());
-    for (size_t i = 0; i < indexes[p].size(); ++i) {
-      EXPECT_EQ(block.Key(indexes[p][i]), parts[p].Key(i));
+    ASSERT_EQ(parts.Size(p), keys.Size(p));
+    for (uint64_t i = 0; i < keys.Size(p); ++i) {
+      EXPECT_EQ(block.Key(keys.row_ids[keys.Begin(p) + i]),
+                parts.tuples.Key(parts.Begin(p) + i));
     }
   }
 }
@@ -55,26 +57,23 @@ TEST(PartitionTest, IndexesMatchBlocks) {
 TEST(PartitionTest, SinglePartitionKeepsAll) {
   Rng rng(7);
   TupleBlock block = RandomBlock(&rng, 100, 2);
-  auto parts = HashPartitionBlock(block, 1);
-  ASSERT_EQ(parts.size(), 1u);
-  EXPECT_EQ(parts[0].size(), block.size());
+  PartitionLayout layout = ValueOrDie(TryRadixPartition(block, 1));
+  ASSERT_EQ(layout.num_parts(), 1u);
+  EXPECT_EQ(layout.Size(0), block.size());
 }
 
 TEST(PartitionTest, RoughlyBalanced) {
   Rng rng(9);
   TupleBlock block(0);
   for (uint64_t k = 0; k < 64000; ++k) block.Append(k, nullptr);
-  auto indexes = HashPartitionIndexes(block, 16);
-  for (const auto& part : indexes) {
-    EXPECT_NEAR(part.size(), 4000, 400);
+  KeyPartitionLayout layout = ValueOrDie(TryRadixPartitionKeys(block, 16));
+  for (uint32_t p = 0; p < 16; ++p) {
+    EXPECT_NEAR(layout.Size(p), 4000, 400);
   }
 }
 
 TEST(PartitionTest, EmptyBlock) {
   TupleBlock block(4);
-  auto parts = HashPartitionBlock(block, 3);
-  for (const auto& p : parts) EXPECT_TRUE(p.empty());
-
   Result<PartitionLayout> layout = TryRadixPartition(block, 3);
   ASSERT_TRUE(layout.ok());
   EXPECT_EQ(layout->num_parts(), 3u);
@@ -99,31 +98,27 @@ TEST(PartitionTest, ZeroPartitionCountIsInvalidArgument) {
   Result<KeyPartitionLayout> keys = TryRadixPartitionKeys(block, 0);
   ASSERT_FALSE(keys.ok());
   EXPECT_EQ(keys.status().code(), StatusCode::kInvalidArgument);
-
-  Result<std::vector<std::vector<uint32_t>>> indexes =
-      TryHashPartitionIndexes(block, 0);
-  ASSERT_FALSE(indexes.ok());
-  EXPECT_EQ(indexes.status().code(), StatusCode::kInvalidArgument);
 }
 
 // The contiguous runs must hold each partition's rows in input order
 // (stability) — serialized streams depend on it being bit-identical to the
-// legacy row-index serialization.
+// row-index serialization the key layout's row ids drive.
 TEST(PartitionTest, LayoutIsStableAndMatchesIndexes) {
   Rng rng(11);
   TupleBlock block = RandomBlock(&rng, 5000, 6);
   for (uint32_t parts : {1u, 4u, 7u, 13u}) {  // Not only powers of two.
     Result<PartitionLayout> layout = TryRadixPartition(block, parts);
     ASSERT_TRUE(layout.ok());
-    auto indexes = HashPartitionIndexes(block, parts);
+    KeyPartitionLayout keys = ValueOrDie(TryRadixPartitionKeys(block, parts));
     ASSERT_EQ(layout->bounds.back(), block.size());
     for (uint32_t p = 0; p < parts; ++p) {
-      ASSERT_EQ(layout->Size(p), indexes[p].size());
-      for (uint64_t i = 0; i < indexes[p].size(); ++i) {
+      ASSERT_EQ(layout->Size(p), keys.Size(p));
+      for (uint64_t i = 0; i < keys.Size(p); ++i) {
         uint64_t row = layout->Begin(p) + i;
-        ASSERT_EQ(layout->tuples.Key(row), block.Key(indexes[p][i]));
+        uint32_t source = keys.row_ids[keys.Begin(p) + i];
+        ASSERT_EQ(layout->tuples.Key(row), block.Key(source));
         ASSERT_EQ(std::memcmp(layout->tuples.Payload(row),
-                              block.Payload(indexes[p][i]), 6),
+                              block.Payload(source), 6),
                   0);
       }
     }

@@ -7,6 +7,7 @@
 #include <tuple>
 
 #include "baseline/hash_join.h"
+#include "common/logging.h"
 #include "common/thread_pool.h"
 #include "core/track_join.h"
 #include "workload/generator.h"
@@ -43,7 +44,8 @@ TEST_P(ConfigMatrixTest, MatchesReference) {
 
   JoinConfig reference_config;
   reference_config.key_bytes = 4;
-  JoinResult reference = RunHashJoin(w.r, w.s, reference_config);
+  JoinResult reference =
+      ValueOrDie(TryRunHashJoin(w.r, w.s, reference_config));
   ASSERT_EQ(reference.output_rows, w.expected_output_rows);
 
   ThreadPool pool(3);
@@ -55,8 +57,8 @@ TEST_P(ConfigMatrixTest, MatchesReference) {
   config.materialize = materialize;
   config.thread_pool = threaded ? &pool : nullptr;
 
-  JoinResult result = RunTrackJoin(
-      w.r, w.s, config, static_cast<TrackJoinVersion>(version_int));
+  JoinResult result = ValueOrDie(TryRunTrackJoin(
+      w.r, w.s, config, static_cast<TrackJoinVersion>(version_int)));
   EXPECT_EQ(result.output_rows, reference.output_rows);
   EXPECT_EQ(result.checksum.digest(), reference.checksum.digest());
   if (materialize) {

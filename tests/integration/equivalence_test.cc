@@ -10,6 +10,7 @@
 
 #include "baseline/broadcast_join.h"
 #include "baseline/hash_join.h"
+#include "common/logging.h"
 #include "core/track_join.h"
 #include "exec/local_join.h"
 #include "exec/radix_sort.h"
@@ -59,13 +60,27 @@ TEST_P(EquivalenceTest, AllAlgorithmsAgree) {
     JoinResult result;
   };
   std::vector<Run> runs;
-  runs.push_back({"HJ", RunHashJoin(w.r, w.s, config)});
-  runs.push_back({"BJ-R", RunBroadcastJoin(w.r, w.s, config, Direction::kRtoS)});
-  runs.push_back({"BJ-S", RunBroadcastJoin(w.r, w.s, config, Direction::kStoR)});
-  runs.push_back({"2TJ-R", RunTrackJoin2(w.r, w.s, config, Direction::kRtoS)});
-  runs.push_back({"2TJ-S", RunTrackJoin2(w.r, w.s, config, Direction::kStoR)});
-  runs.push_back({"3TJ", RunTrackJoin3(w.r, w.s, config)});
-  runs.push_back({"4TJ", RunTrackJoin4(w.r, w.s, config)});
+  runs.push_back({"HJ", ValueOrDie(TryRunHashJoin(w.r, w.s, config))});
+  runs.push_back({"BJ-R",
+                  ValueOrDie(TryRunBroadcastJoin(w.r, w.s, config,
+                                                 Direction::kRtoS))});
+  runs.push_back({"BJ-S",
+                  ValueOrDie(TryRunBroadcastJoin(w.r, w.s, config,
+                                                 Direction::kStoR))});
+  runs.push_back({"2TJ-R",
+                  ValueOrDie(TryRunTrackJoin(w.r, w.s, config,
+                                             TrackJoinVersion::k2Phase,
+                                             Direction::kRtoS))});
+  runs.push_back({"2TJ-S",
+                  ValueOrDie(TryRunTrackJoin(w.r, w.s, config,
+                                             TrackJoinVersion::k2Phase,
+                                             Direction::kStoR))});
+  runs.push_back({"3TJ",
+                  ValueOrDie(TryRunTrackJoin(w.r, w.s, config,
+                                             TrackJoinVersion::k3Phase))});
+  runs.push_back({"4TJ",
+                  ValueOrDie(TryRunTrackJoin(w.r, w.s, config,
+                                             TrackJoinVersion::k4Phase))});
 
   for (const Run& run : runs) {
     EXPECT_EQ(run.result.output_rows, expected_rows) << run.name;
@@ -113,15 +128,26 @@ TEST_P(EquivalenceTest, InactiveFaultPolicyIsByteIdentical) {
     EXPECT_EQ(b.reliability.nack_messages, 0u) << name;
     EXPECT_EQ(b.reliability.faults.frames_dropped, 0u) << name;
   };
-  compare("HJ", RunHashJoin(w.r, w.s, plain), RunHashJoin(w.r, w.s, inert));
-  compare("BJ-R", RunBroadcastJoin(w.r, w.s, plain, Direction::kRtoS),
-          RunBroadcastJoin(w.r, w.s, inert, Direction::kRtoS));
-  compare("2TJ-R", RunTrackJoin2(w.r, w.s, plain, Direction::kRtoS),
-          RunTrackJoin2(w.r, w.s, inert, Direction::kRtoS));
-  compare("3TJ", RunTrackJoin3(w.r, w.s, plain),
-          RunTrackJoin3(w.r, w.s, inert));
-  compare("4TJ", RunTrackJoin4(w.r, w.s, plain),
-          RunTrackJoin4(w.r, w.s, inert));
+  compare("HJ", ValueOrDie(TryRunHashJoin(w.r, w.s, plain)),
+          ValueOrDie(TryRunHashJoin(w.r, w.s, inert)));
+  compare("BJ-R",
+          ValueOrDie(TryRunBroadcastJoin(w.r, w.s, plain, Direction::kRtoS)),
+          ValueOrDie(TryRunBroadcastJoin(w.r, w.s, inert, Direction::kRtoS)));
+  compare("2TJ-R",
+          ValueOrDie(TryRunTrackJoin(w.r, w.s, plain, TrackJoinVersion::k2Phase,
+                                     Direction::kRtoS)),
+          ValueOrDie(TryRunTrackJoin(w.r, w.s, inert, TrackJoinVersion::k2Phase,
+                                     Direction::kRtoS)));
+  compare("3TJ",
+          ValueOrDie(TryRunTrackJoin(w.r, w.s, plain,
+                                     TrackJoinVersion::k3Phase)),
+          ValueOrDie(TryRunTrackJoin(w.r, w.s, inert,
+                                     TrackJoinVersion::k3Phase)));
+  compare("4TJ",
+          ValueOrDie(TryRunTrackJoin(w.r, w.s, plain,
+                                     TrackJoinVersion::k4Phase)),
+          ValueOrDie(TryRunTrackJoin(w.r, w.s, inert,
+                                     TrackJoinVersion::k4Phase)));
 }
 
 WorkloadSpec Base() {

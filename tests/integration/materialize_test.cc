@@ -9,6 +9,7 @@
 #include "baseline/broadcast_join.h"
 #include "baseline/hash_join.h"
 #include "common/hash.h"
+#include "common/logging.h"
 #include "core/late_hash_join.h"
 #include "core/rid_hash_join.h"
 #include "core/track_join.h"
@@ -48,7 +49,7 @@ TEST(MaterializeTest, AllAlgorithmsProduceSameRows) {
   config.key_bytes = 4;
   config.materialize = true;
 
-  JoinResult reference = RunHashJoin(w.r, w.s, config);
+  JoinResult reference = ValueOrDie(TryRunHashJoin(w.r, w.s, config));
   ASSERT_TRUE(reference.output.has_value());
   EXPECT_EQ(reference.output->TotalRows(), reference.output_rows);
   EXPECT_EQ(reference.output->payload_width(), 16u);
@@ -59,14 +60,25 @@ TEST(MaterializeTest, AllAlgorithmsProduceSameRows) {
     EXPECT_EQ(result.output->TotalRows(), reference.output_rows) << name;
     EXPECT_EQ(RowHashes(*result.output), expected) << name;
   };
-  check("BJ-R", RunBroadcastJoin(w.r, w.s, config, Direction::kRtoS));
-  check("BJ-S", RunBroadcastJoin(w.r, w.s, config, Direction::kStoR));
-  check("2TJ-R", RunTrackJoin2(w.r, w.s, config, Direction::kRtoS));
-  check("2TJ-S", RunTrackJoin2(w.r, w.s, config, Direction::kStoR));
-  check("3TJ", RunTrackJoin3(w.r, w.s, config));
-  check("4TJ", RunTrackJoin4(w.r, w.s, config));
-  check("rid-HJ", RunRidHashJoin(w.r, w.s, config));
-  check("late-HJ", RunLateMaterializedHashJoin(w.r, w.s, config));
+  check("BJ-R",
+        ValueOrDie(TryRunBroadcastJoin(w.r, w.s, config, Direction::kRtoS)));
+  check("BJ-S",
+        ValueOrDie(TryRunBroadcastJoin(w.r, w.s, config, Direction::kStoR)));
+  check("2TJ-R",
+        ValueOrDie(TryRunTrackJoin(w.r, w.s, config, TrackJoinVersion::k2Phase,
+                                   Direction::kRtoS)));
+  check("2TJ-S",
+        ValueOrDie(TryRunTrackJoin(w.r, w.s, config, TrackJoinVersion::k2Phase,
+                                   Direction::kStoR)));
+  check(
+      "3TJ",
+      ValueOrDie(TryRunTrackJoin(w.r, w.s, config, TrackJoinVersion::k3Phase)));
+  check(
+      "4TJ",
+      ValueOrDie(TryRunTrackJoin(w.r, w.s, config, TrackJoinVersion::k4Phase)));
+  check("rid-HJ", ValueOrDie(TryRunRidHashJoin(w.r, w.s, config)));
+  check(
+      "late-HJ", ValueOrDie(TryRunLateMaterializedHashJoin(w.r, w.s, config)));
 }
 
 TEST(MaterializeTest, OffByDefault) {
@@ -75,7 +87,8 @@ TEST(MaterializeTest, OffByDefault) {
   Workload w = GenerateWorkload(spec);
   JoinConfig config;
   config.key_bytes = 4;
-  JoinResult result = RunTrackJoin4(w.r, w.s, config);
+  JoinResult result = ValueOrDie(TryRunTrackJoin(w.r, w.s, config,
+                                                 TrackJoinVersion::k4Phase));
   EXPECT_FALSE(result.output.has_value());
 }
 
@@ -89,7 +102,8 @@ TEST(MaterializeTest, RowsContainBothPayloads) {
   JoinConfig config;
   config.key_bytes = 4;
   config.materialize = true;
-  JoinResult result = RunTrackJoin4(r, s, config);
+  JoinResult result = ValueOrDie(TryRunTrackJoin(r, s, config,
+                                                 TrackJoinVersion::k4Phase));
   ASSERT_TRUE(result.output.has_value());
   ASSERT_EQ(result.output->TotalRows(), 1u);
   for (uint32_t node = 0; node < 2; ++node) {
@@ -118,7 +132,8 @@ TEST(MaterializeTest, OutputChainsIntoNextJoin) {
   JoinConfig config;
   config.key_bytes = 4;
   config.materialize = true;
-  JoinResult first = RunTrackJoin4(w.r, w.s, config);
+  JoinResult first = ValueOrDie(TryRunTrackJoin(w.r, w.s, config,
+                                                TrackJoinVersion::k4Phase));
   ASSERT_TRUE(first.output.has_value());
 
   // Re-key on the first payload byte: values 0..255.
@@ -127,7 +142,8 @@ TEST(MaterializeTest, OutputChainsIntoNextJoin) {
   // Third table: one row per possible byte value.
   PartitionedTable t3("T3", 3, 0);
   for (uint64_t v = 0; v < 256; ++v) t3.node(v % 3).Append(v, nullptr);
-  JoinResult second = RunTrackJoin4(rekeyed, t3, config);
+  JoinResult second = ValueOrDie(TryRunTrackJoin(rekeyed, t3, config,
+                                                 TrackJoinVersion::k4Phase));
   // Every intermediate row has exactly one match.
   EXPECT_EQ(second.output_rows, first.output_rows);
 }

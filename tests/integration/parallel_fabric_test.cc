@@ -4,6 +4,7 @@
 
 #include "baseline/broadcast_join.h"
 #include "baseline/hash_join.h"
+#include "common/logging.h"
 #include "common/thread_pool.h"
 #include "core/late_hash_join.h"
 #include "core/rid_hash_join.h"
@@ -32,8 +33,8 @@ TEST(ParallelFabricTest, AllAlgorithmsMatchSequential) {
   parallel.thread_pool = &pool;
 
   auto check = [&](auto&& run) {
-    JoinResult a = run(serial);
-    JoinResult b = run(parallel);
+    JoinResult a = ValueOrDie(run(serial));
+    JoinResult b = ValueOrDie(run(parallel));
     EXPECT_EQ(a.output_rows, b.output_rows);
     EXPECT_EQ(a.checksum.digest(), b.checksum.digest());
     EXPECT_EQ(a.traffic.TotalNetworkBytes(), b.traffic.TotalNetworkBytes());
@@ -44,18 +45,23 @@ TEST(ParallelFabricTest, AllAlgorithmsMatchSequential) {
     }
   };
 
-  check([&](const JoinConfig& c) { return RunHashJoin(w.r, w.s, c); });
+  check([&](const JoinConfig& c) { return TryRunHashJoin(w.r, w.s, c); });
   check([&](const JoinConfig& c) {
-    return RunBroadcastJoin(w.r, w.s, c, Direction::kRtoS);
+    return TryRunBroadcastJoin(w.r, w.s, c, Direction::kRtoS);
   });
   check([&](const JoinConfig& c) {
-    return RunTrackJoin2(w.r, w.s, c, Direction::kStoR);
+    return TryRunTrackJoin(w.r, w.s, c, TrackJoinVersion::k2Phase,
+                           Direction::kStoR);
   });
-  check([&](const JoinConfig& c) { return RunTrackJoin3(w.r, w.s, c); });
-  check([&](const JoinConfig& c) { return RunTrackJoin4(w.r, w.s, c); });
-  check([&](const JoinConfig& c) { return RunRidHashJoin(w.r, w.s, c); });
   check([&](const JoinConfig& c) {
-    return RunLateMaterializedHashJoin(w.r, w.s, c);
+    return TryRunTrackJoin(w.r, w.s, c, TrackJoinVersion::k3Phase);
+  });
+  check([&](const JoinConfig& c) {
+    return TryRunTrackJoin(w.r, w.s, c, TrackJoinVersion::k4Phase);
+  });
+  check([&](const JoinConfig& c) { return TryRunRidHashJoin(w.r, w.s, c); });
+  check([&](const JoinConfig& c) {
+    return TryRunLateMaterializedHashJoin(w.r, w.s, c);
   });
 }
 
@@ -70,9 +76,11 @@ TEST(ParallelFabricTest, RepeatedRunsAreStable) {
   config.key_bytes = 4;
   config.thread_pool = &pool;
 
-  JoinResult first = RunTrackJoin4(w.r, w.s, config);
+  JoinResult first = ValueOrDie(TryRunTrackJoin(w.r, w.s, config,
+                                                TrackJoinVersion::k4Phase));
   for (int i = 0; i < 5; ++i) {
-    JoinResult again = RunTrackJoin4(w.r, w.s, config);
+    JoinResult again = ValueOrDie(TryRunTrackJoin(w.r, w.s, config,
+                                                  TrackJoinVersion::k4Phase));
     EXPECT_EQ(again.checksum.digest(), first.checksum.digest());
     EXPECT_EQ(again.traffic.TotalNetworkBytes(),
               first.traffic.TotalNetworkBytes());

@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "common/logging.h"
 #include "core/schedule.h"
 #include "core/track_join.h"
 #include "workload/generator.h"
@@ -197,7 +198,7 @@ TEST(ScheduleExplainTest, HotSplitClassReconcilesExactly) {
   spec.r_theta = 1.2;
   spec.s_theta = 1.2;
   spec.seed = 99;
-  Workload w = GenerateZipfWorkload(spec);
+  Workload w = ValueOrDie(TryGenerateZipfWorkload(spec));
 
   JoinConfig config;
   config.key_bytes = 4;

@@ -13,6 +13,7 @@
 
 #include "baseline/broadcast_join.h"
 #include "baseline/hash_join.h"
+#include "common/logging.h"
 #include "core/late_hash_join.h"
 #include "core/rid_hash_join.h"
 #include "core/semi_join.h"
@@ -89,20 +90,32 @@ TEST(StepProfileTest, PhaseSumsMatchRunTotalsForEveryAlgorithm) {
   Workload w = TestWorkload();
   JoinConfig config;
   config.key_bytes = 4;
-  CheckProfileMatchesRun("hj", RunHashJoin(w.r, w.s, config));
+  CheckProfileMatchesRun("hj", ValueOrDie(TryRunHashJoin(w.r, w.s, config)));
   CheckProfileMatchesRun("bj-r",
-                         RunBroadcastJoin(w.r, w.s, config, Direction::kRtoS));
+                         ValueOrDie(TryRunBroadcastJoin(w.r, w.s, config,
+                                                        Direction::kRtoS)));
   CheckProfileMatchesRun("bj-s",
-                         RunBroadcastJoin(w.r, w.s, config, Direction::kStoR));
+                         ValueOrDie(TryRunBroadcastJoin(w.r, w.s, config,
+                                                        Direction::kStoR)));
   CheckProfileMatchesRun("2tj-r",
-                         RunTrackJoin2(w.r, w.s, config, Direction::kRtoS));
+                         ValueOrDie(TryRunTrackJoin(w.r, w.s, config,
+                                                    TrackJoinVersion::k2Phase,
+                                                    Direction::kRtoS)));
   CheckProfileMatchesRun("2tj-s",
-                         RunTrackJoin2(w.r, w.s, config, Direction::kStoR));
-  CheckProfileMatchesRun("3tj", RunTrackJoin3(w.r, w.s, config));
-  CheckProfileMatchesRun("4tj", RunTrackJoin4(w.r, w.s, config));
-  CheckProfileMatchesRun("rid-hj", RunRidHashJoin(w.r, w.s, config));
+                         ValueOrDie(TryRunTrackJoin(w.r, w.s, config,
+                                                    TrackJoinVersion::k2Phase,
+                                                    Direction::kStoR)));
+  CheckProfileMatchesRun(
+      "3tj",
+      ValueOrDie(TryRunTrackJoin(w.r, w.s, config, TrackJoinVersion::k3Phase)));
+  CheckProfileMatchesRun(
+      "4tj",
+      ValueOrDie(TryRunTrackJoin(w.r, w.s, config, TrackJoinVersion::k4Phase)));
+  CheckProfileMatchesRun("rid-hj",
+                         ValueOrDie(TryRunRidHashJoin(w.r, w.s, config)));
   CheckProfileMatchesRun("late-hj",
-                         RunLateMaterializedHashJoin(w.r, w.s, config));
+                         ValueOrDie(TryRunLateMaterializedHashJoin(w.r, w.s,
+                                                                   config)));
 }
 
 TEST(StepProfileTest, SemiJoinWrapperPrependsFilterPhases) {
@@ -110,7 +123,7 @@ TEST(StepProfileTest, SemiJoinWrapperPrependsFilterPhases) {
   JoinConfig config;
   config.key_bytes = 4;
   SemiJoinConfig semi;
-  JoinResult r = RunFilteredHashJoin(w.r, w.s, config, semi);
+  JoinResult r = ValueOrDie(TryRunFilteredHashJoin(w.r, w.s, config, semi));
   const StepProfile& prof = r.profile;
   EXPECT_EQ(prof.algorithm, "sj+hj");
   ASSERT_FALSE(prof.steps.empty());
@@ -167,8 +180,8 @@ TEST(StepProfileTest, InactivePolicyKeepsProfilePassiveAndDeterministic) {
   JoinConfig with_policy = config;
   with_policy.fault_policy = &inactive;
 
-  JoinResult plain = RunHashJoin(w.r, w.s, config);
-  JoinResult observed = RunHashJoin(w.r, w.s, with_policy);
+  JoinResult plain = ValueOrDie(TryRunHashJoin(w.r, w.s, config));
+  JoinResult observed = ValueOrDie(TryRunHashJoin(w.r, w.s, with_policy));
   EXPECT_EQ(plain.checksum.digest(), observed.checksum.digest());
   EXPECT_EQ(plain.output_rows, observed.output_rows);
   EXPECT_TRUE(plain.traffic == observed.traffic);

@@ -5,6 +5,7 @@
 #include <map>
 
 #include "common/hash.h"
+#include "common/logging.h"
 #include "common/rng.h"
 #include "workload/generator.h"
 
@@ -70,7 +71,8 @@ TEST(AggregateTest, MatchesReferenceBothStrategies) {
   for (bool pre : {false, true}) {
     AggregateConfig config = GroupByPayloadConfig();
     config.pre_aggregate = pre;
-    AggregateResult result = RunDistributedAggregate(input, config);
+    AggregateResult result = ValueOrDie(TryRunDistributedAggregate(
+        input, config));
     EXPECT_EQ(result.groups, expected.size()) << pre;
     EXPECT_EQ(result.input_rows, 5000u);
     auto got = Collect(result, config.sum_bytes);
@@ -85,8 +87,9 @@ TEST(AggregateTest, PreAggregationShrinksTraffic) {
   AggregateConfig naive = GroupByPayloadConfig();
   naive.pre_aggregate = false;
   AggregateConfig pre = GroupByPayloadConfig();
-  AggregateResult naive_run = RunDistributedAggregate(input, naive);
-  AggregateResult pre_run = RunDistributedAggregate(input, pre);
+  AggregateResult naive_run = ValueOrDie(TryRunDistributedAggregate(
+      input, naive));
+  AggregateResult pre_run = ValueOrDie(TryRunDistributedAggregate(input, pre));
   // 40000 rows vs <= 8*50 partials.
   EXPECT_LT(pre_run.traffic.TotalNetworkBytes() * 50,
             naive_run.traffic.TotalNetworkBytes());
@@ -99,8 +102,9 @@ TEST(AggregateTest, ManyGroupsMakePreAggregationPointless) {
   AggregateConfig naive = GroupByPayloadConfig();
   naive.pre_aggregate = false;
   AggregateConfig pre = GroupByPayloadConfig();
-  AggregateResult naive_run = RunDistributedAggregate(input, naive);
-  AggregateResult pre_run = RunDistributedAggregate(input, pre);
+  AggregateResult naive_run = ValueOrDie(TryRunDistributedAggregate(
+      input, naive));
+  AggregateResult pre_run = ValueOrDie(TryRunDistributedAggregate(input, pre));
   EXPECT_EQ(pre_run.traffic.TotalNetworkBytes(),
             naive_run.traffic.TotalNetworkBytes());
 }
@@ -113,7 +117,8 @@ TEST(AggregateTest, GroupByJoinKey) {
   value[0] = 5;
   table.node(2).Append(9, value);
   AggregateConfig config;  // Defaults: group by key, value = payload[0..4).
-  AggregateResult result = RunDistributedAggregate(table, config);
+  AggregateResult result =
+      ValueOrDie(TryRunDistributedAggregate(table, config));
   auto got = Collect(result, config.sum_bytes);
   ASSERT_EQ(got.size(), 2u);
   EXPECT_EQ(got[7], (std::pair<uint64_t, uint64_t>{20, 2}));
@@ -123,7 +128,7 @@ TEST(AggregateTest, GroupByJoinKey) {
 TEST(AggregateTest, EmptyInput) {
   PartitionedTable table("in", 2, 8);
   AggregateResult result =
-      RunDistributedAggregate(table, GroupByPayloadConfig());
+      ValueOrDie(TryRunDistributedAggregate(table, GroupByPayloadConfig()));
   EXPECT_EQ(result.groups, 0u);
   EXPECT_EQ(result.traffic.TotalNetworkBytes(), 0u);
 }
@@ -132,7 +137,7 @@ TEST(AggregateTest, OutputResidencyByGroupHash) {
   std::map<uint64_t, std::pair<uint64_t, uint64_t>> expected;
   PartitionedTable input = MakeInput(4, 2000, 64, 11, &expected);
   AggregateResult result =
-      RunDistributedAggregate(input, GroupByPayloadConfig());
+      ValueOrDie(TryRunDistributedAggregate(input, GroupByPayloadConfig()));
   for (uint32_t node = 0; node < 4; ++node) {
     const TupleBlock& block = result.output.node(node);
     for (uint64_t row = 0; row < block.size(); ++row) {

@@ -44,7 +44,7 @@ TEST(TupleBlockTest, SerializeDeserializeRoundTrip) {
 
   TupleBlock out(6);
   ByteReader reader(buf);
-  out.DeserializeRows(&reader, 4);
+  ASSERT_TRUE(out.TryDeserializeRows(&reader, 4).ok());
   ASSERT_EQ(out.size(), 3u);
   for (uint64_t row = 0; row < 3; ++row) {
     EXPECT_EQ(out.Key(row), block.Key(row));
@@ -58,7 +58,7 @@ TEST(TupleBlockTest, SerializeIndexedSubset) {
   block.SerializeRowsIndexed({3, 1}, 8, &buf);
   TupleBlock out(2);
   ByteReader reader(buf);
-  out.DeserializeRows(&reader, 8);
+  ASSERT_TRUE(out.TryDeserializeRows(&reader, 8).ok());
   ASSERT_EQ(out.size(), 2u);
   EXPECT_EQ(out.Key(0), 8u);
   EXPECT_EQ(out.Key(1), 6u);

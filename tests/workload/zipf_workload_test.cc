@@ -3,6 +3,7 @@
 #include <map>
 
 #include "baseline/hash_join.h"
+#include "common/logging.h"
 #include "workload/generator.h"
 
 namespace tj {
@@ -16,7 +17,7 @@ TEST(ZipfWorkloadTest, CardinalitiesAndOutputExact) {
   spec.s_rows = 5000;
   spec.r_theta = 0.9;
   spec.s_theta = 0.9;
-  Workload w = GenerateZipfWorkload(spec);
+  Workload w = ValueOrDie(TryGenerateZipfWorkload(spec));
   EXPECT_EQ(w.r.TotalRows(), 3000u);
   EXPECT_EQ(w.s.TotalRows(), 5000u);
 
@@ -33,7 +34,7 @@ TEST(ZipfWorkloadTest, CardinalitiesAndOutputExact) {
   // And the join delivers exactly that.
   JoinConfig config;
   config.key_bytes = 4;
-  JoinResult result = RunHashJoin(w.r, w.s, config);
+  JoinResult result = ValueOrDie(TryRunHashJoin(w.r, w.s, config));
   EXPECT_EQ(result.output_rows, expected);
 }
 
@@ -45,11 +46,11 @@ TEST(ZipfWorkloadTest, SkewConcentratesMultiplicity) {
   spec.s_rows = 20000;
   spec.r_theta = 1.2;
   spec.s_theta = 1.2;
-  Workload skewed = GenerateZipfWorkload(spec);
+  Workload skewed = ValueOrDie(TryGenerateZipfWorkload(spec));
   spec.r_theta = 0.0;
   spec.s_theta = 0.0;
   spec.seed = spec.seed + 1;
-  Workload uniform = GenerateZipfWorkload(spec);
+  Workload uniform = ValueOrDie(TryGenerateZipfWorkload(spec));
   // Quadratic output blows up under skew.
   EXPECT_GT(skewed.expected_output_rows, 4 * uniform.expected_output_rows);
 }
@@ -59,8 +60,8 @@ TEST(ZipfWorkloadTest, DeterministicBySeed) {
   spec.key_domain = 100;
   spec.r_rows = 1000;
   spec.s_rows = 1000;
-  Workload a = GenerateZipfWorkload(spec);
-  Workload b = GenerateZipfWorkload(spec);
+  Workload a = ValueOrDie(TryGenerateZipfWorkload(spec));
+  Workload b = ValueOrDie(TryGenerateZipfWorkload(spec));
   for (uint32_t node = 0; node < spec.num_nodes; ++node) {
     EXPECT_EQ(a.r.node(node).keys(), b.r.node(node).keys());
   }
@@ -73,7 +74,7 @@ TEST(ZipfWorkloadTest, PayloadsDistinctPerCopy) {
   spec.r_rows = 10;
   spec.s_rows = 0;
   spec.r_payload = 8;
-  Workload w = GenerateZipfWorkload(spec);
+  Workload w = ValueOrDie(TryGenerateZipfWorkload(spec));
   const TupleBlock& block = w.r.node(0);
   for (uint64_t i = 1; i < block.size(); ++i) {
     EXPECT_NE(0, memcmp(block.Payload(0), block.Payload(i), 8));
@@ -86,7 +87,7 @@ TEST(ZipfWorkloadTest, EmptySideYieldsZeroOutput) {
   spec.key_domain = 50;
   spec.r_rows = 0;
   spec.s_rows = 400;
-  Workload w = GenerateZipfWorkload(spec);
+  Workload w = ValueOrDie(TryGenerateZipfWorkload(spec));
   EXPECT_EQ(w.r.TotalRows(), 0u);
   EXPECT_EQ(w.s.TotalRows(), 400u);
   EXPECT_EQ(w.expected_output_rows, 0u);
@@ -98,7 +99,7 @@ TEST(ZipfWorkloadTest, DomainOfOneIsFullCrossProduct) {
   spec.key_domain = 1;
   spec.r_rows = 30;
   spec.s_rows = 40;
-  Workload w = GenerateZipfWorkload(spec);
+  Workload w = ValueOrDie(TryGenerateZipfWorkload(spec));
   EXPECT_EQ(w.expected_output_rows, 1200u);
 }
 
@@ -120,6 +121,21 @@ TEST(ZipfWorkloadTest, OutputProductOverflowIsInvalidArgument) {
   EXPECT_EQ(total, ~0ull - 10);
 }
 
+TEST(ZipfWorkloadTest, EmptyDomainOrClusterIsInvalidArgument) {
+  ZipfWorkloadSpec spec;
+  spec.num_nodes = 4;
+  spec.key_domain = 0;
+  Result<Workload> no_keys = TryGenerateZipfWorkload(spec);
+  ASSERT_FALSE(no_keys.ok());
+  EXPECT_EQ(no_keys.status().code(), StatusCode::kInvalidArgument);
+
+  spec.num_nodes = 0;
+  spec.key_domain = 100;
+  Result<Workload> no_nodes = TryGenerateZipfWorkload(spec);
+  ASSERT_FALSE(no_nodes.ok());
+  EXPECT_EQ(no_nodes.status().code(), StatusCode::kInvalidArgument);
+}
+
 TEST(ZipfWorkloadTest, ThetaZeroFastPathIsUniform) {
   ZipfWorkloadSpec spec;
   spec.num_nodes = 2;
@@ -128,7 +144,7 @@ TEST(ZipfWorkloadTest, ThetaZeroFastPathIsUniform) {
   spec.s_rows = 0;
   spec.r_theta = 0.0;
   spec.s_theta = 0.0;
-  Workload w = GenerateZipfWorkload(spec);
+  Workload w = ValueOrDie(TryGenerateZipfWorkload(spec));
   std::map<uint64_t, uint64_t> counts;
   for (uint32_t node = 0; node < spec.num_nodes; ++node) {
     for (uint64_t key : w.r.node(node).keys()) ++counts[key];

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# CI gate: build and run the test suite under ASan and UBSan, smoke the
-# profiling CLI against its JSON schema, and run the thread-pool tests
-# under TSan.
+# CI gate: lint src/ for infallible wrappers, build and run the test suite
+# under ASan and UBSan, smoke the profiling CLI against its JSON schema, and
+# run the thread-pool tests under TSan.
 #
 #   tools/ci.sh            # default gates: address + undefined
 #   tools/ci.sh address    # just one sanitizer
@@ -12,6 +12,13 @@
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
+
+# One fallible API: the library returns Status/Result, so a wrapper that
+# CHECKs a result's ok() and aborts must not come back into src/.
+if grep -rnE 'TJ_CHECK\(.*\.ok\(\)\)' src; then
+  echo "ci.sh: src/ must propagate Status/Result, not CHECK .ok()" >&2
+  exit 1
+fi
 
 sanitizers=("${@:-address}" )
 if [[ $# -eq 0 ]]; then

@@ -8,6 +8,7 @@
 //   tjsim --smult=5 --spattern=2,2,1 --collocation=intra --algo=4tj
 //   tjsim --zipf=1.1 --balance --algo=4tj,hj
 //   tjsim --keys=50000 --runmatched=450000 --algo=all --bandwidth=1.25
+#include <algorithm>
 #include <cerrno>
 #include <cinttypes>
 #include <cmath>
@@ -16,10 +17,12 @@
 #include <cstring>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "baseline/broadcast_join.h"
 #include "baseline/hash_join.h"
+#include "common/bit_util.h"
 #include "core/late_hash_join.h"
 #include "core/pipelined_track_join.h"
 #include "core/recovery.h"
@@ -95,14 +98,15 @@ workload:
   --runmatched=N       R rows with unmatched keys (drives selectivity)
   --sunmatched=N       S rows with unmatched keys
   --rpayload=B --spayload=B  payload bytes per tuple (default 16)
-  --zipf=THETA         use Zipf-skewed keys instead (keys = domain)
+  --zipf=THETA         use Zipf-skewed keys instead (keys = domain > 0)
   --shuffle            shuffle all tuples after generation
   --seed=N             PRNG seed (default 42)
 
 execution:
   --algo=LIST          comma list of: hj bj-r bj-s 2tj-r 2tj-s 3tj 4tj
                        rid-hj late-hj all (default all)
-  --key-bytes=B        serialized key width wk (default 4)
+  --key-bytes=B        serialized key width wk (default 4); must hold the
+                       workload's largest key
   --balance            balance-aware 4-phase scheduling
   --hot-key-threshold=N  split keys whose modeled output (r_rows*s_rows)
                        reaches N across several nodes (4tj; 0 = off)
@@ -133,10 +137,11 @@ fault injection (any nonzero flag frames messages and enables retry/ack):
   --fault-corrupt=P    P(one bit flipped) per transmission (default 0)
   --fault-dup=P        P(frame duplicated) per transmission (default 0)
   --fault-reorder=P    P(adjacent inbox messages swapped) (default 0)
-  --fault-crash-node=N node that fail-stops (query fails with DataLoss
-                       unless recovery is on)
+  --fault-crash-node=N node (< --nodes) that fail-stops (query fails with
+                       DataLoss unless recovery is on)
   --fault-crash-phase=K  0-based global phase the crash takes effect
-  --fault-slow-node=N  straggler node: phases run slower in modeled time
+  --fault-slow-node=N  straggler node (< --nodes): phases run slower in
+                       modeled time
                        (pristine wire path; traffic is unchanged)
   --fault-slow-seconds=S  modeled extra seconds per phase for the straggler
   --fault-retries=N    retransmit rounds before giving up (default 8)
@@ -352,13 +357,15 @@ Options Parse(int argc, char** argv) {
                                           "probability in [0, 1]");
     } else if ((v = val("--fault-crash-node="))) {
       opt.fault.crash_node = ParseUint32Flag(
-          "--fault-crash-node", v, 0, UINT32_MAX, "node index");
+          "--fault-crash-node", v, 0, tj::FaultPolicy::kNoNode - 1,
+          "node index");
     } else if ((v = val("--fault-crash-phase="))) {
       opt.fault.crash_phase = ParseUint32Flag(
           "--fault-crash-phase", v, 0, UINT32_MAX, "phase index");
     } else if ((v = val("--fault-slow-node="))) {
       opt.fault.slow_node = ParseUint32Flag(
-          "--fault-slow-node", v, 0, UINT32_MAX, "node index");
+          "--fault-slow-node", v, 0, tj::FaultPolicy::kNoNode - 1,
+          "node index");
     } else if ((v = val("--fault-slow-seconds="))) {
       opt.fault.slowdown_seconds = ParseDoubleFlag(
           "--fault-slow-seconds", v, 0.0, 1e9, "seconds in [0, 1e9]");
@@ -454,6 +461,18 @@ Options Parse(int argc, char** argv) {
       std::exit(1);
     }
   }
+  // Fault nodes are checked once --nodes is known: an index past the
+  // cluster would otherwise never fire and the run would silently pass.
+  const std::pair<const char*, uint32_t> fault_nodes[] = {
+      {"--fault-crash-node", opt.fault.crash_node},
+      {"--fault-slow-node", opt.fault.slow_node}};
+  for (const auto& [flag, node] : fault_nodes) {
+    if (node != tj::FaultPolicy::kNoNode && node >= opt.nodes) {
+      std::fprintf(stderr, "%s=%u is out of range for --nodes=%u (0..%u)\n",
+                   flag, node, opt.nodes, opt.nodes - 1);
+      std::exit(1);
+    }
+  }
   if (opt.pipeline && (opt.delta || opt.group)) {
     std::fprintf(stderr,
                  "--pipeline requires the plain wire format; drop --delta "
@@ -533,7 +552,7 @@ tj::Result<tj::JoinResult> RunByName(const std::string& name,
 int main(int argc, char** argv) {
   Options opt = Parse(argc, argv);
 
-  tj::Workload w = [&] {
+  tj::Result<tj::Workload> generated = [&]() -> tj::Result<tj::Workload> {
     if (opt.zipf >= 0) {
       tj::ZipfWorkloadSpec spec;
       spec.num_nodes = opt.nodes;
@@ -545,7 +564,7 @@ int main(int argc, char** argv) {
       spec.s_theta = opt.zipf;
       spec.r_payload = opt.r_payload;
       spec.s_payload = opt.s_payload;
-      return tj::GenerateZipfWorkload(spec);
+      return tj::TryGenerateZipfWorkload(spec);
     }
     tj::WorkloadSpec spec;
     spec.num_nodes = opt.nodes;
@@ -563,6 +582,30 @@ int main(int argc, char** argv) {
     spec.s_payload = opt.s_payload;
     return tj::GenerateWorkload(spec);
   }();
+  if (!generated.ok()) {
+    std::fprintf(stderr, "invalid --zipf workload (--keys=%" PRIu64 "): %s\n",
+                 opt.keys, generated.status().ToString().c_str());
+    return 1;
+  }
+  tj::Workload w = std::move(generated).value();
+  // Every algorithm serializes keys at --key-bytes; a narrower width would
+  // truncate them on the wire and join the wrong rows.
+  uint64_t max_key = 0;
+  for (const tj::PartitionedTable* table : {&w.r, &w.s}) {
+    for (uint32_t node = 0; node < table->num_nodes(); ++node) {
+      for (uint64_t key : table->node(node).keys()) {
+        max_key = std::max(max_key, key);
+      }
+    }
+  }
+  const uint32_t needed_bytes = tj::BitsToBytes(tj::BitWidth(max_key));
+  if (needed_bytes > opt.key_bytes) {
+    std::fprintf(stderr,
+                 "--key-bytes=%u is too narrow: the largest key (%" PRIu64
+                 ") needs --key-bytes=%u\n",
+                 opt.key_bytes, max_key, needed_bytes);
+    return 1;
+  }
   if (opt.shuffle) {
     tj::ShuffleTable(&w.r, opt.seed + 1);
     tj::ShuffleTable(&w.s, opt.seed + 2);
