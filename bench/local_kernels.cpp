@@ -3,13 +3,22 @@
 // small hash-join / 4-phase-track-join run (the StepProfile rows Tables 3
 // and 4 are built from).
 //
+// Also reports two same-run ratios of serial 4TJ wall times (best of 3
+// runs each), which hold across machines:
+//   tj4_pipelined_over_barrier_wall  pipelined 4TJ (DRR) ÷ barrier 4TJ on
+//                                    workload X at scale 1/2000;
+//   tj4_pipelined_scaling            pipelined 4TJ at 1/1000 ÷ at 1/2000,
+//                                    about 2 for a linear-time driver.
+//
 // Prints one JSON object to stdout; tools/bench_smoke.py runs this at a
 // fixed small scale in CI and fails on >25% throughput regression against
-// tools/bench_baseline.json.
+// tools/bench_baseline.json, or when either ratio exceeds its ceiling.
 //
 //   --scale=<divisor>  divide the 8Mi-row base input by this (default 4).
 //   --threads=<n>      thread pool size for the kernels (default 1).
-//   --trace=<file>     enable span tracing and write Chrome trace JSON.
+//   --trace=<file>     enable span tracing and write Chrome trace JSON; each
+//                      kernel also reports <kernel>_traced_tps, timed in
+//                      reps that alternate with its untraced ones.
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
@@ -20,6 +29,7 @@
 #include "bench/real_bench.h"
 #include "common/logging.h"
 #include "common/rng.h"
+#include "core/pipelined_track_join.h"
 #include "core/track_join.h"
 #include "exec/partition.h"
 #include "exec/radix_sort.h"
@@ -38,16 +48,48 @@ double Now() {
       .count();
 }
 
-/// Best-of-kReps wall seconds of `fn` (cold-cache noise goes to the max).
+/// Wall seconds of one call of `fn`.
 template <typename Fn>
-double BestOf(Fn&& fn) {
-  double best = 1e300;
-  for (int rep = 0; rep < kReps; ++rep) {
-    double start = Now();
-    fn();
-    best = std::min(best, Now() - start);
+double Seconds(Fn&& fn) {
+  const double start = Now();
+  fn();
+  return Now() - start;
+}
+
+/// Best untraced and best traced seconds of one kernel over kReps reps
+/// each, after one untimed warm-up (cold-cache noise goes to the max).
+/// `rep` runs the kernel once and returns the seconds it timed. With
+/// `tracing`, reps alternate tracer off and on and the tracer is left on,
+/// so both bests come from one process and the same fraction of a second:
+/// run-to-run noise and heap state, which differ more between processes
+/// than the tracer costs, cancel out. Without it, traced stays 0.
+struct KernelSeconds {
+  double untraced = 1e300;
+  double traced = 0;
+};
+template <typename Rep>
+KernelSeconds TimeKernel(Rep&& rep, bool tracing) {
+  KernelSeconds out;
+  if (tracing) out.traced = 1e300;
+  rep();
+  for (int r = 0; r < kReps * (tracing ? 2 : 1); ++r) {
+    const bool traced = tracing && r % 2 == 1;
+    if (tracing) {
+      traced ? Tracer::Global().Enable() : Tracer::Global().Disable();
+    }
+    double& best = traced ? out.traced : out.untraced;
+    best = std::min(best, rep());
   }
-  return best;
+  if (tracing) Tracer::Global().Enable();
+  return out;
+}
+
+/// Prints "<name>_tps" and, for a traced run, "<name>_traced_tps".
+void PrintKernel(const char* name, double rows, const KernelSeconds& k) {
+  std::printf("  \"%s_tps\": %.0f,\n", name, rows / k.untraced);
+  if (k.traced > 0) {
+    std::printf("  \"%s_traced_tps\": %.0f,\n", name, rows / k.traced);
+  }
 }
 
 void PrintPhases(const char* key, const StepProfile& prof, const char* tail) {
@@ -70,7 +112,6 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--trace=", 8) == 0) trace_path = argv[i] + 8;
   }
-  if (!trace_path.empty()) Tracer::Global().Enable();
   const uint64_t divisor = args.scale ? args.scale : 4;
   const uint64_t rows = (1ULL << 23) / divisor;
   auto pool = bench::MakePool(args);
@@ -85,32 +126,37 @@ int main(int argc, char** argv) {
     block.Append(key, payload);
   }
 
-  double partition_s = bench::BestOf([&] {
-    Result<PartitionLayout> layout = TryRadixPartition(block, bench::kParts, p);
-    TJ_CHECK(layout.ok()) << layout.status().ToString();
-  });
-  double key_partition_s = bench::BestOf([&] {
-    Result<KeyPartitionLayout> layout = TryRadixPartitionKeys(block, bench::kParts, p);
-    TJ_CHECK(layout.ok()) << layout.status().ToString();
-  });
+  const bool tracing = !trace_path.empty();
+  if (tracing) Tracer::Global().Enable();
+  const bench::KernelSeconds partition = bench::TimeKernel(
+      [&] {
+        return bench::Seconds(
+            [&] { ValueOrDie(TryRadixPartition(block, bench::kParts, p)); });
+      },
+      tracing);
+  const bench::KernelSeconds key_partition = bench::TimeKernel(
+      [&] {
+        return bench::Seconds([&] {
+          ValueOrDie(TryRadixPartitionKeys(block, bench::kParts, p));
+        });
+      },
+      tracing);
 
   std::vector<uint32_t> base_values(rows);
   std::iota(base_values.begin(), base_values.end(), 0u);
-  double sort_pairs_s = 1e300;
-  for (int rep = 0; rep < bench::kReps; ++rep) {
-    std::vector<uint64_t> keys = block.keys();
-    std::vector<uint32_t> values = base_values;
-    double start = bench::Now();
-    RadixSortPairs(&keys, &values, p);
-    sort_pairs_s = std::min(sort_pairs_s, bench::Now() - start);
-  }
-  double sort_block_s = 1e300;
-  for (int rep = 0; rep < bench::kReps; ++rep) {
-    TupleBlock copy = block;
-    double start = bench::Now();
-    SortBlockByKey(&copy, p);
-    sort_block_s = std::min(sort_block_s, bench::Now() - start);
-  }
+  const bench::KernelSeconds sort_pairs = bench::TimeKernel(
+      [&] {
+        std::vector<uint64_t> keys = block.keys();
+        std::vector<uint32_t> values = base_values;
+        return bench::Seconds([&] { RadixSortPairs(&keys, &values, p); });
+      },
+      tracing);
+  const bench::KernelSeconds sort_block = bench::TimeKernel(
+      [&] {
+        TupleBlock copy = block;
+        return bench::Seconds([&] { SortBlockByKey(&copy, p); });
+      },
+      tracing);
 
   // Per-phase wall seconds of real join runs at a small fixed scale: the
   // same StepProfile rows the table3/table4 benches project to paper scale.
@@ -122,15 +168,55 @@ int main(int argc, char** argv) {
   StepProfile tj4 = ValueOrDie(
       TryRunTrackJoin(w.r, w.s, config, TrackJoinVersion::k4Phase)).profile;
 
+  // Pipelined vs barrier 4TJ, both serial (no pool), on 8-node workload X
+  // inputs: the wall ratio at X/2000, and the pipelined wall at twice the
+  // keys (X/1000) over X/2000. Best of kReps each; the reps of the three
+  // runs alternate, so drift in machine speed hits all of them alike.
+  JoinConfig barrier_config = bench::RealConfig(WorkloadX(1));
+  JoinConfig pipelined_config = barrier_config;
+  pipelined_config.pipeline.enabled = true;
+  pipelined_config.pipeline.drr = true;
+  auto barrier = [&](const Workload& input) {
+    return ValueOrDie(TryRunTrackJoin(input.r, input.s, barrier_config,
+                                      TrackJoinVersion::k4Phase))
+        .checksum;
+  };
+  auto pipelined = [&](const Workload& input) {
+    return ValueOrDie(TryRunPipelinedTrackJoin(input.r, input.s,
+                                               pipelined_config,
+                                               TrackJoinVersion::k4Phase))
+        .checksum;
+  };
+  const Workload wx = InstantiateReal(WorkloadX(1), 8, 2000, true, args.seed);
+  const Workload wx2 = InstantiateReal(WorkloadX(1), 8, 1000, true, args.seed);
+  double barrier_s = 1e300, pipelined_s = 1e300, pipelined_2x_s = 1e300;
+  JoinChecksum barrier_sum, pipelined_sum;
+  for (int rep = 0; rep < bench::kReps; ++rep) {
+    barrier_s = std::min(barrier_s,
+                         bench::Seconds([&] { barrier_sum = barrier(wx); }));
+    pipelined_s = std::min(
+        pipelined_s, bench::Seconds([&] { pipelined_sum = pipelined(wx); }));
+    pipelined_2x_s =
+        std::min(pipelined_2x_s, bench::Seconds([&] { pipelined(wx2); }));
+  }
+  TJ_CHECK(barrier_sum == pipelined_sum) << "pipelined 4TJ result differs";
+
   double n = static_cast<double>(rows);
   std::printf("{\n");
   std::printf("  \"rows\": %" PRIu64 ",\n", rows);
   std::printf("  \"threads\": %u,\n", args.threads);
   std::printf("  \"partition_parts\": %u,\n", bench::kParts);
-  std::printf("  \"partition_tps\": %.0f,\n", n / partition_s);
-  std::printf("  \"key_partition_tps\": %.0f,\n", n / key_partition_s);
-  std::printf("  \"sort_pairs_tps\": %.0f,\n", n / sort_pairs_s);
-  std::printf("  \"sort_block_tps\": %.0f,\n", n / sort_block_s);
+  bench::PrintKernel("partition", n, partition);
+  bench::PrintKernel("key_partition", n, key_partition);
+  bench::PrintKernel("sort_pairs", n, sort_pairs);
+  bench::PrintKernel("sort_block", n, sort_block);
+  std::printf("  \"tj4_barrier_wall_s\": %.6f,\n", barrier_s);
+  std::printf("  \"tj4_pipelined_wall_s\": %.6f,\n", pipelined_s);
+  std::printf("  \"tj4_pipelined_over_barrier_wall\": %.4f,\n",
+              pipelined_s / barrier_s);
+  std::printf("  \"tj4_pipelined_2x_wall_s\": %.6f,\n", pipelined_2x_s);
+  std::printf("  \"tj4_pipelined_scaling\": %.4f,\n",
+              pipelined_2x_s / pipelined_s);
   bench::PrintPhases("hj_phase_wall_s", hj, ",");
   bench::PrintPhases("tj4_phase_wall_s", tj4, "");
   std::printf("}\n");

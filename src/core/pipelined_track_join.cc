@@ -24,6 +24,10 @@ namespace {
 /// Frontier bound of a fully-delivered stream: past every possible key.
 constexpr uint64_t kStreamDone = ~0ULL;
 
+/// Key-ascending runs of tracker entries, one per stream with entries in
+/// the batch's key range.
+using TrackRuns = std::vector<std::vector<TrackEntry>>;
+
 /// One tracker-side incoming tracking stream (one source, one table).
 /// Entries arrive key-sorted; `watermark` promises no later chunk carries
 /// a key strictly below it.
@@ -40,24 +44,42 @@ struct TrackStream {
   }
 };
 
-/// Row indices of a growing TupleBlock, bucketed by key. FlatMap keeps
-/// POD values only, so buckets live in a parallel vector (value = index+1).
-struct KeyedRows {
-  FlatMap<uint64_t> index;
-  std::vector<std::vector<uint32_t>> buckets;
-
-  const std::vector<uint32_t>* Find(uint64_t key) const {
-    const uint64_t* slot = index.Find(key);
-    return slot == nullptr ? nullptr : &buckets[*slot - 1];
-  }
-  std::vector<uint32_t>& BucketFor(uint64_t key) {
-    uint64_t& slot = index[key];
-    if (slot == 0) {
-      buckets.emplace_back();
-      slot = buckets.size();
+/// Rows of a growing TupleBlock chained by key, indexed lazily: the index
+/// covers a prefix of the block and CatchUp extends it to the rest, so a
+/// block nobody probes is never indexed. `ends_` packs each key's first and
+/// last row into one word ((first + 1) << 32 | last, so 0 means absent);
+/// `next_` links each row to the next row with the same key, in arrival
+/// order.
+class KeyedRows {
+ public:
+  /// Indexes the rows appended to `block` since the last call.
+  void CatchUp(const TupleBlock& block) {
+    TJ_CHECK_LT(block.size(), uint64_t{kEnd});
+    for (uint32_t row = static_cast<uint32_t>(next_.size());
+         row < block.size(); ++row) {
+      next_.push_back(kEnd);
+      uint64_t& ends = ends_[block.Key(row)];
+      if (ends != 0) next_[static_cast<uint32_t>(ends)] = row;
+      const uint64_t first = ends != 0 ? (ends >> 32) - 1 : row;
+      ends = (first + 1) << 32 | row;
     }
-    return buckets[slot - 1];
   }
+
+  /// Calls fn(row) for each indexed row with `key`, in arrival order.
+  template <typename Fn>
+  void ForEachRow(uint64_t key, Fn&& fn) const {
+    const uint64_t* ends = ends_.Find(key);
+    if (ends == nullptr) return;
+    for (uint32_t row = static_cast<uint32_t>((*ends >> 32) - 1); row != kEnd;
+         row = next_[row]) {
+      fn(row);
+    }
+  }
+
+ private:
+  static constexpr uint32_t kEnd = ~0u;
+  FlatMap<uint64_t> ends_;
+  std::vector<uint32_t> next_;
 };
 
 /// Per-node working state across all pipelined roles (source, tracker,
@@ -80,9 +102,13 @@ struct PipelineNodeState {
   // Holder role: instruction-EOS countdown toward closing the data streams.
   uint32_t instr_eos = 0;
   bool data_eos_sent = false;
+  // Per-chunk scratch, kept to reuse its capacity: decoded instructions
+  // and the home rows bound for each destination.
+  std::vector<KeyNodePair> pairs;
+  std::vector<std::vector<uint32_t>> route_rows;
 
   // Joiner role: received broadcast and migration rows, indexed by key for
-  // incremental exactly-once pairing.
+  // incremental exactly-once pairing once the opposing stream probes them.
   TupleBlock in_r{0};
   TupleBlock in_s{0};
   TupleBlock mig_r{0};
@@ -278,19 +304,20 @@ Result<JoinResult> TryRunPipelinedTrackJoin(const PartitionedTable& r,
   // --- Tracker role: merge streams by watermark frontier, schedule each
   // completed key range as its own micro-batch task. ---
   auto post_schedule_batch = [&](uint32_t node, uint64_t lo, uint64_t hi,
-                                 bool final_batch,
-                                 std::vector<TrackEntry> batch_r,
-                                 std::vector<TrackEntry> batch_s) {
+                                 bool final_batch, TrackRuns runs_r,
+                                 TrackRuns runs_s) {
     fabric.Post(
         node, "schedule", "schedule",
-        [&, node, final_batch, batch_r = std::move(batch_r),
-         batch_s = std::move(batch_s)]() mutable {
+        [&, node, lo, final_batch, runs_r = std::move(runs_r),
+         runs_s = std::move(runs_s)]() -> Status {
           PipelineNodeState& st = nodes[node];
-          // Per-batch merge: all entries of every key below the frontier
-          // are present, so aggregation is complete, and batch outputs
-          // concatenate to exactly the global merged stream.
-          MergeTrackEntries(&batch_r);
-          MergeTrackEntries(&batch_s);
+          // Per-batch merge of the streams' key-ascending runs: all entries
+          // of every key below the frontier are present, so aggregation is
+          // complete, and batch outputs concatenate to exactly the global
+          // merged stream.
+          std::vector<TrackEntry> batch_r, batch_s;
+          TJ_RETURN_IF_ERROR(TryMergeTrackRuns(runs_r, lo, &batch_r));
+          TJ_RETURN_IF_ERROR(TryMergeTrackRuns(runs_s, lo, &batch_s));
           fabric.ChargeCpuBytes((batch_r.size() + batch_s.size()) *
                                 track_entry_bytes);
 
@@ -374,27 +401,32 @@ Result<JoinResult> TryRunPipelinedTrackJoin(const PartitionedTable& r,
     const bool final_batch = bound == kStreamDone;
     if (final_batch ? st.final_batch_posted : bound <= st.frontier) return;
 
+    bool batch_empty = true;
     auto take_below = [&](std::vector<TrackStream>& streams) {
-      std::vector<TrackEntry> batch;
+      TrackRuns runs;
       for (TrackStream& stream : streams) {
-        while (!stream.pending.empty() &&
-               (final_batch || stream.pending.front().key < bound)) {
-          batch.push_back(stream.pending.front());
-          stream.pending.pop_front();
+        auto end = stream.pending.begin();
+        while (end != stream.pending.end() &&
+               (final_batch || end->key < bound)) {
+          ++end;
         }
+        if (end == stream.pending.begin()) continue;
+        runs.emplace_back(stream.pending.begin(), end);
+        stream.pending.erase(stream.pending.begin(), end);
+        batch_empty = false;
       }
-      return batch;
+      return runs;
     };
-    std::vector<TrackEntry> batch_r = take_below(st.streams_r);
-    std::vector<TrackEntry> batch_s = take_below(st.streams_s);
+    TrackRuns runs_r = take_below(st.streams_r);
+    TrackRuns runs_s = take_below(st.streams_s);
     const uint64_t lo = st.frontier;
     st.frontier = bound;
     if (final_batch) st.final_batch_posted = true;
     // Empty mid-stream ranges schedule nothing; the final range always
     // runs so instruction EOS goes out even for empty trackers.
-    if (!final_batch && batch_r.empty() && batch_s.empty()) return;
-    post_schedule_batch(node, lo, bound, final_batch, std::move(batch_r),
-                        std::move(batch_s));
+    if (!final_batch && batch_empty) return;
+    post_schedule_batch(node, lo, bound, final_batch, std::move(runs_r),
+                        std::move(runs_s));
   };
 
   auto on_tracking = [&](const Chunk& chunk) -> Status {
@@ -450,17 +482,21 @@ Result<JoinResult> TryRunPipelinedTrackJoin(const PartitionedTable& r,
   // route to self, and that a fragment instruction splits the run across
   // its workers instead of copying it whole.
   auto route_and_send = [&](const Chunk& chunk, const TupleBlock& block,
-                            uint32_t row_width, MessageType data_type,
-                            std::vector<KeyNodePair>& pairs) -> Status {
-    TJ_RETURN_IF_ERROR(DecodePlainPairs(chunk.data, config, &pairs));
+                            uint32_t row_width,
+                            MessageType data_type) -> Status {
     PipelineNodeState& st = nodes[chunk.dst];
-    std::vector<std::vector<uint32_t>> rows(n);
+    std::vector<KeyNodePair>& pairs = st.pairs;
+    TJ_RETURN_IF_ERROR(DecodePlainPairs(chunk.data, config, &pairs));
+    std::vector<std::vector<uint32_t>>& rows = st.route_rows;
+    rows.resize(n);
+    for (std::vector<uint32_t>& dst_rows : rows) dst_rows.clear();
     if (chunk.type == MessageType::kFragmentR ||
         chunk.type == MessageType::kFragmentS) {
       SplitHotRuns(block, pairs, &rows);
     } else {
+      EqualRangeCursor home_rows(block);
       for (const KeyNodePair& pair : pairs) {
-        auto [lo, hi] = block.EqualRange(pair.key);
+        auto [lo, hi] = home_rows.Seek(pair.key);
         for (uint64_t row = lo; row < hi; ++row) {
           rows[pair.node].push_back(static_cast<uint32_t>(row));
         }
@@ -481,32 +517,31 @@ Result<JoinResult> TryRunPipelinedTrackJoin(const PartitionedTable& r,
   auto on_instruction = [&](const Chunk& chunk) -> Status {
     PipelineNodeState& st = nodes[chunk.dst];
     fabric.ChargeCpuBytes(chunk.data.size());
-    std::vector<KeyNodePair> pairs;
     if (!chunk.data.empty()) {
       switch (chunk.type) {
         case MessageType::kLocationsToR:
-          TJ_RETURN_IF_ERROR(route_and_send(chunk, st.r, width_r,
-                                            MessageType::kDataR, pairs));
+          TJ_RETURN_IF_ERROR(
+              route_and_send(chunk, st.r, width_r, MessageType::kDataR));
           break;
         case MessageType::kLocationsToS:
-          TJ_RETURN_IF_ERROR(route_and_send(chunk, st.s, width_s,
-                                            MessageType::kDataS, pairs));
+          TJ_RETURN_IF_ERROR(
+              route_and_send(chunk, st.s, width_s, MessageType::kDataS));
           break;
         case MessageType::kMigrateR:
-          TJ_RETURN_IF_ERROR(route_and_send(
-              chunk, st.r, width_r, MessageType::kMigrationDataR, pairs));
+          TJ_RETURN_IF_ERROR(route_and_send(chunk, st.r, width_r,
+                                            MessageType::kMigrationDataR));
           break;
         case MessageType::kMigrateS:
-          TJ_RETURN_IF_ERROR(route_and_send(
-              chunk, st.s, width_s, MessageType::kMigrationDataS, pairs));
+          TJ_RETURN_IF_ERROR(route_and_send(chunk, st.s, width_s,
+                                            MessageType::kMigrationDataS));
           break;
         case MessageType::kFragmentR:
-          TJ_RETURN_IF_ERROR(route_and_send(
-              chunk, st.r, width_r, MessageType::kMigrationDataR, pairs));
+          TJ_RETURN_IF_ERROR(route_and_send(chunk, st.r, width_r,
+                                            MessageType::kMigrationDataR));
           break;
         case MessageType::kFragmentS:
-          TJ_RETURN_IF_ERROR(route_and_send(
-              chunk, st.s, width_s, MessageType::kMigrationDataS, pairs));
+          TJ_RETURN_IF_ERROR(route_and_send(chunk, st.s, width_s,
+                                            MessageType::kMigrationDataS));
           break;
         default:
           return Status::Internal("unexpected instruction chunk type");
@@ -537,79 +572,61 @@ Result<JoinResult> TryRunPipelinedTrackJoin(const PartitionedTable& r,
     if (!chunk.data.empty()) {
       JoinSink sink = sink_for(chunk.dst);
       uint64_t produced = 0;
-      auto pair_with_home_and_mig =
-          [&](TupleBlock& in_block, KeyedRows& in_index,
-              const TupleBlock& home, const TupleBlock& mig,
-              const KeyedRows& mig_index, bool in_is_r) -> Status {
-        const uint64_t first = in_block.size();
+      // Pairs the rows this chunk appends to `block` with every matching
+      // row already present on the other side: the home block (if any)
+      // through a forward cursor, since chunks are key-sorted, and the
+      // received block through its lazy chained index, caught up once per
+      // chunk.
+      auto pair_arrivals = [&](TupleBlock& block, bool block_is_r,
+                               const TupleBlock* home,
+                               const TupleBlock& received,
+                               KeyedRows& received_rows) -> Status {
+        const uint64_t first = block.size();
         ByteReader reader(chunk.data);
         TJ_RETURN_IF_ERROR(
-            in_block.TryDeserializeRows(&reader, config.key_bytes));
-        for (uint64_t row = first; row < in_block.size(); ++row) {
-          const uint64_t key = in_block.Key(row);
-          auto [lo, hi] = home.EqualRange(key);
-          for (uint64_t other = lo; other < hi; ++other) {
-            if (in_is_r) {
-              sink(key, in_block.Payload(row), home.Payload(other));
-            } else {
-              sink(key, home.Payload(other), in_block.Payload(row));
-            }
-            ++produced;
+            block.TryDeserializeRows(&reader, config.key_bytes));
+        auto emit = [&](uint64_t key, uint64_t row, const TupleBlock& other,
+                        uint64_t match) {
+          if (block_is_r) {
+            sink(key, block.Payload(row), other.Payload(match));
+          } else {
+            sink(key, other.Payload(match), block.Payload(row));
           }
-          if (const std::vector<uint32_t>* bucket = mig_index.Find(key)) {
-            for (uint32_t other : *bucket) {
-              if (in_is_r) {
-                sink(key, in_block.Payload(row), mig.Payload(other));
-              } else {
-                sink(key, mig.Payload(other), in_block.Payload(row));
-              }
-              ++produced;
-            }
-          }
-          in_index.BucketFor(key).push_back(static_cast<uint32_t>(row));
-        }
-        return Status::OK();
-      };
-      auto pair_migration =
-          [&](TupleBlock& mig_block, KeyedRows& mig_index,
-              const TupleBlock& in_block, const KeyedRows& in_index,
-              bool mig_is_r) -> Status {
-        const uint64_t first = mig_block.size();
-        ByteReader reader(chunk.data);
-        TJ_RETURN_IF_ERROR(
-            mig_block.TryDeserializeRows(&reader, config.key_bytes));
-        for (uint64_t row = first; row < mig_block.size(); ++row) {
-          const uint64_t key = mig_block.Key(row);
-          if (const std::vector<uint32_t>* bucket = in_index.Find(key)) {
-            for (uint32_t other : *bucket) {
-              if (mig_is_r) {
-                sink(key, mig_block.Payload(row), in_block.Payload(other));
-              } else {
-                sink(key, in_block.Payload(other), mig_block.Payload(row));
-              }
-              ++produced;
+          ++produced;
+        };
+        std::optional<EqualRangeCursor> home_rows;
+        if (home != nullptr) home_rows.emplace(*home);
+        received_rows.CatchUp(received);
+        for (uint64_t row = first; row < block.size(); ++row) {
+          const uint64_t key = block.Key(row);
+          if (home_rows) {
+            auto [lo, hi] = home_rows->Seek(key);
+            for (uint64_t match = lo; match < hi; ++match) {
+              emit(key, row, *home, match);
             }
           }
-          mig_index.BucketFor(key).push_back(static_cast<uint32_t>(row));
+          received_rows.ForEachRow(key, [&](uint32_t match) {
+            emit(key, row, received, match);
+          });
         }
         return Status::OK();
       };
       switch (chunk.type) {
         case MessageType::kDataR:
-          TJ_RETURN_IF_ERROR(pair_with_home_and_mig(
-              st.in_r, st.in_r_rows, st.s, st.mig_s, st.mig_s_rows, true));
+          TJ_RETURN_IF_ERROR(pair_arrivals(st.in_r, true, &st.s, st.mig_s,
+                                           st.mig_s_rows));
           break;
         case MessageType::kDataS:
-          TJ_RETURN_IF_ERROR(pair_with_home_and_mig(
-              st.in_s, st.in_s_rows, st.r, st.mig_r, st.mig_r_rows, false));
+          TJ_RETURN_IF_ERROR(pair_arrivals(st.in_s, false, &st.r, st.mig_r,
+                                           st.mig_r_rows));
           break;
         case MessageType::kMigrationDataR:
-          TJ_RETURN_IF_ERROR(pair_migration(st.mig_r, st.mig_r_rows, st.in_s,
-                                            st.in_s_rows, true));
+          TJ_RETURN_IF_ERROR(pair_arrivals(st.mig_r, true, nullptr, st.in_s,
+                                           st.in_s_rows));
           break;
         case MessageType::kMigrationDataS:
-          TJ_RETURN_IF_ERROR(pair_migration(st.mig_s, st.mig_s_rows, st.in_r,
-                                            st.in_r_rows, false));
+          TJ_RETURN_IF_ERROR(pair_arrivals(st.mig_s, false, nullptr, st.in_r,
+                                           st.in_r_rows));
           break;
         default:
           return Status::Internal("unexpected data chunk type");

@@ -266,7 +266,6 @@ Result<JoinResult> TryRunTrackJoin(const PartitionedTable& r,
       auto instr_msgs = fabric.TakeInbox(node, instr);
       for (const auto& msg : instr_msgs) {
         TJ_RETURN_IF_ERROR(TryDecodeKeyNodePairs(msg, config, &pairs));
-        migrated.Reserve(migrated.size() + pairs.size());
         for (const auto& pair : pairs) {
           RouteKeyRun(*block, pair.key, {pair.node}, &rows);
           migrated.Insert(pair.key);

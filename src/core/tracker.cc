@@ -1,6 +1,7 @@
 #include "core/tracker.h"
 
 #include <algorithm>
+#include <string>
 
 #include "common/hash.h"
 #include "common/kway_merge.h"
@@ -242,14 +243,53 @@ Status TrackingMessageCursor::Init(const Message& message,
 
 namespace {
 
-/// Orders merge cursors by (key, node) — the MergeTrackEntries order.
+/// Orders merge cursors of either kind by (key, node) — the
+/// MergeTrackEntries order.
 struct TrackCursorLess {
-  bool operator()(const TrackingMessageCursor& a,
-                  const TrackingMessageCursor& b) const {
+  template <typename Head>
+  bool operator()(const Head& a, const Head& b) const {
     if (a.key() != b.key()) return a.key() < b.key();
     return a.node() < b.node();
   }
 };
+
+/// Merge cursor over one in-memory run of entries.
+class TrackRunCursor {
+ public:
+  explicit TrackRunCursor(const std::vector<TrackEntry>& run)
+      : head_(run.data()), end_(run.data() + run.size()) {}
+
+  bool Valid() const { return head_ != end_; }
+  uint64_t key() const { return head_->key; }
+  uint32_t node() const { return head_->node; }
+  uint64_t count() const { return head_->count; }
+  void Next() { ++head_; }
+
+ private:
+  const TrackEntry* head_;
+  const TrackEntry* end_;
+};
+
+/// Drains the cursors through a loser tree into `out`, summing the counts
+/// of adjacent equal (key, node) heads. Every cursor must be ascending.
+template <typename Cursor>
+void LoserTreeMerge(std::vector<Cursor>* cursors,
+                    std::vector<TrackEntry>* out) {
+  LoserTree<Cursor, TrackCursorLess> tree(cursors);
+  while (!tree.Done()) {
+    const Cursor& top = tree.Top();
+    if (!out->empty()) {
+      TrackEntry& back = out->back();
+      if (back.key == top.key() && back.node == top.node()) {
+        back.count += top.count();
+        tree.Pop();
+        continue;
+      }
+    }
+    out->push_back(TrackEntry{top.key(), top.node(), top.count()});
+    tree.Pop();
+  }
+}
 
 }  // namespace
 
@@ -282,20 +322,38 @@ Status TryMergeTrackingMessages(const std::vector<Message>& messages,
     return Status::OK();
   }
   out->reserve(total);
-  LoserTree<TrackingMessageCursor, TrackCursorLess> tree(&cursors);
-  while (!tree.Done()) {
-    const TrackingMessageCursor& top = tree.Top();
-    if (!out->empty()) {
-      TrackEntry& back = out->back();
-      if (back.key == top.key() && back.node == top.node()) {
-        back.count += top.count();
-        tree.Pop();
-        continue;
+  LoserTreeMerge(&cursors, out);
+  return Status::OK();
+}
+
+Status TryMergeTrackRuns(const std::vector<std::vector<TrackEntry>>& runs,
+                         uint64_t min_key, std::vector<TrackEntry>* out) {
+  out->clear();
+  std::vector<TrackRunCursor> cursors;
+  cursors.reserve(runs.size());
+  uint64_t total = 0;
+  for (const std::vector<TrackEntry>& run : runs) {
+    if (run.empty()) continue;
+    if (run.front().key < min_key) {
+      return Status::Corruption(
+          "tracking run from node " + std::to_string(run.front().node) +
+          " has key " + std::to_string(run.front().key) +
+          " below its batch's range start " + std::to_string(min_key));
+    }
+    TrackRunCursor prev(run);
+    TrackRunCursor next(run);
+    for (next.Next(); next.Valid(); next.Next(), prev.Next()) {
+      if (TrackCursorLess()(next, prev)) {
+        return Status::Corruption("tracking run descends at key " +
+                                  std::to_string(next.key()) + " from node " +
+                                  std::to_string(next.node()));
       }
     }
-    out->push_back(TrackEntry{top.key(), top.node(), top.count()});
-    tree.Pop();
+    total += run.size();
+    cursors.emplace_back(run);
   }
+  out->reserve(total);
+  LoserTreeMerge(&cursors, out);
   return Status::OK();
 }
 

@@ -113,6 +113,17 @@ Status TryMergeTrackingMessages(const std::vector<Message>& messages,
                                 const JoinConfig& config, bool with_counts,
                                 std::vector<TrackEntry>* out);
 
+/// Merges one key-range batch of tracker entries into the MergeTrackEntries
+/// order with duplicate (key, node) counts summed, by the same loser-tree
+/// merge as TryMergeTrackingMessages. Each run holds one source stream's
+/// entries in the batch, ascending by (key, node); a saturated count may
+/// repeat a (key, node). `min_key` is where the batch's key range starts.
+/// A run that descends, or an entry below `min_key` (it arrived after its
+/// range was merged), returns Status::Corruption: either would split a
+/// key's entries across batches or misorder the output.
+Status TryMergeTrackRuns(const std::vector<std::vector<TrackEntry>>& runs,
+                         uint64_t min_key, std::vector<TrackEntry>* out);
+
 /// Iterates the distinct keys that have at least one R and one S entry,
 /// building the per-key placement for the scheduler. Both entry vectors
 /// must be merged (sorted by key, node). `width_r`/`width_s` are serialized

@@ -81,16 +81,15 @@ Result<PartitionedTable> ReplicatedTable::FailoverView(
           " cop" + (map_.replication() == 1 ? "y" : "ies") +
           " (replication factor too small for this failure)");
     }
+    // A surviving node can collect several partitions: append with the
+    // vectors' geometric growth, not an exact reserve per partition.
     TupleBlock& dst = out.node(plan.original_to_live[holder]);
-    dst.Reserve(dst.size() + block.size());
     for (uint64_t row = 0; row < block.size(); ++row) {
       dst.AppendFrom(block, row);
     }
     if (holder != p && rehomed_keys != nullptr) {
-      rehomed_keys->reserve(rehomed_keys->size() + block.size());
-      for (uint64_t row = 0; row < block.size(); ++row) {
-        rehomed_keys->push_back(block.Key(row));
-      }
+      rehomed_keys->insert(rehomed_keys->end(), block.keys().begin(),
+                           block.keys().end());
     }
   }
   return out;

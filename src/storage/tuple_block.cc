@@ -54,21 +54,60 @@ std::pair<uint64_t, uint64_t> TupleBlock::EqualRange(uint64_t key) const {
           static_cast<uint64_t>(hi - keys_.begin())};
 }
 
+namespace {
+
+/// First row at or after `from` whose key fails `below` (a predicate that
+/// holds on a prefix of the sorted keys). Gallops with doubling steps, then
+/// binary-searches the last bracket.
+template <typename Below>
+uint64_t GallopPast(const std::vector<uint64_t>& keys, uint64_t from,
+                    Below below) {
+  const uint64_t n = keys.size();
+  // Rows [from, lo) satisfy `below`; row `hi` does not (or hi >= n).
+  uint64_t lo = from;
+  uint64_t hi = from;
+  for (uint64_t step = 1; hi < n && below(keys[hi]); step *= 2) {
+    lo = hi + 1;
+    hi = lo + step;
+  }
+  hi = std::min(hi, n);
+  return static_cast<uint64_t>(
+      std::partition_point(keys.begin() + lo, keys.begin() + hi, below) -
+      keys.begin());
+}
+
+}  // namespace
+
+std::pair<uint64_t, uint64_t> EqualRangeCursor::Seek(uint64_t key) {
+  if (key < last_key_) pos_ = 0;
+  last_key_ = key;
+  const uint64_t lo =
+      GallopPast(keys_, pos_, [key](uint64_t k) { return k < key; });
+  const uint64_t hi =
+      GallopPast(keys_, lo, [key](uint64_t k) { return k <= key; });
+  pos_ = lo;
+  return {lo, hi};
+}
+
 Status TupleBlock::TryDeserializeRows(ByteReader* in, uint32_t key_bytes) {
   const uint32_t row_bytes = key_bytes + payload_width_;
   TJ_CHECK_GT(row_bytes, 0u);
   if (in->remaining() % row_bytes != 0) {
     return Status::Corruption("tuple payload not a multiple of row size");
   }
-  uint64_t rows = in->remaining() / row_bytes;
-  Reserve(size() + rows);
-  for (uint64_t i = 0; i < rows; ++i) {
-    uint64_t key = in->GetUint(key_bytes);
-    keys_.push_back(key);
+  const uint64_t first = size();
+  const uint64_t rows = in->remaining() / row_bytes;
+  // Geometric growth: streaming callers append one small chunk at a time,
+  // and an exact reserve would re-copy the whole block on every call.
+  if (first + rows > keys_.capacity()) {
+    Reserve(std::max<uint64_t>(first + rows, 2 * keys_.capacity()));
+  }
+  keys_.resize(first + rows);
+  payloads_.resize((first + rows) * payload_width_);
+  for (uint64_t row = first; row < first + rows; ++row) {
+    keys_[row] = in->GetUint(key_bytes);
     if (payload_width_ > 0) {
-      size_t old = payloads_.size();
-      payloads_.resize(old + payload_width_);
-      in->GetBytes(payloads_.data() + old, payload_width_);
+      in->GetBytes(payloads_.data() + row * payload_width_, payload_width_);
     }
   }
   return Status::OK();

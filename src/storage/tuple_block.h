@@ -120,6 +120,26 @@ class TupleBlock {
   std::vector<uint8_t> payloads_;
 };
 
+/// Forward equal-range cursor over a key-sorted block, for probe sequences
+/// that mostly ascend (key-sorted chunks). Each Seek gallops forward from
+/// the previous range instead of binary-searching the whole block, so an
+/// ascending run of probes costs O(log gap) per key. A key below the
+/// previous probe restarts from row 0, so any probe order returns exactly
+/// TupleBlock::EqualRange. The block must outlive the cursor and stay
+/// unmodified while it is in use.
+class EqualRangeCursor {
+ public:
+  explicit EqualRangeCursor(const TupleBlock& block) : keys_(block.keys()) {}
+  explicit EqualRangeCursor(TupleBlock&&) = delete;
+
+  std::pair<uint64_t, uint64_t> Seek(uint64_t key);
+
+ private:
+  const std::vector<uint64_t>& keys_;
+  uint64_t pos_ = 0;  ///< First row of the previous probe's range.
+  uint64_t last_key_ = 0;
+};
+
 }  // namespace tj
 
 #endif  // TJ_STORAGE_TUPLE_BLOCK_H_

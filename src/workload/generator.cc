@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -16,44 +17,41 @@ namespace {
 constexpr uint64_t kRSeed = 0x52aabbccULL;  // 'R'
 constexpr uint64_t kSSeed = 0x53ddeeffULL;  // 'S'
 
-/// Picks `groups` distinct nodes out of n (groups <= n), uniformly.
-std::vector<uint32_t> PickDistinctNodes(uint32_t n, size_t groups, Rng* rng) {
+/// Picks `groups` distinct nodes out of n (groups <= n), uniformly, into
+/// the first `groups` entries of `*nodes` (resized to n, reused per key).
+std::span<const uint32_t> PickDistinctNodes(uint32_t n, size_t groups,
+                                            Rng* rng,
+                                            std::vector<uint32_t>* nodes) {
   TJ_CHECK_LE(groups, n);
-  std::vector<uint32_t> all(n);
-  std::iota(all.begin(), all.end(), 0);
+  nodes->resize(n);
+  std::iota(nodes->begin(), nodes->end(), 0);
   // Partial Fisher-Yates: the first `groups` entries are the sample.
   for (size_t i = 0; i < groups; ++i) {
     size_t j = i + static_cast<size_t>(rng->Below(n - i));
-    std::swap(all[i], all[j]);
+    std::swap((*nodes)[i], (*nodes)[j]);
   }
-  all.resize(groups);
-  return all;
+  return std::span<const uint32_t>(*nodes).first(groups);
 }
 
-/// Appends `multiplicity` copies of `key` to `table` according to the
-/// pattern and the chosen group nodes.
-void PlaceCopies(PartitionedTable* table, uint64_t table_seed, uint64_t key,
-                 uint32_t multiplicity, const std::vector<uint32_t>& pattern,
-                 const std::vector<uint32_t>& group_nodes, Rng* rng,
-                 std::vector<uint8_t>* scratch) {
-  scratch->resize(table->payload_width());
-  uint64_t copy = 0;
+/// Places `multiplicity` copies of `key` according to the pattern and the
+/// chosen group nodes, calling place(node, key, copy) for each copy. Empty
+/// group nodes place each copy on an independent random node.
+template <typename Place>
+void PlaceCopies(uint32_t num_nodes, uint64_t key, uint32_t multiplicity,
+                 const std::vector<uint32_t>& pattern,
+                 std::span<const uint32_t> group_nodes, Rng* rng,
+                 Place&& place) {
   if (group_nodes.empty()) {
-    // Random placement: each copy independent.
     for (uint32_t c = 0; c < multiplicity; ++c) {
-      uint32_t node = static_cast<uint32_t>(rng->Below(table->num_nodes()));
-      SynthesizePayload(table_seed, key, copy++, table->payload_width(),
-                        scratch->data());
-      table->node(node).Append(key, scratch->data());
+      place(static_cast<uint32_t>(rng->Below(num_nodes)), key, c);
     }
     return;
   }
   TJ_CHECK_EQ(pattern.size(), group_nodes.size());
+  uint32_t copy = 0;
   for (size_t g = 0; g < pattern.size(); ++g) {
     for (uint32_t c = 0; c < pattern[g]; ++c) {
-      SynthesizePayload(table_seed, key, copy++, table->payload_width(),
-                        scratch->data());
-      table->node(group_nodes[g]).Append(key, scratch->data());
+      place(group_nodes[g], key, copy++);
     }
   }
   TJ_CHECK_EQ(copy, multiplicity);
@@ -68,6 +66,59 @@ std::vector<uint32_t> NormalizePattern(std::vector<uint32_t> pattern,
   return pattern;
 }
 
+/// Walks the workload's placement in generation order, calling
+/// place_r(node, key, copy) and place_s(node, key, copy) for every row.
+/// Every random draw happens here, from a fresh Rng(spec.seed), so two
+/// walks of one spec visit the same rows in the same order.
+template <typename PlaceR, typename PlaceS>
+void WalkPlacement(const WorkloadSpec& spec,
+                   const std::vector<uint32_t>& r_pattern,
+                   const std::vector<uint32_t>& s_pattern, PlaceR&& place_r,
+                   PlaceS&& place_s) {
+  Rng rng(spec.seed);
+  const uint32_t n = spec.num_nodes;
+  std::vector<uint32_t> r_pick, s_pick;
+  for (uint64_t k = 0; k < spec.matched_keys; ++k) {
+    const uint64_t key = 1 + k;
+    std::span<const uint32_t> r_nodes, s_nodes;
+    Collocation collocation = spec.collocation;
+    if (collocation != Collocation::kRandom &&
+        !rng.Bernoulli(spec.collocated_fraction)) {
+      collocation = Collocation::kRandom;
+    }
+    switch (collocation) {
+      case Collocation::kRandom:
+        break;  // Empty node lists: per-copy random placement.
+      case Collocation::kIntra:
+        r_nodes = PickDistinctNodes(n, r_pattern.size(), &rng, &r_pick);
+        s_nodes = PickDistinctNodes(n, s_pattern.size(), &rng, &s_pick);
+        break;
+      case Collocation::kInter: {
+        // S groups reuse R's nodes first, then fresh distinct ones.
+        size_t groups = std::max(r_pattern.size(), s_pattern.size());
+        std::span<const uint32_t> nodes =
+            PickDistinctNodes(n, groups, &rng, &r_pick);
+        r_nodes = nodes.first(r_pattern.size());
+        s_nodes = nodes.first(s_pattern.size());
+        break;
+      }
+    }
+    PlaceCopies(n, key, spec.r_multiplicity, r_pattern, r_nodes, &rng,
+                place_r);
+    PlaceCopies(n, key, spec.s_multiplicity, s_pattern, s_nodes, &rng,
+                place_s);
+  }
+
+  // Unmatched keys live in disjoint ranges above the matched ones.
+  uint64_t next_key = 1 + spec.matched_keys;
+  for (uint64_t i = 0; i < spec.r_unmatched; ++i) {
+    place_r(static_cast<uint32_t>(rng.Below(n)), next_key++, 0);
+  }
+  for (uint64_t i = 0; i < spec.s_unmatched; ++i) {
+    place_s(static_cast<uint32_t>(rng.Below(n)), next_key++, 0);
+  }
+}
+
 }  // namespace
 
 Workload GenerateWorkload(const WorkloadSpec& spec) {
@@ -79,9 +130,6 @@ Workload GenerateWorkload(const WorkloadSpec& spec) {
              PartitionedTable("S", spec.num_nodes, spec.s_payload),
              spec.matched_keys * spec.r_multiplicity * spec.s_multiplicity};
 
-  Rng rng(spec.seed);
-  std::vector<uint8_t> scratch;
-
   std::vector<uint32_t> r_pattern;
   std::vector<uint32_t> s_pattern;
   if (spec.collocation != Collocation::kRandom) {
@@ -91,55 +139,32 @@ Workload GenerateWorkload(const WorkloadSpec& spec) {
     TJ_CHECK_LE(s_pattern.size(), spec.num_nodes);
   }
 
-  for (uint64_t k = 0; k < spec.matched_keys; ++k) {
-    const uint64_t key = 1 + k;
-    std::vector<uint32_t> r_nodes, s_nodes;
-    Collocation collocation = spec.collocation;
-    if (collocation != Collocation::kRandom &&
-        !rng.Bernoulli(spec.collocated_fraction)) {
-      collocation = Collocation::kRandom;
-    }
-    switch (collocation) {
-      case Collocation::kRandom:
-        break;  // Empty node lists: per-copy random placement.
-      case Collocation::kIntra:
-        r_nodes = PickDistinctNodes(spec.num_nodes, r_pattern.size(), &rng);
-        s_nodes = PickDistinctNodes(spec.num_nodes, s_pattern.size(), &rng);
-        break;
-      case Collocation::kInter: {
-        // S groups reuse R's nodes first, then fresh distinct ones.
-        size_t groups = std::max(r_pattern.size(), s_pattern.size());
-        std::vector<uint32_t> nodes =
-            PickDistinctNodes(spec.num_nodes, groups, &rng);
-        r_nodes.assign(nodes.begin(), nodes.begin() + r_pattern.size());
-        s_nodes.assign(nodes.begin(), nodes.begin() + s_pattern.size());
-        break;
-      }
-    }
-    PlaceCopies(&w.r, kRSeed ^ spec.seed, key, spec.r_multiplicity, r_pattern,
-                r_nodes, &rng, &scratch);
-    PlaceCopies(&w.s, kSSeed ^ spec.seed, key, spec.s_multiplicity, s_pattern,
-                s_nodes, &rng, &scratch);
+  // Count then fill: the first walk counts each node's rows so every block
+  // is reserved once at its exact size; the second repeats the same draws
+  // and appends. Payloads draw no random numbers, so only the walk decides
+  // placement.
+  std::vector<uint64_t> r_rows(spec.num_nodes), s_rows(spec.num_nodes);
+  WalkPlacement(
+      spec, r_pattern, s_pattern,
+      [&](uint32_t node, uint64_t, uint64_t) { ++r_rows[node]; },
+      [&](uint32_t node, uint64_t, uint64_t) { ++s_rows[node]; });
+  for (uint32_t node = 0; node < spec.num_nodes; ++node) {
+    w.r.node(node).Reserve(r_rows[node]);
+    w.s.node(node).Reserve(s_rows[node]);
   }
 
-  // Unmatched keys live in disjoint ranges above the matched ones.
-  uint64_t next_key = 1 + spec.matched_keys;
-  for (uint64_t i = 0; i < spec.r_unmatched; ++i) {
-    uint64_t key = next_key++;
-    uint32_t node = static_cast<uint32_t>(rng.Below(spec.num_nodes));
-    scratch.resize(w.r.payload_width());
-    SynthesizePayload(kRSeed ^ spec.seed, key, 0, w.r.payload_width(),
-                      scratch.data());
-    w.r.node(node).Append(key, scratch.data());
-  }
-  for (uint64_t i = 0; i < spec.s_unmatched; ++i) {
-    uint64_t key = next_key++;
-    uint32_t node = static_cast<uint32_t>(rng.Below(spec.num_nodes));
-    scratch.resize(w.s.payload_width());
-    SynthesizePayload(kSSeed ^ spec.seed, key, 0, w.s.payload_width(),
-                      scratch.data());
-    w.s.node(node).Append(key, scratch.data());
-  }
+  std::vector<uint8_t> scratch(std::max(spec.r_payload, spec.s_payload));
+  auto append_to = [&](PartitionedTable& table, uint64_t table_seed) {
+    return [&table, &scratch, table_seed](uint32_t node, uint64_t key,
+                                          uint64_t copy) {
+      SynthesizePayload(table_seed, key, copy, table.payload_width(),
+                        scratch.data());
+      table.node(node).Append(key, scratch.data());
+    };
+  };
+  WalkPlacement(spec, r_pattern, s_pattern,
+                append_to(w.r, kRSeed ^ spec.seed),
+                append_to(w.s, kSSeed ^ spec.seed));
   return w;
 }
 

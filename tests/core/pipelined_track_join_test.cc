@@ -19,6 +19,7 @@
 #include "net/failure.h"
 #include "obs/blame.h"
 #include "workload/generator.h"
+#include "workload/real.h"
 
 namespace tj {
 namespace {
@@ -289,6 +290,48 @@ TEST(PipelinedTrackJoinTest, TinyChunksAndInboxBudgetStayByteIdentical) {
                                     direction);
     }
   }
+}
+
+// Benchmark-shaped inputs: a real workload on 8 nodes, in original and
+// shuffled placement, pipelined 4TJ with DRR egress at the default chunk
+// size and at one entry per chunk. Workload X migrates no keys, so the
+// joiner never builds its lazy index; Y builds it mid-stream. One-entry
+// chunks start a fresh holder and joiner cursor for every entry.
+void ExpectRealWorkloadByteIdentical(const RealJoinSpec& spec,
+                                     uint64_t divisor, bool migrates) {
+  JoinConfig config;
+  config.key_bytes = spec.impl_key_bytes;
+  config.count_bytes = spec.impl_count_bytes;
+  config.node_bytes = 1;
+  config.pipeline.drr = true;
+  for (bool shuffled : {false, true}) {
+    Workload w = InstantiateReal(spec, 8, divisor, /*original_order=*/true);
+    if (shuffled) {
+      ShuffleTable(&w.r, 5);
+      ShuffleTable(&w.s, 6);
+    }
+    const TrafficMatrix traffic =
+        ValueOrDie(TryRunTrackJoin(w.r, w.s, config, TrackJoinVersion::k4Phase))
+            .traffic;
+    EXPECT_EQ(traffic.NetworkBytes(MessageType::kMigrationDataR) +
+                      traffic.NetworkBytes(MessageType::kMigrationDataS) >
+                  0,
+              migrates);
+    for (uint64_t chunk : {PipelineConfig().chunk_bytes, uint64_t{1}}) {
+      SCOPED_TRACE(spec.name + (shuffled ? " shuffled" : " original") +
+                   " chunk=" + std::to_string(chunk));
+      config.pipeline.chunk_bytes = chunk;
+      ExpectPipelinedMatchesBarrier(w, config, TrackJoinVersion::k4Phase);
+    }
+  }
+}
+
+TEST(PipelinedTrackJoinTest, WorkloadXShapesByteIdenticalToBarrier) {
+  ExpectRealWorkloadByteIdentical(WorkloadX(1), 20000, /*migrates=*/false);
+}
+
+TEST(PipelinedTrackJoinTest, WorkloadYShapesByteIdenticalToBarrier) {
+  ExpectRealWorkloadByteIdentical(WorkloadY(), 5000, /*migrates=*/true);
 }
 
 TEST(PipelinedTrackJoinTest, StragglerSourceSaturatesInboxButResultsHold) {

@@ -354,5 +354,61 @@ TEST(TrackerMergeTest, CursorWalksWireOrder) {
   EXPECT_FALSE(cursor.Valid());
 }
 
+TEST(TrackerMergeTest, RunMergeMatchesReference) {
+  // The in-memory run merge (one ascending run per source, saturated
+  // counts repeating a key) equals concatenate + MergeTrackEntries.
+  Rng rng(33);
+  for (uint32_t k : {0u, 1u, 2u, 7u}) {
+    std::vector<std::vector<TrackEntry>> runs(k);
+    std::vector<TrackEntry> all;
+    for (uint32_t src = 0; src < k; ++src) {
+      for (const KeyCount& kc : RandomSource(&rng, rng.Below(200), 300, 9)) {
+        for (uint64_t chunk = 0; chunk < 1 + kc.key % 3; ++chunk) {
+          runs[src].push_back(TrackEntry{kc.key, src, kc.count});
+        }
+      }
+      all.insert(all.end(), runs[src].begin(), runs[src].end());
+    }
+    runs.emplace_back();  // An empty run (a stream with nothing below).
+    MergeTrackEntries(&all);
+    std::vector<TrackEntry> merged = {{1, 2, 3}};  // Must be replaced.
+    ASSERT_TRUE(TryMergeTrackRuns(runs, /*min_key=*/0, &merged).ok());
+    EXPECT_EQ(merged, all) << "k=" << k;
+  }
+}
+
+TEST(TrackerMergeTest, RunMergeRejectsDescendingRun) {
+  std::vector<TrackEntry> merged;
+  // A key descent would split that key across frontier batches.
+  std::vector<std::vector<TrackEntry>> runs = {{{1, 0, 1}, {4, 0, 1}},
+                                               {{2, 1, 1}, {9, 1, 1},
+                                                {3, 1, 1}}};
+  Status s = TryMergeTrackRuns(runs, 0, &merged);
+  EXPECT_EQ(s.code(), StatusCode::kCorruption) << s.ToString();
+  EXPECT_NE(s.ToString().find("key 3"), std::string::npos) << s.ToString();
+  // So would a node descent within one key.
+  runs = {{{5, 2, 1}, {5, 1, 1}}};
+  EXPECT_EQ(TryMergeTrackRuns(runs, 0, &merged).code(),
+            StatusCode::kCorruption);
+  // Repeating a (key, node) is a saturated count, not a descent.
+  runs = {{{5, 1, 255}, {5, 1, 45}, {6, 1, 1}}};
+  ASSERT_TRUE(TryMergeTrackRuns(runs, 5, &merged).ok());
+  EXPECT_EQ(merged, (std::vector<TrackEntry>{{5, 1, 300}, {6, 1, 1}}));
+}
+
+TEST(TrackerMergeTest, RunMergeRejectsEntryBelowBatchRange) {
+  // A stream that descends across two batches: key 4 went out in the batch
+  // ending before 6, and key 3 arrives in the next one. Its run ascends, so
+  // only the batch's range start exposes it.
+  std::vector<TrackEntry> merged;
+  std::vector<std::vector<TrackEntry>> runs = {{{6, 0, 1}, {8, 0, 1}},
+                                               {{3, 1, 1}, {7, 1, 1}}};
+  Status s = TryMergeTrackRuns(runs, /*min_key=*/6, &merged);
+  EXPECT_EQ(s.code(), StatusCode::kCorruption) << s.ToString();
+  EXPECT_NE(s.ToString().find("key 3"), std::string::npos) << s.ToString();
+  ASSERT_TRUE(TryMergeTrackRuns(runs, /*min_key=*/3, &merged).ok());
+  EXPECT_EQ(merged.size(), 4u);
+}
+
 }  // namespace
 }  // namespace tj

@@ -106,6 +106,50 @@ TEST(TupleBlockTest, EqualRangeOnSortedKeys) {
   EXPECT_EQ(hi3, 0u);
 }
 
+TEST(TupleBlockTest, ChunkedDeserializeGrowsGeometrically) {
+  // Streaming receivers append one small chunk per call; each call must not
+  // re-copy the whole block, so the key array moves O(log n) times.
+  constexpr uint64_t kChunks = 4096;
+  TupleBlock block(3);
+  uint64_t reallocations = 0;
+  const uint64_t* data = block.keys().data();
+  for (uint64_t i = 0; i < kChunks; ++i) {
+    TupleBlock one = MakeBlock({i}, 3);
+    ByteBuffer buf;
+    one.SerializeRows(0, 1, /*key_bytes=*/4, &buf);
+    ByteReader reader(buf);
+    ASSERT_TRUE(block.TryDeserializeRows(&reader, 4).ok());
+    if (block.keys().data() != data) {
+      ++reallocations;
+      data = block.keys().data();
+    }
+  }
+  ASSERT_EQ(block.size(), kChunks);
+  EXPECT_EQ(block.Key(kChunks - 1), kChunks - 1);
+  EXPECT_EQ(block.Payload(kChunks - 1)[2], static_cast<uint8_t>(kChunks + 1));
+  EXPECT_LE(reallocations, 2 * 12 + 4u);  // 2 * log2(4096) + 4.
+}
+
+TEST(TupleBlockTest, EqualRangeCursorMatchesEqualRangeInAnyProbeOrder) {
+  std::vector<uint64_t> keys;
+  for (uint64_t k = 0; k < 200; ++k) {
+    for (uint64_t copies = 0; copies < k % 4; ++copies) keys.push_back(3 * k);
+  }
+  TupleBlock block = MakeBlock(keys, 0);
+  // Ascending with repeats and gaps, then a descent (forces a reset), then
+  // an overshoot past the last key.
+  std::vector<uint64_t> probes;
+  for (uint64_t k = 0; k < 650; k += 5) probes.push_back(k);
+  probes.insert(probes.end(), {300, 300, 2, 597, 1, 0, 1000, 3, 598});
+  EqualRangeCursor cursor(block);
+  for (uint64_t key : probes) {
+    EXPECT_EQ(cursor.Seek(key), block.EqualRange(key)) << "key " << key;
+  }
+  TupleBlock empty(0);
+  EqualRangeCursor on_empty(empty);
+  EXPECT_EQ(on_empty.Seek(5), (std::pair<uint64_t, uint64_t>{0, 0}));
+}
+
 TEST(TupleBlockTest, ClearKeepsWidth) {
   TupleBlock block = MakeBlock({1, 2}, 4);
   block.Clear();

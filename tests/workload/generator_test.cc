@@ -7,7 +7,9 @@
 #include <map>
 #include <set>
 
+#include "common/hash.h"
 #include "exec/key_aggregate.h"
+#include "workload/real.h"
 
 namespace tj {
 namespace {
@@ -162,6 +164,61 @@ TEST(GeneratorTest, PayloadWidthsApplied) {
   Workload w = GenerateWorkload(spec);
   EXPECT_EQ(w.r.payload_width(), 7u);
   EXPECT_EQ(w.s.payload_width(), 0u);
+}
+
+/// Order-sensitive digest of a workload: every node's rows, keys and
+/// payloads, R then S, plus the expected output count.
+uint64_t WorkloadDigest(const Workload& w) {
+  uint64_t h = HashMix64(w.expected_output_rows);
+  for (const PartitionedTable* table : {&w.r, &w.s}) {
+    for (uint32_t node = 0; node < table->num_nodes(); ++node) {
+      const TupleBlock& block = table->node(node);
+      h = HashMix64(h ^ HashKey(block.size(), node));
+      for (uint64_t row = 0; row < block.size(); ++row) {
+        h = HashMix64(h ^ HashKey(block.Key(row)));
+        h = HashMix64(
+            h ^ HashBytes(block.Payload(row), table->payload_width()));
+      }
+    }
+  }
+  return h;
+}
+
+TEST(GeneratorTest, OutputPinnedByGoldenDigests) {
+  // Any change to the generator's draw sequence, placement or payloads
+  // changes these digests; a faster generator must keep them.
+  EXPECT_EQ(WorkloadDigest(InstantiateReal(WorkloadX(1), 8, 20000, true, 8)),
+            0x8f3ecf026df22f2bULL);
+  EXPECT_EQ(WorkloadDigest(InstantiateReal(WorkloadY(), 8, 5000, true, 8)),
+            0x230654f5402af86aULL);
+
+  WorkloadSpec random;
+  random.num_nodes = 5;
+  random.seed = 11;
+  random.matched_keys = 700;
+  random.r_multiplicity = 2;
+  random.s_multiplicity = 3;
+  random.r_unmatched = 90;
+  random.s_unmatched = 130;
+  random.r_payload = 5;
+  random.s_payload = 0;
+  EXPECT_EQ(WorkloadDigest(GenerateWorkload(random)), 0xa3e8fe5410ca334aULL);
+
+  WorkloadSpec intra;
+  intra.num_nodes = 8;
+  intra.seed = 12;
+  intra.matched_keys = 600;
+  intra.r_multiplicity = 5;
+  intra.s_multiplicity = 3;
+  intra.r_pattern = {2, 2, 1};
+  intra.s_pattern = {1, 1, 1};
+  intra.collocation = Collocation::kIntra;
+  intra.collocated_fraction = 0.7;
+  intra.r_unmatched = 40;
+  intra.s_unmatched = 60;
+  intra.r_payload = 9;
+  intra.s_payload = 3;
+  EXPECT_EQ(WorkloadDigest(GenerateWorkload(intra)), 0x76bd85837d094d5cULL);
 }
 
 }  // namespace
