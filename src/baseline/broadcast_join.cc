@@ -22,16 +22,10 @@ Result<JoinResult> TryRunBroadcastJoin(const PartitionedTable& r,
       broadcast_r ? MessageType::kDataR : MessageType::kDataS;
 
   Fabric fabric(n);
-  fabric.SetThreadPool(config.thread_pool);
-  if (config.fault_policy != nullptr) {
-    fabric.SetFaultPolicy(*config.fault_policy, config.fault_seed);
-  }
-  fabric.SetPhaseDeadline(config.phase_deadline_seconds);
-  fabric.SetDiagnosticsSink(config.diagnostics);
+  ConfigureFabric(config, &fabric);
   std::vector<TupleBlock> moving_in(n, TupleBlock(moving.payload_width()));
   std::vector<TupleBlock> fixed_local(n, TupleBlock(fixed.payload_width()));
-  std::vector<JoinChecksum> checksums(n);
-  std::vector<uint64_t> outputs(n, 0);
+  JoinOutputs outputs(r, s, config);
 
   TJ_RETURN_IF_ERROR(fabric.RunPhaseReliable(
       "broadcast tuples", [&](uint32_t node) {
@@ -60,42 +54,17 @@ Result<JoinResult> TryRunBroadcastJoin(const PartitionedTable& r,
         return Status::OK();
       }));
 
-  const uint32_t out_width = r.payload_width() + s.payload_width();
-  std::vector<TupleBlock> out_blocks;
-  if (config.materialize) out_blocks.assign(n, TupleBlock(out_width));
   TJ_RETURN_IF_ERROR(fabric.RunPhaseReliable(
       "final merge-join", [&](uint32_t node) {
-        JoinSink sink =
-            config.materialize
-                ? MaterializeSink(&out_blocks[node], &checksums[node],
-                                  r.payload_width(), s.payload_width())
-                : ChecksumSink(&checksums[node], r.payload_width(),
-                               s.payload_width());
         // The sink expects (key, payloadR, payloadS): keep R first.
         const TupleBlock& r_side =
             broadcast_r ? moving_in[node] : fixed_local[node];
         const TupleBlock& s_side =
             broadcast_r ? fixed_local[node] : moving_in[node];
-        outputs[node] = MergeJoinSorted(r_side, s_side, sink);
+        MergeJoinSorted(r_side, s_side, outputs.Sink(node));
         return Status::OK();
       }));
-
-  JoinResult result;
-  result.traffic = fabric.traffic();
-  result.phase_seconds = fabric.phase_seconds();
-  result.reliability = fabric.reliability();
-  result.profile = BuildStepProfile(broadcast_r ? "bj-r" : "bj-s", fabric);
-  for (uint32_t node = 0; node < n; ++node) {
-    result.output_rows += outputs[node];
-    result.checksum.Merge(checksums[node]);
-  }
-  if (config.materialize) {
-    result.output.emplace(r.name() + "_join_" + s.name(), n, out_width);
-    for (uint32_t node = 0; node < n; ++node) {
-      result.output->node(node) = std::move(out_blocks[node]);
-    }
-  }
-  return result;
+  return FinishJoin(broadcast_r ? "bj-r" : "bj-s", fabric, &outputs);
 }
 
 }  // namespace tj

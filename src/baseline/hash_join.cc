@@ -17,16 +17,10 @@ Result<JoinResult> TryRunHashJoin(const PartitionedTable& r,
   const uint32_t n = r.num_nodes();
 
   Fabric fabric(n);
-  fabric.SetThreadPool(config.thread_pool);
-  if (config.fault_policy != nullptr) {
-    fabric.SetFaultPolicy(*config.fault_policy, config.fault_seed);
-  }
-  fabric.SetPhaseDeadline(config.phase_deadline_seconds);
-  fabric.SetDiagnosticsSink(config.diagnostics);
+  ConfigureFabric(config, &fabric);
   std::vector<TupleBlock> r_in(n, TupleBlock(r.payload_width()));
   std::vector<TupleBlock> s_in(n, TupleBlock(s.payload_width()));
-  std::vector<JoinChecksum> checksums(n);
-  std::vector<uint64_t> outputs(n, 0);
+  JoinOutputs outputs(r, s, config);
 
   // Partition + transfer, one table at a time (paper Table 3 rows 1-4).
   // The radix partitioner materializes contiguous per-partition runs
@@ -77,38 +71,12 @@ Result<JoinResult> TryRunHashJoin(const PartitionedTable& r,
         return Status::OK();
       }));
 
-  const uint32_t out_width = r.payload_width() + s.payload_width();
-  std::vector<TupleBlock> out_blocks;
-  if (config.materialize) out_blocks.assign(n, TupleBlock(out_width));
   TJ_RETURN_IF_ERROR(fabric.RunPhaseReliable(
       "final merge-join", [&](uint32_t node) {
-        JoinSink sink =
-            config.materialize
-                ? MaterializeSink(&out_blocks[node], &checksums[node],
-                                  r.payload_width(), s.payload_width())
-                : ChecksumSink(&checksums[node], r.payload_width(),
-                               s.payload_width());
-        outputs[node] = MergeJoinSorted(r_in[node], s_in[node], sink);
+        MergeJoinSorted(r_in[node], s_in[node], outputs.Sink(node));
         return Status::OK();
       }));
-
-  JoinResult result;
-  result.traffic = fabric.traffic();
-  result.phase_seconds = fabric.phase_seconds();
-  result.reliability = fabric.reliability();
-  result.profile = BuildStepProfile("hj", fabric);
-  result.node_output_rows.assign(outputs.begin(), outputs.end());
-  for (uint32_t node = 0; node < n; ++node) {
-    result.output_rows += outputs[node];
-    result.checksum.Merge(checksums[node]);
-  }
-  if (config.materialize) {
-    result.output.emplace(r.name() + "_join_" + s.name(), n, out_width);
-    for (uint32_t node = 0; node < n; ++node) {
-      result.output->node(node) = std::move(out_blocks[node]);
-    }
-  }
-  return result;
+  return FinishJoin("hj", fabric, &outputs);
 }
 
 }  // namespace tj

@@ -1,5 +1,7 @@
 #include "core/join_types.h"
 
+#include "net/fabric.h"
+
 namespace tj {
 
 const char* DirectionName(Direction dir) {
@@ -24,6 +26,62 @@ const char* JoinAlgorithmName(JoinAlgorithm algorithm) {
       return "4TJ";
   }
   return "?";
+}
+
+void ConfigureFabric(const JoinConfig& config, Fabric* fabric) {
+  fabric->SetThreadPool(config.thread_pool);
+  if (config.fault_policy != nullptr) {
+    fabric->SetFaultPolicy(*config.fault_policy, config.fault_seed);
+  }
+  fabric->SetPhaseDeadline(config.phase_deadline_seconds);
+  fabric->SetDiagnosticsSink(config.diagnostics);
+}
+
+JoinOutputs::JoinOutputs(const PartitionedTable& r, const PartitionedTable& s,
+                         const JoinConfig& config)
+    : output_name_(r.name() + "_join_" + s.name()),
+      width_r_(r.payload_width()),
+      width_s_(s.payload_width()),
+      materialize_(config.materialize),
+      slots_(r.num_nodes()) {
+  if (materialize_) {
+    for (Slot& slot : slots_) slot.rows = TupleBlock(width_r_ + width_s_);
+  }
+}
+
+JoinSink JoinOutputs::Sink(uint32_t node) {
+  Slot& slot = slots_[node];
+  return materialize_
+             ? MaterializeSink(&slot.rows, &slot.checksum, width_r_, width_s_)
+             : ChecksumSink(&slot.checksum, width_r_, width_s_);
+}
+
+void JoinOutputs::MoveInto(JoinResult* result) {
+  const uint32_t n = static_cast<uint32_t>(slots_.size());
+  result->node_output_rows.resize(n);
+  for (uint32_t node = 0; node < n; ++node) {
+    const JoinChecksum& checksum = slots_[node].checksum;
+    result->node_output_rows[node] = checksum.count();
+    result->output_rows += checksum.count();
+    result->checksum.Merge(checksum);
+  }
+  if (materialize_) {
+    result->output.emplace(output_name_, n, width_r_ + width_s_);
+    for (uint32_t node = 0; node < n; ++node) {
+      result->output->node(node) = std::move(slots_[node].rows);
+    }
+  }
+}
+
+JoinResult FinishJoin(const char* algorithm, const Fabric& fabric,
+                      JoinOutputs* outputs) {
+  JoinResult result;
+  result.traffic = fabric.traffic();
+  result.phase_seconds = fabric.phase_seconds();
+  result.reliability = fabric.reliability();
+  result.profile = BuildStepProfile(algorithm, fabric);
+  outputs->MoveInto(&result);
+  return result;
 }
 
 }  // namespace tj

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "exec/local_join.h"
 #include "net/failure.h"
 #include "net/fault_injector.h"
 #include "net/traffic.h"
@@ -154,7 +155,7 @@ struct JoinResult {
   uint64_t output_rows = 0;
   /// Rows produced at each node (sums to output_rows). The max element is
   /// the modeled per-node compute bottleneck the skew ablations report.
-  /// Filled by the track-join and hash-join pipelines.
+  /// Filled by every driver.
   std::vector<uint64_t> node_output_rows;
   JoinChecksum checksum;
   TrafficMatrix traffic;
@@ -203,6 +204,49 @@ enum class JoinAlgorithm : uint8_t {
 };
 
 const char* JoinAlgorithmName(JoinAlgorithm algorithm);
+
+class Fabric;
+
+/// Applies the run-wide knobs of `config` to a barrier fabric: thread pool,
+/// fault policy and seed, phase deadline and diagnostics sink.
+void ConfigureFabric(const JoinConfig& config, Fabric* fabric);
+
+/// The output side every driver shares. Each node owns one slot: a
+/// JoinChecksum, whose count() is the node's output row count, and under
+/// JoinConfig::materialize the node's <key | payloadR | payloadS> rows.
+/// Slots sit on separate cache lines, because thread-pooled phases fill
+/// different nodes' slots at once.
+class JoinOutputs {
+ public:
+  JoinOutputs(const PartitionedTable& r, const PartitionedTable& s,
+              const JoinConfig& config);
+  // Sinks point into the slots.
+  JoinOutputs(const JoinOutputs&) = delete;
+  JoinOutputs& operator=(const JoinOutputs&) = delete;
+
+  /// The sink node `node`'s local join feeds (key, payloadR, payloadS).
+  JoinSink Sink(uint32_t node);
+
+  /// Moves the outputs into `result`: output_rows, node_output_rows,
+  /// checksum and, when materialized, output.
+  void MoveInto(JoinResult* result);
+
+ private:
+  struct alignas(64) Slot {
+    JoinChecksum checksum;
+    TupleBlock rows{0};
+  };
+  std::string output_name_;
+  uint32_t width_r_;
+  uint32_t width_s_;
+  bool materialize_;
+  std::vector<Slot> slots_;
+};
+
+/// The barrier drivers' epilogue: the fabric's traffic, reliability, phase
+/// times and step profile (named `algorithm`), plus the moved outputs.
+JoinResult FinishJoin(const char* algorithm, const Fabric& fabric,
+                      JoinOutputs* outputs);
 
 }  // namespace tj
 

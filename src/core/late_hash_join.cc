@@ -1,7 +1,6 @@
 #include "core/late_hash_join.h"
 
 #include <algorithm>
-#include <cstring>
 #include <vector>
 
 #include "common/hash.h"
@@ -62,20 +61,14 @@ Result<JoinResult> TryRunLateMaterializedHashJoin(const PartitionedTable& r,
   const uint32_t n = r.num_nodes();
 
   Fabric fabric(n);
-  fabric.SetThreadPool(config.thread_pool);
-  if (config.fault_policy != nullptr) {
-    fabric.SetFaultPolicy(*config.fault_policy, config.fault_seed);
-  }
-  fabric.SetPhaseDeadline(config.phase_deadline_seconds);
-  fabric.SetDiagnosticsSink(config.diagnostics);
+  ConfigureFabric(config, &fabric);
   // Sender-side memory of which rows went into each key stream.
   std::vector<std::vector<std::vector<uint32_t>>> r_streams(n), s_streams(n);
   // Hash-node state: output pairs and per-source fetch request counts.
   std::vector<std::vector<PairRef>> pairs(n);
   // Received payload streams, per (hash node, source node).
   std::vector<std::vector<ByteBuffer>> r_payloads(n), s_payloads(n);
-  std::vector<JoinChecksum> checksums(n);
-  std::vector<uint64_t> outputs(n, 0);
+  JoinOutputs outputs(r, s, config);
 
   // Phase 1: ship key columns in row order (rids implicit).
   TJ_RETURN_IF_ERROR(fabric.RunPhaseReliable(
@@ -200,10 +193,6 @@ Result<JoinResult> TryRunLateMaterializedHashJoin(const PartitionedTable& r,
         return Status::OK();
       }));
 
-  const uint32_t out_width = r.payload_width() + s.payload_width();
-  std::vector<TupleBlock> out_blocks;
-  if (config.materialize) out_blocks.assign(n, TupleBlock(out_width));
-
   // Phase 4: zip the payload streams into output tuples.
   TJ_RETURN_IF_ERROR(fabric.RunPhaseReliable(
       "materialize output", [&](uint32_t node) -> Status {
@@ -217,6 +206,7 @@ Result<JoinResult> TryRunLateMaterializedHashJoin(const PartitionedTable& r,
         }
         const uint32_t wr = r.payload_width(), ws = s.payload_width();
         static const uint8_t kEmpty = 0;
+        JoinSink sink = outputs.Sink(node);
         for (const PairRef& pair : pairs[node]) {
           const ByteBuffer& rp = r_payloads[node][pair.r_src];
           const ByteBuffer& sp = s_payloads[node][pair.s_src];
@@ -231,34 +221,11 @@ Result<JoinResult> TryRunLateMaterializedHashJoin(const PartitionedTable& r,
           const uint8_t* ps =
               ws > 0 ? sp.data() + static_cast<uint64_t>(pair.s_pos) * ws
                      : &kEmpty;
-          checksums[node].Accumulate(pair.key, pr, wr, ps, ws);
-          if (config.materialize) {
-            std::vector<uint8_t> row(out_width);
-            if (wr > 0) std::memcpy(row.data(), pr, wr);
-            if (ws > 0) std::memcpy(row.data() + wr, ps, ws);
-            out_blocks[node].Append(pair.key, row.data());
-          }
-          ++outputs[node];
+          sink(pair.key, pr, ps);
         }
         return Status::OK();
       }));
-
-  JoinResult result;
-  result.traffic = fabric.traffic();
-  result.phase_seconds = fabric.phase_seconds();
-  result.reliability = fabric.reliability();
-  result.profile = BuildStepProfile("late-hj", fabric);
-  for (uint32_t node = 0; node < n; ++node) {
-    result.output_rows += outputs[node];
-    result.checksum.Merge(checksums[node]);
-  }
-  if (config.materialize) {
-    result.output.emplace(r.name() + "_join_" + s.name(), n, out_width);
-    for (uint32_t node = 0; node < n; ++node) {
-      result.output->node(node) = std::move(out_blocks[node]);
-    }
-  }
-  return result;
+  return FinishJoin("late-hj", fabric, &outputs);
 }
 
 }  // namespace tj

@@ -116,8 +116,6 @@ struct PipelineNodeState {
   KeyedRows in_r_rows, in_s_rows, mig_r_rows, mig_s_rows;
   uint32_t data_eos = 0;
 
-  JoinChecksum checksum;
-  uint64_t output_rows = 0;
   BufferPool pool;
 };
 
@@ -129,25 +127,6 @@ Status RequirePlainWireFormat(const JoinConfig& config) {
     return Status::InvalidArgument(
         "pipelined track join requires the plain wire format "
         "(delta_tracking and group_locations must be off)");
-  }
-  return Status::OK();
-}
-
-/// Decodes a plain (fixed-width, order-preserving) <key, node> pair chunk.
-Status DecodePlainPairs(const ByteBuffer& data, const JoinConfig& config,
-                        std::vector<KeyNodePair>* out) {
-  out->clear();
-  const uint32_t pair_bytes = config.key_bytes + config.node_bytes;
-  if (data.size() % pair_bytes != 0) {
-    return Status::Corruption("instruction chunk not a multiple of pair size");
-  }
-  ByteReader reader(data);
-  out->reserve(data.size() / pair_bytes);
-  while (!reader.Done()) {
-    KeyNodePair pair;
-    pair.key = reader.GetUint(config.key_bytes);
-    pair.node = static_cast<uint32_t>(reader.GetUint(config.node_bytes));
-    out->push_back(pair);
   }
   return Status::OK();
 }
@@ -220,16 +199,8 @@ Result<JoinResult> TryRunPipelinedTrackJoin(const PartitionedTable& r,
                        audit);
   }
 
+  JoinOutputs outputs(r, s, config);
   const uint32_t out_width = r.payload_width() + s.payload_width();
-  std::vector<TupleBlock> out_blocks;
-  if (config.materialize) out_blocks.assign(n, TupleBlock(out_width));
-  auto sink_for = [&](uint32_t node) {
-    return config.materialize
-               ? MaterializeSink(&out_blocks[node], &nodes[node].checksum,
-                                 r.payload_width(), s.payload_width())
-               : ChecksumSink(&nodes[node].checksum, r.payload_width(),
-                              s.payload_width());
-  };
 
   // Sends `message` as entry-aligned chunks on one (src, dst, type) stream,
   // marking the last chunk EOS; an empty stream terminates with a zero-byte
@@ -486,22 +457,14 @@ Result<JoinResult> TryRunPipelinedTrackJoin(const PartitionedTable& r,
                             MessageType data_type) -> Status {
     PipelineNodeState& st = nodes[chunk.dst];
     std::vector<KeyNodePair>& pairs = st.pairs;
-    TJ_RETURN_IF_ERROR(DecodePlainPairs(chunk.data, config, &pairs));
+    TJ_RETURN_IF_ERROR(TryDecodeKeyNodePairs(chunk.data, config, &pairs));
     std::vector<std::vector<uint32_t>>& rows = st.route_rows;
     rows.resize(n);
     for (std::vector<uint32_t>& dst_rows : rows) dst_rows.clear();
-    if (chunk.type == MessageType::kFragmentR ||
-        chunk.type == MessageType::kFragmentS) {
-      SplitHotRuns(block, pairs, &rows);
-    } else {
-      EqualRangeCursor home_rows(block);
-      for (const KeyNodePair& pair : pairs) {
-        auto [lo, hi] = home_rows.Seek(pair.key);
-        for (uint64_t row = lo; row < hi; ++row) {
-          rows[pair.node].push_back(static_cast<uint32_t>(row));
-        }
-      }
-    }
+    RouteInstructedRows(block, pairs,
+                        chunk.type == MessageType::kFragmentR ||
+                            chunk.type == MessageType::kFragmentS,
+                        &rows);
     for (uint32_t step = 0; step < n; ++step) {
       const uint32_t dst = fan_out_dst(chunk.dst, step);
       if (rows[dst].empty()) continue;
@@ -570,7 +533,7 @@ Result<JoinResult> TryRunPipelinedTrackJoin(const PartitionedTable& r,
     PipelineNodeState& st = nodes[chunk.dst];
     fabric.ChargeCpuBytes(chunk.data.size());
     if (!chunk.data.empty()) {
-      JoinSink sink = sink_for(chunk.dst);
+      JoinSink sink = outputs.Sink(chunk.dst);
       uint64_t produced = 0;
       // Pairs the rows this chunk appends to `block` with every matching
       // row already present on the other side: the home block (if any)
@@ -631,7 +594,6 @@ Result<JoinResult> TryRunPipelinedTrackJoin(const PartitionedTable& r,
         default:
           return Status::Internal("unexpected data chunk type");
       }
-      st.output_rows += produced;
       fabric.ChargeCpuBytes(produced * (config.key_bytes + out_width));
     }
     if (chunk.eos) ++st.data_eos;
@@ -720,18 +682,7 @@ Result<JoinResult> TryRunPipelinedTrackJoin(const PartitionedTable& r,
     result.blame->algorithm = result.profile.algorithm;
   }
 
-  result.node_output_rows.reserve(n);
-  for (const PipelineNodeState& st : nodes) {
-    result.output_rows += st.output_rows;
-    result.node_output_rows.push_back(st.output_rows);
-    result.checksum.Merge(st.checksum);
-  }
-  if (config.materialize) {
-    result.output.emplace(r.name() + "_join_" + s.name(), n, out_width);
-    for (uint32_t node = 0; node < n; ++node) {
-      result.output->node(node) = std::move(out_blocks[node]);
-    }
-  }
+  outputs.MoveInto(&result);
   return result;
 }
 

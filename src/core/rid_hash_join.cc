@@ -46,20 +46,14 @@ Result<JoinResult> TryRunRidHashJoin(const PartitionedTable& r,
       exec_on_r ? MessageType::kTrackS : MessageType::kTrackR;
 
   Fabric fabric(n);
-  fabric.SetThreadPool(config.thread_pool);
-  if (config.fault_policy != nullptr) {
-    fabric.SetFaultPolicy(*config.fault_policy, config.fault_seed);
-  }
-  fabric.SetPhaseDeadline(config.phase_deadline_seconds);
-  fabric.SetDiagnosticsSink(config.diagnostics);
+  ConfigureFabric(config, &fabric);
   // Per (source node, hash node): the local rows whose keys were sent, in
   // stream order — the receiver refers to them by position (implicit rids).
   std::vector<std::vector<std::vector<uint32_t>>> exec_streams(n),
       moving_streams(n);
   std::vector<std::vector<uint32_t>> exec_selected(n);  // rows to join, per node
   std::vector<TupleBlock> moving_in(n, TupleBlock(moving_table.payload_width()));
-  std::vector<JoinChecksum> checksums(n);
-  std::vector<uint64_t> outputs(n, 0);
+  JoinOutputs outputs(r, s, config);
 
   // Phase 1: ship both key columns, in row order, to the hash nodes.
   TJ_RETURN_IF_ERROR(fabric.RunPhaseReliable(
@@ -222,10 +216,6 @@ Result<JoinResult> TryRunRidHashJoin(const PartitionedTable& r,
     return Status::OK();
   }));
 
-  const uint32_t out_width = r.payload_width() + s.payload_width();
-  std::vector<TupleBlock> out_blocks;
-  if (config.materialize) out_blocks.assign(n, TupleBlock(out_width));
-
   // Phase 4: re-join by key at the exec nodes.
   TJ_RETURN_IF_ERROR(fabric.RunPhaseReliable(
       "final rejoin", [&](uint32_t node) -> Status {
@@ -244,32 +234,10 @@ Result<JoinResult> TryRunRidHashJoin(const PartitionedTable& r,
     // Keep (key, payloadR, payloadS) orientation for the checksum.
     const TupleBlock& r_side = exec_on_r ? selected : moving_in[node];
     const TupleBlock& s_side = exec_on_r ? moving_in[node] : selected;
-    JoinSink sink =
-        config.materialize
-            ? MaterializeSink(&out_blocks[node], &checksums[node],
-                              r.payload_width(), s.payload_width())
-            : ChecksumSink(&checksums[node], r.payload_width(),
-                           s.payload_width());
-    outputs[node] = MergeJoinSorted(r_side, s_side, sink);
+    MergeJoinSorted(r_side, s_side, outputs.Sink(node));
     return Status::OK();
   }));
-
-  JoinResult result;
-  result.traffic = fabric.traffic();
-  result.phase_seconds = fabric.phase_seconds();
-  result.reliability = fabric.reliability();
-  result.profile = BuildStepProfile("rid-hj", fabric);
-  for (uint32_t node = 0; node < n; ++node) {
-    result.output_rows += outputs[node];
-    result.checksum.Merge(checksums[node]);
-  }
-  if (config.materialize) {
-    result.output.emplace(r.name() + "_join_" + s.name(), n, out_width);
-    for (uint32_t node = 0; node < n; ++node) {
-      result.output->node(node) = std::move(out_blocks[node]);
-    }
-  }
-  return result;
+  return FinishJoin("rid-hj", fabric, &outputs);
 }
 
 }  // namespace tj

@@ -285,6 +285,23 @@ void SplitHotRuns(const TupleBlock& block,
   }
 }
 
+void RouteInstructedRows(const TupleBlock& block,
+                         const std::vector<KeyNodePair>& pairs, bool split,
+                         std::vector<std::vector<uint32_t>>* rows_per_dest) {
+  if (split) {
+    SplitHotRuns(block, pairs, rows_per_dest);
+    return;
+  }
+  EqualRangeCursor runs(block);
+  for (const KeyNodePair& pair : pairs) {
+    auto [lo, hi] = runs.Seek(pair.key);
+    auto& dst_rows = (*rows_per_dest)[pair.node];
+    for (uint64_t row = lo; row < hi; ++row) {
+      dst_rows.push_back(static_cast<uint32_t>(row));
+    }
+  }
+}
+
 Direction CheaperBroadcastDirection(const KeyPlacement& placement,
                                     uint64_t* cost_out) {
   uint64_t rs = SelectiveBroadcastCost(placement, Direction::kRtoS);

@@ -133,6 +133,17 @@ void SplitHotRuns(const TupleBlock& block,
                   const std::vector<KeyNodePair>& pairs,
                   std::vector<std::vector<uint32_t>>* rows_per_dest);
 
+/// The holder side of every instruction, shared by the barrier and the
+/// pipelined driver: appends to (*rows_per_dest)[dst] the rows of `block`
+/// (sorted by key) that one decoded instruction list routes to dst. A
+/// location or migration pair routes its key's whole run to pair.node;
+/// fragment pairs (`split`) cut each run across its workers (SplitHotRuns).
+/// Whole-run keys may arrive in any order — node-grouped pairs restart the
+/// key sequence per group — and route exactly as per-pair EqualRange would.
+void RouteInstructedRows(const TupleBlock& block,
+                         const std::vector<KeyNodePair>& pairs, bool split,
+                         std::vector<std::vector<uint32_t>>* rows_per_dest);
+
 /// Max modeled tuple bytes received by any node under a
 /// migrate-and-broadcast schedule (kept targets receive the broadcast they
 /// lack; the destination also absorbs every migrated payload).

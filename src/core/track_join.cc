@@ -28,9 +28,6 @@ struct NodeState {
   // Received selective-broadcast tuples (including free local copies).
   TupleBlock r_in{0};
   TupleBlock s_in{0};
-  // Local output accumulation.
-  JoinChecksum checksum;
-  uint64_t output_rows = 0;
   // Recycles retired message buffers across phases. Per-node by the
   // fabric's ownership rule, so no locking under concurrent phases.
   BufferPool pool;
@@ -50,19 +47,6 @@ void SendRowsPerDest(Fabric* fabric, uint32_t src, MessageType type,
   }
 }
 
-/// Appends the sorted block's run of `key` to every destination's row list.
-void RouteKeyRun(const TupleBlock& block, uint64_t key,
-                 const std::vector<uint32_t>& dests,
-                 std::vector<std::vector<uint32_t>>* rows_per_dest) {
-  auto [lo, hi] = block.EqualRange(key);
-  for (uint32_t dst : dests) {
-    auto& rows = (*rows_per_dest)[dst];
-    for (uint64_t row = lo; row < hi; ++row) {
-      rows.push_back(static_cast<uint32_t>(row));
-    }
-  }
-}
-
 }  // namespace
 
 Result<JoinResult> TryRunTrackJoin(const PartitionedTable& r,
@@ -76,27 +60,19 @@ Result<JoinResult> TryRunTrackJoin(const PartitionedTable& r,
   const uint32_t width_r = config.key_bytes + r.payload_width();
   const uint32_t width_s = config.key_bytes + s.payload_width();
 
+  // Fragment instructions carry each hot key's workers in split order
+  // (chunk k goes to the k-th listed worker), so they keep the plain
+  // order-preserving pair encoding even under --group, which reorders pairs
+  // by node.
+  JoinConfig frag_config = config;
+  frag_config.group_locations = false;
+
   Fabric fabric(n);
-  fabric.SetThreadPool(config.thread_pool);
-  if (config.fault_policy != nullptr) {
-    fabric.SetFaultPolicy(*config.fault_policy, config.fault_seed);
-  }
-  fabric.SetPhaseDeadline(config.phase_deadline_seconds);
-  fabric.SetDiagnosticsSink(config.diagnostics);
+  ConfigureFabric(config, &fabric);
   ScheduleAuditLog* audit = config.schedule_audit;
   if (audit != nullptr) audit->Reset(n);
   std::vector<NodeState> nodes(n);
-
-  const uint32_t out_width = r.payload_width() + s.payload_width();
-  std::vector<TupleBlock> out_blocks;
-  if (config.materialize) out_blocks.assign(n, TupleBlock(out_width));
-  auto sink_for = [&](uint32_t node) {
-    return config.materialize
-               ? MaterializeSink(&out_blocks[node], &nodes[node].checksum,
-                                 r.payload_width(), s.payload_width())
-               : ChecksumSink(&nodes[node].checksum, r.payload_width(),
-                              s.payload_width());
-  };
+  JoinOutputs outputs(r, s, config);
 
   // Phase 1-2: sort local copies of both tables (paper Table 4 rows 1-2).
   TJ_RETURN_IF_ERROR(fabric.RunPhaseReliable(
@@ -207,12 +183,6 @@ Result<JoinResult> TryRunTrackJoin(const PartitionedTable& r,
         fabric.Send(node, dst, MessageType::kMigrateS,
                     EncodeKeyNodePairs(outs.migr_s[dst], config, &st.pool));
       }
-      // Fragment instructions carry each hot key's workers in split order
-      // (chunk k goes to the k-th listed worker), so they must keep the
-      // plain order-preserving encoding even under --group, which reorders
-      // pairs by node.
-      JoinConfig frag_config = config;
-      frag_config.group_locations = false;
       if (!outs.frag_r[dst].empty()) {
         fabric.Send(node, dst, MessageType::kFragmentR,
                     EncodeKeyNodePairs(outs.frag_r[dst], frag_config,
@@ -227,97 +197,55 @@ Result<JoinResult> TryRunTrackJoin(const PartitionedTable& r,
     return Status::OK();
   }));
 
-  // Phase 7: act on schedules — selectively broadcast local runs to the
-  // listed locations and ship migrating runs to their destinations.
+  // Phase 7: act on schedules. Each instruction type routes the instructed
+  // local runs and ships them as one message per destination. Selective
+  // broadcasts copy runs to the listed locations; a location equal to self
+  // is a free local copy, which the fabric accounts apart from network
+  // traffic. Migrations (4-phase) move whole runs and hot-split fragments
+  // cut them across the key's workers; both drop the moved runs locally,
+  // and workers merge the fragments next to their own kept rows in phase 8.
   TJ_RETURN_IF_ERROR(fabric.RunPhaseReliable(
       "selective broadcast & migrate", [&](uint32_t node) -> Status {
     NodeState& st = nodes[node];
-
-    // Selective broadcasts. A location equal to self is a free local copy;
-    // the fabric accounts it separately from network traffic.
     std::vector<KeyNodePair> pairs;
-    std::vector<std::vector<uint32_t>> r_rows(n), s_rows(n);
-    auto loc_r_msgs = fabric.TakeInbox(node, MessageType::kLocationsToR);
-    for (const auto& msg : loc_r_msgs) {
-      TJ_RETURN_IF_ERROR(TryDecodeKeyNodePairs(msg, config, &pairs));
-      for (const auto& pair : pairs) {
-        RouteKeyRun(st.r, pair.key, {pair.node}, &r_rows);
-      }
-    }
-    for (auto& msg : loc_r_msgs) st.pool.Recycle(std::move(msg.data));
-    auto loc_s_msgs = fabric.TakeInbox(node, MessageType::kLocationsToS);
-    for (const auto& msg : loc_s_msgs) {
-      TJ_RETURN_IF_ERROR(TryDecodeKeyNodePairs(msg, config, &pairs));
-      for (const auto& pair : pairs) {
-        RouteKeyRun(st.s, pair.key, {pair.node}, &s_rows);
-      }
-    }
-    for (auto& msg : loc_s_msgs) st.pool.Recycle(std::move(msg.data));
-    SendRowsPerDest(&fabric, node, MessageType::kDataR, st.r, config.key_bytes,
-                    r_rows, &st.pool);
-    SendRowsPerDest(&fabric, node, MessageType::kDataS, st.s, config.key_bytes,
-                    s_rows, &st.pool);
-
-    // Migrations (4-phase): move whole local runs and drop them locally.
-    auto run_migrations = [&](MessageType instr, MessageType data,
-                              TupleBlock* block) -> Status {
+    auto act = [&](MessageType instr, MessageType data,
+                   TupleBlock* block) -> Status {
+      const bool split =
+          instr == MessageType::kFragmentR || instr == MessageType::kFragmentS;
+      const bool moves = split || instr == MessageType::kMigrateR ||
+                         instr == MessageType::kMigrateS;
       std::vector<std::vector<uint32_t>> rows(n);
-      FlatSet migrated;
+      FlatSet moved;
       auto instr_msgs = fabric.TakeInbox(node, instr);
       for (const auto& msg : instr_msgs) {
-        TJ_RETURN_IF_ERROR(TryDecodeKeyNodePairs(msg, config, &pairs));
-        for (const auto& pair : pairs) {
-          RouteKeyRun(*block, pair.key, {pair.node}, &rows);
-          migrated.Insert(pair.key);
+        TJ_RETURN_IF_ERROR(
+            TryDecodeKeyNodePairs(msg, split ? frag_config : config, &pairs));
+        RouteInstructedRows(*block, pairs, split, &rows);
+        if (moves) {
+          for (const auto& pair : pairs) moved.Insert(pair.key);
         }
       }
       for (auto& msg : instr_msgs) st.pool.Recycle(std::move(msg.data));
       SendRowsPerDest(&fabric, node, data, *block, config.key_bytes, rows,
                       &st.pool);
-      if (!migrated.empty()) {
-        block->Filter([&](uint64_t row) {
-          return !migrated.Contains(block->Key(row));
-        });
+      if (!moved.empty()) {
+        block->Filter(
+            [&](uint64_t row) { return !moved.Contains(block->Key(row)); });
       }
       return Status::OK();
     };
-    TJ_RETURN_IF_ERROR(run_migrations(MessageType::kMigrateR,
-                                      MessageType::kMigrationDataR, &st.r));
-    TJ_RETURN_IF_ERROR(run_migrations(MessageType::kMigrateS,
-                                      MessageType::kMigrationDataS, &st.s));
-
-    // Hot-split fragments: a non-worker holder splits each instructed
-    // key's run across its workers (SplitHotRuns), ships the pieces as
-    // migration data, and drops the run locally. Workers merge the chunks
-    // next to their own kept rows in phase 8.
-    auto run_fragments = [&](MessageType instr, MessageType data,
-                             TupleBlock* block) -> Status {
-      std::vector<std::vector<uint32_t>> rows(n);
-      FlatSet fragmented;
-      // Mirrors the sender: fragment instructions always use the plain
-      // order-preserving pair encoding, even under --group.
-      JoinConfig frag_config = config;
-      frag_config.group_locations = false;
-      auto instr_msgs = fabric.TakeInbox(node, instr);
-      for (const auto& msg : instr_msgs) {
-        TJ_RETURN_IF_ERROR(TryDecodeKeyNodePairs(msg, frag_config, &pairs));
-        SplitHotRuns(*block, pairs, &rows);
-        for (const auto& pair : pairs) fragmented.Insert(pair.key);
-      }
-      for (auto& msg : instr_msgs) st.pool.Recycle(std::move(msg.data));
-      SendRowsPerDest(&fabric, node, data, *block, config.key_bytes, rows,
-                      &st.pool);
-      if (!fragmented.empty()) {
-        block->Filter([&](uint64_t row) {
-          return !fragmented.Contains(block->Key(row));
-        });
-      }
-      return Status::OK();
-    };
-    TJ_RETURN_IF_ERROR(run_fragments(MessageType::kFragmentR,
-                                     MessageType::kMigrationDataR, &st.r));
-    TJ_RETURN_IF_ERROR(run_fragments(MessageType::kFragmentS,
-                                     MessageType::kMigrationDataS, &st.s));
+    TJ_RETURN_IF_ERROR(
+        act(MessageType::kLocationsToR, MessageType::kDataR, &st.r));
+    TJ_RETURN_IF_ERROR(
+        act(MessageType::kLocationsToS, MessageType::kDataS, &st.s));
+    TJ_RETURN_IF_ERROR(
+        act(MessageType::kMigrateR, MessageType::kMigrationDataR, &st.r));
+    TJ_RETURN_IF_ERROR(
+        act(MessageType::kMigrateS, MessageType::kMigrationDataS, &st.s));
+    TJ_RETURN_IF_ERROR(
+        act(MessageType::kFragmentR, MessageType::kMigrationDataR, &st.r));
+    TJ_RETURN_IF_ERROR(
+        act(MessageType::kFragmentS, MessageType::kMigrationDataS, &st.s));
     return Status::OK();
   }));
 
@@ -356,39 +284,20 @@ Result<JoinResult> TryRunTrackJoin(const PartitionedTable& r,
   // Phases 9-10: the final local joins, one per broadcast direction.
   TJ_RETURN_IF_ERROR(fabric.RunPhaseReliable(
       "final merge-join R->S", [&](uint32_t node) {
-        NodeState& st = nodes[node];
-        st.output_rows += MergeJoinSorted(st.r_in, st.s, sink_for(node));
+        MergeJoinSorted(nodes[node].r_in, nodes[node].s, outputs.Sink(node));
         return Status::OK();
       }));
   TJ_RETURN_IF_ERROR(fabric.RunPhaseReliable(
       "final merge-join S->R", [&](uint32_t node) {
-        NodeState& st = nodes[node];
-        st.output_rows += MergeJoinSorted(st.r, st.s_in, sink_for(node));
+        MergeJoinSorted(nodes[node].r, nodes[node].s_in, outputs.Sink(node));
         return Status::OK();
       }));
 
-  JoinResult result;
-  result.traffic = fabric.traffic();
-  result.phase_seconds = fabric.phase_seconds();
-  result.reliability = fabric.reliability();
   const char* algo_name =
       version == TrackJoinVersion::k2Phase
           ? (direction == Direction::kRtoS ? "2tj-r" : "2tj-s")
           : (version == TrackJoinVersion::k3Phase ? "3tj" : "4tj");
-  result.profile = BuildStepProfile(algo_name, fabric);
-  result.node_output_rows.reserve(n);
-  for (const auto& st : nodes) {
-    result.output_rows += st.output_rows;
-    result.node_output_rows.push_back(st.output_rows);
-    result.checksum.Merge(st.checksum);
-  }
-  if (config.materialize) {
-    result.output.emplace(r.name() + "_join_" + s.name(), n, out_width);
-    for (uint32_t node = 0; node < n; ++node) {
-      result.output->node(node) = std::move(out_blocks[node]);
-    }
-  }
-  return result;
+  return FinishJoin(algo_name, fabric, &outputs);
 }
 
 }  // namespace tj

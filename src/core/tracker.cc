@@ -460,16 +460,16 @@ std::vector<WireChunk> SliceEntryMessage(const ByteBuffer& message,
   return chunks;
 }
 
-Status TryDecodeKeyNodePairs(const Message& message, const JoinConfig& config,
+Status TryDecodeKeyNodePairs(const ByteBuffer& data, const JoinConfig& config,
                              std::vector<KeyNodePair>* out) {
   out->clear();
-  ByteReader reader(message.data);
+  ByteReader reader(data);
   if (config.group_locations) {
     return TryNodeGroupDecode(&reader, config.key_bytes, out);
   }
   const uint32_t pair_bytes = config.key_bytes + config.node_bytes;
   if (reader.remaining() % pair_bytes != 0) {
-    return Status::Corruption("location message not a multiple of pair size");
+    return Status::Corruption("pair message not a multiple of pair size");
   }
   out->reserve(reader.remaining() / pair_bytes);
   while (!reader.Done()) {

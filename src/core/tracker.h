@@ -196,8 +196,14 @@ std::vector<WireChunk> SliceEntryMessage(const ByteBuffer& message,
 ByteBuffer EncodeKeyNodePairs(const std::vector<KeyNodePair>& pairs,
                               const JoinConfig& config,
                               BufferPool* pool = nullptr);
-Status TryDecodeKeyNodePairs(const Message& message, const JoinConfig& config,
+/// Decodes one message or pipelined chunk payload.
+Status TryDecodeKeyNodePairs(const ByteBuffer& data, const JoinConfig& config,
                              std::vector<KeyNodePair>* out);
+inline Status TryDecodeKeyNodePairs(const Message& message,
+                                    const JoinConfig& config,
+                                    std::vector<KeyNodePair>* out) {
+  return TryDecodeKeyNodePairs(message.data, config, out);
+}
 
 }  // namespace tj
 

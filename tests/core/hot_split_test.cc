@@ -192,6 +192,81 @@ TEST(HotSplitTest, SplitOutputIdenticalAndComputeSpread) {
   EXPECT_LT(on_max, off_max);
 }
 
+// The holder routing both drivers share: whole-run pairs route exactly what
+// a per-pair EqualRange routes, also when node grouping makes the key
+// sequence restart and for keys the block lacks; fragment pairs split
+// exactly as SplitHotRuns does.
+TEST(HotSplitTest, RouteInstructedRowsMatchesPerPairEqualRange) {
+  TupleBlock block(0);
+  for (uint64_t key : {1, 1, 3, 4, 4, 4, 7, 9, 9}) block.Append(key, nullptr);
+  // Node-grouped pairs: ascending keys within each node's group.
+  const std::vector<KeyNodePair> pairs = {
+      {1, 2}, {4, 2}, {8, 2}, {9, 2},  // node 2
+      {0, 0}, {3, 0}, {4, 0}, {10, 0},  // node 0, key sequence restarts
+      {9, 1}, {9, 1}, {2, 1}};          // node 1, repeat then descend
+  std::vector<std::vector<uint32_t>> routed(3), expected(3);
+  RouteInstructedRows(block, pairs, /*split=*/false, &routed);
+  for (const KeyNodePair& pair : pairs) {
+    auto [lo, hi] = block.EqualRange(pair.key);
+    for (uint64_t row = lo; row < hi; ++row) {
+      expected[pair.node].push_back(static_cast<uint32_t>(row));
+    }
+  }
+  EXPECT_EQ(routed, expected);
+  EXPECT_EQ(routed[0], (std::vector<uint32_t>{2, 3, 4, 5}));
+
+  // Fragments: key 4's run splits across workers 1, 0, 2 in split order.
+  const std::vector<KeyNodePair> fragments = {{4, 1}, {4, 0}, {4, 2}};
+  std::vector<std::vector<uint32_t>> split(3), split_expected(3);
+  RouteInstructedRows(block, fragments, /*split=*/true, &split);
+  SplitHotRuns(block, fragments, &split_expected);
+  EXPECT_EQ(split, split_expected);
+  EXPECT_EQ(split[1], (std::vector<uint32_t>{3}));
+}
+
+// End to end through the barrier driver: node-grouped location messages
+// (--group) route the same rows as plain ones while hot-split fragments and
+// migrations move, so every data type's traffic and the output match.
+TEST(HotSplitTest, GroupedLocationsRouteLikePlain) {
+  ZipfWorkloadSpec spec;
+  spec.num_nodes = 8;
+  spec.key_domain = 4000;
+  spec.r_rows = 8000;
+  spec.s_rows = 8000;
+  spec.r_theta = 1.2;
+  spec.s_theta = 1.2;
+  spec.seed = 99;
+  Workload w = ValueOrDie(TryGenerateZipfWorkload(spec));
+
+  JoinConfig config;
+  config.key_bytes = 4;
+  config.hot_key_threshold = 10000;
+  JoinResult plain = ValueOrDie(TryRunTrackJoin(w.r, w.s, config,
+                                                TrackJoinVersion::k4Phase));
+  config.group_locations = true;
+  JoinResult grouped = ValueOrDie(TryRunTrackJoin(w.r, w.s, config,
+                                                  TrackJoinVersion::k4Phase));
+
+  EXPECT_GT(plain.traffic.NetworkBytes(MessageType::kFragmentR) +
+                plain.traffic.NetworkBytes(MessageType::kFragmentS),
+            0u);
+  EXPECT_GT(plain.traffic.NetworkBytes(MessageType::kMigrationDataR) +
+                plain.traffic.NetworkBytes(MessageType::kMigrationDataS),
+            0u);
+  EXPECT_EQ(grouped.checksum, plain.checksum);
+  EXPECT_EQ(grouped.node_output_rows, plain.node_output_rows);
+  for (MessageType type :
+       {MessageType::kDataR, MessageType::kDataS, MessageType::kMigrationDataR,
+        MessageType::kMigrationDataS, MessageType::kFragmentR,
+        MessageType::kFragmentS}) {
+    EXPECT_EQ(grouped.traffic.NetworkBytes(type),
+              plain.traffic.NetworkBytes(type))
+        << MessageTypeName(type);
+    EXPECT_EQ(grouped.traffic.LocalBytes(type), plain.traffic.LocalBytes(type))
+        << MessageTypeName(type);
+  }
+}
+
 // A uniform workload must be byte-identical with the feature enabled: the
 // threshold is never reached, so the traffic matrices match exactly.
 TEST(HotSplitTest, UniformWorkloadUnaffected) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <numeric>
 #include <vector>
 
 #include "baseline/broadcast_join.h"
@@ -11,6 +12,7 @@
 #include "common/hash.h"
 #include "common/logging.h"
 #include "core/late_hash_join.h"
+#include "core/pipelined_track_join.h"
 #include "core/rid_hash_join.h"
 #include "core/track_join.h"
 #include "workload/generator.h"
@@ -79,6 +81,55 @@ TEST(MaterializeTest, AllAlgorithmsProduceSameRows) {
   check("rid-HJ", ValueOrDie(TryRunRidHashJoin(w.r, w.s, config)));
   check(
       "late-HJ", ValueOrDie(TryRunLateMaterializedHashJoin(w.r, w.s, config)));
+}
+
+TEST(MaterializeTest, EveryDriverFillsNodeOutputRows) {
+  // Per-node output rows come from the shared output collector: one entry
+  // per node, summing to output_rows and to the checksum's row count, on
+  // every barrier driver and every pipelined track join.
+  WorkloadSpec spec;
+  spec.num_nodes = 5;
+  spec.matched_keys = 400;
+  spec.r_multiplicity = 2;
+  spec.s_multiplicity = 3;
+  spec.r_unmatched = 40;
+  spec.s_unmatched = 60;
+  Workload w = GenerateWorkload(spec);
+  JoinConfig config;
+  config.key_bytes = 4;
+
+  auto check = [&](const char* name, const JoinResult& result) {
+    ASSERT_EQ(result.node_output_rows.size(), spec.num_nodes) << name;
+    const uint64_t total =
+        std::accumulate(result.node_output_rows.begin(),
+                        result.node_output_rows.end(), uint64_t{0});
+    EXPECT_EQ(total, result.output_rows) << name;
+    EXPECT_EQ(total, result.checksum.count()) << name;
+    EXPECT_EQ(total, uint64_t{400} * 2 * 3) << name;
+  };
+  check("BJ-R",
+        ValueOrDie(TryRunBroadcastJoin(w.r, w.s, config, Direction::kRtoS)));
+  check("BJ-S",
+        ValueOrDie(TryRunBroadcastJoin(w.r, w.s, config, Direction::kStoR)));
+  check("HJ", ValueOrDie(TryRunHashJoin(w.r, w.s, config)));
+  check("rid-HJ", ValueOrDie(TryRunRidHashJoin(w.r, w.s, config)));
+  check("late-HJ",
+        ValueOrDie(TryRunLateMaterializedHashJoin(w.r, w.s, config)));
+  struct TrackVariant {
+    const char* name;
+    TrackJoinVersion version;
+    Direction direction;
+  };
+  for (const TrackVariant& v :
+       {TrackVariant{"2TJ-R", TrackJoinVersion::k2Phase, Direction::kRtoS},
+        TrackVariant{"2TJ-S", TrackJoinVersion::k2Phase, Direction::kStoR},
+        TrackVariant{"3TJ", TrackJoinVersion::k3Phase, Direction::kRtoS},
+        TrackVariant{"4TJ", TrackJoinVersion::k4Phase, Direction::kRtoS}}) {
+    check(v.name, ValueOrDie(TryRunTrackJoin(w.r, w.s, config, v.version,
+                                             v.direction)));
+    check(v.name, ValueOrDie(TryRunPipelinedTrackJoin(w.r, w.s, config,
+                                                      v.version, v.direction)));
+  }
 }
 
 TEST(MaterializeTest, OffByDefault) {
