@@ -3,22 +3,25 @@
 // small hash-join / 4-phase-track-join run (the StepProfile rows Tables 3
 // and 4 are built from).
 //
-// Also reports two same-run ratios of serial 4TJ wall times (best of 3
+// Also reports three same-run ratios of serial wall times (best of 3
 // runs each), which hold across machines:
 //   tj4_pipelined_over_barrier_wall  pipelined 4TJ (DRR) ÷ barrier 4TJ on
 //                                    workload X at scale 1/2000;
 //   tj4_pipelined_scaling            pipelined 4TJ at 1/1000 ÷ at 1/2000,
-//                                    about 2 for a linear-time driver.
+//                                    about 2 for a linear-time driver;
+//   y_checksum_join_over_join        merge join of workload Y/200 with the
+//                                    checksum sink ÷ with a no-op sink.
 //
 // Prints one JSON object to stdout; tools/bench_smoke.py runs this at a
 // fixed small scale in CI and fails on >25% throughput regression against
-// tools/bench_baseline.json, or when either ratio exceeds its ceiling.
+// tools/bench_baseline.json, or when any ratio exceeds its ceiling.
 //
 //   --scale=<divisor>  divide the 8Mi-row base input by this (default 4).
 //   --threads=<n>      thread pool size for the kernels (default 1).
 //   --trace=<file>     enable span tracing and write Chrome trace JSON; each
 //                      kernel also reports <kernel>_traced_tps, timed in
 //                      reps that alternate with its untraced ones.
+#include <algorithm>
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
@@ -31,6 +34,7 @@
 #include "common/rng.h"
 #include "core/pipelined_track_join.h"
 #include "core/track_join.h"
+#include "exec/local_join.h"
 #include "exec/partition.h"
 #include "exec/radix_sort.h"
 #include "obs/step_profile.h"
@@ -201,6 +205,31 @@ int main(int argc, char** argv) {
   }
   TJ_CHECK(barrier_sum == pipelined_sum) << "pipelined 4TJ result differs";
 
+  // The join checksum's cost on workload Y's large key groups: a merge
+  // join of Y/200's sorted blocks (one node) with the checksum sink over
+  // the same join with a no-op per-pair sink. Best of kReps each, reps
+  // alternating.
+  Workload wy = InstantiateReal(WorkloadY(), 1, 200, true, args.seed);
+  TupleBlock& yr = wy.r.node(0);
+  TupleBlock& ys = wy.s.node(0);
+  SortBlockByKey(&yr, p);
+  SortBlockByKey(&ys, p);
+  const JoinSink no_op = [](uint64_t, const uint8_t*, const uint8_t*) {};
+  double y_join_s = 1e300, y_checksum_join_s = 1e300;
+  uint64_t y_rows = 0;
+  JoinChecksum y_sum;
+  for (int rep = 0; rep < bench::kReps; ++rep) {
+    y_join_s = std::min(y_join_s, bench::Seconds([&] {
+                          y_rows = MergeJoinSorted(yr, ys, no_op);
+                        }));
+    y_sum = JoinChecksum();
+    y_checksum_join_s = std::min(y_checksum_join_s, bench::Seconds([&] {
+      MergeJoinSorted(
+          yr, ys, ChecksumSink(&y_sum, yr.payload_width(), ys.payload_width()));
+    }));
+  }
+  TJ_CHECK_EQ(y_sum.count(), y_rows) << "checksum join row count differs";
+
   double n = static_cast<double>(rows);
   std::printf("{\n");
   std::printf("  \"rows\": %" PRIu64 ",\n", rows);
@@ -217,6 +246,11 @@ int main(int argc, char** argv) {
   std::printf("  \"tj4_pipelined_2x_wall_s\": %.6f,\n", pipelined_2x_s);
   std::printf("  \"tj4_pipelined_scaling\": %.4f,\n",
               pipelined_2x_s / pipelined_s);
+  std::printf("  \"y_join_output_rows\": %" PRIu64 ",\n", y_rows);
+  std::printf("  \"y_join_wall_s\": %.6f,\n", y_join_s);
+  std::printf("  \"y_checksum_join_wall_s\": %.6f,\n", y_checksum_join_s);
+  std::printf("  \"y_checksum_join_over_join\": %.4f,\n",
+              y_checksum_join_s / y_join_s);
   bench::PrintPhases("hj_phase_wall_s", hj, ",");
   bench::PrintPhases("tj4_phase_wall_s", tj4, "");
   std::printf("}\n");

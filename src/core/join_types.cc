@@ -44,16 +44,15 @@ JoinOutputs::JoinOutputs(const PartitionedTable& r, const PartitionedTable& s,
       width_s_(s.payload_width()),
       materialize_(config.materialize),
       slots_(r.num_nodes()) {
-  if (materialize_) {
-    for (Slot& slot : slots_) slot.rows = TupleBlock(width_r_ + width_s_);
+  for (Slot& slot : slots_) {
+    if (materialize_) {
+      slot.rows = TupleBlock(width_r_ + width_s_);
+      slot.sink =
+          MaterializeSink(&slot.rows, &slot.checksum, width_r_, width_s_);
+    } else {
+      slot.sink = ChecksumSink(&slot.checksum, width_r_, width_s_);
+    }
   }
-}
-
-JoinSink JoinOutputs::Sink(uint32_t node) {
-  Slot& slot = slots_[node];
-  return materialize_
-             ? MaterializeSink(&slot.rows, &slot.checksum, width_r_, width_s_)
-             : ChecksumSink(&slot.checksum, width_r_, width_s_);
 }
 
 void JoinOutputs::MoveInto(JoinResult* result) {

@@ -212,10 +212,11 @@ class Fabric;
 void ConfigureFabric(const JoinConfig& config, Fabric* fabric);
 
 /// The output side every driver shares. Each node owns one slot: a
-/// JoinChecksum, whose count() is the node's output row count, and under
-/// JoinConfig::materialize the node's <key | payloadR | payloadS> rows.
-/// Slots sit on separate cache lines, because thread-pooled phases fill
-/// different nodes' slots at once.
+/// JoinChecksum, whose count() is the node's output row count, under
+/// JoinConfig::materialize the node's <key | payloadR | payloadS> rows, and
+/// the group sink that fills them, built once per run. Slots sit on
+/// separate cache lines, because thread-pooled phases fill different
+/// nodes' slots at once.
 class JoinOutputs {
  public:
   JoinOutputs(const PartitionedTable& r, const PartitionedTable& s,
@@ -224,8 +225,8 @@ class JoinOutputs {
   JoinOutputs(const JoinOutputs&) = delete;
   JoinOutputs& operator=(const JoinOutputs&) = delete;
 
-  /// The sink node `node`'s local join feeds (key, payloadR, payloadS).
-  JoinSink Sink(uint32_t node);
+  /// The sink node `node`'s local join feeds its key groups.
+  const JoinSink& Sink(uint32_t node) const { return slots_[node].sink; }
 
   /// Moves the outputs into `result`: output_rows, node_output_rows,
   /// checksum and, when materialized, output.
@@ -235,6 +236,7 @@ class JoinOutputs {
   struct alignas(64) Slot {
     JoinChecksum checksum;
     TupleBlock rows{0};
+    JoinSink sink;
   };
   std::string output_name_;
   uint32_t width_r_;

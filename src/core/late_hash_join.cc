@@ -205,8 +205,7 @@ Result<JoinResult> TryRunLateMaterializedHashJoin(const PartitionedTable& r,
           s_payloads[node][msg.src] = std::move(msg.data);
         }
         const uint32_t wr = r.payload_width(), ws = s.payload_width();
-        static const uint8_t kEmpty = 0;
-        JoinSink sink = outputs.Sink(node);
+        const JoinSink& sink = outputs.Sink(node);
         for (const PairRef& pair : pairs[node]) {
           const ByteBuffer& rp = r_payloads[node][pair.r_src];
           const ByteBuffer& sp = s_payloads[node][pair.s_src];
@@ -215,13 +214,9 @@ Result<JoinResult> TryRunLateMaterializedHashJoin(const PartitionedTable& r,
             return Status::Corruption(
                 "fetched payload stream shorter than the requested pairs");
           }
-          const uint8_t* pr =
-              wr > 0 ? rp.data() + static_cast<uint64_t>(pair.r_pos) * wr
-                     : &kEmpty;
-          const uint8_t* ps =
-              ws > 0 ? sp.data() + static_cast<uint64_t>(pair.s_pos) * ws
-                     : &kEmpty;
-          sink(pair.key, pr, ps);
+          // A 1x1 group: the row at r_pos of R's stream, s_pos of S's.
+          sink(pair.key, PayloadRun{rp.data(), wr, 1, &pair.r_pos},
+               PayloadRun{sp.data(), ws, 1, &pair.s_pos});
         }
         return Status::OK();
       }));

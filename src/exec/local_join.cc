@@ -1,6 +1,5 @@
 #include "exec/local_join.h"
 
-#include <cstring>
 #include <vector>
 
 #include "common/bit_util.h"
@@ -25,17 +24,13 @@ uint64_t MergeJoinSorted(const TupleBlock& r, const TupleBlock& s,
     } else if (kr > ks) {
       ++j;
     } else {
-      // Matching runs: emit the cartesian product of equal-key tuples.
+      // Matching runs: one key group, the cartesian product of its rows.
       uint64_t i_end = i;
       while (i_end < nr && r.Key(i_end) == kr) ++i_end;
       uint64_t j_end = j;
       while (j_end < ns && s.Key(j_end) == kr) ++j_end;
-      for (uint64_t a = i; a < i_end; ++a) {
-        for (uint64_t b = j; b < j_end; ++b) {
-          if (sink) sink(kr, r.Payload(a), s.Payload(b));
-          ++output;
-        }
-      }
+      if (sink) sink(kr, r.Run(i, i_end), s.Run(j, j_end));
+      output += (i_end - i) * (j_end - j);
       i = i_end;
       j = j_end;
     }
@@ -68,40 +63,42 @@ uint64_t HashTableJoin(const TupleBlock& r, const TupleBlock& s,
     slots[pos] = static_cast<uint32_t>(row);
   }
   uint64_t output = 0;
+  std::vector<uint32_t> matches;
   for (uint64_t row = 0; row < s.size(); ++row) {
     uint64_t key = s.Key(row);
     uint64_t pos = HashKey(key) & mask;
+    matches.clear();
     while (slots[pos] != kEmpty) {
-      uint32_t r_row = slots[pos];
-      if (r.Key(r_row) == key) {
-        if (sink) sink(key, r.Payload(r_row), s.Payload(row));
-        ++output;
-      }
+      if (r.Key(slots[pos]) == key) matches.push_back(slots[pos]);
       pos = (pos + 1) & mask;
     }
+    if (matches.empty()) continue;
+    if (sink) sink(key, r.Run(matches), s.Run(row, row + 1));
+    output += matches.size();
   }
   return output;
 }
 
 JoinSink ChecksumSink(JoinChecksum* checksum, uint32_t width_r,
                       uint32_t width_s) {
-  return [checksum, width_r, width_s](uint64_t key, const uint8_t* pr,
-                                      const uint8_t* ps) {
-    checksum->Accumulate(key, pr, width_r, ps, width_s);
-  };
+  return JoinSink::ForGroups([checksum, width_r, width_s](
+                                 uint64_t key, const PayloadRun& r,
+                                 const PayloadRun& s) {
+    TJ_CHECK(r.width == width_r && s.width == width_s);
+    checksum->AccumulateGroup(key, r, s);
+  });
 }
 
 JoinSink MaterializeSink(TupleBlock* out, JoinChecksum* checksum,
                          uint32_t width_r, uint32_t width_s) {
   TJ_CHECK_EQ(out->payload_width(), width_r + width_s);
-  return [out, checksum, width_r, width_s,
-          scratch = std::vector<uint8_t>(width_r + width_s)](
-             uint64_t key, const uint8_t* pr, const uint8_t* ps) mutable {
-    checksum->Accumulate(key, pr, width_r, ps, width_s);
-    if (width_r > 0) std::memcpy(scratch.data(), pr, width_r);
-    if (width_s > 0) std::memcpy(scratch.data() + width_r, ps, width_s);
-    out->Append(key, scratch.data());
-  };
+  return JoinSink::ForGroups([out, checksum, width_r, width_s](
+                                 uint64_t key, const PayloadRun& r,
+                                 const PayloadRun& s) {
+    TJ_CHECK(r.width == width_r && s.width == width_s);
+    checksum->AccumulateGroup(key, r, s);
+    out->AppendProduct(key, r, s);
+  });
 }
 
 }  // namespace tj

@@ -1,6 +1,7 @@
 #include "storage/tuple_block.h"
 
 #include <algorithm>
+#include <cstring>
 
 #include "common/thread_pool.h"
 
@@ -25,6 +26,24 @@ void TupleBlock::SerializeRowsIndexed(const std::vector<uint32_t>& rows,
     TJ_CHECK_LT(row, size());
     writer.PutUint(keys_[row], key_bytes);
     if (payload_width_ > 0) writer.PutBytes(Payload(row), payload_width_);
+  }
+}
+
+void TupleBlock::AppendProduct(uint64_t key, const PayloadRun& r,
+                               const PayloadRun& s) {
+  TJ_CHECK_EQ(payload_width_, r.width + s.width);
+  const uint64_t rows = r.size * s.size;
+  keys_.insert(keys_.end(), rows, key);
+  if (payload_width_ == 0) return;
+  const uint64_t first = payloads_.size();
+  payloads_.resize(first + rows * payload_width_);
+  uint8_t* out = payloads_.data() + first;
+  for (uint64_t i = 0; i < r.size; ++i) {
+    for (uint64_t j = 0; j < s.size; ++j) {
+      if (r.width > 0) std::memcpy(out, r[i], r.width);
+      if (s.width > 0) std::memcpy(out + r.width, s[j], s.width);
+      out += payload_width_;
+    }
   }
 }
 

@@ -18,6 +18,20 @@
 
 namespace tj {
 
+/// A read-only run of fixed-width payloads: one side of a join key group.
+/// Row i's `width` bytes sit at base + i * width, or, when `rows` is set,
+/// at base + rows[i] * width.
+struct PayloadRun {
+  const uint8_t* base = nullptr;
+  uint32_t width = 0;
+  uint64_t size = 0;
+  const uint32_t* rows = nullptr;
+
+  const uint8_t* operator[](uint64_t i) const {
+    return base + (rows != nullptr ? rows[i] : i) * width;
+  }
+};
+
 class TupleBlock {
  public:
   explicit TupleBlock(uint32_t payload_width = 0)
@@ -56,6 +70,20 @@ class TupleBlock {
   }
 
   const std::vector<uint64_t>& keys() const { return keys_; }
+
+  /// The payloads of rows [begin, end).
+  PayloadRun Run(uint64_t begin, uint64_t end) const {
+    return {Payload(begin), payload_width_, end - begin, nullptr};
+  }
+
+  /// The payloads of the listed rows (valid while `rows` is unmodified).
+  PayloadRun Run(const std::vector<uint32_t>& rows) const {
+    return {Payload(0), payload_width_, rows.size(), rows.data()};
+  }
+
+  /// Appends the |r|·|s| rows <key | r[i] | s[j]>, R-major: one key group's
+  /// join output. Precondition: payload_width() == r.width + s.width.
+  void AppendProduct(uint64_t key, const PayloadRun& r, const PayloadRun& s);
 
   /// Grows (or shrinks) the block to `rows` rows. New rows are
   /// zero-initialized; the radix kernels overwrite every row through the

@@ -76,10 +76,15 @@ JoinChecksum Reference(const Workload& w, uint64_t* rows) {
     const TupleBlock& bs = w.s.node(node);
     for (uint64_t row = 0; row < bs.size(); ++row) all_s.AppendFrom(bs, row);
   }
+  // Per-pair JoinChecksum::Accumulate, the digest's definition: the
+  // reference shares no code with the drivers' group checksum.
+  const uint32_t wr = w.r.payload_width(), ws = w.s.payload_width();
   JoinChecksum checksum;
   *rows = SortMergeJoin(
       &all_r, &all_s,
-      ChecksumSink(&checksum, w.r.payload_width(), w.s.payload_width()));
+      [&](uint64_t key, const uint8_t* pr, const uint8_t* ps) {
+        checksum.Accumulate(key, pr, wr, ps, ws);
+      });
   return checksum;
 }
 

@@ -15,6 +15,7 @@
 #include "exec/local_join.h"
 #include "exec/radix_sort.h"
 #include "workload/generator.h"
+#include "workload/real.h"
 
 namespace tj {
 namespace {
@@ -30,10 +31,15 @@ JoinChecksum ReferenceJoin(const PartitionedTable& r, const PartitionedTable& s,
     const TupleBlock& bs = s.node(node);
     for (uint64_t row = 0; row < bs.size(); ++row) all_s.AppendFrom(bs, row);
   }
+  // Per-pair JoinChecksum::Accumulate, the digest's definition: the
+  // reference shares no code with the drivers' group checksum.
+  const uint32_t wr = r.payload_width(), ws = s.payload_width();
   JoinChecksum checksum;
   *rows_out = SortMergeJoin(
       &all_r, &all_s,
-      ChecksumSink(&checksum, r.payload_width(), s.payload_width()));
+      [&](uint64_t key, const uint8_t* pr, const uint8_t* ps) {
+        checksum.Accumulate(key, pr, wr, ps, ws);
+      });
   return checksum;
 }
 
@@ -238,6 +244,26 @@ INSTANTIATE_TEST_SUITE_P(Workloads, EquivalenceTest,
                          [](const ::testing::TestParamInfo<Case>& info) {
                            return info.param.name;
                          });
+
+TEST(JoinDigestTest, HashJoinDigestsPinnedByGoldenValues) {
+  // Any change to the join checksum's value, or to the rows a driver
+  // joins, changes these digests; a faster checksum must keep them. Y has
+  // large key groups (many R rows times many S rows per key), X almost
+  // only 1x1 groups.
+  JoinConfig config;
+  config.key_bytes = 8;
+  auto hj = [&](const Workload& w) {
+    JoinResult result = ValueOrDie(TryRunHashJoin(w.r, w.s, config));
+    uint64_t rows = 0;
+    EXPECT_TRUE(result.checksum == ReferenceJoin(w.r, w.s, &rows));
+    EXPECT_EQ(result.output_rows, rows);
+    return result.checksum.digest();
+  };
+  EXPECT_EQ(hj(InstantiateReal(WorkloadY(), 8, 5000, true, 8)),
+            0x4efab69df44d0590ULL);
+  EXPECT_EQ(hj(InstantiateReal(WorkloadX(1), 8, 20000, true, 8)),
+            0xc620b087edb46a2aULL);
+}
 
 }  // namespace
 }  // namespace tj
