@@ -10,7 +10,7 @@
 
 #include "bench/bench_util.h"
 #include "common/logging.h"
-#include "core/rid_hash_join.h"
+#include "core/key_column_join.h"
 
 namespace tj {
 namespace bench {

@@ -15,7 +15,7 @@ namespace bench {
 namespace {
 
 void RunPattern(const std::vector<uint32_t>& pattern, const char* name,
-                bool inter, uint64_t scale, uint32_t nodes, uint64_t seed) {
+                uint64_t scale, uint32_t nodes, uint64_t seed) {
   WorkloadSpec spec;
   spec.num_nodes = nodes;
   spec.matched_keys = 40000000ULL / scale;
@@ -23,7 +23,7 @@ void RunPattern(const std::vector<uint32_t>& pattern, const char* name,
   spec.s_multiplicity = 5;
   spec.r_pattern = pattern;
   spec.s_pattern = pattern;
-  spec.collocation = inter ? Collocation::kInter : Collocation::kIntra;
+  spec.collocation = Collocation::kIntra;
   spec.seed = seed;
   JoinConfig config;
   config.key_bytes = 4;
@@ -53,10 +53,9 @@ int main(int argc, char** argv) {
       "Paper: HJ ~16 GiB flat; TJ wins under 5,0,0 and 2,2,1; scattered\n"
       "repeats favor 4TJ's migration over plain selective broadcast.\n\n",
       nodes);
-  tj::bench::RunPattern({5}, "5,0,0,...", false, scale, nodes, args.seed);
-  tj::bench::RunPattern({2, 2, 1}, "2,2,1,0,0,...", false, scale, nodes,
+  tj::bench::RunPattern({5}, "5,0,0,...", scale, nodes, args.seed);
+  tj::bench::RunPattern({2, 2, 1}, "2,2,1,0,0,...", scale, nodes, args.seed);
+  tj::bench::RunPattern({1, 1, 1, 1, 1}, "1,1,1,1,1,0,0,...", scale, nodes,
                         args.seed);
-  tj::bench::RunPattern({1, 1, 1, 1, 1}, "1,1,1,1,1,0,0,...", false, scale,
-                        nodes, args.seed);
   return 0;
 }

@@ -43,11 +43,8 @@ Result<JoinResult> TryRunBroadcastJoin(const PartitionedTable& r,
 
   TJ_RETURN_IF_ERROR(fabric.RunPhaseReliable(
       "sort tuples", [&](uint32_t node) -> Status {
-        for (const auto& msg : fabric.TakeInbox(node, data_type)) {
-          ByteReader reader(msg.data);
-          TJ_RETURN_IF_ERROR(
-              moving_in[node].TryDeserializeRows(&reader, config.key_bytes));
-        }
+        TJ_RETURN_IF_ERROR(TryReceiveRows(&fabric, node, data_type,
+                                          config.key_bytes, &moving_in[node]));
         SortBlockByKey(&moving_in[node], config.thread_pool);
         fixed_local[node] = fixed.node(node);
         SortBlockByKey(&fixed_local[node], config.thread_pool);

@@ -52,21 +52,15 @@ Result<JoinResult> TryRunHashJoin(const PartitionedTable& r,
 
   TJ_RETURN_IF_ERROR(fabric.RunPhaseReliable(
       "sort received R tuples", [&](uint32_t node) -> Status {
-        for (const auto& msg : fabric.TakeInbox(node, MessageType::kDataR)) {
-          ByteReader reader(msg.data);
-          TJ_RETURN_IF_ERROR(
-              r_in[node].TryDeserializeRows(&reader, config.key_bytes));
-        }
+        TJ_RETURN_IF_ERROR(TryReceiveRows(&fabric, node, MessageType::kDataR,
+                                          config.key_bytes, &r_in[node]));
         SortBlockByKey(&r_in[node], config.thread_pool);
         return Status::OK();
       }));
   TJ_RETURN_IF_ERROR(fabric.RunPhaseReliable(
       "sort received S tuples", [&](uint32_t node) -> Status {
-        for (const auto& msg : fabric.TakeInbox(node, MessageType::kDataS)) {
-          ByteReader reader(msg.data);
-          TJ_RETURN_IF_ERROR(
-              s_in[node].TryDeserializeRows(&reader, config.key_bytes));
-        }
+        TJ_RETURN_IF_ERROR(TryReceiveRows(&fabric, node, MessageType::kDataS,
+                                          config.key_bytes, &s_in[node]));
         SortBlockByKey(&s_in[node], config.thread_pool);
         return Status::OK();
       }));

@@ -131,11 +131,16 @@ class Result {
     if (!_tj_status.ok()) return _tj_status;      \
   } while (0)
 
-/// Assigns the value of a Result expression or propagates its error.
-#define TJ_ASSIGN_OR_RETURN(lhs, expr)            \
-  auto _tj_result_##__LINE__ = (expr);            \
-  if (!_tj_result_##__LINE__.ok())                \
-    return _tj_result_##__LINE__.status();        \
-  lhs = std::move(_tj_result_##__LINE__).value();
+#define TJ_CONCAT_INNER(a, b) a##b
+#define TJ_CONCAT(a, b) TJ_CONCAT_INNER(a, b)
+
+/// Assigns the value of a Result expression or propagates its error. The
+/// temporary is named after the line, so one scope may hold several.
+#define TJ_ASSIGN_OR_RETURN(lhs, expr) \
+  TJ_ASSIGN_OR_RETURN_IMPL(TJ_CONCAT(_tj_result_, __LINE__), lhs, expr)
+#define TJ_ASSIGN_OR_RETURN_IMPL(tmp, lhs, expr) \
+  auto tmp = (expr);                             \
+  if (!tmp.ok()) return tmp.status();            \
+  lhs = std::move(tmp).value();
 
 #endif  // TJ_COMMON_STATUS_H_

@@ -1,5 +1,6 @@
 #include "core/join_types.h"
 
+#include "net/buffer_pool.h"
 #include "net/fabric.h"
 
 namespace tj {
@@ -35,6 +36,29 @@ void ConfigureFabric(const JoinConfig& config, Fabric* fabric) {
   }
   fabric->SetPhaseDeadline(config.phase_deadline_seconds);
   fabric->SetDiagnosticsSink(config.diagnostics);
+}
+
+void SendRowsPerDest(Fabric* fabric, uint32_t src, MessageType type,
+                     const TupleBlock& block, uint32_t key_bytes,
+                     const std::vector<std::vector<uint32_t>>& rows_per_dest,
+                     BufferPool* pool) {
+  for (uint32_t dst = 0; dst < rows_per_dest.size(); ++dst) {
+    if (rows_per_dest[dst].empty()) continue;
+    ByteBuffer buf = pool != nullptr ? pool->Acquire() : ByteBuffer{};
+    block.SerializeRowsIndexed(rows_per_dest[dst], key_bytes, &buf);
+    fabric->Send(src, dst, type, std::move(buf));
+  }
+}
+
+Status TryReceiveRows(Fabric* fabric, uint32_t node, MessageType type,
+                      uint32_t key_bytes, TupleBlock* block,
+                      BufferPool* pool) {
+  for (Message& msg : fabric->TakeInbox(node, type)) {
+    ByteReader reader(msg.data);
+    TJ_RETURN_IF_ERROR(block->TryDeserializeRows(&reader, key_bytes));
+    if (pool != nullptr) pool->Recycle(std::move(msg.data));
+  }
+  return Status::OK();
 }
 
 JoinOutputs::JoinOutputs(const PartitionedTable& r, const PartitionedTable& s,

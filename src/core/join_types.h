@@ -205,11 +205,27 @@ enum class JoinAlgorithm : uint8_t {
 
 const char* JoinAlgorithmName(JoinAlgorithm algorithm);
 
+class BufferPool;
 class Fabric;
 
 /// Applies the run-wide knobs of `config` to a barrier fabric: thread pool,
 /// fault policy and seed, phase deadline and diagnostics sink.
 void ConfigureFabric(const JoinConfig& config, Fabric* fabric);
+
+/// Sends the rows of `block` listed per destination node as one message per
+/// destination, in destination order. Empty destinations send nothing.
+/// With a `pool`, the message buffers come from it.
+void SendRowsPerDest(Fabric* fabric, uint32_t src, MessageType type,
+                     const TupleBlock& block, uint32_t key_bytes,
+                     const std::vector<std::vector<uint32_t>>& rows_per_dest,
+                     BufferPool* pool = nullptr);
+
+/// Takes node `node`'s inbox of `type` and appends the rows of every
+/// message, in delivery order, to `block`. With a `pool`, the drained
+/// message buffers are recycled into it.
+Status TryReceiveRows(Fabric* fabric, uint32_t node, MessageType type,
+                      uint32_t key_bytes, TupleBlock* block,
+                      BufferPool* pool = nullptr);
 
 /// The output side every driver shares. Each node owns one slot: a
 /// JoinChecksum, whose count() is the node's output row count, under

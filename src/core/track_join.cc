@@ -33,20 +33,6 @@ struct NodeState {
   BufferPool pool;
 };
 
-/// Sends the rows of `block` listed per destination node as one message per
-/// destination. Empty destinations send nothing.
-void SendRowsPerDest(Fabric* fabric, uint32_t src, MessageType type,
-                     const TupleBlock& block, uint32_t key_bytes,
-                     const std::vector<std::vector<uint32_t>>& rows_per_dest,
-                     BufferPool* pool) {
-  for (uint32_t dst = 0; dst < rows_per_dest.size(); ++dst) {
-    if (rows_per_dest[dst].empty()) continue;
-    ByteBuffer buf = pool != nullptr ? pool->Acquire() : ByteBuffer{};
-    block.SerializeRowsIndexed(rows_per_dest[dst], key_bytes, &buf);
-    fabric->Send(src, dst, type, std::move(buf));
-  }
-}
-
 }  // namespace
 
 Result<JoinResult> TryRunTrackJoin(const PartitionedTable& r,
@@ -254,29 +240,21 @@ Result<JoinResult> TryRunTrackJoin(const PartitionedTable& r,
   TJ_RETURN_IF_ERROR(fabric.RunPhaseReliable(
       "merge received tuples", [&](uint32_t node) -> Status {
     NodeState& st = nodes[node];
-    bool r_changed = false, s_changed = false;
-    auto drain = [&](MessageType type, TupleBlock* block,
-                     bool* changed) -> Status {
-      auto msgs = fabric.TakeInbox(node, type);
-      for (const auto& msg : msgs) {
-        ByteReader reader(msg.data);
-        TJ_RETURN_IF_ERROR(
-            block->TryDeserializeRows(&reader, config.key_bytes));
-        if (changed != nullptr) *changed = true;
-      }
-      for (auto& msg : msgs) st.pool.Recycle(std::move(msg.data));
-      return Status::OK();
+    auto receive = [&](MessageType type, TupleBlock* block) {
+      return TryReceiveRows(&fabric, node, type, config.key_bytes, block,
+                            &st.pool);
     };
-    TJ_RETURN_IF_ERROR(drain(MessageType::kMigrationDataR, &st.r, &r_changed));
-    TJ_RETURN_IF_ERROR(drain(MessageType::kMigrationDataS, &st.s, &s_changed));
-    if (r_changed) SortBlockByKey(&st.r, config.thread_pool);
-    if (s_changed) SortBlockByKey(&st.s, config.thread_pool);
+    const uint64_t r_kept = st.r.size(), s_kept = st.s.size();
+    TJ_RETURN_IF_ERROR(receive(MessageType::kMigrationDataR, &st.r));
+    TJ_RETURN_IF_ERROR(receive(MessageType::kMigrationDataS, &st.s));
+    if (st.r.size() != r_kept) SortBlockByKey(&st.r, config.thread_pool);
+    if (st.s.size() != s_kept) SortBlockByKey(&st.s, config.thread_pool);
 
     st.r_in = TupleBlock(r.payload_width());
-    TJ_RETURN_IF_ERROR(drain(MessageType::kDataR, &st.r_in, nullptr));
+    TJ_RETURN_IF_ERROR(receive(MessageType::kDataR, &st.r_in));
     SortBlockByKey(&st.r_in, config.thread_pool);
     st.s_in = TupleBlock(s.payload_width());
-    TJ_RETURN_IF_ERROR(drain(MessageType::kDataS, &st.s_in, nullptr));
+    TJ_RETURN_IF_ERROR(receive(MessageType::kDataS, &st.s_in));
     SortBlockByKey(&st.s_in, config.thread_pool);
     return Status::OK();
   }));

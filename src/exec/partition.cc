@@ -195,18 +195,4 @@ Result<KeyPartitionLayout> TryRadixPartitionKeys(const TupleBlock& block,
   return layout;
 }
 
-std::vector<uint32_t> HeavyPartitions(const std::vector<uint64_t>& bounds,
-                                      double factor) {
-  std::vector<uint32_t> heavy;
-  if (bounds.size() < 2) return heavy;
-  const uint32_t parts = static_cast<uint32_t>(bounds.size() - 1);
-  const double mean = static_cast<double>(bounds[parts]) / parts;
-  for (uint32_t p = 0; p < parts; ++p) {
-    if (static_cast<double>(bounds[p + 1] - bounds[p]) > factor * mean) {
-      heavy.push_back(p);
-    }
-  }
-  return heavy;
-}
-
 }  // namespace tj

@@ -69,13 +69,6 @@ Result<KeyPartitionLayout> TryRadixPartitionKeys(const TupleBlock& block,
                                                  uint32_t num_parts,
                                                  ThreadPool* pool = nullptr);
 
-/// Skew guard: indexes of partitions holding more than `factor` times the
-/// mean partition size (from a layout's bounds). The radix kernels split
-/// such partitions' work across threads by input chunk; callers that
-/// process per-partition can use this to subdivide heavy partitions.
-std::vector<uint32_t> HeavyPartitions(const std::vector<uint64_t>& bounds,
-                                      double factor);
-
 }  // namespace tj
 
 #endif  // TJ_EXEC_PARTITION_H_

@@ -1,4 +1,4 @@
-#include "core/rid_hash_join.h"
+#include "core/key_column_join.h"
 
 #include <gtest/gtest.h>
 

@@ -7,10 +7,9 @@
 #include "baseline/broadcast_join.h"
 #include "baseline/hash_join.h"
 #include "common/rng.h"
-#include "core/late_hash_join.h"
+#include "core/key_column_join.h"
 #include "core/pipelined_track_join.h"
 #include "core/recovery.h"
-#include "core/rid_hash_join.h"
 #include "core/track_join.h"
 #include "exec/local_join.h"
 #include "workload/generator.h"

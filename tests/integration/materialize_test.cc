@@ -11,9 +11,8 @@
 #include "baseline/hash_join.h"
 #include "common/hash.h"
 #include "common/logging.h"
-#include "core/late_hash_join.h"
+#include "core/key_column_join.h"
 #include "core/pipelined_track_join.h"
-#include "core/rid_hash_join.h"
 #include "core/track_join.h"
 #include "workload/generator.h"
 

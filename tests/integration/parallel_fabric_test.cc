@@ -6,8 +6,7 @@
 #include "baseline/hash_join.h"
 #include "common/logging.h"
 #include "common/thread_pool.h"
-#include "core/late_hash_join.h"
-#include "core/rid_hash_join.h"
+#include "core/key_column_join.h"
 #include "core/track_join.h"
 #include "workload/generator.h"
 

@@ -10,8 +10,7 @@
 #include "baseline/broadcast_join.h"
 #include "baseline/hash_join.h"
 #include "common/thread_pool.h"
-#include "core/late_hash_join.h"
-#include "core/rid_hash_join.h"
+#include "core/key_column_join.h"
 #include "core/schedule.h"
 #include "core/track_join.h"
 #include "obs/trace.h"

@@ -14,8 +14,7 @@
 #include "baseline/broadcast_join.h"
 #include "baseline/hash_join.h"
 #include "common/logging.h"
-#include "core/late_hash_join.h"
-#include "core/rid_hash_join.h"
+#include "core/key_column_join.h"
 #include "core/semi_join.h"
 #include "core/track_join.h"
 #include "net/fault_injector.h"

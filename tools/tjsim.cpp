@@ -23,10 +23,9 @@
 #include "baseline/broadcast_join.h"
 #include "baseline/hash_join.h"
 #include "common/bit_util.h"
-#include "core/late_hash_join.h"
+#include "core/key_column_join.h"
 #include "core/pipelined_track_join.h"
 #include "core/recovery.h"
-#include "core/rid_hash_join.h"
 #include "core/schedule.h"
 #include "core/track_join.h"
 #include "net/time_model.h"
@@ -547,6 +546,16 @@ tj::Result<tj::JoinResult> RunByName(const std::string& name,
   return tj::JoinResult{};
 }
 
+/// Prints one JSON array to stdout, an element per line.
+template <typename T>
+void PrintJsonArray(const std::vector<T>& items) {
+  std::printf("[");
+  for (size_t i = 0; i < items.size(); ++i) {
+    std::printf("%s%s", i > 0 ? ",\n " : "", tj::ToJson(items[i]).c_str());
+  }
+  std::printf("]\n");
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -814,11 +823,7 @@ int main(int argc, char** argv) {
     }
   }
   if (opt.profile == "json") {
-    std::printf("[");
-    for (size_t i = 0; i < profiles.size(); ++i) {
-      std::printf("%s%s", i > 0 ? ",\n " : "", tj::ToJson(profiles[i]).c_str());
-    }
-    std::printf("]\n");
+    PrintJsonArray(profiles);
   } else if (opt.profile == "csv") {
     std::printf("%s\n", tj::StepCsvHeader().c_str());
     for (const tj::StepProfile& p : profiles) {
@@ -831,11 +836,7 @@ int main(int argc, char** argv) {
     }
   }
   if (machine_explain) {
-    std::printf("[");
-    for (size_t i = 0; i < explains.size(); ++i) {
-      std::printf("%s%s", i > 0 ? ",\n " : "", tj::ToJson(explains[i]).c_str());
-    }
-    std::printf("]\n");
+    PrintJsonArray(explains);
   } else if (opt.explain == "table") {
     // Human-readable audit; routed to stderr when a machine profile owns
     // stdout so piped output stays parseable.
@@ -845,11 +846,7 @@ int main(int argc, char** argv) {
     }
   }
   if (machine_blame) {
-    std::printf("[");
-    for (size_t i = 0; i < blames.size(); ++i) {
-      std::printf("%s%s", i > 0 ? ",\n " : "", tj::ToJson(blames[i]).c_str());
-    }
-    std::printf("]\n");
+    PrintJsonArray(blames);
   } else if (opt.blame == "table") {
     FILE* out = (machine_profile || machine_explain) ? stderr : stdout;
     for (const tj::BlameReport& b : blames) {
