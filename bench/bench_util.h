@@ -156,6 +156,35 @@ inline std::vector<JoinResult> RunAll(const Workload& w,
   return results;
 }
 
+/// Figures 5 and 6: 4*10^7 / scale keys with 5 repeats per side placed per
+/// `pattern` under `collocation`, R 30 bytes / S 60 bytes. Prints the
+/// pattern's traffic table, projected back up by `scale`.
+inline void RunPattern(const std::vector<uint32_t>& pattern, const char* name,
+                       Collocation collocation, uint64_t scale, uint32_t nodes,
+                       uint64_t seed) {
+  WorkloadSpec spec;
+  spec.num_nodes = nodes;
+  spec.matched_keys = 40000000ULL / scale;
+  spec.r_multiplicity = 5;
+  spec.s_multiplicity = 5;
+  spec.r_pattern = pattern;
+  spec.s_pattern = pattern;
+  spec.collocation = collocation;
+  spec.seed = seed;
+  JoinConfig config;
+  config.key_bytes = 4;
+  spec.r_payload = 30 - config.key_bytes;
+  spec.s_payload = 60 - config.key_bytes;
+  Workload w = GenerateWorkload(spec);
+
+  std::printf("Pattern: %s  (%" PRIu64 " tuples/table, projected x%" PRIu64
+              ")\n",
+              name, w.r.TotalRows(), scale);
+  std::vector<JoinResult> results = RunAll(w, config);
+  PrintTrafficTable(AllAlgorithms(), results, static_cast<double>(scale));
+  std::printf("\n");
+}
+
 }  // namespace bench
 }  // namespace tj
 

@@ -17,8 +17,8 @@ namespace tj {
 namespace bench {
 namespace {
 
-void RunPattern(const std::vector<uint32_t>& pattern, const char* name,
-                uint64_t scale, uint32_t nodes, uint64_t seed) {
+void RunOneSidePattern(const std::vector<uint32_t>& pattern, const char* name,
+                       uint64_t scale, uint32_t nodes, uint64_t seed) {
   WorkloadSpec spec;
   spec.num_nodes = nodes;
   spec.matched_keys = 200000000ULL / scale;
@@ -56,9 +56,11 @@ int main(int argc, char** argv) {
       "Paper: HJ ~60 GiB flat; 5,0,0 -> TJ ~12 GiB; 2,2,1 -> TJ below HJ;\n"
       "1,1,1,1,1 -> TJ pays 5 destinations per key but still beats HJ.\n\n",
       nodes);
-  tj::bench::RunPattern({5}, "5,0,0,...", scale, nodes, args.seed);
-  tj::bench::RunPattern({2, 2, 1}, "2,2,1,0,0,...", scale, nodes, args.seed);
-  tj::bench::RunPattern({1, 1, 1, 1, 1}, "1,1,1,1,1,0,0,...", scale, nodes,
-                        args.seed);
+  auto run = [&](const std::vector<uint32_t>& pattern, const char* name) {
+    tj::bench::RunOneSidePattern(pattern, name, scale, nodes, args.seed);
+  };
+  run({5}, "5,0,0,...");
+  run({2, 2, 1}, "2,2,1,0,0,...");
+  run({1, 1, 1, 1, 1}, "1,1,1,1,1,0,0,...");
   return 0;
 }

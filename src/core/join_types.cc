@@ -100,9 +100,8 @@ JoinResult FinishJoin(const char* algorithm, const Fabric& fabric,
                       JoinOutputs* outputs) {
   JoinResult result;
   result.traffic = fabric.traffic();
-  result.phase_seconds = fabric.phase_seconds();
   result.reliability = fabric.reliability();
-  result.profile = BuildStepProfile(algorithm, fabric);
+  result.SetProfile(BuildStepProfile(algorithm, fabric));
   outputs->MoveInto(&result);
   return result;
 }

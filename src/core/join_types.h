@@ -159,7 +159,8 @@ struct JoinResult {
   std::vector<uint64_t> node_output_rows;
   JoinChecksum checksum;
   TrafficMatrix traffic;
-  /// Named per-phase wall times (CPU-side work), in execution order.
+  /// Named per-phase wall times (CPU-side work), in execution order: the
+  /// wall-time projection of profile.steps, set with it by SetProfile.
   std::vector<std::pair<std::string, double>> phase_seconds;
   /// The materialized output (JoinConfig::materialize): one
   /// <key | payloadR | payloadS> row per joined pair, partitioned across
@@ -170,19 +171,24 @@ struct JoinResult {
   ReliabilityStats reliability;
   /// The de-pipelined step breakdown: one record per phase with wall
   /// seconds, modeled network seconds, and goodput/local/retransmit byte
-  /// splits (obs/step_profile.h). phase_seconds above is its wall-time
-  /// projection, kept for existing consumers.
+  /// splits (obs/step_profile.h).
   StepProfile profile;
   /// Pipelined runs only (else 0): modeled end-to-end makespan — the
   /// critical path through the event-driven schedule — and the
-  /// barrier-equivalent reference computed from the same run's per-stage
-  /// accounting (sum over stages of max-node CPU + max-NIC transfer time).
+  /// barrier-equivalent reference, BarrierSeconds(profile.steps) (sum over
+  /// stages of max-node CPU + max-NIC transfer time).
   double makespan_seconds = 0;
   double barrier_makespan_seconds = 0;
   /// Pipelined runs with JoinConfig::collect_blame: the critical-path
   /// decomposition of makespan_seconds into (node, resource, stage,
   /// wait-class) buckets, reconciled exactly against pipeline.makespan_us.
   std::optional<BlameReport> blame;
+
+  /// Installs `steps_profile` and derives phase_seconds from its steps.
+  void SetProfile(StepProfile steps_profile) {
+    profile = std::move(steps_profile);
+    phase_seconds = PhaseSeconds(profile.steps);
+  }
 
   /// Sum of all phase wall times.
   double TotalCpuSeconds() const {

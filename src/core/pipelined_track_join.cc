@@ -608,18 +608,11 @@ Result<JoinResult> TryRunPipelinedTrackJoin(const PartitionedTable& r,
 
   Status run_status = fabric.Run();
 
-  auto stage_times = [&]() {
-    std::vector<std::pair<std::string, double>> times;
-    for (const auto& stage : fabric.stage_stats()) {
-      times.emplace_back(stage.name, stage.max_node_cpu_seconds);
-    }
-    return times;
-  };
   auto fill_diagnostics = [&](const FailureReport& report) {
     if (config.diagnostics == nullptr) return;
     config.diagnostics->failure = report;
     config.diagnostics->traffic = fabric.traffic();
-    config.diagnostics->phase_seconds = stage_times();
+    config.diagnostics->phase_seconds = PhaseSeconds(fabric.steps());
   };
   if (!run_status.ok()) {
     fill_diagnostics(fabric.failure());
@@ -647,14 +640,11 @@ Result<JoinResult> TryRunPipelinedTrackJoin(const PartitionedTable& r,
   JoinResult result;
   result.traffic = fabric.traffic();
   result.reliability = fabric.reliability();
-  result.phase_seconds = stage_times();
   result.makespan_seconds = fabric.makespan_seconds();
-  result.barrier_makespan_seconds = fabric.barrier_makespan_seconds();
 
-  // Step profile from the per-stage accounting: the pipelined analog of
-  // the barrier fabric's phase instrumentation, with modeled CPU seconds
-  // in the wall column (stages overlap, so these steps do NOT add up to
-  // the makespan — that is the whole point).
+  // One step per stage, with modeled CPU seconds in the wall column
+  // (stages overlap, so these steps do NOT add up to the makespan — that
+  // is the whole point).
   StepProfile profile;
   if (version == TrackJoinVersion::k2Phase) {
     profile.algorithm = direction == Direction::kRtoS ? "2tj-r-p" : "2tj-s-p";
@@ -662,20 +652,10 @@ Result<JoinResult> TryRunPipelinedTrackJoin(const PartitionedTable& r,
     profile.algorithm = four_phase ? "4tj-p" : "3tj-p";
   }
   profile.num_nodes = n;
-  for (const auto& stage : fabric.stage_stats()) {
-    StepRecord record;
-    record.phase = stage.name;
-    record.wall_seconds = stage.max_node_cpu_seconds;
-    record.net_seconds = params.cost.TransferSeconds(stage.max_node_bytes);
-    record.goodput_bytes = stage.network_bytes;
-    record.local_bytes = stage.local_bytes;
-    record.max_node_bytes = stage.max_node_bytes;
-    record.network_bytes_by_type = stage.network_bytes_by_type;
-    record.local_bytes_by_type = stage.local_bytes_by_type;
-    profile.steps.push_back(std::move(record));
-  }
+  profile.steps = fabric.steps();
   profile.run_max_node_bytes = result.traffic.MaxNodeBytes();
-  result.profile = std::move(profile);
+  result.SetProfile(std::move(profile));
+  result.barrier_makespan_seconds = BarrierSeconds(result.profile.steps);
 
   if (config.collect_blame) {
     result.blame = BuildBlameReport(fabric, config.blame_top_edges);

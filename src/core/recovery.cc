@@ -118,9 +118,6 @@ Result<JoinResult> RecoveryManager::Run(const ReplicatedTable& r,
 
     if (run.ok()) {
       JoinResult result = std::move(run).value();
-      for (const auto& [name, secs] : result.phase_seconds) {
-        report_.checkpoints.push_back(PhaseCheckpoint{attempt, name, secs});
-      }
       if (report_.failovers > 0) {
         // Express the degraded run's ledgers in original node ids so
         // callers keep one coordinate system across recovered and
@@ -140,9 +137,6 @@ Result<JoinResult> RecoveryManager::Run(const ReplicatedTable& r,
     // retry, or fail over.
     last_error = run.status();
     any_failed = true;
-    for (const auto& [name, secs] : diag.phase_seconds) {
-      report_.checkpoints.push_back(PhaseCheckpoint{attempt, name, secs});
-    }
     report_.wasted_seconds += PhaseSecondsTotal(diag.phase_seconds);
     if (diag.traffic.num_nodes() == plan.num_live()) {
       recovery_traffic.AccumulateRecovery(diag.traffic,

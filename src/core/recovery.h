@@ -1,10 +1,9 @@
-// Query-level fault recovery: checkpointed replay with replica failover.
+// Query-level fault recovery: whole-query replay with replica failover.
 //
-// The de-pipelined phase/barrier execution gives natural recovery points:
-// every barrier is a consistent cut, and because workloads are synthesized
-// deterministically and the fabric delivers deterministically, a failed
-// query can be replayed bit-exactly from its retained inputs — the
-// "checkpoint" is the inputs plus the phase log, not a serialized heap.
+// Because workloads are synthesized deterministically and the fabric
+// delivers deterministically, a failed query can be replayed bit-exactly
+// from its retained inputs — the inputs are the only "checkpoint", no
+// serialized heap or phase log is kept.
 //
 // RecoveryManager drives the loop:
 //   * run the join (attempt 0 uses the caller's fault seed bit-exactly, so
@@ -54,14 +53,6 @@ struct RecoveryOptions {
   double phase_deadline_seconds = 0;
 };
 
-/// One phase barrier a (successful or failed) attempt reached: the
-/// checkpoint log recovery replays from and reports latency with.
-struct PhaseCheckpoint {
-  uint32_t attempt = 0;
-  std::string phase;
-  double wall_seconds = 0;
-};
-
 /// What recovery did for one query.
 struct RecoveryReport {
   /// Attempts actually run (1 = first try succeeded).
@@ -81,8 +72,6 @@ struct RecoveryReport {
   double recovery_seconds = 0;
   /// Wire bytes failed attempts burned (== the result's recovery ledger).
   uint64_t recovery_bytes = 0;
-  /// Barrier log across all attempts, in execution order.
-  std::vector<PhaseCheckpoint> checkpoints;
 };
 
 /// Any distributed join entry point with the Try* signature. The runner is

@@ -1,5 +1,6 @@
 #include "core/semi_join.h"
 
+#include <utility>
 #include <vector>
 
 #include "baseline/hash_join.h"
@@ -30,11 +31,13 @@ std::vector<BloomFilter> BuildFilters(const PartitionedTable& table,
 
 void MergeResult(const FilteredInputs& pre, JoinResult* result) {
   result->traffic.Merge(pre.filter_traffic);
-  result->phase_seconds.insert(result->phase_seconds.begin(),
-                               pre.phase_seconds.begin(),
-                               pre.phase_seconds.end());
-  result->profile.Prepend(pre.profile);
-  result->profile.algorithm = "sj+" + result->profile.algorithm;
+  StepProfile profile = std::move(result->profile);
+  profile.Prepend(pre.profile);
+  profile.algorithm = "sj+" + profile.algorithm;
+  // The filter broadcast and the join may stress different NICs: the
+  // run's bottleneck is the merged matrix's, not the larger of the two.
+  profile.run_max_node_bytes = result->traffic.MaxNodeBytes();
+  result->SetProfile(std::move(profile));
 }
 
 }  // namespace
@@ -67,7 +70,6 @@ Result<FilteredInputs> ExchangeFiltersAndPrune(const PartitionedTable& r,
   FilteredInputs out{PartitionedTable(r.name(), n, r.payload_width()),
                      PartitionedTable(s.name(), n, s.payload_width()),
                      TrafficMatrix(n),
-                     {},
                      {},
                      0,
                      0};
@@ -105,7 +107,6 @@ Result<FilteredInputs> ExchangeFiltersAndPrune(const PartitionedTable& r,
   }));
 
   out.filter_traffic = fabric.traffic();
-  out.phase_seconds = fabric.phase_seconds();
   out.profile = BuildStepProfile("semi-join filter", fabric);
   return out;
 }

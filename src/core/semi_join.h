@@ -25,13 +25,12 @@ struct SemiJoinConfig {
 };
 
 /// The filter-exchange prologue: returns pruned copies of both tables plus
-/// the filter broadcast traffic and phase times, which the wrappers below
-/// fold into their results. Exposed for testing.
+/// the filter broadcast traffic and steps, which the wrappers below fold
+/// into their results. Exposed for testing.
 struct FilteredInputs {
   PartitionedTable r;
   PartitionedTable s;
   TrafficMatrix filter_traffic;
-  std::vector<std::pair<std::string, double>> phase_seconds;
   /// Step records of the filter exchange, spliced in front of the inner
   /// join's profile by the wrappers.
   StepProfile profile;

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/logging.h"
+#include "net/time_model.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -115,7 +116,6 @@ Status Fabric::RunPhaseReliable(const std::string& name,
     // straggler stretches the whole phase — on either wire path.
     elapsed += policy_.slowdown_seconds;
   }
-  phase_seconds_.emplace_back(name, elapsed);
   in_phase_ = false;
 
   // Arm a fresh failure report for this phase; every error path below adds
@@ -133,7 +133,8 @@ Status Fabric::RunPhaseReliable(const std::string& name,
       abandon();
       return Fail(Status(statuses[node].code(),
                          "phase '" + name + "' node " + std::to_string(node) +
-                             ": " + statuses[node].message()));
+                             ": " + statuses[node].message()),
+                  elapsed);
     }
   }
   if (injector_ && injector_->policy().crash_node < num_nodes_ &&
@@ -147,7 +148,7 @@ Status Fabric::RunPhaseReliable(const std::string& name,
     return Fail(Status::DataLoss(
         "node " + std::to_string(injector_->policy().crash_node) +
         " crashed (fail-stop) before completing phase " +
-        std::to_string(phase) + " '" + name + "'"));
+        std::to_string(phase) + " '" + name + "'"), elapsed);
   }
   if (straggling && phase_deadline_seconds_ > 0 &&
       policy_.slowdown_seconds > phase_deadline_seconds_) {
@@ -160,36 +161,40 @@ Status Fabric::RunPhaseReliable(const std::string& name,
         "phase '" + name + "': node " + std::to_string(policy_.slow_node) +
         " straggled " + std::to_string(policy_.slowdown_seconds) +
         "s past the " + std::to_string(phase_deadline_seconds_) +
-        "s phase deadline; promoted to suspected-dead"));
+        "s phase deadline; promoted to suspected-dead"), elapsed);
   }
   if (Status barrier = DeliverBarrier(name); !barrier.ok()) {
-    return Fail(std::move(barrier));
+    return Fail(std::move(barrier), elapsed);
   }
-  RecordPhaseStats(name, elapsed);
+  RecordStep(name, elapsed);
   return Status::OK();
 }
 
-Status Fabric::Fail(Status status) {
+Status Fabric::Fail(Status status, double wall_seconds) {
   if (diag_sink_ != nullptr) {
     diag_sink_->failure = failure_;
     diag_sink_->traffic = traffic_;
-    diag_sink_->phase_seconds = phase_seconds_;
+    diag_sink_->phase_seconds = PhaseSeconds(steps_);
+    diag_sink_->phase_seconds.emplace_back(failure_.phase, wall_seconds);
   }
   return status;
 }
 
-void Fabric::RecordPhaseStats(const std::string& name, double wall_seconds) {
-  PhaseStats stats;
-  stats.name = name;
-  stats.wall_seconds = wall_seconds;
+void Fabric::RecordStep(const std::string& name, double wall_seconds) {
+  StepRecord step;
+  step.phase = name;
+  step.wall_seconds = wall_seconds;
   for (int t = 0; t < kNumMessageTypes; ++t) {
     MessageType type = static_cast<MessageType>(t);
     uint64_t network = traffic_.NetworkBytes(type);
     uint64_t local = traffic_.LocalBytes(type);
     uint64_t retransmit = traffic_.RetransmitBytes(type);
-    stats.network_bytes[t] = network - seen_network_[t];
-    stats.local_bytes[t] = local - seen_local_[t];
-    stats.retransmit_bytes[t] = retransmit - seen_retransmit_[t];
+    step.network_bytes_by_type[t] = network - seen_network_[t];
+    step.local_bytes_by_type[t] = local - seen_local_[t];
+    step.retransmit_bytes_by_type[t] = retransmit - seen_retransmit_[t];
+    step.goodput_bytes += step.network_bytes_by_type[t];
+    step.local_bytes += step.local_bytes_by_type[t];
+    step.retransmit_bytes += step.retransmit_bytes_by_type[t];
     seen_network_[t] = network;
     seen_local_[t] = local;
     seen_retransmit_[t] = retransmit;
@@ -197,29 +202,28 @@ void Fabric::RecordPhaseStats(const std::string& name, double wall_seconds) {
   for (uint32_t node = 0; node < num_nodes_; ++node) {
     uint64_t ingress = traffic_.IngressBytes(node);
     uint64_t egress = traffic_.EgressBytes(node);
-    stats.max_node_bytes = std::max(
-        {stats.max_node_bytes, ingress - seen_ingress_[node],
+    step.max_node_bytes = std::max(
+        {step.max_node_bytes, ingress - seen_ingress_[node],
          egress - seen_egress_[node]});
     seen_ingress_[node] = ingress;
     seen_egress_[node] = egress;
   }
-  stats.retransmitted_frames =
+  step.net_seconds = NetworkTimeModel().NicSeconds(step.max_node_bytes);
+  step.retransmitted_frames =
       retransmitted_frames_ - seen_retransmitted_frames_;
-  stats.nack_messages = nack_messages_ - seen_nack_messages_;
+  step.nack_messages = nack_messages_ - seen_nack_messages_;
   seen_retransmitted_frames_ = retransmitted_frames_;
   seen_nack_messages_ = nack_messages_;
   if (injector_) {
     FaultCounters now = injector_->counters();
-    stats.faults.frames_dropped = now.frames_dropped - seen_faults_.frames_dropped;
-    stats.faults.frames_corrupted =
+    step.frames_dropped = now.frames_dropped - seen_faults_.frames_dropped;
+    step.frames_corrupted =
         now.frames_corrupted - seen_faults_.frames_corrupted;
-    stats.faults.frames_duplicated =
+    step.frames_duplicated =
         now.frames_duplicated - seen_faults_.frames_duplicated;
-    stats.faults.messages_reordered =
-        now.messages_reordered - seen_faults_.messages_reordered;
     seen_faults_ = now;
   }
-  phase_stats_.push_back(std::move(stats));
+  steps_.push_back(std::move(step));
   if (Tracer::enabled()) {
     // Cumulative per-node NIC counters, one sample per barrier: the trace
     // viewer renders these as step functions per node process.

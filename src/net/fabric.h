@@ -41,7 +41,6 @@
 #include <functional>
 #include <optional>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -128,36 +127,15 @@ class Fabric {
   /// in pristine mode.
   ReliabilityStats reliability() const;
 
-  /// Named per-phase wall-clock durations, in execution order.
-  const std::vector<std::pair<std::string, double>>& phase_seconds() const {
-    return phase_seconds_;
-  }
-
-  /// Phase-scoped instrumentation, captured once per successful barrier:
-  /// everything the phase put on the wire (as deltas of the run ledgers)
-  /// plus what the injector and the retry protocol did during it. Phases
-  /// are labeled here, at the barrier, so algorithms never thread profiling
+  /// One StepRecord per completed phase, in execution order, captured at
+  /// the barrier: everything the phase put on the wire (as deltas of the
+  /// run ledgers, net_seconds priced by the default NetworkTimeModel) plus
+  /// what the injector and the retry protocol did during it. Phases are
+  /// labeled here, at the barrier, so algorithms never thread profiling
   /// state through their per-node work. Purely observational — recording
-  /// never writes the TrafficMatrix or perturbs delivery.
-  struct PhaseStats {
-    std::string name;
-    double wall_seconds = 0;
-    /// max over nodes of max(ingress, egress) goodput this phase.
-    uint64_t max_node_bytes = 0;
-    uint64_t retransmitted_frames = 0;
-    uint64_t nack_messages = 0;
-    /// Injected-fault events observed during this phase.
-    FaultCounters faults;
-    /// Per-message-type byte deltas: network (src != dst) first sends,
-    /// local copies, and recovery overhead.
-    std::array<uint64_t, kNumMessageTypes> network_bytes{};
-    std::array<uint64_t, kNumMessageTypes> local_bytes{};
-    std::array<uint64_t, kNumMessageTypes> retransmit_bytes{};
-  };
-
-  /// One entry per completed phase, in execution order. Failed phases are
+  /// never writes the TrafficMatrix or perturbs delivery. Failed phases are
   /// not recorded (callers abandon the fabric on error).
-  const std::vector<PhaseStats>& phase_stats() const { return phase_stats_; }
+  const std::vector<StepRecord>& steps() const { return steps_; }
 
  private:
   struct Pending {
@@ -183,13 +161,14 @@ class Fabric {
   Status DeliverBarrier(const std::string& name);
 
   /// Funnels every phase-failure Status through one place: copies the
-  /// failure report, traffic and phase times into the diagnostics sink (if
+  /// failure report, traffic and phase times — the completed steps, then
+  /// the failed phase's `wall_seconds` — into the diagnostics sink (if
   /// any), then returns `status` unchanged.
-  Status Fail(Status status);
+  Status Fail(Status status, double wall_seconds);
 
-  /// Appends this phase's PhaseStats entry by diffing the run ledgers
-  /// against the snapshots taken at the previous barrier.
-  void RecordPhaseStats(const std::string& name, double wall_seconds);
+  /// Appends this phase's StepRecord by diffing the run ledgers against
+  /// the snapshots taken at the previous barrier.
+  void RecordStep(const std::string& name, double wall_seconds);
 
   uint32_t num_nodes_;
   ThreadPool* pool_ = nullptr;
@@ -205,12 +184,11 @@ class Fabric {
   /// frames (post-injector); otherwise raw payloads.
   std::vector<std::vector<Pending>> queued_;
   std::vector<std::vector<Message>> inboxes_;
-  std::vector<std::pair<std::string, double>> phase_seconds_;
   bool in_phase_ = false;
 
   // Phase-scoped instrumentation: per-phase records plus the ledger
   // snapshots ("state at the last barrier") the deltas are diffed against.
-  std::vector<PhaseStats> phase_stats_;
+  std::vector<StepRecord> steps_;
   std::array<uint64_t, kNumMessageTypes> seen_network_{};
   std::array<uint64_t, kNumMessageTypes> seen_local_{};
   std::array<uint64_t, kNumMessageTypes> seen_retransmit_{};

@@ -75,15 +75,15 @@ uint64_t PipelinedFabric::DrrQuantumBytes() const {
 }
 
 uint32_t PipelinedFabric::StageIndex(const char* stage) {
-  for (uint32_t i = 0; i < stages_.size(); ++i) {
-    if (stages_[i].name == stage) return i;
+  for (uint32_t i = 0; i < steps_.size(); ++i) {
+    if (steps_[i].phase == stage) return i;
   }
-  stages_.push_back(StageStats{});
-  stages_.back().name = stage;
+  steps_.push_back(StepRecord{});
+  steps_.back().phase = stage;
   stage_node_cpu_.emplace_back(params_.num_nodes, 0.0);
   stage_node_in_.emplace_back(params_.num_nodes, 0);
   stage_node_out_.emplace_back(params_.num_nodes, 0);
-  return static_cast<uint32_t>(stages_.size() - 1);
+  return static_cast<uint32_t>(steps_.size() - 1);
 }
 
 void PipelinedFabric::OnChunk(MessageType type, const char* stage,
@@ -233,7 +233,6 @@ void PipelinedFabric::TryStartTask(uint32_t node, double now) {
   const double finish = start + dur;
   const uint32_t stage = tasks_[index].stage;
   stage_node_cpu_[stage][node] += dur;
-  stages_[stage].cpu_seconds_total += dur;
   task_timing_[index].start = start;
   task_timing_[index].finish = finish;
 
@@ -301,11 +300,10 @@ void PipelinedFabric::AdmitChunk(uint64_t chunk_index, double ready) {
   if (chunk.src == chunk.dst) {
     // Local copy: no NIC, no credit; the ledger's src == dst cells are the
     // local-copy side.
-    const uint32_t stage = chunk_stage_[chunk_index];
+    StepRecord& step = steps_[chunk_stage_[chunk_index]];
     traffic_.Add(chunk.src, chunk.dst, chunk.type, chunk.data.size());
-    stages_[stage].local_bytes += chunk.data.size();
-    stages_[stage]
-        .local_bytes_by_type[static_cast<int>(chunk.type)] +=
+    step.local_bytes += chunk.data.size();
+    step.local_bytes_by_type[static_cast<int>(chunk.type)] +=
         chunk.data.size();
     timing.head = ready;
     timing.grant = ready;
@@ -387,8 +385,8 @@ void PipelinedFabric::AccountGrant(uint64_t chunk_index, double ready) {
   // Accounting happens at credit grant under both egress policies, so the
   // ledgers cannot depend on NIC scheduling order.
   traffic_.Add(chunk.src, chunk.dst, chunk.type, wire);
-  stages_[stage].network_bytes += wire;
-  stages_[stage].network_bytes_by_type[static_cast<int>(chunk.type)] += wire;
+  steps_[stage].goodput_bytes += wire;
+  steps_[stage].network_bytes_by_type[static_cast<int>(chunk.type)] += wire;
   stage_node_out_[stage][chunk.src] += wire;
   stage_node_in_[stage][chunk.dst] += wire;
 
@@ -682,7 +680,7 @@ Status PipelinedFabric::Run() {
         TaskRecord task;
         task.node = chunk.dst;
         task.stage = handler->first;
-        task.label = std::string(stages_[handler->first].name) + "." +
+        task.label = steps_[handler->first].phase + "." +
                      MessageTypeName(chunk.type);
         task.trace_args = {
             {"src", static_cast<int64_t>(chunk.src)},
@@ -717,17 +715,17 @@ Status PipelinedFabric::Run() {
   }
 
   // Finalize per-stage maxima now that accounting is complete.
-  for (uint32_t s = 0; s < stages_.size(); ++s) {
-    StageStats& stage = stages_[s];
-    stage.max_node_cpu_seconds = 0;
-    stage.max_node_bytes = 0;
+  for (uint32_t s = 0; s < steps_.size(); ++s) {
+    StepRecord& step = steps_[s];
+    step.wall_seconds = 0;
+    step.max_node_bytes = 0;
     for (uint32_t node = 0; node < params_.num_nodes; ++node) {
-      stage.max_node_cpu_seconds =
-          std::max(stage.max_node_cpu_seconds, stage_node_cpu_[s][node]);
-      stage.max_node_bytes =
-          std::max(stage.max_node_bytes,
+      step.wall_seconds = std::max(step.wall_seconds, stage_node_cpu_[s][node]);
+      step.max_node_bytes =
+          std::max(step.max_node_bytes,
                    std::max(stage_node_in_[s][node], stage_node_out_[s][node]));
     }
+    step.net_seconds = params_.cost.TransferSeconds(step.max_node_bytes);
   }
 
   if (Tracer::enabled()) {
@@ -743,7 +741,7 @@ Status PipelinedFabric::Run() {
     barrier_event.category = "mb";
     barrier_event.phase = 'C';
     barrier_event.t_start_us = ToMicros(makespan_seconds_);
-    barrier_event.value = ToMicros(barrier_makespan_seconds());
+    barrier_event.value = ToMicros(BarrierSeconds(steps_));
     Tracer::Global().Record(barrier_event);
   }
 
@@ -756,21 +754,6 @@ Status PipelinedFabric::Run() {
         std::to_string(params_.fault_policy->max_retries) + " retries");
   }
   return Status::OK();
-}
-
-double PipelinedFabric::barrier_makespan_seconds() const {
-  double total = 0;
-  for (uint32_t s = 0; s < stages_.size(); ++s) {
-    double max_cpu = 0;
-    uint64_t max_nic = 0;
-    for (uint32_t node = 0; node < params_.num_nodes; ++node) {
-      max_cpu = std::max(max_cpu, stage_node_cpu_[s][node]);
-      max_nic = std::max(max_nic, std::max(stage_node_in_[s][node],
-                                           stage_node_out_[s][node]));
-    }
-    total += max_cpu + params_.cost.TransferSeconds(max_nic);
-  }
-  return total;
 }
 
 ReliabilityStats PipelinedFabric::reliability() const {

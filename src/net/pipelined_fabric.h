@@ -164,13 +164,6 @@ class PipelinedFabric {
   /// Modeled end-to-end seconds: the time the last event completed.
   double makespan_seconds() const { return makespan_seconds_; }
 
-  /// Barrier-equivalent reference computed from this run's own per-stage
-  /// accounting: sum over stages of (max-node CPU seconds + busiest-NIC
-  /// transfer seconds). This is what the same work would cost if every
-  /// stage were separated by global barriers — the de-pipelined number the
-  /// makespan is gated against.
-  double barrier_makespan_seconds() const;
-
   const TrafficMatrix& traffic() const { return traffic_; }
   ReliabilityStats reliability() const;
   const FailureReport& failure() const { return failure_; }
@@ -178,23 +171,16 @@ class PipelinedFabric {
   /// Times a chunk found its link without credit and had to queue.
   uint64_t credit_stall_events() const { return credit_stall_events_; }
 
-  /// Per-stage accounting (stages in first-use order).
-  struct StageStats {
-    std::string name;
-    /// Modeled CPU seconds, summed over nodes / busiest node.
-    double cpu_seconds_total = 0;
-    double max_node_cpu_seconds = 0;
-    /// First-transmission bytes sent by tasks of this stage.
-    uint64_t network_bytes = 0;
-    uint64_t local_bytes = 0;
-    /// max over nodes of max(ingress, egress) goodput in this stage.
-    uint64_t max_node_bytes = 0;
-    std::array<uint64_t, kNumMessageTypes> network_bytes_by_type{};
-    std::array<uint64_t, kNumMessageTypes> local_bytes_by_type{};
-  };
-  const std::vector<StageStats>& stage_stats() const { return stages_; }
+  /// One StepRecord per stage (stages in first-use order), complete once
+  /// Run() returns: wall_seconds is the busiest node's modeled CPU seconds
+  /// in the stage, the byte fields count first transmissions sent by the
+  /// stage's tasks, and net_seconds prices the stage's busiest NIC. Stages
+  /// overlap, so these steps do not add up to the makespan; their
+  /// BarrierSeconds is what the same work would cost if every stage were
+  /// separated by global barriers.
+  const std::vector<StepRecord>& steps() const { return steps_; }
 
-  /// Pre-registers a stage so stage_stats() lists it in declaration order
+  /// Pre-registers a stage so steps() lists it in declaration order
   /// even when its first task only runs mid-simulation.
   void DeclareStage(const char* stage) { StageIndex(stage); }
 
@@ -269,7 +255,7 @@ class PipelinedFabric {
     return chunk_timing_;
   }
   const std::string& stage_name(uint32_t stage) const {
-    return stages_[stage].name;
+    return steps_[stage].phase;
   }
   const std::string& task_label(uint64_t task) const {
     return tasks_[task].label;
@@ -334,7 +320,7 @@ class PipelinedFabric {
   /// returns handler credit, drains the link's blocked queue.
   void FinishTask(uint32_t node, double now);
   /// Ledger effects of a credit grant: first-transmission traffic and
-  /// stage accounting, timing.grant, the credit-stall histogram. Shared by
+  /// the stage's step, timing.grant, the credit-stall histogram. Shared by
   /// both egress policies so the byte ledgers are identical by construction.
   void AccountGrant(uint64_t chunk_index, double ready);
   /// kFifo: eagerly reserves the NIC pair in grant order and transmits.
@@ -380,7 +366,7 @@ class PipelinedFabric {
 
   Params params_;
   TrafficMatrix traffic_;
-  std::vector<StageStats> stages_;
+  std::vector<StepRecord> steps_;  ///< Indexed by stage.
   std::vector<std::vector<double>> stage_node_cpu_;      // [stage][node]
   std::vector<std::vector<uint64_t>> stage_node_in_;     // [stage][node]
   std::vector<std::vector<uint64_t>> stage_node_out_;    // [stage][node]

@@ -20,11 +20,15 @@ struct NetworkTimeModel {
   /// Default: the paper's measured 0.093 GB/s real edge rate.
   double node_bandwidth_bytes_per_sec = 0.093e9;
 
+  /// Seconds one NIC needs to move `bytes` in one direction.
+  double NicSeconds(uint64_t bytes) const {
+    return static_cast<double>(bytes) / node_bandwidth_bytes_per_sec;
+  }
+
   /// Seconds to complete the transfers described by `traffic`, assuming all
   /// node pairs transfer concurrently: the slowest NIC decides.
   double BottleneckSeconds(const TrafficMatrix& traffic) const {
-    return static_cast<double>(traffic.MaxNodeBytes()) /
-           node_bandwidth_bytes_per_sec;
+    return NicSeconds(traffic.MaxNodeBytes());
   }
 
   /// Seconds if the cluster's links never overlap (upper bound):

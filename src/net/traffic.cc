@@ -261,6 +261,20 @@ std::string TrafficMatrix::Report() const {
   return out;
 }
 
+std::vector<std::pair<std::string, double>> PhaseSeconds(
+    const std::vector<StepRecord>& steps) {
+  std::vector<std::pair<std::string, double>> out;
+  out.reserve(steps.size());
+  for (const StepRecord& s : steps) out.emplace_back(s.phase, s.wall_seconds);
+  return out;
+}
+
+double BarrierSeconds(const std::vector<StepRecord>& steps) {
+  double total = 0;
+  for (const StepRecord& s : steps) total += s.wall_seconds + s.net_seconds;
+  return total;
+}
+
 std::string FormatBytes(uint64_t bytes) {
   char buf[64];
   double b = static_cast<double>(bytes);

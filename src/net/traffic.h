@@ -5,11 +5,18 @@
 // Local copies (src == dst) are tracked separately and never count as
 // network traffic — the paper's cost analysis treats in-place transfers as
 // free, and its step tables report them as separate "local copy" rows.
+//
+// A StepRecord holds one phase's deltas of those ledgers. Both fabrics
+// append one per phase (barrier fabric) or stage (pipelined fabric), and
+// they are the only per-phase record: profiles, phase-time lists and the
+// barrier-equivalent time are all read off them.
 #ifndef TJ_NET_TRAFFIC_H_
 #define TJ_NET_TRAFFIC_H_
 
+#include <array>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "net/message.h"
@@ -153,6 +160,64 @@ class TrafficMatrix {
   std::vector<uint64_t> retrans_cells_;
   std::vector<uint64_t> recovery_cells_;
 };
+
+/// One de-pipelined join step: what one phase cost on the CPU side, what it
+/// put on the (simulated) wire, and what the fault protocol did to recover.
+struct StepRecord {
+  std::string phase;
+
+  /// CPU seconds of the phase. Barrier fabric: measured wall seconds, all
+  /// nodes, barrier to barrier (the de-pipelined step time of Tables 3/4).
+  /// Pipelined fabric: the busiest node's modeled CPU seconds in the stage.
+  double wall_seconds = 0;
+  /// Modeled transfer seconds for this step: the phase's busiest NIC
+  /// through the fabric's network bandwidth.
+  double net_seconds = 0;
+
+  /// First-transmission network bytes (src != dst) this phase.
+  uint64_t goodput_bytes = 0;
+  /// Local (src == dst) copy bytes this phase.
+  uint64_t local_bytes = 0;
+  /// Fault-recovery overhead this phase: retransmitted frames, injected
+  /// duplicate copies and ack/nack control messages.
+  uint64_t retransmit_bytes = 0;
+  /// The phase's NIC bottleneck: max over nodes of max(ingress, egress)
+  /// goodput during this phase.
+  uint64_t max_node_bytes = 0;
+
+  /// Recovery-protocol work during this phase's barrier.
+  uint64_t retransmitted_frames = 0;
+  uint64_t nack_messages = 0;
+  /// Injected faults observed during this phase.
+  uint64_t frames_dropped = 0;
+  uint64_t frames_corrupted = 0;
+  uint64_t frames_duplicated = 0;
+
+  /// Per-message-type splits of the three byte ledgers above.
+  std::array<uint64_t, kNumMessageTypes> network_bytes_by_type{};
+  std::array<uint64_t, kNumMessageTypes> local_bytes_by_type{};
+  std::array<uint64_t, kNumMessageTypes> retransmit_bytes_by_type{};
+
+  uint64_t NetworkBytes(MessageType type) const {
+    return network_bytes_by_type[static_cast<int>(type)];
+  }
+  uint64_t LocalBytes(MessageType type) const {
+    return local_bytes_by_type[static_cast<int>(type)];
+  }
+  uint64_t RetransmitBytes(MessageType type) const {
+    return retransmit_bytes_by_type[static_cast<int>(type)];
+  }
+};
+
+/// The (phase, wall_seconds) projection of `steps`, in step order.
+std::vector<std::pair<std::string, double>> PhaseSeconds(
+    const std::vector<StepRecord>& steps);
+
+/// Barrier-equivalent seconds: what the steps cost run back to back, each
+/// one's CPU work then its transfers — the sum over steps of
+/// wall_seconds + net_seconds, in step order. A pipelined run's makespan is
+/// gated against this.
+double BarrierSeconds(const std::vector<StepRecord>& steps);
 
 /// Pretty-prints a byte count as "12.34 GiB" / "56.7 MiB" / "890 B".
 std::string FormatBytes(uint64_t bytes);

@@ -1,8 +1,6 @@
 #include "obs/step_profile.h"
 
-#include <algorithm>
 #include <cstdio>
-#include <numeric>
 
 #include "net/fabric.h"
 #include "obs/metrics.h"
@@ -11,10 +9,6 @@
 namespace tj {
 
 namespace {
-
-uint64_t Sum(const std::array<uint64_t, kNumMessageTypes>& a) {
-  return std::accumulate(a.begin(), a.end(), uint64_t{0});
-}
 
 void AppendJsonString(const std::string& s, std::string* out) {
   AppendJsonEscaped(s, out);
@@ -113,46 +107,22 @@ double StepProfile::WallSeconds(const std::string& phase) const {
 
 void StepProfile::ApplyTimeModel(const NetworkTimeModel& model) {
   for (StepRecord& s : steps) {
-    s.net_seconds = static_cast<double>(s.max_node_bytes) /
-                    model.node_bandwidth_bytes_per_sec;
+    s.net_seconds = model.NicSeconds(s.max_node_bytes);
   }
 }
 
 void StepProfile::Prepend(const StepProfile& prologue) {
   steps.insert(steps.begin(), prologue.steps.begin(), prologue.steps.end());
-  run_max_node_bytes = std::max(run_max_node_bytes,
-                                prologue.run_max_node_bytes);
 }
 
 StepProfile BuildStepProfile(const std::string& algorithm,
-                             const Fabric& fabric,
-                             const NetworkTimeModel& model) {
+                             const Fabric& fabric) {
   StepProfile profile;
   profile.algorithm = algorithm;
   profile.num_nodes = fabric.num_nodes();
   profile.run_max_node_bytes = fabric.traffic().MaxNodeBytes();
   profile.recovery_bytes = fabric.traffic().TotalRecoveryBytes();
-  profile.steps.reserve(fabric.phase_stats().size());
-  for (const Fabric::PhaseStats& st : fabric.phase_stats()) {
-    StepRecord rec;
-    rec.phase = st.name;
-    rec.wall_seconds = st.wall_seconds;
-    rec.network_bytes_by_type = st.network_bytes;
-    rec.local_bytes_by_type = st.local_bytes;
-    rec.retransmit_bytes_by_type = st.retransmit_bytes;
-    rec.goodput_bytes = Sum(st.network_bytes);
-    rec.local_bytes = Sum(st.local_bytes);
-    rec.retransmit_bytes = Sum(st.retransmit_bytes);
-    rec.max_node_bytes = st.max_node_bytes;
-    rec.net_seconds = static_cast<double>(st.max_node_bytes) /
-                      model.node_bandwidth_bytes_per_sec;
-    rec.retransmitted_frames = st.retransmitted_frames;
-    rec.nack_messages = st.nack_messages;
-    rec.frames_dropped = st.faults.frames_dropped;
-    rec.frames_corrupted = st.faults.frames_corrupted;
-    rec.frames_duplicated = st.faults.frames_duplicated;
-    profile.steps.push_back(std::move(rec));
-  }
+  profile.steps = fabric.steps();
 
   MetricsRegistry& metrics = MetricsRegistry::Global();
   metrics.counter("join.runs").Increment();

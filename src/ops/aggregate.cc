@@ -141,7 +141,7 @@ Result<AggregateResult> TryRunDistributedAggregate(
   }));
 
   result.traffic = fabric.traffic();
-  result.phase_seconds = fabric.phase_seconds();
+  result.phase_seconds = PhaseSeconds(fabric.steps());
   result.groups = result.output.TotalRows();
   return result;
 }

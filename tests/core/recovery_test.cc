@@ -94,10 +94,6 @@ TEST(RecoveryTest, CrashFailoverMatchesPristineChecksum) {
   // recovery ledger may name it as a source.
   EXPECT_EQ(run->traffic.EgressBytes(2), 0u);
   EXPECT_EQ(run->traffic.IngressBytes(2), 0u);
-  // Checkpoints cover both attempts in execution order.
-  ASSERT_FALSE(report.checkpoints.empty());
-  EXPECT_EQ(report.checkpoints.front().attempt, 0u);
-  EXPECT_EQ(report.checkpoints.back().attempt, 1u);
 }
 
 TEST(RecoveryTest, DeadlinePromotesStragglerAndFailsOver) {

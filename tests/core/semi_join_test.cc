@@ -94,6 +94,25 @@ TEST(SemiJoinTest, TrackJoinTrackingShrinksButTuplesUnchanged) {
             plain.traffic.NetworkBytes(TrafficClass::kSTuples));
 }
 
+TEST(SemiJoinTest, ProfileBottleneckIsTheMergedMatrix) {
+  // The filter broadcast and the inner join stress different NICs, so the
+  // merged run's bottleneck is not the larger of the two runs' bottlenecks.
+  WorkloadSpec spec;
+  spec.num_nodes = 4;
+  spec.matched_keys = 2000;
+  spec.r_multiplicity = 2;
+  spec.s_multiplicity = 3;
+  spec.r_unmatched = 3000;
+  spec.s_unmatched = 3000;
+  Workload w = GenerateWorkload(spec);
+  JoinResult hj =
+      ValueOrDie(TryRunFilteredHashJoin(w.r, w.s, TestConfig(), {}));
+  EXPECT_EQ(hj.profile.run_max_node_bytes, hj.traffic.MaxNodeBytes());
+  JoinResult tj = ValueOrDie(TryRunFilteredTrackJoin(
+      w.r, w.s, TestConfig(), {}, TrackJoinVersion::k4Phase));
+  EXPECT_EQ(tj.profile.run_max_node_bytes, tj.traffic.MaxNodeBytes());
+}
+
 TEST(SemiJoinTest, NonSelectiveInputsGainNothing) {
   WorkloadSpec spec;
   spec.num_nodes = 4;

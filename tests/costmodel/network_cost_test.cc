@@ -100,6 +100,9 @@ TEST(NetworkCostTest, FilteredCostsGrowWithError) {
   double f2tj_tight = FilteredTrackJoin2Cost(stats, 1.25, 0.01);
   double f2tj_loose = FilteredTrackJoin2Cost(stats, 1.25, 0.2);
   EXPECT_LT(f2tj_tight, f2tj_loose);
+  double flate_tight = FilteredLateMaterializedHashJoinCost(stats, 1.25, 0.01);
+  double flate_loose = FilteredLateMaterializedHashJoinCost(stats, 1.25, 0.2);
+  EXPECT_LT(flate_tight, flate_loose);
 }
 
 TEST(NetworkCostTest, SelectiveTrackJoinSkipsNonMatching) {

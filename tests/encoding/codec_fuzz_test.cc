@@ -9,7 +9,6 @@
 #include "common/rng.h"
 #include "encoding/bitpack.h"
 #include "encoding/delta.h"
-#include "encoding/dictionary.h"
 #include "encoding/node_group.h"
 #include "encoding/prefix_group.h"
 #include "encoding/varint.h"
@@ -130,16 +129,6 @@ TEST_P(CodecFuzzTest, NodeGroup) {
     return p;
   };
   EXPECT_EQ(canon(decoded), canon(pairs));
-}
-
-TEST_P(CodecFuzzTest, Dictionary) {
-  auto values = MakeValues(1000);
-  Dictionary dict = Dictionary::Build(values);
-  for (uint64_t v : values) {
-    auto code = dict.Encode(v);
-    ASSERT_TRUE(code.ok());
-    ASSERT_EQ(dict.Decode(*code), v);
-  }
 }
 
 INSTANTIATE_TEST_SUITE_P(SeedsAndDistributions, CodecFuzzTest,
@@ -264,56 +253,6 @@ TEST(CodecMalformedTest, PrefixGroupCountOverflow) {
   std::vector<uint64_t> out;
   EXPECT_EQ(TryPrefixGroupDecode(&reader, 20, 8, &out).code(),
             StatusCode::kCorruption);
-}
-
-TEST(CodecMalformedTest, DictionaryBitFlips) {
-  std::vector<uint64_t> values = {7, 42, 1000, 65536, 1ULL << 40};
-  Dictionary dict = Dictionary::Build(values);
-  ByteBuffer page;
-  dict.Serialize(&page);
-
-  Result<Dictionary> good = Dictionary::Deserialize(page);
-  ASSERT_TRUE(good.ok());
-
-  // Flip every bit of the page: each either still parses to a dictionary
-  // (a benign value change) or reports Corruption. It must never crash,
-  // read out of bounds, or abort.
-  for (size_t byte = 0; byte < page.size(); ++byte) {
-    for (int bit = 0; bit < 8; ++bit) {
-      ByteBuffer flipped = page;
-      flipped[byte] ^= static_cast<uint8_t>(1u << bit);
-      Result<Dictionary> parsed = Dictionary::Deserialize(flipped);
-      if (!parsed.ok()) {
-        EXPECT_EQ(parsed.status().code(), StatusCode::kCorruption)
-            << "byte=" << byte << " bit=" << bit;
-      }
-    }
-  }
-
-  // Truncations, too: the count byte survives every cut below, so the page
-  // always promises more values than the remaining bytes can hold.
-  for (size_t cut = 1; cut < page.size(); ++cut) {
-    ByteBuffer trunc;
-    trunc.insert(trunc.end(), page.begin(), page.begin() + cut);
-    Result<Dictionary> parsed = Dictionary::Deserialize(trunc);
-    ASSERT_FALSE(parsed.ok()) << "cut=" << cut;
-    EXPECT_EQ(parsed.status().code(), StatusCode::kCorruption);
-  }
-}
-
-TEST(CodecMalformedTest, DictionaryRoundTrip) {
-  std::vector<uint64_t> values = {1, 2, 3, 500, 1ULL << 33};
-  Dictionary dict = Dictionary::Build(values);
-  ByteBuffer page;
-  dict.Serialize(&page);
-  Result<Dictionary> parsed = Dictionary::Deserialize(page);
-  ASSERT_TRUE(parsed.ok());
-  EXPECT_EQ(parsed->size(), dict.size());
-  for (uint64_t v : values) {
-    auto code = parsed->Encode(v);
-    ASSERT_TRUE(code.ok());
-    EXPECT_EQ(parsed->Decode(*code), v);
-  }
 }
 
 }  // namespace

@@ -100,11 +100,11 @@ TEST(FabricTest, PhaseTimesRecorded) {
   Fabric fabric(2);
   ASSERT_TRUE(fabric.RunPhaseReliable("a", Idle).ok());
   ASSERT_TRUE(fabric.RunPhaseReliable("b", Idle).ok());
-  const auto& phases = fabric.phase_seconds();
-  ASSERT_EQ(phases.size(), 2u);
-  EXPECT_EQ(phases[0].first, "a");
-  EXPECT_EQ(phases[1].first, "b");
-  EXPECT_GE(phases[0].second, 0.0);
+  const auto& steps = fabric.steps();
+  ASSERT_EQ(steps.size(), 2u);
+  EXPECT_EQ(steps[0].phase, "a");
+  EXPECT_EQ(steps[1].phase, "b");
+  EXPECT_GE(steps[0].wall_seconds, 0.0);
 }
 
 TEST(FabricTest, NodesRunInOrder) {

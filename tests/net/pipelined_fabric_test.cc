@@ -41,9 +41,8 @@ TEST(PipelinedFabricTest, TasksAccumulateModeledCpuTime) {
   });
   ASSERT_TRUE(fabric.Run().ok());
   EXPECT_DOUBLE_EQ(fabric.makespan_seconds(), 1.5);
-  ASSERT_EQ(fabric.stage_stats().size(), 1u);
-  EXPECT_DOUBLE_EQ(fabric.stage_stats()[0].cpu_seconds_total, 1.5);
-  EXPECT_DOUBLE_EQ(fabric.stage_stats()[0].max_node_cpu_seconds, 1.5);
+  ASSERT_EQ(fabric.steps().size(), 1u);
+  EXPECT_DOUBLE_EQ(fabric.steps()[0].wall_seconds, 1.5);
 }
 
 TEST(PipelinedFabricTest, TransferFollowsSendingTaskAndHoldsBothNics) {
@@ -189,8 +188,8 @@ TEST(PipelinedFabricTest, BarrierReferenceSumsStageMaximaAndMakespanBeatsIt) {
   EXPECT_NEAR(fabric.makespan_seconds(), 2.5, 1e-9);
   // Barrier reference: produce (1 s cpu + 1 s for 100 bytes out) + recv
   // (1 s cpu) = 3 s.
-  EXPECT_NEAR(fabric.barrier_makespan_seconds(), 3.0, 1e-9);
-  EXPECT_LT(fabric.makespan_seconds(), fabric.barrier_makespan_seconds());
+  EXPECT_NEAR(BarrierSeconds(fabric.steps()), 3.0, 1e-9);
+  EXPECT_LT(fabric.makespan_seconds(), BarrierSeconds(fabric.steps()));
 }
 
 TEST(PipelinedFabricTest, DeterministicAcrossRuns) {

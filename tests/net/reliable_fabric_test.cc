@@ -278,8 +278,8 @@ TEST(ReliableFabricTest, SlowNodeStretchesPhaseTime) {
   Status status =
       fabric.RunPhaseReliable("slow", [&](uint32_t) { return Status::OK(); });
   ASSERT_TRUE(status.ok());
-  ASSERT_EQ(fabric.phase_seconds().size(), 1u);
-  EXPECT_GE(fabric.phase_seconds()[0].second, 1.5);
+  ASSERT_EQ(fabric.steps().size(), 1u);
+  EXPECT_GE(fabric.steps()[0].wall_seconds, 1.5);
 }
 
 // A straggler perturbs modeled time only, never delivery: the policy is not
@@ -314,8 +314,8 @@ TEST(ReliableFabricTest, StragglerModeledAlongsideActiveFaults) {
   Status status =
       fabric.RunPhaseReliable("slow", [&](uint32_t) { return Status::OK(); });
   ASSERT_TRUE(status.ok());
-  ASSERT_EQ(fabric.phase_seconds().size(), 1u);
-  EXPECT_GE(fabric.phase_seconds()[0].second, 1.5);
+  ASSERT_EQ(fabric.steps().size(), 1u);
+  EXPECT_GE(fabric.steps()[0].wall_seconds, 1.5);
 }
 
 // --- Deadline promotion ---------------------------------------------------
@@ -340,6 +340,12 @@ TEST(ReliableFabricTest, DeadlinePromotesStragglerToSuspectedDead) {
   // The diagnostics sink got the same report for out-of-band consumers.
   EXPECT_EQ(diag.failure.suspected_nodes, (std::vector<uint32_t>{1}));
   EXPECT_EQ(diag.failure.phase, "scan");
+  // The failed phase records no step, but its burned time still reaches
+  // the diagnostics, as the last phase entry.
+  EXPECT_TRUE(fabric.steps().empty());
+  ASSERT_EQ(diag.phase_seconds.size(), 1u);
+  EXPECT_EQ(diag.phase_seconds[0].first, "scan");
+  EXPECT_GE(diag.phase_seconds[0].second, 3.0);
 }
 
 TEST(ReliableFabricTest, StragglerWithinDeadlineJustRunsSlow) {
@@ -353,7 +359,7 @@ TEST(ReliableFabricTest, StragglerWithinDeadlineJustRunsSlow) {
       fabric.RunPhaseReliable("scan", [&](uint32_t) { return Status::OK(); });
   ASSERT_TRUE(status.ok());
   EXPECT_TRUE(fabric.failure().empty());
-  EXPECT_GE(fabric.phase_seconds()[0].second, 0.5);
+  EXPECT_GE(fabric.steps()[0].wall_seconds, 0.5);
 }
 
 // --- Structured failure reports -------------------------------------------

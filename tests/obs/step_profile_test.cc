@@ -47,7 +47,7 @@ void CheckProfileMatchesRun(const std::string& label, const JoinResult& r) {
   ASSERT_FALSE(prof.steps.empty());
 
   // Wall time: the profile carries the same per-phase times in the same
-  // order as the legacy phase_seconds list.
+  // order as the phase_seconds projection.
   ASSERT_EQ(prof.steps.size(), r.phase_seconds.size());
   for (size_t i = 0; i < prof.steps.size(); ++i) {
     EXPECT_EQ(prof.steps[i].phase, r.phase_seconds[i].first);

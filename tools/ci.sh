@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # CI gate: lint src/ for infallible wrappers, build and run the test suite
-# under ASan and UBSan, and run the thread-pool and pipelined tests under
-# TSan. The tjsim CLI smokes (schema pins, exit codes, recovery) are ctest
-# entries in the integration and fault labels, so they run sanitized here.
+# under ASan and UBSan, and run the thread-pool, fabric and pipelined tests
+# under TSan. The tjsim CLI smokes (schema pins, exit codes, recovery) are
+# ctest entries in the integration and fault labels, so they run sanitized
+# here.
 #
 #   tools/ci.sh            # default gates: address + undefined
 #   tools/ci.sh address    # just one sanitizer
@@ -79,17 +80,20 @@ done
 
 # The batch-scoped ParallelFor is lock-order sensitive; run its tests (and
 # the rest of tj_common's concurrency surface) under TSan even when the
-# caller only asked for the default sanitizers. The pipelined fabric's
-# event loop and credit accounting ride along: the fabric is specified as
-# single-threaded, and TSan proves the implementation never quietly grows
-# a second thread.
+# caller only asked for the default sanitizers. The barrier fabric's
+# thread-pooled phases (per-node send queues and traffic rows, the
+# per-phase step records at each barrier) run here too. The pipelined
+# fabric's event loop and credit accounting ride along: the fabric is
+# specified as single-threaded, and TSan proves the implementation never
+# quietly grows a second thread.
 if [[ ! " ${sanitizers[*]} " == *" thread "* ]]; then
-  echo "=== thread: thread_pool + pipelined fabric tests under TSan (build-tsan) ==="
+  echo "=== thread: thread_pool + fabric tests under TSan (build-tsan) ==="
   cmake -B build-tsan -S . -DTJ_SANITIZE=thread "${launcher_flags[@]}" >/dev/null
   cmake --build build-tsan -j "$(nproc)" --target thread_pool_test \
-      pipelined_fabric_test pipelined_track_join_test egress_sched_test
+      fabric_test parallel_fabric_test pipelined_fabric_test \
+      pipelined_track_join_test egress_sched_test
   ctest --test-dir build-tsan \
-      -R 'thread_pool_test|pipelined_fabric_test|pipelined_track_join_test|egress_sched_test' \
+      -R '^(thread_pool_test|fabric_test|parallel_fabric_test|pipelined_fabric_test|pipelined_track_join_test|egress_sched_test)$' \
       --output-on-failure
 fi
 
