@@ -34,7 +34,9 @@ void BM_DeltaDecode(benchmark::State& state) {
   DeltaEncode(keys, false, &buf);
   for (auto _ : state) {
     ByteReader reader(buf);
-    auto decoded = DeltaDecode(&reader);
+    std::vector<uint64_t> decoded;
+    Status status = TryDeltaDecode(&reader, &decoded);
+    benchmark::DoNotOptimize(status.ok());
     benchmark::DoNotOptimize(decoded.size());
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));

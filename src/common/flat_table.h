@@ -4,10 +4,9 @@
 // location tables) are keyed by uint64_t join keys and dominated by lookup
 // and insert throughput. std::unordered_map pays a heap node per entry and
 // a pointer chase per probe; these tables keep all slots in one contiguous
-// array with a one-byte control sidecar (empty / full / tombstone), probe
-// linearly from a MurmurHash3-mixed start slot, and grow by power-of-two
-// rehash at 7/8 load. Erase writes a tombstone; inserts reuse the first
-// tombstone on their probe path, and rehash drops tombstones entirely.
+// array with a one-byte control sidecar (empty / full), probe linearly
+// from a MurmurHash3-mixed start slot, and grow by power-of-two rehash at
+// 7/8 load. Entries are only ever inserted, never erased.
 //
 // Iteration (ForEach) walks slot order, which depends on the hash layout —
 // like unordered_map, callers needing a canonical order must sort.
@@ -53,33 +52,9 @@ class FlatMap {
   }
   bool Contains(uint64_t key) const { return FindSlot(key) != kNoSlot; }
 
-  /// Removes `key` if present (tombstoning its slot). Returns whether a
-  /// mapping was removed.
-  bool Erase(uint64_t key) {
-    size_t slot = FindSlot(key);
-    if (slot == kNoSlot) return false;
-    ctrl_[slot] = kTombstone;
-    slots_[slot].value = Value();
-    --size_;
-    return true;
-  }
-
-  void Clear() {
-    ctrl_.assign(ctrl_.size(), kEmpty);
-    for (auto& s : slots_) s.value = Value();
-    size_ = 0;
-    used_ = 0;
-  }
-
   /// Calls fn(key, value) for every entry, in slot (hash-layout) order.
   template <typename Fn>
   void ForEach(Fn&& fn) const {
-    for (size_t i = 0; i < slots_.size(); ++i) {
-      if (ctrl_[i] == kFull) fn(slots_[i].key, slots_[i].value);
-    }
-  }
-  template <typename Fn>
-  void ForEachMutable(Fn&& fn) {
     for (size_t i = 0; i < slots_.size(); ++i) {
       if (ctrl_[i] == kFull) fn(slots_[i].key, slots_[i].value);
     }
@@ -94,7 +69,6 @@ class FlatMap {
   static constexpr size_t kNoSlot = ~size_t{0};
   static constexpr uint8_t kEmpty = 0;
   static constexpr uint8_t kFull = 1;
-  static constexpr uint8_t kTombstone = 2;
   static constexpr size_t kMinCapacity = 16;
 
   size_t FindSlot(uint64_t key) const {
@@ -103,38 +77,30 @@ class FlatMap {
     size_t i = HashKey(key) & mask;
     while (true) {
       if (ctrl_[i] == kEmpty) return kNoSlot;
-      if (ctrl_[i] == kFull && slots_[i].key == key) return i;
+      if (slots_[i].key == key) return i;
       i = (i + 1) & mask;
     }
   }
 
-  /// Probe for `key`; if absent, claim the first tombstone seen on the
-  /// probe path (or the terminating empty slot). Capacity must be ensured.
+  /// Probe for `key`; if absent, claim the terminating empty slot.
+  /// Capacity must be ensured.
   size_t FindOrInsertSlot(uint64_t key) {
     const size_t mask = slots_.size() - 1;
     size_t i = HashKey(key) & mask;
-    size_t first_tombstone = kNoSlot;
-    while (true) {
-      if (ctrl_[i] == kFull) {
-        if (slots_[i].key == key) return i;
-      } else if (ctrl_[i] == kTombstone) {
-        if (first_tombstone == kNoSlot) first_tombstone = i;
-      } else {  // kEmpty: key is absent.
-        size_t slot = first_tombstone != kNoSlot ? first_tombstone : i;
-        if (slot == i) ++used_;  // Tombstone reuse keeps `used_` flat.
-        ctrl_[slot] = kFull;
-        slots_[slot].key = key;
-        ++size_;
-        return slot;
-      }
+    while (ctrl_[i] == kFull) {
+      if (slots_[i].key == key) return i;
       i = (i + 1) & mask;
     }
+    ctrl_[i] = kFull;
+    slots_[i].key = key;
+    ++size_;
+    return i;
   }
 
   void EnsureCapacity(size_t n) {
-    // Grow when full + tombstoned slots would exceed 7/8 of the array:
-    // probes must always find an empty terminator.
-    if (!slots_.empty() && (used_ + 1) * 8 <= slots_.size() * 7 &&
+    // Grow when one more entry would exceed 7/8 of the array: probes must
+    // always find an empty terminator.
+    if (!slots_.empty() && (size_ + 1) * 8 <= slots_.size() * 7 &&
         n * 8 <= slots_.size() * 7) {
       return;
     }
@@ -150,7 +116,6 @@ class FlatMap {
     std::vector<uint8_t> old_ctrl = std::move(ctrl_);
     slots_.assign(new_capacity, Slot{});
     ctrl_.assign(new_capacity, kEmpty);
-    used_ = size_;
     const size_t mask = new_capacity - 1;
     for (size_t i = 0; i < old_slots.size(); ++i) {
       if (old_ctrl[i] != kFull) continue;
@@ -163,8 +128,7 @@ class FlatMap {
 
   std::vector<Slot> slots_;
   std::vector<uint8_t> ctrl_;
-  size_t size_ = 0;  ///< Live entries.
-  size_t used_ = 0;  ///< Full + tombstoned slots (probe-length driver).
+  size_t size_ = 0;
 };
 
 /// Set of uint64_t keys with the same layout and growth policy.
@@ -182,8 +146,6 @@ class FlatSet {
   }
 
   bool Contains(uint64_t key) const { return map_.Contains(key); }
-  bool Erase(uint64_t key) { return map_.Erase(key); }
-  void Clear() { map_.Clear(); }
 
   template <typename Fn>
   void ForEach(Fn&& fn) const {

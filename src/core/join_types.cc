@@ -38,6 +38,17 @@ void ConfigureFabric(const JoinConfig& config, Fabric* fabric) {
   fabric->SetDiagnosticsSink(config.diagnostics);
 }
 
+Status CheckNodeIdWidth(const JoinConfig& config, uint32_t num_nodes) {
+  const uint64_t max_id = num_nodes - 1;
+  if (config.node_bytes >= 8 || (max_id >> (8 * config.node_bytes)) == 0) {
+    return Status::OK();
+  }
+  return Status::InvalidArgument(
+      "node_bytes=" + std::to_string(config.node_bytes) +
+      " cannot hold node id " + std::to_string(max_id) + " of " +
+      std::to_string(num_nodes) + " nodes");
+}
+
 void SendRowsPerDest(Fabric* fabric, uint32_t src, MessageType type,
                      const TupleBlock& block, uint32_t key_bytes,
                      const std::vector<std::vector<uint32_t>>& rows_per_dest,

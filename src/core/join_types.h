@@ -25,10 +25,6 @@ enum class Direction : uint8_t {
   kStoR,  ///< S tuples are sent to the locations of matching R tuples.
 };
 
-inline Direction Opposite(Direction dir) {
-  return dir == Direction::kRtoS ? Direction::kStoR : Direction::kRtoS;
-}
-
 const char* DirectionName(Direction dir);
 
 /// Which track-join variant runs (see core/track_join.h for the taxonomy).
@@ -39,7 +35,9 @@ enum class TrackJoinVersion : uint8_t { k2Phase = 2, k3Phase = 3, k4Phase = 4 };
 /// Event-driven micro-batch execution knobs (the pipelined track join;
 /// see core/pipelined_track_join.h and net/pipelined_fabric.h).
 struct PipelineConfig {
-  /// Run the pipelined driver instead of the barrier driver.
+  /// No library code reads this: callers pick the driver by entry point
+  /// (TryRunPipelinedTrackJoin or TryRunTrackJoin). Only tjsim reads it,
+  /// to choose that entry point for --pipeline; elsewhere it is a label.
   bool enabled = false;
   /// Target micro-batch chunk payload size. Tracking streams and tuple data
   /// are sliced at entry/row boundaries at (at most) this many bytes.
@@ -189,13 +187,6 @@ struct JoinResult {
     profile = std::move(steps_profile);
     phase_seconds = PhaseSeconds(profile.steps);
   }
-
-  /// Sum of all phase wall times.
-  double TotalCpuSeconds() const {
-    double total = 0;
-    for (const auto& [name, secs] : phase_seconds) total += secs;
-    return total;
-  }
 };
 
 /// The algorithms under evaluation (the seven bars of Figures 3-8).
@@ -217,6 +208,12 @@ class Fabric;
 /// Applies the run-wide knobs of `config` to a barrier fabric: thread pool,
 /// fault policy and seed, phase deadline and diagnostics sink.
 void ConfigureFabric(const JoinConfig& config, Fabric* fabric);
+
+/// Drivers that put node ids on the wire (location, migration and rid
+/// messages) write them at config.node_bytes. Returns InvalidArgument when
+/// the largest id, num_nodes - 1, does not fit: a truncated id would route
+/// rows to the wrong node and silently lose output.
+Status CheckNodeIdWidth(const JoinConfig& config, uint32_t num_nodes);
 
 /// Sends the rows of `block` listed per destination node as one message per
 /// destination, in destination order. Empty destinations send nothing.

@@ -178,6 +178,7 @@ Result<JoinResult> TryRunRidHashJoin(const PartitionedTable& r,
                                      const JoinConfig& config) {
   TJ_CHECK_EQ(r.num_nodes(), s.num_nodes());
   const uint32_t n = r.num_nodes();
+  TJ_RETURN_IF_ERROR(CheckNodeIdWidth(config, n));
   // The join result migrates to the wider side; the narrower side travels.
   const bool exec_on_r = r.payload_width() >= s.payload_width();
   Side exec(exec_on_r ? r : s, exec_on_r);

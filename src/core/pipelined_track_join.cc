@@ -140,6 +140,7 @@ Result<JoinResult> TryRunPipelinedTrackJoin(const PartitionedTable& r,
                                             Direction direction) {
   TJ_CHECK_EQ(r.num_nodes(), s.num_nodes());
   TJ_RETURN_IF_ERROR(RequirePlainWireFormat(config));
+  TJ_RETURN_IF_ERROR(CheckNodeIdWidth(config, r.num_nodes()));
 
   const uint32_t n = r.num_nodes();
   const bool four_phase = version == TrackJoinVersion::k4Phase;

@@ -342,13 +342,6 @@ struct KeyPlanOutputs {
   explicit KeyPlanOutputs(uint32_t num_nodes)
       : loc_to_r(num_nodes), loc_to_s(num_nodes), migr_r(num_nodes),
         migr_s(num_nodes), frag_r(num_nodes), frag_s(num_nodes) {}
-
-  void Clear() {
-    for (auto* group : {&loc_to_r, &loc_to_s, &migr_r, &migr_s, &frag_r,
-                        &frag_s}) {
-      for (auto& pairs : *group) pairs.clear();
-    }
-  }
 };
 
 /// Plans one key at a time. Stateful: the balance-aware mode's LoadBalancer

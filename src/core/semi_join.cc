@@ -1,5 +1,6 @@
 #include "core/semi_join.h"
 
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -25,6 +26,32 @@ std::vector<BloomFilter> BuildFilters(const PartitionedTable& table,
   for (uint32_t node = 0; node < table.num_nodes(); ++node) {
     filters.emplace_back(max_rows, bits_per_key);
     for (uint64_t key : table.node(node).keys()) filters.back().Add(key);
+  }
+  return filters;
+}
+
+/// Decodes node `node`'s inbox of filter messages: 2·(n−1) well-formed
+/// filters, or Status::Corruption.
+Result<std::vector<BloomFilter>> TakeFilters(Fabric* fabric, uint32_t node) {
+  std::vector<Message> inbox = fabric->TakeInbox(node, MessageType::kFilter);
+  const size_t expected = 2 * (static_cast<size_t>(fabric->num_nodes()) - 1);
+  if (inbox.size() != expected) {
+    return Status::Corruption("node " + std::to_string(node) + " received " +
+                              std::to_string(inbox.size()) +
+                              " bloom filters, expected " +
+                              std::to_string(expected));
+  }
+  std::vector<BloomFilter> filters;
+  filters.reserve(expected);
+  for (const Message& msg : inbox) {
+    ByteReader reader(msg.data);
+    TJ_ASSIGN_OR_RETURN(BloomFilter filter,
+                        BloomFilter::TryDeserialize(&reader));
+    if (!reader.Done()) {
+      return Status::Corruption("trailing bytes after a bloom filter from "
+                                "node " + std::to_string(msg.src));
+    }
+    filters.push_back(std::move(filter));
   }
   return filters;
 }
@@ -74,22 +101,37 @@ Result<FilteredInputs> ExchangeFiltersAndPrune(const PartitionedTable& r,
                      0,
                      0};
 
-  // Prune against the other table's filters. Each node checks all N
-  // received per-node filters (a key may match if ANY node's filter says
-  // so); keeping the filters separate preserves each one's designed
-  // false-positive rate, whereas a union of N same-size filters would
-  // multiply the fill factor.
-  auto may_match = [](const std::vector<BloomFilter>& filters, uint64_t key) {
-    for (const auto& f : filters) {
-      if (f.MayContain(key)) return true;
+  // Prune against the other table's filters: the node's own pair plus the
+  // pairs decoded from its inbox. Each node checks all N per-node filters
+  // (a key may match if ANY node's filter says so); keeping the filters
+  // separate preserves each one's designed false-positive rate, whereas a
+  // union of N same-size filters would multiply the fill factor.
+  auto may_match = [](const std::vector<const BloomFilter*>& filters,
+                      uint64_t key) {
+    for (const BloomFilter* f : filters) {
+      if (f->MayContain(key)) return true;
     }
     return false;
   };
   TJ_RETURN_IF_ERROR(fabric.RunPhaseReliable(
-      "apply filters", [&](uint32_t node) {
+      "apply filters", [&](uint32_t node) -> Status {
+    TJ_ASSIGN_OR_RETURN(std::vector<BloomFilter> received,
+                        TakeFilters(&fabric, node));
+    // Delivery is by source node, then send order: each other node's R
+    // filter, then its S filter.
+    std::vector<const BloomFilter*> r_seen, s_seen;
+    for (uint32_t src = 0, next = 0; src < n; ++src) {
+      if (src == node) {
+        r_seen.push_back(&r_filters[node]);
+        s_seen.push_back(&s_filters[node]);
+      } else {
+        r_seen.push_back(&received[next++]);
+        s_seen.push_back(&received[next++]);
+      }
+    }
     const TupleBlock& rb = r.node(node);
     for (uint64_t row = 0; row < rb.size(); ++row) {
-      if (may_match(s_filters, rb.Key(row))) {
+      if (may_match(s_seen, rb.Key(row))) {
         out.r.node(node).AppendFrom(rb, row);
       } else {
         ++out.r_rows_pruned;
@@ -97,7 +139,7 @@ Result<FilteredInputs> ExchangeFiltersAndPrune(const PartitionedTable& r,
     }
     const TupleBlock& sb = s.node(node);
     for (uint64_t row = 0; row < sb.size(); ++row) {
-      if (may_match(r_filters, sb.Key(row))) {
+      if (may_match(r_seen, sb.Key(row))) {
         out.s.node(node).AppendFrom(sb, row);
       } else {
         ++out.s_rows_pruned;

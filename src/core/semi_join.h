@@ -1,8 +1,8 @@
 // Two-way semi-join (Bloom) filtering in front of distributed joins — §3.3.
 //
 // Each node builds a Bloom filter over its local join keys per table; the
-// filters are broadcast and unioned, and every node prunes local tuples
-// whose keys cannot match before the join algorithm runs. False positives
+// filters are broadcast, and every node prunes local tuples whose keys no
+// received filter admits before the join algorithm runs. False positives
 // survive pruning (and are eliminated by the join itself); matched tuples
 // are never dropped.
 //
@@ -41,11 +41,11 @@ Result<FilteredInputs> ExchangeFiltersAndPrune(const PartitionedTable& r,
                                                const PartitionedTable& s,
                                                const SemiJoinConfig& semi);
 
-/// Grace hash join behind two-way Bloom filtering. The filter broadcast is
-/// modeled-reliable (each node prunes with locally built filters; the sends
-/// exist for traffic accounting), so only the inner join is subject to an
-/// active config.fault_policy — see core/track_join.h for the error
-/// contract.
+/// Grace hash join behind two-way Bloom filtering. The filter broadcast
+/// runs on a pristine fabric (each node prunes with the filters decoded
+/// from its inbox plus its own; a malformed inbox returns
+/// Status::Corruption), so only the inner join is subject to an active
+/// config.fault_policy — see core/track_join.h for the error contract.
 Result<JoinResult> TryRunFilteredHashJoin(const PartitionedTable& r,
                                           const PartitionedTable& s,
                                           const JoinConfig& config,

@@ -42,6 +42,7 @@ Result<JoinResult> TryRunTrackJoin(const PartitionedTable& r,
                                    Direction direction) {
   TJ_CHECK_EQ(r.num_nodes(), s.num_nodes());
   const uint32_t n = r.num_nodes();
+  TJ_RETURN_IF_ERROR(CheckNodeIdWidth(config, n));
   const bool with_counts = version != TrackJoinVersion::k2Phase;
   const uint32_t width_r = config.key_bytes + r.payload_width();
   const uint32_t width_s = config.key_bytes + s.payload_width();

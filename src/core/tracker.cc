@@ -178,7 +178,6 @@ Status TrackingMessageCursor::Init(const Message& message,
   count_bytes_ = config.count_bytes;
   delta_ = config.delta_tracking;
   with_counts_ = with_counts;
-  sorted_ = true;
   total_ = 0;
   remaining_ = 0;
   key_ = 0;
@@ -196,10 +195,12 @@ Status TrackingMessageCursor::Init(const Message& message,
       uint64_t gap = 0;
       TJ_RETURN_IF_ERROR(TryDecodeLeb128(&reader, &gap));
       // Delta streams are sorted by construction, but an adversarial stream
-      // can wrap uint64_t and decode non-monotonically; mirror the decoded
-      // key sequence so such input falls back to the reference path.
+      // can wrap uint64_t and decode non-monotonically.
       uint64_t next = prev + gap;
-      if (next < prev) sorted_ = false;
+      if (next < prev) {
+        return Status::Corruption("delta tracking stream wraps at entry " +
+                                  std::to_string(i));
+      }
       prev = next;
     }
     count_pos_ = message.data.size() - reader.remaining();
@@ -230,8 +231,8 @@ Status TrackingMessageCursor::Init(const Message& message,
       uint64_t k = ReadUint(&pos, key_bytes_);
       if (with_counts_) pos += count_bytes_;
       if (i > 0 && k < prev) {
-        sorted_ = false;
-        break;
+        return Status::Corruption("tracking stream descends at entry " +
+                                  std::to_string(i));
       }
       prev = k;
     }
@@ -300,26 +301,11 @@ Status TryMergeTrackingMessages(const std::vector<Message>& messages,
   std::vector<TrackingMessageCursor> cursors;
   cursors.reserve(messages.size());
   uint64_t total = 0;
-  bool sorted = true;
   for (const auto& msg : messages) {
     TrackingMessageCursor cursor;
     TJ_RETURN_IF_ERROR(cursor.Init(msg, config, with_counts));
-    sorted = sorted && cursor.sorted();
     total += cursor.entries();
     if (cursor.Valid()) cursors.push_back(cursor);
-  }
-  if (!sorted) {
-    // Unsorted stream (legacy sender or adversarial input): concatenate and
-    // take the reference path.
-    out->reserve(total);
-    std::vector<TrackEntry> entries;
-    for (const auto& msg : messages) {
-      TJ_RETURN_IF_ERROR(
-          TryDecodeTrackingMessage(msg, config, with_counts, &entries));
-      out->insert(out->end(), entries.begin(), entries.end());
-    }
-    MergeTrackEntries(out);
-    return Status::OK();
   }
   out->reserve(total);
   LoserTreeMerge(&cursors, out);

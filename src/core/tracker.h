@@ -56,7 +56,9 @@ void MergeTrackEntries(std::vector<TrackEntry>* entries);
 
 /// Streaming cursor over the (key, node, count) facts of one tracking
 /// message, decoded lazily in wire order. Init validates the whole payload
-/// up front (same rejection set as TryDecodeTrackingMessage), so Next() is
+/// up front: TryDecodeTrackingMessage's rejection set plus keys that
+/// descend (a plain stream out of order, or a delta stream whose gaps wrap
+/// uint64_t) — every sender emits key-sorted streams. So Next() is
 /// infallible and the merge loop stays Status-free. Duplicate adjacent keys
 /// (saturated count chunks) are NOT merged here; the k-way merge aggregates
 /// them. The cursor borrows the message's bytes — the Message must outlive
@@ -67,11 +69,6 @@ class TrackingMessageCursor {
   Status Init(const Message& message, const JoinConfig& config,
               bool with_counts);
 
-  /// True when keys arrive non-decreasing. Delta streams are sorted by
-  /// construction; plain streams are scanned during Init. Unsorted streams
-  /// (legacy senders, adversarial input) must take the MergeTrackEntries
-  /// reference path instead of the k-way merge.
-  bool sorted() const { return sorted_; }
   /// Total entries in the message (before aggregation).
   uint64_t entries() const { return total_; }
 
@@ -99,7 +96,6 @@ class TrackingMessageCursor {
   uint32_t count_bytes_ = 0;
   bool delta_ = false;
   bool with_counts_ = false;
-  bool sorted_ = true;
 };
 
 /// Merges all tracking messages of one inbox into a merged (key, node)
@@ -107,8 +103,8 @@ class TrackingMessageCursor {
 /// sorted cursors, aggregating duplicate (key, node) runs as they surface.
 /// O(n log k) with no intermediate concatenated vector and no comparison
 /// sort. Output is byte-identical to decoding every message and running
-/// MergeTrackEntries; if any stream is unsorted, that reference path is
-/// taken automatically.
+/// MergeTrackEntries. A message whose keys descend returns
+/// Status::Corruption, as TryMergeTrackRuns does for a descending run.
 Status TryMergeTrackingMessages(const std::vector<Message>& messages,
                                 const JoinConfig& config, bool with_counts,
                                 std::vector<TrackEntry>* out);

@@ -18,18 +18,6 @@ uint64_t DeltaEncode(std::vector<uint64_t> values, bool presorted,
   return values.size();
 }
 
-std::vector<uint64_t> DeltaDecode(ByteReader* in) {
-  uint64_t n = DecodeLeb128(in);
-  std::vector<uint64_t> values;
-  values.reserve(n);
-  uint64_t prev = 0;
-  for (uint64_t i = 0; i < n; ++i) {
-    prev += DecodeLeb128(in);
-    values.push_back(prev);
-  }
-  return values;
-}
-
 Status TryDeltaDecode(ByteReader* in, std::vector<uint64_t>* out) {
   uint64_t n = 0;
   TJ_RETURN_IF_ERROR(TryDecodeLeb128(in, &n));

@@ -19,12 +19,10 @@ namespace tj {
 uint64_t DeltaEncode(std::vector<uint64_t> values, bool presorted,
                      ByteBuffer* out);
 
-/// Decodes a stream produced by DeltaEncode. The values come back sorted.
-std::vector<uint64_t> DeltaDecode(ByteReader* in);
-
-/// Bounds-checked decode for untrusted input: a truncated stream or a count
-/// that exceeds what the remaining bytes could possibly hold returns
-/// Status::Corruption (and never aborts or over-reserves).
+/// Decodes a stream produced by DeltaEncode; the values come back sorted.
+/// A truncated stream or a count that exceeds what the remaining bytes
+/// could possibly hold returns Status::Corruption (and never aborts or
+/// over-reserves).
 Status TryDeltaDecode(ByteReader* in, std::vector<uint64_t>* out);
 
 /// Exact encoded size in bytes without materializing the buffer.

@@ -31,19 +31,6 @@ void NodeGroupEncode(std::vector<KeyNodePair> pairs, uint32_t key_bytes,
   }
 }
 
-std::vector<KeyNodePair> NodeGroupDecode(ByteReader* in, uint32_t key_bytes) {
-  uint64_t num_groups = DecodeLeb128(in);
-  std::vector<KeyNodePair> pairs;
-  for (uint64_t g = 0; g < num_groups; ++g) {
-    uint32_t node = static_cast<uint32_t>(DecodeLeb128(in));
-    uint64_t count = DecodeLeb128(in);
-    for (uint64_t i = 0; i < count; ++i) {
-      pairs.push_back(KeyNodePair{in->GetUint(key_bytes), node});
-    }
-  }
-  return pairs;
-}
-
 Status TryNodeGroupDecode(ByteReader* in, uint32_t key_bytes,
                           std::vector<KeyNodePair>* out) {
   out->clear();

@@ -32,12 +32,9 @@ struct KeyNodePair {
 void NodeGroupEncode(std::vector<KeyNodePair> pairs, uint32_t key_bytes,
                      ByteBuffer* out);
 
-/// Decodes a stream produced by NodeGroupEncode.
-std::vector<KeyNodePair> NodeGroupDecode(ByteReader* in, uint32_t key_bytes);
-
-/// Bounds-checked decode for untrusted input: truncated headers or group
-/// counts that exceed the remaining bytes return Status::Corruption (and
-/// never abort or over-reserve).
+/// Decodes a stream produced by NodeGroupEncode. Truncated headers, group
+/// counts that exceed the remaining bytes and trailing bytes return
+/// Status::Corruption (and never abort or over-reserve).
 Status TryNodeGroupDecode(ByteReader* in, uint32_t key_bytes,
                           std::vector<KeyNodePair>* out);
 

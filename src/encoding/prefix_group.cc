@@ -57,26 +57,6 @@ void PrefixGroupEncode(std::vector<uint64_t> values, uint32_t width_bits,
   }
 }
 
-std::vector<uint64_t> PrefixGroupDecode(ByteReader* in, uint32_t width_bits,
-                                        uint32_t prefix_bits) {
-  CheckParams(width_bits, prefix_bits);
-  const uint32_t suffix_bits = width_bits - prefix_bits;
-  uint64_t total = DecodeLeb128(in);
-  std::vector<uint64_t> values;
-  values.reserve(total);
-  BitUnpacker unpacker(in->Current(), in->remaining());
-  while (values.size() < total) {
-    uint64_t prefix = prefix_bits > 0 ? unpacker.Get(prefix_bits) : 0;
-    uint64_t count = unpacker.Get(32);
-    for (uint64_t k = 0; k < count; ++k) {
-      values.push_back(Reassemble(prefix, unpacker.Get(suffix_bits),
-                                  suffix_bits));
-    }
-  }
-  in->Skip(unpacker.bytes_consumed());
-  return values;
-}
-
 Status TryPrefixGroupDecode(ByteReader* in, uint32_t width_bits,
                             uint32_t prefix_bits, std::vector<uint64_t>* out) {
   CheckParams(width_bits, prefix_bits);

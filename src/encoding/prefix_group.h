@@ -24,12 +24,9 @@ void PrefixGroupEncode(std::vector<uint64_t> values, uint32_t width_bits,
                        uint32_t prefix_bits, ByteBuffer* out);
 
 /// Decodes a stream produced by PrefixGroupEncode with the same parameters.
-std::vector<uint64_t> PrefixGroupDecode(ByteReader* in, uint32_t width_bits,
-                                        uint32_t prefix_bits);
-
-/// Bounds-checked decode for untrusted input: truncated streams, totals that
-/// exceed what the remaining bits could hold, and group counts past the
-/// declared total return Status::Corruption (and never abort or over-read).
+/// Truncated streams, totals that exceed what the remaining bits could
+/// hold, and group counts past the declared total return
+/// Status::Corruption (and never abort or over-read).
 Status TryPrefixGroupDecode(ByteReader* in, uint32_t width_bits,
                             uint32_t prefix_bits, std::vector<uint64_t>* out);
 

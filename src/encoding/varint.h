@@ -41,23 +41,8 @@ inline void EncodeLeb128(uint64_t v, ByteBuffer* out) {
   out->push_back(static_cast<uint8_t>(v));
 }
 
-/// Decodes one LEB128 value at the reader's cursor.
-inline uint64_t DecodeLeb128(ByteReader* in) {
-  uint64_t v = 0;
-  uint32_t shift = 0;
-  while (true) {
-    uint8_t b = in->GetU8();
-    v |= static_cast<uint64_t>(b & 0x7f) << shift;
-    if ((b & 0x80) == 0) break;
-    shift += 7;
-    TJ_CHECK_LT(shift, 64u);
-  }
-  return v;
-}
-
-/// Bounds-checked decode for untrusted input: truncated or overlong varints
-/// return Status::Corruption instead of aborting, and never read past the
-/// buffer.
+/// Decodes one LEB128 value at the reader's cursor. Truncated or overlong
+/// varints return Status::Corruption and never read past the buffer.
 inline Status TryDecodeLeb128(ByteReader* in, uint64_t* out) {
   uint64_t v = 0;
   uint32_t shift = 0;
@@ -99,24 +84,9 @@ inline void EncodeBase100(uint64_t v, ByteBuffer* out) {
   out->push_back(static_cast<uint8_t>(v + 100));
 }
 
-/// Decodes one base-100 value at the reader's cursor.
-inline uint64_t DecodeBase100(ByteReader* in) {
-  uint64_t v = 0;
-  uint64_t scale = 1;
-  while (true) {
-    uint8_t b = in->GetU8();
-    if (b >= 100) {
-      v += scale * (b - 100);
-      return v;
-    }
-    v += scale * b;
-    scale *= 100;
-  }
-}
-
-/// Bounds-checked decode for untrusted input: a stream that ends without a
-/// terminator byte (>= 100) or runs longer than any encoded uint64_t returns
-/// Status::Corruption instead of aborting.
+/// Decodes one base-100 value at the reader's cursor. A stream that ends
+/// without a terminator byte (>= 100) or runs longer than any encoded
+/// uint64_t returns Status::Corruption.
 inline Status TryDecodeBase100(ByteReader* in, uint64_t* out) {
   uint64_t v = 0;
   uint64_t scale = 1;

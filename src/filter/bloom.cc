@@ -1,6 +1,7 @@
 #include "filter/bloom.h"
 
 #include <cmath>
+#include <string>
 
 #include "common/hash.h"
 #include "common/logging.h"
@@ -43,12 +44,6 @@ bool BloomFilter::MayContain(uint64_t key) const {
   return true;
 }
 
-void BloomFilter::Union(const BloomFilter& other) {
-  TJ_CHECK_EQ(num_bits_, other.num_bits_);
-  TJ_CHECK_EQ(num_hashes_, other.num_hashes_);
-  for (size_t i = 0; i < bits_.size(); ++i) bits_[i] |= other.bits_[i];
-}
-
 double BloomFilter::TheoreticalFpRate(uint64_t inserted) const {
   double fill = 1.0 - std::exp(-static_cast<double>(num_hashes_) *
                                static_cast<double>(inserted) /
@@ -63,11 +58,27 @@ void BloomFilter::Serialize(ByteBuffer* out) const {
   for (uint64_t word : bits_) writer.PutU64(word);
 }
 
-BloomFilter BloomFilter::Deserialize(ByteReader* in) {
+Result<BloomFilter> BloomFilter::TryDeserialize(ByteReader* in) {
+  uint64_t num_bits = 0;
+  uint64_t num_hashes = 0;
+  TJ_RETURN_IF_ERROR(TryDecodeLeb128(in, &num_bits));
+  TJ_RETURN_IF_ERROR(TryDecodeLeb128(in, &num_hashes));
+  if (num_bits == 0 || num_bits % 64 != 0) {
+    return Status::Corruption("bloom filter size " + std::to_string(num_bits) +
+                              " is not a positive multiple of 64 bits");
+  }
+  if (num_hashes == 0 || num_hashes > UINT32_MAX) {
+    return Status::Corruption("bloom filter hash count " +
+                              std::to_string(num_hashes) + " is out of range");
+  }
+  // Checked before allocating, so a bogus size cannot over-reserve.
+  if (in->remaining() < num_bits / 8) {
+    return Status::Corruption("bloom filter words truncated");
+  }
   BloomFilter filter;
-  filter.num_bits_ = DecodeLeb128(in);
-  filter.num_hashes_ = static_cast<uint32_t>(DecodeLeb128(in));
-  filter.bits_.resize(filter.num_bits_ / 64);
+  filter.num_bits_ = num_bits;
+  filter.num_hashes_ = static_cast<uint32_t>(num_hashes);
+  filter.bits_.resize(num_bits / 64);
   for (auto& word : filter.bits_) word = in->GetU64();
   return filter;
 }

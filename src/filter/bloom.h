@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "common/byte_buffer.h"
+#include "common/status.h"
 
 namespace tj {
 
@@ -25,9 +26,6 @@ class BloomFilter {
   void Add(uint64_t key);
   bool MayContain(uint64_t key) const;
 
-  /// Unions another filter into this one. Preconditions: same geometry.
-  void Union(const BloomFilter& other);
-
   /// Filter payload size in bytes (what a broadcast transfers).
   uint64_t SizeBytes() const { return bits_.size() * 8; }
   uint64_t num_bits() const { return num_bits_; }
@@ -36,9 +34,14 @@ class BloomFilter {
   /// Expected false-positive rate after `inserted` keys.
   double TheoreticalFpRate(uint64_t inserted) const;
 
-  /// Serialization for the filter-broadcast phase.
+  /// Serialization for the filter-broadcast phase:
+  ///   <num_bits : LEB128> <num_hashes : LEB128> <words : num_bits / 8>
   void Serialize(ByteBuffer* out) const;
-  static BloomFilter Deserialize(ByteReader* in);
+  /// Decodes one serialized filter at the reader's cursor. A truncated
+  /// varint, a num_bits that is zero or not a multiple of 64, a num_hashes
+  /// of zero (or wider than 32 bits), or fewer word bytes than num_bits / 8
+  /// returns Status::Corruption.
+  static Result<BloomFilter> TryDeserialize(ByteReader* in);
 
  private:
   BloomFilter() = default;

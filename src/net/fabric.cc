@@ -77,13 +77,6 @@ void Fabric::Send(uint32_t src, uint32_t dst, MessageType type,
   }
 }
 
-void Fabric::SendBytes(uint32_t src, uint32_t dst, MessageType type,
-                       uint64_t bytes) {
-  TJ_CHECK_LT(src, num_nodes_);
-  TJ_CHECK_LT(dst, num_nodes_);
-  traffic_.Add(src, dst, type, bytes);
-}
-
 Status Fabric::RunPhaseReliable(const std::string& name,
                                 const std::function<Status(uint32_t)>& fn) {
   TJ_CHECK(!in_phase_) << "nested RunPhaseReliable";

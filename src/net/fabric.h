@@ -97,11 +97,6 @@ class Fabric {
   /// (this is what makes concurrent phases race-free).
   void Send(uint32_t src, uint32_t dst, MessageType type, ByteBuffer data);
 
-  /// Accounting-only variant: counts `bytes` of traffic without payload.
-  /// Used by analytic components (e.g. modeled filter broadcasts); modeled
-  /// transfers are assumed reliable and bypass fault injection.
-  void SendBytes(uint32_t src, uint32_t dst, MessageType type, uint64_t bytes);
-
   /// Runs one named phase: fn(node) for every node, then the barrier:
   /// queued messages move into the receivers' inboxes ordered by source
   /// node, then send order. The phase's wall time is recorded under `name`.

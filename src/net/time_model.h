@@ -3,9 +3,8 @@
 // The paper's testbed measured 0.093 GB/s per exclusive edge on 1 Gbit
 // Ethernet (Section 4.2) and projects faster networks by scaling transfer
 // time linearly with byte volume. We adopt the same linear model: given a
-// traffic matrix, network time is estimated from the bottleneck — either
-// the busiest node NIC (switched full-duplex network, transfers overlap) or
-// the aggregate volume divided by total capacity (fully serialized floor).
+// traffic matrix, network time is estimated from the bottleneck — the
+// busiest node NIC (switched full-duplex network, transfers overlap).
 #ifndef TJ_NET_TIME_MODEL_H_
 #define TJ_NET_TIME_MODEL_H_
 
@@ -29,20 +28,6 @@ struct NetworkTimeModel {
   /// node pairs transfer concurrently: the slowest NIC decides.
   double BottleneckSeconds(const TrafficMatrix& traffic) const {
     return NicSeconds(traffic.MaxNodeBytes());
-  }
-
-  /// Seconds if the cluster's links never overlap (upper bound):
-  /// total volume through one link's bandwidth.
-  double SerializedSeconds(const TrafficMatrix& traffic) const {
-    return static_cast<double>(traffic.TotalNetworkBytes()) /
-           node_bandwidth_bytes_per_sec;
-  }
-
-  /// Seconds for a byte volume through the aggregate cluster capacity of
-  /// `num_nodes` NICs (lower bound for perfectly balanced transfers).
-  double AggregateSeconds(uint64_t total_bytes, uint32_t num_nodes) const {
-    return static_cast<double>(total_bytes) /
-           (node_bandwidth_bytes_per_sec * num_nodes);
   }
 };
 

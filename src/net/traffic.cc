@@ -31,13 +31,6 @@ void TrafficMatrix::AddRetransmit(uint32_t src, uint32_t dst, MessageType type,
   RetransCell(src, dst, static_cast<int>(type)) += bytes;
 }
 
-void TrafficMatrix::AddRecovery(uint32_t src, uint32_t dst, MessageType type,
-                                uint64_t bytes) {
-  TJ_CHECK_LT(src, num_nodes_);
-  TJ_CHECK_LT(dst, num_nodes_);
-  RecoveryCell(src, dst, static_cast<int>(type)) += bytes;
-}
-
 uint64_t TrafficMatrix::NetworkBytes(MessageType type) const {
   uint64_t total = 0;
   for (uint32_t s = 0; s < num_nodes_; ++s) {
@@ -114,16 +107,6 @@ uint64_t TrafficMatrix::LinkBytes(uint32_t src, uint32_t dst) const {
   uint64_t total = 0;
   for (int t = 0; t < kNumMessageTypes; ++t) total += Cell(src, dst, t);
   return total;
-}
-
-uint64_t TrafficMatrix::MaxLinkBytes() const {
-  uint64_t best = 0;
-  for (uint32_t s = 0; s < num_nodes_; ++s) {
-    for (uint32_t d = 0; d < num_nodes_; ++d) {
-      if (s != d) best = std::max(best, LinkBytes(s, d));
-    }
-  }
-  return best;
 }
 
 uint64_t TrafficMatrix::MaxNodeBytes() const {

@@ -44,14 +44,6 @@ class TrafficMatrix {
   void AddRetransmit(uint32_t src, uint32_t dst, MessageType type,
                      uint64_t bytes);
 
-  /// Records `bytes` on the recovery ledger: wire traffic a *failed* join
-  /// attempt spent before RecoveryManager replayed the query. A third
-  /// matrix, separate from goodput and retransmits, so a recovered run can
-  /// report "what the answer cost" vs. "what the failures cost" — and so
-  /// pristine runs can assert the ledger is exactly zero.
-  void AddRecovery(uint32_t src, uint32_t dst, MessageType type,
-                   uint64_t bytes);
-
   /// Bytes that crossed the network (src != dst) for one message type.
   uint64_t NetworkBytes(MessageType type) const;
   /// Bytes that crossed the network for one figure class.
@@ -70,8 +62,6 @@ class TrafficMatrix {
 
   /// Bytes on one directed link.
   uint64_t LinkBytes(uint32_t src, uint32_t dst) const;
-  /// The busiest directed link's byte count.
-  uint64_t MaxLinkBytes() const;
   /// max over nodes of max(ingress, egress): the NIC bottleneck.
   uint64_t MaxNodeBytes() const;
 
@@ -85,12 +75,6 @@ class TrafficMatrix {
   uint64_t RecoveryBytes(MessageType type) const;
   uint64_t RecoveryBytes(TrafficClass cls) const;
   uint64_t TotalRecoveryBytes() const;
-
-  /// Total bytes on the wire: first sends plus recovery overhead.
-  uint64_t TotalWireBytes() const {
-    return TotalNetworkBytes() + TotalRetransmitBytes() +
-           TotalRecoveryBytes();
-  }
 
   /// Accumulates another matrix (same node count).
   void Merge(const TrafficMatrix& other);

@@ -72,7 +72,7 @@ ScheduleExplain BuildScheduleExplain(const std::string& algorithm,
                                      const TrafficMatrix& traffic,
                                      size_t top_k = 10);
 
-/// JSON object (stable schema, checked by tools/check_trace_schema.py).
+/// JSON object (stable schema, checked by tools/check_schema.py explain).
 std::string ToJson(const ScheduleExplain& explain);
 /// Human-readable table: per-class totals plus the top-K key breakdown.
 std::string ToTable(const ScheduleExplain& explain);

@@ -39,7 +39,7 @@ struct StepProfile {
   /// Wire bytes failed attempts burned before recovery replayed the query
   /// (the TrafficMatrix recovery ledger). Run-level, not per step: failed
   /// attempts have no surviving step records. Exactly zero on pristine
-  /// runs — CI pins this via tools/check_profile_schema.py.
+  /// runs — CI pins this via tools/check_schema.py profile.
   uint64_t recovery_bytes = 0;
 
   double TotalWallSeconds() const;

@@ -47,7 +47,7 @@ class PartitionedTable {
 /// field embedded in each row's payload at [offset, offset + bytes).
 /// Tuples stay on their nodes and keep their full payloads. This is how a
 /// materialized join output is fed into the next join of a multi-join plan
-/// (see examples/star_schema_query.cpp).
+/// (see the three-join chain in tests/integration/materialize_test.cc).
 PartitionedTable RekeyByPayloadField(const PartitionedTable& table,
                                      uint32_t offset, uint32_t bytes,
                                      std::string name);

@@ -206,7 +206,6 @@ TEST(TrackJoinTest, PhaseBreakdownIsComplete) {
   ASSERT_GE(result.phase_seconds.size(), 9u);
   EXPECT_EQ(result.phase_seconds.front().first, "sort local R tuples");
   EXPECT_EQ(result.phase_seconds.back().first, "final merge-join S->R");
-  EXPECT_GE(result.TotalCpuSeconds(), 0.0);
 }
 
 TEST(TrackJoinTest, CompressionTogglesPreserveResults) {

@@ -256,12 +256,12 @@ TEST(TrackerMergeTest, EmptyInboxAndEmptyMessages) {
   EXPECT_EQ(merged[0], (TrackEntry{42, 1, 7}));
 }
 
-TEST(TrackerMergeTest, UnsortedPlainStreamTakesReferencePath) {
+TEST(TrackerMergeTest, UnsortedPlainStreamIsCorruption) {
   JoinConfig config;
   config.key_bytes = 4;
   config.count_bytes = 2;
-  // Hand-built plain message with descending keys — a legacy/adversarial
-  // sender the cursor must flag so the merge falls back to the sort path.
+  // Hand-built plain message with descending keys: no sender emits one, so
+  // the cursor rejects it rather than misorder the merge.
   ByteBuffer data;
   ByteWriter w(&data);
   for (uint64_t key : {30u, 20u, 10u}) {
@@ -271,20 +271,17 @@ TEST(TrackerMergeTest, UnsortedPlainStreamTakesReferencePath) {
   std::vector<Message> msgs;
   msgs.push_back(Msg(0, std::move(data)));
   TrackingMessageCursor cursor;
-  ASSERT_TRUE(cursor.Init(msgs[0], config, true).ok());
-  EXPECT_FALSE(cursor.sorted());
+  EXPECT_EQ(cursor.Init(msgs[0], config, true).code(),
+            StatusCode::kCorruption);
 
   auto bufs = EncodeTrackingMessages({{15, 1}, {25, 1}}, config, true, 1);
   msgs.push_back(Msg(1, std::move(bufs[0])));
   std::vector<TrackEntry> merged;
-  ASSERT_TRUE(TryMergeTrackingMessages(msgs, config, true, &merged).ok());
-  EXPECT_EQ(merged, ReferenceMerge(msgs, config, true));
-  ASSERT_EQ(merged.size(), 5u);
-  EXPECT_EQ(merged.front(), (TrackEntry{10, 0, 2}));
-  EXPECT_EQ(merged.back(), (TrackEntry{30, 0, 2}));
+  EXPECT_EQ(TryMergeTrackingMessages(msgs, config, true, &merged).code(),
+            StatusCode::kCorruption);
 }
 
-TEST(TrackerMergeTest, DeltaWraparoundFlagsUnsorted) {
+TEST(TrackerMergeTest, DeltaWraparoundIsCorruption) {
   JoinConfig config;
   config.key_bytes = 8;
   config.delta_tracking = true;
@@ -297,15 +294,12 @@ TEST(TrackerMergeTest, DeltaWraparoundFlagsUnsorted) {
   std::vector<Message> msgs;
   msgs.push_back(Msg(0, std::move(data)));
   TrackingMessageCursor cursor;
-  ASSERT_TRUE(cursor.Init(msgs[0], config, false).ok());
-  EXPECT_FALSE(cursor.sorted());
+  EXPECT_EQ(cursor.Init(msgs[0], config, false).code(),
+            StatusCode::kCorruption);
 
   std::vector<TrackEntry> merged;
-  ASSERT_TRUE(TryMergeTrackingMessages(msgs, config, false, &merged).ok());
-  EXPECT_EQ(merged, ReferenceMerge(msgs, config, false));
-  ASSERT_EQ(merged.size(), 2u);
-  EXPECT_EQ(merged[0].key, 0u);
-  EXPECT_EQ(merged[1].key, 1u);
+  EXPECT_EQ(TryMergeTrackingMessages(msgs, config, false, &merged).code(),
+            StatusCode::kCorruption);
 }
 
 TEST(TrackerMergeTest, RejectsCorruptStreams) {
@@ -340,7 +334,6 @@ TEST(TrackerMergeTest, CursorWalksWireOrder) {
   Message msg = Msg(6, std::move(bufs[0]));  // Must outlive the cursor.
   TrackingMessageCursor cursor;
   ASSERT_TRUE(cursor.Init(msg, config, true).ok());
-  EXPECT_TRUE(cursor.sorted());
   EXPECT_EQ(cursor.entries(), 2u);
   ASSERT_TRUE(cursor.Valid());
   EXPECT_EQ(cursor.key(), 10u);

@@ -12,6 +12,7 @@
 #include "encoding/node_group.h"
 #include "encoding/prefix_group.h"
 #include "encoding/varint.h"
+#include "filter/bloom.h"
 
 namespace tj {
 namespace {
@@ -54,7 +55,11 @@ TEST_P(CodecFuzzTest, Leb128) {
   }
   EXPECT_EQ(buf.size(), expected_size);
   ByteReader reader(buf);
-  for (uint64_t v : values) ASSERT_EQ(DecodeLeb128(&reader), v);
+  for (uint64_t v : values) {
+    uint64_t decoded = 0;
+    ASSERT_TRUE(TryDecodeLeb128(&reader, &decoded).ok());
+    ASSERT_EQ(decoded, v);
+  }
   EXPECT_TRUE(reader.Done());
 }
 
@@ -63,7 +68,11 @@ TEST_P(CodecFuzzTest, Base100) {
   ByteBuffer buf;
   for (uint64_t v : values) EncodeBase100(v, &buf);
   ByteReader reader(buf);
-  for (uint64_t v : values) ASSERT_EQ(DecodeBase100(&reader), v);
+  for (uint64_t v : values) {
+    uint64_t decoded = 0;
+    ASSERT_TRUE(TryDecodeBase100(&reader, &decoded).ok());
+    ASSERT_EQ(decoded, v);
+  }
 }
 
 TEST_P(CodecFuzzTest, BitPackAtValueWidth) {
@@ -86,7 +95,8 @@ TEST_P(CodecFuzzTest, Delta) {
   DeltaEncode(values, /*presorted=*/false, &buf);
   EXPECT_EQ(buf.size(), DeltaEncodedSize(values, false));
   ByteReader reader(buf);
-  auto decoded = DeltaDecode(&reader);
+  std::vector<uint64_t> decoded;
+  ASSERT_TRUE(TryDeltaDecode(&reader, &decoded).ok());
   std::sort(values.begin(), values.end());
   EXPECT_EQ(decoded, values);
 }
@@ -102,7 +112,8 @@ TEST_P(CodecFuzzTest, PrefixGroup) {
     PrefixGroupEncode(values, width, prefix, &buf);
     EXPECT_EQ(buf.size(), PrefixGroupEncodedSize(values, width, prefix));
     ByteReader reader(buf);
-    auto decoded = PrefixGroupDecode(&reader, width, prefix);
+    std::vector<uint64_t> decoded;
+    ASSERT_TRUE(TryPrefixGroupDecode(&reader, width, prefix, &decoded).ok());
     std::vector<uint64_t> sorted = values;
     std::sort(sorted.begin(), sorted.end());
     ASSERT_EQ(decoded, sorted) << "prefix=" << prefix;
@@ -121,7 +132,8 @@ TEST_P(CodecFuzzTest, NodeGroup) {
   NodeGroupEncode(pairs, 4, &buf);
   EXPECT_EQ(buf.size(), NodeGroupEncodedSize(pairs, 4));
   ByteReader reader(buf);
-  auto decoded = NodeGroupDecode(&reader, 4);
+  std::vector<KeyNodePair> decoded;
+  ASSERT_TRUE(TryNodeGroupDecode(&reader, 4, &decoded).ok());
   auto canon = [](std::vector<KeyNodePair> p) {
     std::sort(p.begin(), p.end(), [](const KeyNodePair& a, const KeyNodePair& b) {
       return std::tie(a.node, a.key) < std::tie(b.node, b.key);
@@ -129,6 +141,28 @@ TEST_P(CodecFuzzTest, NodeGroup) {
     return p;
   };
   EXPECT_EQ(canon(decoded), canon(pairs));
+}
+
+TEST_P(CodecFuzzTest, Bloom) {
+  auto values = MakeValues(700);
+  auto [seed, dist] = GetParam();
+  BloomFilter filter(values.size(), 4 + 3 * dist, seed % 3);
+  for (uint64_t v : values) filter.Add(v);
+  ByteBuffer buf;
+  filter.Serialize(&buf);
+  EXPECT_EQ(buf.size(), Leb128Size(filter.num_bits()) +
+                            Leb128Size(filter.num_hashes()) +
+                            filter.SizeBytes());
+  ByteReader reader(buf);
+  Result<BloomFilter> decoded = BloomFilter::TryDeserialize(&reader);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_TRUE(reader.Done());
+  EXPECT_EQ(decoded->num_bits(), filter.num_bits());
+  EXPECT_EQ(decoded->num_hashes(), filter.num_hashes());
+  ByteBuffer again;
+  decoded->Serialize(&again);
+  EXPECT_EQ(again, buf);
+  for (uint64_t v : values) ASSERT_TRUE(decoded->MayContain(v));
 }
 
 INSTANTIATE_TEST_SUITE_P(SeedsAndDistributions, CodecFuzzTest,
@@ -236,6 +270,39 @@ TEST(CodecMalformedTest, PrefixGroupTruncatedHeader) {
     Status status = TryPrefixGroupDecode(&reader, 20, 8, &out);
     EXPECT_EQ(status.code(), StatusCode::kCorruption) << "cut=" << cut;
   }
+}
+
+TEST(CodecMalformedTest, BloomBadHeadersAndTruncation) {
+  BloomFilter filter(100, 10);
+  for (uint64_t k = 0; k < 100; ++k) filter.Add(k);
+  ByteBuffer buf;
+  filter.Serialize(&buf);
+  auto decode = [](const ByteBuffer& bytes) {
+    ByteReader reader(bytes);
+    return BloomFilter::TryDeserialize(&reader).status().code();
+  };
+  ASSERT_EQ(decode(buf), StatusCode::kOk);
+
+  // Truncations at every boundary: mid-varint and short word bytes.
+  for (size_t cut = 0; cut < buf.size(); ++cut) {
+    ByteBuffer trunc(buf.begin(), buf.begin() + cut);
+    EXPECT_EQ(decode(trunc), StatusCode::kCorruption) << "cut=" << cut;
+  }
+
+  // Bad geometry: num_bits zero or not a multiple of 64, num_hashes zero.
+  auto header = [](uint64_t num_bits, uint64_t num_hashes) {
+    ByteBuffer bytes;
+    EncodeLeb128(num_bits, &bytes);
+    EncodeLeb128(num_hashes, &bytes);
+    bytes.resize(bytes.size() + 64, 0xff);  // Enough words for 512 bits.
+    return bytes;
+  };
+  EXPECT_EQ(decode(header(64, 3)), StatusCode::kOk);
+  EXPECT_EQ(decode(header(0, 3)), StatusCode::kCorruption);
+  EXPECT_EQ(decode(header(100, 3)), StatusCode::kCorruption);
+  EXPECT_EQ(decode(header(64, 0)), StatusCode::kCorruption);
+  // A size past the payload is refused before anything is allocated.
+  EXPECT_EQ(decode(header(uint64_t{1} << 62, 3)), StatusCode::kCorruption);
 }
 
 TEST(CodecMalformedTest, PrefixGroupCountOverflow) {

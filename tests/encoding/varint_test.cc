@@ -7,6 +7,20 @@
 namespace tj {
 namespace {
 
+/// Decodes one value, failing the test on a Corruption status.
+uint64_t Leb128(ByteReader* reader) {
+  uint64_t v = 0;
+  Status s = TryDecodeLeb128(reader, &v);
+  EXPECT_TRUE(s.ok()) << s.ToString();
+  return v;
+}
+uint64_t Base100(ByteReader* reader) {
+  uint64_t v = 0;
+  Status s = TryDecodeBase100(reader, &v);
+  EXPECT_TRUE(s.ok()) << s.ToString();
+  return v;
+}
+
 const std::vector<uint64_t> kSamples = {
     0,   1,   99,  100,  127,  128,   255,        256,
     9999, 10000, 16383, 16384, 1234567890ULL, ~0ULL, (1ULL << 32), 42};
@@ -15,7 +29,7 @@ TEST(Leb128Test, RoundTrip) {
   ByteBuffer buf;
   for (uint64_t v : kSamples) EncodeLeb128(v, &buf);
   ByteReader reader(buf);
-  for (uint64_t v : kSamples) EXPECT_EQ(DecodeLeb128(&reader), v);
+  for (uint64_t v : kSamples) EXPECT_EQ(Leb128(&reader), v);
   EXPECT_TRUE(reader.Done());
 }
 
@@ -40,7 +54,7 @@ TEST(Base100Test, RoundTrip) {
   ByteBuffer buf;
   for (uint64_t v : kSamples) EncodeBase100(v, &buf);
   ByteReader reader(buf);
-  for (uint64_t v : kSamples) EXPECT_EQ(DecodeBase100(&reader), v);
+  for (uint64_t v : kSamples) EXPECT_EQ(Base100(&reader), v);
   EXPECT_TRUE(reader.Done());
 }
 
@@ -68,7 +82,7 @@ TEST(Base100Test, ExhaustiveSmallRange) {
   ByteBuffer buf;
   for (uint64_t v = 0; v < 20000; ++v) EncodeBase100(v, &buf);
   ByteReader reader(buf);
-  for (uint64_t v = 0; v < 20000; ++v) ASSERT_EQ(DecodeBase100(&reader), v);
+  for (uint64_t v = 0; v < 20000; ++v) ASSERT_EQ(Base100(&reader), v);
 }
 
 }  // namespace

@@ -45,14 +45,6 @@ TEST(FabricTest, TrafficAccounted) {
   EXPECT_EQ(fabric.traffic().LocalBytes(MessageType::kDataR), 4u);
 }
 
-TEST(FabricTest, SendBytesCountsWithoutDelivery) {
-  Fabric fabric(2);
-  fabric.SendBytes(0, 1, MessageType::kFilter, 1234);
-  EXPECT_EQ(fabric.traffic().NetworkBytes(MessageType::kFilter), 1234u);
-  ASSERT_TRUE(fabric.RunPhaseReliable("noop", Idle).ok());
-  EXPECT_TRUE(fabric.TakeInbox(1).empty());
-}
-
 TEST(FabricTest, TypedInboxLeavesOtherTypes) {
   Fabric fabric(2);
   ASSERT_TRUE(fabric.RunPhaseReliable("send", [&](uint32_t node) {
@@ -135,7 +127,6 @@ TEST(FabricDeathTest, NestedPhaseAborts) {
 
 TEST(FabricDeathTest, OutOfRangeNodesAbort) {
   Fabric fabric(2);
-  EXPECT_DEATH(fabric.SendBytes(0, 5, MessageType::kDataR, 1), "");
   EXPECT_DEATH(fabric.TakeInbox(9), "");
 }
 

@@ -43,7 +43,6 @@ TEST(TrafficTest, IngressEgressAndLinks) {
   EXPECT_EQ(m.EgressBytes(1), 5u);
   EXPECT_EQ(m.IngressBytes(2), 20u);
   EXPECT_EQ(m.LinkBytes(0, 2), 20u);
-  EXPECT_EQ(m.MaxLinkBytes(), 20u);
   EXPECT_EQ(m.MaxNodeBytes(), 30u);
 }
 
@@ -77,8 +76,6 @@ TEST(TimeModelTest, LinearInBytes) {
   m.Add(0, 1, MessageType::kDataR, 93000000);  // 0.093 GB.
   NetworkTimeModel model;
   EXPECT_NEAR(model.BottleneckSeconds(m), 1.0, 1e-9);
-  EXPECT_NEAR(model.SerializedSeconds(m), 1.0, 1e-9);
-  EXPECT_NEAR(model.AggregateSeconds(93000000 * 2, 2), 1.0, 1e-9);
 }
 
 TEST(TimeModelTest, BottleneckUsesBusiestNic) {
@@ -87,7 +84,6 @@ TEST(TimeModelTest, BottleneckUsesBusiestNic) {
   m.Add(2, 1, MessageType::kDataR, 1000);  // Node 1 ingress = 2000.
   NetworkTimeModel model{1000.0};
   EXPECT_NEAR(model.BottleneckSeconds(m), 2.0, 1e-9);
-  EXPECT_NEAR(model.SerializedSeconds(m), 2.0, 1e-9);
 }
 
 TEST(TrafficTest, ZeroNodesIsEmpty) {

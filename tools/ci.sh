@@ -45,17 +45,19 @@ for san in "${sanitizers[@]}"; do
   fi
   cmake -B "${dir}" -S . -DTJ_SANITIZE="${san}" "${launcher_flags[@]}" >/dev/null
   cmake --build "${dir}" -j "$(nproc)"
-  # The hot-path containers and the tracker merge must stay in the
-  # sanitized unit leg: their probe/tombstone and cursor arithmetic is
-  # exactly what ASan/UBSan exist to check. Guard against a CMake
-  # registration regression silently shrinking that coverage.
+  # The hot-path containers, the tracker merge and the wire decoders must
+  # stay in the sanitized unit leg: their probe and cursor arithmetic and
+  # their bounds checks on untrusted bytes are exactly what ASan/UBSan
+  # exist to check. Guard against a CMake registration regression silently
+  # shrinking that coverage.
   # (Captured once per label: `ctest -N | grep -q` would trip pipefail when
   # grep exits at the first match and ctest takes a SIGPIPE.)
   unit_listing="$(ctest --test-dir "${dir}" -N -L unit)"
   for required in kway_merge_test flat_table_test buffer_pool_test \
                   tracker_test hot_split_test zipf_workload_test \
                   pipelined_fabric_test pipelined_track_join_test \
-                  blame_test egress_sched_test; do
+                  blame_test egress_sched_test codec_fuzz_test bloom_test \
+                  semi_join_test; do
     if ! grep -q " ${required}\$" <<<"${unit_listing}"; then
       echo "ci.sh: ${required} missing from the unit label in ${dir}" >&2
       exit 1

@@ -90,8 +90,9 @@ workload:
   --nodes=N            cluster size (default 8)
   --keys=N             distinct matched keys (default 100000)
   --rmult=N --smult=N  copies of each key per table (default 1)
-  --rpattern=a,b,...   placement pattern for R repeats (sums to rmult)
-  --spattern=a,b,...   placement pattern for S repeats
+  --rpattern=a,b,...   placement pattern for R repeats under intra|inter
+                       collocation (sums to rmult, at most N groups)
+  --spattern=a,b,...   placement pattern for S repeats (same rules)
   --collocation=MODE   random | intra | inter (default random)
   --collocated=F       fraction of keys following the mode (default 1.0)
   --runmatched=N       R rows with unmatched keys (drives selectivity)
@@ -472,6 +473,35 @@ Options Parse(int argc, char** argv) {
       std::exit(1);
     }
   }
+  // Placement patterns shape only the intra/inter collocated generator, and
+  // only when they split exactly the table's copies over distinct nodes.
+  auto check_pattern = [&opt](const char* flag,
+                              const std::vector<uint32_t>& pattern,
+                              const char* mult_flag, uint32_t mult) {
+    if (pattern.empty()) return;
+    if (opt.zipf >= 0 || opt.collocation == tj::Collocation::kRandom) {
+      std::fprintf(stderr,
+                   "%s places repeat groups only under "
+                   "--collocation=intra|inter without --zipf\n",
+                   flag);
+      std::exit(1);
+    }
+    uint64_t total = 0;
+    for (uint32_t group : pattern) total += group;
+    if (total != mult) {
+      std::fprintf(stderr, "%s sums to %llu but %s=%u\n", flag,
+                   static_cast<unsigned long long>(total), mult_flag, mult);
+      std::exit(1);
+    }
+    if (pattern.size() > opt.nodes) {
+      std::fprintf(stderr,
+                   "%s has %zu groups, more than --nodes=%u distinct nodes\n",
+                   flag, pattern.size(), opt.nodes);
+      std::exit(1);
+    }
+  };
+  check_pattern("--rpattern", opt.r_pattern, "--rmult", opt.r_mult);
+  check_pattern("--spattern", opt.s_pattern, "--smult", opt.s_mult);
   if (opt.pipeline && (opt.delta || opt.group)) {
     std::fprintf(stderr,
                  "--pipeline requires the plain wire format; drop --delta "
@@ -622,6 +652,8 @@ int main(int argc, char** argv) {
 
   tj::JoinConfig config;
   config.key_bytes = opt.key_bytes;
+  // Node ids travel at the narrowest width that holds the largest id.
+  config.node_bytes = tj::BitsToBytes(tj::BitWidth(opt.nodes - 1));
   config.balance_loads = opt.balance;
   config.hot_key_threshold = opt.hot_key_threshold;
   config.hot_key_max_split = opt.hot_key_max_split;
