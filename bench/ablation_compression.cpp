@@ -45,6 +45,7 @@ void RunToggles(uint64_t scale, uint32_t nodes, uint64_t seed) {
         Combo{"delta + grouped", true, true}}) {
     JoinConfig config;
     config.key_bytes = 4;
+    config.node_bytes = NodeIdBytes(nodes);
     config.delta_tracking = combo.delta;
     config.group_locations = combo.group;
     JoinResult result = ValueOrDie(TryRunTrackJoin(w.r, w.s, config,

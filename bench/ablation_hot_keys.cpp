@@ -52,6 +52,7 @@ void Sweep(uint32_t nodes, uint64_t seed) {
 
     JoinConfig config;
     config.key_bytes = 4;
+    config.node_bytes = NodeIdBytes(nodes);
     JoinConfig split = config;
     split.hot_key_threshold = 200000;
     split.hot_key_max_split = 4;

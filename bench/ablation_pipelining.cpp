@@ -37,7 +37,7 @@ void Overlap(const char* label, const RealJoinSpec& spec, bool original_order,
                              {"4TJ", TrackJoinVersion::k4Phase}};
   for (const Algo& algo : algorithms) {
     for (bool drr : {false, true}) {
-      JoinConfig config = RealConfig(spec);
+      JoinConfig config = RealConfig(spec, nodes);
       config.pipeline.enabled = true;
       config.pipeline.drr = drr;
       Result<JoinResult> result =
@@ -66,6 +66,7 @@ void Overlap(const char* label, const RealJoinSpec& spec, bool original_order,
 void FabricGridCell(const Workload& w, bool drr, uint64_t chunk_bytes,
                     uint64_t window_bytes) {
   JoinConfig config;
+  config.node_bytes = NodeIdBytes(w.r.num_nodes());
   config.pipeline.enabled = true;
   config.pipeline.drr = drr;
   config.pipeline.chunk_bytes = chunk_bytes;

@@ -32,6 +32,7 @@ void Sweep(uint64_t scale, uint32_t nodes, uint64_t seed) {
     Workload w = GenerateWorkload(spec);
     JoinConfig config;
     config.key_bytes = 4;
+    config.node_bytes = NodeIdBytes(nodes);
     double p = static_cast<double>(scale);
     JoinResult hj = ValueOrDie(TryRunHashJoin(w.r, w.s, config));
     JoinResult rid = ValueOrDie(TryRunRidHashJoin(w.r, w.s, config));
@@ -62,6 +63,7 @@ void OutputBlowup(uint64_t scale, uint32_t nodes, uint64_t seed) {
     Workload w = GenerateWorkload(spec);
     JoinConfig config;
     config.key_bytes = 4;
+    config.node_bytes = NodeIdBytes(nodes);
     double p = static_cast<double>(scale);
     JoinResult hj = ValueOrDie(TryRunHashJoin(w.r, w.s, config));
     JoinResult rid = ValueOrDie(TryRunRidHashJoin(w.r, w.s, config));

@@ -35,6 +35,7 @@ void Sweep(uint64_t scale, uint32_t nodes, uint64_t seed) {
     Workload w = GenerateWorkload(spec);
     JoinConfig config;
     config.key_bytes = 4;
+    config.node_bytes = NodeIdBytes(nodes);
     SemiJoinConfig semi;
     double p = static_cast<double>(scale);
 

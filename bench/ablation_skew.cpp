@@ -36,6 +36,7 @@ void Sweep(uint32_t nodes, uint64_t seed) {
     Workload w = ValueOrDie(TryGenerateZipfWorkload(spec));
     JoinConfig config;
     config.key_bytes = 4;
+    config.node_bytes = NodeIdBytes(nodes);
     JoinConfig balanced = config;
     balanced.balance_loads = true;
 

@@ -7,9 +7,13 @@
 //   --seed=<n>          workload seed.
 //   --threads=<n>       thread pool size for the local kernels (partition,
 //                       sort, merge); 1 = the sequential path.
+// A malformed or zero --scale/--nodes/--threads (or a malformed --seed) is
+// a usage error. Node ids travel at NodeIdBytes(nodes) bytes, so clusters
+// past 256 nodes run with 2-byte ids.
 #ifndef TJ_BENCH_BENCH_UTIL_H_
 #define TJ_BENCH_BENCH_UTIL_H_
 
+#include <cerrno>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
@@ -37,19 +41,43 @@ struct Args {
   uint32_t threads = 1;  // 1 = sequential local kernels.
 };
 
+/// Parses the value of a numeric bench flag: a decimal integer in
+/// [min, max] with nothing after it. Anything else (empty, a sign, a
+/// non-numeric value, trailing garbage, out of range) is a usage error that
+/// names the flag, exit status 1.
+inline uint64_t ParseNumericFlag(const char* flag, const char* value,
+                                 uint64_t min, uint64_t max,
+                                 const char* expected) {
+  errno = 0;
+  char* end = nullptr;
+  const bool digits = *value >= '0' && *value <= '9';
+  const unsigned long long parsed =
+      digits ? std::strtoull(value, &end, 10) : 0;
+  if (!digits || *end != '\0' || errno == ERANGE || parsed < min ||
+      parsed > max) {
+    std::fprintf(stderr, "invalid value '%s' for %s (expected %s)\n", value,
+                 flag, expected);
+    std::exit(1);
+  }
+  return parsed;
+}
+
 inline Args ParseArgs(int argc, char** argv) {
   Args args;
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     if (std::strncmp(arg, "--scale=", 8) == 0) {
-      args.scale = std::strtoull(arg + 8, nullptr, 10);
+      args.scale = ParseNumericFlag("--scale", arg + 8, 1, UINT64_MAX,
+                                    "positive integer");
     } else if (std::strncmp(arg, "--nodes=", 8) == 0) {
-      args.nodes = static_cast<uint32_t>(std::strtoul(arg + 8, nullptr, 10));
+      args.nodes = static_cast<uint32_t>(ParseNumericFlag(
+          "--nodes", arg + 8, 1, 1u << 16, "integer in [1, 65536]"));
     } else if (std::strncmp(arg, "--seed=", 7) == 0) {
-      args.seed = std::strtoull(arg + 7, nullptr, 10);
+      args.seed = ParseNumericFlag("--seed", arg + 7, 0, UINT64_MAX,
+                                   "non-negative integer");
     } else if (std::strncmp(arg, "--threads=", 10) == 0) {
-      args.threads = static_cast<uint32_t>(std::strtoul(arg + 10, nullptr, 10));
-      if (args.threads == 0) args.threads = 1;
+      args.threads = static_cast<uint32_t>(ParseNumericFlag(
+          "--threads", arg + 10, 1, 1024, "integer in [1, 1024]"));
     } else if (std::strcmp(arg, "--help") == 0) {
       std::printf(
           "usage: %s [--scale=<divisor>] [--nodes=<n>] [--seed=<n>] "
@@ -173,6 +201,7 @@ inline void RunPattern(const std::vector<uint32_t>& pattern, const char* name,
   spec.seed = seed;
   JoinConfig config;
   config.key_bytes = 4;
+  config.node_bytes = NodeIdBytes(nodes);
   spec.r_payload = 30 - config.key_bytes;
   spec.s_payload = 60 - config.key_bytes;
   Workload w = GenerateWorkload(spec);

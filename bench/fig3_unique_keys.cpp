@@ -25,6 +25,7 @@ void RunWidthExperiment(uint32_t r_width, uint32_t s_width, uint64_t scale,
   spec.seed = seed;
   JoinConfig config;
   config.key_bytes = 4;
+  config.node_bytes = NodeIdBytes(nodes);
   spec.r_payload = r_width - config.key_bytes;
   spec.s_payload = s_width - config.key_bytes;
   Workload w = GenerateWorkload(spec);

@@ -30,6 +30,7 @@ void RunOneSidePattern(const std::vector<uint32_t>& pattern, const char* name,
   spec.seed = seed;
   JoinConfig config;
   config.key_bytes = 4;
+  config.node_bytes = NodeIdBytes(nodes);
   spec.r_payload = 30 - config.key_bytes;
   spec.s_payload = 60 - config.key_bytes;
   Workload w = GenerateWorkload(spec);

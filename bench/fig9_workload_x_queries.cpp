@@ -22,7 +22,7 @@ int main(int argc, char** argv) {
   const double kPaperReduction[] = {0.53, 0.45, 0.46, 0.48, 0.52};
   for (int q = 1; q <= 5; ++q) {
     tj::RealJoinSpec spec = tj::WorkloadX(q);
-    tj::JoinConfig config = tj::bench::RealConfig(spec);
+    tj::JoinConfig config = tj::bench::RealConfig(spec, nodes);
     // The paper shuffles nothing here; it uses the workload as stored. We
     // keep the original ordering model for every query.
     tj::Workload w =

@@ -165,7 +165,7 @@ int main(int argc, char** argv) {
   // Per-phase wall seconds of real join runs at a small fixed scale: the
   // same StepProfile rows the table3/table4 benches project to paper scale.
   const uint64_t join_scale = 8000;
-  JoinConfig config = bench::RealConfig(WorkloadX(1));
+  JoinConfig config = bench::RealConfig(WorkloadX(1), 4);
   config.thread_pool = p;
   Workload w = InstantiateReal(WorkloadX(1), 4, join_scale, true, args.seed);
   StepProfile hj = ValueOrDie(TryRunHashJoin(w.r, w.s, config)).profile;
@@ -176,7 +176,7 @@ int main(int argc, char** argv) {
   // inputs: the wall ratio at X/2000, and the pipelined wall at twice the
   // keys (X/1000) over X/2000. Best of kReps each; the reps of the three
   // runs alternate, so drift in machine speed hits all of them alike.
-  JoinConfig barrier_config = bench::RealConfig(WorkloadX(1));
+  JoinConfig barrier_config = bench::RealConfig(WorkloadX(1), 8);
   JoinConfig pipelined_config = barrier_config;
   pipelined_config.pipeline.enabled = true;
   pipelined_config.pipeline.drr = true;

@@ -1,14 +1,18 @@
-// Tracker merge-throughput microbench: the loser-tree k-way merge over
-// per-source sorted tracking messages (TryMergeTrackingMessages) versus
-// the reference decode-concatenate-sort path (TryDecodeTrackingMessage +
-// MergeTrackEntries), in wire entries per second.
+// Tracker hot-path microbench: the loser-tree k-way merge over per-source
+// sorted tracking messages (TryMergeTrackingMessages) versus the reference
+// decode-concatenate-sort path (TryDecodeTrackingMessage +
+// MergeTrackEntries), in wire entries per second, and the tracking encoder
+// (EncodeTrackingMessages), in keys per second.
 //
 // The grid varies the source count k (the merge fan-in, i.e. cluster
 // size from the tracker's point of view) and the cross-source duplication
 // factor (how many sources hold each key — Section 2.2's "aggregate at
-// the destination" case). Prints one JSON object to stdout;
-// tools/bench_smoke.py gates the headline "tracker_merge_tps" against
-// tools/bench_baseline.json.
+// the destination" case). Every timed rep writes into fresh output
+// vectors, as a query does. Prints one JSON object to stdout;
+// tools/bench_smoke.py gates the headline "tracker_merge_tps" and
+// "tracker_encode_tps" against tools/bench_baseline.json, and the same-run
+// ratio "tracker_merge_over_reference" (merge over reference throughput at
+// the headline point) against a floor of its own.
 //
 //   --scale=<divisor>  divide the 1Mi-entry base input by this (default 4).
 //   --seed=<n>         key-draw seed.
@@ -72,7 +76,12 @@ struct GridPoint {
   uint64_t merged;
   double merge_tps;
   double reference_tps;
+  double encode_tps;
 };
+
+/// The headline encode shape: each source's keys spread over this many
+/// destinations, as in an 8-node cluster.
+constexpr uint32_t kEncodeDestinations = 8;
 
 /// Builds k single-destination tracking messages and times both merge
 /// paths over them.
@@ -90,9 +99,11 @@ GridPoint RunPoint(uint32_t k, uint64_t dup, bool delta, uint64_t total,
 
   Rng rng(seed);
   std::vector<Message> msgs;
+  std::vector<std::vector<KeyCount>> sources;
   uint64_t wire_entries = 0;
   for (uint32_t src = 0; src < k; ++src) {
-    std::vector<KeyCount> kcs = MakeSource(&rng, total / k, universe);
+    sources.push_back(MakeSource(&rng, total / k, universe));
+    const std::vector<KeyCount>& kcs = sources.back();
     wire_entries += kcs.size();
     // num_nodes=1: every key hashes to destination 0, i.e. this tracker.
     std::vector<ByteBuffer> bufs =
@@ -119,11 +130,23 @@ GridPoint RunPoint(uint32_t k, uint64_t dup, bool delta, uint64_t total,
     MergeTrackEntries(&all);
     TJ_CHECK_EQ(all.size(), merged);
   });
+  // Every source's keys split over kEncodeDestinations trackers.
+  uint64_t encoded_bytes = 0;
+  double encode_s = BestOf([&] {
+    encoded_bytes = 0;
+    for (const std::vector<KeyCount>& kcs : sources) {
+      std::vector<ByteBuffer> bufs = EncodeTrackingMessages(
+          kcs, config, /*with_counts=*/true, kEncodeDestinations);
+      for (const ByteBuffer& buf : bufs) encoded_bytes += buf.size();
+    }
+  });
+  TJ_CHECK_GT(encoded_bytes, 0u);
 
   return GridPoint{k,      dup,
                    delta,  wire_entries,
                    merged, static_cast<double>(wire_entries) / merge_s,
-                   static_cast<double>(wire_entries) / reference_s};
+                   static_cast<double>(wire_entries) / reference_s,
+                   static_cast<double>(wire_entries) / encode_s};
 }
 
 }  // namespace bench
@@ -146,27 +169,33 @@ int main(int argc, char** argv) {
   }
   grid.push_back(bench::RunPoint(8, 4, true, total, args.seed));
 
-  double headline = 0;
-  double headline_delta = 0;
+  const bench::GridPoint* headline = nullptr;
+  const bench::GridPoint* headline_delta = nullptr;
   for (const bench::GridPoint& g : grid) {
     if (g.sources == 8 && g.dup == 4) {
-      (g.delta ? headline_delta : headline) = g.merge_tps;
+      (g.delta ? headline_delta : headline) = &g;
     }
   }
+  TJ_CHECK(headline != nullptr && headline_delta != nullptr);
 
   std::printf("{\n");
   std::printf("  \"entries_per_point\": %" PRIu64 ",\n", total);
-  std::printf("  \"tracker_merge_tps\": %.0f,\n", headline);
-  std::printf("  \"tracker_merge_delta_tps\": %.0f,\n", headline_delta);
+  std::printf("  \"tracker_merge_tps\": %.0f,\n", headline->merge_tps);
+  std::printf("  \"tracker_merge_delta_tps\": %.0f,\n",
+              headline_delta->merge_tps);
+  std::printf("  \"tracker_encode_tps\": %.0f,\n", headline->encode_tps);
+  std::printf("  \"tracker_merge_over_reference\": %.3f,\n",
+              headline->merge_tps / headline->reference_tps);
   std::printf("  \"merge_grid\": [\n");
   for (size_t i = 0; i < grid.size(); ++i) {
     const bench::GridPoint& g = grid[i];
     std::printf("    {\"sources\": %u, \"dup\": %" PRIu64
                 ", \"delta\": %s, \"wire_entries\": %" PRIu64
                 ", \"merged_keys\": %" PRIu64
-                ", \"merge_tps\": %.0f, \"reference_tps\": %.0f}%s\n",
+                ", \"merge_tps\": %.0f, \"reference_tps\": %.0f"
+                ", \"encode_tps\": %.0f}%s\n",
                 g.sources, g.dup, g.delta ? "true" : "false", g.wire_entries,
-                g.merged, g.merge_tps, g.reference_tps,
+                g.merged, g.merge_tps, g.reference_tps, g.encode_tps,
                 i + 1 < grid.size() ? "," : "");
   }
   std::printf("  ]\n");

@@ -10,11 +10,12 @@
 namespace tj {
 namespace bench {
 
-inline JoinConfig RealConfig(const RealJoinSpec& spec) {
+/// The physical widths of `spec` on a `nodes`-node cluster.
+inline JoinConfig RealConfig(const RealJoinSpec& spec, uint32_t nodes) {
   JoinConfig config;
   config.key_bytes = spec.impl_key_bytes;
   config.count_bytes = spec.impl_count_bytes;
-  config.node_bytes = 1;
+  config.node_bytes = NodeIdBytes(nodes);
   return config;
 }
 
@@ -30,7 +31,7 @@ inline PricingSpec PricingFor(const RealJoinSpec& spec,
   pricing.physical_payload_s = spec.impl_s_payload;
   pricing.key_bits_x100 = spec.r_schema.KeyBitsX100(scheme);
   pricing.count_bits_x100 = 800ULL * config.count_bytes;
-  pricing.node_bits_x100 = 800;
+  pricing.node_bits_x100 = 800ULL * config.node_bytes;
   pricing.payload_r_bits_x100 = spec.r_schema.PayloadBitsX100(scheme);
   pricing.payload_s_bits_x100 = spec.s_schema.PayloadBitsX100(scheme);
   return pricing;
@@ -47,7 +48,7 @@ inline bool TracksCounts(JoinAlgorithm algorithm) {
 inline void RunRealEncodings(const RealJoinSpec& spec, bool original_order,
                              const std::vector<EncodingScheme>& schemes,
                              uint64_t scale, uint32_t nodes, uint64_t seed) {
-  JoinConfig config = RealConfig(spec);
+  JoinConfig config = RealConfig(spec, nodes);
   Workload w = InstantiateReal(spec, nodes, scale, original_order, seed);
   std::printf("%s, %s ordering: %" PRIu64 " x %" PRIu64
               " tuples (projected x%" PRIu64 "), %u nodes\n\n",

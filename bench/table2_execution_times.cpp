@@ -34,7 +34,7 @@ struct Row {
 
 Row RunSuite(const RealJoinSpec& spec, bool original_order, uint64_t scale,
              uint32_t nodes, uint64_t seed, ThreadPool* pool) {
-  JoinConfig config = RealConfig(spec);
+  JoinConfig config = RealConfig(spec, nodes);
   config.thread_pool = pool;
   Workload w = InstantiateReal(spec, nodes, scale, original_order, seed);
   NetworkTimeModel model;

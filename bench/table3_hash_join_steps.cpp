@@ -36,7 +36,7 @@ struct Steps {
 
 Steps RunSteps(const RealJoinSpec& spec, bool original_order, uint64_t scale,
                uint32_t nodes, uint64_t seed, ThreadPool* pool) {
-  JoinConfig config = RealConfig(spec);
+  JoinConfig config = RealConfig(spec, nodes);
   config.thread_pool = pool;
   Workload w = InstantiateReal(spec, nodes, scale, original_order, seed);
   JoinResult result = ValueOrDie(TryRunHashJoin(w.r, w.s, config));

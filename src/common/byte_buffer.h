@@ -6,6 +6,7 @@
 #ifndef TJ_COMMON_BYTE_BUFFER_H_
 #define TJ_COMMON_BYTE_BUFFER_H_
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <vector>
@@ -15,6 +16,34 @@
 namespace tj {
 
 using ByteBuffer = std::vector<uint8_t>;
+
+/// The low `width` bytes of a word set (width in [1, 8]): the mask that
+/// cuts a `width`-byte field out of an 8-byte load.
+inline uint64_t FieldMask(uint32_t width) {
+  return width >= 8 ? ~0ULL : (1ULL << (8 * width)) - 1;
+}
+
+/// Unaligned little-endian 8-byte load. Word-at-a-time codecs read a
+/// narrower field with LoadLe64(p) & FieldMask(width) wherever 8 bytes
+/// remain in the buffer.
+inline uint64_t LoadLe64(const uint8_t* p) {
+  uint64_t v;
+  std::memcpy(&v, p, sizeof(v));
+  if constexpr (std::endian::native == std::endian::big) {
+    v = __builtin_bswap64(v);
+  }
+  return v;
+}
+
+/// Unaligned little-endian 8-byte store. A narrower field is written as a
+/// whole word into a buffer with 8 bytes of slack; the next field (or the
+/// final trim) overwrites the bytes past it.
+inline void StoreLe64(uint8_t* p, uint64_t v) {
+  if constexpr (std::endian::native == std::endian::big) {
+    v = __builtin_bswap64(v);
+  }
+  std::memcpy(p, &v, sizeof(v));
+}
 
 /// Appends fixed- and variable-width little-endian integers to a ByteBuffer.
 class ByteWriter {

@@ -1,18 +1,25 @@
-// Loser-tree k-way merge of sorted cursors.
+// Loser-tree k-way merge of key-sorted cursors.
 //
 // The tracker's merge phase consumes k per-source tracking streams that are
 // already key-sorted (delta coding requires sorted keys, and senders
 // aggregate over sorted blocks), so merging them is an O(n log k) streaming
 // problem, not an O(n log n) sort. A loser tree holds one comparison per
-// pop: each internal node caches the loser of its subtree's match, so
-// replacing the winner replays exactly one root-to-leaf path.
+// level: each internal node caches the loser of its subtree's match, so
+// replacing the winner replays exactly one leaf-to-root path.
+//
+// The tree caches every head as one 128-bit word, key << 64 | rank, where
+// rank is the cursor index while the cursor is live and k + index once it is
+// drained. Integer order on these words is the merge order: smaller key
+// first, ties toward the lower cursor index, and a drained cursor after
+// every live one (even a live key of ~0ULL). So the replay is one integer
+// compare per level, selected with conditional moves, and the order is a
+// strict total order: the merge is deterministic. Callers that need a
+// secondary order (the tracker's (key, node)) order the cursors by it.
 //
 // Cursor requirements:
-//   bool Valid() const;  // false once exhausted
-//   void Next();         // advance to the next element (Valid() required)
-// plus whatever head accessors the comparator reads. Exhausted cursors lose
-// every match; ties break toward the lower cursor index, which makes the
-// pop order a strict total order and the merge deterministic.
+//   bool Valid() const;     // false once exhausted
+//   uint64_t key() const;   // the head's key (Valid() required)
+//   void Next();            // advance to the next element (Valid() required)
 #ifndef TJ_COMMON_KWAY_MERGE_H_
 #define TJ_COMMON_KWAY_MERGE_H_
 
@@ -20,78 +27,72 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/logging.h"
-
 namespace tj {
 
-template <typename Cursor, typename Less>
+template <typename Cursor>
 class LoserTree {
  public:
-  /// `cursors` is borrowed and must outlive the tree. `less` compares the
-  /// heads of two valid cursors.
-  LoserTree(std::vector<Cursor>* cursors, Less less = Less())
-      : cursors_(cursors), less_(less), k_(cursors->size()) {
+  /// `cursors` is borrowed and must outlive the tree.
+  explicit LoserTree(std::vector<Cursor>* cursors)
+      : cursors_(cursors), k_(cursors->size()) {
+    top_ = Drained(0);
     if (k_ == 0) return;
-    // Bottom-up build: leaves are the cursors, each internal node stores
-    // the loser of its match and forwards the winner upward.
-    std::vector<size_t> winner(2 * k_);
+    // Bottom-up build: leaves are the cursors' heads, each internal node
+    // stores the loser of its match and forwards the winner upward.
+    std::vector<Head> winner(2 * k_);
     tree_.assign(k_, 0);
-    for (size_t j = 0; j < k_; ++j) winner[k_ + j] = j;
+    for (size_t j = 0; j < k_; ++j) winner[k_ + j] = HeadOf(j);
     for (size_t i = k_ - 1; i >= 1; --i) {
-      size_t a = winner[2 * i];
-      size_t b = winner[2 * i + 1];
-      if (Beats(b, a)) {
-        winner[i] = b;
-        tree_[i] = a;
-      } else {
-        winner[i] = a;
-        tree_[i] = b;
-      }
+      const Head a = winner[2 * i];
+      const Head b = winner[2 * i + 1];
+      winner[i] = a < b ? a : b;
+      tree_[i] = a < b ? b : a;
     }
-    tree_[0] = winner[1];
+    top_ = winner[1];
   }
 
   /// True when every cursor is exhausted (or there are none).
-  bool Done() const { return k_ == 0 || !(*cursors_)[tree_[0]].Valid(); }
+  bool Done() const { return Rank(top_) >= k_; }
 
   /// The cursor currently holding the smallest head. Done() must be false.
-  Cursor& Top() { return (*cursors_)[tree_[0]]; }
-  size_t TopIndex() const { return tree_[0]; }
+  Cursor& Top() { return (*cursors_)[Rank(top_)]; }
+  size_t TopIndex() const { return Rank(top_); }
+  uint64_t TopKey() const { return static_cast<uint64_t>(top_ >> 64); }
 
   /// Advances the winning cursor and replays its leaf-to-root path.
   /// Done() must be false.
   void Pop() {
-    size_t w = tree_[0];
+    const size_t w = Rank(top_);
     (*cursors_)[w].Next();
-    if (k_ == 1) return;
+    Head h = HeadOf(w);
     for (size_t i = (k_ + w) / 2; i >= 1; i /= 2) {
-      if (Beats(tree_[i], w)) {
-        size_t loser = w;
-        w = tree_[i];
-        tree_[i] = loser;
-      }
+      const Head other = tree_[i];
+      const bool other_wins = other < h;
+      tree_[i] = other_wins ? h : other;
+      h = other_wins ? other : h;
     }
-    tree_[0] = w;
+    top_ = h;
   }
 
  private:
-  /// Strict total order over cursor indexes: valid beats exhausted, then
-  /// the comparator on heads, then the lower index.
-  bool Beats(size_t a, size_t b) const {
-    const Cursor& ca = (*cursors_)[a];
-    const Cursor& cb = (*cursors_)[b];
-    if (!ca.Valid()) return false;
-    if (!cb.Valid()) return true;
-    if (less_(ca, cb)) return true;
-    if (less_(cb, ca)) return false;
-    return a < b;
+  using Head = unsigned __int128;
+
+  static size_t Rank(Head h) { return static_cast<size_t>(h); }
+  Head Drained(size_t j) const {
+    return Head{~0ULL} << 64 | static_cast<uint64_t>(k_ + j);
+  }
+  Head HeadOf(size_t j) const {
+    const Cursor& c = (*cursors_)[j];
+    return c.Valid() ? Head{c.key()} << 64 | static_cast<uint64_t>(j)
+                     : Drained(j);
   }
 
   std::vector<Cursor>* cursors_;
-  Less less_;
   size_t k_;
-  /// tree_[0] = overall winner; tree_[1..k-1] = loser at each internal node.
-  std::vector<size_t> tree_;
+  /// The overall winner's head.
+  Head top_;
+  /// tree_[1..k-1] = the loser's head at each internal node.
+  std::vector<Head> tree_;
 };
 
 }  // namespace tj

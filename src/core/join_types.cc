@@ -1,5 +1,6 @@
 #include "core/join_types.h"
 
+#include "common/bit_util.h"
 #include "net/buffer_pool.h"
 #include "net/fabric.h"
 
@@ -47,6 +48,10 @@ Status CheckNodeIdWidth(const JoinConfig& config, uint32_t num_nodes) {
       "node_bytes=" + std::to_string(config.node_bytes) +
       " cannot hold node id " + std::to_string(max_id) + " of " +
       std::to_string(num_nodes) + " nodes");
+}
+
+uint32_t NodeIdBytes(uint32_t num_nodes) {
+  return BitsToBytes(BitWidth(num_nodes - 1));
 }
 
 void SendRowsPerDest(Fabric* fabric, uint32_t src, MessageType type,

@@ -215,6 +215,10 @@ void ConfigureFabric(const JoinConfig& config, Fabric* fabric);
 /// rows to the wrong node and silently lose output.
 Status CheckNodeIdWidth(const JoinConfig& config, uint32_t num_nodes);
 
+/// The narrowest node_bytes that holds every id of a `num_nodes` cluster
+/// (1 up to 256 nodes, 2 up to 65536), which CheckNodeIdWidth accepts.
+uint32_t NodeIdBytes(uint32_t num_nodes);
+
 /// Sends the rows of `block` listed per destination node as one message per
 /// destination, in destination order. Empty destinations send nothing.
 /// With a `pool`, the message buffers come from it.

@@ -1,8 +1,8 @@
 #include "core/pipelined_track_join.h"
 
 #include <algorithm>
-#include <deque>
 #include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -29,10 +29,13 @@ constexpr uint64_t kStreamDone = ~0ULL;
 using TrackRuns = std::vector<std::vector<TrackEntry>>;
 
 /// One tracker-side incoming tracking stream (one source, one table).
-/// Entries arrive key-sorted; `watermark` promises no later chunk carries
-/// a key strictly below it.
+/// Entries arrive key-sorted, which intake checks; `watermark` promises no
+/// later chunk carries a key strictly below it. `pending[consumed..]` are
+/// the entries not yet handed to a schedule batch.
 struct TrackStream {
-  std::deque<TrackEntry> pending;
+  std::vector<TrackEntry> pending;
+  size_t consumed = 0;
+  uint64_t last_key = 0;
   uint64_t watermark = 0;
   bool started = false;
   bool eos = false;
@@ -41,6 +44,37 @@ struct TrackStream {
   uint64_t Bound() const {
     if (eos) return kStreamDone;
     return started ? watermark : 0;
+  }
+
+  /// Hands the pending entries with key < `bound` (all of them when
+  /// `take_all`) to a new run; empty when none qualify. Memory the stream
+  /// no longer needs goes with the run or back to the allocator, as a
+  /// deque's consumed blocks would.
+  std::vector<TrackEntry> TakeBelow(uint64_t bound, bool take_all) {
+    const auto first = pending.begin() + consumed;
+    const auto last =
+        take_all ? pending.end()
+                 : std::lower_bound(first, pending.end(), bound,
+                                    [](const TrackEntry& e, uint64_t key) {
+                                      return e.key < key;
+                                    });
+    std::vector<TrackEntry> run;
+    if (first == pending.begin() && last == pending.end()) {
+      run.swap(pending);  // Everything pending: no copy.
+      return run;
+    }
+    run.assign(first, last);
+    consumed = last - pending.begin();
+    if (consumed == pending.size()) {
+      pending = {};
+      consumed = 0;
+    } else if (consumed * 2 >= pending.size()) {
+      // Compact the consumed prefix once it is half the vector, so pending
+      // memory stays proportional to what is actually pending.
+      pending.erase(pending.begin(), pending.begin() + consumed);
+      consumed = 0;
+    }
+    return run;
   }
 };
 
@@ -148,8 +182,8 @@ Result<JoinResult> TryRunPipelinedTrackJoin(const PartitionedTable& r,
   const bool with_counts = version != TrackJoinVersion::k2Phase;
   const uint32_t width_r = config.key_bytes + r.payload_width();
   const uint32_t width_s = config.key_bytes + s.payload_width();
-  const uint32_t track_entry_bytes =
-      config.key_bytes + (with_counts ? config.count_bytes : 0);
+  const PlainEntryLayout track_layout(config, with_counts);
+  const uint32_t track_entry_bytes = track_layout.entry_bytes();
   const uint32_t pair_bytes = config.key_bytes + config.node_bytes;
   // EOS fan-in: every tracker terminates every instruction stream to every
   // holder; every holder then terminates every data stream to every joiner.
@@ -377,14 +411,9 @@ Result<JoinResult> TryRunPipelinedTrackJoin(const PartitionedTable& r,
     auto take_below = [&](std::vector<TrackStream>& streams) {
       TrackRuns runs;
       for (TrackStream& stream : streams) {
-        auto end = stream.pending.begin();
-        while (end != stream.pending.end() &&
-               (final_batch || end->key < bound)) {
-          ++end;
-        }
-        if (end == stream.pending.begin()) continue;
-        runs.emplace_back(stream.pending.begin(), end);
-        stream.pending.erase(stream.pending.begin(), end);
+        std::vector<TrackEntry> run = stream.TakeBelow(bound, final_batch);
+        if (run.empty()) continue;
+        runs.push_back(std::move(run));
         batch_empty = false;
       }
       return runs;
@@ -407,18 +436,32 @@ Result<JoinResult> TryRunPipelinedTrackJoin(const PartitionedTable& r,
     TrackStream& stream = (chunk.type == MessageType::kTrackR
                                ? st.streams_r
                                : st.streams_s)[chunk.src];
-    if (chunk.data.size() % track_entry_bytes != 0) {
+    const size_t size = chunk.data.size();
+    if (size % track_entry_bytes != 0) {
       return Status::Corruption("tracking chunk not a multiple of entry size");
     }
-    ByteReader reader(chunk.data);
-    while (!reader.Done()) {
-      TrackEntry entry;
-      entry.key = reader.GetUint(config.key_bytes);
-      entry.node = chunk.src;
-      entry.count = with_counts ? reader.GetUint(config.count_bytes) : 1;
-      stream.pending.push_back(entry);
+    // Decode straight into the stream's flat pending vector, counting key
+    // descents (against the stream's last key, across chunks) instead of
+    // branching on them.
+    const size_t base = stream.pending.size();
+    stream.pending.resize(base + size / track_entry_bytes);
+    TrackEntry* out = stream.pending.data() + base;
+    uint64_t prev = stream.last_key;
+    uint64_t descents = 0;
+    for (size_t pos = 0; pos < size; pos += track_entry_bytes, ++out) {
+      track_layout.Decode(chunk.data.data(), pos, size, &out->key,
+                          &out->count);
+      out->node = chunk.src;
+      descents += out->key < prev;
+      prev = out->key;
     }
-    if (!chunk.data.empty()) {
+    if (descents != 0) {
+      return Status::Corruption("tracking stream from node " +
+                                std::to_string(chunk.src) +
+                                " descends: keys must arrive ascending");
+    }
+    stream.last_key = prev;
+    if (size != 0) {
       stream.started = true;
       stream.watermark = chunk.watermark;
     }

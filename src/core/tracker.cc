@@ -14,27 +14,27 @@ std::vector<ByteBuffer> EncodeTrackingMessages(
     const std::vector<KeyCount>& keys, const JoinConfig& config,
     bool with_counts, uint32_t num_nodes, BufferPool* pool) {
   std::vector<ByteBuffer> per_dest(num_nodes);
-  const uint32_t entry_bytes =
-      config.key_bytes + (with_counts ? config.count_bytes : 0);
-  if (num_nodes > 0 &&
-      (pool != nullptr || keys.size() >= static_cast<size_t>(num_nodes) * 4)) {
-    // Hash partitioning spreads keys near-uniformly, so pre-size each
-    // destination close to its final footprint. Delta streams come in under
-    // the hint; the hint only bounds the growth-reallocation chain, never
-    // the emitted bytes.
-    const size_t hint = keys.size() * entry_bytes / num_nodes + 16;
-    for (auto& buf : per_dest) {
-      if (pool != nullptr) {
-        buf = pool->Acquire(hint);
-      } else {
-        buf.reserve(hint);
-      }
-    }
-  }
   if (config.delta_tracking) {
     // Sorted keys per destination, delta-coded; counts (if any) follow as
     // LEB128 in key order. Input keys arrive sorted, so per-destination
     // streams stay sorted.
+    if (num_nodes > 0 && (pool != nullptr ||
+                          keys.size() >= static_cast<size_t>(num_nodes) * 4)) {
+      // Hash partitioning spreads keys near-uniformly, so pre-size each
+      // destination close to its final footprint. Delta streams come in
+      // under the hint; the hint only bounds the growth-reallocation chain,
+      // never the emitted bytes.
+      const uint32_t entry_bytes =
+          config.key_bytes + (with_counts ? config.count_bytes : 0);
+      const size_t hint = keys.size() * entry_bytes / num_nodes + 16;
+      for (auto& buf : per_dest) {
+        if (pool != nullptr) {
+          buf = pool->Acquire(hint);
+        } else {
+          buf.reserve(hint);
+        }
+      }
+    }
     std::vector<std::vector<uint64_t>> dest_keys(num_nodes);
     std::vector<std::vector<uint64_t>> dest_counts(num_nodes);
     for (const auto& kc : keys) {
@@ -52,28 +52,66 @@ std::vector<ByteBuffer> EncodeTrackingMessages(
     return per_dest;
   }
 
-  const uint64_t max_count =
-      config.count_bytes >= 8 ? ~0ULL : (1ULL << (8 * config.count_bytes)) - 1;
-  std::vector<ByteWriter> writers;
-  writers.reserve(num_nodes);
-  for (uint32_t d = 0; d < num_nodes; ++d) writers.emplace_back(&per_dest[d]);
-  for (const auto& kc : keys) {
-    TJ_CHECK(config.key_bytes == 8 || (kc.key >> (8 * config.key_bytes)) == 0)
-        << "key does not fit in key_bytes";
-    uint32_t dest = HashPartition(kc.key, num_nodes);
-    if (!with_counts) {
-      writers[dest].PutUint(kc.key, config.key_bytes);
-      continue;
+  const uint32_t key_bytes = config.key_bytes;
+  const uint32_t count_bytes = with_counts ? config.count_bytes : 0;
+  const uint32_t entry_bytes = key_bytes + count_bytes;
+  TJ_CHECK(key_bytes >= 1 && key_bytes <= 8) << "key_bytes=" << key_bytes;
+  TJ_CHECK(!with_counts || (count_bytes >= 1 && count_bytes <= 8))
+      << "count_bytes=" << count_bytes;
+  const uint64_t max_count = FieldMask(with_counts ? count_bytes : 8);
+
+  // Pass 1: each key's destination and the exact bytes per destination.
+  // A count above max_count ships as saturated chunks the tracker
+  // re-aggregates; only those pay a division.
+  std::vector<uint32_t> dests(keys.size());
+  std::vector<uint64_t> bytes(num_nodes, 0);
+  uint64_t all_keys = 0;
+  for (size_t i = 0; i < keys.size(); ++i) {
+    const KeyCount& kc = keys[i];
+    const uint32_t dest = HashPartition(kc.key, num_nodes);
+    dests[i] = dest;
+    all_keys |= kc.key;
+    uint64_t chunks = 1;
+    if (with_counts && kc.count > max_count) {
+      chunks = kc.count / max_count + (kc.count % max_count != 0);
     }
-    // Saturating chunks; the tracker re-aggregates duplicates.
-    uint64_t remaining = kc.count;
-    do {
-      uint64_t chunk = std::min(remaining, max_count);
-      writers[dest].PutUint(kc.key, config.key_bytes);
-      writers[dest].PutUint(chunk, config.count_bytes);
-      remaining -= chunk;
-    } while (remaining > 0);
+    bytes[dest] += chunks * entry_bytes;
   }
+  TJ_CHECK((all_keys & ~FieldMask(key_bytes)) == 0)
+      << "key does not fit in key_bytes";
+
+  // Pass 2: one word store per field into buffers sized exactly plus 8
+  // bytes of slack for the last field's word.
+  std::vector<uint8_t*> cursor(num_nodes);
+  for (uint32_t d = 0; d < num_nodes; ++d) {
+    if (bytes[d] == 0) continue;
+    if (pool != nullptr) per_dest[d] = pool->Acquire(bytes[d] + 8);
+    per_dest[d].resize(bytes[d] + 8);
+    cursor[d] = per_dest[d].data();
+  }
+  for (size_t i = 0; i < keys.size(); ++i) {
+    const KeyCount& kc = keys[i];
+    uint8_t* p = cursor[dests[i]];
+    if (!with_counts) {
+      StoreLe64(p, kc.key);
+      p += entry_bytes;
+    } else if (kc.count <= max_count) {
+      StoreLe64(p, kc.key);
+      StoreLe64(p + key_bytes, kc.count);
+      p += entry_bytes;
+    } else {
+      // Saturating chunks, the remainder last.
+      for (uint64_t remaining = kc.count; remaining > 0;) {
+        const uint64_t chunk = std::min(remaining, max_count);
+        StoreLe64(p, kc.key);
+        StoreLe64(p + key_bytes, chunk);
+        p += entry_bytes;
+        remaining -= chunk;
+      }
+    }
+    cursor[dests[i]] = p;
+  }
+  for (uint32_t d = 0; d < num_nodes; ++d) per_dest[d].resize(bytes[d]);
   return per_dest;
 }
 
@@ -134,6 +172,17 @@ void MergeTrackEntries(std::vector<TrackEntry>* entries) {
   entries->resize(out);
 }
 
+PlainEntryLayout::PlainEntryLayout(uint32_t key_bytes, uint32_t value_bytes)
+    : key_bytes_(key_bytes),
+      value_bytes_(value_bytes),
+      entry_bytes_(key_bytes + value_bytes),
+      key_mask_(FieldMask(key_bytes)),
+      value_mask_(value_bytes > 0 ? FieldMask(value_bytes) : 0),
+      value_floor_(value_bytes > 0 ? 0 : 1) {
+  TJ_CHECK(key_bytes >= 1 && key_bytes <= 8) << "key_bytes=" << key_bytes;
+  TJ_CHECK_LE(value_bytes, 8u);
+}
+
 uint64_t TrackingMessageCursor::ReadLeb(size_t* pos) {
   // Bounds and termination were proven by Init's validation pass.
   uint64_t v = 0;
@@ -146,36 +195,17 @@ uint64_t TrackingMessageCursor::ReadLeb(size_t* pos) {
   }
 }
 
-uint64_t TrackingMessageCursor::ReadUint(size_t* pos, uint32_t bytes) {
-  uint64_t v = 0;
-  for (uint32_t i = 0; i < bytes; ++i) {
-    v |= static_cast<uint64_t>(data_[(*pos)++]) << (8 * i);
-  }
-  return v;
-}
-
-void TrackingMessageCursor::DecodeHead() {
-  if (delta_) {
-    key_ += ReadLeb(&key_pos_);  // Gaps accumulate from zero.
-    count_ = with_counts_ ? ReadLeb(&count_pos_) : 1;
-  } else {
-    key_ = ReadUint(&key_pos_, key_bytes_);
-    count_ = with_counts_ ? ReadUint(&key_pos_, count_bytes_) : 1;
-  }
-}
-
-void TrackingMessageCursor::Next() {
-  --remaining_;
-  if (remaining_ > 0) DecodeHead();
+void TrackingMessageCursor::DecodeDeltaHead() {
+  key_ += ReadLeb(&key_pos_);  // Gaps accumulate from zero.
+  count_ = with_counts_ ? ReadLeb(&count_pos_) : 1;
 }
 
 Status TrackingMessageCursor::Init(const Message& message,
                                    const JoinConfig& config,
                                    bool with_counts) {
   data_ = message.data.data();
+  size_ = message.data.size();
   node_ = message.src;
-  key_bytes_ = config.key_bytes;
-  count_bytes_ = config.count_bytes;
   delta_ = config.delta_tracking;
   with_counts_ = with_counts;
   total_ = 0;
@@ -215,26 +245,34 @@ Status TrackingMessageCursor::Init(const Message& message,
     }
     total_ = n;
   } else {
-    const uint32_t entry_bytes =
-        key_bytes_ + (with_counts ? count_bytes_ : 0);
-    if (reader.remaining() % entry_bytes != 0) {
+    layout_ = PlainEntryLayout(config, with_counts);
+    const uint32_t entry_bytes = layout_.entry_bytes();
+    if (size_ % entry_bytes != 0) {
       return Status::Corruption(
           "tracking message not a multiple of entry size");
     }
-    total_ = reader.remaining() / entry_bytes;
+    total_ = size_ / entry_bytes;
     key_pos_ = 0;
     // One sortedness scan over the keys; saturated count chunks repeat a
     // key (non-decreasing), which the merge aggregates like any duplicate.
+    // Descents are counted, not branched on, so the scan stays branch-free.
     uint64_t prev = 0;
-    size_t pos = 0;
-    for (uint64_t i = 0; i < total_; ++i) {
-      uint64_t k = ReadUint(&pos, key_bytes_);
-      if (with_counts_) pos += count_bytes_;
-      if (i > 0 && k < prev) {
-        return Status::Corruption("tracking stream descends at entry " +
-                                  std::to_string(i));
-      }
+    uint64_t descents = 0;
+    for (size_t pos = 0; pos < size_; pos += entry_bytes) {
+      const uint64_t k = layout_.Key(data_, pos, size_);
+      descents += k < prev;
       prev = k;
+    }
+    if (descents != 0) {
+      prev = 0;
+      for (uint64_t i = 0; i < total_; ++i) {
+        const uint64_t k = layout_.Key(data_, i * entry_bytes, size_);
+        if (k < prev) {
+          return Status::Corruption("tracking stream descends at entry " +
+                                    std::to_string(i));
+        }
+        prev = k;
+      }
     }
   }
   remaining_ = total_;
@@ -244,17 +282,7 @@ Status TrackingMessageCursor::Init(const Message& message,
 
 namespace {
 
-/// Orders merge cursors of either kind by (key, node) — the
-/// MergeTrackEntries order.
-struct TrackCursorLess {
-  template <typename Head>
-  bool operator()(const Head& a, const Head& b) const {
-    if (a.key() != b.key()) return a.key() < b.key();
-    return a.node() < b.node();
-  }
-};
-
-/// Merge cursor over one in-memory run of entries.
+/// Merge cursor over one in-memory run of one node's entries.
 class TrackRunCursor {
  public:
   explicit TrackRunCursor(const std::vector<TrackEntry>& run)
@@ -271,23 +299,29 @@ class TrackRunCursor {
   const TrackEntry* end_;
 };
 
-/// Drains the cursors through a loser tree into `out`, summing the counts
-/// of adjacent equal (key, node) heads. Every cursor must be ascending.
+/// Drains the cursors through a loser tree into `out` (reserved for
+/// `total` entries), summing the counts of adjacent equal (key, node)
+/// heads. Every cursor must be ascending by key and carry one node.
+/// Ordering the cursors stably by node first makes the tree's tie-break
+/// toward the lower index the MergeTrackEntries (key, node) order.
 template <typename Cursor>
-void LoserTreeMerge(std::vector<Cursor>* cursors,
+void LoserTreeMerge(std::vector<Cursor>* cursors, uint64_t total,
                     std::vector<TrackEntry>* out) {
-  LoserTree<Cursor, TrackCursorLess> tree(cursors);
+  std::stable_sort(cursors->begin(), cursors->end(),
+                   [](const Cursor& a, const Cursor& b) {
+                     return a.node() < b.node();
+                   });
+  out->reserve(total);
+  LoserTree<Cursor> tree(cursors);
   while (!tree.Done()) {
     const Cursor& top = tree.Top();
-    if (!out->empty()) {
-      TrackEntry& back = out->back();
-      if (back.key == top.key() && back.node == top.node()) {
-        back.count += top.count();
-        tree.Pop();
-        continue;
-      }
+    const TrackEntry head{tree.TopKey(), top.node(), top.count()};
+    if (!out->empty() && out->back().key == head.key &&
+        out->back().node == head.node) {
+      out->back().count += head.count;
+    } else {
+      out->push_back(head);
     }
-    out->push_back(TrackEntry{top.key(), top.node(), top.count()});
     tree.Pop();
   }
 }
@@ -307,8 +341,7 @@ Status TryMergeTrackingMessages(const std::vector<Message>& messages,
     total += cursor.entries();
     if (cursor.Valid()) cursors.push_back(cursor);
   }
-  out->reserve(total);
-  LoserTreeMerge(&cursors, out);
+  LoserTreeMerge(&cursors, total, out);
   return Status::OK();
 }
 
@@ -320,26 +353,30 @@ Status TryMergeTrackRuns(const std::vector<std::vector<TrackEntry>>& runs,
   uint64_t total = 0;
   for (const std::vector<TrackEntry>& run : runs) {
     if (run.empty()) continue;
-    if (run.front().key < min_key) {
+    const TrackEntry& first = run.front();
+    if (first.key < min_key) {
       return Status::Corruption(
-          "tracking run from node " + std::to_string(run.front().node) +
-          " has key " + std::to_string(run.front().key) +
+          "tracking run from node " + std::to_string(first.node) +
+          " has key " + std::to_string(first.key) +
           " below its batch's range start " + std::to_string(min_key));
     }
-    TrackRunCursor prev(run);
-    TrackRunCursor next(run);
-    for (next.Next(); next.Valid(); next.Next(), prev.Next()) {
-      if (TrackCursorLess()(next, prev)) {
+    for (size_t i = 1; i < run.size(); ++i) {
+      if (run[i].key < run[i - 1].key) {
         return Status::Corruption("tracking run descends at key " +
-                                  std::to_string(next.key()) + " from node " +
-                                  std::to_string(next.node()));
+                                  std::to_string(run[i].key) + " from node " +
+                                  std::to_string(run[i].node));
+      }
+      if (run[i].node != first.node) {
+        return Status::Corruption(
+            "tracking run mixes nodes " + std::to_string(first.node) +
+            " and " + std::to_string(run[i].node) + " at key " +
+            std::to_string(run[i].key));
       }
     }
     total += run.size();
     cursors.emplace_back(run);
   }
-  out->reserve(total);
-  LoserTreeMerge(&cursors, out);
+  LoserTreeMerge(&cursors, total, out);
   return Status::OK();
 }
 
@@ -403,17 +440,21 @@ ByteBuffer EncodeKeyNodePairs(const std::vector<KeyNodePair>& pairs,
     NodeGroupEncode(pairs, config.key_bytes, &out);
     return out;
   }
-  const size_t hint = pairs.size() * (config.key_bytes + config.node_bytes);
-  if (pool != nullptr) {
-    out = pool->Acquire(hint);
-  } else {
-    out.reserve(hint);
+  const uint32_t key_bytes = config.key_bytes;
+  const uint32_t node_bytes = config.node_bytes;
+  TJ_CHECK(key_bytes >= 1 && key_bytes <= 8) << "key_bytes=" << key_bytes;
+  TJ_CHECK(node_bytes >= 1 && node_bytes <= 8) << "node_bytes=" << node_bytes;
+  // One word store per field into a buffer with 8 bytes of slack, trimmed.
+  const size_t bytes = pairs.size() * (key_bytes + node_bytes);
+  if (pool != nullptr) out = pool->Acquire(bytes + 8);
+  out.resize(bytes + 8);
+  uint8_t* p = out.data();
+  for (const KeyNodePair& pair : pairs) {
+    StoreLe64(p, pair.key);
+    StoreLe64(p + key_bytes, pair.node);
+    p += key_bytes + node_bytes;
   }
-  ByteWriter writer(&out);
-  for (const auto& p : pairs) {
-    writer.PutUint(p.key, config.key_bytes);
-    writer.PutUint(p.node, config.node_bytes);
-  }
+  out.resize(bytes);
   return out;
 }
 
@@ -453,16 +494,17 @@ Status TryDecodeKeyNodePairs(const ByteBuffer& data, const JoinConfig& config,
   if (config.group_locations) {
     return TryNodeGroupDecode(&reader, config.key_bytes, out);
   }
-  const uint32_t pair_bytes = config.key_bytes + config.node_bytes;
-  if (reader.remaining() % pair_bytes != 0) {
+  const PlainEntryLayout layout(config.key_bytes, config.node_bytes);
+  const size_t size = data.size();
+  if (size % layout.entry_bytes() != 0) {
     return Status::Corruption("pair message not a multiple of pair size");
   }
-  out->reserve(reader.remaining() / pair_bytes);
-  while (!reader.Done()) {
-    KeyNodePair p;
-    p.key = reader.GetUint(config.key_bytes);
-    p.node = static_cast<uint32_t>(reader.GetUint(config.node_bytes));
-    out->push_back(p);
+  out->resize(size / layout.entry_bytes());
+  KeyNodePair* pair = out->data();
+  for (size_t pos = 0; pos < size; pos += layout.entry_bytes(), ++pair) {
+    uint64_t node = 0;
+    layout.Decode(data.data(), pos, size, &pair->key, &node);
+    pair->node = static_cast<uint32_t>(node);
   }
   return Status::OK();
 }

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/byte_buffer.h"
 #include "core/join_types.h"
 #include "core/schedule.h"
 #include "encoding/node_group.h"
@@ -29,7 +30,10 @@ struct TrackEntry {
 };
 
 /// Serializes one node's aggregated distinct keys into per-destination
-/// tracking messages (destination = hash(key) mod num_nodes).
+/// tracking messages (destination = hash(key) mod num_nodes). The plain
+/// format is written in two passes: the first sizes every destination
+/// exactly, the second stores each field as one 8-byte word into buffers
+/// with 8 bytes of slack, trimmed at the end.
 /// With `with_counts` false (2-phase), only keys travel; counts are implied 1
 /// ("present"). Counts wider than cfg.count_bytes are split into saturated
 /// chunks the tracker re-aggregates ("we can aggregate at the destination").
@@ -54,6 +58,61 @@ Status TryDecodeTrackingMessage(const Message& message,
 /// must produce byte-identical output; property tests cross-check the two.
 void MergeTrackEntries(std::vector<TrackEntry>* entries);
 
+/// Field layout of a plain fixed-width wire entry: a `key_bytes`
+/// little-endian key, then a `value_bytes` little-endian value — the count
+/// of a plain (not delta-coded) tracking entry, or the node of a <key, node>
+/// pair. Decode reads each field with one 8-byte load and a mask wherever 8
+/// bytes remain past the field's start, and byte by byte in the message's
+/// last few bytes. With value_bytes 0 (2-phase tracking: keys only) every
+/// value is 1.
+class PlainEntryLayout {
+ public:
+  PlainEntryLayout() = default;
+  PlainEntryLayout(uint32_t key_bytes, uint32_t value_bytes);
+  /// The tracking entry of `config`, with or without counts.
+  PlainEntryLayout(const JoinConfig& config, bool with_counts)
+      : PlainEntryLayout(config.key_bytes,
+                         with_counts ? config.count_bytes : 0) {}
+
+  uint32_t entry_bytes() const { return entry_bytes_; }
+
+  /// Decodes the entry at data[pos, pos + entry_bytes()) of a `size`-byte
+  /// message.
+  void Decode(const uint8_t* data, size_t pos, size_t size, uint64_t* key,
+              uint64_t* value) const {
+    const uint8_t* p = data + pos;
+    if (pos + key_bytes_ + 8 <= size) {
+      *key = LoadLe64(p) & key_mask_;
+      *value = (LoadLe64(p + key_bytes_) & value_mask_) | value_floor_;
+    } else {
+      *key = ReadTail(p, key_bytes_);
+      *value = ReadTail(p + key_bytes_, value_bytes_) | value_floor_;
+    }
+  }
+
+  /// Decodes only the key of the entry at `pos`.
+  uint64_t Key(const uint8_t* data, size_t pos, size_t size) const {
+    return pos + 8 <= size ? LoadLe64(data + pos) & key_mask_
+                           : ReadTail(data + pos, key_bytes_);
+  }
+
+ private:
+  static uint64_t ReadTail(const uint8_t* p, uint32_t bytes) {
+    uint64_t v = 0;
+    for (uint32_t i = 0; i < bytes; ++i) {
+      v |= static_cast<uint64_t>(p[i]) << (8 * i);
+    }
+    return v;
+  }
+
+  uint32_t key_bytes_ = 0;
+  uint32_t value_bytes_ = 0;
+  uint32_t entry_bytes_ = 0;
+  uint64_t key_mask_ = 0;
+  uint64_t value_mask_ = 0;   ///< 0 without a value field.
+  uint64_t value_floor_ = 1;  ///< 1 without a value field (the implied count).
+};
+
 /// Streaming cursor over the (key, node, count) facts of one tracking
 /// message, decoded lazily in wire order. Init validates the whole payload
 /// up front: TryDecodeTrackingMessage's rejection set plus keys that
@@ -77,14 +136,26 @@ class TrackingMessageCursor {
   uint32_t node() const { return node_; }
   uint64_t count() const { return count_; }
   /// Advances to the next wire entry. Valid() must be true.
-  void Next();
+  void Next() {
+    --remaining_;
+    if (remaining_ > 0) DecodeHead();
+  }
 
  private:
   uint64_t ReadLeb(size_t* pos);
-  uint64_t ReadUint(size_t* pos, uint32_t bytes);
-  void DecodeHead();
+  void DecodeHead() {
+    if (delta_) {
+      DecodeDeltaHead();
+      return;
+    }
+    layout_.Decode(data_, key_pos_, size_, &key_, &count_);
+    key_pos_ += layout_.entry_bytes();
+  }
+  void DecodeDeltaHead();
 
+  PlainEntryLayout layout_;
   const uint8_t* data_ = nullptr;
+  size_t size_ = 0;
   size_t key_pos_ = 0;    ///< Cursor into the key region.
   size_t count_pos_ = 0;  ///< Cursor into the trailing count region (delta).
   uint64_t remaining_ = 0;
@@ -92,18 +163,17 @@ class TrackingMessageCursor {
   uint64_t key_ = 0;
   uint64_t count_ = 1;
   uint32_t node_ = 0;
-  uint32_t key_bytes_ = 0;
-  uint32_t count_bytes_ = 0;
   bool delta_ = false;
   bool with_counts_ = false;
 };
 
 /// Merges all tracking messages of one inbox into a merged (key, node)
 /// entry vector in one pass: a loser-tree k-way merge over the per-source
-/// sorted cursors, aggregating duplicate (key, node) runs as they surface.
-/// O(n log k) with no intermediate concatenated vector and no comparison
-/// sort. Output is byte-identical to decoding every message and running
-/// MergeTrackEntries. A message whose keys descend returns
+/// sorted cursors, ordered stably by source node so the tree's index
+/// tie-break is the node order, aggregating duplicate (key, node) runs as
+/// they surface. O(n log k) with no intermediate concatenated vector and no
+/// comparison sort. Output is byte-identical to decoding every message and
+/// running MergeTrackEntries. A message whose keys descend returns
 /// Status::Corruption, as TryMergeTrackRuns does for a descending run.
 Status TryMergeTrackingMessages(const std::vector<Message>& messages,
                                 const JoinConfig& config, bool with_counts,
@@ -112,11 +182,11 @@ Status TryMergeTrackingMessages(const std::vector<Message>& messages,
 /// Merges one key-range batch of tracker entries into the MergeTrackEntries
 /// order with duplicate (key, node) counts summed, by the same loser-tree
 /// merge as TryMergeTrackingMessages. Each run holds one source stream's
-/// entries in the batch, ascending by (key, node); a saturated count may
-/// repeat a (key, node). `min_key` is where the batch's key range starts.
-/// A run that descends, or an entry below `min_key` (it arrived after its
-/// range was merged), returns Status::Corruption: either would split a
-/// key's entries across batches or misorder the output.
+/// entries in the batch: one node, keys ascending; a saturated count may
+/// repeat a key. `min_key` is where the batch's key range starts. A run
+/// that descends or mixes nodes, or an entry below `min_key` (it arrived
+/// after its range was merged), returns Status::Corruption: each would
+/// split a key's entries across batches or misorder the output.
 Status TryMergeTrackRuns(const std::vector<std::vector<TrackEntry>>& runs,
                          uint64_t min_key, std::vector<TrackEntry>* out);
 

@@ -121,6 +121,46 @@ void WalkPlacement(const WorkloadSpec& spec,
 
 }  // namespace
 
+Status ValidateWorkloadSpec(const WorkloadSpec& spec) {
+  const std::pair<const char*, uint32_t> positive[] = {
+      {"num_nodes", spec.num_nodes},
+      {"r_multiplicity", spec.r_multiplicity},
+      {"s_multiplicity", spec.s_multiplicity}};
+  for (const auto& [field, value] : positive) {
+    if (value == 0) {
+      return Status::InvalidArgument(std::string(field) + " must be > 0");
+    }
+  }
+  if (spec.collocation == Collocation::kRandom) return Status::OK();
+  struct PatternField {
+    const char* name;
+    const std::vector<uint32_t>& pattern;
+    const char* multiplicity_name;
+    uint32_t multiplicity;
+  };
+  const PatternField patterns[] = {
+      {"r_pattern", spec.r_pattern, "r_multiplicity", spec.r_multiplicity},
+      {"s_pattern", spec.s_pattern, "s_multiplicity", spec.s_multiplicity}};
+  for (const PatternField& p : patterns) {
+    if (p.pattern.empty()) continue;  // One group of every copy.
+    uint64_t total = 0;
+    for (uint32_t group : p.pattern) total += group;
+    if (total != p.multiplicity) {
+      return Status::InvalidArgument(
+          std::string(p.name) + " sums to " + std::to_string(total) +
+          " but " + p.multiplicity_name + " is " +
+          std::to_string(p.multiplicity));
+    }
+    if (p.pattern.size() > spec.num_nodes) {
+      return Status::InvalidArgument(
+          std::string(p.name) + " has " + std::to_string(p.pattern.size()) +
+          " groups, more than num_nodes=" + std::to_string(spec.num_nodes) +
+          " distinct nodes");
+    }
+  }
+  return Status::OK();
+}
+
 Workload GenerateWorkload(const WorkloadSpec& spec) {
   TJ_CHECK_GT(spec.num_nodes, 0u);
   TJ_CHECK_GT(spec.r_multiplicity, 0u);

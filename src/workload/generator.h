@@ -67,9 +67,17 @@ struct Workload {
   uint64_t expected_output_rows;
 };
 
+/// Checks GenerateWorkload's preconditions. Returns InvalidArgument naming
+/// the offending field when num_nodes, r_multiplicity or s_multiplicity is
+/// zero or, under kIntra/kInter collocation, a non-empty pattern does not
+/// sum to its table's multiplicity or has more groups than num_nodes
+/// (groups land on distinct nodes). kRandom ignores the patterns.
+Status ValidateWorkloadSpec(const WorkloadSpec& spec);
+
 /// Generates a workload. Keys are dense 64-bit values starting at 1
 /// (matched), with unmatched keys in disjoint ranges above them; callers
-/// must pick JoinConfig::key_bytes large enough.
+/// must pick JoinConfig::key_bytes large enough. `spec` must pass
+/// ValidateWorkloadSpec.
 Workload GenerateWorkload(const WorkloadSpec& spec);
 
 /// Replicated placement of a workload's tables: chained declustering with

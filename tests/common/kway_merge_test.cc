@@ -17,20 +17,15 @@ struct VecCursor {
 
   bool Valid() const { return i < v->size(); }
   void Next() { ++i; }
-  uint64_t head() const { return (*v)[i]; }
-};
-
-struct HeadLess {
-  bool operator()(const VecCursor& a, const VecCursor& b) const {
-    return a.head() < b.head();
-  }
+  uint64_t key() const { return (*v)[i]; }
 };
 
 std::vector<uint64_t> Drain(std::vector<VecCursor>* cursors) {
-  LoserTree<VecCursor, HeadLess> tree(cursors);
+  LoserTree<VecCursor> tree(cursors);
   std::vector<uint64_t> out;
   while (!tree.Done()) {
-    out.push_back(tree.Top().head());
+    EXPECT_EQ(tree.TopKey(), tree.Top().key());
+    out.push_back(tree.Top().key());
     tree.Pop();
   }
   return out;
@@ -52,7 +47,7 @@ TEST(KwayMergeTest, MergesSortedRuns) {
 
 TEST(KwayMergeTest, NoCursorsIsDone) {
   std::vector<VecCursor> cursors;
-  LoserTree<VecCursor, HeadLess> tree(&cursors);
+  LoserTree<VecCursor> tree(&cursors);
   EXPECT_TRUE(tree.Done());
 }
 
@@ -71,25 +66,44 @@ TEST(KwayMergeTest, EmptySourcesLoseEveryMatch) {
 TEST(KwayMergeTest, AllSourcesEmpty) {
   std::vector<std::vector<uint64_t>> runs = {{}, {}, {}};
   auto cursors = Cursors(runs);
-  LoserTree<VecCursor, HeadLess> tree(&cursors);
+  LoserTree<VecCursor> tree(&cursors);
   EXPECT_TRUE(tree.Done());
 }
 
 TEST(KwayMergeTest, TiesBreakTowardLowerCursorIndex) {
   std::vector<std::vector<uint64_t>> runs = {{7, 9}, {7, 7}, {7}};
   auto cursors = Cursors(runs);
-  LoserTree<VecCursor, HeadLess> tree(&cursors);
+  LoserTree<VecCursor> tree(&cursors);
   // All heads equal 7: pops must surface cursors 0, 1, 2 in index order,
   // then cursor 1's second 7 before the larger heads.
   std::vector<size_t> order;
   for (int i = 0; i < 4; ++i) {
     ASSERT_FALSE(tree.Done());
-    EXPECT_EQ(tree.Top().head(), 7u);
+    EXPECT_EQ(tree.Top().key(), 7u);
     order.push_back(tree.TopIndex());
     tree.Pop();
   }
   EXPECT_EQ(order, (std::vector<size_t>{0, 1, 1, 2}));
-  EXPECT_EQ(tree.Top().head(), 9u);
+  EXPECT_EQ(tree.Top().key(), 9u);
+}
+
+TEST(KwayMergeTest, LiveMaxKeyBeatsDrainedCursor) {
+  // A drained cursor caches key ~0ULL too; its rank (k + index) must still
+  // lose to a live ~0ULL head, even one at a higher index.
+  const uint64_t kMax = ~0ULL;
+  std::vector<std::vector<uint64_t>> runs = {{1}, {}, {kMax, kMax}, {kMax}};
+  auto cursors = Cursors(runs);
+  LoserTree<VecCursor> tree(&cursors);
+  std::vector<size_t> order;
+  while (!tree.Done()) {
+    order.push_back(tree.TopIndex());
+    tree.Pop();
+  }
+  // Cursor 0 drains after its first pop, and cursor 1 starts drained.
+  EXPECT_EQ(order, (std::vector<size_t>{0, 2, 2, 3}));
+  EXPECT_EQ(Drain(&cursors), (std::vector<uint64_t>{}));
+  auto fresh = Cursors(runs);
+  EXPECT_EQ(Drain(&fresh), (std::vector<uint64_t>{1, kMax, kMax, kMax}));
 }
 
 TEST(KwayMergeTest, RandomizedAgainstSort) {
@@ -100,7 +114,10 @@ TEST(KwayMergeTest, RandomizedAgainstSort) {
     std::vector<uint64_t> expected;
     for (auto& run : runs) {
       size_t n = rng.Below(40);  // Empty runs included.
-      for (size_t i = 0; i < n; ++i) run.push_back(rng.Below(64));
+      // Small keys force ties; ~0ULL exercises the drained-cursor key.
+      for (size_t i = 0; i < n; ++i) {
+        run.push_back(rng.Below(8) == 0 ? ~0ULL : rng.Below(64));
+      }
       std::sort(run.begin(), run.end());
       expected.insert(expected.end(), run.begin(), run.end());
     }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
 #include "common/hash.h"
 #include "common/rng.h"
@@ -28,6 +29,33 @@ std::vector<TrackEntry> ReferenceMerge(const std::vector<Message>& messages,
   }
   MergeTrackEntries(&all);
   return all;
+}
+
+/// Byte-at-a-time reference of the plain tracking encoder: every field
+/// through ByteWriter::PutUint, counts above the field split into
+/// saturated chunks with the remainder last.
+std::vector<ByteBuffer> ReferenceEncode(const std::vector<KeyCount>& keys,
+                                        const JoinConfig& config,
+                                        bool with_counts, uint32_t num_nodes) {
+  std::vector<ByteBuffer> out(num_nodes);
+  const uint64_t max_count = config.count_bytes >= 8
+                                 ? ~0ULL
+                                 : (1ULL << (8 * config.count_bytes)) - 1;
+  for (const KeyCount& kc : keys) {
+    ByteWriter writer(&out[HashPartition(kc.key, num_nodes)]);
+    if (!with_counts) {
+      writer.PutUint(kc.key, config.key_bytes);
+      continue;
+    }
+    uint64_t remaining = kc.count;
+    do {
+      const uint64_t chunk = std::min(remaining, max_count);
+      writer.PutUint(kc.key, config.key_bytes);
+      writer.PutUint(chunk, config.count_bytes);
+      remaining -= chunk;
+    } while (remaining > 0);
+  }
+  return out;
 }
 
 /// One source's sorted aggregated keys drawn from [0, universe).
@@ -370,6 +398,159 @@ TEST(TrackerMergeTest, RunMergeMatchesReference) {
   }
 }
 
+/// Sorted distinct keys that fit `key_bytes`, always holding 0 and the
+/// width's maximum, with counts that hit the count field's maximum and
+/// (below 8 bytes) saturate it.
+std::vector<KeyCount> WidthSource(Rng* rng, uint32_t key_bytes,
+                                  uint32_t count_bytes, size_t draws) {
+  const uint64_t key_max = FieldMask(key_bytes);
+  const uint64_t count_max = FieldMask(count_bytes);
+  std::vector<uint64_t> keys = {0, key_max};
+  for (size_t i = 0; i < draws; ++i) {
+    keys.push_back(key_bytes == 8 ? rng->Next() : rng->Below(key_max + 1));
+  }
+  std::sort(keys.begin(), keys.end());
+  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+  std::vector<KeyCount> out;
+  for (uint64_t key : keys) {
+    uint64_t count = 1 + rng->Below(5);
+    switch (rng->Below(4)) {
+      case 0:
+        count = count_max;
+        break;
+      case 1:
+        // Three saturated chunks plus a remainder.
+        if (count_bytes < 8) count = 3 * count_max + 1 + rng->Below(5);
+        break;
+      default:
+        break;
+    }
+    out.push_back({key, count});
+  }
+  return out;
+}
+
+TEST(TrackerWordCodecTest, WidthGridMatchesByteReference) {
+  // Every key width x count width, with and without counts: the word
+  // encoder writes the reference's bytes, the word-decoding cursor walks
+  // the reference decoder's entries, and both merges (messages and runs)
+  // equal decode + MergeTrackEntries. Sources arrive out of node order and
+  // include one- and two-key messages, shorter than one word.
+  Rng rng(77);
+  const uint32_t kDestinations = 3;
+  const std::vector<uint32_t> kNodes = {5, 2, 7, 0, 3};
+  for (uint32_t key_bytes = 1; key_bytes <= 8; ++key_bytes) {
+    for (uint32_t count_bytes = 1; count_bytes <= 8; ++count_bytes) {
+      for (bool with_counts : {false, true}) {
+        if (!with_counts && count_bytes > 1) continue;  // Width unused.
+        JoinConfig config;
+        config.key_bytes = key_bytes;
+        config.count_bytes = count_bytes;
+        SCOPED_TRACE("key_bytes=" + std::to_string(key_bytes) +
+                     " count_bytes=" + std::to_string(count_bytes) +
+                     " with_counts=" + std::to_string(with_counts));
+        std::vector<std::vector<Message>> inboxes(kDestinations);
+        for (size_t i = 0; i < kNodes.size(); ++i) {
+          const size_t draws = i == 0 ? 0 : (i == 1 ? 1 : 60);
+          std::vector<KeyCount> kcs =
+              WidthSource(&rng, key_bytes, count_bytes, draws);
+          std::vector<ByteBuffer> encoded = EncodeTrackingMessages(
+              kcs, config, with_counts, kDestinations);
+          ASSERT_EQ(encoded, ReferenceEncode(kcs, config, with_counts,
+                                             kDestinations));
+          for (uint32_t d = 0; d < kDestinations; ++d) {
+            inboxes[d].push_back(Msg(kNodes[i], std::move(encoded[d])));
+          }
+        }
+        for (const std::vector<Message>& inbox : inboxes) {
+          std::vector<std::vector<TrackEntry>> runs;
+          for (const Message& msg : inbox) {
+            std::vector<TrackEntry> decoded;
+            ASSERT_TRUE(
+                TryDecodeTrackingMessage(msg, config, with_counts, &decoded)
+                    .ok());
+            TrackingMessageCursor cursor;
+            ASSERT_TRUE(cursor.Init(msg, config, with_counts).ok());
+            std::vector<TrackEntry> walked;
+            for (; cursor.Valid(); cursor.Next()) {
+              walked.push_back({cursor.key(), cursor.node(), cursor.count()});
+            }
+            EXPECT_EQ(walked, decoded);
+            runs.push_back(std::move(decoded));
+          }
+          const std::vector<TrackEntry> expected =
+              ReferenceMerge(inbox, config, with_counts);
+          std::vector<TrackEntry> merged;
+          ASSERT_TRUE(
+              TryMergeTrackingMessages(inbox, config, with_counts, &merged)
+                  .ok());
+          EXPECT_EQ(merged, expected);
+          ASSERT_TRUE(TryMergeTrackRuns(runs, /*min_key=*/0, &merged).ok());
+          EXPECT_EQ(merged, expected);
+        }
+      }
+    }
+  }
+}
+
+TEST(TrackerWordCodecTest, KeyNodePairWidthGridMatchesByteReference) {
+  // Every key width x node width: the word encoder writes what PutUint
+  // writes field by field, and decoding returns the pairs, including
+  // messages shorter than one word.
+  Rng rng(5);
+  for (uint32_t key_bytes = 1; key_bytes <= 8; ++key_bytes) {
+    for (uint32_t node_bytes = 1; node_bytes <= 4; ++node_bytes) {
+      JoinConfig config;
+      config.key_bytes = key_bytes;
+      config.node_bytes = node_bytes;
+      for (size_t n : {size_t{0}, size_t{1}, size_t{2}, size_t{41}}) {
+        std::vector<KeyNodePair> pairs;
+        for (size_t i = 0; i < n; ++i) {
+          const uint64_t key = i == 0 ? FieldMask(key_bytes)
+                                      : rng.Next() & FieldMask(key_bytes);
+          const uint32_t node = static_cast<uint32_t>(
+              i == 1 ? FieldMask(node_bytes)
+                     : rng.Next() & FieldMask(node_bytes));
+          pairs.push_back({key, node});
+        }
+        ByteBuffer reference;
+        ByteWriter writer(&reference);
+        for (const KeyNodePair& p : pairs) {
+          writer.PutUint(p.key, key_bytes);
+          writer.PutUint(p.node, node_bytes);
+        }
+        ByteBuffer encoded = EncodeKeyNodePairs(pairs, config);
+        EXPECT_EQ(encoded, reference)
+            << "key_bytes=" << key_bytes << " node_bytes=" << node_bytes;
+        std::vector<KeyNodePair> decoded;
+        ASSERT_TRUE(TryDecodeKeyNodePairs(encoded, config, &decoded).ok());
+        EXPECT_EQ(decoded, pairs);
+      }
+    }
+  }
+}
+
+TEST(TrackerWordCodecTest, MaxKeyOrdersByNodeNotSourceOrder) {
+  // Key ~0ULL at 8 bytes from sources given out of node order: the merged
+  // entries list it per node ascending, after every smaller key.
+  JoinConfig config;
+  config.key_bytes = 8;
+  config.count_bytes = 1;
+  std::vector<Message> msgs;
+  for (uint32_t node : {4u, 1u, 3u}) {
+    auto bufs = EncodeTrackingMessages({{7, 1}, {~0ULL, 300}}, config, true, 1);
+    msgs.push_back(Msg(node, std::move(bufs[0])));
+  }
+  std::vector<TrackEntry> merged;
+  ASSERT_TRUE(TryMergeTrackingMessages(msgs, config, true, &merged).ok());
+  EXPECT_EQ(merged, (std::vector<TrackEntry>{{7, 1, 1},
+                                             {7, 3, 1},
+                                             {7, 4, 1},
+                                             {~0ULL, 1, 300},
+                                             {~0ULL, 3, 300},
+                                             {~0ULL, 4, 300}}));
+}
+
 TEST(TrackerMergeTest, RunMergeRejectsDescendingRun) {
   std::vector<TrackEntry> merged;
   // A key descent would split that key across frontier batches.
@@ -379,10 +560,16 @@ TEST(TrackerMergeTest, RunMergeRejectsDescendingRun) {
   Status s = TryMergeTrackRuns(runs, 0, &merged);
   EXPECT_EQ(s.code(), StatusCode::kCorruption) << s.ToString();
   EXPECT_NE(s.ToString().find("key 3"), std::string::npos) << s.ToString();
-  // So would a node descent within one key.
+  // A run is one source stream's entries: a second node in it is
+  // Corruption, so a node descent within one key is too.
   runs = {{{5, 2, 1}, {5, 1, 1}}};
   EXPECT_EQ(TryMergeTrackRuns(runs, 0, &merged).code(),
             StatusCode::kCorruption);
+  runs = {{{5, 1, 1}, {6, 2, 1}}};
+  s = TryMergeTrackRuns(runs, 0, &merged);
+  EXPECT_EQ(s.code(), StatusCode::kCorruption) << s.ToString();
+  EXPECT_NE(s.ToString().find("mixes nodes"), std::string::npos)
+      << s.ToString();
   // Repeating a (key, node) is a saturated count, not a descent.
   runs = {{{5, 1, 255}, {5, 1, 45}, {6, 1, 1}}};
   ASSERT_TRUE(TryMergeTrackRuns(runs, 5, &merged).ok());

@@ -6,6 +6,7 @@
 #include <iterator>
 #include <map>
 #include <set>
+#include <string>
 
 #include "common/hash.h"
 #include "exec/key_aggregate.h"
@@ -23,6 +24,71 @@ std::map<uint64_t, std::vector<std::pair<uint32_t, uint64_t>>> KeyPlacements(
     }
   }
   return out;
+}
+
+/// InvalidArgument whose message names `field`.
+void ExpectRejects(const WorkloadSpec& spec, const std::string& field) {
+  Status s = ValidateWorkloadSpec(spec);
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << s.ToString();
+  EXPECT_NE(s.message().find(field), std::string::npos) << s.ToString();
+}
+
+WorkloadSpec IntraSpec() {
+  WorkloadSpec spec;
+  spec.num_nodes = 3;
+  spec.r_multiplicity = 3;
+  spec.s_multiplicity = 2;
+  spec.collocation = Collocation::kIntra;
+  return spec;
+}
+
+TEST(ValidateWorkloadSpecTest, AcceptsWhatGenerates) {
+  WorkloadSpec spec = IntraSpec();
+  EXPECT_TRUE(ValidateWorkloadSpec(spec).ok());  // Empty patterns.
+  spec.r_pattern = {1, 1, 1};
+  spec.s_pattern = {2};
+  ASSERT_TRUE(ValidateWorkloadSpec(spec).ok());
+  EXPECT_EQ(GenerateWorkload(spec).r.TotalRows(), 3 * spec.matched_keys);
+  // Random placement ignores the patterns, however they are shaped.
+  spec.collocation = Collocation::kRandom;
+  spec.r_pattern = {9, 9, 9, 9};
+  EXPECT_TRUE(ValidateWorkloadSpec(spec).ok());
+}
+
+TEST(ValidateWorkloadSpecTest, RejectsZeroNodes) {
+  WorkloadSpec spec;
+  spec.num_nodes = 0;
+  ExpectRejects(spec, "num_nodes");
+}
+
+TEST(ValidateWorkloadSpecTest, RejectsZeroMultiplicities) {
+  WorkloadSpec spec;
+  spec.r_multiplicity = 0;
+  ExpectRejects(spec, "r_multiplicity");
+  spec.r_multiplicity = 1;
+  spec.s_multiplicity = 0;
+  ExpectRejects(spec, "s_multiplicity");
+}
+
+TEST(ValidateWorkloadSpecTest, RejectsPatternNotSummingToMultiplicity) {
+  WorkloadSpec spec = IntraSpec();
+  spec.r_pattern = {2};
+  ExpectRejects(spec, "r_pattern");
+  spec.r_pattern = {};
+  spec.s_pattern = {1, 2};
+  spec.collocation = Collocation::kInter;
+  ExpectRejects(spec, "s_pattern");
+}
+
+TEST(ValidateWorkloadSpecTest, RejectsMoreGroupsThanNodes) {
+  WorkloadSpec spec = IntraSpec();
+  spec.num_nodes = 2;
+  spec.r_pattern = {1, 1, 1};
+  ExpectRejects(spec, "r_pattern");
+  spec.r_pattern = {};
+  spec.num_nodes = 1;
+  spec.s_pattern = {1, 1};
+  ExpectRejects(spec, "s_pattern");
 }
 
 TEST(GeneratorTest, CardinalitiesMatchSpec) {

@@ -4,11 +4,12 @@
 Runs the table2/3/4 benches at a small fixed scale (they must complete)
 and the hot-key-splitting ablation (which self-verifies: it exits nonzero
 when splitting changes any join checksum), then the local_kernels
-throughput bench and the micro_tracker merge bench,
+throughput bench and the micro_tracker merge and encode bench,
 writes BENCH_local_kernels.json, and fails when any gated throughput
 (baseline sections "tps" and "micro_tps") regresses more than the
 tolerance (default 25%) below the checked-in baseline
-(tools/bench_baseline.json).
+(tools/bench_baseline.json). micro_tracker runs KERNEL_RUNS times too and
+its gates read per-metric medians.
 
 local_kernels runs KERNEL_RUNS times untraced and KERNEL_RUNS times traced
 (--trace=), alternating, and every gate below reads a per-metric median
@@ -49,6 +50,13 @@ process, so they need no checked-in baseline:
     input row once per key group, and a per-pair rehash of both payloads
     costs over 10 times more.
 
+micro_tracker reports one more same-run ratio:
+  tracker_merge_over_reference: the loser-tree merge's throughput over the
+    decode + comparison-sort reference's on the same messages (8 sources,
+    each key on 4). It fails below MIN_TRACKER_MERGE_OVER_REFERENCE: the
+    word-decoding, branch-free merge runs several times the reference, and
+    a branchy or byte-wise merge falls back toward it.
+
 The baseline section "drr_makespan" gates the DRR egress scheduler the
 same way at the head-of-line-worst configuration (4 nodes, 1 KiB chunks,
 a wide credit window): its makespan must stay within max_regression of
@@ -87,6 +95,8 @@ KERNEL_RUNS = 3
 MAX_PIPELINED_OVER_BARRIER_WALL = 1.6
 MAX_PIPELINED_SCALING = 2.4
 MAX_Y_CHECKSUM_JOIN_OVER_JOIN = 100
+# Floor on micro_tracker's same-run merge / reference throughput ratio.
+MIN_TRACKER_MERGE_OVER_REFERENCE = 4.0
 
 
 def run(cmd, timeout=BENCH_TIMEOUT_S):
@@ -165,12 +175,16 @@ def main():
         return 1
     print(f"    trace ok ({len(trace_doc['traceEvents'])} events)")
 
-    # Tracker-merge microbench: single-threaded by construction (the k-way
-    # merge is one tracker's local work), gated through the separate
-    # "micro_tps" baseline section.
-    print("=== micro_tracker merge throughput ===", flush=True)
-    micro_out, _ = run([os.path.join(bench_dir, "micro_tracker")])
-    micro = json.loads(micro_out)
+    # Tracker microbench: single-threaded by construction (the k-way merge
+    # and the encoder are one node's local work), gated through the separate
+    # "micro_tps" baseline section and its same-run ratio.
+    print(f"=== micro_tracker merge and encode throughput ({KERNEL_RUNS} "
+          "runs) ===", flush=True)
+    micro_runs = []
+    for _ in range(KERNEL_RUNS):
+        micro_out, _ = run([os.path.join(bench_dir, "micro_tracker")])
+        micro_runs.append(json.loads(micro_out))
+    micro = median_metrics(micro_runs)
 
     # Pipelined-fabric makespan gate: deterministic modeled time, so this
     # is a correctness-of-overlap check, not a noisy perf measurement.
@@ -393,6 +407,23 @@ def main():
         if not ok:
             failures.append(f"{metric} median {ratio:.2f} exceeds its "
                             f"ceiling {ceiling}")
+    ratio = micro.get("tracker_merge_over_reference")
+    ok = ratio is not None and ratio >= MIN_TRACKER_MERGE_OVER_REFERENCE
+    wall_gate["tracker_merge_over_reference"] = {
+        "median": ratio, "floor": MIN_TRACKER_MERGE_OVER_REFERENCE,
+        "runs": [r.get("tracker_merge_over_reference") for r in micro_runs],
+        "pass": ok}
+    if ratio is None:
+        failures.append("tracker_merge_over_reference: missing from bench "
+                        "output")
+    else:
+        print(f"    tracker_merge_over_reference: median {ratio:.3f} vs "
+              f"floor {MIN_TRACKER_MERGE_OVER_REFERENCE} "
+              f"{'ok' if ok else 'REGRESSION'}")
+        if not ok:
+            failures.append(
+                f"tracker_merge_over_reference median {ratio:.2f} is below "
+                f"its floor {MIN_TRACKER_MERGE_OVER_REFERENCE}")
     gated = [(metric, base, kernels.get(metric))
              for metric, base in baseline["tps"].items()]
     gated += [(metric, base, micro.get(metric))

@@ -280,6 +280,25 @@ std::optional<TrackAlgo> TrackAlgoByName(const std::string& name) {
   return std::nullopt;
 }
 
+/// The uniform generator's spec for the parsed options.
+tj::WorkloadSpec UniformSpec(const Options& opt) {
+  tj::WorkloadSpec spec;
+  spec.num_nodes = opt.nodes;
+  spec.seed = opt.seed;
+  spec.matched_keys = opt.keys;
+  spec.r_multiplicity = opt.r_mult;
+  spec.s_multiplicity = opt.s_mult;
+  spec.r_pattern = opt.r_pattern;
+  spec.s_pattern = opt.s_pattern;
+  spec.collocation = opt.collocation;
+  spec.collocated_fraction = opt.collocated_fraction;
+  spec.r_unmatched = opt.r_unmatched;
+  spec.s_unmatched = opt.s_unmatched;
+  spec.r_payload = opt.r_payload;
+  spec.s_payload = opt.s_payload;
+  return spec;
+}
+
 Options Parse(int argc, char** argv) {
   Options opt;
   for (int i = 1; i < argc; ++i) {
@@ -473,35 +492,34 @@ Options Parse(int argc, char** argv) {
       std::exit(1);
     }
   }
-  // Placement patterns shape only the intra/inter collocated generator, and
-  // only when they split exactly the table's copies over distinct nodes.
-  auto check_pattern = [&opt](const char* flag,
-                              const std::vector<uint32_t>& pattern,
-                              const char* mult_flag, uint32_t mult) {
-    if (pattern.empty()) return;
-    if (opt.zipf >= 0 || opt.collocation == tj::Collocation::kRandom) {
-      std::fprintf(stderr,
-                   "%s places repeat groups only under "
-                   "--collocation=intra|inter without --zipf\n",
-                   flag);
+  // Placement patterns shape only the intra/inter collocated generator.
+  if ((opt.zipf >= 0 || opt.collocation == tj::Collocation::kRandom) &&
+      (!opt.r_pattern.empty() || !opt.s_pattern.empty())) {
+    std::fprintf(stderr,
+                 "%s places repeat groups only under "
+                 "--collocation=intra|inter without --zipf\n",
+                 opt.r_pattern.empty() ? "--spattern" : "--rpattern");
+    std::exit(1);
+  }
+  // The generator's own preconditions, with each field it names spelled as
+  // the flag that sets it.
+  if (opt.zipf < 0) {
+    tj::Status valid = tj::ValidateWorkloadSpec(UniformSpec(opt));
+    if (!valid.ok()) {
+      std::string message = valid.message();
+      for (const auto& [field, flag] :
+           {std::pair<std::string, std::string>{"num_nodes", "--nodes"},
+            {"r_multiplicity", "--rmult"},
+            {"s_multiplicity", "--smult"},
+            {"r_pattern", "--rpattern"},
+            {"s_pattern", "--spattern"}}) {
+        const size_t at = message.find(field);
+        if (at != std::string::npos) message.replace(at, field.size(), flag);
+      }
+      std::fprintf(stderr, "invalid workload: %s\n", message.c_str());
       std::exit(1);
     }
-    uint64_t total = 0;
-    for (uint32_t group : pattern) total += group;
-    if (total != mult) {
-      std::fprintf(stderr, "%s sums to %llu but %s=%u\n", flag,
-                   static_cast<unsigned long long>(total), mult_flag, mult);
-      std::exit(1);
-    }
-    if (pattern.size() > opt.nodes) {
-      std::fprintf(stderr,
-                   "%s has %zu groups, more than --nodes=%u distinct nodes\n",
-                   flag, pattern.size(), opt.nodes);
-      std::exit(1);
-    }
-  };
-  check_pattern("--rpattern", opt.r_pattern, "--rmult", opt.r_mult);
-  check_pattern("--spattern", opt.s_pattern, "--smult", opt.s_mult);
+  }
   if (opt.pipeline && (opt.delta || opt.group)) {
     std::fprintf(stderr,
                  "--pipeline requires the plain wire format; drop --delta "
@@ -605,21 +623,7 @@ int main(int argc, char** argv) {
       spec.s_payload = opt.s_payload;
       return tj::TryGenerateZipfWorkload(spec);
     }
-    tj::WorkloadSpec spec;
-    spec.num_nodes = opt.nodes;
-    spec.seed = opt.seed;
-    spec.matched_keys = opt.keys;
-    spec.r_multiplicity = opt.r_mult;
-    spec.s_multiplicity = opt.s_mult;
-    spec.r_pattern = opt.r_pattern;
-    spec.s_pattern = opt.s_pattern;
-    spec.collocation = opt.collocation;
-    spec.collocated_fraction = opt.collocated_fraction;
-    spec.r_unmatched = opt.r_unmatched;
-    spec.s_unmatched = opt.s_unmatched;
-    spec.r_payload = opt.r_payload;
-    spec.s_payload = opt.s_payload;
-    return tj::GenerateWorkload(spec);
+    return tj::GenerateWorkload(UniformSpec(opt));
   }();
   if (!generated.ok()) {
     std::fprintf(stderr, "invalid --zipf workload (--keys=%" PRIu64 "): %s\n",
@@ -653,7 +657,7 @@ int main(int argc, char** argv) {
   tj::JoinConfig config;
   config.key_bytes = opt.key_bytes;
   // Node ids travel at the narrowest width that holds the largest id.
-  config.node_bytes = tj::BitsToBytes(tj::BitWidth(opt.nodes - 1));
+  config.node_bytes = tj::NodeIdBytes(opt.nodes);
   config.balance_loads = opt.balance;
   config.hot_key_threshold = opt.hot_key_threshold;
   config.hot_key_max_split = opt.hot_key_max_split;
