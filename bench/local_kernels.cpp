@@ -3,14 +3,17 @@
 // small hash-join / 4-phase-track-join run (the StepProfile rows Tables 3
 // and 4 are built from).
 //
-// Also reports three same-run ratios of serial wall times (best of 3
+// Also reports four same-run ratios of serial wall times (best of 3
 // runs each), which hold across machines:
 //   tj4_pipelined_over_barrier_wall  pipelined 4TJ (DRR) ÷ barrier 4TJ on
 //                                    workload X at scale 1/2000;
 //   tj4_pipelined_scaling            pipelined 4TJ at 1/1000 ÷ at 1/2000,
 //                                    about 2 for a linear-time driver;
 //   y_checksum_join_over_join        merge join of workload Y/200 with the
-//                                    checksum sink ÷ with a no-op sink.
+//                                    checksum sink ÷ with a no-op sink;
+//   barrier_node_scaling             barrier 4TJ on one small input over
+//                                    256 nodes ÷ over 16 nodes, near 1
+//                                    when a phase costs O(messages + N).
 //
 // Prints one JSON object to stdout; tools/bench_smoke.py runs this at a
 // fixed small scale in CI and fails on >25% throughput regression against
@@ -205,6 +208,31 @@ int main(int argc, char** argv) {
   }
   TJ_CHECK(barrier_sum == pipelined_sum) << "pipelined 4TJ result differs";
 
+  // Barrier 4TJ on the same 8,000 keys per table spread over 16 and over
+  // 256 nodes, serial, best of kReps each, reps alternating: what cluster
+  // width alone costs a barrier run.
+  auto spread_over = [&](uint32_t nodes) {
+    WorkloadSpec spec;
+    spec.num_nodes = nodes;
+    spec.matched_keys = 8000;
+    spec.seed = args.seed;
+    return GenerateWorkload(spec);
+  };
+  const Workload spread[2] = {spread_over(16), spread_over(256)};
+  double spread_s[2] = {1e300, 1e300};
+  JoinChecksum spread_sum[2];
+  for (int rep = 0; rep < bench::kReps; ++rep) {
+    for (int i = 0; i < 2; ++i) {
+      spread_s[i] = std::min(spread_s[i], bench::Seconds([&] {
+        spread_sum[i] = ValueOrDie(TryRunTrackJoin(spread[i].r, spread[i].s,
+                                                   JoinConfig(),
+                                                   TrackJoinVersion::k4Phase))
+                            .checksum;
+      }));
+    }
+  }
+  TJ_CHECK(spread_sum[0] == spread_sum[1]) << "cluster width changed 4TJ";
+
   // The join checksum's cost on workload Y's large key groups: a merge
   // join of Y/200's sorted blocks (one node) with the checksum sink over
   // the same join with a no-op per-pair sink. Best of kReps each, reps
@@ -251,6 +279,10 @@ int main(int argc, char** argv) {
   std::printf("  \"y_checksum_join_wall_s\": %.6f,\n", y_checksum_join_s);
   std::printf("  \"y_checksum_join_over_join\": %.4f,\n",
               y_checksum_join_s / y_join_s);
+  std::printf("  \"barrier_16_nodes_wall_s\": %.6f,\n", spread_s[0]);
+  std::printf("  \"barrier_256_nodes_wall_s\": %.6f,\n", spread_s[1]);
+  std::printf("  \"barrier_node_scaling\": %.4f,\n",
+              spread_s[1] / spread_s[0]);
   bench::PrintPhases("hj_phase_wall_s", hj, ",");
   bench::PrintPhases("tj4_phase_wall_s", tj4, "");
   std::printf("}\n");

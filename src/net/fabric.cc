@@ -13,9 +13,7 @@ Fabric::Fabric(uint32_t num_nodes)
     : num_nodes_(num_nodes),
       traffic_(num_nodes),
       queued_(num_nodes),
-      inboxes_(num_nodes),
-      seen_ingress_(num_nodes, 0),
-      seen_egress_(num_nodes, 0) {
+      inboxes_(num_nodes) {
   TJ_CHECK_GT(num_nodes, 0u);
   msg_bytes_hist_ = &MetricsRegistry::Global().histogram("fabric.message_bytes");
   if (Tracer::enabled()) {
@@ -51,27 +49,22 @@ void Fabric::Send(uint32_t src, uint32_t dst, MessageType type,
   TJ_CHECK(in_phase_) << "Send outside RunPhaseReliable";
   TJ_CHECK_LT(src, num_nodes_);
   TJ_CHECK_LT(dst, num_nodes_);
-  // Cells indexed by src are only written by node src's own phase work, so
-  // this is race-free under concurrent phases.
+  // Everything indexed by src is only written by node src's own phase work,
+  // so this is race-free under concurrent phases; the barrier accounts it.
   msg_bytes_hist_->Observe(static_cast<double>(data.size()));
   if (!injector_) {
-    traffic_.Add(src, dst, type, data.size());
     queued_[src].push_back(Pending{dst, type, std::move(data)});
     return;
   }
-  uint32_t seq = NextSeq(src, dst)++;
+  SentFrame sent{dst, type, NextSeq(src, dst)++, {}, 0, {}};
   ByteBuffer frame = frame_pools_[src].Acquire(kFrameHeaderBytes + data.size());
-  EncodeFrame(type, seq, data, &frame);
-  // The first transmission attempt is goodput (framing overhead included);
-  // injected extra copies land on the recovery ledger. The sender keeps the
-  // pristine frame for retransmission.
-  traffic_.Add(src, dst, type, frame.size());
-  std::vector<ByteBuffer> copies = injector_->Transmit(src, dst, frame);
-  if (copies.size() > 1) {
-    traffic_.AddRetransmit(src, dst, type,
-                           (copies.size() - 1) * frame.size());
-  }
-  sent_log_[src].push_back(SentFrame{dst, type, seq, std::move(frame)});
+  EncodeFrame(type, sent.seq, data, &frame);
+  // The sender keeps the pristine frame for retransmission.
+  std::vector<ByteBuffer> copies =
+      injector_->Transmit(src, dst, frame, &sent.outcome.faults);
+  sent.copies = copies.size();
+  sent.frame = std::move(frame);
+  sent_log_[src].push_back(std::move(sent));
   for (ByteBuffer& copy : copies) {
     queued_[src].push_back(Pending{dst, type, std::move(copy)});
   }
@@ -110,6 +103,8 @@ Status Fabric::RunPhaseReliable(const std::string& name,
     elapsed += policy_.slowdown_seconds;
   }
   in_phase_ = false;
+  StepAccumulator step(name, num_nodes_);
+  AccountSends(&step);
 
   // Arm a fresh failure report for this phase; every error path below adds
   // its structured findings before returning through Fail().
@@ -156,11 +151,45 @@ Status Fabric::RunPhaseReliable(const std::string& name,
         "s past the " + std::to_string(phase_deadline_seconds_) +
         "s phase deadline; promoted to suspected-dead"), elapsed);
   }
-  if (Status barrier = DeliverBarrier(name); !barrier.ok()) {
+  if (Status barrier = DeliverBarrier(name, &step); !barrier.ok()) {
     return Fail(std::move(barrier), elapsed);
   }
-  RecordStep(name, elapsed);
+  StepRecord record = step.Close(NetworkTimeModel());
+  record.wall_seconds = elapsed;
+  steps_.push_back(std::move(record));
+  if (Tracer::enabled()) {
+    // Cumulative per-node NIC counters, one sample per barrier: the trace
+    // viewer renders these as step functions per node process.
+    Tracer& tracer = Tracer::Global();
+    for (uint32_t node = 0; node < num_nodes_; ++node) {
+      tracer.RecordCounter("nic.ingress_bytes", node,
+                           static_cast<int64_t>(traffic_.IngressBytes(node)));
+      tracer.RecordCounter("nic.egress_bytes", node,
+                           static_cast<int64_t>(traffic_.EgressBytes(node)));
+    }
+  }
   return Status::OK();
+}
+
+void Fabric::AccountSends(StepAccumulator* step) {
+  for (uint32_t src = 0; src < num_nodes_; ++src) {
+    if (!injector_) {
+      for (const Pending& p : queued_[src]) {
+        step->Add(&traffic_, src, p.dst, p.type, p.data.size());
+      }
+      continue;
+    }
+    // The first transmission attempt is goodput (framing overhead
+    // included); injected extra copies are fault-recovery overhead.
+    for (const SentFrame& f : sent_log_[src]) {
+      step->Add(&traffic_, src, f.dst, f.type, f.frame.size());
+      if (f.copies > 1) {
+        step->AddRetransmit(&traffic_, src, f.dst, f.type,
+                            (f.copies - 1) * f.frame.size());
+      }
+      step->AddReliability(&reliability_, f.outcome);
+    }
+  }
 }
 
 Status Fabric::Fail(Status status, double wall_seconds) {
@@ -173,64 +202,8 @@ Status Fabric::Fail(Status status, double wall_seconds) {
   return status;
 }
 
-void Fabric::RecordStep(const std::string& name, double wall_seconds) {
-  StepRecord step;
-  step.phase = name;
-  step.wall_seconds = wall_seconds;
-  for (int t = 0; t < kNumMessageTypes; ++t) {
-    MessageType type = static_cast<MessageType>(t);
-    uint64_t network = traffic_.NetworkBytes(type);
-    uint64_t local = traffic_.LocalBytes(type);
-    uint64_t retransmit = traffic_.RetransmitBytes(type);
-    step.network_bytes_by_type[t] = network - seen_network_[t];
-    step.local_bytes_by_type[t] = local - seen_local_[t];
-    step.retransmit_bytes_by_type[t] = retransmit - seen_retransmit_[t];
-    step.goodput_bytes += step.network_bytes_by_type[t];
-    step.local_bytes += step.local_bytes_by_type[t];
-    step.retransmit_bytes += step.retransmit_bytes_by_type[t];
-    seen_network_[t] = network;
-    seen_local_[t] = local;
-    seen_retransmit_[t] = retransmit;
-  }
-  for (uint32_t node = 0; node < num_nodes_; ++node) {
-    uint64_t ingress = traffic_.IngressBytes(node);
-    uint64_t egress = traffic_.EgressBytes(node);
-    step.max_node_bytes = std::max(
-        {step.max_node_bytes, ingress - seen_ingress_[node],
-         egress - seen_egress_[node]});
-    seen_ingress_[node] = ingress;
-    seen_egress_[node] = egress;
-  }
-  step.net_seconds = NetworkTimeModel().NicSeconds(step.max_node_bytes);
-  step.retransmitted_frames =
-      retransmitted_frames_ - seen_retransmitted_frames_;
-  step.nack_messages = nack_messages_ - seen_nack_messages_;
-  seen_retransmitted_frames_ = retransmitted_frames_;
-  seen_nack_messages_ = nack_messages_;
-  if (injector_) {
-    FaultCounters now = injector_->counters();
-    step.frames_dropped = now.frames_dropped - seen_faults_.frames_dropped;
-    step.frames_corrupted =
-        now.frames_corrupted - seen_faults_.frames_corrupted;
-    step.frames_duplicated =
-        now.frames_duplicated - seen_faults_.frames_duplicated;
-    seen_faults_ = now;
-  }
-  steps_.push_back(std::move(step));
-  if (Tracer::enabled()) {
-    // Cumulative per-node NIC counters, one sample per barrier: the trace
-    // viewer renders these as step functions per node process.
-    Tracer& tracer = Tracer::Global();
-    for (uint32_t node = 0; node < num_nodes_; ++node) {
-      tracer.RecordCounter("nic.ingress_bytes", node,
-                           static_cast<int64_t>(traffic_.IngressBytes(node)));
-      tracer.RecordCounter("nic.egress_bytes", node,
-                           static_cast<int64_t>(traffic_.EgressBytes(node)));
-    }
-  }
-}
-
-Status Fabric::DeliverBarrier(const std::string& name) {
+Status Fabric::DeliverBarrier(const std::string& name,
+                              StepAccumulator* step) {
   // The barrier runs outside any node's work; attribute it to the fabric
   // pseudo-process (pid = num_nodes_).
   std::optional<ScopedTraceNode> barrier_node;
@@ -380,6 +353,7 @@ Status Fabric::DeliverBarrier(const std::string& name) {
     }
     // One nack per afflicted link (receiver -> sender, control class), then
     // the sender retransmits each nacked frame through the same faulty wire.
+    ReliabilityStats outcome;
     for (uint32_t src = 0; src < num_nodes_; ++src) {
       std::vector<std::vector<const SentFrame*>> nacked(num_nodes_);
       for (const SentFrame& f : sent_log_[src]) {
@@ -389,18 +363,17 @@ Status Fabric::DeliverBarrier(const std::string& name) {
       }
       for (uint32_t dst = 0; dst < num_nodes_; ++dst) {
         if (nacked[dst].empty()) continue;
-        traffic_.AddRetransmit(
-            dst, src, MessageType::kAck,
-            kFrameHeaderBytes + 4 * nacked[dst].size());
-        ++nack_messages_;
+        step->AddRetransmit(&traffic_, dst, src, MessageType::kAck,
+                            kFrameHeaderBytes + 4 * nacked[dst].size());
+        ++outcome.nack_messages;
         for (const SentFrame* f : nacked[dst]) {
-          traffic_.AddRetransmit(src, dst, f->type, f->frame.size());
-          ++retransmitted_frames_;
+          step->AddRetransmit(&traffic_, src, dst, f->type, f->frame.size());
+          ++outcome.retransmitted_frames;
           std::vector<ByteBuffer> copies =
-              injector_->Transmit(src, dst, f->frame);
+              injector_->Transmit(src, dst, f->frame, &outcome.faults);
           if (copies.size() > 1) {
-            traffic_.AddRetransmit(src, dst, f->type,
-                                   (copies.size() - 1) * f->frame.size());
+            step->AddRetransmit(&traffic_, src, dst, f->type,
+                                (copies.size() - 1) * f->frame.size());
           }
           for (ByteBuffer& copy : copies) {
             absorb(src, dst, copy);
@@ -409,6 +382,7 @@ Status Fabric::DeliverBarrier(const std::string& name) {
         }
       }
     }
+    step->AddReliability(&reliability_, outcome);
   }
   for (uint32_t src = 0; src < num_nodes_; ++src) {
     // The phase is recovered; retire the retained retransmission frames
@@ -437,6 +411,7 @@ Status Fabric::DeliverBarrier(const std::string& name) {
     for (size_t i = first_new + 1; i < inboxes_[dst].size(); ++i) {
       if (injector_->ShouldReorder()) {
         std::swap(inboxes_[dst][i - 1], inboxes_[dst][i]);
+        ++reliability_.faults.messages_reordered;
       }
     }
   }
@@ -469,14 +444,6 @@ std::vector<Message> Fabric::TakeInbox(uint32_t node, MessageType type) {
   }
   inboxes_[node] = std::move(rest);
   return taken;
-}
-
-ReliabilityStats Fabric::reliability() const {
-  ReliabilityStats stats;
-  if (injector_) stats.faults = injector_->counters();
-  stats.retransmitted_frames = retransmitted_frames_;
-  stats.nack_messages = nack_messages_;
-  return stats;
 }
 
 }  // namespace tj

@@ -11,10 +11,15 @@
 // ThreadPool (SetThreadPool) — the paper allows "multiple threads per
 // process ... since all local operations combine tuples with the same join
 // key only". Message delivery order and traffic accounting are identical
-// in both modes: each node owns its send queue and its traffic rows.
+// in both modes: each node owns its send queue (and, in fault mode, its
+// log of sent frames), and only the single-threaded barrier writes the
+// ledgers.
 //
 // All traffic is accounted in a TrafficMatrix; src == dst sends are local
-// copies (no network bytes).
+// copies (no network bytes). Right after the phase's node work, before any
+// failure check, the barrier accounts every queued message or logged frame
+// through one StepAccumulator, into the run's ledgers and the phase's
+// StepRecord together.
 //
 // Fault-tolerant mode (SetFaultPolicy with an active policy): every payload
 // is framed (net/message.h) with a sequence number and CRC32C, pushed
@@ -36,7 +41,6 @@
 #ifndef TJ_NET_FABRIC_H_
 #define TJ_NET_FABRIC_H_
 
-#include <array>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -73,8 +77,6 @@ class Fabric {
   /// modeled phase time there, so traffic stays byte-identical to a fabric
   /// with no policy at all. Call before the first phase.
   void SetFaultPolicy(const FaultPolicy& policy, uint64_t seed);
-
-  bool fault_mode() const { return injector_.has_value(); }
 
   /// Modeled per-phase deadline: a phase whose modeled straggler slowdown
   /// alone exceeds `seconds` fails with DeadlineExceeded and the straggler
@@ -120,16 +122,15 @@ class Fabric {
 
   /// What the injector and the retry protocol did so far. Zero-initialized
   /// in pristine mode.
-  ReliabilityStats reliability() const;
+  ReliabilityStats reliability() const { return reliability_; }
 
-  /// One StepRecord per completed phase, in execution order, captured at
-  /// the barrier: everything the phase put on the wire (as deltas of the
-  /// run ledgers, net_seconds priced by the default NetworkTimeModel) plus
-  /// what the injector and the retry protocol did during it. Phases are
-  /// labeled here, at the barrier, so algorithms never thread profiling
-  /// state through their per-node work. Purely observational — recording
-  /// never writes the TrafficMatrix or perturbs delivery. Failed phases are
-  /// not recorded (callers abandon the fabric on error).
+  /// One StepRecord per completed phase, in execution order, accounted at
+  /// the barrier: everything the phase put on the wire (net_seconds priced
+  /// by the default NetworkTimeModel) plus what the injector and the retry
+  /// protocol did during it. Phases are labeled here, at the barrier, so
+  /// algorithms never thread profiling state through their per-node work.
+  /// Failed phases are not recorded (callers abandon the fabric on error),
+  /// though their traffic and faults stay in traffic() and reliability().
   const std::vector<StepRecord>& steps() const { return steps_; }
 
  private:
@@ -138,32 +139,36 @@ class Fabric {
     MessageType type;
     ByteBuffer data;
   };
-  /// One frame retained by the sender for possible retransmission.
+  /// One frame retained by the sender for possible retransmission, with
+  /// what the injector did to its first transmission.
   struct SentFrame {
     uint32_t dst;
     MessageType type;
     uint32_t seq;
     ByteBuffer frame;
+    uint64_t copies;  ///< Wire copies the injector produced (0 to 2).
+    ReliabilityStats outcome;  ///< The injector's faults on it.
   };
 
   uint32_t& NextSeq(uint32_t src, uint32_t dst) {
     return next_seq_[static_cast<uint64_t>(src) * num_nodes_ + dst];
   }
 
+  /// Accounts this phase's queued payloads (pristine) or logged frames
+  /// (fault mode) into the run ledgers and `step`.
+  void AccountSends(StepAccumulator* step);
+
   /// The reliable barrier: reassembles framed messages per link, runs the
-  /// nack/retransmit rounds, and appends the recovered messages to the
-  /// inboxes in (src, seq) order. Pristine-path barrier when no injector.
-  Status DeliverBarrier(const std::string& name);
+  /// nack/retransmit rounds (accounted into `step`), and appends the
+  /// recovered messages to the inboxes in (src, seq) order. Pristine-path
+  /// barrier when no injector.
+  Status DeliverBarrier(const std::string& name, StepAccumulator* step);
 
   /// Funnels every phase-failure Status through one place: copies the
   /// failure report, traffic and phase times — the completed steps, then
   /// the failed phase's `wall_seconds` — into the diagnostics sink (if
   /// any), then returns `status` unchanged.
   Status Fail(Status status, double wall_seconds);
-
-  /// Appends this phase's StepRecord by diffing the run ledgers against
-  /// the snapshots taken at the previous barrier.
-  void RecordStep(const std::string& name, double wall_seconds);
 
   uint32_t num_nodes_;
   ThreadPool* pool_ = nullptr;
@@ -173,6 +178,7 @@ class Fabric {
   /// their fabrics afterwards).
   Histogram* msg_bytes_hist_ = nullptr;
   TrafficMatrix traffic_;
+  ReliabilityStats reliability_;
   /// Per-source send queues: node i only ever appends to queued_[i], so
   /// concurrent phase execution needs no locking, and merging in source
   /// order keeps delivery deterministic. In fault mode these hold wire
@@ -180,18 +186,7 @@ class Fabric {
   std::vector<std::vector<Pending>> queued_;
   std::vector<std::vector<Message>> inboxes_;
   bool in_phase_ = false;
-
-  // Phase-scoped instrumentation: per-phase records plus the ledger
-  // snapshots ("state at the last barrier") the deltas are diffed against.
   std::vector<StepRecord> steps_;
-  std::array<uint64_t, kNumMessageTypes> seen_network_{};
-  std::array<uint64_t, kNumMessageTypes> seen_local_{};
-  std::array<uint64_t, kNumMessageTypes> seen_retransmit_{};
-  std::vector<uint64_t> seen_ingress_;
-  std::vector<uint64_t> seen_egress_;
-  uint64_t seen_retransmitted_frames_ = 0;
-  uint64_t seen_nack_messages_ = 0;
-  FaultCounters seen_faults_;
 
   // Fault-tolerant mode state. The policy is retained even when it is
   // delivery-inert (pure straggler): the slowdown is modeled on the
@@ -210,8 +205,6 @@ class Fabric {
   /// allocating per message at steady state.
   std::vector<BufferPool> frame_pools_;
   uint64_t phase_index_ = 0;
-  uint64_t retransmitted_frames_ = 0;
-  uint64_t nack_messages_ = 0;
 };
 
 }  // namespace tj

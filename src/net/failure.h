@@ -82,7 +82,7 @@ struct RunDiagnostics {
 
   void Reset() {
     failure = FailureReport();
-    traffic.Reset(0);
+    traffic = TrafficMatrix();
     phase_seconds.clear();
   }
 };

@@ -11,14 +11,14 @@ FaultInjector::FaultInjector(const FaultPolicy& policy, uint64_t seed,
   for (uint32_t n = 0; n < num_nodes; ++n) {
     // Distinct deterministic stream per sending node: decisions do not
     // depend on the interleaving of other nodes' sends.
-    sources_.push_back(PerSource{Rng(SplitMix64(seed + 1) ^
-                                     SplitMix64(n * 0x9e3779b97f4a7c15ULL + 7)),
-                                 FaultCounters{}});
+    sources_.push_back(Rng(SplitMix64(seed + 1) ^
+                           SplitMix64(n * 0x9e3779b97f4a7c15ULL + 7)));
   }
 }
 
 std::vector<ByteBuffer> FaultInjector::Transmit(uint32_t src, uint32_t dst,
-                                                const ByteBuffer& frame) {
+                                                const ByteBuffer& frame,
+                                                FaultCounters* faults) {
   TJ_CHECK_LT(src, sources_.size());
   std::vector<ByteBuffer> out;
   if (src == dst) {
@@ -26,23 +26,23 @@ std::vector<ByteBuffer> FaultInjector::Transmit(uint32_t src, uint32_t dst,
     out.push_back(frame);
     return out;
   }
-  PerSource& source = sources_[src];
+  Rng& rng = sources_[src];
   uint32_t copies = 1;
-  if (policy_.duplicate > 0 && source.rng.Bernoulli(policy_.duplicate)) {
+  if (policy_.duplicate > 0 && rng.Bernoulli(policy_.duplicate)) {
     ++copies;
-    ++source.counts.frames_duplicated;
+    ++faults->frames_duplicated;
   }
   for (uint32_t c = 0; c < copies; ++c) {
-    if (policy_.drop > 0 && source.rng.Bernoulli(policy_.drop)) {
-      ++source.counts.frames_dropped;
+    if (policy_.drop > 0 && rng.Bernoulli(policy_.drop)) {
+      ++faults->frames_dropped;
       continue;
     }
     ByteBuffer copy = frame;
-    if (policy_.corrupt > 0 && source.rng.Bernoulli(policy_.corrupt) &&
+    if (policy_.corrupt > 0 && rng.Bernoulli(policy_.corrupt) &&
         !copy.empty()) {
-      uint64_t bit = source.rng.Below(copy.size() * 8);
+      uint64_t bit = rng.Below(copy.size() * 8);
       copy[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
-      ++source.counts.frames_corrupted;
+      ++faults->frames_corrupted;
     }
     out.push_back(std::move(copy));
   }
@@ -50,21 +50,7 @@ std::vector<ByteBuffer> FaultInjector::Transmit(uint32_t src, uint32_t dst,
 }
 
 bool FaultInjector::ShouldReorder() {
-  if (policy_.reorder <= 0) return false;
-  if (!barrier_rng_.Bernoulli(policy_.reorder)) return false;
-  ++reorders_;
-  return true;
-}
-
-FaultCounters FaultInjector::counters() const {
-  FaultCounters total;
-  for (const PerSource& s : sources_) {
-    total.frames_dropped += s.counts.frames_dropped;
-    total.frames_corrupted += s.counts.frames_corrupted;
-    total.frames_duplicated += s.counts.frames_duplicated;
-  }
-  total.messages_reordered = reorders_;
-  return total;
+  return policy_.reorder > 0 && barrier_rng_.Bernoulli(policy_.reorder);
 }
 
 }  // namespace tj

@@ -68,8 +68,8 @@ struct FaultPolicy {
   bool any_effect() const { return active() || models_straggler(); }
 };
 
-/// Counters of what the injector actually did (summed over per-source
-/// streams; read them between phases, not from inside one).
+/// Counts of what the wire did: per transmission (FaultInjector::Transmit
+/// tallies one frame's), per step (StepRecord) or per run.
 struct FaultCounters {
   uint64_t frames_dropped = 0;
   uint64_t frames_corrupted = 0;
@@ -95,9 +95,11 @@ class FaultInjector {
 
   /// Runs one frame through the wire model for link src -> dst. Returns the
   /// copies that actually arrive (0, 1 or 2; corrupted copies have one bit
-  /// flipped). Only node `src`'s thread may call this during a phase.
+  /// flipped) and adds the drops, corruptions and duplicates to `*faults`.
+  /// Only node `src`'s thread may call this during a phase.
   std::vector<ByteBuffer> Transmit(uint32_t src, uint32_t dst,
-                                   const ByteBuffer& frame);
+                                   const ByteBuffer& frame,
+                                   FaultCounters* faults);
 
   /// True with probability policy().reorder, drawn from the barrier stream.
   /// Single-threaded barrier use only.
@@ -108,19 +110,10 @@ class FaultInjector {
     return node == policy_.crash_node && phase >= policy_.crash_phase;
   }
 
-  /// Aggregated event counts.
-  FaultCounters counters() const;
-
  private:
-  struct PerSource {
-    Rng rng;
-    FaultCounters counts;
-  };
-
   FaultPolicy policy_;
-  std::vector<PerSource> sources_;
+  std::vector<Rng> sources_;  ///< One stream per sending node.
   Rng barrier_rng_;
-  uint64_t reorders_ = 0;
 };
 
 }  // namespace tj

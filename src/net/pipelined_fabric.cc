@@ -17,10 +17,10 @@ int64_t ToMicros(double seconds) {
 
 }  // namespace
 
-PipelinedFabric::PipelinedFabric(const Params& params) : params_(params) {
+PipelinedFabric::PipelinedFabric(const Params& params)
+    : params_(params), traffic_(params.num_nodes) {
   TJ_CHECK_GT(params_.num_nodes, 0u);
   const uint32_t n = params_.num_nodes;
-  traffic_.Reset(n);
   runnable_.assign(n, {});
   cpu_busy_.assign(n, false);
   cpu_free_.assign(n, 0.0);
@@ -75,15 +75,11 @@ uint64_t PipelinedFabric::DrrQuantumBytes() const {
 }
 
 uint32_t PipelinedFabric::StageIndex(const char* stage) {
-  for (uint32_t i = 0; i < steps_.size(); ++i) {
-    if (steps_[i].phase == stage) return i;
+  for (uint32_t i = 0; i < stages_.size(); ++i) {
+    if (stages_[i].phase() == stage) return i;
   }
-  steps_.push_back(StepRecord{});
-  steps_.back().phase = stage;
-  stage_node_cpu_.emplace_back(params_.num_nodes, 0.0);
-  stage_node_in_.emplace_back(params_.num_nodes, 0);
-  stage_node_out_.emplace_back(params_.num_nodes, 0);
-  return static_cast<uint32_t>(steps_.size() - 1);
+  stages_.emplace_back(stage, params_.num_nodes);
+  return static_cast<uint32_t>(stages_.size() - 1);
 }
 
 void PipelinedFabric::OnChunk(MessageType type, const char* stage,
@@ -231,8 +227,7 @@ void PipelinedFabric::TryStartTask(uint32_t node, double now) {
 
   const double dur = params_.cost.CpuSeconds(running_charged_bytes_);
   const double finish = start + dur;
-  const uint32_t stage = tasks_[index].stage;
-  stage_node_cpu_[stage][node] += dur;
+  stages_[tasks_[index].stage].AddCpuSeconds(node, dur);
   task_timing_[index].start = start;
   task_timing_[index].finish = finish;
 
@@ -300,11 +295,8 @@ void PipelinedFabric::AdmitChunk(uint64_t chunk_index, double ready) {
   if (chunk.src == chunk.dst) {
     // Local copy: no NIC, no credit; the ledger's src == dst cells are the
     // local-copy side.
-    StepRecord& step = steps_[chunk_stage_[chunk_index]];
-    traffic_.Add(chunk.src, chunk.dst, chunk.type, chunk.data.size());
-    step.local_bytes += chunk.data.size();
-    step.local_bytes_by_type[static_cast<int>(chunk.type)] +=
-        chunk.data.size();
+    stages_[chunk_stage_[chunk_index]].Add(&traffic_, chunk.src, chunk.dst,
+                                           chunk.type, chunk.data.size());
     timing.head = ready;
     timing.grant = ready;
     timing.egress_clear = ready;
@@ -376,19 +368,15 @@ void PipelinedFabric::ReturnCredit(uint32_t src, uint32_t dst, uint64_t bytes,
 
 void PipelinedFabric::AccountGrant(uint64_t chunk_index, double ready) {
   Chunk& chunk = chunks_[chunk_index];
-  const uint32_t stage = chunk_stage_[chunk_index];
   const uint64_t wire =
       chunk.data.size() + (fault_active() ? kFrameHeaderBytes : 0);
 
-  // First transmission is goodput; stage ledgers see goodput only, so the
-  // barrier-equivalent reference prices the same bytes as a pristine run.
-  // Accounting happens at credit grant under both egress policies, so the
-  // ledgers cannot depend on NIC scheduling order.
-  traffic_.Add(chunk.src, chunk.dst, chunk.type, wire);
-  steps_[stage].goodput_bytes += wire;
-  steps_[stage].network_bytes_by_type[static_cast<int>(chunk.type)] += wire;
-  stage_node_out_[stage][chunk.src] += wire;
-  stage_node_in_[stage][chunk.dst] += wire;
+  // First transmission is goodput, and only goodput sets the stage's NIC
+  // bottleneck, so the barrier-equivalent reference prices the same bytes
+  // as a pristine run. Accounting happens at credit grant under both egress
+  // policies, so the ledgers cannot depend on NIC scheduling order.
+  stages_[chunk_stage_[chunk_index]].Add(&traffic_, chunk.src, chunk.dst,
+                                         chunk.type, wire);
 
   ChunkTiming& timing = chunk_timing_[chunk_index];
   timing.grant = ready;
@@ -539,17 +527,20 @@ void PipelinedFabric::StartTransfer(uint64_t chunk_index, double wire_start) {
   const uint64_t wire =
       chunk.data.size() + (fault_active() ? kFrameHeaderBytes : 0);
   timing.wire_start = wire_start;
-  const double dur = params_.cost.TransferSeconds(wire);
+  const double dur = params_.cost.net.NicSeconds(wire);
   double t = wire_start;
   bool delivered = true;
   if (fault_active()) {
     const FaultPolicy& policy = *params_.fault_policy;
+    // Retries and faults belong to the stage whose task sent the chunk.
+    StepAccumulator& step = stages_[chunk_stage_[chunk_index]];
+    ReliabilityStats outcome;
     delivered = false;
     for (uint32_t attempt = 0; attempt <= policy.max_retries; ++attempt) {
       double t_end = t + dur;
       if (attempt > 0) {
-        traffic_.AddRetransmit(chunk.src, chunk.dst, chunk.type, wire);
-        ++retransmitted_frames_;
+        step.AddRetransmit(&traffic_, chunk.src, chunk.dst, chunk.type, wire);
+        ++outcome.retransmitted_frames;
       }
       const bool dropped = fault_rng_->Bernoulli(policy.drop);
       const bool corrupt = !dropped && fault_rng_->Bernoulli(policy.corrupt);
@@ -558,18 +549,18 @@ void PipelinedFabric::StartTransfer(uint64_t chunk_index, double wire_start) {
       if (duplicated) {
         // The spurious extra copy burns wire time and overhead bytes but
         // is discarded by the receiver's stream sequencing.
-        ++fault_counters_.frames_duplicated;
-        traffic_.AddRetransmit(chunk.src, chunk.dst, chunk.type, wire);
+        ++outcome.faults.frames_duplicated;
+        step.AddRetransmit(&traffic_, chunk.src, chunk.dst, chunk.type, wire);
         t_end += dur;
       }
       if (dropped) {
-        ++fault_counters_.frames_dropped;
+        ++outcome.faults.frames_dropped;
         t = t_end;
         continue;
       }
       if (corrupt) {
-        ++fault_counters_.frames_corrupted;
-        ++nack_messages_;
+        ++outcome.faults.frames_corrupted;
+        ++outcome.nack_messages;
         t = t_end;
         continue;
       }
@@ -581,8 +572,9 @@ void PipelinedFabric::StartTransfer(uint64_t chunk_index, double wire_start) {
       // Streams are FIFO by construction here, so a reorder fault is
       // absorbed by the model; it is still counted for parity with the
       // barrier fabric's injector.
-      ++fault_counters_.messages_reordered;
+      ++outcome.faults.messages_reordered;
     }
+    step.AddReliability(&reliability_, outcome);
   } else {
     t += dur;
   }
@@ -680,7 +672,7 @@ Status PipelinedFabric::Run() {
         TaskRecord task;
         task.node = chunk.dst;
         task.stage = handler->first;
-        task.label = steps_[handler->first].phase + "." +
+        task.label = stages_[handler->first].phase() + "." +
                      MessageTypeName(chunk.type);
         task.trace_args = {
             {"src", static_cast<int64_t>(chunk.src)},
@@ -714,18 +706,9 @@ Status PipelinedFabric::Run() {
     }
   }
 
-  // Finalize per-stage maxima now that accounting is complete.
-  for (uint32_t s = 0; s < steps_.size(); ++s) {
-    StepRecord& step = steps_[s];
-    step.wall_seconds = 0;
-    step.max_node_bytes = 0;
-    for (uint32_t node = 0; node < params_.num_nodes; ++node) {
-      step.wall_seconds = std::max(step.wall_seconds, stage_node_cpu_[s][node]);
-      step.max_node_bytes =
-          std::max(step.max_node_bytes,
-                   std::max(stage_node_in_[s][node], stage_node_out_[s][node]));
-    }
-    step.net_seconds = params_.cost.TransferSeconds(step.max_node_bytes);
+  // Close every stage now that accounting is complete.
+  for (const StepAccumulator& stage : stages_) {
+    steps_.push_back(stage.Close(params_.cost.net));
   }
 
   if (Tracer::enabled()) {
@@ -754,14 +737,6 @@ Status PipelinedFabric::Run() {
         std::to_string(params_.fault_policy->max_retries) + " retries");
   }
   return Status::OK();
-}
-
-ReliabilityStats PipelinedFabric::reliability() const {
-  ReliabilityStats stats;
-  stats.faults = fault_counters_;
-  stats.retransmitted_frames = retransmitted_frames_;
-  stats.nack_messages = nack_messages_;
-  return stats;
 }
 
 }  // namespace tj

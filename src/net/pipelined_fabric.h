@@ -11,7 +11,7 @@
 //
 // Time here is *modeled*, never measured: a task costs
 // charged_bytes / cpu_bandwidth seconds, a transfer costs
-// wire_bytes / net_bandwidth seconds (PipelineCostModel), so the makespan
+// wire_bytes / NIC bandwidth seconds (PipelineCostModel), so the makespan
 // is a deterministic function of the inputs and is exactly reproducible.
 // Every node has one serial CPU (FIFO runnable queue), one egress NIC and
 // one ingress NIC; a transfer holds both its source's egress and its
@@ -165,7 +165,7 @@ class PipelinedFabric {
   double makespan_seconds() const { return makespan_seconds_; }
 
   const TrafficMatrix& traffic() const { return traffic_; }
-  ReliabilityStats reliability() const;
+  ReliabilityStats reliability() const { return reliability_; }
   const FailureReport& failure() const { return failure_; }
   bool node_dead(uint32_t node) const { return dead_[node]; }
   /// Times a chunk found its link without credit and had to queue.
@@ -173,8 +173,9 @@ class PipelinedFabric {
 
   /// One StepRecord per stage (stages in first-use order), complete once
   /// Run() returns: wall_seconds is the busiest node's modeled CPU seconds
-  /// in the stage, the byte fields count first transmissions sent by the
-  /// stage's tasks, and net_seconds prices the stage's busiest NIC. Stages
+  /// in the stage, the byte and fault fields count the transmissions of
+  /// chunks sent by the stage's tasks (retries included), and net_seconds
+  /// prices the stage's busiest NIC's first transmissions. Stages
   /// overlap, so these steps do not add up to the makespan; their
   /// BarrierSeconds is what the same work would cost if every stage were
   /// separated by global barriers.
@@ -255,7 +256,7 @@ class PipelinedFabric {
     return chunk_timing_;
   }
   const std::string& stage_name(uint32_t stage) const {
-    return steps_[stage].phase;
+    return stages_[stage].phase();
   }
   const std::string& task_label(uint64_t task) const {
     return tasks_[task].label;
@@ -319,8 +320,8 @@ class PipelinedFabric {
   /// Applies a finished task's effects: releases buffered posts/sends,
   /// returns handler credit, drains the link's blocked queue.
   void FinishTask(uint32_t node, double now);
-  /// Ledger effects of a credit grant: first-transmission traffic and
-  /// the stage's step, timing.grant, the credit-stall histogram. Shared by
+  /// Ledger effects of a credit grant: the first transmission into the
+  /// stage's accumulator, timing.grant, the credit-stall histogram. Shared by
   /// both egress policies so the byte ledgers are identical by construction.
   void AccountGrant(uint64_t chunk_index, double ready);
   /// kFifo: eagerly reserves the NIC pair in grant order and transmits.
@@ -366,10 +367,11 @@ class PipelinedFabric {
 
   Params params_;
   TrafficMatrix traffic_;
-  std::vector<StepRecord> steps_;  ///< Indexed by stage.
-  std::vector<std::vector<double>> stage_node_cpu_;      // [stage][node]
-  std::vector<std::vector<uint64_t>> stage_node_in_;     // [stage][node]
-  std::vector<std::vector<uint64_t>> stage_node_out_;    // [stage][node]
+  ReliabilityStats reliability_;
+  /// Every transmission, CPU charge and fault lands in its stage's
+  /// accumulator (and through it in the run ledgers).
+  std::vector<StepAccumulator> stages_;  ///< Indexed by stage.
+  std::vector<StepRecord> steps_;        ///< stages_, closed by Run().
 
   std::array<std::optional<std::pair<uint32_t, ChunkHandler>>,
              kNumMessageTypes>
@@ -438,11 +440,7 @@ class PipelinedFabric {
   bool lost_link_ = false;
   uint64_t credit_stall_events_ = 0;
 
-  // Fault state.
   std::optional<Rng> fault_rng_;
-  FaultCounters fault_counters_;
-  uint64_t retransmitted_frames_ = 0;
-  uint64_t nack_messages_ = 0;
 };
 
 }  // namespace tj

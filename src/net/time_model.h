@@ -34,18 +34,17 @@ struct NetworkTimeModel {
 /// Resource prices of the event-driven pipelined fabric
 /// (net/pipelined_fabric.h). Tasks on a node's serial CPU and transfers on
 /// its NIC are charged modeled seconds = bytes / bandwidth — never wall
-/// time — so the makespan is fully deterministic and reproducible. The CPU
-/// rate is deliberately within a small factor of the NIC rate: sort,
-/// aggregation, serialization and join work on a tuple stream run at
-/// memory-bandwidth-bound speeds on the paper's testbed, which is what
-/// makes CPU/network overlap (Section 5) worth modeling at all.
+/// time — so the makespan is fully deterministic and reproducible. The NIC
+/// is priced by the same NetworkTimeModel the barrier fabric closes its
+/// steps with. The CPU rate is deliberately within a small factor of the
+/// NIC rate: sort, aggregation, serialization and join work on a tuple
+/// stream run at memory-bandwidth-bound speeds on the paper's testbed,
+/// which is what makes CPU/network overlap (Section 5) worth modeling at
+/// all.
 struct PipelineCostModel {
-  double net_bandwidth_bytes_per_sec = 0.093e9;
+  NetworkTimeModel net;
   double cpu_bandwidth_bytes_per_sec = 0.25e9;
 
-  double TransferSeconds(uint64_t bytes) const {
-    return static_cast<double>(bytes) / net_bandwidth_bytes_per_sec;
-  }
   double CpuSeconds(uint64_t bytes) const {
     return static_cast<double>(bytes) / cpu_bandwidth_bytes_per_sec;
   }

@@ -1,15 +1,18 @@
 // Network traffic accounting.
 //
-// A TrafficMatrix records bytes per (source, destination, message type).
-// Types aggregate into the figures' four stacked classes via ClassOf().
-// Local copies (src == dst) are tracked separately and never count as
-// network traffic — the paper's cost analysis treats in-place transfers as
-// free, and its step tables report them as separate "local copy" rows.
+// A TrafficMatrix records bytes per (source, destination, message type) in
+// three ledgers: first transmissions, fault-recovery overhead and the
+// traffic of failed attempts. Types aggregate into the figures' four
+// stacked classes via ClassOf(). Local copies (src == dst) are tracked
+// separately and never count as network traffic — the paper's cost
+// analysis treats in-place transfers as free, and its step tables report
+// them as separate "local copy" rows.
 //
-// A StepRecord holds one phase's deltas of those ledgers. Both fabrics
-// append one per phase (barrier fabric) or stage (pipelined fabric), and
-// they are the only per-phase record: profiles, phase-time lists and the
-// barrier-equivalent time are all read off them.
+// A StepRecord holds one phase's share of those ledgers. Both fabrics
+// account every transmission through a StepAccumulator, into the run's
+// matrix and the open step in one call. The records are the only per-phase
+// record: profiles, phase-time lists and the barrier-equivalent time are
+// all read off them.
 #ifndef TJ_NET_TRAFFIC_H_
 #define TJ_NET_TRAFFIC_H_
 
@@ -23,38 +26,49 @@
 
 namespace tj {
 
+struct NetworkTimeModel;
+struct ReliabilityStats;
+
 constexpr int kNumMessageTypes = 16;
 
 class TrafficMatrix {
  public:
-  explicit TrafficMatrix(uint32_t num_nodes = 0) { Reset(num_nodes); }
-
-  void Reset(uint32_t num_nodes);
+  explicit TrafficMatrix(uint32_t num_nodes = 0)
+      : num_nodes_(num_nodes), cells_(LedgerCells(), 0) {}
 
   uint32_t num_nodes() const { return num_nodes_; }
 
   /// Records `bytes` of type `type` from src to dst (first transmission;
   /// the "goodput" side of the ledger).
-  void Add(uint32_t src, uint32_t dst, MessageType type, uint64_t bytes);
+  void Add(uint32_t src, uint32_t dst, MessageType type, uint64_t bytes) {
+    Cell(kGoodput, static_cast<int>(type), src, dst) += bytes;
+  }
 
   /// Records `bytes` of fault-recovery overhead from src to dst:
   /// retransmitted frames, injected duplicate copies, and ack/nack control
-  /// messages. Kept in a separate matrix so benchmarks can report goodput
+  /// messages. Kept in a separate ledger so benchmarks can report goodput
   /// (Add) vs. total wire traffic (Add + AddRetransmit).
   void AddRetransmit(uint32_t src, uint32_t dst, MessageType type,
-                     uint64_t bytes);
+                     uint64_t bytes) {
+    Cell(kRetransmit, static_cast<int>(type), src, dst) += bytes;
+  }
 
   /// Bytes that crossed the network (src != dst) for one message type.
-  uint64_t NetworkBytes(MessageType type) const;
+  uint64_t NetworkBytes(MessageType type) const {
+    return Sum(kGoodput, false, TypesOf(type));
+  }
   /// Bytes that crossed the network for one figure class.
-  uint64_t NetworkBytes(TrafficClass cls) const;
+  uint64_t NetworkBytes(TrafficClass cls) const {
+    return Sum(kGoodput, false, TypesOf(cls));
+  }
   /// Bytes that crossed the network, all types.
-  uint64_t TotalNetworkBytes() const;
+  uint64_t TotalNetworkBytes() const { return Sum(kGoodput, false, kAllTypes); }
 
   /// Locally-copied (src == dst) bytes.
-  uint64_t LocalBytes(MessageType type) const;
-  uint64_t LocalBytes(TrafficClass cls) const;
-  uint64_t TotalLocalBytes() const;
+  uint64_t LocalBytes(MessageType type) const {
+    return Sum(kGoodput, true, TypesOf(type));
+  }
+  uint64_t TotalLocalBytes() const { return Sum(kGoodput, true, kAllTypes); }
 
   /// Network bytes leaving / entering one node.
   uint64_t EgressBytes(uint32_t node) const;
@@ -66,15 +80,18 @@ class TrafficMatrix {
   uint64_t MaxNodeBytes() const;
 
   /// Fault-recovery overhead bytes that crossed the network.
-  uint64_t RetransmitBytes(MessageType type) const;
-  uint64_t RetransmitBytes(TrafficClass cls) const;
-  uint64_t TotalRetransmitBytes() const;
+  uint64_t RetransmitBytes(MessageType type) const {
+    return Sum(kRetransmit, false, TypesOf(type));
+  }
+  uint64_t TotalRetransmitBytes() const {
+    return Sum(kRetransmit, false, kAllTypes);
+  }
 
   /// Bytes failed attempts burned before recovery succeeded (network,
   /// src != dst). Exactly zero on any run that never failed a phase.
-  uint64_t RecoveryBytes(MessageType type) const;
-  uint64_t RecoveryBytes(TrafficClass cls) const;
-  uint64_t TotalRecoveryBytes() const;
+  uint64_t TotalRecoveryBytes() const {
+    return Sum(kRecovery, false, kAllTypes);
+  }
 
   /// Accumulates another matrix (same node count).
   void Merge(const TrafficMatrix& other);
@@ -96,53 +113,51 @@ class TrafficMatrix {
   /// Exact equality of every (src, dst, type) cell across all three
   /// ledgers (first-send, retransmit, recovery). Used by the
   /// fault-equivalence tests.
-  bool operator==(const TrafficMatrix& other) const {
-    return num_nodes_ == other.num_nodes_ && cells_ == other.cells_ &&
-           retrans_cells_ == other.retrans_cells_ &&
-           recovery_cells_ == other.recovery_cells_;
-  }
+  bool operator==(const TrafficMatrix& other) const;
 
   /// Multi-line human-readable per-class summary.
   std::string Report() const;
 
  private:
-  uint64_t& Cell(uint32_t src, uint32_t dst, int type) {
-    return cells_[(static_cast<uint64_t>(src) * num_nodes_ + dst) *
-                      kNumMessageTypes +
-                  type];
-  }
-  uint64_t Cell(uint32_t src, uint32_t dst, int type) const {
-    return cells_[(static_cast<uint64_t>(src) * num_nodes_ + dst) *
-                      kNumMessageTypes +
-                  type];
-  }
+  enum Ledger { kGoodput = 0, kRetransmit, kRecovery, kNumLedgers };
+  static constexpr uint32_t kAllTypes = (1u << kNumMessageTypes) - 1;
+  /// Type masks for Sum: one message type's bit, or a class's types.
+  static uint32_t TypesOf(MessageType t) { return 1u << static_cast<int>(t); }
+  static uint32_t TypesOf(TrafficClass cls);
 
-  uint64_t& RetransCell(uint32_t src, uint32_t dst, int type) {
-    return retrans_cells_[(static_cast<uint64_t>(src) * num_nodes_ + dst) *
-                              kNumMessageTypes +
-                          type];
+  /// Cells per ledger: one per (message type, source, destination).
+  uint64_t LedgerCells() const {
+    return static_cast<uint64_t>(kNumMessageTypes) * num_nodes_ * num_nodes_;
   }
-  uint64_t RetransCell(uint32_t src, uint32_t dst, int type) const {
-    return retrans_cells_[(static_cast<uint64_t>(src) * num_nodes_ + dst) *
-                              kNumMessageTypes +
-                          type];
+  /// The one cell layout: ledger-major, then message type, then the
+  /// (src, dst) link, so each type's N x N cells are contiguous and a query
+  /// reads only the types it asks for.
+  uint64_t Index(int ledger, int type, uint32_t src, uint32_t dst) const {
+    return (static_cast<uint64_t>(ledger) * kNumMessageTypes + type) *
+               num_nodes_ * num_nodes_ +
+           static_cast<uint64_t>(src) * num_nodes_ + dst;
   }
+  /// The goodput ledger always exists; later ledgers are allocated on
+  /// their first write, so cells_ ends after the last ledger ever written
+  /// and an unallocated ledger reads as zero. Pristine runs never pay for
+  /// the fault ledgers.
+  bool HasLedger(int ledger) const {
+    return cells_.size() > ledger * LedgerCells();
+  }
+  /// A cell to write (both nodes checked), allocating its ledger on first
+  /// use.
+  uint64_t& Cell(int ledger, int type, uint32_t src, uint32_t dst);
+  /// Calls fn(ledger, type, src, dst, bytes) for every nonzero cell.
+  template <typename Fn>
+  void ForEachCell(Fn&& fn) const;
 
-  uint64_t& RecoveryCell(uint32_t src, uint32_t dst, int type) {
-    return recovery_cells_[(static_cast<uint64_t>(src) * num_nodes_ + dst) *
-                               kNumMessageTypes +
-                           type];
-  }
-  uint64_t RecoveryCell(uint32_t src, uint32_t dst, int type) const {
-    return recovery_cells_[(static_cast<uint64_t>(src) * num_nodes_ + dst) *
-                               kNumMessageTypes +
-                           type];
-  }
+  /// Sums one ledger over its network (src != dst) or local (src == dst)
+  /// cells whose message type's bit is set in `types`, reading each cell
+  /// at most once.
+  uint64_t Sum(Ledger ledger, bool local, uint32_t types) const;
 
   uint32_t num_nodes_ = 0;
   std::vector<uint64_t> cells_;
-  std::vector<uint64_t> retrans_cells_;
-  std::vector<uint64_t> recovery_cells_;
 };
 
 /// One de-pipelined join step: what one phase cost on the CPU side, what it
@@ -191,6 +206,47 @@ struct StepRecord {
   uint64_t RetransmitBytes(MessageType type) const {
     return retransmit_bytes_by_type[static_cast<int>(type)];
   }
+};
+
+/// The open step of a run: the StepRecord being filled plus the step's own
+/// per-node goodput ingress/egress and modeled CPU seconds. Each call
+/// writes the run's ledger (TrafficMatrix or ReliabilityStats) and this
+/// step together; Close() reads only the step's own counters, so a step
+/// costs O(transmissions + nodes).
+class StepAccumulator {
+ public:
+  StepAccumulator(std::string phase, uint32_t num_nodes);
+
+  const std::string& phase() const { return record_.phase; }
+
+  /// A first transmission: goodput when src != dst, a local copy otherwise.
+  void Add(TrafficMatrix* run, uint32_t src, uint32_t dst, MessageType type,
+           uint64_t bytes);
+  /// Fault-recovery overhead on the network (src != dst).
+  void AddRetransmit(TrafficMatrix* run, uint32_t src, uint32_t dst,
+                     MessageType type, uint64_t bytes);
+
+  /// What the wire and the retry protocol did to this step's
+  /// transmissions. Reorders have no step field (they perturb an inbox, not
+  /// a transmission) and reach the run's counters only.
+  void AddReliability(ReliabilityStats* run, const ReliabilityStats& wire);
+
+  /// Modeled CPU seconds one node spent in this step.
+  void AddCpuSeconds(uint32_t node, double seconds) {
+    node_cpu_[node] += seconds;
+  }
+
+  /// The finished record: max_node_bytes is the busiest node's goodput
+  /// ingress or egress in this step, priced by `model` into net_seconds;
+  /// wall_seconds is the busiest node's CPU seconds (zero when none were
+  /// added — the barrier fabric measures its own).
+  StepRecord Close(const NetworkTimeModel& model) const;
+
+ private:
+  StepRecord record_;
+  std::vector<uint64_t> node_in_;
+  std::vector<uint64_t> node_out_;
+  std::vector<double> node_cpu_;
 };
 
 /// The (phase, wall_seconds) projection of `steps`, in step order.

@@ -25,7 +25,7 @@ PipelinedFabric::Params SmallParams(uint32_t nodes) {
   PipelinedFabric::Params params;
   params.num_nodes = nodes;
   params.cost.cpu_bandwidth_bytes_per_sec = 100.0;  // 1 byte = 10 ms.
-  params.cost.net_bandwidth_bytes_per_sec = 100.0;
+  params.cost.net.node_bandwidth_bytes_per_sec = 100.0;
   params.chunk_bytes = 64;
   // Wide-open credit windows: these tests isolate the egress scheduler, so
   // the link FIFOs must never be the binding constraint.

@@ -15,6 +15,7 @@
 #include "baseline/hash_join.h"
 #include "common/logging.h"
 #include "core/key_column_join.h"
+#include "core/pipelined_track_join.h"
 #include "core/semi_join.h"
 #include "core/track_join.h"
 #include "net/fault_injector.h"
@@ -167,6 +168,52 @@ TEST(StepProfileTest, GoodputRetransmitSplitMatchesLedgersUnderFaults) {
                                              TrackJoinVersion::k4Phase);
   ASSERT_TRUE(track.ok()) << track.status().ToString();
   CheckProfileMatchesRun("4tj", *track);
+}
+
+// Both fabrics account each transmission into the run's ledgers and its
+// step together, so under drops, duplicates and corruptions the steps add
+// up to the TrafficMatrix and to reliability() exactly — the pipelined
+// fabric's retries and faults included, which land in the sending stage.
+TEST(StepProfileTest, FaultedStepsSumToRunLedgersOnBothFabrics) {
+  Workload w = TestWorkload();
+  FaultPolicy policy;
+  policy.drop = 0.05;
+  policy.duplicate = 0.05;
+  policy.corrupt = 0.05;
+  policy.max_retries = 64;
+  JoinConfig config;
+  config.key_bytes = 4;
+  config.fault_policy = &policy;
+  config.fault_seed = 11;
+
+  auto check_faults = [](const std::string& label, const JoinResult& r) {
+    SCOPED_TRACE(label);
+    const StepProfile& prof = r.profile;
+    EXPECT_GT(prof.TotalRetransmitBytes(), 0u);
+    uint64_t dropped = 0, corrupted = 0, duplicated = 0;
+    for (const StepRecord& s : prof.steps) {
+      dropped += s.frames_dropped;
+      corrupted += s.frames_corrupted;
+      duplicated += s.frames_duplicated;
+    }
+    EXPECT_GT(dropped + corrupted + duplicated, 0u);
+    EXPECT_EQ(dropped, r.reliability.faults.frames_dropped);
+    EXPECT_EQ(corrupted, r.reliability.faults.frames_corrupted);
+    EXPECT_EQ(duplicated, r.reliability.faults.frames_duplicated);
+  };
+
+  Result<JoinResult> barrier =
+      TryRunTrackJoin(w.r, w.s, config, TrackJoinVersion::k4Phase);
+  ASSERT_TRUE(barrier.ok()) << barrier.status().ToString();
+  CheckProfileMatchesRun("4tj", *barrier);
+  check_faults("4tj", *barrier);
+
+  Result<JoinResult> pipelined =
+      TryRunPipelinedTrackJoin(w.r, w.s, config, TrackJoinVersion::k4Phase);
+  ASSERT_TRUE(pipelined.ok()) << pipelined.status().ToString();
+  CheckProfileMatchesRun("4tj-p", *pipelined);
+  check_faults("4tj-p", *pipelined);
+  EXPECT_EQ(pipelined->checksum.digest(), barrier->checksum.digest());
 }
 
 TEST(StepProfileTest, InactivePolicyKeepsProfilePassiveAndDeterministic) {

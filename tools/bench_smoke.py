@@ -35,7 +35,7 @@ gate cross-checks three independent makespan computations to the exact
 microsecond: the blame bucket sum, the pipeline.makespan_us counter, and
 the critical path recomputed from the exported micro-batch spans.
 
-local_kernels also reports three wall-time ratios measured within one
+local_kernels also reports four wall-time ratios measured within one
 process, so they need no checked-in baseline:
   tj4_pipelined_over_barrier_wall: serial pipelined 4TJ (DRR) wall over
     serial barrier 4TJ wall on one workload X input. It fails above
@@ -49,6 +49,10 @@ process, so they need no checked-in baseline:
     fails above MAX_Y_CHECKSUM_JOIN_OVER_JOIN: the checksum hashes each
     input row once per key group, and a per-pair rehash of both payloads
     costs over 10 times more.
+  barrier_node_scaling: serial barrier 4TJ wall on 8,000 keys per table
+    spread over 256 nodes over the same at 16 nodes. It fails above
+    MAX_BARRIER_NODE_SCALING: at O(messages + nodes) per phase it sits near
+    6 on a 4-vCPU VM; rescanning the N x N traffic matrix per barrier: ~50.
 
 micro_tracker reports one more same-run ratio:
   tracker_merge_over_reference: the loser-tree merge's throughput over the
@@ -95,6 +99,7 @@ KERNEL_RUNS = 3
 MAX_PIPELINED_OVER_BARRIER_WALL = 1.6
 MAX_PIPELINED_SCALING = 2.4
 MAX_Y_CHECKSUM_JOIN_OVER_JOIN = 100
+MAX_BARRIER_NODE_SCALING = 10
 # Floor on micro_tracker's same-run merge / reference throughput ratio.
 MIN_TRACKER_MERGE_OVER_REFERENCE = 4.0
 
@@ -393,7 +398,8 @@ def main():
             ("tj4_pipelined_over_barrier_wall",
              MAX_PIPELINED_OVER_BARRIER_WALL),
             ("tj4_pipelined_scaling", MAX_PIPELINED_SCALING),
-            ("y_checksum_join_over_join", MAX_Y_CHECKSUM_JOIN_OVER_JOIN)):
+            ("y_checksum_join_over_join", MAX_Y_CHECKSUM_JOIN_OVER_JOIN),
+            ("barrier_node_scaling", MAX_BARRIER_NODE_SCALING)):
         ratio = kernels.get(metric)
         ok = ratio is not None and ratio <= ceiling
         wall_gate[metric] = {"median": ratio, "ceiling": ceiling,

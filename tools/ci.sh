@@ -83,11 +83,11 @@ done
 # The batch-scoped ParallelFor is lock-order sensitive; run its tests (and
 # the rest of tj_common's concurrency surface) under TSan even when the
 # caller only asked for the default sanitizers. The barrier fabric's
-# thread-pooled phases (per-node send queues and traffic rows, the
-# per-phase step records at each barrier) run here too. The pipelined
-# fabric's event loop and credit accounting ride along: the fabric is
-# specified as single-threaded, and TSan proves the implementation never
-# quietly grows a second thread.
+# thread-pooled phases (per-node send queues and sent-frame logs; only
+# the barrier writes the ledgers) run here too. The pipelined fabric's
+# event loop and credit accounting ride along: the fabric is specified as
+# single-threaded, and TSan proves the implementation never quietly grows
+# a second thread.
 if [[ ! " ${sanitizers[*]} " == *" thread "* ]]; then
   echo "=== thread: thread_pool + fabric tests under TSan (build-tsan) ==="
   cmake -B build-tsan -S . -DTJ_SANITIZE=thread "${launcher_flags[@]}" >/dev/null

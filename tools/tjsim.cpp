@@ -38,6 +38,9 @@
 
 namespace {
 
+/// NetworkTimeModel's default NIC rate, the only one --pipeline models.
+constexpr double kDefaultBandwidthGbps = 0.093;
+
 struct Options {
   uint32_t nodes = 8;
   uint64_t keys = 100000;
@@ -65,7 +68,7 @@ struct Options {
   std::string egress_sched;     // "" (default fifo) | fifo | drr
   uint64_t drr_quantum = 0;     // 0 = PipelineConfig default (chunk_bytes).
   uint64_t seed = 42;
-  double bandwidth_gbps = 0.093;
+  double bandwidth_gbps = kDefaultBandwidthGbps;
   std::vector<std::string> algos = {"all"};
   tj::FaultPolicy fault;
   uint64_t fault_seed = 0;
@@ -113,7 +116,10 @@ execution:
   --hot-key-max-split=W  cap on workers per split hot key (default 4)
   --delta              delta-compress tracking keys
   --group              node-group location messages
-  --bandwidth=GBPS     NIC GB/s for the time model (default 0.093)
+  --bandwidth=GBPS     NIC GB/s for the time model (default 0.093).
+                       Barrier runs only: the pipelined fabric prices its
+                       NICs at the default, so a non-default value with
+                       --pipeline is a usage error.
   --pipeline           event-driven micro-batch execution for 2tj-r/2tj-s/
                        3tj/4tj (any other algorithm is a usage error):
                        tracking, scheduling and transfers overlap; reports
@@ -531,6 +537,12 @@ Options Parse(int argc, char** argv) {
     std::fprintf(stderr,
                  "--pipeline does not compose with the recovery flags "
                  "(--replicas/--recovery-attempts/--phase-deadline)\n");
+    std::exit(1);
+  }
+  if (opt.pipeline && opt.bandwidth_gbps != kDefaultBandwidthGbps) {
+    std::fprintf(stderr,
+                 "--bandwidth reprices only barrier runs; the --pipeline "
+                 "makespan is modeled at the default 0.093 GB/s NIC rate\n");
     std::exit(1);
   }
   if (!opt.egress_sched.empty() && !opt.pipeline) {
