@@ -3,10 +3,11 @@
 // small hash-join / 4-phase-track-join run (the StepProfile rows Tables 3
 // and 4 are built from).
 //
-// Also reports four same-run ratios of serial wall times (best of 3
-// runs each), which hold across machines:
+// Also reports four same-run ratios of serial wall times, which hold
+// across machines (best of 3 runs each unless noted):
 //   tj4_pipelined_over_barrier_wall  pipelined 4TJ (DRR) ÷ barrier 4TJ on
-//                                    workload X at scale 1/2000;
+//                                    workload X at scale 1/2000, the
+//                                    median of 15 alternating pairs;
 //   tj4_pipelined_scaling            pipelined 4TJ at 1/1000 ÷ at 1/2000,
 //                                    about 2 for a linear-time driver;
 //   y_checksum_join_over_join        merge join of workload Y/200 with the
@@ -47,6 +48,9 @@ namespace tj {
 namespace bench {
 
 constexpr int kReps = 3;
+/// Alternating barrier/pipelined pairs behind the pipelined-over-barrier
+/// wall ratio: the best of 3 per side spread 1.32-1.79 between runs.
+constexpr int kWallRatioPairs = 15;
 constexpr uint32_t kParts = 256;
 
 double Now() {
@@ -176,9 +180,11 @@ int main(int argc, char** argv) {
       TryRunTrackJoin(w.r, w.s, config, TrackJoinVersion::k4Phase)).profile;
 
   // Pipelined vs barrier 4TJ, both serial (no pool), on 8-node workload X
-  // inputs: the wall ratio at X/2000, and the pipelined wall at twice the
-  // keys (X/1000) over X/2000. Best of kReps each; the reps of the three
-  // runs alternate, so drift in machine speed hits all of them alike.
+  // inputs: the wall ratio at X/2000, the median over kWallRatioPairs reps
+  // of each rep's pipelined ÷ barrier wall, and the pipelined wall at twice
+  // the keys (X/1000) over X/2000, best of the first kReps reps each. The
+  // runs of a rep alternate, so drift in machine speed hits all of them
+  // alike.
   JoinConfig barrier_config = bench::RealConfig(WorkloadX(1), 8);
   JoinConfig pipelined_config = barrier_config;
   pipelined_config.pipeline.enabled = true;
@@ -197,15 +203,21 @@ int main(int argc, char** argv) {
   const Workload wx = InstantiateReal(WorkloadX(1), 8, 2000, true, args.seed);
   const Workload wx2 = InstantiateReal(WorkloadX(1), 8, 1000, true, args.seed);
   double barrier_s = 1e300, pipelined_s = 1e300, pipelined_2x_s = 1e300;
+  double wall_ratios[bench::kWallRatioPairs];
   JoinChecksum barrier_sum, pipelined_sum;
-  for (int rep = 0; rep < bench::kReps; ++rep) {
-    barrier_s = std::min(barrier_s,
-                         bench::Seconds([&] { barrier_sum = barrier(wx); }));
-    pipelined_s = std::min(
-        pipelined_s, bench::Seconds([&] { pipelined_sum = pipelined(wx); }));
+  for (int rep = 0; rep < bench::kWallRatioPairs; ++rep) {
+    const double b = bench::Seconds([&] { barrier_sum = barrier(wx); });
+    const double p = bench::Seconds([&] { pipelined_sum = pipelined(wx); });
+    wall_ratios[rep] = p / b;
+    if (rep >= bench::kReps) continue;
+    barrier_s = std::min(barrier_s, b);
+    pipelined_s = std::min(pipelined_s, p);
     pipelined_2x_s =
         std::min(pipelined_2x_s, bench::Seconds([&] { pipelined(wx2); }));
   }
+  std::nth_element(wall_ratios, wall_ratios + bench::kWallRatioPairs / 2,
+                   wall_ratios + bench::kWallRatioPairs);
+  const double wall_ratio = wall_ratios[bench::kWallRatioPairs / 2];
   TJ_CHECK(barrier_sum == pipelined_sum) << "pipelined 4TJ result differs";
 
   // Barrier 4TJ on the same 8,000 keys per table spread over 16 and over
@@ -270,7 +282,7 @@ int main(int argc, char** argv) {
   std::printf("  \"tj4_barrier_wall_s\": %.6f,\n", barrier_s);
   std::printf("  \"tj4_pipelined_wall_s\": %.6f,\n", pipelined_s);
   std::printf("  \"tj4_pipelined_over_barrier_wall\": %.4f,\n",
-              pipelined_s / barrier_s);
+              wall_ratio);
   std::printf("  \"tj4_pipelined_2x_wall_s\": %.6f,\n", pipelined_2x_s);
   std::printf("  \"tj4_pipelined_scaling\": %.4f,\n",
               pipelined_2x_s / pipelined_s);

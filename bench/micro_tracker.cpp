@@ -159,8 +159,9 @@ int main(int argc, char** argv) {
   const uint64_t total = (1ULL << 20) / divisor;
 
   // Plain-format grid over fan-in and duplication, plus one delta-coded
-  // point: delta streams merge through the same cursor, so the gate on the
-  // plain headline covers both decoders' shared path.
+  // point: delta streams decode into the same runs and merge through the
+  // same loser tree, so the gate on the plain headline covers their shared
+  // path.
   std::vector<bench::GridPoint> grid;
   for (uint32_t k : {2u, 8u, 32u}) {
     for (uint64_t dup : {uint64_t{1}, uint64_t{4}}) {

@@ -61,7 +61,7 @@ Result<JoinResult> TryRunBroadcastJoin(const PartitionedTable& r,
         MergeJoinSorted(r_side, s_side, outputs.Sink(node));
         return Status::OK();
       }));
-  return FinishJoin(broadcast_r ? "bj-r" : "bj-s", fabric, &outputs);
+  return FinishJoin(broadcast_r ? "bj-r" : "bj-s", &fabric, &outputs);
 }
 
 }  // namespace tj

@@ -70,7 +70,7 @@ Result<JoinResult> TryRunHashJoin(const PartitionedTable& r,
         MergeJoinSorted(r_in[node], s_in[node], outputs.Sink(node));
         return Status::OK();
       }));
-  return FinishJoin("hj", fabric, &outputs);
+  return FinishJoin("hj", &fabric, &outputs);
 }
 
 }  // namespace tj

@@ -3,6 +3,7 @@
 #include "common/bit_util.h"
 #include "net/buffer_pool.h"
 #include "net/fabric.h"
+#include "net/pipelined_fabric.h"
 
 namespace tj {
 
@@ -112,14 +113,29 @@ void JoinOutputs::MoveInto(JoinResult* result) {
   }
 }
 
-JoinResult FinishJoin(const char* algorithm, const Fabric& fabric,
+template <typename AnyFabric>
+JoinResult FinishJoin(const char* algorithm, AnyFabric* fabric,
                       JoinOutputs* outputs) {
   JoinResult result;
-  result.traffic = fabric.traffic();
-  result.reliability = fabric.reliability();
-  result.SetProfile(BuildStepProfile(algorithm, fabric));
+  result.reliability = fabric->reliability();
+  result.SetProfile(BuildStepProfile(algorithm, *fabric));
+  result.traffic = fabric->TakeTraffic();
   outputs->MoveInto(&result);
   return result;
+}
+template JoinResult FinishJoin(const char*, Fabric*, JoinOutputs*);
+template JoinResult FinishJoin(const char*, PipelinedFabric*, JoinOutputs*);
+
+const char* TrackJoinName(TrackJoinVersion version, Direction direction) {
+  switch (version) {
+    case TrackJoinVersion::k2Phase:
+      return direction == Direction::kRtoS ? "2tj-r" : "2tj-s";
+    case TrackJoinVersion::k3Phase:
+      return "3tj";
+    case TrackJoinVersion::k4Phase:
+      return "4tj";
+  }
+  return "?";
 }
 
 }  // namespace tj

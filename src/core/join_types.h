@@ -204,6 +204,7 @@ const char* JoinAlgorithmName(JoinAlgorithm algorithm);
 
 class BufferPool;
 class Fabric;
+class PipelinedFabric;
 
 /// Applies the run-wide knobs of `config` to a barrier fabric: thread pool,
 /// fault policy and seed, phase deadline and diagnostics sink.
@@ -268,10 +269,16 @@ class JoinOutputs {
   std::vector<Slot> slots_;
 };
 
-/// The barrier drivers' epilogue: the fabric's traffic, reliability, phase
-/// times and step profile (named `algorithm`), plus the moved outputs.
-JoinResult FinishJoin(const char* algorithm, const Fabric& fabric,
+/// Every driver's epilogue, on either fabric (Fabric or PipelinedFabric):
+/// the fabric's reliability, phase times and step profile (named
+/// `algorithm`), its traffic moved into the result, and the moved outputs.
+template <typename AnyFabric>
+JoinResult FinishJoin(const char* algorithm, AnyFabric* fabric,
                       JoinOutputs* outputs);
+
+/// The track-join variant's algorithm name: "2tj-r", "2tj-s", "3tj" or
+/// "4tj".
+const char* TrackJoinName(TrackJoinVersion version, Direction direction);
 
 }  // namespace tj
 

@@ -280,7 +280,7 @@ Result<JoinResult> TryRunRidHashJoin(const PartitionedTable& r,
     MergeJoinSorted(r_side, s_side, outputs.Sink(node));
     return Status::OK();
   }));
-  return FinishJoin("rid-hj", fabric, &outputs);
+  return FinishJoin("rid-hj", &fabric, &outputs);
 }
 
 Result<JoinResult> TryRunLateMaterializedHashJoin(const PartitionedTable& r,
@@ -383,7 +383,7 @@ Result<JoinResult> TryRunLateMaterializedHashJoin(const PartitionedTable& r,
         }
         return Status::OK();
       }));
-  return FinishJoin("late-hj", fabric, &outputs);
+  return FinishJoin("late-hj", &fabric, &outputs);
 }
 
 }  // namespace tj

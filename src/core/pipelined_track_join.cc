@@ -117,18 +117,16 @@ class KeyedRows {
 };
 
 /// Per-node working state across all pipelined roles (source, tracker,
-/// holder, joiner).
+/// holder, joiner). Per-table arrays are indexed 0 = R, 1 = S.
 struct PipelineNodeState {
   // Source role: sorted home blocks. Never filtered — data for a key only
   // ever travels to its surviving locations, so a run that migrated or
   // fragmented away is simply never probed again.
-  TupleBlock r{0};
-  TupleBlock s{0};
+  TupleBlock home[2] = {TupleBlock(0), TupleBlock(0)};
 
-  // Tracker role: per-(source, table) streams, the merge frontier, and the
+  // Tracker role: per-(table, source) streams, the merge frontier, and the
   // persistent per-key planner (balance state spans frontier batches).
-  std::vector<TrackStream> streams_r;
-  std::vector<TrackStream> streams_s;
+  std::vector<TrackStream> streams[2];
   uint64_t frontier = 0;
   bool final_batch_posted = false;
   std::optional<KeyPlanner> planner;
@@ -143,11 +141,9 @@ struct PipelineNodeState {
 
   // Joiner role: received broadcast and migration rows, indexed by key for
   // incremental exactly-once pairing once the opposing stream probes them.
-  TupleBlock in_r{0};
-  TupleBlock in_s{0};
-  TupleBlock mig_r{0};
-  TupleBlock mig_s{0};
-  KeyedRows in_r_rows, in_s_rows, mig_r_rows, mig_s_rows;
+  TupleBlock in[2] = {TupleBlock(0), TupleBlock(0)};
+  TupleBlock mig[2] = {TupleBlock(0), TupleBlock(0)};
+  KeyedRows in_rows[2], mig_rows[2];
   uint32_t data_eos = 0;
 
   BufferPool pool;
@@ -177,18 +173,24 @@ Result<JoinResult> TryRunPipelinedTrackJoin(const PartitionedTable& r,
   TJ_RETURN_IF_ERROR(CheckNodeIdWidth(config, r.num_nodes()));
 
   const uint32_t n = r.num_nodes();
-  const bool four_phase = version == TrackJoinVersion::k4Phase;
   // 2-phase tracking carries keys only; every entry implies count 1.
   const bool with_counts = version != TrackJoinVersion::k2Phase;
-  const uint32_t width_r = config.key_bytes + r.payload_width();
-  const uint32_t width_s = config.key_bytes + s.payload_width();
-  const PlainEntryLayout track_layout(config, with_counts);
-  const uint32_t track_entry_bytes = track_layout.entry_bytes();
+  const PartitionedTable* tables[2] = {&r, &s};
+  const uint32_t widths[2] = {config.key_bytes + r.payload_width(),
+                              config.key_bytes + s.payload_width()};
+  const uint32_t track_entry_bytes =
+      PlainEntryLayout(config, with_counts).entry_bytes();
   const uint32_t pair_bytes = config.key_bytes + config.node_bytes;
+  const std::span<const InstructionStream> streams =
+      InstructionStreams(version);
   // EOS fan-in: every tracker terminates every instruction stream to every
-  // holder; every holder then terminates every data stream to every joiner.
-  const uint32_t expected_instr_eos = n * (four_phase ? 6 : 2);
-  const uint32_t expected_data_eos = n * (four_phase ? 4 : 2);
+  // holder; every holder then terminates every data stream (one per
+  // non-split instruction stream) to every joiner.
+  const uint32_t expected_instr_eos = n * static_cast<uint32_t>(streams.size());
+  const uint32_t expected_data_eos =
+      n * static_cast<uint32_t>(std::count_if(
+              streams.begin(), streams.end(),
+              [](const InstructionStream& stream) { return !stream.split; }));
 
   PipelinedFabric::Params params;
   params.num_nodes = n;
@@ -224,71 +226,54 @@ Result<JoinResult> TryRunPipelinedTrackJoin(const PartitionedTable& r,
   std::vector<PipelineNodeState> nodes(n);
   for (uint32_t node = 0; node < n; ++node) {
     PipelineNodeState& st = nodes[node];
-    st.streams_r.resize(n);
-    st.streams_s.resize(n);
-    st.in_r = TupleBlock(r.payload_width());
-    st.in_s = TupleBlock(s.payload_width());
-    st.mig_r = TupleBlock(r.payload_width());
-    st.mig_s = TupleBlock(s.payload_width());
-    st.planner.emplace(config, version, direction, n, node, width_r, width_s,
-                       audit);
+    for (int table : {0, 1}) {
+      st.streams[table].resize(n);
+      st.in[table] = TupleBlock(tables[table]->payload_width());
+      st.mig[table] = TupleBlock(tables[table]->payload_width());
+    }
+    st.planner.emplace(config, version, direction, n, node, widths[0],
+                       widths[1], audit);
   }
 
   JoinOutputs outputs(r, s, config);
   const uint32_t out_width = r.payload_width() + s.payload_width();
 
-  // Sends `message` as entry-aligned chunks on one (src, dst, type) stream,
-  // marking the last chunk EOS; an empty stream terminates with a zero-byte
-  // EOS chunk so receivers can count it.
-  auto send_sliced_stream = [&](uint32_t src, uint32_t dst, MessageType type,
-                                const ByteBuffer& message,
-                                uint32_t entry_bytes) {
+  // Sends `message` as entry-aligned chunks on one (src, dst, type) stream.
+  // With `eos` the last chunk terminates the stream, and an empty message
+  // still sends a zero-byte EOS chunk so receivers can count it.
+  auto send_sliced = [&](uint32_t src, uint32_t dst, MessageType type,
+                         const ByteBuffer& message, uint32_t entry_bytes,
+                         bool eos) {
     if (message.empty()) {
-      fabric.SendChunk(src, dst, type, ByteBuffer{}, /*eos=*/true);
+      if (eos) fabric.SendChunk(src, dst, type, ByteBuffer{}, /*eos=*/true);
       return;
     }
     std::vector<WireChunk> chunks = SliceEntryMessage(
         message, entry_bytes, config.key_bytes, config.pipeline.chunk_bytes);
     for (size_t i = 0; i < chunks.size(); ++i) {
       fabric.SendChunk(src, dst, type, std::move(chunks[i].data),
-                       /*eos=*/i + 1 == chunks.size(), chunks[i].watermark);
-    }
-  };
-
-  // Mid-stream (non-terminating) sliced send, used for data chunks whose
-  // streams are closed separately by the EOS countdown.
-  auto send_sliced_data = [&](uint32_t src, uint32_t dst, MessageType type,
-                              const ByteBuffer& message,
-                              uint32_t entry_bytes) {
-    std::vector<WireChunk> chunks = SliceEntryMessage(
-        message, entry_bytes, config.key_bytes, config.pipeline.chunk_bytes);
-    for (WireChunk& chunk : chunks) {
-      fabric.SendChunk(src, dst, type, std::move(chunk.data), /*eos=*/false,
-                       chunk.watermark);
+                       eos && i + 1 == chunks.size(), chunks[i].watermark);
     }
   };
 
   // --- Source role: three tasks per node on its serial CPU, in order. ---
   for (uint32_t node = 0; node < n; ++node) {
-    fabric.Post(node, "source", "source.sort_r", [&, node]() {
-      PipelineNodeState& st = nodes[node];
-      st.r = r.node(node);
-      SortBlockByKey(&st.r);
-      fabric.ChargeCpuBytes(st.r.size() * width_r);
-      return Status::OK();
-    });
-    fabric.Post(node, "source", "source.sort_s", [&, node]() {
-      PipelineNodeState& st = nodes[node];
-      st.s = s.node(node);
-      SortBlockByKey(&st.s);
-      fabric.ChargeCpuBytes(st.s.size() * width_s);
-      return Status::OK();
-    });
+    for (int table : {0, 1}) {
+      const char* label = table == 0 ? "source.sort_r" : "source.sort_s";
+      fabric.Post(node, "source", label, [&, node, table]() {
+        TupleBlock& home = nodes[node].home[table];
+        home = tables[table]->node(node);
+        SortBlockByKey(&home);
+        fabric.ChargeCpuBytes(home.size() * widths[table]);
+        return Status::OK();
+      });
+    }
     fabric.Post(node, "source", "source.track", [&, node]() {
       PipelineNodeState& st = nodes[node];
-      std::vector<KeyCount> r_keys = AggregateSortedKeys(st.r);
-      std::vector<KeyCount> s_keys = AggregateSortedKeys(st.s);
-      fabric.ChargeCpuBytes((st.r.size() + st.s.size()) * config.key_bytes);
+      std::vector<KeyCount> r_keys = AggregateSortedKeys(st.home[0]);
+      std::vector<KeyCount> s_keys = AggregateSortedKeys(st.home[1]);
+      fabric.ChargeCpuBytes((st.home[0].size() + st.home[1].size()) *
+                            config.key_bytes);
       auto r_msgs =
           EncodeTrackingMessages(r_keys, config, with_counts, n, &st.pool);
       auto s_msgs =
@@ -296,10 +281,10 @@ Result<JoinResult> TryRunPipelinedTrackJoin(const PartitionedTable& r,
       for (uint32_t step = 0; step < n; ++step) {
         const uint32_t dst = fan_out_dst(node, step);
         fabric.ChargeCpuBytes(r_msgs[dst].size() + s_msgs[dst].size());
-        send_sliced_stream(node, dst, MessageType::kTrackR, r_msgs[dst],
-                           track_entry_bytes);
-        send_sliced_stream(node, dst, MessageType::kTrackS, s_msgs[dst],
-                           track_entry_bytes);
+        send_sliced(node, dst, MessageType::kTrackR, r_msgs[dst],
+                    track_entry_bytes, /*eos=*/true);
+        send_sliced(node, dst, MessageType::kTrackS, s_msgs[dst],
+                    track_entry_bytes, /*eos=*/true);
         st.pool.Recycle(std::move(r_msgs[dst]));
         st.pool.Recycle(std::move(s_msgs[dst]));
       }
@@ -328,63 +313,33 @@ Result<JoinResult> TryRunPipelinedTrackJoin(const PartitionedTable& r,
                                 track_entry_bytes);
 
           KeyPlanOutputs outs(n);
-          PlacementIterator it(batch_r, batch_s, width_r, width_s, node,
-                               config.MsgBytes());
-          while (it.Next()) {
-            const bool hot_candidate =
-                four_phase && config.hot_key_threshold > 0 &&
-                it.OutputProductAtLeast(config.hot_key_threshold);
-            st.planner->PlanKey(it.key(), it.placement(), hot_candidate,
-                                &outs);
-          }
-
-          JoinConfig frag_config = config;
-          frag_config.group_locations = false;
-          auto send_pairs = [&](MessageType type, uint32_t dst,
-                                const std::vector<KeyNodePair>& pairs,
-                                bool keep_groups) {
-            if (pairs.empty()) return;
-            ByteBuffer buf = EncodeKeyNodePairs(
-                pairs, keep_groups ? frag_config : config, &st.pool);
-            fabric.ChargeCpuBytes(buf.size());
-            if (keep_groups) {
-              // A hot key's w-pair worker group must stay in one chunk —
-              // the fragment handler needs the whole group to cut the run
-              // into w near-equal pieces.
-              fabric.SendChunk(node, dst, type, std::move(buf),
-                               /*eos=*/false);
-            } else {
-              send_sliced_data(node, dst, type, buf, pair_bytes);
-              st.pool.Recycle(std::move(buf));
-            }
-          };
+          st.planner->PlanBatch(batch_r, batch_s, &outs);
           for (uint32_t step = 0; step < n; ++step) {
             const uint32_t dst = fan_out_dst(node, step);
-            send_pairs(MessageType::kLocationsToR, dst, outs.loc_to_r[dst],
-                       false);
-            send_pairs(MessageType::kLocationsToS, dst, outs.loc_to_s[dst],
-                       false);
-            send_pairs(MessageType::kMigrateR, dst, outs.migr_r[dst], false);
-            send_pairs(MessageType::kMigrateS, dst, outs.migr_s[dst], false);
-            send_pairs(MessageType::kFragmentR, dst, outs.frag_r[dst], true);
-            send_pairs(MessageType::kFragmentS, dst, outs.frag_s[dst], true);
+            for (const InstructionStream& stream : streams) {
+              const std::vector<KeyNodePair>& pairs = (outs.*stream.pairs)[dst];
+              if (pairs.empty()) continue;
+              ByteBuffer buf = EncodeKeyNodePairs(pairs, config, &st.pool);
+              fabric.ChargeCpuBytes(buf.size());
+              if (stream.split) {
+                // A hot key's w-pair worker group must stay in one chunk —
+                // the fragment handler needs the whole group to cut the run
+                // into w near-equal pieces.
+                fabric.SendChunk(node, dst, stream.instr, std::move(buf),
+                                 /*eos=*/false);
+              } else {
+                send_sliced(node, dst, stream.instr, buf, pair_bytes,
+                            /*eos=*/false);
+                st.pool.Recycle(std::move(buf));
+              }
+            }
           }
           if (final_batch) {
             // Terminate every instruction stream so holders can count.
             for (uint32_t dst = 0; dst < n; ++dst) {
-              fabric.SendChunk(node, dst, MessageType::kLocationsToR,
-                               ByteBuffer{}, /*eos=*/true);
-              fabric.SendChunk(node, dst, MessageType::kLocationsToS,
-                               ByteBuffer{}, /*eos=*/true);
-              if (four_phase) {
-                fabric.SendChunk(node, dst, MessageType::kMigrateR,
-                                 ByteBuffer{}, /*eos=*/true);
-                fabric.SendChunk(node, dst, MessageType::kMigrateS,
-                                 ByteBuffer{}, /*eos=*/true);
-                fabric.SendChunk(node, dst, MessageType::kFragmentR,
-                                 ByteBuffer{}, /*eos=*/true);
-                fabric.SendChunk(node, dst, MessageType::kFragmentS,
-                                 ByteBuffer{}, /*eos=*/true);
+              for (const InstructionStream& stream : streams) {
+                fabric.SendChunk(node, dst, stream.instr, ByteBuffer{},
+                                 /*eos=*/true);
               }
             }
           }
@@ -398,19 +353,18 @@ Result<JoinResult> TryRunPipelinedTrackJoin(const PartitionedTable& r,
   auto advance_frontier = [&](uint32_t node) {
     PipelineNodeState& st = nodes[node];
     uint64_t bound = kStreamDone;
-    for (const TrackStream& stream : st.streams_r) {
-      bound = std::min(bound, stream.Bound());
-    }
-    for (const TrackStream& stream : st.streams_s) {
-      bound = std::min(bound, stream.Bound());
+    for (const std::vector<TrackStream>& table_streams : st.streams) {
+      for (const TrackStream& stream : table_streams) {
+        bound = std::min(bound, stream.Bound());
+      }
     }
     const bool final_batch = bound == kStreamDone;
     if (final_batch ? st.final_batch_posted : bound <= st.frontier) return;
 
     bool batch_empty = true;
-    auto take_below = [&](std::vector<TrackStream>& streams) {
+    auto take_below = [&](std::vector<TrackStream>& table_streams) {
       TrackRuns runs;
-      for (TrackStream& stream : streams) {
+      for (TrackStream& stream : table_streams) {
         std::vector<TrackEntry> run = stream.TakeBelow(bound, final_batch);
         if (run.empty()) continue;
         runs.push_back(std::move(run));
@@ -418,8 +372,8 @@ Result<JoinResult> TryRunPipelinedTrackJoin(const PartitionedTable& r,
       }
       return runs;
     };
-    TrackRuns runs_r = take_below(st.streams_r);
-    TrackRuns runs_s = take_below(st.streams_s);
+    TrackRuns runs_r = take_below(st.streams[0]);
+    TrackRuns runs_s = take_below(st.streams[1]);
     const uint64_t lo = st.frontier;
     st.frontier = bound;
     if (final_batch) st.final_batch_posted = true;
@@ -433,35 +387,12 @@ Result<JoinResult> TryRunPipelinedTrackJoin(const PartitionedTable& r,
   auto on_tracking = [&](const Chunk& chunk) -> Status {
     PipelineNodeState& st = nodes[chunk.dst];
     fabric.ChargeCpuBytes(chunk.data.size());
-    TrackStream& stream = (chunk.type == MessageType::kTrackR
-                               ? st.streams_r
-                               : st.streams_s)[chunk.src];
-    const size_t size = chunk.data.size();
-    if (size % track_entry_bytes != 0) {
-      return Status::Corruption("tracking chunk not a multiple of entry size");
-    }
-    // Decode straight into the stream's flat pending vector, counting key
-    // descents (against the stream's last key, across chunks) instead of
-    // branching on them.
-    const size_t base = stream.pending.size();
-    stream.pending.resize(base + size / track_entry_bytes);
-    TrackEntry* out = stream.pending.data() + base;
-    uint64_t prev = stream.last_key;
-    uint64_t descents = 0;
-    for (size_t pos = 0; pos < size; pos += track_entry_bytes, ++out) {
-      track_layout.Decode(chunk.data.data(), pos, size, &out->key,
-                          &out->count);
-      out->node = chunk.src;
-      descents += out->key < prev;
-      prev = out->key;
-    }
-    if (descents != 0) {
-      return Status::Corruption("tracking stream from node " +
-                                std::to_string(chunk.src) +
-                                " descends: keys must arrive ascending");
-    }
-    stream.last_key = prev;
-    if (size != 0) {
+    TrackStream& stream =
+        st.streams[chunk.type == MessageType::kTrackR ? 0 : 1][chunk.src];
+    TJ_RETURN_IF_ERROR(TryAppendTrackingEntries(chunk.data, chunk.src, config,
+                                                with_counts, &stream.last_key,
+                                                &stream.pending));
+    if (!chunk.data.empty()) {
       stream.started = true;
       stream.watermark = chunk.watermark;
     }
@@ -472,182 +403,113 @@ Result<JoinResult> TryRunPipelinedTrackJoin(const PartitionedTable& r,
   fabric.OnChunk(MessageType::kTrackR, "track", on_tracking);
   fabric.OnChunk(MessageType::kTrackS, "track", on_tracking);
 
-  // --- Holder role: act on instruction chunks as they arrive. ---
+  // --- Holder role: act on instruction chunks as they arrive. Each
+  // instructed key's home run is routed (copied whole to its locations or
+  // migration destination, or cut across a hot key's workers) and streamed
+  // out as the stream's data type. ---
   auto close_data_streams = [&](uint32_t node) {
     PipelineNodeState& st = nodes[node];
     if (st.data_eos_sent || st.instr_eos < expected_instr_eos) return;
     st.data_eos_sent = true;
     for (uint32_t dst = 0; dst < n; ++dst) {
-      fabric.SendChunk(node, dst, MessageType::kDataR, ByteBuffer{},
-                       /*eos=*/true);
-      fabric.SendChunk(node, dst, MessageType::kDataS, ByteBuffer{},
-                       /*eos=*/true);
-      if (four_phase) {
-        fabric.SendChunk(node, dst, MessageType::kMigrationDataR,
-                         ByteBuffer{}, /*eos=*/true);
-        fabric.SendChunk(node, dst, MessageType::kMigrationDataS,
-                         ByteBuffer{}, /*eos=*/true);
+      for (const InstructionStream& stream : streams) {
+        if (stream.split) continue;  // Fragments share migration data.
+        fabric.SendChunk(node, dst, stream.data, ByteBuffer{}, /*eos=*/true);
       }
     }
   };
-
-  // Routes each instructed key's home run and streams the rows out. Used
-  // for selective-broadcast locations, migrations and hot-split fragments —
-  // the only differences are the outgoing data type, that migrations never
-  // route to self, and that a fragment instruction splits the run across
-  // its workers instead of copying it whole.
-  auto route_and_send = [&](const Chunk& chunk, const TupleBlock& block,
-                            uint32_t row_width,
-                            MessageType data_type) -> Status {
-    PipelineNodeState& st = nodes[chunk.dst];
-    std::vector<KeyNodePair>& pairs = st.pairs;
-    TJ_RETURN_IF_ERROR(TryDecodeKeyNodePairs(chunk.data, config, &pairs));
-    std::vector<std::vector<uint32_t>>& rows = st.route_rows;
-    rows.resize(n);
-    for (std::vector<uint32_t>& dst_rows : rows) dst_rows.clear();
-    RouteInstructedRows(block, pairs,
-                        chunk.type == MessageType::kFragmentR ||
-                            chunk.type == MessageType::kFragmentS,
-                        &rows);
-    for (uint32_t step = 0; step < n; ++step) {
-      const uint32_t dst = fan_out_dst(chunk.dst, step);
-      if (rows[dst].empty()) continue;
-      ByteBuffer buf = st.pool.Acquire();
-      block.SerializeRowsIndexed(rows[dst], config.key_bytes, &buf);
-      fabric.ChargeCpuBytes(buf.size());
-      send_sliced_data(chunk.dst, dst, data_type, buf, row_width);
-      st.pool.Recycle(std::move(buf));
-    }
-    return Status::OK();
-  };
-
-  auto on_instruction = [&](const Chunk& chunk) -> Status {
-    PipelineNodeState& st = nodes[chunk.dst];
-    fabric.ChargeCpuBytes(chunk.data.size());
-    if (!chunk.data.empty()) {
-      switch (chunk.type) {
-        case MessageType::kLocationsToR:
-          TJ_RETURN_IF_ERROR(
-              route_and_send(chunk, st.r, width_r, MessageType::kDataR));
-          break;
-        case MessageType::kLocationsToS:
-          TJ_RETURN_IF_ERROR(
-              route_and_send(chunk, st.s, width_s, MessageType::kDataS));
-          break;
-        case MessageType::kMigrateR:
-          TJ_RETURN_IF_ERROR(route_and_send(chunk, st.r, width_r,
-                                            MessageType::kMigrationDataR));
-          break;
-        case MessageType::kMigrateS:
-          TJ_RETURN_IF_ERROR(route_and_send(chunk, st.s, width_s,
-                                            MessageType::kMigrationDataS));
-          break;
-        case MessageType::kFragmentR:
-          TJ_RETURN_IF_ERROR(route_and_send(chunk, st.r, width_r,
-                                            MessageType::kMigrationDataR));
-          break;
-        case MessageType::kFragmentS:
-          TJ_RETURN_IF_ERROR(route_and_send(chunk, st.s, width_s,
-                                            MessageType::kMigrationDataS));
-          break;
-        default:
-          return Status::Internal("unexpected instruction chunk type");
+  for (const InstructionStream& stream : streams) {
+    const int table = stream.r_side ? 0 : 1;
+    fabric.OnChunk(stream.instr, "transfer",
+                   [&, stream, table](const Chunk& chunk) -> Status {
+      PipelineNodeState& st = nodes[chunk.dst];
+      fabric.ChargeCpuBytes(chunk.data.size());
+      if (!chunk.data.empty()) {
+        const TupleBlock& block = st.home[table];
+        TJ_RETURN_IF_ERROR(
+            TryDecodeKeyNodePairs(chunk.data, config, &st.pairs));
+        std::vector<std::vector<uint32_t>>& rows = st.route_rows;
+        rows.resize(n);
+        for (std::vector<uint32_t>& dst_rows : rows) dst_rows.clear();
+        RouteInstructedRows(block, st.pairs, stream.split, &rows);
+        for (uint32_t step = 0; step < n; ++step) {
+          const uint32_t dst = fan_out_dst(chunk.dst, step);
+          if (rows[dst].empty()) continue;
+          ByteBuffer buf = st.pool.Acquire();
+          block.SerializeRowsIndexed(rows[dst], config.key_bytes, &buf);
+          fabric.ChargeCpuBytes(buf.size());
+          send_sliced(chunk.dst, dst, stream.data, buf, widths[table],
+                      /*eos=*/false);
+          st.pool.Recycle(std::move(buf));
+        }
       }
-    }
-    if (chunk.eos) {
-      ++st.instr_eos;
-      close_data_streams(chunk.dst);
-    }
-    return Status::OK();
-  };
-  fabric.OnChunk(MessageType::kLocationsToR, "transfer", on_instruction);
-  fabric.OnChunk(MessageType::kLocationsToS, "transfer", on_instruction);
-  if (four_phase) {
-    fabric.OnChunk(MessageType::kMigrateR, "transfer", on_instruction);
-    fabric.OnChunk(MessageType::kMigrateS, "transfer", on_instruction);
-    fabric.OnChunk(MessageType::kFragmentR, "transfer", on_instruction);
-    fabric.OnChunk(MessageType::kFragmentS, "transfer", on_instruction);
+      if (chunk.eos) {
+        ++st.instr_eos;
+        close_data_streams(chunk.dst);
+      }
+      return Status::OK();
+    });
   }
 
   // --- Joiner role: incremental symmetric join on arrival. Each pair is
   // produced exactly once, when its second element arrives (home rows
   // count as having arrived first; broadcast and migration rows pair with
   // everything already present and are then indexed for later arrivals).
-  auto on_data = [&](const Chunk& chunk) -> Status {
-    PipelineNodeState& st = nodes[chunk.dst];
-    fabric.ChargeCpuBytes(chunk.data.size());
-    if (!chunk.data.empty()) {
-      const JoinSink& sink = outputs.Sink(chunk.dst);
-      uint64_t produced = 0;
+  // Broadcast rows meet the other table's home and migrated rows; migrated
+  // rows meet the other table's broadcast rows.
+  for (const InstructionStream& stream : streams) {
+    if (stream.split) continue;  // Fragments arrive as migration data.
+    const int table = stream.r_side ? 0 : 1;
+    const int other = 1 - table;
+    fabric.OnChunk(stream.data, "join",
+                   [&, stream, table, other](const Chunk& chunk) -> Status {
+      PipelineNodeState& st = nodes[chunk.dst];
+      fabric.ChargeCpuBytes(chunk.data.size());
+      if (chunk.eos) ++st.data_eos;
+      if (chunk.data.empty()) return Status::OK();
+      const bool migrated = stream.migrates();
+      TupleBlock& block = migrated ? st.mig[table] : st.in[table];
+      const TupleBlock* home = migrated ? nullptr : &st.home[other];
+      const TupleBlock& received = migrated ? st.in[other] : st.mig[other];
+      KeyedRows& received_rows =
+          migrated ? st.in_rows[other] : st.mig_rows[other];
       // Pairs the rows this chunk appends to `block` with every matching
       // row already present on the other side: the home block (if any)
       // through a forward cursor, since chunks are key-sorted, and the
       // received block through its lazy chained index, caught up once per
       // chunk. Each arriving row is one key group against its home range
       // and one 1x1 group per received match.
-      auto pair_arrivals = [&](TupleBlock& block, bool block_is_r,
-                               const TupleBlock* home,
-                               const TupleBlock& received,
-                               KeyedRows& received_rows) -> Status {
-        const uint64_t first = block.size();
-        ByteReader reader(chunk.data);
-        TJ_RETURN_IF_ERROR(
-            block.TryDeserializeRows(&reader, config.key_bytes));
-        auto emit = [&](uint64_t key, uint64_t row, const TupleBlock& other,
-                        uint64_t lo, uint64_t hi) {
-          if (lo == hi) return;
-          if (block_is_r) {
-            sink(key, block.Run(row, row + 1), other.Run(lo, hi));
-          } else {
-            sink(key, other.Run(lo, hi), block.Run(row, row + 1));
-          }
-          produced += hi - lo;
-        };
-        std::optional<EqualRangeCursor> home_rows;
-        if (home != nullptr) home_rows.emplace(*home);
-        received_rows.CatchUp(received);
-        for (uint64_t row = first; row < block.size(); ++row) {
-          const uint64_t key = block.Key(row);
-          if (home_rows) {
-            auto [lo, hi] = home_rows->Seek(key);
-            emit(key, row, *home, lo, hi);
-          }
-          received_rows.ForEachRow(key, [&](uint32_t match) {
-            emit(key, row, received, match, match + 1);
-          });
+      const JoinSink& sink = outputs.Sink(chunk.dst);
+      uint64_t produced = 0;
+      const uint64_t first = block.size();
+      ByteReader reader(chunk.data);
+      TJ_RETURN_IF_ERROR(block.TryDeserializeRows(&reader, config.key_bytes));
+      auto emit = [&](uint64_t key, uint64_t row, const TupleBlock& other_rows,
+                      uint64_t lo, uint64_t hi) {
+        if (lo == hi) return;
+        if (stream.r_side) {
+          sink(key, block.Run(row, row + 1), other_rows.Run(lo, hi));
+        } else {
+          sink(key, other_rows.Run(lo, hi), block.Run(row, row + 1));
         }
-        return Status::OK();
+        produced += hi - lo;
       };
-      switch (chunk.type) {
-        case MessageType::kDataR:
-          TJ_RETURN_IF_ERROR(pair_arrivals(st.in_r, true, &st.s, st.mig_s,
-                                           st.mig_s_rows));
-          break;
-        case MessageType::kDataS:
-          TJ_RETURN_IF_ERROR(pair_arrivals(st.in_s, false, &st.r, st.mig_r,
-                                           st.mig_r_rows));
-          break;
-        case MessageType::kMigrationDataR:
-          TJ_RETURN_IF_ERROR(pair_arrivals(st.mig_r, true, nullptr, st.in_s,
-                                           st.in_s_rows));
-          break;
-        case MessageType::kMigrationDataS:
-          TJ_RETURN_IF_ERROR(pair_arrivals(st.mig_s, false, nullptr, st.in_r,
-                                           st.in_r_rows));
-          break;
-        default:
-          return Status::Internal("unexpected data chunk type");
+      std::optional<EqualRangeCursor> home_rows;
+      if (home != nullptr) home_rows.emplace(*home);
+      received_rows.CatchUp(received);
+      for (uint64_t row = first; row < block.size(); ++row) {
+        const uint64_t key = block.Key(row);
+        if (home_rows) {
+          auto [lo, hi] = home_rows->Seek(key);
+          emit(key, row, *home, lo, hi);
+        }
+        received_rows.ForEachRow(key, [&](uint32_t match) {
+          emit(key, row, received, match, match + 1);
+        });
       }
       fabric.ChargeCpuBytes(produced * (config.key_bytes + out_width));
-    }
-    if (chunk.eos) ++st.data_eos;
-    return Status::OK();
-  };
-  fabric.OnChunk(MessageType::kDataR, "join", on_data);
-  fabric.OnChunk(MessageType::kDataS, "join", on_data);
-  if (four_phase) {
-    fabric.OnChunk(MessageType::kMigrationDataR, "join", on_data);
-    fabric.OnChunk(MessageType::kMigrationDataS, "join", on_data);
+      return Status::OK();
+    });
   }
 
   Status run_status = fabric.Run();
@@ -671,7 +533,7 @@ Result<JoinResult> TryRunPipelinedTrackJoin(const PartitionedTable& r,
     bool complete = st.instr_eos == expected_instr_eos &&
                     st.data_eos == expected_data_eos;
     for (uint32_t src = 0; src < n && complete; ++src) {
-      complete = st.streams_r[src].eos && st.streams_s[src].eos;
+      complete = st.streams[0][src].eos && st.streams[1][src].eos;
     }
     if (!complete) {
       fill_diagnostics(fabric.failure());
@@ -681,32 +543,18 @@ Result<JoinResult> TryRunPipelinedTrackJoin(const PartitionedTable& r,
     }
   }
 
-  JoinResult result;
-  result.traffic = fabric.traffic();
-  result.reliability = fabric.reliability();
-  result.makespan_seconds = fabric.makespan_seconds();
-
   // One step per stage, with modeled CPU seconds in the wall column
   // (stages overlap, so these steps do NOT add up to the makespan — that
   // is the whole point).
-  StepProfile profile;
-  if (version == TrackJoinVersion::k2Phase) {
-    profile.algorithm = direction == Direction::kRtoS ? "2tj-r-p" : "2tj-s-p";
-  } else {
-    profile.algorithm = four_phase ? "4tj-p" : "3tj-p";
-  }
-  profile.num_nodes = n;
-  profile.steps = fabric.steps();
-  profile.run_max_node_bytes = result.traffic.MaxNodeBytes();
-  result.SetProfile(std::move(profile));
+  const std::string algorithm =
+      std::string(TrackJoinName(version, direction)) + "-p";
+  JoinResult result = FinishJoin(algorithm.c_str(), &fabric, &outputs);
+  result.makespan_seconds = fabric.makespan_seconds();
   result.barrier_makespan_seconds = BarrierSeconds(result.profile.steps);
-
   if (config.collect_blame) {
     result.blame = BuildBlameReport(fabric, config.blame_top_edges);
-    result.blame->algorithm = result.profile.algorithm;
+    result.blame->algorithm = algorithm;
   }
-
-  outputs.MoveInto(&result);
   return result;
 }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/logging.h"
+#include "core/tracker.h"
 
 namespace tj {
 
@@ -525,6 +526,20 @@ void KeyPlanner::PlanKey(uint64_t key, const KeyPlacement& placement,
       }
       loc_out[b.node].push_back(KeyNodePair{key, t.node});
     }
+  }
+}
+
+void KeyPlanner::PlanBatch(const std::vector<TrackEntry>& r,
+                           const std::vector<TrackEntry>& s,
+                           KeyPlanOutputs* out) {
+  const bool split_hot = version_ == TrackJoinVersion::k4Phase &&
+                         config_.hot_key_threshold > 0;
+  PlacementIterator it(r, s, width_r_, width_s_, tracker_,
+                       config_.MsgBytes());
+  while (it.Next()) {
+    PlanKey(it.key(), it.placement(),
+            split_hot && it.OutputProductAtLeast(config_.hot_key_threshold),
+            out);
   }
 }
 

@@ -19,12 +19,16 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <iterator>
+#include <span>
 #include <vector>
 
 #include "core/join_types.h"
 #include "encoding/node_group.h"
 
 namespace tj {
+
+struct TrackEntry;  // core/tracker.h
 
 /// Per-node byte total of one table's matching tuples for one key.
 /// Only nodes with bytes > 0 appear in placements.
@@ -344,6 +348,55 @@ struct KeyPlanOutputs {
         migr_s(num_nodes), frag_r(num_nodes), frag_s(num_nodes) {}
 };
 
+/// One instruction stream of the transfer phase. The tracker sends the
+/// `pairs` a planning pass produced as `instr` messages; the holder routes
+/// the instructed rows of its R table (`r_side`) or S table and ships them
+/// as `data` messages. A `split` stream carries hot-split fragments: each
+/// key's worker group keeps the plain order-preserving pair encoding and
+/// travels in one piece, and the holder cuts the key's run across the
+/// workers. Every stream but the two location streams moves rows away from
+/// their holder, into the receiver's kept rows rather than its probe rows.
+struct InstructionStream {
+  MessageType instr;
+  MessageType data;
+  bool r_side;
+  bool split;
+  std::vector<std::vector<KeyNodePair>> KeyPlanOutputs::*pairs;
+
+  bool migrates() const {
+    return instr != MessageType::kLocationsToR &&
+           instr != MessageType::kLocationsToS;
+  }
+};
+
+/// Every instruction stream, in send order. Both drivers iterate this table
+/// (InstructionStreams) to send pairs, route rows, register handlers and
+/// terminate streams; the split streams share their side's migration data
+/// type.
+inline constexpr InstructionStream kInstructionStreams[] = {
+    {MessageType::kLocationsToR, MessageType::kDataR, true, false,
+     &KeyPlanOutputs::loc_to_r},
+    {MessageType::kLocationsToS, MessageType::kDataS, false, false,
+     &KeyPlanOutputs::loc_to_s},
+    {MessageType::kMigrateR, MessageType::kMigrationDataR, true, false,
+     &KeyPlanOutputs::migr_r},
+    {MessageType::kMigrateS, MessageType::kMigrationDataS, false, false,
+     &KeyPlanOutputs::migr_s},
+    {MessageType::kFragmentR, MessageType::kMigrationDataR, true, true,
+     &KeyPlanOutputs::frag_r},
+    {MessageType::kFragmentS, MessageType::kMigrationDataS, false, true,
+     &KeyPlanOutputs::frag_s},
+};
+
+/// The streams a `version` run uses: all six for 4-phase, the two location
+/// streams otherwise.
+inline std::span<const InstructionStream> InstructionStreams(
+    TrackJoinVersion version) {
+  return {kInstructionStreams,
+          version == TrackJoinVersion::k4Phase ? std::size(kInstructionStreams)
+                                               : 2};
+}
+
 /// Plans one key at a time. Stateful: the balance-aware mode's LoadBalancer
 /// accumulates projected ingress across calls, so a pipelined driver feeding
 /// frontier batches in key order reproduces the barrier driver's schedule
@@ -364,6 +417,14 @@ class KeyPlanner {
   /// verdict (always false outside 4-phase or with splitting disabled).
   void PlanKey(uint64_t key, const KeyPlacement& placement, bool hot_candidate,
                KeyPlanOutputs* out);
+
+  /// Plans every key of one merged (R, S) batch of tracker entries, in key
+  /// order: walks the keys both sides hold (PlacementIterator) and flags a
+  /// 4-phase key as a hot-split candidate when its tracked output product
+  /// reaches config.hot_key_threshold. Both sides must be merged (sorted by
+  /// key, node), as TryMergeTrackRuns leaves them.
+  void PlanBatch(const std::vector<TrackEntry>& r,
+                 const std::vector<TrackEntry>& s, KeyPlanOutputs* out);
 
  private:
   JoinConfig config_;

@@ -183,147 +183,104 @@ PlainEntryLayout::PlainEntryLayout(uint32_t key_bytes, uint32_t value_bytes)
   TJ_CHECK_LE(value_bytes, 8u);
 }
 
-uint64_t TrackingMessageCursor::ReadLeb(size_t* pos) {
-  // Bounds and termination were proven by Init's validation pass.
-  uint64_t v = 0;
-  uint32_t shift = 0;
-  while (true) {
-    uint8_t b = data_[(*pos)++];
-    v |= static_cast<uint64_t>(b & 0x7f) << shift;
-    if ((b & 0x80) == 0) return v;
-    shift += 7;
-  }
-}
-
-void TrackingMessageCursor::DecodeDeltaHead() {
-  key_ += ReadLeb(&key_pos_);  // Gaps accumulate from zero.
-  count_ = with_counts_ ? ReadLeb(&count_pos_) : 1;
-}
-
-Status TrackingMessageCursor::Init(const Message& message,
-                                   const JoinConfig& config,
-                                   bool with_counts) {
-  data_ = message.data.data();
-  size_ = message.data.size();
-  node_ = message.src;
-  delta_ = config.delta_tracking;
-  with_counts_ = with_counts;
-  total_ = 0;
-  remaining_ = 0;
-  key_ = 0;
-  count_ = 1;
-  ByteReader reader(message.data);
-  if (delta_) {
+Status TryAppendTrackingEntries(const ByteBuffer& data, uint32_t src,
+                                const JoinConfig& config, bool with_counts,
+                                uint64_t* last_key,
+                                std::vector<TrackEntry>* run) {
+  // Descents are counted, not branched on, so the decode loops stay
+  // branch-free; a delta gap that wraps uint64_t decodes as a descent.
+  const size_t base = run->size();
+  uint64_t prev = *last_key;
+  uint64_t descents = 0;
+  if (config.delta_tracking) {
+    ByteReader reader(data);
     uint64_t n = 0;
     TJ_RETURN_IF_ERROR(TryDecodeLeb128(&reader, &n));
     if (n > reader.remaining()) {
       return Status::Corruption("delta stream count exceeds payload");
     }
-    key_pos_ = message.data.size() - reader.remaining();
-    uint64_t prev = 0;
-    for (uint64_t i = 0; i < n; ++i) {
+    run->resize(base + n);
+    uint64_t key = 0;  // Gaps accumulate from zero.
+    for (size_t i = base; i < run->size(); ++i) {
       uint64_t gap = 0;
       TJ_RETURN_IF_ERROR(TryDecodeLeb128(&reader, &gap));
-      // Delta streams are sorted by construction, but an adversarial stream
-      // can wrap uint64_t and decode non-monotonically.
-      uint64_t next = prev + gap;
-      if (next < prev) {
-        return Status::Corruption("delta tracking stream wraps at entry " +
-                                  std::to_string(i));
-      }
-      prev = next;
+      key += gap;
+      (*run)[i] = TrackEntry{key, src, 1};
+      descents += key < prev;
+      prev = key;
     }
-    count_pos_ = message.data.size() - reader.remaining();
-    if (with_counts) {
-      for (uint64_t i = 0; i < n; ++i) {
-        uint64_t c = 0;
-        TJ_RETURN_IF_ERROR(TryDecodeLeb128(&reader, &c));
-      }
+    for (size_t i = base; with_counts && i < run->size(); ++i) {
+      TJ_RETURN_IF_ERROR(TryDecodeLeb128(&reader, &(*run)[i].count));
     }
     if (!reader.Done()) {
       return Status::Corruption("trailing bytes in tracking message");
     }
-    total_ = n;
   } else {
-    layout_ = PlainEntryLayout(config, with_counts);
-    const uint32_t entry_bytes = layout_.entry_bytes();
-    if (size_ % entry_bytes != 0) {
+    const PlainEntryLayout layout(config, with_counts);
+    const size_t size = data.size();
+    if (size % layout.entry_bytes() != 0) {
       return Status::Corruption(
           "tracking message not a multiple of entry size");
     }
-    total_ = size_ / entry_bytes;
-    key_pos_ = 0;
-    // One sortedness scan over the keys; saturated count chunks repeat a
-    // key (non-decreasing), which the merge aggregates like any duplicate.
-    // Descents are counted, not branched on, so the scan stays branch-free.
-    uint64_t prev = 0;
-    uint64_t descents = 0;
-    for (size_t pos = 0; pos < size_; pos += entry_bytes) {
-      const uint64_t k = layout_.Key(data_, pos, size_);
-      descents += k < prev;
-      prev = k;
-    }
-    if (descents != 0) {
-      prev = 0;
-      for (uint64_t i = 0; i < total_; ++i) {
-        const uint64_t k = layout_.Key(data_, i * entry_bytes, size_);
-        if (k < prev) {
-          return Status::Corruption("tracking stream descends at entry " +
-                                    std::to_string(i));
-        }
-        prev = k;
-      }
+    run->resize(base + size / layout.entry_bytes());
+    TrackEntry* entry = run->data() + base;
+    for (size_t pos = 0; pos < size; pos += layout.entry_bytes(), ++entry) {
+      layout.Decode(data.data(), pos, size, &entry->key, &entry->count);
+      entry->node = src;
+      descents += entry->key < prev;
+      prev = entry->key;
     }
   }
-  remaining_ = total_;
-  if (remaining_ > 0) DecodeHead();
+  if (descents != 0) {
+    return Status::Corruption("tracking stream from node " +
+                              std::to_string(src) +
+                              " descends: keys must arrive ascending");
+  }
+  *last_key = prev;
   return Status::OK();
 }
 
 namespace {
 
-/// Merge cursor over one in-memory run of one node's entries.
+/// Merge cursor over one in-memory run, whose entries should all carry the
+/// node of its first.
 class TrackRunCursor {
  public:
   explicit TrackRunCursor(const std::vector<TrackEntry>& run)
-      : head_(run.data()), end_(run.data() + run.size()) {}
+      : head_(run.data()), end_(run.data() + run.size()),
+        node_(run.front().node) {}
 
   bool Valid() const { return head_ != end_; }
   uint64_t key() const { return head_->key; }
-  uint32_t node() const { return head_->node; }
-  uint64_t count() const { return head_->count; }
+  const TrackEntry& head() const { return *head_; }
+  /// The run's node.
+  uint32_t node() const { return node_; }
   void Next() { ++head_; }
 
  private:
   const TrackEntry* head_;
   const TrackEntry* end_;
+  uint32_t node_;
 };
 
-/// Drains the cursors through a loser tree into `out` (reserved for
-/// `total` entries), summing the counts of adjacent equal (key, node)
-/// heads. Every cursor must be ascending by key and carry one node.
-/// Ordering the cursors stably by node first makes the tree's tie-break
-/// toward the lower index the MergeTrackEntries (key, node) order.
-template <typename Cursor>
-void LoserTreeMerge(std::vector<Cursor>* cursors, uint64_t total,
-                    std::vector<TrackEntry>* out) {
-  std::stable_sort(cursors->begin(), cursors->end(),
-                   [](const Cursor& a, const Cursor& b) {
-                     return a.node() < b.node();
-                   });
-  out->reserve(total);
-  LoserTree<Cursor> tree(cursors);
-  while (!tree.Done()) {
-    const Cursor& top = tree.Top();
-    const TrackEntry head{tree.TopKey(), top.node(), top.count()};
-    if (!out->empty() && out->back().key == head.key &&
-        out->back().node == head.node) {
-      out->back().count += head.count;
-    } else {
-      out->push_back(head);
+/// Names the first run that descends or mixes nodes.
+Status RunFault(const std::vector<std::vector<TrackEntry>>& runs) {
+  for (const std::vector<TrackEntry>& run : runs) {
+    for (size_t i = 1; i < run.size(); ++i) {
+      if (run[i].key < run[i - 1].key) {
+        return Status::Corruption("tracking run descends at key " +
+                                  std::to_string(run[i].key) + " from node " +
+                                  std::to_string(run[i].node));
+      }
+      if (run[i].node != run.front().node) {
+        return Status::Corruption(
+            "tracking run mixes nodes " + std::to_string(run.front().node) +
+            " and " + std::to_string(run[i].node) + " at key " +
+            std::to_string(run[i].key));
+      }
     }
-    tree.Pop();
   }
+  return Status::Internal("tracking merge fault not found in its runs");
 }
 
 }  // namespace
@@ -332,17 +289,15 @@ Status TryMergeTrackingMessages(const std::vector<Message>& messages,
                                 const JoinConfig& config, bool with_counts,
                                 std::vector<TrackEntry>* out) {
   out->clear();
-  std::vector<TrackingMessageCursor> cursors;
-  cursors.reserve(messages.size());
-  uint64_t total = 0;
-  for (const auto& msg : messages) {
-    TrackingMessageCursor cursor;
-    TJ_RETURN_IF_ERROR(cursor.Init(msg, config, with_counts));
-    total += cursor.entries();
-    if (cursor.Valid()) cursors.push_back(cursor);
+  std::vector<std::vector<TrackEntry>> runs(messages.size());
+  for (size_t i = 0; i < messages.size(); ++i) {
+    uint64_t last_key = 0;
+    TJ_RETURN_IF_ERROR(TryAppendTrackingEntries(messages[i].data,
+                                                messages[i].src, config,
+                                                with_counts, &last_key,
+                                                &runs[i]));
   }
-  LoserTreeMerge(&cursors, total, out);
-  return Status::OK();
+  return TryMergeTrackRuns(runs, /*min_key=*/0, out);
 }
 
 Status TryMergeTrackRuns(const std::vector<std::vector<TrackEntry>>& runs,
@@ -360,23 +315,45 @@ Status TryMergeTrackRuns(const std::vector<std::vector<TrackEntry>>& runs,
           " has key " + std::to_string(first.key) +
           " below its batch's range start " + std::to_string(min_key));
     }
-    for (size_t i = 1; i < run.size(); ++i) {
-      if (run[i].key < run[i - 1].key) {
-        return Status::Corruption("tracking run descends at key " +
-                                  std::to_string(run[i].key) + " from node " +
-                                  std::to_string(run[i].node));
-      }
-      if (run[i].node != first.node) {
-        return Status::Corruption(
-            "tracking run mixes nodes " + std::to_string(first.node) +
-            " and " + std::to_string(run[i].node) + " at key " +
-            std::to_string(run[i].key));
-      }
-    }
     total += run.size();
     cursors.emplace_back(run);
   }
-  LoserTreeMerge(&cursors, total, out);
+  // Ordering the cursors stably by node first makes the tree's tie-break
+  // toward the lower index the MergeTrackEntries (key, node) order.
+  std::stable_sort(cursors.begin(), cursors.end(),
+                   [](const TrackRunCursor& a, const TrackRunCursor& b) {
+                     return a.node() < b.node();
+                   });
+  for (size_t i = 1; i < cursors.size(); ++i) {
+    if (cursors[i].node() == cursors[i - 1].node()) {
+      return Status::Corruption("node " + std::to_string(cursors[i].node()) +
+                                " has two tracking runs in one batch");
+    }
+  }
+  out->reserve(total);
+  // The merge pops keys in ascending order exactly when every run ascends,
+  // so flagging output descents (and entries off their run's node) checks
+  // the runs without a pass of its own.
+  uint64_t faults = 0;
+  uint64_t last_key = 0;
+  LoserTree<TrackRunCursor> tree(&cursors);
+  while (!tree.Done()) {
+    const TrackRunCursor& top = tree.Top();
+    const TrackEntry head{tree.TopKey(), top.head().node, top.head().count};
+    faults |= (head.key < last_key) | (head.node ^ top.node());
+    last_key = head.key;
+    if (!out->empty() && out->back().key == head.key &&
+        out->back().node == head.node) {
+      out->back().count += head.count;
+    } else {
+      out->push_back(head);
+    }
+    tree.Pop();
+  }
+  if (faults != 0) {
+    out->clear();
+    return RunFault(runs);
+  }
   return Status::OK();
 }
 

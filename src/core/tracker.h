@@ -45,13 +45,27 @@ std::vector<ByteBuffer> EncodeTrackingMessages(
     const std::vector<KeyCount>& keys, const JoinConfig& config,
     bool with_counts, uint32_t num_nodes, BufferPool* pool = nullptr);
 
-/// Parses one tracking message back into (key, src, count) entries.
+/// Reference decoder: parses one tracking message back into (key, src,
+/// count) entries with a byte reader, checking nothing about key order.
 /// Duplicate (key, node) chunks are NOT merged here; MergeTrackEntries does.
 /// Malformed payloads (truncated varints, sizes not a multiple of the entry
 /// width, trailing bytes) return Status::Corruption.
 Status TryDecodeTrackingMessage(const Message& message,
                                 const JoinConfig& config, bool with_counts,
                                 std::vector<TrackEntry>* out);
+
+/// The tracker intake of both drivers: appends the (key, `src`, count)
+/// facts of one tracking message or pipelined chunk, plain or delta-coded
+/// per `config`, to `run`. Keys must not descend, within the payload or
+/// from `*last_key` (the stream's last key so far, 0 for a fresh stream);
+/// saturated count chunks repeat a key. `*last_key` becomes the payload's
+/// last key. TryDecodeTrackingMessage's rejection set and descending keys
+/// (a plain stream out of order, or a delta stream whose gaps wrap
+/// uint64_t) return Status::Corruption and leave `run` unspecified.
+Status TryAppendTrackingEntries(const ByteBuffer& data, uint32_t src,
+                                const JoinConfig& config, bool with_counts,
+                                uint64_t* last_key,
+                                std::vector<TrackEntry>* run);
 
 /// Sorts entries by (key, node) and merges duplicate (key, node) counts.
 /// Reference implementation: the streaming path (TryMergeTrackingMessages)
@@ -67,7 +81,6 @@ void MergeTrackEntries(std::vector<TrackEntry>* entries);
 /// value is 1.
 class PlainEntryLayout {
  public:
-  PlainEntryLayout() = default;
   PlainEntryLayout(uint32_t key_bytes, uint32_t value_bytes);
   /// The tracking entry of `config`, with or without counts.
   PlainEntryLayout(const JoinConfig& config, bool with_counts)
@@ -90,12 +103,6 @@ class PlainEntryLayout {
     }
   }
 
-  /// Decodes only the key of the entry at `pos`.
-  uint64_t Key(const uint8_t* data, size_t pos, size_t size) const {
-    return pos + 8 <= size ? LoadLe64(data + pos) & key_mask_
-                           : ReadTail(data + pos, key_bytes_);
-  }
-
  private:
   static uint64_t ReadTail(const uint8_t* p, uint32_t bytes) {
     uint64_t v = 0;
@@ -113,80 +120,25 @@ class PlainEntryLayout {
   uint64_t value_floor_ = 1;  ///< 1 without a value field (the implied count).
 };
 
-/// Streaming cursor over the (key, node, count) facts of one tracking
-/// message, decoded lazily in wire order. Init validates the whole payload
-/// up front: TryDecodeTrackingMessage's rejection set plus keys that
-/// descend (a plain stream out of order, or a delta stream whose gaps wrap
-/// uint64_t) — every sender emits key-sorted streams. So Next() is
-/// infallible and the merge loop stays Status-free. Duplicate adjacent keys
-/// (saturated count chunks) are NOT merged here; the k-way merge aggregates
-/// them. The cursor borrows the message's bytes — the Message must outlive
-/// it.
-class TrackingMessageCursor {
- public:
-  /// Validates `message` end to end and positions on the first entry.
-  Status Init(const Message& message, const JoinConfig& config,
-              bool with_counts);
-
-  /// Total entries in the message (before aggregation).
-  uint64_t entries() const { return total_; }
-
-  bool Valid() const { return remaining_ > 0; }
-  uint64_t key() const { return key_; }
-  uint32_t node() const { return node_; }
-  uint64_t count() const { return count_; }
-  /// Advances to the next wire entry. Valid() must be true.
-  void Next() {
-    --remaining_;
-    if (remaining_ > 0) DecodeHead();
-  }
-
- private:
-  uint64_t ReadLeb(size_t* pos);
-  void DecodeHead() {
-    if (delta_) {
-      DecodeDeltaHead();
-      return;
-    }
-    layout_.Decode(data_, key_pos_, size_, &key_, &count_);
-    key_pos_ += layout_.entry_bytes();
-  }
-  void DecodeDeltaHead();
-
-  PlainEntryLayout layout_;
-  const uint8_t* data_ = nullptr;
-  size_t size_ = 0;
-  size_t key_pos_ = 0;    ///< Cursor into the key region.
-  size_t count_pos_ = 0;  ///< Cursor into the trailing count region (delta).
-  uint64_t remaining_ = 0;
-  uint64_t total_ = 0;
-  uint64_t key_ = 0;
-  uint64_t count_ = 1;
-  uint32_t node_ = 0;
-  bool delta_ = false;
-  bool with_counts_ = false;
-};
-
 /// Merges all tracking messages of one inbox into a merged (key, node)
-/// entry vector in one pass: a loser-tree k-way merge over the per-source
-/// sorted cursors, ordered stably by source node so the tree's index
-/// tie-break is the node order, aggregating duplicate (key, node) runs as
-/// they surface. O(n log k) with no intermediate concatenated vector and no
-/// comparison sort. Output is byte-identical to decoding every message and
-/// running MergeTrackEntries. A message whose keys descend returns
-/// Status::Corruption, as TryMergeTrackRuns does for a descending run.
+/// entry vector: decodes each message into one run (TryAppendTrackingEntries)
+/// and merges the runs with TryMergeTrackRuns. Output is byte-identical to
+/// decoding every message and running MergeTrackEntries. A malformed message,
+/// or one whose keys descend, returns Status::Corruption.
 Status TryMergeTrackingMessages(const std::vector<Message>& messages,
                                 const JoinConfig& config, bool with_counts,
                                 std::vector<TrackEntry>* out);
 
 /// Merges one key-range batch of tracker entries into the MergeTrackEntries
-/// order with duplicate (key, node) counts summed, by the same loser-tree
-/// merge as TryMergeTrackingMessages. Each run holds one source stream's
-/// entries in the batch: one node, keys ascending; a saturated count may
-/// repeat a key. `min_key` is where the batch's key range starts. A run
-/// that descends or mixes nodes, or an entry below `min_key` (it arrived
-/// after its range was merged), returns Status::Corruption: each would
-/// split a key's entries across batches or misorder the output.
+/// order with duplicate (key, node) counts summed: a loser-tree k-way merge
+/// over the runs, ordered stably by node so the tree's index tie-break is
+/// the node order. O(n log k), no comparison sort. Each run holds one
+/// source stream's entries in the batch: one node, keys ascending; a
+/// saturated count may repeat a key. `min_key` is where the batch's key
+/// range starts. A run that descends or mixes nodes, two runs of one node,
+/// or an entry below `min_key` (it arrived after its range was merged)
+/// returns Status::Corruption: each would split a key's entries across
+/// batches or leave their order unchecked.
 Status TryMergeTrackRuns(const std::vector<std::vector<TrackEntry>>& runs,
                          uint64_t min_key, std::vector<TrackEntry>* out);
 

@@ -45,6 +45,7 @@
 #include <functional>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -119,6 +120,8 @@ class Fabric {
   std::vector<Message> TakeInbox(uint32_t node, MessageType type);
 
   const TrafficMatrix& traffic() const { return traffic_; }
+  /// Moves the ledgers out (the run's epilogue); traffic() is empty after.
+  TrafficMatrix TakeTraffic() { return std::move(traffic_); }
 
   /// What the injector and the retry protocol did so far. Zero-initialized
   /// in pristine mode.

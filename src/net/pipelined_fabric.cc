@@ -142,7 +142,6 @@ void PipelinedFabric::SendChunk(uint32_t src, uint32_t dst, MessageType type,
   timing.local = (src == dst);
   chunks_.push_back(std::move(chunk));
   chunk_timing_.push_back(timing);
-  chunk_stage_.push_back(tasks_[running_task_].stage);
   chunk_credit_.push_back(0);
   buffered_sends_.push_back(chunks_.size() - 1);
 }
@@ -165,45 +164,13 @@ void PipelinedFabric::RecordModeledCounter(std::string name, uint32_t node,
   Tracer::Global().Record(std::move(event));
 }
 
-void PipelinedFabric::RecordCreditCounter(uint32_t src, uint32_t dst,
-                                          double now) {
+void PipelinedFabric::RecordLinkCounter(const char* prefix, uint32_t src,
+                                        uint32_t dst, double now,
+                                        uint64_t value) {
   if (!Tracer::enabled()) return;
-  RecordModeledCounter(
-      "flow.credit.d" + std::to_string(dst), src, now,
-      static_cast<int64_t>(
-          links_[static_cast<size_t>(src) * params_.num_nodes + dst].credit));
-}
-
-void PipelinedFabric::RecordQueuedCounter(uint32_t src, uint32_t dst,
-                                          double now) {
-  if (!Tracer::enabled()) return;
-  RecordModeledCounter(
-      "flow.queued.d" + std::to_string(dst), src, now,
-      static_cast<int64_t>(
-          links_[static_cast<size_t>(src) * params_.num_nodes + dst]
-              .queued_bytes));
-}
-
-void PipelinedFabric::RecordEgressQueuedCounter(uint32_t src, uint32_t dst,
-                                                double now) {
-  if (!Tracer::enabled()) return;
-  RecordModeledCounter(
-      "egress.queued.d" + std::to_string(dst), src, now,
-      static_cast<int64_t>(
-          egress_queues_[static_cast<size_t>(src) * params_.num_nodes + dst]
-              .queued_bytes));
-}
-
-void PipelinedFabric::RecordDeficitCounter(uint32_t src, uint32_t dst,
-                                           double now) {
-  if (!Tracer::enabled()) return;
-  const uint64_t deficit =
-      egress_queues_[static_cast<size_t>(src) * params_.num_nodes + dst]
-          .deficit;
-  RecordModeledCounter(
-      "drr.deficit.d" + std::to_string(dst), src, now,
-      static_cast<int64_t>(std::min<uint64_t>(
-          deficit, std::numeric_limits<int64_t>::max())));
+  RecordModeledCounter(prefix + std::to_string(dst), src, now,
+                       static_cast<int64_t>(std::min<uint64_t>(
+                           value, std::numeric_limits<int64_t>::max())));
 }
 
 void PipelinedFabric::TryStartTask(uint32_t node, double now) {
@@ -295,8 +262,8 @@ void PipelinedFabric::AdmitChunk(uint64_t chunk_index, double ready) {
   if (chunk.src == chunk.dst) {
     // Local copy: no NIC, no credit; the ledger's src == dst cells are the
     // local-copy side.
-    stages_[chunk_stage_[chunk_index]].Add(&traffic_, chunk.src, chunk.dst,
-                                           chunk.type, chunk.data.size());
+    stages_[timing.stage].Add(&traffic_, chunk.src, chunk.dst, chunk.type,
+                              chunk.data.size());
     timing.head = ready;
     timing.grant = ready;
     timing.egress_clear = ready;
@@ -325,13 +292,15 @@ void PipelinedFabric::AdmitChunk(uint64_t chunk_index, double ready) {
     timing.stalled = true;
     link.blocked.emplace_back(chunk_index, ready);
     link.queued_bytes += timing.bytes;
-    RecordQueuedCounter(chunk.src, chunk.dst, ready);
+    RecordLinkCounter("flow.queued.d", chunk.src, chunk.dst, ready,
+                      link.queued_bytes);
     ++credit_stall_events_;
     return;
   }
   timing.head = ready;
   link.credit -= need;
-  RecordCreditCounter(chunk.src, chunk.dst, ready);
+  RecordLinkCounter("flow.credit.d", chunk.src, chunk.dst, ready,
+                    link.credit);
   DispatchGranted(chunk_index, ready);
 }
 
@@ -347,7 +316,7 @@ void PipelinedFabric::ReturnCredit(uint32_t src, uint32_t dst, uint64_t bytes,
                                    double now) {
   Link& link = links_[static_cast<size_t>(src) * params_.num_nodes + dst];
   link.credit += bytes;
-  RecordCreditCounter(src, dst, now);
+  RecordLinkCounter("flow.credit.d", src, dst, now, link.credit);
   while (!link.blocked.empty()) {
     const auto [chunk_index, ready] = link.blocked.front();
     // The front either launches now or starts waiting on credit now; both
@@ -360,8 +329,8 @@ void PipelinedFabric::ReturnCredit(uint32_t src, uint32_t dst, uint64_t bytes,
     link.blocked.pop_front();
     link.queued_bytes -= chunk_timing_[chunk_index].bytes;
     link.credit -= need;
-    RecordCreditCounter(src, dst, now);
-    RecordQueuedCounter(src, dst, now);
+    RecordLinkCounter("flow.credit.d", src, dst, now, link.credit);
+    RecordLinkCounter("flow.queued.d", src, dst, now, link.queued_bytes);
     DispatchGranted(chunk_index, std::max(ready, now));
   }
 }
@@ -375,10 +344,9 @@ void PipelinedFabric::AccountGrant(uint64_t chunk_index, double ready) {
   // bottleneck, so the barrier-equivalent reference prices the same bytes
   // as a pristine run. Accounting happens at credit grant under both egress
   // policies, so the ledgers cannot depend on NIC scheduling order.
-  stages_[chunk_stage_[chunk_index]].Add(&traffic_, chunk.src, chunk.dst,
-                                         chunk.type, wire);
-
   ChunkTiming& timing = chunk_timing_[chunk_index];
+  stages_[timing.stage].Add(&traffic_, chunk.src, chunk.dst, chunk.type,
+                            wire);
   timing.grant = ready;
   if (timing.stalled) stall_hist_->Observe(ready - timing.admit);
 }
@@ -453,7 +421,8 @@ void PipelinedFabric::EnqueueEgress(uint64_t chunk_index, double now) {
                      chunk.dst];
   q.chunks.push_back(chunk_index);
   q.queued_bytes += chunk.data.size();
-  RecordEgressQueuedCounter(chunk.src, chunk.dst, now);
+  RecordLinkCounter("egress.queued.d", chunk.src, chunk.dst, now,
+                    q.queued_bytes);
   // Anchor the blame chain exactly at the grant boundary; the scheduler
   // pass below reclassifies the mark in place if the chunk is already the
   // queue front.
@@ -510,8 +479,8 @@ void PipelinedFabric::RunEgressScheduler(uint32_t node, double now) {
     q.queued_bytes -= chunks_[chunk_index].data.size();
     q.deficit -= chunks_[chunk_index].data.size();
     if (q.chunks.empty()) q.deficit = 0;  // No hoarding across idle spells.
-    RecordEgressQueuedCounter(node, dst, now);
-    RecordDeficitCounter(node, dst, now);
+    RecordLinkCounter("egress.queued.d", node, dst, now, q.queued_bytes);
+    RecordLinkCounter("drr.deficit.d", node, dst, now, q.deficit);
     egress_occupant_dst_[node] = dst;
     ChunkTiming& timing = chunk_timing_[chunk_index];
     timing.egress_clear = now;
@@ -533,7 +502,7 @@ void PipelinedFabric::StartTransfer(uint64_t chunk_index, double wire_start) {
   if (fault_active()) {
     const FaultPolicy& policy = *params_.fault_policy;
     // Retries and faults belong to the stage whose task sent the chunk.
-    StepAccumulator& step = stages_[chunk_stage_[chunk_index]];
+    StepAccumulator& step = stages_[timing.stage];
     ReliabilityStats outcome;
     delivered = false;
     for (uint32_t attempt = 0; attempt <= policy.max_retries; ++attempt) {

@@ -165,6 +165,8 @@ class PipelinedFabric {
   double makespan_seconds() const { return makespan_seconds_; }
 
   const TrafficMatrix& traffic() const { return traffic_; }
+  /// Moves the ledgers out (the run's epilogue); traffic() is empty after.
+  TrafficMatrix TakeTraffic() { return std::move(traffic_); }
   ReliabilityStats reliability() const { return reliability_; }
   const FailureReport& failure() const { return failure_; }
   bool node_dead(uint32_t node) const { return dead_[node]; }
@@ -308,8 +310,6 @@ class PipelinedFabric {
     /// Payload bytes currently parked in `blocked` (traced as the
     /// flow.queued.d<dst> counter track).
     uint64_t queued_bytes = 0;
-    /// When this link's NIC pair is next free is tracked per node, but the
-    /// link keeps its own FIFO release cursor so blocked chunks keep order.
   };
 
   uint32_t StageIndex(const char* stage);
@@ -354,13 +354,14 @@ class PipelinedFabric {
   /// Hands `bytes` of credit back to the src->dst link and drains its
   /// blocked FIFO in order as far as the restored window allows.
   void ReturnCredit(uint32_t src, uint32_t dst, uint64_t bytes, double now);
-  void RecordCreditCounter(uint32_t src, uint32_t dst, double now);
   /// Emits a 'C' counter sample stamped with modeled (not wall) time.
   void RecordModeledCounter(std::string name, uint32_t node, double now,
                             int64_t value);
-  void RecordQueuedCounter(uint32_t src, uint32_t dst, double now);
-  void RecordEgressQueuedCounter(uint32_t src, uint32_t dst, double now);
-  void RecordDeficitCounter(uint32_t src, uint32_t dst, double now);
+  /// Emits the src->dst link's counter `prefix`<dst> on src's track
+  /// (flow.credit.d, flow.queued.d, egress.queued.d, drr.deficit.d),
+  /// saturating `value` at the int64 maximum.
+  void RecordLinkCounter(const char* prefix, uint32_t src, uint32_t dst,
+                         double now, uint64_t value);
   bool fault_active() const {
     return params_.fault_policy != nullptr && params_.fault_policy->active();
   }
@@ -382,7 +383,6 @@ class PipelinedFabric {
   uint64_t next_event_seq_ = 0;
   std::vector<TaskRecord> tasks_;
   std::vector<Chunk> chunks_;
-  std::vector<uint32_t> chunk_stage_;   ///< Sending task's stage, per chunk.
   std::vector<uint64_t> chunk_credit_;  ///< Link credit held, per chunk.
   std::vector<std::deque<uint64_t>> runnable_;  ///< Task indices per node.
   std::vector<bool> cpu_busy_;

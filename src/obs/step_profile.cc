@@ -3,6 +3,7 @@
 #include <cstdio>
 
 #include "net/fabric.h"
+#include "net/pipelined_fabric.h"
 #include "obs/metrics.h"
 #include "obs/text_escape.h"
 
@@ -115,8 +116,9 @@ void StepProfile::Prepend(const StepProfile& prologue) {
   steps.insert(steps.begin(), prologue.steps.begin(), prologue.steps.end());
 }
 
+template <typename AnyFabric>
 StepProfile BuildStepProfile(const std::string& algorithm,
-                             const Fabric& fabric) {
+                             const AnyFabric& fabric) {
   StepProfile profile;
   profile.algorithm = algorithm;
   profile.num_nodes = fabric.num_nodes();
@@ -144,6 +146,9 @@ StepProfile BuildStepProfile(const std::string& algorithm,
   }
   return profile;
 }
+template StepProfile BuildStepProfile(const std::string&, const Fabric&);
+template StepProfile BuildStepProfile(const std::string&,
+                                      const PipelinedFabric&);
 
 std::string ToJson(const StepProfile& profile) {
   std::string out = "{";

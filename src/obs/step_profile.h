@@ -26,6 +26,7 @@
 namespace tj {
 
 class Fabric;
+class PipelinedFabric;
 
 /// The full per-step breakdown of one join run.
 struct StepProfile {
@@ -73,12 +74,13 @@ struct StepProfile {
   void Prepend(const StepProfile& prologue);
 };
 
-/// Builds the profile for a completed run from the fabric's steps, labels
-/// it with `algorithm`, and folds the run's totals into
-/// MetricsRegistry::Global() ("join.runs", "join.phases",
+/// Builds the profile for a completed run from the steps of either fabric
+/// (Fabric or PipelinedFabric), labels it with `algorithm`, and folds the
+/// run's totals into MetricsRegistry::Global() ("join.runs", "join.phases",
 /// "join.goodput_bytes", "join.retransmit_bytes", "join.wall_seconds", ...).
+template <typename AnyFabric>
 StepProfile BuildStepProfile(const std::string& algorithm,
-                             const Fabric& fabric);
+                             const AnyFabric& fabric);
 
 /// JSON object: algorithm, nodes, totals, and one record per step (nonzero
 /// per-type byte splits included).

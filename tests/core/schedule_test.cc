@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+
 namespace tj {
 namespace {
 
@@ -128,6 +131,55 @@ TEST(ScheduleTest, MigrationInstructionCostCountsUnlessTracker) {
   EXPECT_EQ(plan.dest, 2u);
   EXPECT_EQ(plan.migrate, (std::vector<uint32_t>{0}));
   EXPECT_EQ(plan.cost, 5u);
+}
+
+TEST(InstructionStreamTest, EachInstructionTypeOnceWithItsDataType) {
+  // Every instruction type has exactly one stream, on its table's side, and
+  // ships the data type a receiver handles for it: location lists
+  // broadcast, migrations and hot-split fragments migrate.
+  struct Expected {
+    MessageType instr;
+    MessageType data;
+    bool r_side;
+  };
+  const Expected expected[] = {
+      {MessageType::kLocationsToR, MessageType::kDataR, true},
+      {MessageType::kLocationsToS, MessageType::kDataS, false},
+      {MessageType::kMigrateR, MessageType::kMigrationDataR, true},
+      {MessageType::kMigrateS, MessageType::kMigrationDataS, false},
+      {MessageType::kFragmentR, MessageType::kMigrationDataR, true},
+      {MessageType::kFragmentS, MessageType::kMigrationDataS, false},
+  };
+  const auto streams = InstructionStreams(TrackJoinVersion::k4Phase);
+  ASSERT_EQ(streams.size(), std::size(expected));
+  for (const Expected& e : expected) {
+    SCOPED_TRACE(MessageTypeName(e.instr));
+    const auto count = std::count_if(
+        streams.begin(), streams.end(),
+        [&](const InstructionStream& s) { return s.instr == e.instr; });
+    ASSERT_EQ(count, 1);
+    const InstructionStream& stream = *std::find_if(
+        streams.begin(), streams.end(),
+        [&](const InstructionStream& s) { return s.instr == e.instr; });
+    EXPECT_EQ(stream.data, e.data);
+    EXPECT_EQ(stream.r_side, e.r_side);
+    EXPECT_EQ(stream.migrates(), e.data == MessageType::kMigrationDataR ||
+                                     e.data == MessageType::kMigrationDataS);
+    // Receivers register one data handler per non-split stream; a split
+    // stream's data must land on the handler of its side's migration.
+    const auto handlers = std::count_if(
+        streams.begin(), streams.end(), [&](const InstructionStream& s) {
+          return !s.split && s.data == stream.data && s.r_side == stream.r_side;
+        });
+    EXPECT_EQ(handlers, 1);
+  }
+  // 2- and 3-phase runs send location lists only.
+  for (TrackJoinVersion version :
+       {TrackJoinVersion::k2Phase, TrackJoinVersion::k3Phase}) {
+    const auto few = InstructionStreams(version);
+    ASSERT_EQ(few.size(), 2u);
+    EXPECT_FALSE(few[0].migrates() || few[1].migrates());
+  }
 }
 
 }  // namespace

@@ -289,7 +289,7 @@ TEST(TrackerMergeTest, UnsortedPlainStreamIsCorruption) {
   config.key_bytes = 4;
   config.count_bytes = 2;
   // Hand-built plain message with descending keys: no sender emits one, so
-  // the cursor rejects it rather than misorder the merge.
+  // the intake rejects it rather than misorder the merge.
   ByteBuffer data;
   ByteWriter w(&data);
   for (uint64_t key : {30u, 20u, 10u}) {
@@ -298,8 +298,11 @@ TEST(TrackerMergeTest, UnsortedPlainStreamIsCorruption) {
   }
   std::vector<Message> msgs;
   msgs.push_back(Msg(0, std::move(data)));
-  TrackingMessageCursor cursor;
-  EXPECT_EQ(cursor.Init(msgs[0], config, true).code(),
+  std::vector<TrackEntry> run;
+  uint64_t last_key = 0;
+  EXPECT_EQ(TryAppendTrackingEntries(msgs[0].data, msgs[0].src, config, true,
+                                     &last_key, &run)
+                .code(),
             StatusCode::kCorruption);
 
   auto bufs = EncodeTrackingMessages({{15, 1}, {25, 1}}, config, true, 1);
@@ -321,8 +324,11 @@ TEST(TrackerMergeTest, DeltaWraparoundIsCorruption) {
   EncodeLeb128(~uint64_t{0}, &data);           // 1 + 2^64-1 wraps to 0.
   std::vector<Message> msgs;
   msgs.push_back(Msg(0, std::move(data)));
-  TrackingMessageCursor cursor;
-  EXPECT_EQ(cursor.Init(msgs[0], config, false).code(),
+  std::vector<TrackEntry> run;
+  uint64_t last_key = 0;
+  EXPECT_EQ(TryAppendTrackingEntries(msgs[0].data, msgs[0].src, config, false,
+                                     &last_key, &run)
+                .code(),
             StatusCode::kCorruption);
 
   std::vector<TrackEntry> merged;
@@ -354,25 +360,23 @@ TEST(TrackerMergeTest, RejectsCorruptStreams) {
                    .ok());
 }
 
-TEST(TrackerMergeTest, CursorWalksWireOrder) {
+TEST(TrackerMergeTest, IntakeDecodesWireOrder) {
   JoinConfig config;
   config.key_bytes = 4;
   config.count_bytes = 2;
   auto bufs = EncodeTrackingMessages({{10, 3}, {20, 5}}, config, true, 1);
-  Message msg = Msg(6, std::move(bufs[0]));  // Must outlive the cursor.
-  TrackingMessageCursor cursor;
-  ASSERT_TRUE(cursor.Init(msg, config, true).ok());
-  EXPECT_EQ(cursor.entries(), 2u);
-  ASSERT_TRUE(cursor.Valid());
-  EXPECT_EQ(cursor.key(), 10u);
-  EXPECT_EQ(cursor.node(), 6u);
-  EXPECT_EQ(cursor.count(), 3u);
-  cursor.Next();
-  ASSERT_TRUE(cursor.Valid());
-  EXPECT_EQ(cursor.key(), 20u);
-  EXPECT_EQ(cursor.count(), 5u);
-  cursor.Next();
-  EXPECT_FALSE(cursor.Valid());
+  std::vector<TrackEntry> run;
+  uint64_t last_key = 0;
+  ASSERT_TRUE(
+      TryAppendTrackingEntries(bufs[0], 6, config, true, &last_key, &run)
+          .ok());
+  ASSERT_EQ(run.size(), 2u);
+  EXPECT_EQ(run[0].key, 10u);
+  EXPECT_EQ(run[0].node, 6u);
+  EXPECT_EQ(run[0].count, 3u);
+  EXPECT_EQ(run[1].key, 20u);
+  EXPECT_EQ(run[1].count, 5u);
+  EXPECT_EQ(last_key, 20u);
 }
 
 TEST(TrackerMergeTest, RunMergeMatchesReference) {
@@ -432,7 +436,7 @@ std::vector<KeyCount> WidthSource(Rng* rng, uint32_t key_bytes,
 
 TEST(TrackerWordCodecTest, WidthGridMatchesByteReference) {
   // Every key width x count width, with and without counts: the word
-  // encoder writes the reference's bytes, the word-decoding cursor walks
+  // encoder writes the reference's bytes, the word-decoding intake returns
   // the reference decoder's entries, and both merges (messages and runs)
   // equal decode + MergeTrackEntries. Sources arrive out of node order and
   // include one- and two-key messages, shorter than one word.
@@ -469,12 +473,12 @@ TEST(TrackerWordCodecTest, WidthGridMatchesByteReference) {
             ASSERT_TRUE(
                 TryDecodeTrackingMessage(msg, config, with_counts, &decoded)
                     .ok());
-            TrackingMessageCursor cursor;
-            ASSERT_TRUE(cursor.Init(msg, config, with_counts).ok());
             std::vector<TrackEntry> walked;
-            for (; cursor.Valid(); cursor.Next()) {
-              walked.push_back({cursor.key(), cursor.node(), cursor.count()});
-            }
+            uint64_t last_key = 0;
+            ASSERT_TRUE(TryAppendTrackingEntries(msg.data, msg.src, config,
+                                                 with_counts, &last_key,
+                                                 &walked)
+                            .ok());
             EXPECT_EQ(walked, decoded);
             runs.push_back(std::move(decoded));
           }
@@ -588,6 +592,75 @@ TEST(TrackerMergeTest, RunMergeRejectsEntryBelowBatchRange) {
   EXPECT_NE(s.ToString().find("key 3"), std::string::npos) << s.ToString();
   ASSERT_TRUE(TryMergeTrackRuns(runs, /*min_key=*/3, &merged).ok());
   EXPECT_EQ(merged.size(), 4u);
+}
+
+/// A plain tracking payload (4-byte keys, 2-byte counts of 1), keys in
+/// the given order.
+ByteBuffer PlainTracking(std::initializer_list<uint64_t> keys) {
+  ByteBuffer data;
+  ByteWriter w(&data);
+  for (uint64_t key : keys) {
+    w.PutUint(key, 4);
+    w.PutUint(1, 2);
+  }
+  return data;
+}
+
+TEST(TrackerIntakeTest, MalformedPayloadsAreCorruptionOnBothDrivers) {
+  // Each case is the chunks one tracker receives on one tracking stream, in
+  // order, as (source, payload). The barrier merge takes every chunk as one
+  // inbox message; the pipelined intake decodes the chunks in order into
+  // the stream's run, carrying its last key, and merges that run.
+  struct Case {
+    const char* name;
+    bool delta;
+    std::vector<std::pair<uint32_t, ByteBuffer>> chunks;
+  };
+  ByteBuffer partial = PlainTracking({1, 2});
+  partial.resize(partial.size() - 3);
+  ByteBuffer wrap;
+  EncodeLeb128(2, &wrap);            // Entry count.
+  EncodeLeb128(1, &wrap);            // First key: 1.
+  EncodeLeb128(~uint64_t{0}, &wrap);  // 1 + 2^64-1 wraps to 0.
+  const std::vector<Case> cases = {
+      {"size not a whole number of entries", false, {{0, partial}}},
+      {"keys descend within a chunk", false,
+       {{0, PlainTracking({10, 30, 20})}}},
+      {"keys descend across chunks", false,
+       {{0, PlainTracking({10, 20})}, {0, PlainTracking({15, 40})}}},
+      {"delta gaps wrap", true, {{0, wrap}}},
+      {"mixed nodes in one run", false,
+       {{0, PlainTracking({1, 2})},
+        {1, PlainTracking({3})},
+        {0, PlainTracking({4})}}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    JoinConfig config;
+    config.key_bytes = 4;
+    config.count_bytes = 2;
+    config.delta_tracking = c.delta;
+
+    std::vector<Message> inbox;
+    for (const auto& [src, payload] : c.chunks) {
+      inbox.push_back(Msg(src, payload));
+    }
+    std::vector<TrackEntry> merged;
+    Status barrier = TryMergeTrackingMessages(inbox, config, true, &merged);
+    EXPECT_EQ(barrier.code(), StatusCode::kCorruption) << barrier.ToString();
+
+    std::vector<std::vector<TrackEntry>> runs(1);
+    uint64_t last_key = 0;
+    Status pipelined;
+    for (const auto& [src, payload] : c.chunks) {
+      pipelined = TryAppendTrackingEntries(payload, src, config, true,
+                                           &last_key, &runs[0]);
+      if (!pipelined.ok()) break;
+    }
+    if (pipelined.ok()) pipelined = TryMergeTrackRuns(runs, 0, &merged);
+    EXPECT_EQ(pipelined.code(), StatusCode::kCorruption)
+        << pipelined.ToString();
+  }
 }
 
 }  // namespace

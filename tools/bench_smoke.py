@@ -38,9 +38,10 @@ the critical path recomputed from the exported micro-batch spans.
 local_kernels also reports four wall-time ratios measured within one
 process, so they need no checked-in baseline:
   tj4_pipelined_over_barrier_wall: serial pipelined 4TJ (DRR) wall over
-    serial barrier 4TJ wall on one workload X input. It fails above
-    MAX_PIPELINED_OVER_BARRIER_WALL: both drivers move the same bytes, so
-    the pipelined one must not cost much more to run.
+    serial barrier 4TJ wall on one workload X input, the median of 15
+    alternating pairs. It fails above MAX_PIPELINED_OVER_BARRIER_WALL: both
+    drivers move the same bytes, so the pipelined one must not cost much
+    more to run.
   tj4_pipelined_scaling: pipelined 4TJ wall at twice the keys over its wall
     at the base scale. It fails above MAX_PIPELINED_SCALING, so a path
     that grows superlinearly cannot hide at smoke scale.
