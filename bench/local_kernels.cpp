@@ -3,7 +3,7 @@
 // small hash-join / 4-phase-track-join run (the StepProfile rows Tables 3
 // and 4 are built from).
 //
-// Also reports four same-run ratios of serial wall times, which hold
+// Also reports five same-run ratios of serial wall times, which hold
 // across machines (best of 3 runs each unless noted):
 //   tj4_pipelined_over_barrier_wall  pipelined 4TJ (DRR) ÷ barrier 4TJ on
 //                                    workload X at scale 1/2000, the
@@ -14,7 +14,12 @@
 //                                    checksum sink ÷ with a no-op sink;
 //   barrier_node_scaling             barrier 4TJ on one small input over
 //                                    256 nodes ÷ over 16 nodes, near 1
-//                                    when a phase costs O(messages + N).
+//                                    when a phase costs O(messages + N);
+//   merge_received_over_sort         barrier phase 8's merge of 8
+//                                    key-ascending serialized runs ÷
+//                                    deserializing the same bytes and
+//                                    sorting them, the median of 15
+//                                    alternating pairs.
 //
 // Prints one JSON object to stdout; tools/bench_smoke.py runs this at a
 // fixed small scale in CI and fails on >25% throughput regression against
@@ -51,6 +56,8 @@ constexpr int kReps = 3;
 /// Alternating barrier/pipelined pairs behind the pipelined-over-barrier
 /// wall ratio: the best of 3 per side spread 1.32-1.79 between runs.
 constexpr int kWallRatioPairs = 15;
+/// Alternating merge/sort pairs behind the merge-received-over-sort ratio.
+constexpr int kMergeRatioPairs = 15;
 constexpr uint32_t kParts = 256;
 
 double Now() {
@@ -270,6 +277,47 @@ int main(int argc, char** argv) {
   }
   TJ_CHECK_EQ(y_sum.count(), y_rows) << "checksum join row count differs";
 
+  // Barrier phase 8 on one node's received tuples: 8 key-ascending runs
+  // (one per source) of rows / 2 rows in all, 4-byte keys and 8-byte
+  // payloads, merged in place from the wire bytes versus deserialized and
+  // radix-sorted, both serial, pairs alternating. Falling back to sorting
+  // drives the ratio to 1.
+  constexpr uint32_t kKeyBytes = 4;
+  std::vector<Message> received;
+  for (uint32_t src = 0; src < 8; ++src) {
+    TupleBlock run(8);
+    for (uint64_t i = 0; i < rows / 2 / 8; ++i) {
+      const uint64_t key = rng.Next() & FieldMask(kKeyBytes);
+      std::memcpy(payload, &key, 8);
+      run.Append(key, payload);
+    }
+    SortBlockByKey(&run);
+    received.push_back(Message{src, MessageType::kDataR, {}});
+    run.SerializeRows(0, run.size(), kKeyBytes, &received.back().data);
+  }
+  double merge_received_s = 1e300, sort_received_s = 1e300;
+  double merge_ratios[bench::kMergeRatioPairs];
+  for (int rep = 0; rep < bench::kMergeRatioPairs; ++rep) {
+    TupleBlock sorted(8), merged(8);
+    const double sort_s = bench::Seconds([&] {
+      for (const Message& msg : received) {
+        ByteReader reader(msg.data);
+        TJ_CHECK(sorted.TryDeserializeRows(&reader, kKeyBytes).ok());
+      }
+      SortBlockByKey(&sorted);
+    });
+    const double merge_s = bench::Seconds([&] {
+      TJ_CHECK(TryMergeReceivedRows(received, kKeyBytes, &merged).ok());
+    });
+    TJ_CHECK(merged.keys() == sorted.keys()) << "merge differs from sort";
+    merge_ratios[rep] = merge_s / sort_s;
+    merge_received_s = std::min(merge_received_s, merge_s);
+    sort_received_s = std::min(sort_received_s, sort_s);
+  }
+  std::nth_element(merge_ratios, merge_ratios + bench::kMergeRatioPairs / 2,
+                   merge_ratios + bench::kMergeRatioPairs);
+  const double merge_ratio = merge_ratios[bench::kMergeRatioPairs / 2];
+
   double n = static_cast<double>(rows);
   std::printf("{\n");
   std::printf("  \"rows\": %" PRIu64 ",\n", rows);
@@ -295,6 +343,9 @@ int main(int argc, char** argv) {
   std::printf("  \"barrier_256_nodes_wall_s\": %.6f,\n", spread_s[1]);
   std::printf("  \"barrier_node_scaling\": %.4f,\n",
               spread_s[1] / spread_s[0]);
+  std::printf("  \"merge_received_wall_s\": %.6f,\n", merge_received_s);
+  std::printf("  \"sort_received_wall_s\": %.6f,\n", sort_received_s);
+  std::printf("  \"merge_received_over_sort\": %.4f,\n", merge_ratio);
   bench::PrintPhases("hj_phase_wall_s", hj, ",");
   bench::PrintPhases("tj4_phase_wall_s", tj4, "");
   std::printf("}\n");

@@ -17,7 +17,7 @@ namespace tj {
 
 using ByteBuffer = std::vector<uint8_t>;
 
-/// The low `width` bytes of a word set (width in [1, 8]): the mask that
+/// The low `width` bytes of a word set (width in [0, 8]): the mask that
 /// cuts a `width`-byte field out of an 8-byte load.
 inline uint64_t FieldMask(uint32_t width) {
   return width >= 8 ? ~0ULL : (1ULL << (8 * width)) - 1;
@@ -31,6 +31,18 @@ inline uint64_t LoadLe64(const uint8_t* p) {
   std::memcpy(&v, p, sizeof(v));
   if constexpr (std::endian::native == std::endian::big) {
     v = __builtin_bswap64(v);
+  }
+  return v;
+}
+
+/// Reads a `width`-byte little-endian field (width in [0, 8]) at `p`, with
+/// `avail` bytes readable from `p` on: one 8-byte load and a mask wherever
+/// 8 bytes remain, byte by byte in a buffer's last few bytes.
+inline uint64_t LoadLeField(const uint8_t* p, size_t avail, uint32_t width) {
+  if (avail >= 8) return LoadLe64(p) & FieldMask(width);
+  uint64_t v = 0;
+  for (uint32_t i = 0; i < width; ++i) {
+    v |= static_cast<uint64_t>(p[i]) << (8 * i);
   }
   return v;
 }

@@ -1,6 +1,10 @@
 #include "core/join_types.h"
 
+#include <algorithm>
+#include <cstring>
+
 #include "common/bit_util.h"
+#include "common/kway_merge.h"
 #include "net/buffer_pool.h"
 #include "net/fabric.h"
 #include "net/pipelined_fabric.h"
@@ -75,6 +79,122 @@ Status TryReceiveRows(Fabric* fabric, uint32_t node, MessageType type,
     TJ_RETURN_IF_ERROR(block->TryDeserializeRows(&reader, key_bytes));
     if (pool != nullptr) pool->Recycle(std::move(msg.data));
   }
+  return Status::OK();
+}
+
+namespace {
+
+/// Merge cursor over one received message's rows, read in place; caches
+/// its head's key.
+class WireRowCursor {
+ public:
+  WireRowCursor(const ByteBuffer& data, uint32_t key_bytes, uint32_t row_bytes)
+      : row_(data.data()), end_(data.data() + data.size()),
+        key_bytes_(key_bytes), row_bytes_(row_bytes) {
+    if (Valid()) LoadKey();
+  }
+
+  bool Valid() const { return row_ != end_; }
+  uint64_t key() const { return key_; }
+  const uint8_t* payload() const { return row_ + key_bytes_; }
+  void Next() {
+    row_ += row_bytes_;
+    if (Valid()) LoadKey();
+  }
+
+ private:
+  void LoadKey() { key_ = LoadLeField(row_, end_ - row_, key_bytes_); }
+
+  const uint8_t* row_;
+  const uint8_t* end_;
+  uint32_t key_bytes_;
+  uint32_t row_bytes_;
+  uint64_t key_ = 0;
+};
+
+/// Names the first message whose keys descend.
+Status DescentFault(const std::vector<Message>& messages, uint32_t key_bytes,
+                    uint32_t row_bytes) {
+  for (const Message& msg : messages) {
+    uint64_t last = 0;
+    for (WireRowCursor row(msg.data, key_bytes, row_bytes); row.Valid();
+         row.Next()) {
+      if (row.key() < last) {
+        return Status::Corruption("tuple run from node " +
+                                  std::to_string(msg.src) +
+                                  " descends at key " +
+                                  std::to_string(row.key()));
+      }
+      last = row.key();
+    }
+  }
+  return Status::Internal("tuple merge descent not found in its runs");
+}
+
+}  // namespace
+
+Status TryMergeReceivedRows(const std::vector<Message>& messages,
+                            uint32_t key_bytes, TupleBlock* block) {
+  TJ_CHECK_LE(key_bytes, 8u);
+  const uint32_t width = block->payload_width();
+  const uint32_t row_bytes = key_bytes + width;
+  TJ_CHECK_GT(row_bytes, 0u);
+  std::vector<WireRowCursor> runs;
+  runs.reserve(messages.size());
+  uint64_t received = 0;
+  for (const Message& msg : messages) {
+    if (msg.data.size() % row_bytes != 0) {
+      return Status::Corruption("tuple payload from node " +
+                                std::to_string(msg.src) +
+                                " not a multiple of row size");
+    }
+    received += msg.data.size() / row_bytes;
+    runs.emplace_back(msg.data, key_bytes, row_bytes);
+  }
+  if (received == 0) return Status::OK();
+
+  const TupleBlock& local = *block;
+  const uint64_t local_rows = local.size();
+  TupleBlock merged(width);
+  merged.Resize(local_rows + received);
+  uint64_t* keys = merged.MutableKeys();
+  uint8_t* payloads = merged.MutablePayloads();
+  uint64_t out = 0;
+  uint64_t next_local = 0;
+  // Copies the local rows [next_local, end) as one block.
+  auto copy_local = [&](uint64_t end) {
+    std::copy(local.keys().begin() + next_local, local.keys().begin() + end,
+              keys + out);
+    if (width > 0) {
+      std::memcpy(payloads + out * width, local.Payload(next_local),
+                  (end - next_local) * width);
+    }
+    out += end - next_local;
+    next_local = end;
+  };
+  // The tree pops keys in ascending order exactly when every run ascends,
+  // so flagging descents of its output checks the runs without a pass of
+  // their own.
+  uint64_t descents = 0;
+  uint64_t last_key = 0;
+  for (LoserTree<WireRowCursor> tree(&runs); !tree.Done(); tree.Pop()) {
+    const uint64_t key = tree.TopKey();
+    descents += key < last_key;
+    last_key = key;
+    if (next_local < local_rows && local.Key(next_local) <= key) {
+      uint64_t end = next_local + 1;
+      while (end < local_rows && local.Key(end) <= key) ++end;
+      copy_local(end);
+    }
+    keys[out] = key;
+    if (width > 0) {
+      std::memcpy(payloads + out * width, tree.Top().payload(), width);
+    }
+    ++out;
+  }
+  if (descents != 0) return DescentFault(messages, key_bytes, row_bytes);
+  copy_local(local_rows);
+  *block = std::move(merged);
   return Status::OK();
 }
 

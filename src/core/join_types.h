@@ -12,6 +12,7 @@
 #include "exec/local_join.h"
 #include "net/failure.h"
 #include "net/fault_injector.h"
+#include "net/message.h"
 #include "net/traffic.h"
 #include "obs/blame.h"
 #include "obs/step_profile.h"
@@ -234,6 +235,17 @@ void SendRowsPerDest(Fabric* fabric, uint32_t src, MessageType type,
 Status TryReceiveRows(Fabric* fabric, uint32_t node, MessageType type,
                       uint32_t key_bytes, TupleBlock* block,
                       BufferPool* pool = nullptr);
+
+/// Merges the rows of `messages` into `block` (sorted by key), leaving it
+/// sorted by key. Each message must hold a key-ascending run of rows in the
+/// wire format SendRowsPerDest writes; a loser tree merges the runs reading
+/// them in place, and every key and payload is written straight into the
+/// result. Ties keep `block`'s own rows first, then message order, so the
+/// result equals appending every message in order and stably sorting. A
+/// message that is not a whole number of rows, or whose keys descend,
+/// returns Status::Corruption and leaves `block` unchanged.
+Status TryMergeReceivedRows(const std::vector<Message>& messages,
+                            uint32_t key_bytes, TupleBlock* block);
 
 /// The output side every driver shares. Each node owns one slot: a
 /// JoinChecksum, whose count() is the node's output row count, under

@@ -150,7 +150,9 @@ Result<JoinResult> TryRunTrackJoin(const PartitionedTable& r,
 
   // Phase 7: act on schedules. Each instruction stream routes the
   // instructed local runs and ships them as one message per destination.
-  // Selective broadcasts copy runs to the listed locations; a location
+  // The trackers' instruction lists route merged by key, so every
+  // destination's rows ascend and each data message is one key-ascending
+  // run. Selective broadcasts copy runs to the listed locations; a location
   // equal to self is a free local copy, which the fabric accounts apart
   // from network traffic. Migrations (4-phase) move whole runs and hot-split
   // fragments cut them across the key's workers; both drop the moved runs
@@ -159,24 +161,24 @@ Result<JoinResult> TryRunTrackJoin(const PartitionedTable& r,
   TJ_RETURN_IF_ERROR(fabric.RunPhaseReliable(
       "selective broadcast & migrate", [&](uint32_t node) -> Status {
     NodeState& st = nodes[node];
-    std::vector<KeyNodePair> pairs;
+    std::vector<KeyNodePair> decoded, pairs;
     for (const InstructionStream& stream : streams) {
       TupleBlock* block = stream.r_side ? &st.r : &st.s;
       std::vector<std::vector<uint32_t>> rows(n);
-      FlatSet moved;
       auto instr_msgs = fabric.TakeInbox(node, stream.instr);
+      pairs.clear();
       for (const auto& msg : instr_msgs) {
         TJ_RETURN_IF_ERROR(
-            TryDecodeKeyNodePairs(msg, pair_config(stream), &pairs));
-        RouteInstructedRows(*block, pairs, stream.split, &rows);
-        if (stream.migrates()) {
-          for (const auto& pair : pairs) moved.Insert(pair.key);
-        }
+            TryDecodeKeyNodePairs(msg, pair_config(stream), &decoded));
+        pairs.insert(pairs.end(), decoded.begin(), decoded.end());
       }
       for (auto& msg : instr_msgs) st.pool.Recycle(std::move(msg.data));
+      RouteInstructedRows(*block, pairs, stream.split, &rows);
       SendRowsPerDest(&fabric, node, stream.data, *block, config.key_bytes,
                       rows, &st.pool);
-      if (!moved.empty()) {
+      if (stream.migrates() && !pairs.empty()) {
+        FlatSet moved;
+        for (const auto& pair : pairs) moved.Insert(pair.key);
         block->Filter(
             [&](uint64_t row) { return !moved.Contains(block->Key(row)); });
       }
@@ -184,29 +186,26 @@ Result<JoinResult> TryRunTrackJoin(const PartitionedTable& r,
     return Status::OK();
   }));
 
-  // Phase 8: merge received tuples — migrated runs and fragments join the
-  // local blocks, broadcast tuples form the probe blocks.
+  // Phase 8: merge received tuples. Every data message is one key-ascending
+  // run, so a k-way merge replaces a sort: migrated runs and fragments merge
+  // into the kept local blocks, broadcast tuples into the probe blocks.
   TJ_RETURN_IF_ERROR(fabric.RunPhaseReliable(
       "merge received tuples", [&](uint32_t node) -> Status {
     NodeState& st = nodes[node];
-    const uint64_t r_kept = st.r.size(), s_kept = st.s.size();
     for (const InstructionStream& stream : streams) {
       // Fragments arrive as their side's migration data.
-      if (!stream.migrates() || stream.split) continue;
-      TJ_RETURN_IF_ERROR(TryReceiveRows(&fabric, node, stream.data,
-                                        config.key_bytes,
-                                        stream.r_side ? &st.r : &st.s,
-                                        &st.pool));
-    }
-    if (st.r.size() != r_kept) SortBlockByKey(&st.r, config.thread_pool);
-    if (st.s.size() != s_kept) SortBlockByKey(&st.s, config.thread_pool);
-    for (const InstructionStream& stream : streams) {
-      if (stream.migrates()) continue;
-      TupleBlock& probe = stream.r_side ? st.r_in : st.s_in;
-      probe = TupleBlock((stream.r_side ? r : s).payload_width());
-      TJ_RETURN_IF_ERROR(TryReceiveRows(&fabric, node, stream.data,
-                                        config.key_bytes, &probe, &st.pool));
-      SortBlockByKey(&probe, config.thread_pool);
+      if (stream.split) continue;
+      TupleBlock* block;
+      if (stream.migrates()) {
+        block = stream.r_side ? &st.r : &st.s;
+      } else {
+        block = stream.r_side ? &st.r_in : &st.s_in;
+        *block = TupleBlock((stream.r_side ? r : s).payload_width());
+      }
+      auto msgs = fabric.TakeInbox(node, stream.data);
+      TJ_RETURN_IF_ERROR(
+          TryMergeReceivedRows(msgs, config.key_bytes, block));
+      for (auto& msg : msgs) st.pool.Recycle(std::move(msg.data));
     }
     return Status::OK();
   }));

@@ -246,7 +246,7 @@ namespace {
 /// node of its first.
 class TrackRunCursor {
  public:
-  explicit TrackRunCursor(const std::vector<TrackEntry>& run)
+  explicit TrackRunCursor(std::span<const TrackEntry> run)
       : head_(run.data()), end_(run.data() + run.size()),
         node_(run.front().node) {}
 
@@ -264,8 +264,8 @@ class TrackRunCursor {
 };
 
 /// Names the first run that descends or mixes nodes.
-Status RunFault(const std::vector<std::vector<TrackEntry>>& runs) {
-  for (const std::vector<TrackEntry>& run : runs) {
+Status RunFault(std::span<const std::span<const TrackEntry>> runs) {
+  for (std::span<const TrackEntry> run : runs) {
     for (size_t i = 1; i < run.size(); ++i) {
       if (run[i].key < run[i - 1].key) {
         return Status::Corruption("tracking run descends at key " +
@@ -289,24 +289,41 @@ Status TryMergeTrackingMessages(const std::vector<Message>& messages,
                                 const JoinConfig& config, bool with_counts,
                                 std::vector<TrackEntry>* out) {
   out->clear();
-  std::vector<std::vector<TrackEntry>> runs(messages.size());
-  for (size_t i = 0; i < messages.size(); ++i) {
+  // One buffer for every message's entries; the runs view it once all
+  // are decoded, since appending may move it.
+  std::vector<TrackEntry> entries;
+  if (!config.delta_tracking) {
+    const uint32_t entry_bytes = PlainEntryLayout(config, with_counts)
+                                     .entry_bytes();
+    size_t bytes = 0;
+    for (const Message& msg : messages) bytes += msg.data.size();
+    entries.reserve(bytes / entry_bytes);
+  }
+  std::vector<size_t> ends;
+  ends.reserve(messages.size());
+  for (const Message& msg : messages) {
     uint64_t last_key = 0;
-    TJ_RETURN_IF_ERROR(TryAppendTrackingEntries(messages[i].data,
-                                                messages[i].src, config,
-                                                with_counts, &last_key,
-                                                &runs[i]));
+    TJ_RETURN_IF_ERROR(TryAppendTrackingEntries(
+        msg.data, msg.src, config, with_counts, &last_key, &entries));
+    ends.push_back(entries.size());
+  }
+  std::vector<std::span<const TrackEntry>> runs;
+  runs.reserve(ends.size());
+  size_t begin = 0;
+  for (size_t end : ends) {
+    runs.emplace_back(entries.data() + begin, end - begin);
+    begin = end;
   }
   return TryMergeTrackRuns(runs, /*min_key=*/0, out);
 }
 
-Status TryMergeTrackRuns(const std::vector<std::vector<TrackEntry>>& runs,
+Status TryMergeTrackRuns(std::span<const std::span<const TrackEntry>> runs,
                          uint64_t min_key, std::vector<TrackEntry>* out) {
   out->clear();
   std::vector<TrackRunCursor> cursors;
   cursors.reserve(runs.size());
   uint64_t total = 0;
-  for (const std::vector<TrackEntry>& run : runs) {
+  for (std::span<const TrackEntry> run : runs) {
     if (run.empty()) continue;
     const TrackEntry& first = run.front();
     if (first.key < min_key) {
@@ -356,6 +373,7 @@ Status TryMergeTrackRuns(const std::vector<std::vector<TrackEntry>>& runs,
   }
   return Status::OK();
 }
+
 
 PlacementIterator::PlacementIterator(const std::vector<TrackEntry>& r_entries,
                                      const std::vector<TrackEntry>& s_entries,
@@ -409,12 +427,12 @@ bool PlacementIterator::OutputProductAtLeast(uint64_t threshold) const {
   return product >= threshold;
 }
 
-ByteBuffer EncodeKeyNodePairs(const std::vector<KeyNodePair>& pairs,
+ByteBuffer EncodeKeyNodePairs(std::span<const KeyNodePair> pairs,
                               const JoinConfig& config, BufferPool* pool) {
   ByteBuffer out;
   if (config.group_locations) {
     if (pool != nullptr) out = pool->Acquire();
-    NodeGroupEncode(pairs, config.key_bytes, &out);
+    NodeGroupEncode({pairs.begin(), pairs.end()}, config.key_bytes, &out);
     return out;
   }
   const uint32_t key_bytes = config.key_bytes;

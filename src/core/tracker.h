@@ -8,6 +8,7 @@
 #define TJ_CORE_TRACKER_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/byte_buffer.h"
@@ -121,10 +122,11 @@ class PlainEntryLayout {
 };
 
 /// Merges all tracking messages of one inbox into a merged (key, node)
-/// entry vector: decodes each message into one run (TryAppendTrackingEntries)
-/// and merges the runs with TryMergeTrackRuns. Output is byte-identical to
-/// decoding every message and running MergeTrackEntries. A malformed message,
-/// or one whose keys descend, returns Status::Corruption.
+/// entry vector: decodes every message into one buffer, one run per message
+/// (TryAppendTrackingEntries), and merges the runs with TryMergeTrackRuns.
+/// Output is byte-identical to decoding every message and running
+/// MergeTrackEntries. A malformed message, or one whose keys descend,
+/// returns Status::Corruption.
 Status TryMergeTrackingMessages(const std::vector<Message>& messages,
                                 const JoinConfig& config, bool with_counts,
                                 std::vector<TrackEntry>* out);
@@ -138,8 +140,9 @@ Status TryMergeTrackingMessages(const std::vector<Message>& messages,
 /// range starts. A run that descends or mixes nodes, two runs of one node,
 /// or an entry below `min_key` (it arrived after its range was merged)
 /// returns Status::Corruption: each would split a key's entries across
-/// batches or leave their order unchecked.
-Status TryMergeTrackRuns(const std::vector<std::vector<TrackEntry>>& runs,
+/// batches or leave their order unchecked. The runs are borrowed views;
+/// `out` is reserved for every entry, as exact when no key repeats.
+Status TryMergeTrackRuns(std::span<const std::span<const TrackEntry>> runs,
                          uint64_t min_key, std::vector<TrackEntry>* out);
 
 /// Iterates the distinct keys that have at least one R and one S entry,
@@ -211,7 +214,7 @@ std::vector<WireChunk> SliceEntryMessage(const ByteBuffer& message,
 /// migration instructions). With cfg.group_locations the node-grouped
 /// encoding of Section 2.4 is used. Malformed payloads return
 /// Status::Corruption.
-ByteBuffer EncodeKeyNodePairs(const std::vector<KeyNodePair>& pairs,
+ByteBuffer EncodeKeyNodePairs(std::span<const KeyNodePair> pairs,
                               const JoinConfig& config,
                               BufferPool* pool = nullptr);
 /// Decodes one message or pipelined chunk payload.

@@ -123,7 +123,9 @@ class PipelinedFabric {
   };
 
   using Task = std::function<Status()>;
-  using ChunkHandler = std::function<Status(const Chunk&)>;
+  /// A handler gets the delivered chunk itself and may keep its payload by
+  /// moving it out.
+  using ChunkHandler = std::function<Status(Chunk&)>;
   /// Extra key/value pairs exported into a task span's trace args.
   using TraceArgs = std::vector<std::pair<std::string, int64_t>>;
 

@@ -7,26 +7,46 @@
 
 namespace tj {
 
+template <typename RowAt>
+void TupleBlock::AppendSerialized(uint64_t count, RowAt row_at,
+                                  uint32_t key_bytes, ByteBuffer* out) const {
+  TJ_CHECK(key_bytes >= 1 && key_bytes <= 8) << "key_bytes=" << key_bytes;
+  const uint32_t row_bytes = key_bytes + payload_width_;
+  const size_t first = out->size();
+  const size_t bytes = count * row_bytes;
+  // 8 bytes of slack take the last key's whole-word store; each payload
+  // copy overwrites the previous key word's spill, and the trim drops the
+  // last one.
+  out->resize(first + bytes + 8);
+  uint8_t* p = out->data() + first;
+  for (uint64_t i = 0; i < count; ++i) {
+    const uint64_t row = row_at(i);
+    StoreLe64(p, keys_[row]);
+    if (payload_width_ > 0) {
+      std::memcpy(p + key_bytes, payloads_.data() + row * payload_width_,
+                  payload_width_);
+    }
+    p += row_bytes;
+  }
+  out->resize(first + bytes);
+}
+
 void TupleBlock::SerializeRows(uint64_t begin, uint64_t end, uint32_t key_bytes,
                                ByteBuffer* out) const {
   TJ_CHECK_LE(begin, end);
   TJ_CHECK_LE(end, size());
-  ByteWriter writer(out);
-  for (uint64_t row = begin; row < end; ++row) {
-    writer.PutUint(keys_[row], key_bytes);
-    if (payload_width_ > 0) writer.PutBytes(Payload(row), payload_width_);
-  }
+  AppendSerialized(
+      end - begin, [begin](uint64_t i) { return begin + i; }, key_bytes, out);
 }
 
-void TupleBlock::SerializeRowsIndexed(const std::vector<uint32_t>& rows,
+void TupleBlock::SerializeRowsIndexed(std::span<const uint32_t> rows,
                                       uint32_t key_bytes,
                                       ByteBuffer* out) const {
-  ByteWriter writer(out);
-  for (uint32_t row : rows) {
-    TJ_CHECK_LT(row, size());
-    writer.PutUint(keys_[row], key_bytes);
-    if (payload_width_ > 0) writer.PutBytes(Payload(row), payload_width_);
-  }
+  TJ_CHECK(rows.empty() || *std::max_element(rows.begin(), rows.end()) <
+                               size())
+      << "row index past the block";
+  AppendSerialized(
+      rows.size(), [rows](uint64_t i) { return rows[i]; }, key_bytes, out);
 }
 
 void TupleBlock::AppendProduct(uint64_t key, const PayloadRun& r,
@@ -73,42 +93,8 @@ std::pair<uint64_t, uint64_t> TupleBlock::EqualRange(uint64_t key) const {
           static_cast<uint64_t>(hi - keys_.begin())};
 }
 
-namespace {
-
-/// First row at or after `from` whose key fails `below` (a predicate that
-/// holds on a prefix of the sorted keys). Gallops with doubling steps, then
-/// binary-searches the last bracket.
-template <typename Below>
-uint64_t GallopPast(const std::vector<uint64_t>& keys, uint64_t from,
-                    Below below) {
-  const uint64_t n = keys.size();
-  // Rows [from, lo) satisfy `below`; row `hi` does not (or hi >= n).
-  uint64_t lo = from;
-  uint64_t hi = from;
-  for (uint64_t step = 1; hi < n && below(keys[hi]); step *= 2) {
-    lo = hi + 1;
-    hi = lo + step;
-  }
-  hi = std::min(hi, n);
-  return static_cast<uint64_t>(
-      std::partition_point(keys.begin() + lo, keys.begin() + hi, below) -
-      keys.begin());
-}
-
-}  // namespace
-
-std::pair<uint64_t, uint64_t> EqualRangeCursor::Seek(uint64_t key) {
-  if (key < last_key_) pos_ = 0;
-  last_key_ = key;
-  const uint64_t lo =
-      GallopPast(keys_, pos_, [key](uint64_t k) { return k < key; });
-  const uint64_t hi =
-      GallopPast(keys_, lo, [key](uint64_t k) { return k <= key; });
-  pos_ = lo;
-  return {lo, hi};
-}
-
 Status TupleBlock::TryDeserializeRows(ByteReader* in, uint32_t key_bytes) {
+  TJ_CHECK_LE(key_bytes, 8u);
   const uint32_t row_bytes = key_bytes + payload_width_;
   TJ_CHECK_GT(row_bytes, 0u);
   if (in->remaining() % row_bytes != 0) {
@@ -123,12 +109,17 @@ Status TupleBlock::TryDeserializeRows(ByteReader* in, uint32_t key_bytes) {
   }
   keys_.resize(first + rows);
   payloads_.resize((first + rows) * payload_width_);
+  const uint8_t* p = in->Current();
+  const uint8_t* end = p + in->remaining();
   for (uint64_t row = first; row < first + rows; ++row) {
-    keys_[row] = in->GetUint(key_bytes);
+    keys_[row] = LoadLeField(p, end - p, key_bytes);
     if (payload_width_ > 0) {
-      in->GetBytes(payloads_.data() + row * payload_width_, payload_width_);
+      std::memcpy(payloads_.data() + row * payload_width_, p + key_bytes,
+                  payload_width_);
     }
+    p += row_bytes;
   }
+  in->Skip(rows * row_bytes);
   return Status::OK();
 }
 

@@ -3,6 +3,9 @@
 // bottleneck node's ingress when schedules have free choices.
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <vector>
+
 #include "common/logging.h"
 #include "common/rng.h"
 #include "core/schedule.h"
@@ -161,6 +164,111 @@ TEST(BalancedTrackJoinTest, UniformWorkloadsUnaffected) {
                                             TrackJoinVersion::k4Phase));
   EXPECT_EQ(b.checksum.digest(), a.checksum.digest());
   EXPECT_EQ(b.traffic.TotalNetworkBytes(), a.traffic.TotalNetworkBytes());
+}
+
+
+// A key held by one R node and one S node is planned in closed form. It must
+// decide what the general path decides (PlanOptimal, or the balancer's
+// PlanBalanced, for 4-phase; CheaperBroadcastDirection for 3-phase; the
+// fixed direction for 2-phase), with the same instruction pairs, audit
+// record and balancer ingress, on a run of 1x1 keys and then with general
+// keys in between.
+// Holders are drawn so that the tracker is neither, one or both of them,
+// they are collocated or not, and equal costs are common.
+TEST(KeyPlannerTest, OneToOneClosedFormMatchesGeneralPath) {
+  constexpr uint32_t kNodes = 5;
+  constexpr uint32_t kWidth = 4;
+  Rng rng(17);
+  for (TrackJoinVersion version :
+       {TrackJoinVersion::k2Phase, TrackJoinVersion::k3Phase,
+        TrackJoinVersion::k4Phase}) {
+    for (bool balance : {false, true}) {
+      for (Direction direction : {Direction::kRtoS, Direction::kStoR}) {
+        JoinConfig config;
+        config.balance_loads = balance;
+        const uint32_t tracker = static_cast<uint32_t>(rng.Below(kNodes));
+        ScheduleAuditLog log;
+        log.Reset(kNodes);
+        KeyPlanner planner(config, version, direction, kNodes, tracker,
+                           kWidth, kWidth, &log);
+        LoadBalancer reference(kNodes);
+        const bool balanced =
+            version == TrackJoinVersion::k4Phase && balance;
+        std::vector<std::optional<KeyScheduleAudit>> expected_audits;
+        for (uint64_t key = 0; key < 600; ++key) {
+          KeyPlanOutputs got(kNodes);
+          if (key >= 300 && key % 4 == 3) {
+            // A general key: both sides populated, not 1x1.
+            KeyPlacement p;
+            do {
+              p = RandomPlacement(&rng, kNodes);
+            } while (p.r.empty() || p.s.empty() ||
+                     (p.r.size() == 1 && p.s.size() == 1));
+            p.tracker = tracker;
+            if (balanced) reference.PlanBalanced(p);
+            planner.PlanKey(key, p, /*hot_candidate=*/false, &got);
+            expected_audits.emplace_back();
+            continue;
+          }
+          KeyPlacement p;
+          const uint32_t a = static_cast<uint32_t>(rng.Below(kNodes));
+          const uint32_t b = rng.Bernoulli(0.3)
+                                 ? a
+                                 : static_cast<uint32_t>(rng.Below(kNodes));
+          p.r.push_back(NodeSize{a, kWidth * (1 + rng.Below(2))});
+          p.s.push_back(NodeSize{b, kWidth * (1 + rng.Below(2))});
+          p.tracker = tracker;
+          p.msg_bytes = 4 * rng.Below(2);
+
+          // The general path, through the shared cost functions.
+          Direction dir = direction;
+          uint64_t chosen_cost = 0;
+          if (version == TrackJoinVersion::k3Phase) {
+            dir = CheaperBroadcastDirection(p, &chosen_cost);
+          } else if (version == TrackJoinVersion::k4Phase) {
+            const KeySchedule sched =
+                balanced ? reference.PlanBalanced(p) : PlanOptimal(p);
+            EXPECT_TRUE(sched.plan.migrate.empty());
+            EXPECT_FALSE(PlanHotSplit(p, kWidth, kWidth,
+                                      config.hot_key_max_split)
+                             .valid);
+            dir = sched.dir;
+            chosen_cost = sched.plan.cost;
+          }
+          KeyScheduleAudit audit = AuditPlacement(p);
+          audit.key = key;
+          audit.chosen_dir = dir;
+          audit.chosen_cost = version == TrackJoinVersion::k2Phase
+                                  ? audit.broadcast_cost[static_cast<int>(dir)]
+                                  : chosen_cost;
+          audit.cls = ClassifyAudit(audit);
+          expected_audits.push_back(audit);
+          KeyPlanOutputs want(kNodes);
+          const bool rs = dir == Direction::kRtoS;
+          (rs ? want.loc_to_r : want.loc_to_s)[rs ? a : b].push_back(
+              KeyNodePair{key, rs ? b : a});
+
+          const bool hot_candidate = version == TrackJoinVersion::k4Phase;
+          planner.PlanKey(key, p, hot_candidate, &got);
+          EXPECT_EQ(got.loc_to_r, want.loc_to_r) << "key " << key;
+          EXPECT_EQ(got.loc_to_s, want.loc_to_s) << "key " << key;
+          EXPECT_EQ(got.migr_r, want.migr_r) << "key " << key;
+          EXPECT_EQ(got.migr_s, want.migr_s) << "key " << key;
+          EXPECT_EQ(got.frag_r, want.frag_r) << "key " << key;
+          EXPECT_EQ(got.frag_s, want.frag_s) << "key " << key;
+          EXPECT_EQ(planner.balancer().ingress(), reference.ingress())
+              << "key " << key;
+        }
+        const std::vector<KeyScheduleAudit> audits = log.Collect();
+        ASSERT_EQ(audits.size(), expected_audits.size());
+        for (size_t i = 0; i < audits.size(); ++i) {
+          if (expected_audits[i]) {
+            EXPECT_EQ(audits[i], *expected_audits[i]) << "key " << i;
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -5,11 +5,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <string>
 #include <tuple>
+#include <vector>
 
 #include "baseline/hash_join.h"
 #include "common/hash.h"
 #include "common/logging.h"
+#include "common/rng.h"
 #include "core/schedule.h"
 #include "core/tracker.h"
 #include "exec/key_aggregate.h"
@@ -231,6 +236,117 @@ TEST(TrackJoinTest, CompressionTogglesPreserveResults) {
   // Tuples shipped are identical.
   EXPECT_EQ(a.traffic.NetworkBytes(TrafficClass::kRTuples),
             b.traffic.NetworkBytes(TrafficClass::kRTuples));
+}
+
+
+/// `keys` (ascending unless a test wants otherwise) as one serialized data
+/// message from `src`; each row's payload bytes name the message and row.
+Message RowMessage(uint32_t src, const std::vector<uint64_t>& keys,
+                   uint32_t width, uint32_t key_bytes) {
+  TupleBlock rows(width);
+  std::vector<uint8_t> payload(width);
+  for (size_t i = 0; i < keys.size(); ++i) {
+    for (uint32_t b = 0; b < width; ++b) {
+      payload[b] = static_cast<uint8_t>(src * 61 + i * 7 + b);
+    }
+    rows.Append(keys[i], payload.data());
+  }
+  Message msg{src, MessageType::kDataR, {}};
+  rows.SerializeRows(0, rows.size(), key_bytes, &msg.data);
+  return msg;
+}
+
+std::vector<uint64_t> SortedKeys(Rng* rng, size_t count, uint64_t domain) {
+  std::vector<uint64_t> keys(count);
+  for (uint64_t& key : keys) key = rng->Below(domain);
+  std::sort(keys.begin(), keys.end());
+  return keys;
+}
+
+// Phase 8's merge against the receive-and-sort it replaced: merging the
+// messages into the kept rows equals appending every message in inbox
+// order and stably sorting, row for row, with keys repeating within runs,
+// across runs and against the kept rows.
+TEST(MergeReceivedRowsTest, EqualsStableSortOfConcatenation) {
+  Rng rng(41);
+  for (uint32_t key_bytes : {1u, 3u, 8u}) {
+    for (uint32_t width : {0u, 5u, 12u}) {
+      for (size_t local_rows : {size_t{0}, size_t{40}}) {
+        for (uint32_t runs : {1u, 3u, 8u}) {
+          TupleBlock local(width);
+          std::vector<uint8_t> payload(width, 0xaa);
+          for (uint64_t key : SortedKeys(&rng, local_rows, 30)) {
+            local.Append(key, payload.data());
+          }
+          std::vector<Message> msgs;
+          for (uint32_t src = 0; src < runs; ++src) {
+            const std::vector<uint64_t> keys =
+                SortedKeys(&rng, rng.Below(25), 30);
+            msgs.push_back(RowMessage(src % 4, keys, width, key_bytes));
+          }
+          TupleBlock expected = local;
+          for (const Message& msg : msgs) {
+            ByteReader reader(msg.data);
+            ASSERT_TRUE(expected.TryDeserializeRows(&reader, key_bytes).ok());
+          }
+          SortBlockByKey(&expected);
+          TupleBlock merged = local;
+          ASSERT_TRUE(TryMergeReceivedRows(msgs, key_bytes, &merged).ok());
+          ASSERT_EQ(merged.size(), expected.size());
+          EXPECT_EQ(merged.keys(), expected.keys());
+          for (uint64_t row = 0; row < merged.size() && width > 0; ++row) {
+            EXPECT_EQ(0, std::memcmp(merged.Payload(row),
+                                     expected.Payload(row), width))
+                << "row " << row << " key_bytes=" << key_bytes
+                << " width=" << width << " runs=" << runs;
+          }
+        }
+      }
+    }
+  }
+}
+
+// Malformed data messages fail phase 8's merge with Corruption and leave
+// the block as it was, for the probe merge (no kept rows) and for the
+// migration merge (into kept rows) alike.
+TEST(MergeReceivedRowsTest, RejectsPartialRowsAndDescendingRuns) {
+  for (bool kept : {false, true}) {
+    TupleBlock block(2);
+    const uint8_t payload[2] = {1, 2};
+    if (kept) {
+      for (uint64_t key : {1, 4, 9}) block.Append(key, payload);
+    }
+    const TupleBlock before = block;
+    std::vector<Message> msgs = {RowMessage(0, {2, 3}, 2, 4),
+                                 RowMessage(1, {5, 8}, 2, 4)};
+    msgs[1].data.pop_back();
+    Status status = TryMergeReceivedRows(msgs, 4, &block);
+    EXPECT_EQ(status.code(), StatusCode::kCorruption) << status.ToString();
+    EXPECT_EQ(block.keys(), before.keys());
+
+    msgs = {RowMessage(0, {2, 3}, 2, 4), RowMessage(3, {5, 8, 6}, 2, 4)};
+    status = TryMergeReceivedRows(msgs, 4, &block);
+    EXPECT_EQ(status.code(), StatusCode::kCorruption) << status.ToString();
+    EXPECT_NE(status.ToString().find("node 3"), std::string::npos)
+        << status.ToString();
+    EXPECT_EQ(block.keys(), before.keys());
+  }
+}
+
+// The barrier holder concatenates every tracker's instruction list; routing
+// merges them by key, so each destination's rows ascend.
+TEST(TrackJoinTest, ConcatenatedInstructionListsRouteInKeyOrder) {
+  TupleBlock block(0);
+  for (uint64_t key : {1, 1, 3, 4, 4, 5, 7, 9, 9}) block.Append(key, nullptr);
+  // Three trackers' lists, each ascending.
+  const std::vector<KeyNodePair> pairs = {
+      {4, 0}, {9, 1},          // tracker 0
+      {1, 0}, {5, 1}, {7, 0},  // tracker 1
+      {3, 1}, {9, 0}};         // tracker 2
+  std::vector<std::vector<uint32_t>> rows(2);
+  RouteInstructedRows(block, pairs, /*split=*/false, &rows);
+  EXPECT_EQ(rows[0], (std::vector<uint32_t>{0, 1, 3, 4, 6, 7, 8}));
+  EXPECT_EQ(rows[1], (std::vector<uint32_t>{2, 5, 7, 8}));
 }
 
 }  // namespace

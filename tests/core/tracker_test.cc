@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
 #include <string>
 
 #include "common/hash.h"
@@ -11,6 +12,12 @@
 
 namespace tj {
 namespace {
+
+/// Views of in-memory runs, as TryMergeTrackRuns takes them.
+std::vector<std::span<const TrackEntry>> Views(
+    const std::vector<std::vector<TrackEntry>>& runs) {
+  return {runs.begin(), runs.end()};
+}
 
 Message Msg(uint32_t src, ByteBuffer data) {
   return Message{src, MessageType::kTrackR, std::move(data)};
@@ -397,7 +404,7 @@ TEST(TrackerMergeTest, RunMergeMatchesReference) {
     runs.emplace_back();  // An empty run (a stream with nothing below).
     MergeTrackEntries(&all);
     std::vector<TrackEntry> merged = {{1, 2, 3}};  // Must be replaced.
-    ASSERT_TRUE(TryMergeTrackRuns(runs, /*min_key=*/0, &merged).ok());
+    ASSERT_TRUE(TryMergeTrackRuns(Views(runs), /*min_key=*/0, &merged).ok());
     EXPECT_EQ(merged, all) << "k=" << k;
   }
 }
@@ -489,7 +496,8 @@ TEST(TrackerWordCodecTest, WidthGridMatchesByteReference) {
               TryMergeTrackingMessages(inbox, config, with_counts, &merged)
                   .ok());
           EXPECT_EQ(merged, expected);
-          ASSERT_TRUE(TryMergeTrackRuns(runs, /*min_key=*/0, &merged).ok());
+          ASSERT_TRUE(
+              TryMergeTrackRuns(Views(runs), /*min_key=*/0, &merged).ok());
           EXPECT_EQ(merged, expected);
         }
       }
@@ -561,22 +569,22 @@ TEST(TrackerMergeTest, RunMergeRejectsDescendingRun) {
   std::vector<std::vector<TrackEntry>> runs = {{{1, 0, 1}, {4, 0, 1}},
                                                {{2, 1, 1}, {9, 1, 1},
                                                 {3, 1, 1}}};
-  Status s = TryMergeTrackRuns(runs, 0, &merged);
+  Status s = TryMergeTrackRuns(Views(runs), 0, &merged);
   EXPECT_EQ(s.code(), StatusCode::kCorruption) << s.ToString();
   EXPECT_NE(s.ToString().find("key 3"), std::string::npos) << s.ToString();
   // A run is one source stream's entries: a second node in it is
   // Corruption, so a node descent within one key is too.
   runs = {{{5, 2, 1}, {5, 1, 1}}};
-  EXPECT_EQ(TryMergeTrackRuns(runs, 0, &merged).code(),
+  EXPECT_EQ(TryMergeTrackRuns(Views(runs), 0, &merged).code(),
             StatusCode::kCorruption);
   runs = {{{5, 1, 1}, {6, 2, 1}}};
-  s = TryMergeTrackRuns(runs, 0, &merged);
+  s = TryMergeTrackRuns(Views(runs), 0, &merged);
   EXPECT_EQ(s.code(), StatusCode::kCorruption) << s.ToString();
   EXPECT_NE(s.ToString().find("mixes nodes"), std::string::npos)
       << s.ToString();
   // Repeating a (key, node) is a saturated count, not a descent.
   runs = {{{5, 1, 255}, {5, 1, 45}, {6, 1, 1}}};
-  ASSERT_TRUE(TryMergeTrackRuns(runs, 5, &merged).ok());
+  ASSERT_TRUE(TryMergeTrackRuns(Views(runs), 5, &merged).ok());
   EXPECT_EQ(merged, (std::vector<TrackEntry>{{5, 1, 300}, {6, 1, 1}}));
 }
 
@@ -587,10 +595,10 @@ TEST(TrackerMergeTest, RunMergeRejectsEntryBelowBatchRange) {
   std::vector<TrackEntry> merged;
   std::vector<std::vector<TrackEntry>> runs = {{{6, 0, 1}, {8, 0, 1}},
                                                {{3, 1, 1}, {7, 1, 1}}};
-  Status s = TryMergeTrackRuns(runs, /*min_key=*/6, &merged);
+  Status s = TryMergeTrackRuns(Views(runs), /*min_key=*/6, &merged);
   EXPECT_EQ(s.code(), StatusCode::kCorruption) << s.ToString();
   EXPECT_NE(s.ToString().find("key 3"), std::string::npos) << s.ToString();
-  ASSERT_TRUE(TryMergeTrackRuns(runs, /*min_key=*/3, &merged).ok());
+  ASSERT_TRUE(TryMergeTrackRuns(Views(runs), /*min_key=*/3, &merged).ok());
   EXPECT_EQ(merged.size(), 4u);
 }
 
@@ -657,7 +665,7 @@ TEST(TrackerIntakeTest, MalformedPayloadsAreCorruptionOnBothDrivers) {
                                            &last_key, &runs[0]);
       if (!pipelined.ok()) break;
     }
-    if (pipelined.ok()) pipelined = TryMergeTrackRuns(runs, 0, &merged);
+    if (pipelined.ok()) pipelined = TryMergeTrackRuns(Views(runs), 0, &merged);
     EXPECT_EQ(pipelined.code(), StatusCode::kCorruption)
         << pipelined.ToString();
   }

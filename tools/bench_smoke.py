@@ -35,7 +35,7 @@ gate cross-checks three independent makespan computations to the exact
 microsecond: the blame bucket sum, the pipeline.makespan_us counter, and
 the critical path recomputed from the exported micro-batch spans.
 
-local_kernels also reports four wall-time ratios measured within one
+local_kernels also reports five wall-time ratios measured within one
 process, so they need no checked-in baseline:
   tj4_pipelined_over_barrier_wall: serial pipelined 4TJ (DRR) wall over
     serial barrier 4TJ wall on one workload X input, the median of 15
@@ -54,6 +54,11 @@ process, so they need no checked-in baseline:
     spread over 256 nodes over the same at 16 nodes. It fails above
     MAX_BARRIER_NODE_SCALING: at O(messages + nodes) per phase it sits near
     6 on a 4-vCPU VM; rescanning the N x N traffic matrix per barrier: ~50.
+  merge_received_over_sort: barrier phase 8's loser-tree merge of 8
+    key-ascending serialized runs over deserializing the same bytes and
+    radix-sorting them, the median of 15 alternating pairs. It fails above
+    MAX_MERGE_RECEIVED_OVER_SORT: the merge reads 0.36-0.39 on a 4-vCPU
+    VM, and falling back to sorting reads about 1.
 
 micro_tracker reports one more same-run ratio:
   tracker_merge_over_reference: the loser-tree merge's throughput over the
@@ -101,6 +106,7 @@ MAX_PIPELINED_OVER_BARRIER_WALL = 1.6
 MAX_PIPELINED_SCALING = 2.4
 MAX_Y_CHECKSUM_JOIN_OVER_JOIN = 100
 MAX_BARRIER_NODE_SCALING = 10
+MAX_MERGE_RECEIVED_OVER_SORT = 0.7
 # Floor on micro_tracker's same-run merge / reference throughput ratio.
 MIN_TRACKER_MERGE_OVER_REFERENCE = 4.0
 
@@ -400,7 +406,8 @@ def main():
              MAX_PIPELINED_OVER_BARRIER_WALL),
             ("tj4_pipelined_scaling", MAX_PIPELINED_SCALING),
             ("y_checksum_join_over_join", MAX_Y_CHECKSUM_JOIN_OVER_JOIN),
-            ("barrier_node_scaling", MAX_BARRIER_NODE_SCALING)):
+            ("barrier_node_scaling", MAX_BARRIER_NODE_SCALING),
+            ("merge_received_over_sort", MAX_MERGE_RECEIVED_OVER_SORT)):
         ratio = kernels.get(metric)
         ok = ratio is not None and ratio <= ceiling
         wall_gate[metric] = {"median": ratio, "ceiling": ceiling,
