@@ -7,16 +7,20 @@ namespace tj {
 
 std::vector<KeyCount> AggregateSortedKeys(const TupleBlock& block) {
   std::vector<KeyCount> out;
-  const auto& keys = block.keys();
+  AggregateSortedKeys(block.keys(), &out);
+  return out;
+}
+
+void AggregateSortedKeys(std::span<const uint64_t> keys,
+                         std::vector<KeyCount>* out) {
   uint64_t i = 0;
   while (i < keys.size()) {
     uint64_t j = i;
     while (j < keys.size() && keys[j] == keys[i]) ++j;
     TJ_CHECK(j == keys.size() || keys[j] > keys[i]);  // Sorted input required.
-    out.push_back(KeyCount{keys[i], j - i});
+    out->push_back(KeyCount{keys[i], j - i});
     i = j;
   }
-  return out;
 }
 
 std::vector<KeyCount> AggregateKeys(const TupleBlock& block) {

@@ -8,6 +8,7 @@
 #define TJ_EXEC_KEY_AGGREGATE_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "storage/tuple_block.h"
@@ -24,6 +25,10 @@ struct KeyCount {
 
 /// Aggregates a block sorted by key. Precondition: IsSortedByKey(block).
 std::vector<KeyCount> AggregateSortedKeys(const TupleBlock& block);
+
+/// Appends the aggregate of non-decreasing `keys` to `out`.
+void AggregateSortedKeys(std::span<const uint64_t> keys,
+                         std::vector<KeyCount>* out);
 
 /// Aggregates an arbitrary block (sorts a key copy internally).
 std::vector<KeyCount> AggregateKeys(const TupleBlock& block);

@@ -224,6 +224,34 @@ TEST(HotSplitTest, RouteInstructedRowsMatchesPerPairEqualRange) {
   EXPECT_EQ(split[1], (std::vector<uint32_t>{3}));
 }
 
+// The pipelined holder routes over one tracker's run of a tracker-major
+// block: the same rows, offset by the run's start, as routing over that run
+// alone, for whole-run and fragment pairs; rows outside the run (here with
+// the same keys) are never routed.
+TEST(HotSplitTest, RouteInstructedRowsOverRowRange) {
+  const std::vector<uint64_t> before = {4, 9, 1}, run = {1, 1, 3, 4, 4, 4, 9},
+                              after = {3, 0};
+  TupleBlock block(0), alone(0);
+  for (const auto* keys : {&before, &run, &after}) {
+    for (uint64_t key : *keys) block.Append(key, nullptr);
+  }
+  for (uint64_t key : run) alone.Append(key, nullptr);
+  const uint64_t first = before.size(), last = first + run.size();
+  for (bool split : {false, true}) {
+    const std::vector<KeyNodePair> pairs =
+        split ? std::vector<KeyNodePair>{{4, 1}, {4, 0}, {9, 2}}
+              : std::vector<KeyNodePair>{{1, 2}, {4, 0}, {9, 1}, {0, 0},
+                                         {3, 1}};
+    std::vector<std::vector<uint32_t>> routed(3), expected(3);
+    RouteInstructedRows(block, first, last, pairs, split, &routed);
+    RouteInstructedRows(alone, pairs, split, &expected);
+    for (std::vector<uint32_t>& rows : expected) {
+      for (uint32_t& row : rows) row += static_cast<uint32_t>(first);
+    }
+    EXPECT_EQ(routed, expected) << "split " << split;
+  }
+}
+
 // End to end through the barrier driver: node-grouped location messages
 // (--group) route the same rows as plain ones while hot-split fragments and
 // migrations move, so every data type's traffic and the output match.

@@ -25,6 +25,13 @@ TEST(KeyAggregateTest, SortedRuns) {
   EXPECT_EQ(agg[2], (KeyCount{7, 2}));
 }
 
+TEST(KeyAggregateTest, SpanFormAppends) {
+  const std::vector<uint64_t> keys = {2, 2, 5};
+  std::vector<KeyCount> out = {KeyCount{9, 1}};
+  AggregateSortedKeys(keys, &out);
+  EXPECT_EQ(out, (std::vector<KeyCount>{{9, 1}, {2, 2}, {5, 1}}));
+}
+
 TEST(KeyAggregateTest, Empty) {
   TupleBlock block(0);
   EXPECT_TRUE(AggregateSortedKeys(block).empty());
