@@ -165,7 +165,8 @@ Status TryMergeReceivedRows(const std::vector<Message>& messages,
   auto copy_local = [&](uint64_t end) {
     std::copy(local.keys().begin() + next_local, local.keys().begin() + end,
               keys + out);
-    if (width > 0) {
+    // An empty local block has no payload storage to copy from.
+    if (width > 0 && end > next_local) {
       std::memcpy(payloads + out * width, local.Payload(next_local),
                   (end - next_local) * width);
     }

@@ -15,7 +15,6 @@
 #include "exec/key_aggregate.h"
 #include "exec/local_join.h"
 #include "exec/partition.h"
-#include "exec/radix_sort.h"
 #include "net/buffer_pool.h"
 #include "net/pipelined_fabric.h"
 #include "obs/step_profile.h"
@@ -79,7 +78,7 @@ struct TrackStream {
     run.assign(first, last);
     consumed = last - pending.begin();
     if (consumed == pending.size()) {
-      pending = {};
+      std::vector<TrackEntry>().swap(pending);
       consumed = 0;
     } else if (consumed * 2 >= pending.size()) {
       // Compact the consumed prefix once it is half the vector, so pending
@@ -282,11 +281,11 @@ Result<JoinResult> TryRunPipelinedTrackJoin(const PartitionedTable& r,
     for (int table : {0, 1}) {
       const char* label = table == 0 ? "source.sort_r" : "source.sort_s";
       fabric.Post(node, "source", label, [&, node, table]() -> Status {
-        TupleBlock sorted = tables[table]->node(node);
-        SortBlockByKey(&sorted);
-        // Stable, so every tracker's run stays sorted.
+        // Sorted and grouped by tracker straight from the input partition,
+        // with one gather of its rows.
         TJ_ASSIGN_OR_RETURN(PartitionLayout layout,
-                            TryRadixPartition(sorted, n));
+                            TrySortedRadixPartition(tables[table]->node(node),
+                                                    n));
         PipelineNodeState& st = nodes[node];
         st.home[table] = std::move(layout.tuples);
         st.home_bounds[table] = std::move(layout.bounds);

@@ -16,13 +16,17 @@ namespace tj {
 
 namespace {
 
-/// Per-node working state across the de-pipelined phases.
+/// Per-node working state across the de-pipelined phases. Each
+/// intermediate is freed after the phase that last reads it (DESIGN.md has
+/// the lifetime table), so a phase holds only its live set.
 struct NodeState {
   TupleBlock r{0};
   TupleBlock s{0};
+  // Distinct-key projections: phase 3 to phase 4.
   std::vector<KeyCount> r_keys;
   std::vector<KeyCount> s_keys;
-  // Tracker role: merged (key, node, count) facts for both tables.
+  // Tracker role: merged (key, node, count) facts for both tables, phase 5
+  // to phase 6.
   std::vector<TrackEntry> track_r;
   std::vector<TrackEntry> track_s;
   // Received selective-broadcast tuples (including free local copies).
@@ -66,17 +70,16 @@ Result<JoinResult> TryRunTrackJoin(const PartitionedTable& r,
   std::vector<NodeState> nodes(n);
   JoinOutputs outputs(r, s, config);
 
-  // Phase 1-2: sort local copies of both tables (paper Table 4 rows 1-2).
+  // Phase 1-2: sort both tables into the nodes' working blocks (paper
+  // Table 4 rows 1-2), straight from the input partitions.
   TJ_RETURN_IF_ERROR(fabric.RunPhaseReliable(
       "sort local R tuples", [&](uint32_t node) {
-        nodes[node].r = r.node(node);
-        SortBlockByKey(&nodes[node].r, config.thread_pool);
+        nodes[node].r = SortedCopyByKey(r.node(node), config.thread_pool);
         return Status::OK();
       }));
   TJ_RETURN_IF_ERROR(fabric.RunPhaseReliable(
       "sort local S tuples", [&](uint32_t node) {
-        nodes[node].s = s.node(node);
-        SortBlockByKey(&nodes[node].s, config.thread_pool);
+        nodes[node].s = SortedCopyByKey(s.node(node), config.thread_pool);
         return Status::OK();
       }));
 
@@ -104,6 +107,8 @@ Result<JoinResult> TryRunTrackJoin(const PartitionedTable& r,
     };
     send(nodes[node].r_keys, MessageType::kTrackR);
     send(nodes[node].s_keys, MessageType::kTrackS);
+    std::vector<KeyCount>().swap(nodes[node].r_keys);
+    std::vector<KeyCount>().swap(nodes[node].s_keys);
     return Status::OK();
   }));
 
@@ -137,6 +142,8 @@ Result<JoinResult> TryRunTrackJoin(const PartitionedTable& r,
     KeyPlanOutputs outs(n);
     KeyPlanner(config, version, direction, n, node, width_r, width_s, audit)
         .PlanBatch(st.track_r, st.track_s, &outs);
+    std::vector<TrackEntry>().swap(st.track_r);
+    std::vector<TrackEntry>().swap(st.track_s);
     for (uint32_t dst = 0; dst < n; ++dst) {
       for (const InstructionStream& stream : streams) {
         const std::vector<KeyNodePair>& pairs = (outs.*stream.pairs)[dst];
@@ -189,11 +196,28 @@ Result<JoinResult> TryRunTrackJoin(const PartitionedTable& r,
   // Phase 8: merge received tuples. Every data message is one key-ascending
   // run, so a k-way merge replaces a sort: migrated runs and fragments merge
   // into the kept local blocks, broadcast tuples into the probe blocks.
+  // Phase 10 joins the kept R block only with received S tuples, and phase
+  // 9 the kept S block only with received R tuples, so a node that receives
+  // none of one side's broadcast frees the other side's kept block first
+  // (the broadcast side's own kept block under 2-phase track join). The
+  // inbox buffers die here: no later phase sends.
   TJ_RETURN_IF_ERROR(fabric.RunPhaseReliable(
       "merge received tuples", [&](uint32_t node) -> Status {
     NodeState& st = nodes[node];
-    for (const InstructionStream& stream : streams) {
+    std::vector<std::vector<Message>> inboxes(streams.size());
+    bool received[2] = {false, false};  // Broadcast tuples, R and S.
+    for (size_t i = 0; i < streams.size(); ++i) {
       // Fragments arrive as their side's migration data.
+      if (streams[i].split) continue;
+      inboxes[i] = fabric.TakeInbox(node, streams[i].data);
+      if (!streams[i].migrates()) {
+        received[streams[i].r_side ? 0 : 1] = !inboxes[i].empty();
+      }
+    }
+    if (!received[1]) st.r = TupleBlock(r.payload_width());
+    if (!received[0]) st.s = TupleBlock(s.payload_width());
+    for (size_t i = 0; i < streams.size(); ++i) {
+      const InstructionStream& stream = streams[i];
       if (stream.split) continue;
       TupleBlock* block;
       if (stream.migrates()) {
@@ -202,10 +226,9 @@ Result<JoinResult> TryRunTrackJoin(const PartitionedTable& r,
         block = stream.r_side ? &st.r_in : &st.s_in;
         *block = TupleBlock((stream.r_side ? r : s).payload_width());
       }
-      auto msgs = fabric.TakeInbox(node, stream.data);
       TJ_RETURN_IF_ERROR(
-          TryMergeReceivedRows(msgs, config.key_bytes, block));
-      for (auto& msg : msgs) st.pool.Recycle(std::move(msg.data));
+          TryMergeReceivedRows(inboxes[i], config.key_bytes, block));
+      std::vector<Message>().swap(inboxes[i]);
     }
     return Status::OK();
   }));

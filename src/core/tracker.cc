@@ -115,6 +115,28 @@ std::vector<ByteBuffer> EncodeTrackingMessages(
   return per_dest;
 }
 
+namespace {
+
+/// A tracked count must fit TrackEntry::count.
+Status CountOverflow(uint32_t src) {
+  return Status::Corruption("tracking count from node " + std::to_string(src) +
+                            " exceeds UINT32_MAX");
+}
+
+Status CheckCount(uint64_t count, uint32_t src) {
+  return count > UINT32_MAX ? CountOverflow(src) : Status::OK();
+}
+
+/// Grows `run`'s capacity to at least `size` entries geometrically, so
+/// chunk-by-chunk appends stay amortized O(1) without resize's zero fill.
+void ReserveGeometric(std::vector<TrackEntry>* run, size_t size) {
+  if (run->capacity() < size) {
+    run->reserve(std::max(size, 2 * run->capacity()));
+  }
+}
+
+}  // namespace
+
 Status TryDecodeTrackingMessage(const Message& message,
                                 const JoinConfig& config, bool with_counts,
                                 std::vector<TrackEntry>* out) {
@@ -129,7 +151,10 @@ Status TryDecodeTrackingMessage(const Message& message,
     }
     if (with_counts) {
       for (auto& e : *out) {
-        TJ_RETURN_IF_ERROR(TryDecodeLeb128(&reader, &e.count));
+        uint64_t count = 0;
+        TJ_RETURN_IF_ERROR(TryDecodeLeb128(&reader, &count));
+        TJ_RETURN_IF_ERROR(CheckCount(count, message.src));
+        e.count = static_cast<uint32_t>(count);
       }
     }
     if (!reader.Done()) {
@@ -146,7 +171,9 @@ Status TryDecodeTrackingMessage(const Message& message,
   while (!reader.Done()) {
     uint64_t key = reader.GetUint(config.key_bytes);
     uint64_t count = with_counts ? reader.GetUint(config.count_bytes) : 1;
-    out->push_back(TrackEntry{key, message.src, count});
+    TJ_RETURN_IF_ERROR(CheckCount(count, message.src));
+    out->push_back(
+        TrackEntry{key, message.src, static_cast<uint32_t>(count)});
   }
   return Status::OK();
 }
@@ -160,12 +187,15 @@ void MergeTrackEntries(std::vector<TrackEntry>* entries) {
   size_t out = 0;
   for (size_t i = 0; i < entries->size();) {
     TrackEntry merged = (*entries)[i];
+    uint64_t count = merged.count;
     size_t j = i + 1;
     while (j < entries->size() && (*entries)[j].key == merged.key &&
            (*entries)[j].node == merged.node) {
-      merged.count += (*entries)[j].count;
+      count += (*entries)[j].count;
       ++j;
     }
+    TJ_CHECK_LE(count, uint64_t{UINT32_MAX}) << "key " << merged.key;
+    merged.count = static_cast<uint32_t>(count);
     (*entries)[out++] = merged;
     i = j;
   }
@@ -187,11 +217,13 @@ Status TryAppendTrackingEntries(const ByteBuffer& data, uint32_t src,
                                 const JoinConfig& config, bool with_counts,
                                 uint64_t* last_key,
                                 std::vector<TrackEntry>* run) {
-  // Descents are counted, not branched on, so the decode loops stay
-  // branch-free; a delta gap that wraps uint64_t decodes as a descent.
+  // Descents and count overflows are counted, not branched on, so the
+  // decode loops stay branch-free; a delta gap that wraps uint64_t decodes
+  // as a descent.
   const size_t base = run->size();
   uint64_t prev = *last_key;
   uint64_t descents = 0;
+  uint64_t overflow = 0;
   if (config.delta_tracking) {
     ByteReader reader(data);
     uint64_t n = 0;
@@ -199,18 +231,21 @@ Status TryAppendTrackingEntries(const ByteBuffer& data, uint32_t src,
     if (n > reader.remaining()) {
       return Status::Corruption("delta stream count exceeds payload");
     }
-    run->resize(base + n);
+    ReserveGeometric(run, base + n);
     uint64_t key = 0;  // Gaps accumulate from zero.
-    for (size_t i = base; i < run->size(); ++i) {
+    for (uint64_t i = 0; i < n; ++i) {
       uint64_t gap = 0;
       TJ_RETURN_IF_ERROR(TryDecodeLeb128(&reader, &gap));
       key += gap;
-      (*run)[i] = TrackEntry{key, src, 1};
+      run->push_back(TrackEntry{key, src, 1});
       descents += key < prev;
       prev = key;
     }
     for (size_t i = base; with_counts && i < run->size(); ++i) {
-      TJ_RETURN_IF_ERROR(TryDecodeLeb128(&reader, &(*run)[i].count));
+      uint64_t count = 0;
+      TJ_RETURN_IF_ERROR(TryDecodeLeb128(&reader, &count));
+      overflow |= count >> 32;
+      (*run)[i].count = static_cast<uint32_t>(count);
     }
     if (!reader.Done()) {
       return Status::Corruption("trailing bytes in tracking message");
@@ -222,15 +257,18 @@ Status TryAppendTrackingEntries(const ByteBuffer& data, uint32_t src,
       return Status::Corruption(
           "tracking message not a multiple of entry size");
     }
-    run->resize(base + size / layout.entry_bytes());
-    TrackEntry* entry = run->data() + base;
-    for (size_t pos = 0; pos < size; pos += layout.entry_bytes(), ++entry) {
-      layout.Decode(data.data(), pos, size, &entry->key, &entry->count);
-      entry->node = src;
-      descents += entry->key < prev;
-      prev = entry->key;
+    ReserveGeometric(run, base + size / layout.entry_bytes());
+    for (size_t pos = 0; pos < size; pos += layout.entry_bytes()) {
+      uint64_t key = 0;
+      uint64_t count = 0;
+      layout.Decode(data.data(), pos, size, &key, &count);
+      run->push_back(TrackEntry{key, src, static_cast<uint32_t>(count)});
+      overflow |= count >> 32;
+      descents += key < prev;
+      prev = key;
     }
   }
+  if (overflow != 0) return CountOverflow(src);
   if (descents != 0) {
     return Status::Corruption("tracking stream from node " +
                               std::to_string(src) +
@@ -352,6 +390,7 @@ Status TryMergeTrackRuns(std::span<const std::span<const TrackEntry>> runs,
   // so flagging output descents (and entries off their run's node) checks
   // the runs without a pass of its own.
   uint64_t faults = 0;
+  uint64_t overflow = 0;
   uint64_t last_key = 0;
   LoserTree<TrackRunCursor> tree(&cursors);
   while (!tree.Done()) {
@@ -361,7 +400,9 @@ Status TryMergeTrackRuns(std::span<const std::span<const TrackEntry>> runs,
     last_key = head.key;
     if (!out->empty() && out->back().key == head.key &&
         out->back().node == head.node) {
-      out->back().count += head.count;
+      const uint64_t sum = uint64_t{out->back().count} + head.count;
+      overflow |= sum >> 32;
+      out->back().count = static_cast<uint32_t>(sum);
     } else {
       out->push_back(head);
     }
@@ -370,6 +411,11 @@ Status TryMergeTrackRuns(std::span<const std::span<const TrackEntry>> runs,
   if (faults != 0) {
     out->clear();
     return RunFault(runs);
+  }
+  if (overflow != 0) {
+    out->clear();
+    return Status::Corruption(
+        "tracking counts of one (key, node) sum past UINT32_MAX");
   }
   return Status::OK();
 }
@@ -402,15 +448,15 @@ bool PlacementIterator::Next() {
       r_rows_ = 0;
       s_rows_ = 0;
       while (ri_ < r_entries_.size() && r_entries_[ri_].key == rk) {
-        placement_.r.push_back(NodeSize{r_entries_[ri_].node,
-                                        r_entries_[ri_].count * width_r_});
-        r_rows_ += r_entries_[ri_].count;
+        const TrackEntry& e = r_entries_[ri_];
+        placement_.r.push_back(NodeSize{e.node, uint64_t{e.count} * width_r_});
+        r_rows_ += e.count;
         ++ri_;
       }
       while (si_ < s_entries_.size() && s_entries_[si_].key == rk) {
-        placement_.s.push_back(NodeSize{s_entries_[si_].node,
-                                        s_entries_[si_].count * width_s_});
-        s_rows_ += s_entries_[si_].count;
+        const TrackEntry& e = s_entries_[si_];
+        placement_.s.push_back(NodeSize{e.node, uint64_t{e.count} * width_s_});
+        s_rows_ += e.count;
         ++si_;
       }
       return true;

@@ -21,11 +21,14 @@
 
 namespace tj {
 
-/// One tracker-side fact: node `node` holds `count` tuples of `key`.
+/// One tracker-side fact: node `node` holds `count` tuples of `key`. A
+/// node's count for one key is bounded by its rows, which are indexed by
+/// uint32_t, so the entry packs into 16 bytes; every decoder and the merge
+/// return Status::Corruption for a count past UINT32_MAX.
 struct TrackEntry {
   uint64_t key;
   uint32_t node;
-  uint64_t count;
+  uint32_t count;
 
   bool operator==(const TrackEntry&) const = default;
 };
@@ -50,7 +53,8 @@ std::vector<ByteBuffer> EncodeTrackingMessages(
 /// count) entries with a byte reader, checking nothing about key order.
 /// Duplicate (key, node) chunks are NOT merged here; MergeTrackEntries does.
 /// Malformed payloads (truncated varints, sizes not a multiple of the entry
-/// width, trailing bytes) return Status::Corruption.
+/// width, trailing bytes, a count past UINT32_MAX) return
+/// Status::Corruption.
 Status TryDecodeTrackingMessage(const Message& message,
                                 const JoinConfig& config, bool with_counts,
                                 std::vector<TrackEntry>* out);
@@ -62,13 +66,15 @@ Status TryDecodeTrackingMessage(const Message& message,
 /// saturated count chunks repeat a key. `*last_key` becomes the payload's
 /// last key. TryDecodeTrackingMessage's rejection set and descending keys
 /// (a plain stream out of order, or a delta stream whose gaps wrap
-/// uint64_t) return Status::Corruption and leave `run` unspecified.
+/// uint64_t) return Status::Corruption and leave `run` unspecified. Entries
+/// are decoded into reserved capacity, never zero-filled first.
 Status TryAppendTrackingEntries(const ByteBuffer& data, uint32_t src,
                                 const JoinConfig& config, bool with_counts,
                                 uint64_t* last_key,
                                 std::vector<TrackEntry>* run);
 
-/// Sorts entries by (key, node) and merges duplicate (key, node) counts.
+/// Sorts entries by (key, node) and merges duplicate (key, node) counts;
+/// a merged count past UINT32_MAX is a checked failure.
 /// Reference implementation: the streaming path (TryMergeTrackingMessages)
 /// must produce byte-identical output; property tests cross-check the two.
 void MergeTrackEntries(std::vector<TrackEntry>* entries);
@@ -140,7 +146,8 @@ Status TryMergeTrackingMessages(const std::vector<Message>& messages,
 /// range starts. A run that descends or mixes nodes, two runs of one node,
 /// or an entry below `min_key` (it arrived after its range was merged)
 /// returns Status::Corruption: each would split a key's entries across
-/// batches or leave their order unchecked. The runs are borrowed views;
+/// batches or leave their order unchecked. So does a (key, node) whose
+/// summed count passes UINT32_MAX. The runs are borrowed views;
 /// `out` is reserved for every entry, as exact when no key repeats.
 Status TryMergeTrackRuns(std::span<const std::span<const TrackEntry>> runs,
                          uint64_t min_key, std::vector<TrackEntry>* out);

@@ -41,12 +41,12 @@ ClassEstimate EstimateClasses(const PartitionedTable& r,
   for (uint32_t node = 0; node < n; ++node) {
     for (const auto& kc : AggregateKeys(r.node(node))) {
       if (Sampled(kc.key, sample_rate, seed)) {
-        r_entries.push_back({kc.key, node, kc.count});
+        r_entries.push_back({kc.key, node, static_cast<uint32_t>(kc.count)});
       }
     }
     for (const auto& kc : AggregateKeys(s.node(node))) {
       if (Sampled(kc.key, sample_rate, seed)) {
-        s_entries.push_back({kc.key, node, kc.count});
+        s_entries.push_back({kc.key, node, static_cast<uint32_t>(kc.count)});
       }
     }
   }

@@ -5,6 +5,7 @@
 
 #include "common/hash.h"
 #include "common/logging.h"
+#include "exec/radix_sort.h"
 #include "obs/trace.h"
 
 namespace tj {
@@ -150,6 +151,45 @@ Result<PartitionLayout> TryRadixPartition(const TupleBlock& block,
     }
     for (uint32_t p = 0; p < num_parts; ++p) flush(p);
   });
+  return layout;
+}
+
+Result<PartitionLayout> TrySortedRadixPartition(const TupleBlock& block,
+                                                uint32_t num_parts,
+                                                ThreadPool* pool) {
+  if (num_parts == 0) {
+    return Status::InvalidArgument("partition count must be positive");
+  }
+  std::vector<uint32_t> rows;
+  std::vector<uint32_t> parts;
+  {
+    TraceSpan span("kernel", "SortBlockByKey",
+                   static_cast<int64_t>(block.size()));
+    KeyOrder order = SortKeyOrder(block, pool);
+    rows = std::move(order.rows);
+    parts.resize(rows.size());
+    for (size_t i = 0; i < rows.size(); ++i) {
+      parts[i] = HashPartition(order.keys[i], num_parts);
+    }
+  }
+  TraceSpan span("kernel", "TryRadixPartition",
+                 static_cast<int64_t>(block.size()));
+  // A stable counting sort of the sorted rows by partition keeps every
+  // partition's rows in key order.
+  PartitionLayout layout;
+  layout.bounds.assign(num_parts + 1, 0);
+  for (uint32_t p : parts) ++layout.bounds[p + 1];
+  for (uint32_t p = 0; p < num_parts; ++p) {
+    layout.bounds[p + 1] += layout.bounds[p];
+  }
+  std::vector<uint64_t> cursor(layout.bounds.begin(), layout.bounds.end() - 1);
+  std::vector<uint32_t> grouped(rows.size());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    grouped[cursor[parts[i]]++] = rows[i];
+  }
+  std::vector<uint32_t>().swap(rows);
+  std::vector<uint32_t>().swap(parts);
+  layout.tuples = block.Gather(grouped, pool);
   return layout;
 }
 

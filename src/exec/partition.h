@@ -62,6 +62,16 @@ Result<PartitionLayout> TryRadixPartition(const TupleBlock& block,
                                           uint32_t num_parts,
                                           ThreadPool* pool = nullptr);
 
+/// The sorted form of TryRadixPartition: partition p's rows are its rows
+/// of `block` sorted by key, equal keys in row order, and the output equals
+/// SortedCopyByKey followed by TryRadixPartition. The sort and the stable
+/// partition run on (key, row) pairs read from `block`, which stays
+/// untouched, and the rows are gathered once. Fails with InvalidArgument
+/// when num_parts == 0.
+Result<PartitionLayout> TrySortedRadixPartition(const TupleBlock& block,
+                                                uint32_t num_parts,
+                                                ThreadPool* pool = nullptr);
+
 /// Key-column variant: partitions only keys + original row ids (no payload
 /// movement). Fails with InvalidArgument when num_parts == 0 and with
 /// OutOfRange when the block has >= 2^32 rows (row ids are 32-bit).

@@ -169,15 +169,26 @@ void RadixSortKeys(std::vector<uint64_t>* keys, ThreadPool* pool) {
                        shift, /*k_is_final=*/true, pool);
 }
 
+KeyOrder SortKeyOrder(const TupleBlock& block, ThreadPool* pool) {
+  TJ_CHECK_LT(block.size(), uint64_t{1} << 32);
+  KeyOrder order{block.keys(), std::vector<uint32_t>(block.size())};
+  for (uint32_t i = 0; i < order.rows.size(); ++i) order.rows[i] = i;
+  RadixSortPairs(&order.keys, &order.rows, pool);
+  return order;
+}
+
+TupleBlock SortedCopyByKey(const TupleBlock& block, ThreadPool* pool) {
+  if (block.size() < 2) return block;
+  TraceSpan span("kernel", "SortBlockByKey",
+                 static_cast<int64_t>(block.size()));
+  // The sorted keys go before the gather allocates the output.
+  const std::vector<uint32_t> rows = std::move(SortKeyOrder(block, pool).rows);
+  return block.Gather(rows, pool);
+}
+
 void SortBlockByKey(TupleBlock* block, ThreadPool* pool) {
   if (block->size() < 2) return;
-  TraceSpan span("kernel", "SortBlockByKey",
-                 static_cast<int64_t>(block->size()));
-  std::vector<uint64_t> keys = block->keys();
-  std::vector<uint32_t> perm(keys.size());
-  for (uint32_t i = 0; i < perm.size(); ++i) perm[i] = i;
-  RadixSortPairs(&keys, &perm, pool);
-  block->Permute(perm, pool);
+  *block = SortedCopyByKey(*block, pool);
 }
 
 bool IsSortedByKey(const TupleBlock& block) {

@@ -39,6 +39,21 @@ void RadixSortPairs(std::vector<uint64_t>* keys, std::vector<uint32_t>* values,
 /// multiset matters.
 void RadixSortKeys(std::vector<uint64_t>* keys, ThreadPool* pool = nullptr);
 
+/// A stable key sort of a block's rows, computed from its keys alone:
+/// keys[i] is the i-th smallest key and rows[i] the row it came from
+/// (equal keys in row order).
+struct KeyOrder {
+  std::vector<uint64_t> keys;
+  std::vector<uint32_t> rows;
+};
+/// Reads `block` only. Precondition: fewer than 2^32 rows.
+KeyOrder SortKeyOrder(const TupleBlock& block, ThreadPool* pool = nullptr);
+
+/// A key-sorted copy of a block that stays untouched: SortKeyOrder, then
+/// one gather of the rows. Identical to copying the block and
+/// SortBlockByKey, tie order included, without holding the copy.
+TupleBlock SortedCopyByKey(const TupleBlock& block, ThreadPool* pool = nullptr);
+
 /// Sorts the block's rows by key ascending (payloads move with their keys).
 /// Stable; with a pool the sort and payload gather run in parallel.
 void SortBlockByKey(TupleBlock* block, ThreadPool* pool = nullptr);

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/logging.h"
+#include "common/peak_rss.h"
 #include "net/time_model.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -156,6 +157,7 @@ Status Fabric::RunPhaseReliable(const std::string& name,
   }
   StepRecord record = step.Close(NetworkTimeModel());
   record.wall_seconds = elapsed;
+  record.peak_rss_bytes = PeakRssBytes();
   steps_.push_back(std::move(record));
   if (Tracer::enabled()) {
     // Cumulative per-node NIC counters, one sample per barrier: the trace

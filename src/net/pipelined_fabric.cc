@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "common/logging.h"
+#include "common/peak_rss.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -87,7 +88,14 @@ void PipelinedFabric::OnChunk(MessageType type, const char* stage,
   TJ_CHECK(!ran_) << "OnChunk after Run";
   const int t = static_cast<int>(type);
   TJ_CHECK(!handlers_[t].has_value()) << "duplicate handler";
-  handlers_[t].emplace(StageIndex(stage), std::move(handler));
+  handlers_[t] = Handler{
+      StageIndex(stage),
+      InternLabel(std::string(stage) + "." + MessageTypeName(type)),
+      std::move(handler)};
+}
+
+const std::string* PipelinedFabric::InternLabel(std::string label) {
+  return &*labels_.insert(std::move(label)).first;
 }
 
 void PipelinedFabric::PushEvent(double time, Event::Kind kind,
@@ -101,9 +109,9 @@ void PipelinedFabric::Post(uint32_t node, const char* stage,
   TaskRecord task;
   task.node = node;
   task.stage = StageIndex(stage);
-  task.label = std::move(label);
+  task.label = InternLabel(std::move(label));
   task.fn = std::move(fn);
-  task.trace_args = std::move(trace_args);
+  if (Tracer::enabled()) task.trace_args = std::move(trace_args);
   TaskTiming timing;
   timing.node = node;
   timing.stage = task.stage;
@@ -186,10 +194,19 @@ void PipelinedFabric::TryStartTask(uint32_t node, double now) {
   running_charged_bytes_ = 0;
   buffered_posts_.clear();
   buffered_sends_.clear();
-  // The task may Post, growing tasks_ and relocating the very function
-  // object being executed — move it out first.
-  Task fn = std::move(tasks_[index].fn);
-  Status status = fn();
+  Status status;
+  if (const int64_t chunk_index = tasks_[index].handler_chunk;
+      chunk_index >= 0) {
+    // The handler may SendChunk, growing chunks_ and invalidating
+    // references into it — hand it a moved-out local copy instead.
+    Chunk local = std::move(chunks_[chunk_index]);
+    status = handlers_[static_cast<int>(local.type)]->fn(local);
+  } else {
+    // The task may Post, growing tasks_ and relocating the very function
+    // object being executed — move it out first.
+    Task fn = std::move(tasks_[index].fn);
+    status = fn();
+  }
   in_task_ = false;
 
   const double dur = params_.cost.CpuSeconds(running_charged_bytes_);
@@ -202,13 +219,13 @@ void PipelinedFabric::TryStartTask(uint32_t node, double now) {
     RecordModeledCounter("cpu.busy", node, start, 1);
     RecordModeledCounter("cpu.busy", node, finish, 0);
     TraceEvent event;
-    event.name = tasks_[index].label;
+    event.name = *tasks_[index].label;
     event.category = "mb";
     event.node = node;
     event.phase = 'X';
     event.t_start_us = ToMicros(start);
     event.dur_us = ToMicros(finish) - ToMicros(start);
-    event.args = tasks_[index].trace_args;
+    event.args = std::move(tasks_[index].trace_args);
     Tracer::Global().Record(std::move(event));
   }
 
@@ -227,7 +244,7 @@ void PipelinedFabric::TryStartTask(uint32_t node, double now) {
 
   if (!status.ok() && first_error_.ok()) {
     first_error_ = Status(
-        status.code(), "pipelined task '" + tasks_[index].label + "' node " +
+        status.code(), "pipelined task '" + *tasks_[index].label + "' node " +
                            std::to_string(node) + ": " + status.message());
   }
 }
@@ -640,14 +657,15 @@ Status PipelinedFabric::Run() {
             << "no handler for " << MessageTypeName(chunk.type);
         TaskRecord task;
         task.node = chunk.dst;
-        task.stage = handler->first;
-        task.label = stages_[handler->first].phase() + "." +
-                     MessageTypeName(chunk.type);
-        task.trace_args = {
-            {"src", static_cast<int64_t>(chunk.src)},
-            {"watermark", static_cast<int64_t>(chunk.watermark)},
-            {"eos", chunk.eos ? 1 : 0},
-            {"bytes", static_cast<int64_t>(chunk.data.size())}};
+        task.stage = handler->stage;
+        task.label = handler->label;
+        if (Tracer::enabled()) {
+          task.trace_args = {
+              {"src", static_cast<int64_t>(chunk.src)},
+              {"watermark", static_cast<int64_t>(chunk.watermark)},
+              {"eos", chunk.eos ? 1 : 0},
+              {"bytes", static_cast<int64_t>(chunk.data.size())}};
+        }
         if (chunk.src != chunk.dst) {
           task.returns_credit = true;
           task.credit_src = chunk.src;
@@ -655,12 +673,6 @@ Status PipelinedFabric::Run() {
           task.credit_bytes = chunk_credit_[chunk_index];
         }
         task.handler_chunk = static_cast<int64_t>(chunk_index);
-        task.fn = [this, type = static_cast<int>(chunk.type), chunk_index]() {
-          // The handler may SendChunk, growing chunks_ and invalidating
-          // references into it — hand it a moved-out local copy instead.
-          Chunk local = std::move(chunks_[chunk_index]);
-          return (handlers_[type]->second)(local);
-        };
         TaskTiming timing;
         timing.node = chunk.dst;
         timing.stage = task.stage;
@@ -675,9 +687,12 @@ Status PipelinedFabric::Run() {
     }
   }
 
-  // Close every stage now that accounting is complete.
+  // Close every stage now that accounting is complete. Stages overlap, so
+  // each carries the run's memory high-water mark.
+  const uint64_t peak_rss_bytes = PeakRssBytes();
   for (const StepAccumulator& stage : stages_) {
     steps_.push_back(stage.Close(params_.cost.net));
+    steps_.back().peak_rss_bytes = peak_rss_bytes;
   }
 
   if (Tracer::enabled()) {

@@ -51,6 +51,7 @@
 #include <functional>
 #include <optional>
 #include <queue>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -263,16 +264,17 @@ class PipelinedFabric {
     return stages_[stage].phase();
   }
   const std::string& task_label(uint64_t task) const {
-    return tasks_[task].label;
+    return *tasks_[task].label;
   }
 
  private:
   struct TaskRecord {
     uint32_t node = 0;
     uint32_t stage = 0;
-    std::string label;
+    const std::string* label = nullptr;  ///< Interned in labels_.
+    /// A plain task's body; a handler task runs its chunk's handler.
     Task fn;
-    TraceArgs trace_args;
+    TraceArgs trace_args;  ///< Kept only while tracing.
     /// Credit to return (and blocked queue to drain) when this task —
     /// a network chunk's handler — completes.
     bool returns_credit = false;
@@ -376,9 +378,18 @@ class PipelinedFabric {
   std::vector<StepAccumulator> stages_;  ///< Indexed by stage.
   std::vector<StepRecord> steps_;        ///< stages_, closed by Run().
 
-  std::array<std::optional<std::pair<uint32_t, ChunkHandler>>,
-             kNumMessageTypes>
-      handlers_;  // stage index + handler, per type.
+  /// Returns the one stored copy of `label`, whose address is stable.
+  const std::string* InternLabel(std::string label);
+
+  struct Handler {
+    uint32_t stage = 0;
+    const std::string* label = nullptr;  ///< "<stage>.<message type>".
+    ChunkHandler fn;
+  };
+  std::array<std::optional<Handler>, kNumMessageTypes> handlers_;
+  /// Every task label, stored once: chunk handler tasks, the bulk of all
+  /// tasks, share their type's label instead of building one each.
+  std::set<std::string> labels_;
 
   // Event loop state.
   std::priority_queue<Event, std::vector<Event>, std::greater<Event>> events_;

@@ -192,6 +192,12 @@ struct StepRecord {
   uint64_t frames_corrupted = 0;
   uint64_t frames_duplicated = 0;
 
+  /// The process's resident-memory high-water mark when the step closed
+  /// (PeakRssBytes). The barrier fabric closes each phase at its barrier;
+  /// pipelined stages overlap and close together, so each carries the
+  /// run's high-water mark.
+  uint64_t peak_rss_bytes = 0;
+
   /// Per-message-type splits of the three byte ledgers above.
   std::array<uint64_t, kNumMessageTypes> network_bytes_by_type{};
   std::array<uint64_t, kNumMessageTypes> local_bytes_by_type{};
@@ -239,7 +245,8 @@ class StepAccumulator {
   /// The finished record: max_node_bytes is the busiest node's goodput
   /// ingress or egress in this step, priced by `model` into net_seconds;
   /// wall_seconds is the busiest node's CPU seconds (zero when none were
-  /// added — the barrier fabric measures its own).
+  /// added — the barrier fabric measures its own). The fabric that
+  /// closes it sets peak_rss_bytes.
   StepRecord Close(const NetworkTimeModel& model) const;
 
  private:

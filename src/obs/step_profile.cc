@@ -184,6 +184,7 @@ std::string ToJson(const StepProfile& profile) {
     AppendField("frames_dropped", s.frames_dropped, &first, &out);
     AppendField("frames_corrupted", s.frames_corrupted, &first, &out);
     AppendField("frames_duplicated", s.frames_duplicated, &first, &out);
+    AppendField("peak_rss_bytes", s.peak_rss_bytes, &first, &out);
     out += ", \"bytes_by_type\": {";
     bool first_type = true;
     for (int t = 0; t < kNumMessageTypes; ++t) {
@@ -210,7 +211,8 @@ std::string ToJson(const StepProfile& profile) {
 std::string StepCsvHeader() {
   return "algorithm,phase,wall_seconds,net_seconds,goodput_bytes,"
          "local_bytes,retransmit_bytes,max_node_bytes,retransmitted_frames,"
-         "nack_messages,frames_dropped,frames_corrupted,frames_duplicated";
+         "nack_messages,frames_dropped,frames_corrupted,frames_duplicated,"
+         "peak_rss_bytes";
 }
 
 std::string ToCsv(const StepProfile& profile) {
@@ -227,7 +229,7 @@ std::string ToCsv(const StepProfile& profile) {
     char buf[384];
     std::snprintf(buf, sizeof(buf),
                   ",%.9g,%.9g,%llu,%llu,%llu,%llu,%llu,%llu,%llu,"
-                  "%llu,%llu\n",
+                  "%llu,%llu,%llu\n",
                   s.wall_seconds, s.net_seconds,
                   static_cast<unsigned long long>(s.goodput_bytes),
                   static_cast<unsigned long long>(s.local_bytes),
@@ -237,7 +239,8 @@ std::string ToCsv(const StepProfile& profile) {
                   static_cast<unsigned long long>(s.nack_messages),
                   static_cast<unsigned long long>(s.frames_dropped),
                   static_cast<unsigned long long>(s.frames_corrupted),
-                  static_cast<unsigned long long>(s.frames_duplicated));
+                  static_cast<unsigned long long>(s.frames_duplicated),
+                  static_cast<unsigned long long>(s.peak_rss_bytes));
     out += buf;
   }
   return out;
@@ -249,17 +252,18 @@ std::string ToTable(const StepProfile& profile) {
   std::snprintf(buf, sizeof(buf), "%s (%u nodes)\n",
                 profile.algorithm.c_str(), profile.num_nodes);
   out += buf;
-  std::snprintf(buf, sizeof(buf), "  %-38s %10s %10s %12s %12s %12s\n",
+  std::snprintf(buf, sizeof(buf), "  %-38s %10s %10s %12s %12s %12s %10s\n",
                 "phase", "wall s", "net s", "goodput B", "local B",
-                "retrans B");
+                "retrans B", "peak MiB");
   out += buf;
   for (const StepRecord& s : profile.steps) {
     std::snprintf(buf, sizeof(buf),
-                  "  %-38s %10.4f %10.4f %12llu %12llu %12llu\n",
+                  "  %-38s %10.4f %10.4f %12llu %12llu %12llu %10.1f\n",
                   s.phase.c_str(), s.wall_seconds, s.net_seconds,
                   static_cast<unsigned long long>(s.goodput_bytes),
                   static_cast<unsigned long long>(s.local_bytes),
-                  static_cast<unsigned long long>(s.retransmit_bytes));
+                  static_cast<unsigned long long>(s.retransmit_bytes),
+                  static_cast<double>(s.peak_rss_bytes) / (1 << 20));
     out += buf;
   }
   std::snprintf(buf, sizeof(buf),

@@ -123,23 +123,25 @@ Status TupleBlock::TryDeserializeRows(ByteReader* in, uint32_t key_bytes) {
   return Status::OK();
 }
 
-void TupleBlock::Permute(const std::vector<uint32_t>& perm, ThreadPool* pool) {
-  TJ_CHECK_EQ(perm.size(), keys_.size());
-  std::vector<uint64_t> new_keys(keys_.size());
-  std::vector<uint8_t> new_payloads(payloads_.size());
+TupleBlock TupleBlock::Gather(std::span<const uint32_t> rows,
+                              ThreadPool* pool) const {
+  TupleBlock out(payload_width_);
+  const uint64_t n = rows.size();
+  out.Resize(n);
+  uint64_t* out_keys = out.keys_.data();
+  uint8_t* out_payloads = out.payloads_.data();
   auto gather = [&](uint64_t begin, uint64_t end) {
     for (uint64_t i = begin; i < end; ++i) {
-      new_keys[i] = keys_[perm[i]];
+      out_keys[i] = keys_[rows[i]];
       if (payload_width_ > 0) {
         std::memcpy(
-            new_payloads.data() + i * payload_width_,
-            payloads_.data() + static_cast<uint64_t>(perm[i]) * payload_width_,
+            out_payloads + i * payload_width_,
+            payloads_.data() + static_cast<uint64_t>(rows[i]) * payload_width_,
             payload_width_);
       }
     }
   };
   constexpr uint64_t kMinChunkRows = 1 << 14;
-  const uint64_t n = perm.size();
   if (pool == nullptr || n < 2 * kMinChunkRows) {
     gather(0, n);
   } else {
@@ -151,8 +153,7 @@ void TupleBlock::Permute(const std::vector<uint32_t>& perm, ThreadPool* pool) {
       gather(begin, std::min(n, begin + per));
     });
   }
-  keys_ = std::move(new_keys);
-  payloads_ = std::move(new_payloads);
+  return out;
 }
 
 }  // namespace tj

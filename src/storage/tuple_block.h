@@ -136,11 +136,13 @@ class TupleBlock {
     payloads_.clear();
   }
 
-  /// In-place reorder by a permutation: row i moves to position perm[i]...
-  /// (see .cc for the exact convention: output[i] = input[perm[i]]).
-  /// With a pool, the gather runs chunk-parallel; output is identical.
-  void Permute(const std::vector<uint32_t>& perm,
-               class ThreadPool* pool = nullptr);
+  /// A new block whose row i is row rows[i] of this one (each below
+  /// size(); rows may repeat or be left out). The one gather of a sort or
+  /// partition computed on keys alone: the source stays untouched. With a
+  /// pool, the gather runs chunk-parallel; output is identical.
+  TupleBlock Gather(std::span<const uint32_t> rows,
+                    class ThreadPool* pool = nullptr) const;
+
 
   /// Total resident bytes (keys at 8 bytes + payloads).
   uint64_t MemoryBytes() const {

@@ -130,10 +130,13 @@ TEST(HotSplitTest, ThresholdDetectorBoundary) {
 }
 
 TEST(HotSplitTest, ThresholdDetectorSaturatesOnOverflow) {
-  // 2^33 x 2^33 rows overflows uint64; the detector must treat that as
-  // "at least any threshold", not wrap around to a small product.
-  std::vector<TrackEntry> r = {{1, 0, 1ull << 33}};
-  std::vector<TrackEntry> s = {{1, 1, 1ull << 33}};
+  // Three full per-node counts a side, about 2^33.6 rows each: the product
+  // overflows uint64, and the detector must treat that as "at least any
+  // threshold", not wrap around to a small product.
+  std::vector<TrackEntry> r = {
+      {1, 0, UINT32_MAX}, {1, 1, UINT32_MAX}, {1, 2, UINT32_MAX}};
+  std::vector<TrackEntry> s = {
+      {1, 0, UINT32_MAX}, {1, 1, UINT32_MAX}, {1, 2, UINT32_MAX}};
   PlacementIterator it(r, s, 1, 1, 0, 0);
   ASSERT_TRUE(it.Next());
   EXPECT_TRUE(it.OutputProductAtLeast(~0ull));

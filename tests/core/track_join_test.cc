@@ -129,11 +129,11 @@ uint64_t PlannedCost(const Workload& w, const JoinConfig& config,
   for (uint32_t node = 0; node < n; ++node) {
     TupleBlock block = w.r.node(node);
     for (const auto& kc : AggregateKeys(block)) {
-      r_entries.push_back({kc.key, node, kc.count});
+      r_entries.push_back({kc.key, node, static_cast<uint32_t>(kc.count)});
     }
     block = w.s.node(node);
     for (const auto& kc : AggregateKeys(block)) {
-      s_entries.push_back({kc.key, node, kc.count});
+      s_entries.push_back({kc.key, node, static_cast<uint32_t>(kc.count)});
     }
   }
   MergeTrackEntries(&r_entries);

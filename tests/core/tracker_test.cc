@@ -13,6 +13,8 @@
 namespace tj {
 namespace {
 
+static_assert(sizeof(TrackEntry) == 16);
+
 /// Views of in-memory runs, as TryMergeTrackRuns takes them.
 std::vector<std::span<const TrackEntry>> Views(
     const std::vector<std::vector<TrackEntry>>& runs) {
@@ -396,7 +398,8 @@ TEST(TrackerMergeTest, RunMergeMatchesReference) {
     for (uint32_t src = 0; src < k; ++src) {
       for (const KeyCount& kc : RandomSource(&rng, rng.Below(200), 300, 9)) {
         for (uint64_t chunk = 0; chunk < 1 + kc.key % 3; ++chunk) {
-          runs[src].push_back(TrackEntry{kc.key, src, kc.count});
+          runs[src].push_back(
+              TrackEntry{kc.key, src, static_cast<uint32_t>(kc.count)});
         }
       }
       all.insert(all.end(), runs[src].begin(), runs[src].end());
@@ -415,7 +418,9 @@ TEST(TrackerMergeTest, RunMergeMatchesReference) {
 std::vector<KeyCount> WidthSource(Rng* rng, uint32_t key_bytes,
                                   uint32_t count_bytes, size_t draws) {
   const uint64_t key_max = FieldMask(key_bytes);
-  const uint64_t count_max = FieldMask(count_bytes);
+  // A tracker holds each count in 32 bits; wider wire fields carry it too.
+  const uint64_t count_max =
+      std::min<uint64_t>(FieldMask(count_bytes), UINT32_MAX);
   std::vector<uint64_t> keys = {0, key_max};
   for (size_t i = 0; i < draws; ++i) {
     keys.push_back(key_bytes == 8 ? rng->Next() : rng->Below(key_max + 1));
@@ -431,7 +436,7 @@ std::vector<KeyCount> WidthSource(Rng* rng, uint32_t key_bytes,
         break;
       case 1:
         // Three saturated chunks plus a remainder.
-        if (count_bytes < 8) count = 3 * count_max + 1 + rng->Below(5);
+        if (count_bytes < 4) count = 3 * count_max + 1 + rng->Below(5);
         break;
       default:
         break;
@@ -623,7 +628,18 @@ TEST(TrackerIntakeTest, MalformedPayloadsAreCorruptionOnBothDrivers) {
     const char* name;
     bool delta;
     std::vector<std::pair<uint32_t, ByteBuffer>> chunks;
+    uint32_t count_bytes = 2;
   };
+  // A count one past what TrackEntry holds, on 8-byte count fields.
+  JoinConfig wide;
+  wide.key_bytes = 4;
+  wide.count_bytes = 8;
+  const std::vector<KeyCount> too_many = {{7, uint64_t{UINT32_MAX} + 1}};
+  const ByteBuffer big_plain =
+      EncodeTrackingMessages(too_many, wide, true, 1)[0];
+  wide.delta_tracking = true;
+  const ByteBuffer big_delta =
+      EncodeTrackingMessages(too_many, wide, true, 1)[0];
   ByteBuffer partial = PlainTracking({1, 2});
   partial.resize(partial.size() - 3);
   ByteBuffer wrap;
@@ -641,12 +657,14 @@ TEST(TrackerIntakeTest, MalformedPayloadsAreCorruptionOnBothDrivers) {
        {{0, PlainTracking({1, 2})},
         {1, PlainTracking({3})},
         {0, PlainTracking({4})}}},
+      {"plain count past UINT32_MAX", false, {{0, big_plain}}, 8},
+      {"delta count past UINT32_MAX", true, {{0, big_delta}}, 8},
   };
   for (const Case& c : cases) {
     SCOPED_TRACE(c.name);
     JoinConfig config;
     config.key_bytes = 4;
-    config.count_bytes = 2;
+    config.count_bytes = c.count_bytes;
     config.delta_tracking = c.delta;
 
     std::vector<Message> inbox;
@@ -668,7 +686,30 @@ TEST(TrackerIntakeTest, MalformedPayloadsAreCorruptionOnBothDrivers) {
     if (pipelined.ok()) pipelined = TryMergeTrackRuns(Views(runs), 0, &merged);
     EXPECT_EQ(pipelined.code(), StatusCode::kCorruption)
         << pipelined.ToString();
+
+    // The reference decoder rejects each chunk's own faults.
+    if (c.count_bytes == 8) {
+      std::vector<TrackEntry> decoded;
+      EXPECT_EQ(TryDecodeTrackingMessage(inbox[0], config, true, &decoded)
+                    .code(),
+                StatusCode::kCorruption);
+    }
   }
+}
+
+TEST(TrackerMergeTest, RunMergeRejectsCountSumPastUint32) {
+  // Saturated chunks of one (key, node) sum to its count, which must still
+  // fit TrackEntry::count; one past it is Corruption, not a wrapped count.
+  std::vector<TrackEntry> merged;
+  std::vector<std::vector<TrackEntry>> runs = {
+      {{5, 1, UINT32_MAX - 1}, {5, 1, 1}, {6, 1, 1}}, {{5, 2, UINT32_MAX}}};
+  ASSERT_TRUE(TryMergeTrackRuns(Views(runs), 0, &merged).ok());
+  EXPECT_EQ(merged, (std::vector<TrackEntry>{
+                        {5, 1, UINT32_MAX}, {5, 2, UINT32_MAX}, {6, 1, 1}}));
+  runs = {{{5, 1, UINT32_MAX}, {5, 1, 1}}};
+  Status s = TryMergeTrackRuns(Views(runs), 0, &merged);
+  EXPECT_EQ(s.code(), StatusCode::kCorruption) << s.ToString();
+  EXPECT_TRUE(merged.empty());
 }
 
 }  // namespace

@@ -185,8 +185,7 @@ TEST(LocalJoinTest, GroupSinksMatchPerPairAccumulate) {
       std::vector<uint32_t> perm(block.size());
       std::iota(perm.begin(), perm.end(), 0u);
       std::shuffle(perm.begin(), perm.end(), std::mt19937(block.size()));
-      block.Permute(perm);
-      return block;
+      return block.Gather(perm);
     };
     const TupleBlock r_shuffled = shuffled(r), s_shuffled = shuffled(s);
 

@@ -8,6 +8,7 @@
 #include "common/logging.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
+#include "exec/radix_sort.h"
 
 namespace tj {
 namespace {
@@ -98,6 +99,9 @@ TEST(PartitionTest, ZeroPartitionCountIsInvalidArgument) {
   Result<KeyPartitionLayout> keys = TryRadixPartitionKeys(block, 0);
   ASSERT_FALSE(keys.ok());
   EXPECT_EQ(keys.status().code(), StatusCode::kInvalidArgument);
+
+  EXPECT_EQ(TrySortedRadixPartition(block, 0).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 // The contiguous runs must hold each partition's rows in input order
@@ -122,6 +126,42 @@ TEST(PartitionTest, LayoutIsStableAndMatchesIndexes) {
                   0);
       }
     }
+  }
+}
+
+// The pipelined source's tracker-major home block: sorting and grouping
+// the (key, row) pairs, then gathering once, must give exactly what sorting
+// a copy and radix-partitioning it gives, ties and bounds included.
+TEST(PartitionTest, SortedPartitionEqualsSortThenPartition) {
+  Rng rng(17);
+  ThreadPool pool(4);
+  for (size_t rows : {size_t{0}, size_t{1}, size_t{3000}, size_t{70000}}) {
+    // Few distinct keys, so most keys tie; the payload names the row.
+    TupleBlock block(4);
+    for (uint32_t i = 0; i < rows; ++i) {
+      uint8_t payload[4];
+      std::memcpy(payload, &i, 4);
+      block.Append(rng.Below(rows / 8 + 1) << rng.Below(40), payload);
+    }
+    const TupleBlock input = block;
+    for (uint32_t parts : {1u, 3u, 8u}) {
+      for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+        SCOPED_TRACE("rows=" + std::to_string(rows) +
+                     " parts=" + std::to_string(parts));
+        PartitionLayout expected = ValueOrDie(
+            TryRadixPartition(SortedCopyByKey(block), parts));
+        PartitionLayout got =
+            ValueOrDie(TrySortedRadixPartition(block, parts, p));
+        ASSERT_EQ(got.bounds, expected.bounds);
+        ASSERT_EQ(got.tuples.keys(), expected.tuples.keys());
+        if (rows > 0) {
+          ASSERT_EQ(std::memcmp(got.tuples.Payload(0),
+                                expected.tuples.Payload(0), rows * 4),
+                    0);
+        }
+      }
+    }
+    ASSERT_EQ(block.keys(), input.keys());  // The input stays untouched.
   }
 }
 

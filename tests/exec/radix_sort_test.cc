@@ -184,6 +184,47 @@ TEST(RadixSortTest, SortBlockParallelMatchesSequential) {
       std::memcmp(par.Payload(0), seq.Payload(0), par.size() * 8), 0);
 }
 
+TEST(RadixSortTest, SortedCopyEqualsCopyThenSort) {
+  // Sorting straight from a const block gives what copying it and sorting
+  // the copy gives, and what a stable comparison sort of the rows gives:
+  // equal keys keep their row order. The input stays untouched.
+  Rng rng(41);
+  ThreadPool pool(4);
+  for (size_t n : {size_t{0}, size_t{1}, size_t{2}, size_t{5000},
+                   size_t{90000}}) {
+    TupleBlock block(4);
+    for (uint32_t i = 0; i < n; ++i) {
+      uint8_t payload[4];
+      std::memcpy(payload, &i, 4);
+      block.Append(rng.Below(n / 16 + 2) << rng.Below(48), payload);
+    }
+    const TupleBlock input = block;
+    std::vector<uint32_t> order(n);
+    for (uint32_t i = 0; i < n; ++i) order[i] = i;
+    std::stable_sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+      return block.Key(a) < block.Key(b);
+    });
+    TupleBlock copied = block;
+    SortBlockByKey(&copied);
+    for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+      SCOPED_TRACE("n=" + std::to_string(n));
+      const TupleBlock sorted = SortedCopyByKey(block, p);
+      ASSERT_EQ(sorted.size(), n);
+      ASSERT_EQ(sorted.keys(), copied.keys());
+      for (uint64_t row = 0; row < n; ++row) {
+        uint32_t source;
+        std::memcpy(&source, sorted.Payload(row), 4);
+        ASSERT_EQ(source, order[row]) << "row " << row;
+      }
+      if (n > 0) {
+        ASSERT_EQ(std::memcmp(sorted.Payload(0), copied.Payload(0), n * 4),
+                  0);
+      }
+    }
+    ASSERT_EQ(block.keys(), input.keys());
+  }
+}
+
 TEST(RadixSortTest, IsSortedDetector) {
   TupleBlock sorted(0), unsorted(0);
   for (uint64_t k : {1, 2, 3}) sorted.Append(k, nullptr);

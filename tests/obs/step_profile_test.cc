@@ -83,6 +83,31 @@ void CheckProfileMatchesRun(const std::string& label, const JoinResult& r) {
     phase_bottleneck_sum += s.max_node_bytes;
   }
   EXPECT_LE(prof.run_max_node_bytes, phase_bottleneck_sum);
+
+  // Memory: each phase records the process high-water mark at its barrier,
+  // which only ever rises.
+  for (size_t i = 0; i < prof.steps.size(); ++i) {
+    EXPECT_GT(prof.steps[i].peak_rss_bytes, 0u) << prof.steps[i].phase;
+    if (i > 0) {
+      EXPECT_GE(prof.steps[i].peak_rss_bytes,
+                prof.steps[i - 1].peak_rss_bytes);
+    }
+  }
+}
+
+TEST(StepProfileTest, PipelinedStagesCarryTheRunPeak) {
+  // Pipelined stages overlap, so no stage has a high-water mark of its own:
+  // every stage carries the run's.
+  Workload w = TestWorkload();
+  JoinConfig config;
+  config.key_bytes = 4;
+  JoinResult r = ValueOrDie(
+      TryRunPipelinedTrackJoin(w.r, w.s, config, TrackJoinVersion::k4Phase));
+  ASSERT_FALSE(r.profile.steps.empty());
+  for (const StepRecord& s : r.profile.steps) {
+    EXPECT_GT(s.peak_rss_bytes, 0u);
+    EXPECT_EQ(s.peak_rss_bytes, r.profile.steps.front().peak_rss_bytes);
+  }
 }
 
 TEST(StepProfileTest, PhaseSumsMatchRunTotalsForEveryAlgorithm) {
@@ -258,6 +283,7 @@ StepProfile GoldenProfile() {
   rec.retransmitted_frames = 1;
   rec.nack_messages = 1;
   rec.frames_dropped = 1;
+  rec.peak_rss_bytes = 3 << 20;
   rec.network_bytes_by_type[static_cast<int>(MessageType::kDataR)] = 10;
   rec.local_bytes_by_type[static_cast<int>(MessageType::kDataR)] = 4;
   rec.retransmit_bytes_by_type[static_cast<int>(MessageType::kAck)] = 2;
@@ -277,7 +303,8 @@ TEST(StepProfileTest, JsonGolden) {
       "\"local_bytes\": 4, \"retransmit_bytes\": 2, \"max_node_bytes\": 7, "
       "\"retransmitted_frames\": 1, \"nack_messages\": 1, "
       "\"frames_dropped\": 1, \"frames_corrupted\": 0, "
-      "\"frames_duplicated\": 0, \"bytes_by_type\": "
+      "\"frames_duplicated\": 0, \"peak_rss_bytes\": 3145728, "
+      "\"bytes_by_type\": "
       "{\"data_r\": {\"network\": 10, \"local\": 4, \"retransmit\": 0}, "
       "\"ack\": {\"network\": 0, \"local\": 0, \"retransmit\": 2}}}]}");
 }
@@ -287,9 +314,9 @@ TEST(StepProfileTest, CsvGolden) {
             "algorithm,phase,wall_seconds,net_seconds,goodput_bytes,"
             "local_bytes,retransmit_bytes,max_node_bytes,"
             "retransmitted_frames,nack_messages,frames_dropped,"
-            "frames_corrupted,frames_duplicated");
+            "frames_corrupted,frames_duplicated,peak_rss_bytes");
   EXPECT_EQ(ToCsv(GoldenProfile()),
-            "hj,\"p\",0.5,0.25,10,4,2,7,1,1,1,0,0\n");
+            "hj,\"p\",0.5,0.25,10,4,2,7,1,1,1,0,0,3145728\n");
 }
 
 TEST(StepProfileTest, CsvEscapesHostilePhaseAndAlgorithmNames) {
@@ -303,7 +330,7 @@ TEST(StepProfileTest, CsvEscapesHostilePhaseAndAlgorithmNames) {
   // line breaks preserved inside the quotes — exactly one record row.
   EXPECT_EQ(csv,
             "\"h,j\"\"x\",\"track, \"\"phase\"\"\r\none\","
-            "0.5,0.25,10,4,2,7,1,1,1,0,0\n");
+            "0.5,0.25,10,4,2,7,1,1,1,0,0,3145728\n");
 }
 
 TEST(StepProfileTest, CsvDoesNotTruncateLongNames) {

@@ -73,14 +73,21 @@ TEST(TupleBlockTest, AppendFromCopiesPayload) {
   EXPECT_EQ(0, std::memcmp(dst.Payload(0), src.Payload(0), 3));
 }
 
-TEST(TupleBlockTest, PermuteMovesPayloadsWithKeys) {
-  TupleBlock block = MakeBlock({10, 20, 30}, 2);
-  block.Permute({2, 0, 1});  // output[i] = input[perm[i]]
-  EXPECT_EQ(block.Key(0), 30u);
-  EXPECT_EQ(block.Key(1), 10u);
-  EXPECT_EQ(block.Key(2), 20u);
-  EXPECT_EQ(block.Payload(0)[0], 30);
-  EXPECT_EQ(block.Payload(1)[0], 10);
+TEST(TupleBlockTest, GatherMovesPayloadsWithKeys) {
+  const TupleBlock block = MakeBlock({10, 20, 30}, 2);
+  // output[i] = input[rows[i]]
+  TupleBlock out = block.Gather(std::vector<uint32_t>{2, 0, 1});
+  EXPECT_EQ(out.Key(0), 30u);
+  EXPECT_EQ(out.Key(1), 10u);
+  EXPECT_EQ(out.Key(2), 20u);
+  EXPECT_EQ(out.Payload(0)[0], 30);
+  EXPECT_EQ(out.Payload(1)[0], 10);
+  // Rows may repeat or be left out; the source stays as it was.
+  out = block.Gather(std::vector<uint32_t>{1, 1});
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_EQ(out.Key(1), 20u);
+  EXPECT_EQ(out.Payload(1)[0], 20);
+  EXPECT_EQ(block.Key(0), 10u);
 }
 
 TEST(TupleBlockTest, FilterKeepsMatchingRows) {

@@ -67,6 +67,22 @@ micro_tracker reports one more same-run ratio:
     word-decoding, branch-free merge runs several times the reference, and
     a branchy or byte-wise merge falls back toward it.
 
+Two more same-run ratios gate memory, each the median over KERNEL_RUNS
+rounds of child-process peak RSS (ru_maxrss from os.wait4) of one tjsim
+run over that of --algo=hj on the same fixed input (PEAK_RSS_WORKLOAD,
+the ROADMAP's tjsim baseline: 8 nodes, 1M keys, R x2, S x3). They run
+before anything else, while this script's own footprint, which a child
+inherits into its mark, is far below the children's:
+  tj4_peak_rss_over_hj: --algo=4tj. It fails above MAX_TJ4_PEAK_RSS_OVER_HJ:
+    with every intermediate freed after its last reader and 16-byte tracker
+    entries it reads about 1.27; holding the key projections and tracker
+    entries to the end of the query read 1.99.
+  tj2r_peak_rss_over_hj: --algo=2tj-r. It fails above
+    MAX_TJ2R_PEAK_RSS_OVER_HJ: it reads about 1.46, and 2.37 when the
+    broadcast side's kept block and the inbox buffers outlive phase 8.
+HJ holds the inputs plus one received copy, so each ratio prices what
+track join holds beyond that.
+
 The baseline section "drr_makespan" gates the DRR egress scheduler the
 same way at the head-of-line-worst configuration (4 nodes, 1 KiB chunks,
 a wide credit window): its makespan must stay within max_regression of
@@ -83,6 +99,7 @@ Usage:
 import argparse
 import json
 import os
+import resource
 import statistics
 import subprocess
 import sys
@@ -109,6 +126,10 @@ MAX_BARRIER_NODE_SCALING = 10
 MAX_MERGE_RECEIVED_OVER_SORT = 0.7
 # Floor on micro_tracker's same-run merge / reference throughput ratio.
 MIN_TRACKER_MERGE_OVER_REFERENCE = 4.0
+# Ceilings on tjsim's same-run peak-RSS ratios over HJ, on one fixed input.
+PEAK_RSS_WORKLOAD = ["--nodes=8", "--keys=1000000", "--rmult=2", "--smult=3"]
+MAX_TJ4_PEAK_RSS_OVER_HJ = 1.4
+MAX_TJ2R_PEAK_RSS_OVER_HJ = 1.6
 
 
 def run(cmd, timeout=BENCH_TIMEOUT_S):
@@ -120,6 +141,28 @@ def run(cmd, timeout=BENCH_TIMEOUT_S):
         sys.stderr.write(proc.stdout[-2000:] + proc.stderr[-2000:])
         sys.exit(1)
     return proc.stdout, wall
+
+
+def child_peak_rss_kib(cmd):
+    """Runs `cmd` to completion; returns its peak RSS in KiB, the child's
+    ru_maxrss from os.wait4. Linux carries the forking process's high-water
+    mark across exec into the child's, so a reading is only the child's own
+    while this process stays smaller: main() takes these readings first,
+    and a reading no larger than this process's own peak fails."""
+    proc = subprocess.Popen(cmd, stdout=subprocess.DEVNULL,
+                            stderr=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    if proc.returncode != 0:
+        sys.stderr.write(f"FAIL: {' '.join(cmd)} exited {proc.returncode}\n")
+        sys.exit(1)
+    own_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    if usage.ru_maxrss <= own_kib:
+        sys.stderr.write(f"FAIL: peak RSS of {' '.join(cmd)} ({usage.ru_maxrss}"
+                         f" KiB) is not above this process's own ({own_kib} "
+                         "KiB), so it cannot be told apart\n")
+        sys.exit(1)
+    return usage.ru_maxrss
 
 
 def median_metrics(runs):
@@ -158,6 +201,19 @@ def main():
 
     bench_dir = os.path.join(args.build_dir, "bench")
     threads = [f"--threads={args.threads}"]
+
+    # Peak-RSS gates first, while this process is still small (see
+    # child_peak_rss_kib). Each round runs hj, 4tj and 2tj-r once on the
+    # same input, so drift in the machine hits all three alike.
+    print(f"=== tjsim peak RSS over hj ({KERNEL_RUNS} rounds) ===",
+          flush=True)
+    tjsim = os.path.join(args.build_dir, "tools", "tjsim")
+    rss_rounds = []
+    for _ in range(KERNEL_RUNS):
+        rss_rounds.append({
+            algo: child_peak_rss_kib([tjsim] + PEAK_RSS_WORKLOAD +
+                                     [f"--algo={algo}"])
+            for algo in ("hj", "4tj", "2tj-r")})
 
     table_wall = {}
     for name, flags in TABLE_BENCHES:
@@ -438,6 +494,24 @@ def main():
             failures.append(
                 f"tracker_merge_over_reference median {ratio:.2f} is below "
                 f"its floor {MIN_TRACKER_MERGE_OVER_REFERENCE}")
+    rss_gate = {}
+    for metric, algo, ceiling in (
+            ("tj4_peak_rss_over_hj", "4tj", MAX_TJ4_PEAK_RSS_OVER_HJ),
+            ("tj2r_peak_rss_over_hj", "2tj-r", MAX_TJ2R_PEAK_RSS_OVER_HJ)):
+        ratios = [r[algo] / r["hj"] for r in rss_rounds]
+        ratio = statistics.median(ratios)
+        ok = ratio <= ceiling
+        rss_gate[metric] = {
+            "median": round(ratio, 4), "ceiling": ceiling,
+            "runs": [round(x, 4) for x in ratios],
+            "peak_rss_kib": [r[algo] for r in rss_rounds],
+            "hj_peak_rss_kib": [r["hj"] for r in rss_rounds],
+            "pass": ok}
+        print(f"    {metric}: median {ratio:.3f} vs ceiling {ceiling} "
+              f"{'ok' if ok else 'REGRESSION'}")
+        if not ok:
+            failures.append(f"{metric} median {ratio:.2f} exceeds its "
+                            f"ceiling {ceiling}")
     gated = [(metric, base, kernels.get(metric))
              for metric, base in baseline["tps"].items()]
     gated += [(metric, base, micro.get(metric))
@@ -495,6 +569,7 @@ def main():
         "drr_gate": drr_report,
         "kernel_runs": KERNEL_RUNS,
         "wall_gate": wall_gate,
+        "rss_gate": {"workload": PEAK_RSS_WORKLOAD, **rss_gate},
     }
     with open(args.out, "w") as f:
         json.dump(report, f, indent=2)

@@ -94,6 +94,8 @@ PROFILE_STEP_KEYS = {
     "frames_dropped": int,
     "frames_corrupted": int,
     "frames_duplicated": int,
+    # The process's memory high-water mark when the step closed.
+    "peak_rss_bytes": int,
     "bytes_by_type": dict,
 }
 
@@ -191,6 +193,10 @@ def check_profile(expect_zero_recovery=False, expect_zero_hot_split=False):
             if "merge received keys" not in labels:
                 fail("%s: canonical phase 'merge received keys' missing" %
                      algo)
+        # A high-water mark never falls from one step to the next.
+        peaks = [s["peak_rss_bytes"] for s in steps]
+        if any(b < a for a, b in zip(peaks, peaks[1:])):
+            fail("%s: peak_rss_bytes falls between steps: %s" % (algo, peaks))
         # The per-step records must add up to the advertised totals.
         for key in ("goodput_bytes", "local_bytes", "retransmit_bytes"):
             total = sum(s[key] for s in steps)
