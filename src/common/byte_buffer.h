@@ -112,9 +112,10 @@ class ByteReader {
   uint32_t GetU32() { return static_cast<uint32_t>(GetUint(4)); }
   uint64_t GetU64() { return GetUint(8); }
 
-  /// Copies `size` bytes into `out`.
+  /// Copies `size` bytes into `out`; with `size` 0, `out` may be null.
   void GetBytes(void* out, size_t size) {
     TJ_CHECK_LE(pos_ + size, size_);
+    if (size == 0) return;  // memcpy's pointers must be non-null even then.
     std::memcpy(out, data_ + pos_, size);
     pos_ += size;
   }

@@ -5,7 +5,6 @@
 
 #include "common/bit_util.h"
 #include "common/kway_merge.h"
-#include "net/buffer_pool.h"
 #include "net/fabric.h"
 #include "net/pipelined_fabric.h"
 
@@ -61,23 +60,20 @@ uint32_t NodeIdBytes(uint32_t num_nodes) {
 
 void SendRowsPerDest(Fabric* fabric, uint32_t src, MessageType type,
                      const TupleBlock& block, uint32_t key_bytes,
-                     const std::vector<std::vector<uint32_t>>& rows_per_dest,
-                     BufferPool* pool) {
+                     const std::vector<std::vector<uint32_t>>& rows_per_dest) {
   for (uint32_t dst = 0; dst < rows_per_dest.size(); ++dst) {
     if (rows_per_dest[dst].empty()) continue;
-    ByteBuffer buf = pool != nullptr ? pool->Acquire() : ByteBuffer{};
+    ByteBuffer buf;
     block.SerializeRowsIndexed(rows_per_dest[dst], key_bytes, &buf);
     fabric->Send(src, dst, type, std::move(buf));
   }
 }
 
 Status TryReceiveRows(Fabric* fabric, uint32_t node, MessageType type,
-                      uint32_t key_bytes, TupleBlock* block,
-                      BufferPool* pool) {
-  for (Message& msg : fabric->TakeInbox(node, type)) {
+                      uint32_t key_bytes, TupleBlock* block) {
+  for (const Message& msg : fabric->TakeInbox(node, type)) {
     ByteReader reader(msg.data);
     TJ_RETURN_IF_ERROR(block->TryDeserializeRows(&reader, key_bytes));
-    if (pool != nullptr) pool->Recycle(std::move(msg.data));
   }
   return Status::OK();
 }

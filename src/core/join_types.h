@@ -203,7 +203,6 @@ enum class JoinAlgorithm : uint8_t {
 
 const char* JoinAlgorithmName(JoinAlgorithm algorithm);
 
-class BufferPool;
 class Fabric;
 class PipelinedFabric;
 
@@ -223,18 +222,14 @@ uint32_t NodeIdBytes(uint32_t num_nodes);
 
 /// Sends the rows of `block` listed per destination node as one message per
 /// destination, in destination order. Empty destinations send nothing.
-/// With a `pool`, the message buffers come from it.
 void SendRowsPerDest(Fabric* fabric, uint32_t src, MessageType type,
                      const TupleBlock& block, uint32_t key_bytes,
-                     const std::vector<std::vector<uint32_t>>& rows_per_dest,
-                     BufferPool* pool = nullptr);
+                     const std::vector<std::vector<uint32_t>>& rows_per_dest);
 
 /// Takes node `node`'s inbox of `type` and appends the rows of every
-/// message, in delivery order, to `block`. With a `pool`, the drained
-/// message buffers are recycled into it.
+/// message, in delivery order, to `block`.
 Status TryReceiveRows(Fabric* fabric, uint32_t node, MessageType type,
-                      uint32_t key_bytes, TupleBlock* block,
-                      BufferPool* pool = nullptr);
+                      uint32_t key_bytes, TupleBlock* block);
 
 /// Merges the rows of `messages` into `block` (sorted by key), leaving it
 /// sorted by key. Each message must hold a key-ascending run of rows in the

@@ -15,7 +15,6 @@
 #include "exec/key_aggregate.h"
 #include "exec/local_join.h"
 #include "exec/partition.h"
-#include "net/buffer_pool.h"
 #include "net/pipelined_fabric.h"
 #include "obs/step_profile.h"
 
@@ -165,8 +164,6 @@ struct PipelineNodeState {
   TupleBlock mig[2] = {TupleBlock(0), TupleBlock(0)};
   KeyedRows in_rows[2], mig_rows[2];
   uint32_t data_eos = 0;
-
-  BufferPool pool;
 };
 
 /// The driver chunks its wire streams at entry boundaries, which only the
@@ -309,10 +306,8 @@ Result<JoinResult> TryRunPipelinedTrackJoin(const PartitionedTable& r,
       }
       fabric.ChargeCpuBytes((st.home[0].size() + st.home[1].size()) *
                             config.key_bytes);
-      auto r_msgs =
-          EncodeTrackingMessages(keys[0], config, with_counts, n, &st.pool);
-      auto s_msgs =
-          EncodeTrackingMessages(keys[1], config, with_counts, n, &st.pool);
+      auto r_msgs = EncodeTrackingMessages(keys[0], config, with_counts, n);
+      auto s_msgs = EncodeTrackingMessages(keys[1], config, with_counts, n);
       for (uint32_t step = 0; step < n; ++step) {
         const uint32_t dst = fan_out_dst(node, step);
         fabric.ChargeCpuBytes(r_msgs[dst].size() + s_msgs[dst].size());
@@ -320,8 +315,9 @@ Result<JoinResult> TryRunPipelinedTrackJoin(const PartitionedTable& r,
                     track_entry_bytes, /*eos=*/true);
         send_sliced(node, dst, MessageType::kTrackS, s_msgs[dst],
                     track_entry_bytes, /*eos=*/true);
-        st.pool.Recycle(std::move(r_msgs[dst]));
-        st.pool.Recycle(std::move(s_msgs[dst]));
+        // Sliced into chunks, each message is dead.
+        ByteBuffer().swap(r_msgs[dst]);
+        ByteBuffer().swap(s_msgs[dst]);
       }
       return Status::OK();
     });
@@ -374,7 +370,7 @@ Result<JoinResult> TryRunPipelinedTrackJoin(const PartitionedTable& r,
                         ? 0
                         : piece.back().key & FieldMask(config.key_bytes);
                 fabric.SendChunk(node, dst, stream.instr,
-                                 EncodeKeyNodePairs(piece, config, &st.pool),
+                                 EncodeKeyNodePairs(piece, config),
                                  /*eos=*/false, watermark);
               }
             }
@@ -492,7 +488,7 @@ Result<JoinResult> TryRunPipelinedTrackJoin(const PartitionedTable& r,
           for (size_t first = 0; first < dst_rows.size(); first += per_chunk) {
             const std::span<const uint32_t> piece = dst_rows.subspan(
                 first, std::min<size_t>(per_chunk, dst_rows.size() - first));
-            ByteBuffer buf = st.pool.Acquire(piece.size() * widths[table] + 8);
+            ByteBuffer buf;
             block.SerializeRowsIndexed(piece, config.key_bytes, &buf);
             fabric.SendChunk(chunk.dst, dst, stream.data, std::move(buf),
                              /*eos=*/false,

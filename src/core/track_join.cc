@@ -32,9 +32,6 @@ struct NodeState {
   // Received selective-broadcast tuples (including free local copies).
   TupleBlock r_in{0};
   TupleBlock s_in{0};
-  // Recycles retired message buffers across phases. Per-node by the
-  // fabric's ownership rule, so no locking under concurrent phases.
-  BufferPool pool;
 };
 
 }  // namespace
@@ -94,14 +91,11 @@ Result<JoinResult> TryRunTrackJoin(const PartitionedTable& r,
   // trackers (the tracking phase proper).
   TJ_RETURN_IF_ERROR(fabric.RunPhaseReliable(
       "hash partition & transfer keys", [&](uint32_t node) {
-    BufferPool* pool = &nodes[node].pool;
     auto send = [&](const std::vector<KeyCount>& keys, MessageType type) {
-      auto msgs = EncodeTrackingMessages(keys, config, with_counts, n, pool);
+      auto msgs = EncodeTrackingMessages(keys, config, with_counts, n);
       for (uint32_t dst = 0; dst < n; ++dst) {
         if (!msgs[dst].empty()) {
           fabric.Send(node, dst, type, std::move(msgs[dst]));
-        } else {
-          pool->Recycle(std::move(msgs[dst]));
         }
       }
     };
@@ -120,11 +114,8 @@ Result<JoinResult> TryRunTrackJoin(const PartitionedTable& r,
       "merge received keys", [&](uint32_t node) -> Status {
         NodeState& st = nodes[node];
         auto merge = [&](MessageType type, std::vector<TrackEntry>* out) {
-          auto msgs = fabric.TakeInbox(node, type);
-          Status status =
-              TryMergeTrackingMessages(msgs, config, with_counts, out);
-          for (auto& msg : msgs) st.pool.Recycle(std::move(msg.data));
-          return status;
+          return TryMergeTrackingMessages(fabric.TakeInbox(node, type), config,
+                                          with_counts, out);
         };
         TJ_RETURN_IF_ERROR(merge(MessageType::kTrackR, &st.track_r));
         return merge(MessageType::kTrackS, &st.track_s);
@@ -149,7 +140,7 @@ Result<JoinResult> TryRunTrackJoin(const PartitionedTable& r,
         const std::vector<KeyNodePair>& pairs = (outs.*stream.pairs)[dst];
         if (pairs.empty()) continue;
         fabric.Send(node, dst, stream.instr,
-                    EncodeKeyNodePairs(pairs, pair_config(stream), &st.pool));
+                    EncodeKeyNodePairs(pairs, pair_config(stream)));
       }
     }
     return Status::OK();
@@ -172,17 +163,15 @@ Result<JoinResult> TryRunTrackJoin(const PartitionedTable& r,
     for (const InstructionStream& stream : streams) {
       TupleBlock* block = stream.r_side ? &st.r : &st.s;
       std::vector<std::vector<uint32_t>> rows(n);
-      auto instr_msgs = fabric.TakeInbox(node, stream.instr);
       pairs.clear();
-      for (const auto& msg : instr_msgs) {
+      for (const auto& msg : fabric.TakeInbox(node, stream.instr)) {
         TJ_RETURN_IF_ERROR(
             TryDecodeKeyNodePairs(msg, pair_config(stream), &decoded));
         pairs.insert(pairs.end(), decoded.begin(), decoded.end());
       }
-      for (auto& msg : instr_msgs) st.pool.Recycle(std::move(msg.data));
       RouteInstructedRows(*block, pairs, stream.split, &rows);
       SendRowsPerDest(&fabric, node, stream.data, *block, config.key_bytes,
-                      rows, &st.pool);
+                      rows);
       if (stream.migrates() && !pairs.empty()) {
         FlatSet moved;
         for (const auto& pair : pairs) moved.Insert(pair.key);

@@ -12,14 +12,13 @@ namespace tj {
 
 std::vector<ByteBuffer> EncodeTrackingMessages(
     const std::vector<KeyCount>& keys, const JoinConfig& config,
-    bool with_counts, uint32_t num_nodes, BufferPool* pool) {
+    bool with_counts, uint32_t num_nodes) {
   std::vector<ByteBuffer> per_dest(num_nodes);
   if (config.delta_tracking) {
     // Sorted keys per destination, delta-coded; counts (if any) follow as
     // LEB128 in key order. Input keys arrive sorted, so per-destination
     // streams stay sorted.
-    if (num_nodes > 0 && (pool != nullptr ||
-                          keys.size() >= static_cast<size_t>(num_nodes) * 4)) {
+    if (num_nodes > 0 && keys.size() >= static_cast<size_t>(num_nodes) * 4) {
       // Hash partitioning spreads keys near-uniformly, so pre-size each
       // destination close to its final footprint. Delta streams come in
       // under the hint; the hint only bounds the growth-reallocation chain,
@@ -27,13 +26,7 @@ std::vector<ByteBuffer> EncodeTrackingMessages(
       const uint32_t entry_bytes =
           config.key_bytes + (with_counts ? config.count_bytes : 0);
       const size_t hint = keys.size() * entry_bytes / num_nodes + 16;
-      for (auto& buf : per_dest) {
-        if (pool != nullptr) {
-          buf = pool->Acquire(hint);
-        } else {
-          buf.reserve(hint);
-        }
-      }
+      for (auto& buf : per_dest) buf.reserve(hint);
     }
     std::vector<std::vector<uint64_t>> dest_keys(num_nodes);
     std::vector<std::vector<uint64_t>> dest_counts(num_nodes);
@@ -85,7 +78,6 @@ std::vector<ByteBuffer> EncodeTrackingMessages(
   std::vector<uint8_t*> cursor(num_nodes);
   for (uint32_t d = 0; d < num_nodes; ++d) {
     if (bytes[d] == 0) continue;
-    if (pool != nullptr) per_dest[d] = pool->Acquire(bytes[d] + 8);
     per_dest[d].resize(bytes[d] + 8);
     cursor[d] = per_dest[d].data();
   }
@@ -474,10 +466,9 @@ bool PlacementIterator::OutputProductAtLeast(uint64_t threshold) const {
 }
 
 ByteBuffer EncodeKeyNodePairs(std::span<const KeyNodePair> pairs,
-                              const JoinConfig& config, BufferPool* pool) {
+                              const JoinConfig& config) {
   ByteBuffer out;
   if (config.group_locations) {
-    if (pool != nullptr) out = pool->Acquire();
     NodeGroupEncode({pairs.begin(), pairs.end()}, config.key_bytes, &out);
     return out;
   }
@@ -487,7 +478,6 @@ ByteBuffer EncodeKeyNodePairs(std::span<const KeyNodePair> pairs,
   TJ_CHECK(node_bytes >= 1 && node_bytes <= 8) << "node_bytes=" << node_bytes;
   // One word store per field into a buffer with 8 bytes of slack, trimmed.
   const size_t bytes = pairs.size() * (key_bytes + node_bytes);
-  if (pool != nullptr) out = pool->Acquire(bytes + 8);
   out.resize(bytes + 8);
   uint8_t* p = out.data();
   for (const KeyNodePair& pair : pairs) {

@@ -16,7 +16,6 @@
 #include "core/schedule.h"
 #include "encoding/node_group.h"
 #include "exec/key_aggregate.h"
-#include "net/buffer_pool.h"
 #include "net/message.h"
 
 namespace tj {
@@ -43,11 +42,9 @@ struct TrackEntry {
 /// chunks the tracker re-aggregates ("we can aggregate at the destination").
 /// With cfg.delta_tracking, key streams are sorted+delta coded and counts
 /// are LEB128.
-/// When `pool` is non-null, per-destination buffers are acquired from it so
-/// retired message capacity is reused across phases.
 std::vector<ByteBuffer> EncodeTrackingMessages(
     const std::vector<KeyCount>& keys, const JoinConfig& config,
-    bool with_counts, uint32_t num_nodes, BufferPool* pool = nullptr);
+    bool with_counts, uint32_t num_nodes);
 
 /// Reference decoder: parses one tracking message back into (key, src,
 /// count) entries with a byte reader, checking nothing about key order.
@@ -222,8 +219,7 @@ std::vector<WireChunk> SliceEntryMessage(const ByteBuffer& message,
 /// encoding of Section 2.4 is used. Malformed payloads return
 /// Status::Corruption.
 ByteBuffer EncodeKeyNodePairs(std::span<const KeyNodePair> pairs,
-                              const JoinConfig& config,
-                              BufferPool* pool = nullptr);
+                              const JoinConfig& config);
 /// Decodes one message or pipelined chunk payload.
 Status TryDecodeKeyNodePairs(const ByteBuffer& data, const JoinConfig& config,
                              std::vector<KeyNodePair>* out);

@@ -36,13 +36,11 @@ void Fabric::SetFaultPolicy(const FaultPolicy& policy, uint64_t seed) {
     // fabric with no policy at all. A straggler's slowdown is modeled at
     // the barrier from policy_, which needs no injector.
     injector_.reset();
-    frame_pools_.clear();
     return;
   }
   injector_.emplace(policy, seed, num_nodes_);
   sent_log_.assign(num_nodes_, {});
   next_seq_.assign(static_cast<uint64_t>(num_nodes_) * num_nodes_, 0);
-  frame_pools_ = std::vector<BufferPool>(num_nodes_);
 }
 
 void Fabric::Send(uint32_t src, uint32_t dst, MessageType type,
@@ -58,7 +56,8 @@ void Fabric::Send(uint32_t src, uint32_t dst, MessageType type,
     return;
   }
   SentFrame sent{dst, type, NextSeq(src, dst)++, {}, 0, {}};
-  ByteBuffer frame = frame_pools_[src].Acquire(kFrameHeaderBytes + data.size());
+  ByteBuffer frame;
+  frame.reserve(kFrameHeaderBytes + data.size());
   EncodeFrame(type, sent.seq, data, &frame);
   // The sender keeps the pristine frame for retransmission.
   std::vector<ByteBuffer> copies =
@@ -286,12 +285,8 @@ Status Fabric::DeliverBarrier(const std::string& name,
     return it != link.end() && it->seq == seq;
   };
   for (uint32_t src = 0; src < num_nodes_; ++src) {
-    for (auto& p : queued_[src]) {
-      absorb(src, p.dst, p.data);
-      // The wire copy is spent; its capacity feeds src's next frames.
-      frame_pools_[src].Recycle(std::move(p.data));
-    }
-    queued_[src].clear();
+    for (const auto& p : queued_[src]) absorb(src, p.dst, p.data);
+    queued_[src].clear();  // The wire copies are spent.
   }
 
   // Bounded nack/retransmit rounds. The *sender* is the source of truth for
@@ -377,21 +372,14 @@ Status Fabric::DeliverBarrier(const std::string& name,
             step->AddRetransmit(&traffic_, src, dst, f->type,
                                 (copies.size() - 1) * f->frame.size());
           }
-          for (ByteBuffer& copy : copies) {
-            absorb(src, dst, copy);
-            frame_pools_[src].Recycle(std::move(copy));
-          }
+          for (const ByteBuffer& copy : copies) absorb(src, dst, copy);
         }
       }
     }
     step->AddReliability(&reliability_, outcome);
   }
-  for (uint32_t src = 0; src < num_nodes_; ++src) {
-    // The phase is recovered; retire the retained retransmission frames
-    // into the sender's pool.
-    for (auto& f : sent_log_[src]) frame_pools_[src].Recycle(std::move(f.frame));
-    sent_log_[src].clear();
-  }
+  // The phase is recovered; retire the retained retransmission frames.
+  for (auto& log : sent_log_) log.clear();
 
   // Deliver in canonical (source node, sequence) order — each link is
   // seq-sorted by the final canonicalize() — then let the injector swap

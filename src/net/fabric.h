@@ -51,7 +51,6 @@
 #include "common/status.h"
 #include "common/stopwatch.h"
 #include "common/thread_pool.h"
-#include "net/buffer_pool.h"
 #include "net/failure.h"
 #include "net/fault_injector.h"
 #include "net/message.h"
@@ -202,11 +201,6 @@ class Fabric {
   std::optional<FaultInjector> injector_;
   std::vector<std::vector<SentFrame>> sent_log_;  ///< Per src, per phase.
   std::vector<uint32_t> next_seq_;                ///< Per link, whole run.
-  /// Per-source frame buffer pools: Send (node src's own phase work) draws
-  /// from frame_pools_[src], and the single-threaded barrier recycles
-  /// retired frames and consumed wire copies back. Framing then stops
-  /// allocating per message at steady state.
-  std::vector<BufferPool> frame_pools_;
   uint64_t phase_index_ = 0;
 };
 

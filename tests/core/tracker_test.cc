@@ -223,6 +223,50 @@ TEST(TrackerTest, GroupedKeyNodePairCodecs) {
   for (const auto& p : decoded) EXPECT_EQ(p.node, 2u);
 }
 
+// The pipelined chunker over random entry bytes, so each entry's bytes past
+// its key are nonzero: a watermark that read past `key_bytes` would show.
+TEST(TrackerTest, SliceEntryMessageCutsAtEntryBoundaries) {
+  Rng rng(5);
+  for (uint32_t key_bytes : {1u, 3u, 4u, 8u}) {
+    for (uint32_t entry_bytes : {key_bytes, key_bytes + 1, key_bytes + 4}) {
+      for (uint64_t entries : {0u, 1u, 7u, 100u}) {
+        ByteBuffer message(entries * entry_bytes);
+        for (uint8_t& b : message) b = static_cast<uint8_t>(rng.Next());
+        for (uint64_t chunk_bytes :
+             {uint64_t{1}, uint64_t{entry_bytes - 1}, uint64_t{entry_bytes},
+              uint64_t{3 * entry_bytes + 1}, uint64_t{4096}}) {
+          SCOPED_TRACE("key_bytes=" + std::to_string(key_bytes) +
+                       " entry_bytes=" + std::to_string(entry_bytes) +
+                       " entries=" + std::to_string(entries) +
+                       " chunk_bytes=" + std::to_string(chunk_bytes));
+          const std::vector<WireChunk> chunks =
+              SliceEntryMessage(message, entry_bytes, key_bytes, chunk_bytes);
+          const uint64_t per_chunk =
+              std::max<uint64_t>(1, chunk_bytes / entry_bytes);
+          EXPECT_EQ(chunks.size(), (entries + per_chunk - 1) / per_chunk);
+          ByteBuffer joined;
+          for (const WireChunk& chunk : chunks) {
+            ASSERT_FALSE(chunk.data.empty());
+            EXPECT_EQ(chunk.data.size() % entry_bytes, 0u);
+            EXPECT_LE(chunk.data.size(),
+                      std::max<uint64_t>(chunk_bytes, entry_bytes));
+            if (chunk_bytes < entry_bytes) {
+              EXPECT_EQ(chunk.data.size(), entry_bytes);
+            }
+            // The last entry's key: its first key_bytes bytes, little-endian.
+            uint8_t last[8] = {};
+            std::copy_n(chunk.data.end() - entry_bytes, key_bytes, last);
+            EXPECT_EQ(chunk.watermark, LoadLe64(last));
+            EXPECT_EQ(chunk.watermark & ~FieldMask(key_bytes), 0u);
+            joined.insert(joined.end(), chunk.data.begin(), chunk.data.end());
+          }
+          EXPECT_EQ(joined, message);
+        }
+      }
+    }
+  }
+}
+
 TEST(TrackerMergeTest, MatchesReferenceOnRandomStreams) {
   // Property: the k-way merge is byte-identical to decode + MergeTrackEntries
   // across formats, counts modes, fan-ins, and duplication levels.

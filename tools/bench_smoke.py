@@ -121,7 +121,7 @@ KERNEL_RUNS = 3
 # Ceilings on local_kernels' same-run wall ratios.
 MAX_PIPELINED_OVER_BARRIER_WALL = 1.6
 MAX_PIPELINED_SCALING = 2.4
-MAX_Y_CHECKSUM_JOIN_OVER_JOIN = 100
+MAX_Y_CHECKSUM_JOIN_OVER_JOIN = 68
 MAX_BARRIER_NODE_SCALING = 10
 MAX_MERGE_RECEIVED_OVER_SORT = 0.7
 # Floor on micro_tracker's same-run merge / reference throughput ratio.

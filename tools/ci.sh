@@ -53,7 +53,7 @@ for san in "${sanitizers[@]}"; do
   # (Captured once per label: `ctest -N | grep -q` would trip pipefail when
   # grep exits at the first match and ctest takes a SIGPIPE.)
   unit_listing="$(ctest --test-dir "${dir}" -N -L unit)"
-  for required in kway_merge_test flat_table_test buffer_pool_test \
+  for required in kway_merge_test flat_table_test \
                   tracker_test hot_split_test zipf_workload_test \
                   pipelined_fabric_test pipelined_track_join_test \
                   blame_test egress_sched_test codec_fuzz_test bloom_test \

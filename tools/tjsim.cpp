@@ -81,8 +81,10 @@ struct Options {
   std::string trace_path;  // "" (off) | Chrome trace output file
   std::string explain;     // "" (off) | json | table
   uint64_t explain_top = 10;
+  bool explain_top_set = false;
   std::string blame;       // "" (off) | json | table; requires --pipeline
   uint64_t blame_top = 20;
+  bool blame_top_set = false;
   bool metrics = false;
 };
 
@@ -439,6 +441,7 @@ Options Parse(int argc, char** argv) {
     } else if ((v = val("--explain-top="))) {
       opt.explain_top = ParseUint64Flag("--explain-top", v, 0, 1u << 20,
                                         "integer in [0, 1048576]");
+      opt.explain_top_set = true;
     } else if ((v = val("--blame="))) {
       opt.blame = v;
       if (opt.blame != "json" && opt.blame != "table") {
@@ -447,6 +450,7 @@ Options Parse(int argc, char** argv) {
     } else if ((v = val("--blame-top="))) {
       opt.blame_top = ParseUint64Flag("--blame-top", v, 0, 1u << 20,
                                       "integer in [0, 1048576]");
+      opt.blame_top_set = true;
     } else if ((v = val("--hot-key-threshold="))) {
       opt.hot_key_threshold = ParseUint64Flag(
           "--hot-key-threshold", v, 0, UINT64_MAX, "unsigned integer");
@@ -545,6 +549,12 @@ Options Parse(int argc, char** argv) {
                  "makespan is modeled at the default 0.093 GB/s NIC rate\n");
     std::exit(1);
   }
+  if ((opt.pipeline_chunk > 0 || opt.inbox_budget > 0) && !opt.pipeline) {
+    std::fprintf(stderr, "%s tunes the pipelined fabric; add --pipeline\n",
+                 opt.pipeline_chunk > 0 ? "--pipeline-chunk"
+                                        : "--inbox-budget");
+    std::exit(1);
+  }
   if (!opt.egress_sched.empty() && !opt.pipeline) {
     std::fprintf(stderr,
                  "--egress-sched selects the pipelined fabric's NIC "
@@ -555,6 +565,16 @@ Options Parse(int argc, char** argv) {
     std::fprintf(stderr,
                  "--drr-quantum tunes the deficit round-robin scheduler; "
                  "add --egress-sched=drr\n");
+    std::exit(1);
+  }
+  if (opt.explain_top_set && opt.explain.empty()) {
+    std::fprintf(stderr,
+                 "--explain-top sizes the scheduler audit; add --explain\n");
+    std::exit(1);
+  }
+  if (opt.blame_top_set && opt.blame.empty()) {
+    std::fprintf(stderr,
+                 "--blame-top sizes the blame report; add --blame\n");
     std::exit(1);
   }
   if (!opt.blame.empty() && !opt.pipeline) {
