@@ -15,8 +15,10 @@
 //   barrier_node_scaling             barrier 4TJ on one small input over
 //                                    256 nodes ÷ over 16 nodes, near 1
 //                                    when a phase costs O(messages + N);
-//   merge_received_over_sort         barrier phase 8's merge of 8
-//                                    key-ascending serialized runs ÷
+//   merge_received_over_sort         the received-run merge the barrier
+//                                    joins read (MergedRuns), drained
+//                                    from 8 key-ascending serialized
+//                                    runs into a block ÷
 //                                    deserializing the same bytes and
 //                                    sorting them, the median of 15
 //                                    alternating pairs.
@@ -277,11 +279,12 @@ int main(int argc, char** argv) {
   }
   TJ_CHECK_EQ(y_sum.count(), y_rows) << "checksum join row count differs";
 
-  // Barrier phase 8 on one node's received tuples: 8 key-ascending runs
-  // (one per source) of rows / 2 rows in all, 4-byte keys and 8-byte
-  // payloads, merged in place from the wire bytes versus deserialized and
-  // radix-sorted, both serial, pairs alternating. Falling back to sorting
-  // drives the ratio to 1.
+  // One node's received tuples as the barrier joins read them: 8
+  // key-ascending runs (one per source) of rows / 2 rows in all, 4-byte
+  // keys and 8-byte payloads, merged in place from the wire bytes and
+  // drained into a block versus deserialized and radix-sorted, both
+  // serial, pairs alternating. Falling back to sorting drives the ratio
+  // to 1.
   constexpr uint32_t kKeyBytes = 4;
   std::vector<Message> received;
   for (uint32_t src = 0; src < 8; ++src) {

@@ -62,8 +62,14 @@ class LoserTree {
   /// Advances the winning cursor and replays its leaf-to-root path.
   /// Done() must be false.
   void Pop() {
+    Top().Next();
+    Replay();
+  }
+
+  /// Replays the winning cursor's leaf-to-root path after the caller
+  /// advanced it through Top(), any number of steps. Done() must be false.
+  void Replay() {
     const size_t w = Rank(top_);
-    (*cursors_)[w].Next();
     Head h = HeadOf(w);
     for (size_t i = (k_ + w) / 2; i >= 1; i /= 2) {
       const Head other = tree_[i];

@@ -7,6 +7,7 @@
 #include "common/kway_merge.h"
 #include "net/fabric.h"
 #include "net/pipelined_fabric.h"
+#include "obs/trace.h"
 
 namespace tj {
 
@@ -78,119 +79,148 @@ Status TryReceiveRows(Fabric* fabric, uint32_t node, MessageType type,
   return Status::OK();
 }
 
-namespace {
-
-/// Merge cursor over one received message's rows, read in place; caches
-/// its head's key.
-class WireRowCursor {
- public:
-  WireRowCursor(const ByteBuffer& data, uint32_t key_bytes, uint32_t row_bytes)
-      : row_(data.data()), end_(data.data() + data.size()),
-        key_bytes_(key_bytes), row_bytes_(row_bytes) {
-    if (Valid()) LoadKey();
-  }
-
-  bool Valid() const { return row_ != end_; }
-  uint64_t key() const { return key_; }
-  const uint8_t* payload() const { return row_ + key_bytes_; }
-  void Next() {
-    row_ += row_bytes_;
-    if (Valid()) LoadKey();
-  }
-
- private:
-  void LoadKey() { key_ = LoadLeField(row_, end_ - row_, key_bytes_); }
-
-  const uint8_t* row_;
-  const uint8_t* end_;
-  uint32_t key_bytes_;
-  uint32_t row_bytes_;
-  uint64_t key_ = 0;
-};
-
-/// Names the first message whose keys descend.
-Status DescentFault(const std::vector<Message>& messages, uint32_t key_bytes,
-                    uint32_t row_bytes) {
-  for (const Message& msg : messages) {
-    uint64_t last = 0;
-    for (WireRowCursor row(msg.data, key_bytes, row_bytes); row.Valid();
-         row.Next()) {
-      if (row.key() < last) {
-        return Status::Corruption("tuple run from node " +
-                                  std::to_string(msg.src) +
-                                  " descends at key " +
-                                  std::to_string(row.key()));
-      }
-      last = row.key();
-    }
-  }
-  return Status::Internal("tuple merge descent not found in its runs");
-}
-
-}  // namespace
-
-Status TryMergeReceivedRows(const std::vector<Message>& messages,
-                            uint32_t key_bytes, TupleBlock* block) {
-  TJ_CHECK_LE(key_bytes, 8u);
-  const uint32_t width = block->payload_width();
-  const uint32_t row_bytes = key_bytes + width;
-  TJ_CHECK_GT(row_bytes, 0u);
-  std::vector<WireRowCursor> runs;
-  runs.reserve(messages.size());
-  uint64_t received = 0;
+Status TryCheckReceivedRuns(const std::vector<Message>& messages,
+                            uint32_t key_bytes, uint32_t payload_width) {
+  TJ_CHECK(key_bytes >= 1 && key_bytes <= 8) << "key_bytes " << key_bytes;
+  const uint32_t row_bytes = key_bytes + payload_width;
   for (const Message& msg : messages) {
     if (msg.data.size() % row_bytes != 0) {
       return Status::Corruption("tuple payload from node " +
                                 std::to_string(msg.src) +
                                 " not a multiple of row size");
     }
-    received += msg.data.size() / row_bytes;
-    runs.emplace_back(msg.data, key_bytes, row_bytes);
   }
-  if (received == 0) return Status::OK();
+  for (const Message& msg : messages) {
+    const uint8_t* end = msg.data.data() + msg.data.size();
+    uint64_t last = 0;
+    for (const uint8_t* row = msg.data.data(); row != end; row += row_bytes) {
+      const uint64_t key = LoadLeField(row, end - row, key_bytes);
+      if (key < last) {
+        return Status::Corruption("tuple run from node " +
+                                  std::to_string(msg.src) +
+                                  " descends at key " + std::to_string(key));
+      }
+      last = key;
+    }
+  }
+  return Status::OK();
+}
 
-  const TupleBlock& local = *block;
-  const uint64_t local_rows = local.size();
-  TupleBlock merged(width);
-  merged.Resize(local_rows + received);
-  uint64_t* keys = merged.MutableKeys();
-  uint8_t* payloads = merged.MutablePayloads();
-  uint64_t out = 0;
-  uint64_t next_local = 0;
-  // Copies the local rows [next_local, end) as one block.
-  auto copy_local = [&](uint64_t end) {
-    std::copy(local.keys().begin() + next_local, local.keys().begin() + end,
-              keys + out);
-    // An empty local block has no payload storage to copy from.
-    if (width > 0 && end > next_local) {
-      std::memcpy(payloads + out * width, local.Payload(next_local),
-                  (end - next_local) * width);
-    }
-    out += end - next_local;
-    next_local = end;
-  };
-  // The tree pops keys in ascending order exactly when every run ascends,
-  // so flagging descents of its output checks the runs without a pass of
-  // their own.
-  uint64_t descents = 0;
-  uint64_t last_key = 0;
-  for (LoserTree<WireRowCursor> tree(&runs); !tree.Done(); tree.Pop()) {
-    const uint64_t key = tree.TopKey();
-    descents += key < last_key;
-    last_key = key;
-    if (next_local < local_rows && local.Key(next_local) <= key) {
-      uint64_t end = next_local + 1;
-      while (end < local_rows && local.Key(end) <= key) ++end;
-      copy_local(end);
-    }
-    keys[out] = key;
-    if (width > 0) {
-      std::memcpy(payloads + out * width, tree.Top().payload(), width);
-    }
-    ++out;
+std::vector<MergedRuns::WireRowCursor> MergedRuns::Cursors(
+    const std::vector<Message>& messages, uint32_t key_bytes,
+    uint32_t width) {
+  TJ_CHECK(key_bytes >= 1 && key_bytes <= 8) << "key_bytes " << key_bytes;
+  const uint32_t row_bytes = key_bytes + width;
+  std::vector<WireRowCursor> cursors;
+  cursors.reserve(messages.size());
+  for (const Message& msg : messages) {
+    TJ_CHECK_EQ(msg.data.size() % row_bytes, 0u) << "unchecked tuple run";
+    cursors.emplace_back(msg.data, key_bytes, row_bytes);
   }
-  if (descents != 0) return DescentFault(messages, key_bytes, row_bytes);
-  copy_local(local_rows);
+  return cursors;
+}
+
+MergedRuns::MergedRuns(const TupleBlock* kept,
+                       const std::vector<Message>& messages,
+                       uint32_t key_bytes, uint32_t payload_width)
+    : width_(payload_width),
+      kept_(kept),
+      kept_rows_(kept != nullptr ? kept->size() : 0),
+      rows_(kept_rows_),
+      cursors_(Cursors(messages, key_bytes, payload_width)),
+      tree_(&cursors_) {
+  TJ_CHECK(kept == nullptr || kept->payload_width() == payload_width);
+  for (const Message& msg : messages) {
+    rows_ += msg.data.size() / (key_bytes + payload_width);
+  }
+}
+
+void MergedRuns::SkipBelow(uint64_t key) {
+  while (kept_row_ < kept_rows_ && kept_->Key(kept_row_) < key) ++kept_row_;
+  while (!tree_.Done() && tree_.TopKey() < key) {
+    WireRowCursor& run = tree_.Top();
+    do {
+      run.Next();
+    } while (run.Valid() && run.key() < key);
+    tree_.Replay();
+  }
+}
+
+PayloadRun MergedRuns::TakeGroup() {
+  const bool kept_first = KeptFirst();
+  const uint64_t key = kept_first ? kept_->Key(kept_row_) : tree_.TopKey();
+  // The tree top's rows of `key`, in place; moves the view past them.
+  auto take_top = [&]() {
+    const PayloadRun rows = tree_.Top().Take(key, width_);
+    tree_.Replay();
+    return rows;
+  };
+  PayloadRun first;
+  if (kept_first) {
+    const uint64_t begin = kept_row_;
+    do {
+      ++kept_row_;
+    } while (kept_row_ < kept_rows_ && kept_->Key(kept_row_) == key);
+    first = kept_->Run(begin, kept_row_);
+  } else {
+    first = take_top();
+  }
+  if (tree_.TopKey() != key || tree_.Done()) return first;
+  uint64_t rows = 0;
+  auto gather = [&](const PayloadRun& run) {
+    scratch_.resize((rows + run.size) * width_);
+    for (uint64_t i = 0; i < run.size && width_ > 0; ++i) {
+      std::memcpy(scratch_.data() + (rows + i) * width_, run[i], width_);
+    }
+    rows += run.size;
+  };
+  gather(first);
+  while (!tree_.Done() && tree_.TopKey() == key) gather(take_top());
+  return PayloadRun(scratch_.data(), width_, rows);
+}
+
+uint64_t MergeJoinRuns(MergedRuns* r, MergedRuns* s, const JoinSink& sink) {
+  TraceSpan span("kernel", "MergeJoinRuns",
+                 static_cast<int64_t>(r->rows() + s->rows()));
+  uint64_t output = 0;
+  while (!r->Done() && !s->Done()) {
+    const uint64_t kr = r->key();
+    const uint64_t ks = s->key();
+    if (kr < ks) {
+      r->SkipBelow(ks);
+    } else if (ks < kr) {
+      s->SkipBelow(kr);
+    } else {
+      const PayloadRun r_group = r->TakeGroup();
+      const PayloadRun s_group = s->TakeGroup();
+      if (sink) sink(kr, r_group, s_group);
+      output += r_group.size * s_group.size;
+    }
+  }
+  return output;
+}
+
+Status TryMergeReceivedRows(const std::vector<Message>& messages,
+                            uint32_t key_bytes, TupleBlock* block) {
+  const uint32_t width = block->payload_width();
+  TJ_RETURN_IF_ERROR(TryCheckReceivedRuns(messages, key_bytes, width));
+  TupleBlock merged(width);
+  {
+    MergedRuns runs(block, messages, key_bytes, width);
+    if (runs.rows() == block->size()) return Status::OK();
+    merged.Resize(runs.rows());
+    uint64_t* keys = merged.MutableKeys();
+    uint8_t* payloads = merged.MutablePayloads();
+    for (uint64_t out = 0; !runs.Done();) {
+      const uint64_t key = runs.key();
+      const PayloadRun group = runs.TakeGroup();
+      std::fill(keys + out, keys + out + group.size, key);
+      for (uint64_t i = 0; i < group.size && width > 0; ++i) {
+        std::memcpy(payloads + (out + i) * width, group[i], width);
+      }
+      out += group.size;
+    }
+  }
   *block = std::move(merged);
   return Status::OK();
 }

@@ -8,6 +8,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/kway_merge.h"
 #include "common/status.h"
 #include "exec/local_join.h"
 #include "net/failure.h"
@@ -231,14 +232,119 @@ void SendRowsPerDest(Fabric* fabric, uint32_t src, MessageType type,
 Status TryReceiveRows(Fabric* fabric, uint32_t node, MessageType type,
                       uint32_t key_bytes, TupleBlock* block);
 
+/// Checks received data messages before anything reads them as runs. Each
+/// must hold a whole number of rows in the wire format SendRowsPerDest
+/// writes (`key_bytes` + `payload_width` bytes each), with keys ascending.
+/// Returns Status::Corruption naming the first message that is not a whole
+/// number of rows, else the first whose keys descend.
+Status TryCheckReceivedRuns(const std::vector<Message>& messages,
+                            uint32_t key_bytes, uint32_t payload_width);
+
+/// One table's rows at one node as a barrier final join reads them: a kept
+/// key-sorted block as run 0, then the key-ascending data messages received
+/// for it, merged by key as they are read. Cursors read every run in place:
+/// the kept block's is walked directly, the messages' through a loser tree.
+/// The view yields one key group at a time, its ties in run order (the kept
+/// rows first, then the messages in inbox order), which is the order a
+/// stable sort of their concatenation gives. A group held by one run is
+/// handed out in place; a group spread over several runs is gathered into
+/// the view's scratch, which grows to the largest such group. The block and
+/// the messages must outlive the view and pass TryCheckReceivedRuns.
+class MergedRuns {
+ public:
+  /// `kept` may be null (no kept rows).
+  MergedRuns(const TupleBlock* kept, const std::vector<Message>& messages,
+             uint32_t key_bytes, uint32_t payload_width);
+  // The tree points into the cursors.
+  MergedRuns(const MergedRuns&) = delete;
+  MergedRuns& operator=(const MergedRuns&) = delete;
+
+  /// Rows in all runs.
+  uint64_t rows() const { return rows_; }
+  /// True once every row has been taken or skipped.
+  bool Done() const { return kept_row_ == kept_rows_ && tree_.Done(); }
+  /// The next group's key. Done() must be false.
+  uint64_t key() const {
+    return KeptFirst() ? kept_->Key(kept_row_) : tree_.TopKey();
+  }
+  /// Skips every row whose key is below `key`.
+  void SkipBelow(uint64_t key);
+  /// Takes the next group, every row of key(): its payloads in merge order,
+  /// valid until the next call. Done() must be false.
+  PayloadRun TakeGroup();
+
+ private:
+  /// Merge cursor over one received message's rows, read in place; caches
+  /// its head's key.
+  class WireRowCursor {
+   public:
+    WireRowCursor(const ByteBuffer& data, uint32_t key_bytes,
+                  uint32_t row_bytes)
+        : row_(data.data()), end_(data.data() + data.size()),
+          key_bytes_(key_bytes), row_bytes_(row_bytes) {
+      if (Valid()) LoadKey();
+    }
+
+    bool Valid() const { return row_ != end_; }
+    uint64_t key() const { return key_; }
+    void Next() {
+      row_ += row_bytes_;
+      if (Valid()) LoadKey();
+    }
+    /// The payloads of the head's rows of `key`, in place; moves the cursor
+    /// past them. Valid() and key() == `key` required.
+    PayloadRun Take(uint64_t key, uint32_t width) {
+      const uint8_t* first = row_ + key_bytes_;
+      uint64_t count = 0;
+      do {
+        Next();
+        ++count;
+      } while (Valid() && key_ == key);
+      return PayloadRun(first, width, count, nullptr, row_bytes_);
+    }
+
+   private:
+    void LoadKey() { key_ = LoadLeField(row_, end_ - row_, key_bytes_); }
+
+    const uint8_t* row_;
+    const uint8_t* end_;
+    uint32_t key_bytes_;
+    uint32_t row_bytes_;
+    uint64_t key_ = 0;
+  };
+
+  /// True when the kept block holds the next row: ties go to it. A drained
+  /// tree's top key is ~0, which no kept key passes.
+  bool KeptFirst() const {
+    return kept_row_ < kept_rows_ && kept_->Key(kept_row_) <= tree_.TopKey();
+  }
+
+  static std::vector<WireRowCursor> Cursors(
+      const std::vector<Message>& messages, uint32_t key_bytes,
+      uint32_t width);
+
+  uint32_t width_;
+  /// Run 0: rows [kept_row_, kept_rows_) of *kept_ are still to come.
+  const TupleBlock* kept_;
+  uint64_t kept_row_ = 0;
+  uint64_t kept_rows_;
+  uint64_t rows_;
+  std::vector<WireRowCursor> cursors_;
+  LoserTree<WireRowCursor> tree_;
+  std::vector<uint8_t> scratch_;
+};
+
+/// Merge join of two merged views (the R side first), handing `sink` each
+/// key's R group and S group. Returns the output cardinality. On the same
+/// rows it delivers the same groups, in the same order and with the same
+/// payload order, as MergeJoinSorted over the views drained into blocks.
+uint64_t MergeJoinRuns(MergedRuns* r, MergedRuns* s, const JoinSink& sink);
+
 /// Merges the rows of `messages` into `block` (sorted by key), leaving it
-/// sorted by key. Each message must hold a key-ascending run of rows in the
-/// wire format SendRowsPerDest writes; a loser tree merges the runs reading
-/// them in place, and every key and payload is written straight into the
-/// result. Ties keep `block`'s own rows first, then message order, so the
-/// result equals appending every message in order and stably sorting. A
-/// message that is not a whole number of rows, or whose keys descend,
-/// returns Status::Corruption and leaves `block` unchanged.
+/// sorted by key: a drain of the MergedRuns view over them, so the result
+/// equals appending every message in order and stably sorting. Messages
+/// that fail TryCheckReceivedRuns return its Status::Corruption and leave
+/// `block` unchanged.
 Status TryMergeReceivedRows(const std::vector<Message>& messages,
                             uint32_t key_bytes, TupleBlock* block);
 

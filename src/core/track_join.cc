@@ -29,9 +29,12 @@ struct NodeState {
   // to phase 6.
   std::vector<TrackEntry> track_r;
   std::vector<TrackEntry> track_s;
-  // Received selective-broadcast tuples (including free local copies).
-  TupleBlock r_in{0};
-  TupleBlock s_in{0};
+  // Received data runs per table (0 = R, 1 = S), phase 8 to the final join
+  // that reads them: selective-broadcast tuples (including free local
+  // copies), and migrated rows with hot-split fragments, which join as part
+  // of the kept block.
+  std::vector<Message> broadcast[2];
+  std::vector<Message> migrated[2];
 };
 
 }  // namespace
@@ -154,8 +157,8 @@ Result<JoinResult> TryRunTrackJoin(const PartitionedTable& r,
   // equal to self is a free local copy, which the fabric accounts apart
   // from network traffic. Migrations (4-phase) move whole runs and hot-split
   // fragments cut them across the key's workers; both drop the moved runs
-  // locally, and workers merge the fragments next to their own kept rows in
-  // phase 8.
+  // locally, and workers join the fragments next to their own kept rows in
+  // phases 9-10.
   TJ_RETURN_IF_ERROR(fabric.RunPhaseReliable(
       "selective broadcast & migrate", [&](uint32_t node) -> Status {
     NodeState& st = nodes[node];
@@ -183,54 +186,67 @@ Result<JoinResult> TryRunTrackJoin(const PartitionedTable& r,
   }));
 
   // Phase 8: merge received tuples. Every data message is one key-ascending
-  // run, so a k-way merge replaces a sort: migrated runs and fragments merge
-  // into the kept local blocks, broadcast tuples into the probe blocks.
-  // Phase 10 joins the kept R block only with received S tuples, and phase
-  // 9 the kept S block only with received R tuples, so a node that receives
-  // none of one side's broadcast frees the other side's kept block first
-  // (the broadcast side's own kept block under 2-phase track join). The
-  // inbox buffers die here: no later phase sends.
+  // run, checked here, so the final joins merge them by key as they read
+  // them (MergedRuns): migrated runs and fragments next to the kept block,
+  // broadcast runs on their own. Phase 10 joins the kept R block only with
+  // received S tuples, and phase 9 the kept S block only with received R
+  // tuples, so a node that receives none of one side's broadcast frees the
+  // other side's kept block and migrated runs here (the broadcast side's
+  // own kept block under 2-phase track join).
   TJ_RETURN_IF_ERROR(fabric.RunPhaseReliable(
       "merge received tuples", [&](uint32_t node) -> Status {
     NodeState& st = nodes[node];
-    std::vector<std::vector<Message>> inboxes(streams.size());
-    bool received[2] = {false, false};  // Broadcast tuples, R and S.
-    for (size_t i = 0; i < streams.size(); ++i) {
+    for (const InstructionStream& stream : streams) {
       // Fragments arrive as their side's migration data.
-      if (streams[i].split) continue;
-      inboxes[i] = fabric.TakeInbox(node, streams[i].data);
-      if (!streams[i].migrates()) {
-        received[streams[i].r_side ? 0 : 1] = !inboxes[i].empty();
-      }
-    }
-    if (!received[1]) st.r = TupleBlock(r.payload_width());
-    if (!received[0]) st.s = TupleBlock(s.payload_width());
-    for (size_t i = 0; i < streams.size(); ++i) {
-      const InstructionStream& stream = streams[i];
       if (stream.split) continue;
-      TupleBlock* block;
-      if (stream.migrates()) {
-        block = stream.r_side ? &st.r : &st.s;
-      } else {
-        block = stream.r_side ? &st.r_in : &st.s_in;
-        *block = TupleBlock((stream.r_side ? r : s).payload_width());
-      }
-      TJ_RETURN_IF_ERROR(
-          TryMergeReceivedRows(inboxes[i], config.key_bytes, block));
-      std::vector<Message>().swap(inboxes[i]);
+      const int table = stream.r_side ? 0 : 1;
+      std::vector<Message>& runs =
+          (stream.migrates() ? st.migrated : st.broadcast)[table];
+      runs = fabric.TakeInbox(node, stream.data);
+      TJ_RETURN_IF_ERROR(TryCheckReceivedRuns(
+          runs, config.key_bytes, (stream.r_side ? r : s).payload_width()));
+    }
+    if (st.broadcast[1].empty()) {
+      st.r = TupleBlock(r.payload_width());
+      std::vector<Message>().swap(st.migrated[0]);
+    }
+    if (st.broadcast[0].empty()) {
+      st.s = TupleBlock(s.payload_width());
+      std::vector<Message>().swap(st.migrated[1]);
     }
     return Status::OK();
   }));
 
-  // Phases 9-10: the final local joins, one per broadcast direction.
+  // Phases 9-10: the final local joins, one per broadcast direction, each
+  // freeing the runs it read last.
   TJ_RETURN_IF_ERROR(fabric.RunPhaseReliable(
       "final merge-join R->S", [&](uint32_t node) {
-        MergeJoinSorted(nodes[node].r_in, nodes[node].s, outputs.Sink(node));
+        NodeState& st = nodes[node];
+        {
+          MergedRuns r_runs(nullptr, st.broadcast[0], config.key_bytes,
+                            r.payload_width());
+          MergedRuns s_runs(&st.s, st.migrated[1], config.key_bytes,
+                            s.payload_width());
+          MergeJoinRuns(&r_runs, &s_runs, outputs.Sink(node));
+        }
+        std::vector<Message>().swap(st.broadcast[0]);
+        std::vector<Message>().swap(st.migrated[1]);
+        st.s = TupleBlock(s.payload_width());
         return Status::OK();
       }));
   TJ_RETURN_IF_ERROR(fabric.RunPhaseReliable(
       "final merge-join S->R", [&](uint32_t node) {
-        MergeJoinSorted(nodes[node].r, nodes[node].s_in, outputs.Sink(node));
+        NodeState& st = nodes[node];
+        {
+          MergedRuns r_runs(&st.r, st.migrated[0], config.key_bytes,
+                            r.payload_width());
+          MergedRuns s_runs(nullptr, st.broadcast[1], config.key_bytes,
+                            s.payload_width());
+          MergeJoinRuns(&r_runs, &s_runs, outputs.Sink(node));
+        }
+        std::vector<Message>().swap(st.broadcast[1]);
+        std::vector<Message>().swap(st.migrated[0]);
+        st.r = TupleBlock(r.payload_width());
         return Status::OK();
       }));
 

@@ -92,19 +92,22 @@ Status Fabric::RunPhaseReliable(const std::string& name,
   } else {
     for (uint32_t node = 0; node < num_nodes_; ++node) work(node);
   }
-  double elapsed = watch.ElapsedSeconds();
   const bool straggling =
       has_policy_ && policy_.models_straggler() &&
       policy_.slow_node < num_nodes_ &&
       !(injector_ && injector_->NodeCrashed(policy_.slow_node, phase));
-  if (straggling) {
-    // The de-pipelined barrier waits for the slowest node, so a modeled
-    // straggler stretches the whole phase — on either wire path.
-    elapsed += policy_.slowdown_seconds;
-  }
+  // The de-pipelined barrier waits for the slowest node, so a modeled
+  // straggler stretches the whole phase — on either wire path.
+  const double slowdown = straggling ? policy_.slowdown_seconds : 0;
+  const double elapsed = watch.ElapsedSeconds() + slowdown;
   in_phase_ = false;
   StepAccumulator step(name, num_nodes_);
   AccountSends(&step);
+  // A failed phase is priced like a completed one, from what it sent.
+  auto fail = [&](Status status) {
+    return Fail(std::move(status),
+                step.Close(NetworkTimeModel()).net_seconds + slowdown);
+  };
 
   // Arm a fresh failure report for this phase; every error path below adds
   // its structured findings before returning through Fail().
@@ -119,10 +122,9 @@ Status Fabric::RunPhaseReliable(const std::string& name,
   for (uint32_t node = 0; node < num_nodes_; ++node) {
     if (!statuses[node].ok()) {
       abandon();
-      return Fail(Status(statuses[node].code(),
+      return fail(Status(statuses[node].code(),
                          "phase '" + name + "' node " + std::to_string(node) +
-                             ": " + statuses[node].message()),
-                  elapsed);
+                             ": " + statuses[node].message()));
     }
   }
   if (injector_ && injector_->policy().crash_node < num_nodes_ &&
@@ -133,10 +135,10 @@ Status Fabric::RunPhaseReliable(const std::string& name,
     // the query on the surviving nodes with replica failover.
     abandon();
     failure_.dead_nodes.push_back(injector_->policy().crash_node);
-    return Fail(Status::DataLoss(
+    return fail(Status::DataLoss(
         "node " + std::to_string(injector_->policy().crash_node) +
         " crashed (fail-stop) before completing phase " +
-        std::to_string(phase) + " '" + name + "'"), elapsed);
+        std::to_string(phase) + " '" + name + "'"));
   }
   if (straggling && phase_deadline_seconds_ > 0 &&
       policy_.slowdown_seconds > phase_deadline_seconds_) {
@@ -145,18 +147,19 @@ Status Fabric::RunPhaseReliable(const std::string& name,
     // participates, so a given policy either always or never trips this.
     abandon();
     failure_.suspected_nodes.push_back(policy_.slow_node);
-    return Fail(Status::DeadlineExceeded(
+    return fail(Status::DeadlineExceeded(
         "phase '" + name + "': node " + std::to_string(policy_.slow_node) +
         " straggled " + std::to_string(policy_.slowdown_seconds) +
         "s past the " + std::to_string(phase_deadline_seconds_) +
-        "s phase deadline; promoted to suspected-dead"), elapsed);
+        "s phase deadline; promoted to suspected-dead"));
   }
   if (Status barrier = DeliverBarrier(name, &step); !barrier.ok()) {
-    return Fail(std::move(barrier), elapsed);
+    return fail(std::move(barrier));
   }
   StepRecord record = step.Close(NetworkTimeModel());
   record.wall_seconds = elapsed;
   record.peak_rss_bytes = PeakRssBytes();
+  modeled_seconds_.emplace_back(name, record.net_seconds + slowdown);
   steps_.push_back(std::move(record));
   if (Tracer::enabled()) {
     // Cumulative per-node NIC counters, one sample per barrier: the trace
@@ -193,12 +196,12 @@ void Fabric::AccountSends(StepAccumulator* step) {
   }
 }
 
-Status Fabric::Fail(Status status, double wall_seconds) {
+Status Fabric::Fail(Status status, double modeled_seconds) {
   if (diag_sink_ != nullptr) {
     diag_sink_->failure = failure_;
     diag_sink_->traffic = traffic_;
-    diag_sink_->phase_seconds = PhaseSeconds(steps_);
-    diag_sink_->phase_seconds.emplace_back(failure_.phase, wall_seconds);
+    diag_sink_->phase_seconds = modeled_seconds_;
+    diag_sink_->phase_seconds.emplace_back(failure_.phase, modeled_seconds);
   }
   return status;
 }

@@ -167,10 +167,10 @@ class Fabric {
   Status DeliverBarrier(const std::string& name, StepAccumulator* step);
 
   /// Funnels every phase-failure Status through one place: copies the
-  /// failure report, traffic and phase times — the completed steps, then
-  /// the failed phase's `wall_seconds` — into the diagnostics sink (if
-  /// any), then returns `status` unchanged.
-  Status Fail(Status status, double wall_seconds);
+  /// failure report, traffic and modeled phase seconds — the completed
+  /// steps', then the failed phase's `modeled_seconds` — into the
+  /// diagnostics sink (if any), then returns `status` unchanged.
+  Status Fail(Status status, double modeled_seconds);
 
   uint32_t num_nodes_;
   ThreadPool* pool_ = nullptr;
@@ -189,6 +189,9 @@ class Fabric {
   std::vector<std::vector<Message>> inboxes_;
   bool in_phase_ = false;
   std::vector<StepRecord> steps_;
+  /// Each completed step's modeled seconds: its network seconds plus the
+  /// modeled straggler slowdown, if any. Measured wall time never enters.
+  std::vector<std::pair<std::string, double>> modeled_seconds_;
 
   // Fault-tolerant mode state. The policy is retained even when it is
   // delivery-inert (pure straggler): the slowdown is modeled on the

@@ -77,7 +77,11 @@ struct RunDiagnostics {
   FailureReport failure;
   /// Traffic the failed attempt put on the wire before dying.
   TrafficMatrix traffic;
-  /// Modeled wall time the failed attempt burned, per phase.
+  /// Modeled seconds the failed attempt burned, per phase, the failed one
+  /// last. The barrier fabric prices a phase at its network seconds plus
+  /// any modeled straggler slowdown; the pipelined fabric's stages carry
+  /// their modeled CPU seconds. Measured wall time never enters, so one
+  /// seed always bills the same.
   std::vector<std::pair<std::string, double>> phase_seconds;
 
   void Reset() {

@@ -21,16 +21,25 @@
 namespace tj {
 
 /// A read-only run of fixed-width payloads: one side of a join key group.
-/// Row i's `width` bytes sit at base + i * width, or, when `rows` is set,
-/// at base + rows[i] * width.
+/// Row i's `width` bytes sit at base + i * stride, or, when `rows` is set,
+/// at base + rows[i] * stride. The stride is the width unless the payloads
+/// are read in place from wire rows, where each follows its key.
 struct PayloadRun {
+  PayloadRun() = default;
+  /// A `stride` of 0 means `width`.
+  PayloadRun(const uint8_t* base, uint32_t width, uint64_t size,
+             const uint32_t* rows = nullptr, uint64_t stride = 0)
+      : base(base), width(width), size(size), rows(rows),
+        stride(stride != 0 ? stride : width) {}
+
   const uint8_t* base = nullptr;
   uint32_t width = 0;
   uint64_t size = 0;
   const uint32_t* rows = nullptr;
+  uint64_t stride = 0;
 
   const uint8_t* operator[](uint64_t i) const {
-    return base + (rows != nullptr ? rows[i] : i) * width;
+    return base + (rows != nullptr ? rows[i] : i) * stride;
   }
 };
 

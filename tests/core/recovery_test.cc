@@ -96,6 +96,37 @@ TEST(RecoveryTest, CrashFailoverMatchesPristineChecksum) {
   EXPECT_EQ(run->traffic.IngressBytes(2), 0u);
 }
 
+// Recovery latency is modeled, not measured: one seeded crash-and-failover
+// run twice reports the same attempts, bytes and seconds to the bit.
+TEST(RecoveryTest, SeededFailoverReportIsReproducible) {
+  Workload w = MakeWorkload(6);
+  ReplicatedWorkload rw = ReplicateWorkload(w, 2);
+  FaultPolicy policy;
+  policy.crash_node = 2;
+  policy.crash_phase = 3;
+  JoinConfig config;
+  config.key_bytes = 4;
+  config.fault_policy = &policy;
+  config.fault_seed = 7;
+
+  RecoveryReport reports[2];
+  for (RecoveryReport& report : reports) {
+    ASSERT_TRUE(
+        RunWithRecovery(rw.r, rw.s, config, {}, TrackJoin3Runner(), &report)
+            .ok());
+  }
+  EXPECT_EQ(reports[0].failovers, 1u);
+  EXPECT_GT(reports[0].wasted_seconds, 0.0);
+  EXPECT_EQ(reports[0].attempts, reports[1].attempts);
+  EXPECT_EQ(reports[0].failovers, reports[1].failovers);
+  EXPECT_EQ(reports[0].retries, reports[1].retries);
+  EXPECT_EQ(reports[0].dead_nodes, reports[1].dead_nodes);
+  EXPECT_EQ(reports[0].wasted_seconds, reports[1].wasted_seconds);
+  EXPECT_EQ(reports[0].backoff_seconds, reports[1].backoff_seconds);
+  EXPECT_EQ(reports[0].recovery_seconds, reports[1].recovery_seconds);
+  EXPECT_EQ(reports[0].recovery_bytes, reports[1].recovery_bytes);
+}
+
 TEST(RecoveryTest, DeadlinePromotesStragglerAndFailsOver) {
   Workload w = MakeWorkload(5);
   ReplicatedWorkload rw = ReplicateWorkload(w, 2);

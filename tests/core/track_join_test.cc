@@ -333,6 +333,158 @@ TEST(MergeReceivedRowsTest, RejectsPartialRowsAndDescendingRuns) {
   }
 }
 
+/// One side of a final join as phase 8 leaves it: a kept block (rows with
+/// payloads that name their row) and `runs` received messages, keys from a
+/// small domain so they tie within runs, across runs and with the kept rows;
+/// some runs are empty.
+struct JoinSide {
+  TupleBlock kept{0};
+  std::vector<Message> runs;
+};
+
+JoinSide RandomSide(Rng* rng, uint32_t width, uint32_t key_bytes,
+                    size_t kept_rows, uint32_t runs) {
+  JoinSide side;
+  side.kept = TupleBlock(width);
+  std::vector<uint8_t> payload(width);
+  uint32_t row = 0;
+  for (uint64_t key : SortedKeys(rng, kept_rows, 25)) {
+    for (uint32_t b = 0; b < width; ++b) {
+      payload[b] = static_cast<uint8_t>(200 + row * 3 + b);
+    }
+    side.kept.Append(key, payload.data());
+    ++row;
+  }
+  for (uint32_t src = 0; src < runs; ++src) {
+    const size_t rows = rng->Below(3) == 0 ? 0 : rng->Below(20);
+    side.runs.push_back(
+        RowMessage(src, SortedKeys(rng, rows, 25), width, key_bytes));
+  }
+  return side;
+}
+
+/// Every key group a join hands its sink, payloads copied out in order.
+struct RecordedGroup {
+  uint64_t key;
+  std::vector<uint8_t> r;
+  std::vector<uint8_t> s;
+  uint64_t r_rows;
+  uint64_t s_rows;
+  bool operator==(const RecordedGroup&) const = default;
+};
+
+JoinSink RecordingSink(std::vector<RecordedGroup>* groups) {
+  return JoinSink::ForGroups(
+      [groups](uint64_t key, const PayloadRun& r, const PayloadRun& s) {
+        RecordedGroup group{key, {}, {}, r.size, s.size};
+        for (uint64_t i = 0; i < r.size; ++i) {
+          group.r.insert(group.r.end(), r[i], r[i] + r.width);
+        }
+        for (uint64_t j = 0; j < s.size; ++j) {
+          group.s.insert(group.s.end(), s[j], s[j] + s.width);
+        }
+        groups->push_back(std::move(group));
+      });
+}
+
+// Phases 9-10 join straight from the received runs. On random sides (kept
+// rows or none, any number of runs, empty runs, zero-width payloads, ties
+// everywhere) the merged views hand the sink the same groups, with the same
+// payload order, as merging the runs into blocks and merge-joining those,
+// and materialize the same rows byte for byte.
+TEST(MergedRunsTest, JoinEqualsMergeThenMergeJoinSorted) {
+  Rng rng(43);
+  for (uint32_t key_bytes : {1u, 3u, 8u}) {
+    for (uint32_t width_r : {0u, 6u}) {
+      for (uint32_t width_s : {0u, 9u}) {
+        for (int trial = 0; trial < 12; ++trial) {
+          const bool r_kept = trial % 2 == 0;
+          const bool s_kept = trial % 3 == 0;
+          const JoinSide r_side =
+              RandomSide(&rng, width_r, key_bytes, r_kept ? rng.Below(30) : 0,
+                         static_cast<uint32_t>(rng.Below(6)));
+          const JoinSide s_side =
+              RandomSide(&rng, width_s, key_bytes, s_kept ? rng.Below(30) : 0,
+                         static_cast<uint32_t>(rng.Below(6)));
+          ASSERT_TRUE(
+              TryCheckReceivedRuns(r_side.runs, key_bytes, width_r).ok());
+          ASSERT_TRUE(
+              TryCheckReceivedRuns(s_side.runs, key_bytes, width_s).ok());
+
+          TupleBlock r_block = r_side.kept;
+          TupleBlock s_block = s_side.kept;
+          ASSERT_TRUE(
+              TryMergeReceivedRows(r_side.runs, key_bytes, &r_block).ok());
+          ASSERT_TRUE(
+              TryMergeReceivedRows(s_side.runs, key_bytes, &s_block).ok());
+          std::vector<RecordedGroup> expected, actual;
+          const uint64_t expected_rows =
+              MergeJoinSorted(r_block, s_block, RecordingSink(&expected));
+
+          auto join = [&](const JoinSink& sink) {
+            MergedRuns r_runs(r_kept ? &r_side.kept : nullptr, r_side.runs,
+                              key_bytes, width_r);
+            MergedRuns s_runs(s_kept ? &s_side.kept : nullptr, s_side.runs,
+                              key_bytes, width_s);
+            EXPECT_EQ(r_runs.rows(), r_block.size());
+            EXPECT_EQ(s_runs.rows(), s_block.size());
+            return MergeJoinRuns(&r_runs, &s_runs, sink);
+          };
+          EXPECT_EQ(join(RecordingSink(&actual)), expected_rows);
+          EXPECT_EQ(actual, expected)
+              << "key_bytes=" << key_bytes << " width_r=" << width_r
+              << " width_s=" << width_s << " trial=" << trial;
+
+          TupleBlock want(width_r + width_s), got(width_r + width_s);
+          JoinChecksum want_sum, got_sum;
+          MergeJoinSorted(r_block, s_block,
+                          MaterializeSink(&want, &want_sum, width_r, width_s));
+          join(MaterializeSink(&got, &got_sum, width_r, width_s));
+          EXPECT_EQ(got.keys(), want.keys());
+          EXPECT_EQ(got.MemoryBytes(), want.MemoryBytes());
+          for (uint64_t row = 0; row < got.size() && got.payload_width() > 0;
+               ++row) {
+            ASSERT_EQ(0, std::memcmp(got.Payload(row), want.Payload(row),
+                                     got.payload_width()))
+                << "row " << row;
+          }
+          EXPECT_TRUE(got_sum == want_sum);
+        }
+      }
+    }
+  }
+}
+
+// A malformed data run fails the query in phase 8, before any join output:
+// node 1's R partition carries 3-byte payloads where the table (node 0's
+// partition) declares 2, so the R run it sends to node 2 (wide S rows never
+// move) is not a whole number of rows.
+TEST(TrackJoinTest, MalformedDataRunFailsInMergeReceivedTuples) {
+  PartitionedTable r("R", 3, 2);
+  PartitionedTable s("S", 3, 20);
+  const uint8_t payload[20] = {1, 2, 3};
+  r.node(1) = TupleBlock(3);
+  r.node(1).Append(7, payload);
+  s.node(2).Append(7, payload);
+  for (TrackJoinVersion version :
+       {TrackJoinVersion::k2Phase, TrackJoinVersion::k3Phase,
+        TrackJoinVersion::k4Phase}) {
+    JoinConfig config = TestConfig();
+    config.materialize = true;
+    RunDiagnostics diagnostics;
+    config.diagnostics = &diagnostics;
+    const Result<JoinResult> result =
+        TryRunTrackJoin(r, s, config, version, Direction::kRtoS);
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kCorruption)
+        << result.status().ToString();
+    EXPECT_NE(result.status().ToString().find("not a multiple of row size"),
+              std::string::npos)
+        << result.status().ToString();
+    EXPECT_EQ(diagnostics.failure.phase, "merge received tuples");
+  }
+}
+
 // The barrier holder concatenates every tracker's instruction list; routing
 // merges them by key, so each destination's rows ascend.
 TEST(TrackJoinTest, ConcatenatedInstructionListsRouteInKeyOrder) {

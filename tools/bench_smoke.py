@@ -54,11 +54,13 @@ process, so they need no checked-in baseline:
     spread over 256 nodes over the same at 16 nodes. It fails above
     MAX_BARRIER_NODE_SCALING: at O(messages + nodes) per phase it sits near
     6 on a 4-vCPU VM; rescanning the N x N traffic matrix per barrier: ~50.
-  merge_received_over_sort: barrier phase 8's loser-tree merge of 8
-    key-ascending serialized runs over deserializing the same bytes and
+  merge_received_over_sort: the loser-tree merge of received runs that
+    the barrier joins read (MergedRuns), drained from 8 key-ascending
+    serialized runs into a block, over deserializing the same bytes and
     radix-sorting them, the median of 15 alternating pairs. It fails above
-    MAX_MERGE_RECEIVED_OVER_SORT: the merge reads 0.36-0.39 on a 4-vCPU
-    VM, and falling back to sorting reads about 1.
+    MAX_MERGE_RECEIVED_OVER_SORT: the drained view reads 0.44-0.54 on a
+    4-vCPU VM (a dedicated merge that checked descents inline read
+    0.35-0.39), and falling back to sorting reads about 1.
 
 micro_tracker reports one more same-run ratio:
   tracker_merge_over_reference: the loser-tree merge's throughput over the
@@ -74,12 +76,16 @@ the ROADMAP's tjsim baseline: 8 nodes, 1M keys, R x2, S x3). They run
 before anything else, while this script's own footprint, which a child
 inherits into its mark, is far below the children's:
   tj4_peak_rss_over_hj: --algo=4tj. It fails above MAX_TJ4_PEAK_RSS_OVER_HJ:
-    with every intermediate freed after its last reader and 16-byte tracker
-    entries it reads about 1.27; holding the key projections and tracker
-    entries to the end of the query read 1.99.
+    with every intermediate freed after its last reader, 16-byte tracker
+    entries and the final joins reading the received runs in place it
+    reads about 1.21; copying the runs into merged blocks in phase 8 read
+    1.25, and holding the key projections and tracker entries to the end
+    of the query read 1.99.
   tj2r_peak_rss_over_hj: --algo=2tj-r. It fails above
-    MAX_TJ2R_PEAK_RSS_OVER_HJ: it reads about 1.46, and 2.37 when the
-    broadcast side's kept block and the inbox buffers outlive phase 8.
+    MAX_TJ2R_PEAK_RSS_OVER_HJ: it reads about 1.29; the phase-8 copies
+    read 1.38, and 2.37 when the broadcast side's kept block and the inbox
+    buffers outlived phase 8.
+Each ceiling is the reading times the same 10% margin.
 HJ holds the inputs plus one received copy, so each ratio prices what
 track join holds beyond that.
 
@@ -128,8 +134,8 @@ MAX_MERGE_RECEIVED_OVER_SORT = 0.7
 MIN_TRACKER_MERGE_OVER_REFERENCE = 4.0
 # Ceilings on tjsim's same-run peak-RSS ratios over HJ, on one fixed input.
 PEAK_RSS_WORKLOAD = ["--nodes=8", "--keys=1000000", "--rmult=2", "--smult=3"]
-MAX_TJ4_PEAK_RSS_OVER_HJ = 1.4
-MAX_TJ2R_PEAK_RSS_OVER_HJ = 1.6
+MAX_TJ4_PEAK_RSS_OVER_HJ = 1.33
+MAX_TJ2R_PEAK_RSS_OVER_HJ = 1.42
 
 
 def run(cmd, timeout=BENCH_TIMEOUT_S):
