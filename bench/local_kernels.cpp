@@ -3,11 +3,14 @@
 // small hash-join / 4-phase-track-join run (the StepProfile rows Tables 3
 // and 4 are built from).
 //
-// Also reports five same-run ratios of serial wall times, which hold
+// Also reports six same-run ratios of serial wall times, which hold
 // across machines (best of 3 runs each unless noted):
 //   tj4_pipelined_over_barrier_wall  pipelined 4TJ (DRR) ÷ barrier 4TJ on
 //                                    workload X at scale 1/2000, the
 //                                    median of 15 alternating pairs;
+//   tj4_pipelined_over_barrier_wall_zipf
+//                                    the same on a small Zipf 0.8 input
+//                                    (hot keys), also 15 pairs;
 //   tj4_pipelined_scaling            pipelined 4TJ at 1/1000 ÷ at 1/2000,
 //                                    about 2 for a linear-time driver;
 //   y_checksum_join_over_join        merge join of workload Y/200 with the
@@ -229,6 +232,27 @@ int main(int argc, char** argv) {
   const double wall_ratio = wall_ratios[bench::kWallRatioPairs / 2];
   TJ_CHECK(barrier_sum == pipelined_sum) << "pipelined 4TJ result differs";
 
+  // The same ratio on a small Zipf 0.8 input (20,000 keys and rows per
+  // table on 8 nodes), where a hot key's rows reach a joiner over many
+  // chunks of both kinds: the median of kWallRatioPairs alternating pairs.
+  ZipfWorkloadSpec zipf_spec;
+  zipf_spec.seed = args.seed;
+  zipf_spec.key_domain = 20000;
+  zipf_spec.r_rows = 20000;
+  zipf_spec.s_rows = 20000;
+  zipf_spec.r_theta = 0.8;
+  zipf_spec.s_theta = 0.8;
+  const Workload wz = ValueOrDie(TryGenerateZipfWorkload(zipf_spec));
+  for (int rep = 0; rep < bench::kWallRatioPairs; ++rep) {
+    const double b = bench::Seconds([&] { barrier_sum = barrier(wz); });
+    const double p = bench::Seconds([&] { pipelined_sum = pipelined(wz); });
+    wall_ratios[rep] = p / b;
+  }
+  std::nth_element(wall_ratios, wall_ratios + bench::kWallRatioPairs / 2,
+                   wall_ratios + bench::kWallRatioPairs);
+  const double zipf_wall_ratio = wall_ratios[bench::kWallRatioPairs / 2];
+  TJ_CHECK(barrier_sum == pipelined_sum) << "pipelined Zipf 4TJ result differs";
+
   // Barrier 4TJ on the same 8,000 keys per table spread over 16 and over
   // 256 nodes, serial, best of kReps each, reps alternating: what cluster
   // width alone costs a barrier run.
@@ -334,6 +358,8 @@ int main(int argc, char** argv) {
   std::printf("  \"tj4_pipelined_wall_s\": %.6f,\n", pipelined_s);
   std::printf("  \"tj4_pipelined_over_barrier_wall\": %.4f,\n",
               wall_ratio);
+  std::printf("  \"tj4_pipelined_over_barrier_wall_zipf\": %.4f,\n",
+              zipf_wall_ratio);
   std::printf("  \"tj4_pipelined_2x_wall_s\": %.6f,\n", pipelined_2x_s);
   std::printf("  \"tj4_pipelined_scaling\": %.4f,\n",
               pipelined_2x_s / pipelined_s);

@@ -23,6 +23,7 @@
 #ifndef TJ_COMMON_KWAY_MERGE_H_
 #define TJ_COMMON_KWAY_MERGE_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -33,22 +34,16 @@ template <typename Cursor>
 class LoserTree {
  public:
   /// `cursors` is borrowed and must outlive the tree.
-  explicit LoserTree(std::vector<Cursor>* cursors)
-      : cursors_(cursors), k_(cursors->size()) {
-    top_ = Drained(0);
-    if (k_ == 0) return;
-    // Bottom-up build: leaves are the cursors' heads, each internal node
-    // stores the loser of its match and forwards the winner upward.
-    std::vector<Head> winner(2 * k_);
-    tree_.assign(k_, 0);
-    for (size_t j = 0; j < k_; ++j) winner[k_ + j] = HeadOf(j);
-    for (size_t i = k_ - 1; i >= 1; --i) {
-      const Head a = winner[2 * i];
-      const Head b = winner[2 * i + 1];
-      winner[i] = a < b ? a : b;
-      tree_[i] = a < b ? b : a;
-    }
-    top_ = winner[1];
+  explicit LoserTree(std::vector<Cursor>* cursors) : cursors_(cursors) {
+    Rebuild();
+  }
+
+  /// Plays every match again from the cursors' heads, after the caller
+  /// replaced or re-seated any of them, reusing the tree's storage.
+  void Rebuild() {
+    k_ = cursors_->size();
+    tree_.resize(k_);
+    top_ = k_ == 0 ? Drained(0) : Build(1);
   }
 
   /// True when every cursor is exhausted (or there are none).
@@ -84,6 +79,15 @@ class LoserTree {
   using Head = unsigned __int128;
 
   static size_t Rank(Head h) { return static_cast<size_t>(h); }
+  /// Plays the matches below node `i` (cursor j's leaf is node k + j), each
+  /// internal node keeping its loser, and returns the winner.
+  Head Build(size_t i) {
+    if (i >= k_) return HeadOf(i - k_);
+    const Head a = Build(2 * i);
+    const Head b = Build(2 * i + 1);
+    tree_[i] = std::max(a, b);
+    return std::min(a, b);
+  }
   Head Drained(size_t j) const {
     return Head{~0ULL} << 64 | static_cast<uint64_t>(k_ + j);
   }

@@ -11,10 +11,6 @@
 
 namespace tj {
 
-const char* DirectionName(Direction dir) {
-  return dir == Direction::kRtoS ? "R->S" : "S->R";
-}
-
 const char* JoinAlgorithmName(JoinAlgorithm algorithm) {
   switch (algorithm) {
     case JoinAlgorithm::kBroadcastR:
@@ -79,76 +75,84 @@ Status TryReceiveRows(Fabric* fabric, uint32_t node, MessageType type,
   return Status::OK();
 }
 
-Status TryCheckReceivedRuns(const std::vector<Message>& messages,
-                            uint32_t key_bytes, uint32_t payload_width) {
+std::vector<RunBytes> BytesOf(const std::vector<Message>& messages) {
+  std::vector<RunBytes> runs;
+  runs.reserve(messages.size());
+  for (const Message& msg : messages) runs.emplace_back(msg.data);
+  return runs;
+}
+
+Status TryCheckReceivedRun(RunBytes run, uint32_t src, uint32_t key_bytes,
+                           uint32_t payload_width) {
   TJ_CHECK(key_bytes >= 1 && key_bytes <= 8) << "key_bytes " << key_bytes;
   const uint32_t row_bytes = key_bytes + payload_width;
-  for (const Message& msg : messages) {
-    if (msg.data.size() % row_bytes != 0) {
-      return Status::Corruption("tuple payload from node " +
-                                std::to_string(msg.src) +
-                                " not a multiple of row size");
-    }
+  if (run.size() % row_bytes != 0) {
+    return Status::Corruption("tuple payload from node " +
+                              std::to_string(src) +
+                              " not a multiple of row size");
   }
-  for (const Message& msg : messages) {
-    const uint8_t* end = msg.data.data() + msg.data.size();
-    uint64_t last = 0;
-    for (const uint8_t* row = msg.data.data(); row != end; row += row_bytes) {
-      const uint64_t key = LoadLeField(row, end - row, key_bytes);
-      if (key < last) {
-        return Status::Corruption("tuple run from node " +
-                                  std::to_string(msg.src) +
-                                  " descends at key " + std::to_string(key));
-      }
-      last = key;
+  const uint8_t* end = run.data() + run.size();
+  uint64_t last = 0;
+  for (const uint8_t* row = run.data(); row != end; row += row_bytes) {
+    const uint64_t key = LoadLeField(row, end - row, key_bytes);
+    if (key < last) {
+      return Status::Corruption("tuple run from node " + std::to_string(src) +
+                                " descends at key " + std::to_string(key));
     }
+    last = key;
   }
   return Status::OK();
 }
 
-std::vector<MergedRuns::WireRowCursor> MergedRuns::Cursors(
-    const std::vector<Message>& messages, uint32_t key_bytes,
-    uint32_t width) {
-  TJ_CHECK(key_bytes >= 1 && key_bytes <= 8) << "key_bytes " << key_bytes;
-  const uint32_t row_bytes = key_bytes + width;
-  std::vector<WireRowCursor> cursors;
-  cursors.reserve(messages.size());
+Status TryCheckReceivedRuns(const std::vector<Message>& messages,
+                            uint32_t key_bytes, uint32_t payload_width) {
   for (const Message& msg : messages) {
-    TJ_CHECK_EQ(msg.data.size() % row_bytes, 0u) << "unchecked tuple run";
-    cursors.emplace_back(msg.data, key_bytes, row_bytes);
+    TJ_RETURN_IF_ERROR(
+        TryCheckReceivedRun(msg.data, msg.src, key_bytes, payload_width));
   }
-  return cursors;
+  return Status::OK();
 }
 
-MergedRuns::MergedRuns(const TupleBlock* kept,
-                       const std::vector<Message>& messages,
-                       uint32_t key_bytes, uint32_t payload_width)
-    : width_(payload_width),
-      kept_(kept),
-      kept_rows_(kept != nullptr ? kept->size() : 0),
-      rows_(kept_rows_),
-      cursors_(Cursors(messages, key_bytes, payload_width)),
-      tree_(&cursors_) {
-  TJ_CHECK(kept == nullptr || kept->payload_width() == payload_width);
-  for (const Message& msg : messages) {
-    rows_ += msg.data.size() / (key_bytes + payload_width);
+MergedRuns::MergedRuns(const TupleBlock* kept, uint64_t first, uint64_t last,
+                       std::span<const RunBytes> runs, uint32_t key_bytes,
+                       uint32_t payload_width)
+    : key_bytes_(key_bytes), width_(payload_width), tree_(&cursors_) {
+  TJ_CHECK(key_bytes >= 1 && key_bytes <= 8) << "key_bytes " << key_bytes;
+  Reset(kept, first, last, runs);
+}
+
+void MergedRuns::Reset(const TupleBlock* kept, uint64_t first, uint64_t last,
+                       std::span<const RunBytes> runs) {
+  TJ_CHECK(kept == nullptr || (kept->payload_width() == width_ &&
+                               first <= last && last <= kept->size()));
+  kept_ = kept;
+  kept_keys_ = kept != nullptr ? kept->keys().data() : nullptr;
+  kept_row_ = kept != nullptr ? first : 0;
+  kept_end_ = kept != nullptr ? last : 0;
+  rows_ = kept_end_ - kept_row_;
+  const uint32_t row_bytes = key_bytes_ + width_;
+  cursors_.clear();
+  for (RunBytes run : runs) {
+    TJ_CHECK_EQ(run.size() % row_bytes, 0u) << "unchecked tuple run";
+    cursors_.emplace_back(run, key_bytes_, row_bytes);
+    rows_ += run.size() / row_bytes;
   }
+  tree_.Rebuild();
 }
 
 void MergedRuns::SkipBelow(uint64_t key) {
-  while (kept_row_ < kept_rows_ && kept_->Key(kept_row_) < key) ++kept_row_;
+  const uint64_t* keys = kept_keys_;
+  kept_row_ = GallopPast(kept_row_, kept_end_,
+                         [keys, key](uint64_t row) { return keys[row] < key; });
   while (!tree_.Done() && tree_.TopKey() < key) {
-    WireRowCursor& run = tree_.Top();
-    do {
-      run.Next();
-    } while (run.Valid() && run.key() < key);
+    tree_.Top().SkipBelow(key);
     tree_.Replay();
   }
 }
 
 PayloadRun MergedRuns::TakeGroup() {
   const bool kept_first = KeptFirst();
-  const uint64_t key = kept_first ? kept_->Key(kept_row_) : tree_.TopKey();
+  const uint64_t key = kept_first ? kept_keys_[kept_row_] : tree_.TopKey();
   // The tree top's rows of `key`, in place; moves the view past them.
   auto take_top = [&]() {
     const PayloadRun rows = tree_.Top().Take(key, width_);
@@ -160,7 +164,7 @@ PayloadRun MergedRuns::TakeGroup() {
     const uint64_t begin = kept_row_;
     do {
       ++kept_row_;
-    } while (kept_row_ < kept_rows_ && kept_->Key(kept_row_) == key);
+    } while (kept_row_ < kept_end_ && kept_keys_[kept_row_] == key);
     first = kept_->Run(begin, kept_row_);
   } else {
     first = take_top();
@@ -206,7 +210,8 @@ Status TryMergeReceivedRows(const std::vector<Message>& messages,
   TJ_RETURN_IF_ERROR(TryCheckReceivedRuns(messages, key_bytes, width));
   TupleBlock merged(width);
   {
-    MergedRuns runs(block, messages, key_bytes, width);
+    MergedRuns runs(block, 0, block->size(), BytesOf(messages), key_bytes,
+                    width);
     if (runs.rows() == block->size()) return Status::OK();
     merged.Resize(runs.rows());
     uint64_t* keys = merged.MutableKeys();

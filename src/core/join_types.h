@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -26,8 +27,6 @@ enum class Direction : uint8_t {
   kRtoS,  ///< R tuples are sent to the locations of matching S tuples.
   kStoR,  ///< S tuples are sent to the locations of matching R tuples.
 };
-
-const char* DirectionName(Direction dir);
 
 /// Which track-join variant runs (see core/track_join.h for the taxonomy).
 /// Lives here so the shared per-key planner (core/schedule.h) and both the
@@ -232,29 +231,48 @@ void SendRowsPerDest(Fabric* fabric, uint32_t src, MessageType type,
 Status TryReceiveRows(Fabric* fabric, uint32_t node, MessageType type,
                       uint32_t key_bytes, TupleBlock* block);
 
-/// Checks received data messages before anything reads them as runs. Each
-/// must hold a whole number of rows in the wire format SendRowsPerDest
-/// writes (`key_bytes` + `payload_width` bytes each), with keys ascending.
-/// Returns Status::Corruption naming the first message that is not a whole
-/// number of rows, else the first whose keys descend.
+/// Borrowed bytes of one received data run: rows in the wire format
+/// SendRowsPerDest writes (`key_bytes` + payload width bytes each).
+using RunBytes = std::span<const uint8_t>;
+
+/// The bytes of each message, borrowed, in order.
+std::vector<RunBytes> BytesOf(const std::vector<Message>& messages);
+
+/// Checks one received data run, sent by node `src`, before anything reads
+/// it: it must hold a whole number of rows of `key_bytes` + `payload_width`
+/// bytes, with keys ascending. Returns Status::Corruption naming `src`
+/// otherwise.
+Status TryCheckReceivedRun(RunBytes run, uint32_t src, uint32_t key_bytes,
+                           uint32_t payload_width);
+
+/// TryCheckReceivedRun on each message in order: the first one that fails
+/// decides the Status.
 Status TryCheckReceivedRuns(const std::vector<Message>& messages,
                             uint32_t key_bytes, uint32_t payload_width);
 
-/// One table's rows at one node as a barrier final join reads them: a kept
-/// key-sorted block as run 0, then the key-ascending data messages received
-/// for it, merged by key as they are read. Cursors read every run in place:
-/// the kept block's is walked directly, the messages' through a loser tree.
-/// The view yields one key group at a time, its ties in run order (the kept
-/// rows first, then the messages in inbox order), which is the order a
-/// stable sort of their concatenation gives. A group held by one run is
+/// One table's rows at one node as a final join reads them: a kept run,
+/// rows [first, last) of a block sorted by key on that range, then
+/// key-ascending received runs, merged by key as they are read. Cursors
+/// read every run in place and seek with GallopPast: the kept run's is
+/// walked directly, the received runs' go through a loser tree. The view
+/// yields one key group at a time, its ties in run order (the kept rows
+/// first, then the received runs in the order given), which is the order
+/// a stable sort of their concatenation gives. A group held by one run is
 /// handed out in place; a group spread over several runs is gathered into
-/// the view's scratch, which grows to the largest such group. The block and
-/// the messages must outlive the view and pass TryCheckReceivedRuns.
+/// the view's scratch, which grows to the largest such group. The block
+/// and the received bytes must outlive the view, and every received run
+/// must pass TryCheckReceivedRun.
 class MergedRuns {
  public:
-  /// `kept` may be null (no kept rows).
-  MergedRuns(const TupleBlock* kept, const std::vector<Message>& messages,
-             uint32_t key_bytes, uint32_t payload_width);
+  /// `kept` may be null (no kept rows; `first` and `last` are then
+  /// ignored). `runs` itself need not outlive the view.
+  MergedRuns(const TupleBlock* kept, uint64_t first, uint64_t last,
+             std::span<const RunBytes> runs, uint32_t key_bytes,
+             uint32_t payload_width);
+  /// Re-seats the view on other runs of the same widths, as if newly
+  /// constructed, reusing its storage.
+  void Reset(const TupleBlock* kept, uint64_t first, uint64_t last,
+             std::span<const RunBytes> runs);
   // The tree points into the cursors.
   MergedRuns(const MergedRuns&) = delete;
   MergedRuns& operator=(const MergedRuns&) = delete;
@@ -262,10 +280,10 @@ class MergedRuns {
   /// Rows in all runs.
   uint64_t rows() const { return rows_; }
   /// True once every row has been taken or skipped.
-  bool Done() const { return kept_row_ == kept_rows_ && tree_.Done(); }
+  bool Done() const { return kept_row_ == kept_end_ && tree_.Done(); }
   /// The next group's key. Done() must be false.
   uint64_t key() const {
-    return KeptFirst() ? kept_->Key(kept_row_) : tree_.TopKey();
+    return KeptFirst() ? kept_keys_[kept_row_] : tree_.TopKey();
   }
   /// Skips every row whose key is below `key`.
   void SkipBelow(uint64_t key);
@@ -274,12 +292,11 @@ class MergedRuns {
   PayloadRun TakeGroup();
 
  private:
-  /// Merge cursor over one received message's rows, read in place; caches
-  /// its head's key.
+  /// Merge cursor over one received run's rows, read in place; caches its
+  /// head's key.
   class WireRowCursor {
    public:
-    WireRowCursor(const ByteBuffer& data, uint32_t key_bytes,
-                  uint32_t row_bytes)
+    WireRowCursor(RunBytes data, uint32_t key_bytes, uint32_t row_bytes)
         : row_(data.data()), end_(data.data() + data.size()),
           key_bytes_(key_bytes), row_bytes_(row_bytes) {
       if (Valid()) LoadKey();
@@ -289,6 +306,18 @@ class MergedRuns {
     uint64_t key() const { return key_; }
     void Next() {
       row_ += row_bytes_;
+      if (Valid()) LoadKey();
+    }
+    /// Moves the cursor past every row whose key is below `key`, galloping
+    /// (the rows past the end fail the test, so no division counts them).
+    void SkipBelow(uint64_t key) {
+      const uint8_t* rows = row_;
+      const uint64_t bytes = end_ - rows;
+      row_ += row_bytes_ * GallopPast(0, ~uint64_t{0}, [&](uint64_t i) {
+        const uint64_t at = i * row_bytes_;
+        return at < bytes &&
+               LoadLeField(rows + at, bytes - at, key_bytes_) < key;
+      });
       if (Valid()) LoadKey();
     }
     /// The payloads of the head's rows of `key`, in place; moves the cursor
@@ -313,21 +342,20 @@ class MergedRuns {
     uint64_t key_ = 0;
   };
 
-  /// True when the kept block holds the next row: ties go to it. A drained
+  /// True when the kept run holds the next row: ties go to it. A drained
   /// tree's top key is ~0, which no kept key passes.
   bool KeptFirst() const {
-    return kept_row_ < kept_rows_ && kept_->Key(kept_row_) <= tree_.TopKey();
+    return kept_row_ < kept_end_ && kept_keys_[kept_row_] <= tree_.TopKey();
   }
 
-  static std::vector<WireRowCursor> Cursors(
-      const std::vector<Message>& messages, uint32_t key_bytes,
-      uint32_t width);
-
+  uint32_t key_bytes_;
   uint32_t width_;
-  /// Run 0: rows [kept_row_, kept_rows_) of *kept_ are still to come.
+  /// The kept run: rows [kept_row_, kept_end_) of *kept_ are still to
+  /// come; `kept_keys_` is its key column.
   const TupleBlock* kept_;
-  uint64_t kept_row_ = 0;
-  uint64_t kept_rows_;
+  const uint64_t* kept_keys_;
+  uint64_t kept_row_;
+  uint64_t kept_end_;
   uint64_t rows_;
   std::vector<WireRowCursor> cursors_;
   LoserTree<WireRowCursor> tree_;

@@ -7,7 +7,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/flat_table.h"
 #include "common/hash.h"
 #include "common/logging.h"
 #include "core/schedule.h"
@@ -89,42 +88,58 @@ struct TrackStream {
   }
 };
 
-/// Rows of a growing TupleBlock chained by key, indexed lazily: the index
-/// covers a prefix of the block and CatchUp extends it to the rest, so a
-/// block nobody probes is never indexed. `ends_` packs each key's first and
-/// last row into one word ((first + 1) << 32 | last, so 0 means absent);
-/// `next_` links each row to the next row with the same key, in arrival
-/// order.
-class KeyedRows {
+/// One tracker's received data runs of one kind and table, kept as wire
+/// bytes for later arrivals of the opposite kind, sorted by last key so an
+/// arrival skips the runs that end below it. A chunk under half of
+/// kKeptRunBytes joins a run of its source's that ends at or below its
+/// first key while both fit, so small chunks do not each become a run to
+/// open; a default-size chunk stays a run of its own.
+class KeptRuns {
  public:
-  /// Indexes the rows appended to `block` since the last call.
-  void CatchUp(const TupleBlock& block) {
-    TJ_CHECK_LT(block.size(), uint64_t{kEnd});
-    for (uint32_t row = static_cast<uint32_t>(next_.size());
-         row < block.size(); ++row) {
-      next_.push_back(kEnd);
-      uint64_t& ends = ends_[block.Key(row)];
-      if (ends != 0) next_[static_cast<uint32_t>(ends)] = row;
-      const uint64_t first = ends != 0 ? (ends >> 32) - 1 : row;
-      ends = (first + 1) << 32 | row;
+  /// Sets `met` to the bytes of every run holding keys in [first, last].
+  void Overlapping(uint64_t first, uint64_t last,
+                   std::vector<RunBytes>* met) const {
+    met->clear();
+    for (auto run = std::lower_bound(runs_.begin(), runs_.end(), first,
+                                     [](const Run& kept, uint64_t key) {
+                                       return kept.last < key;
+                                     });
+         run != runs_.end(); ++run) {
+      if (run->first <= last) met->emplace_back(run->bytes);
     }
   }
 
-  /// Calls fn(row) for each indexed row with `key`, in arrival order.
-  template <typename Fn>
-  void ForEachRow(uint64_t key, Fn&& fn) const {
-    const uint64_t* ends = ends_.Find(key);
-    if (ends == nullptr) return;
-    for (uint32_t row = static_cast<uint32_t>((*ends >> 32) - 1); row != kEnd;
-         row = next_[row]) {
-      fn(row);
+  /// Keeps `bytes`, a checked run from node `src` with keys [first, last].
+  void Keep(uint32_t src, uint64_t first, uint64_t last, ByteBuffer bytes) {
+    auto by_last = [](uint64_t key, const Run& kept) {
+      return key < kept.last;
+    };
+    // The runs before `end` end at or below `first`.
+    const auto end = std::upper_bound(runs_.begin(), runs_.end(), first,
+                                      by_last);
+    for (auto run = end;
+         bytes.size() < kKeptRunBytes / 2 && run != runs_.begin();) {
+      if ((--run)->src != src) continue;
+      if (run->bytes.size() + bytes.size() > kKeptRunBytes) break;
+      run->bytes.insert(run->bytes.end(), bytes.begin(), bytes.end());
+      run->last = last;
+      std::rotate(run, run + 1,
+                  std::upper_bound(run + 1, runs_.end(), last, by_last));
+      return;
     }
+    runs_.insert(std::upper_bound(end, runs_.end(), last, by_last),
+                 Run{src, first, last, std::move(bytes)});
   }
 
  private:
-  static constexpr uint32_t kEnd = ~0u;
-  FlatMap<uint64_t> ends_;
-  std::vector<uint32_t> next_;
+  static constexpr uint64_t kKeptRunBytes = 4096;
+  struct Run {
+    uint32_t src;
+    uint64_t first;
+    uint64_t last;
+    ByteBuffer bytes;
+  };
+  std::vector<Run> runs_;
 };
 
 /// Per-node working state across all pipelined roles (source, tracker,
@@ -155,14 +170,13 @@ struct PipelineNodeState {
   std::vector<KeyNodePair> pairs;
   std::vector<std::vector<uint32_t>> route_rows;
 
-  // Joiner role: received broadcast and migration rows, indexed by key for
-  // incremental exactly-once pairing once the opposing stream probes them.
-  // Broadcast chunks stay wire bytes in `in_wire` until a migrated chunk
-  // first probes them, so a run without migrations never decodes them.
-  std::vector<ByteBuffer> in_wire[2];
-  TupleBlock in[2] = {TupleBlock(0), TupleBlock(0)};
-  TupleBlock mig[2] = {TupleBlock(0), TupleBlock(0)};
-  KeyedRows in_rows[2], mig_rows[2];
+  // Joiner role: the data runs kept for arrivals of the opposite kind,
+  // indexed [kind][table][tracker] (kind 0 = broadcast, 1 = migrated), and
+  // one merged view per table with the runs an arrival meets, re-seated on
+  // every arrival so that their storage is reused.
+  std::vector<KeptRuns> kept[2][2];
+  std::optional<MergedRuns> view[2];
+  std::vector<RunBytes> met;
   uint32_t data_eos = 0;
 };
 
@@ -245,8 +259,9 @@ Result<JoinResult> TryRunPipelinedTrackJoin(const PartitionedTable& r,
     PipelineNodeState& st = nodes[node];
     for (int table : {0, 1}) {
       st.streams[table].resize(n);
-      st.in[table] = TupleBlock(tables[table]->payload_width());
-      st.mig[table] = TupleBlock(tables[table]->payload_width());
+      for (int kind : {0, 1}) st.kept[kind][table].resize(n);
+      st.view[table].emplace(nullptr, 0, 0, std::span<const RunBytes>(),
+                             config.key_bytes, tables[table]->payload_width());
     }
     st.planner.emplace(config, version, direction, n, node, widths[0],
                        widths[1], audit);
@@ -505,94 +520,47 @@ Result<JoinResult> TryRunPipelinedTrackJoin(const PartitionedTable& r,
     });
   }
 
-  // --- Joiner role: incremental symmetric join on arrival. Each pair is
-  // produced exactly once, when its second element arrives (home rows
-  // count as having arrived first; broadcast and migration rows pair with
-  // everything already present and are then indexed for later arrivals).
-  // Broadcast rows meet the other table's home and migrated rows; migrated
-  // rows meet the other table's broadcast rows.
+  // --- Joiner role: each data chunk is one key-ascending run of one
+  // tracker's keys, merge-joined on arrival (MergeJoinRuns, the barrier's
+  // final-join kernel, R view first) against the rows it meets. Each pair
+  // is produced exactly once, when its second element arrives; home rows
+  // count as having arrived first. A broadcast chunk meets the other
+  // table's home run for its tracker and its migrated runs kept so far; a
+  // migrated chunk meets the other table's broadcast runs kept so far. Only
+  // 4-phase runs send both kinds, so only they keep the chunk afterwards.
+  const bool keep = version == TrackJoinVersion::k4Phase;
   for (const InstructionStream& stream : streams) {
     if (stream.split) continue;  // Fragments arrive as migration data.
     const int table = stream.r_side ? 0 : 1;
     const int other = 1 - table;
+    const int kind = stream.migrates() ? 1 : 0;
     fabric.OnChunk(stream.data, "join",
-                   [&, stream, table, other](Chunk& chunk) -> Status {
+                   [&, table, other, kind](Chunk& chunk) -> Status {
       PipelineNodeState& st = nodes[chunk.dst];
       fabric.ChargeCpuBytes(chunk.data.size());
       if (chunk.eos) ++st.data_eos;
       if (chunk.data.empty()) return Status::OK();
-      // Pairs one arriving row (its payload `row`) with rows [lo, hi) of
-      // the other table's `other_rows`, as one key group.
-      const JoinSink& sink = outputs.Sink(chunk.dst);
-      uint64_t produced = 0;
-      auto emit = [&](uint64_t key, const PayloadRun& row,
-                      const TupleBlock& other_rows, uint64_t lo, uint64_t hi) {
-        if (lo == hi) return;
-        if (stream.r_side) {
-          sink(key, row, other_rows.Run(lo, hi));
-        } else {
-          sink(key, other_rows.Run(lo, hi), row);
-        }
-        produced += hi - lo;
-      };
-      if (!stream.migrates()) {
-        // Broadcast rows, read in place from the wire bytes: each meets its
-        // home range through a forward cursor, since chunks are key-sorted,
-        // and the other table's migrated rows through their lazy index.
-        // The bytes are kept for migrated rows that arrive later.
-        const uint32_t row_bytes = widths[table];
-        if (chunk.data.size() % row_bytes != 0) {
-          return Status::Corruption("tuple payload not a multiple of row size");
-        }
-        const uint32_t width = tables[table]->payload_width();
-        const TupleBlock& home = st.home[other];
-        const TupleBlock& migrated = st.mig[other];
-        KeyedRows& migrated_rows = st.mig_rows[other];
-        migrated_rows.CatchUp(migrated);
-        const uint8_t* end = chunk.data.data() + chunk.data.size();
-        // A data chunk carries rows of one instruction chunk, so its keys
-        // share one tracker and meet only that tracker's home run.
-        const uint32_t tracker = HashPartition(
-            LoadLeField(chunk.data.data(), chunk.data.size(), config.key_bytes),
-            n);
-        const std::vector<uint64_t>& bounds = st.home_bounds[other];
-        EqualRangeCursor home_rows(home, bounds[tracker], bounds[tracker + 1]);
-        for (const uint8_t* p = chunk.data.data(); p != end; p += row_bytes) {
-          const uint64_t key = LoadLeField(p, end - p, config.key_bytes);
-          const PayloadRun row{width > 0 ? p + config.key_bytes : nullptr,
-                               width, 1, nullptr};
-          auto [lo, hi] = home_rows.Seek(key);
-          emit(key, row, home, lo, hi);
-          migrated_rows.ForEachRow(key, [&](uint32_t match) {
-            emit(key, row, migrated, match, match + 1);
-          });
-        }
-        st.in_wire[table].push_back(std::move(chunk.data));
-      } else {
-        // Migrated rows join the indexed block for later broadcast rows and
-        // meet the broadcast rows received so far through their index,
-        // decoded first, in arrival order.
-        TupleBlock& block = st.mig[table];
-        const uint64_t first = block.size();
-        ByteReader reader(chunk.data);
-        TJ_RETURN_IF_ERROR(block.TryDeserializeRows(&reader, config.key_bytes));
-        TupleBlock& received = st.in[other];
-        for (const ByteBuffer& wire : st.in_wire[other]) {
-          ByteReader wire_reader(wire);
-          TJ_RETURN_IF_ERROR(
-              received.TryDeserializeRows(&wire_reader, config.key_bytes));
-        }
-        st.in_wire[other].clear();
-        KeyedRows& received_rows = st.in_rows[other];
-        received_rows.CatchUp(received);
-        for (uint64_t row = first; row < block.size(); ++row) {
-          const uint64_t key = block.Key(row);
-          received_rows.ForEachRow(key, [&](uint32_t match) {
-            emit(key, block.Run(row, row + 1), received, match, match + 1);
-          });
-        }
-      }
+      const RunBytes rows(chunk.data);
+      TJ_RETURN_IF_ERROR(TryCheckReceivedRun(rows, chunk.src, config.key_bytes,
+                                             tables[table]->payload_width()));
+      const uint64_t first = LoadLeField(rows.data(), rows.size(),
+                                         config.key_bytes);
+      const uint64_t last = LoadLeField(rows.last(widths[table]).data(),
+                                        widths[table], config.key_bytes);
+      const uint32_t tracker = HashPartition(first, n);
+      // The kept run is the other table's home run for the tracker, empty
+      // for migrated rows, which meet no home rows.
+      const uint64_t* home = st.home_bounds[other].data() + tracker;
+      st.kept[1 - kind][other][tracker].Overlapping(first, last, &st.met);
+      st.view[table]->Reset(nullptr, 0, 0, {&rows, 1});
+      st.view[other]->Reset(&st.home[other], home[0], home[1 - kind], st.met);
+      const uint64_t produced = MergeJoinRuns(&*st.view[0], &*st.view[1],
+                                              outputs.Sink(chunk.dst));
       fabric.ChargeCpuBytes(produced * (config.key_bytes + out_width));
+      if (keep) {
+        st.kept[kind][table][tracker].Keep(chunk.src, first, last,
+                                           std::move(chunk.data));
+      }
       return Status::OK();
     });
   }

@@ -144,17 +144,6 @@ KeySchedule PlanOptimal(const KeyPlacement& placement) {
   return schedule;
 }
 
-uint64_t BroadcastBottleneck(const KeyPlacement& placement, Direction dir) {
-  SideView view = ViewFor(placement, dir);
-  if (view.bcast->empty() || view.target->empty()) return 0;
-  const uint64_t b_all = SumBytes(*view.bcast);
-  uint64_t worst = 0;
-  for (const auto& t : *view.target) {
-    worst = std::max(worst, b_all - BytesAt(*view.bcast, t.node));
-  }
-  return worst;
-}
-
 uint64_t PlanBottleneck(const KeyPlacement& placement, Direction dir,
                         const MigrationPlan& plan) {
   SideView view = ViewFor(placement, dir);

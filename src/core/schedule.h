@@ -168,10 +168,6 @@ void RouteInstructedRows(const TupleBlock& block, uint64_t first,
 uint64_t PlanBottleneck(const KeyPlacement& placement, Direction dir,
                         const MigrationPlan& plan);
 
-/// Max modeled tuple bytes received by any node under plain selective
-/// broadcast in direction `dir`.
-uint64_t BroadcastBottleneck(const KeyPlacement& placement, Direction dir);
-
 // --- Scheduler audit ("EXPLAIN") ------------------------------------------
 //
 // When a ScheduleAuditLog is attached (JoinConfig::schedule_audit), the

@@ -223,10 +223,10 @@ Result<JoinResult> TryRunTrackJoin(const PartitionedTable& r,
       "final merge-join R->S", [&](uint32_t node) {
         NodeState& st = nodes[node];
         {
-          MergedRuns r_runs(nullptr, st.broadcast[0], config.key_bytes,
-                            r.payload_width());
-          MergedRuns s_runs(&st.s, st.migrated[1], config.key_bytes,
-                            s.payload_width());
+          MergedRuns r_runs(nullptr, 0, 0, BytesOf(st.broadcast[0]),
+                            config.key_bytes, r.payload_width());
+          MergedRuns s_runs(&st.s, 0, st.s.size(), BytesOf(st.migrated[1]),
+                            config.key_bytes, s.payload_width());
           MergeJoinRuns(&r_runs, &s_runs, outputs.Sink(node));
         }
         std::vector<Message>().swap(st.broadcast[0]);
@@ -238,10 +238,10 @@ Result<JoinResult> TryRunTrackJoin(const PartitionedTable& r,
       "final merge-join S->R", [&](uint32_t node) {
         NodeState& st = nodes[node];
         {
-          MergedRuns r_runs(&st.r, st.migrated[0], config.key_bytes,
-                            r.payload_width());
-          MergedRuns s_runs(nullptr, st.broadcast[1], config.key_bytes,
-                            s.payload_width());
+          MergedRuns r_runs(&st.r, 0, st.r.size(), BytesOf(st.migrated[0]),
+                            config.key_bytes, r.payload_width());
+          MergedRuns s_runs(nullptr, 0, 0, BytesOf(st.broadcast[1]),
+                            config.key_bytes, s.payload_width());
           MergeJoinRuns(&r_runs, &s_runs, outputs.Sink(node));
         }
         std::vector<Message>().swap(st.broadcast[1]);

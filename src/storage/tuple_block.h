@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <ranges>
 #include <span>
 #include <utility>
 #include <vector>
@@ -170,60 +171,63 @@ class TupleBlock {
   std::vector<uint8_t> payloads_;
 };
 
+/// First index in [from, end) at which `below(index)` fails, for a
+/// predicate that holds on a prefix of [from, end) (keys of a sorted run
+/// below some bound). A short gap, the common case of ascending probes,
+/// ends a linear scan of at most 16 indexes; a longer one gallops on from
+/// there with doubling steps, then binary-searches the last bracket, so a
+/// gap of g costs O(log g). The one forward seek of every sorted-run
+/// reader: EqualRangeCursor and both kinds of run in a merged view. Inline,
+/// so probe loops pay no call.
+template <typename Below>
+inline uint64_t GallopPast(uint64_t from, uint64_t end, Below below) {
+  constexpr uint64_t kScan = 16;
+  const uint64_t scan_end = std::min(end, from + kScan);
+  uint64_t lo = from;
+  while (lo < scan_end && below(lo)) ++lo;
+  if (lo < scan_end || lo == end) return lo;
+  // Indexes [from, lo) satisfy `below`; index `hi` does not (or hi >= end).
+  uint64_t hi = lo;
+  for (uint64_t step = 1; hi < end && below(hi); step *= 2) {
+    lo = hi + 1;
+    hi = lo + step;
+  }
+  return *std::ranges::partition_point(
+      std::views::iota(lo, std::min(hi, end)), below);
+}
+
 /// Forward equal-range cursor over a key-sorted block, for probe sequences
-/// that mostly ascend (key-sorted chunks). Each Seek scans, then gallops,
-/// forward from the previous range instead of binary-searching the whole
-/// block, so an ascending run of probes costs O(log gap) per key. A key
-/// below the previous probe restarts from row 0, so any probe order returns
-/// exactly TupleBlock::EqualRange. The block must outlive the cursor and
-/// stay unmodified while it is in use. A cursor over rows [first, last)
-/// needs only those rows sorted, searches only them, and returns row
-/// numbers of the whole block.
+/// that mostly ascend (key-sorted chunks). Each Seek gallops forward
+/// (GallopPast) from the previous range instead of binary-searching the
+/// whole block, so an ascending run of probes costs O(log gap) per key. A
+/// key below the previous probe restarts from row 0, so any probe order
+/// returns exactly TupleBlock::EqualRange. The block must outlive the
+/// cursor and stay unmodified while it is in use. A cursor over rows
+/// [first, last) needs only those rows sorted, searches only them, and
+/// returns row numbers of the whole block.
 class EqualRangeCursor {
  public:
   explicit EqualRangeCursor(const TupleBlock& block)
       : EqualRangeCursor(block, 0, block.size()) {}
   EqualRangeCursor(const TupleBlock& block, uint64_t first, uint64_t last)
-      : keys_(block.keys()), first_(first), end_(last), pos_(first) {}
+      : keys_(block.keys().data()), first_(first), end_(last), pos_(first) {}
   explicit EqualRangeCursor(TupleBlock&&) = delete;
   EqualRangeCursor(TupleBlock&&, uint64_t, uint64_t) = delete;
 
   std::pair<uint64_t, uint64_t> Seek(uint64_t key) {
     if (key < last_key_) pos_ = first_;
     last_key_ = key;
-    const uint64_t lo = Past(pos_, [key](uint64_t k) { return k < key; });
-    const uint64_t hi = Past(lo, [key](uint64_t k) { return k <= key; });
+    const uint64_t* keys = keys_;
+    const uint64_t lo = GallopPast(
+        pos_, end_, [keys, key](uint64_t row) { return keys[row] < key; });
+    const uint64_t hi = GallopPast(
+        lo, end_, [keys, key](uint64_t row) { return keys[row] <= key; });
     pos_ = lo;
     return {lo, hi};
   }
 
  private:
-  /// First row at or after `from` whose key fails `below` (a predicate
-  /// that holds on a prefix of the sorted keys). A short gap, the common
-  /// case of ascending probes, ends a linear scan of at most kScan rows; a
-  /// longer one gallops on from there with doubling steps, then
-  /// binary-searches the last bracket. Inline, so probe loops pay no call.
-  template <typename Below>
-  uint64_t Past(uint64_t from, Below below) const {
-    constexpr uint64_t kScan = 16;
-    const uint64_t n = end_;
-    const uint64_t scan_end = std::min(n, from + kScan);
-    uint64_t lo = from;
-    while (lo < scan_end && below(keys_[lo])) ++lo;
-    if (lo < scan_end || lo == n) return lo;
-    // Rows [from, lo) satisfy `below`; row `hi` does not (or hi >= n).
-    uint64_t hi = lo;
-    for (uint64_t step = 1; hi < n && below(keys_[hi]); step *= 2) {
-      lo = hi + 1;
-      hi = lo + step;
-    }
-    hi = std::min(hi, n);
-    return static_cast<uint64_t>(
-        std::partition_point(keys_.begin() + lo, keys_.begin() + hi, below) -
-        keys_.begin());
-  }
-
-  const std::vector<uint64_t>& keys_;
+  const uint64_t* keys_;
   uint64_t first_;
   uint64_t end_;
   uint64_t pos_;  ///< First row of the previous probe's range.

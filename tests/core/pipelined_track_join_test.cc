@@ -8,10 +8,10 @@
 
 #include <gtest/gtest.h>
 
-#include <vector>
-
+#include <algorithm>
 #include <cmath>
 #include <string>
+#include <vector>
 
 #include "core/schedule.h"
 #include "core/track_join.h"
@@ -115,9 +115,26 @@ TEST(PipelinedTrackJoinTest, ThreePhaseByteIdenticalToBarrier) {
                                 TrackJoinVersion::k3Phase);
 }
 
+/// True when some key of the audited run migrated, so that broadcast rows
+/// met migrated rows: the one join path where both kinds of received run
+/// meet.
+bool AnyKeyMigrates(const ScheduleAuditLog& audit) {
+  const std::vector<KeyScheduleAudit> keys = audit.Collect();
+  return std::any_of(keys.begin(), keys.end(),
+                     [](const KeyScheduleAudit& key) {
+                       return key.chosen_migrations > 0;
+                     });
+}
+
 TEST(PipelinedTrackJoinTest, FourPhaseByteIdenticalToBarrier) {
-  ExpectPipelinedMatchesBarrier(SmallWorkload(), BaseConfig(),
-                                TrackJoinVersion::k4Phase);
+  const Workload w = SmallWorkload();
+  ScheduleAuditLog audit;
+  JoinConfig config = BaseConfig();
+  config.schedule_audit = &audit;
+  ASSERT_TRUE(
+      TryRunTrackJoin(w.r, w.s, config, TrackJoinVersion::k4Phase).ok());
+  EXPECT_TRUE(AnyKeyMigrates(audit));
+  ExpectPipelinedMatchesBarrier(w, BaseConfig(), TrackJoinVersion::k4Phase);
 }
 
 TEST(PipelinedTrackJoinTest, FourPhaseWithBalanceByteIdentical) {
@@ -238,6 +255,99 @@ TEST(PipelinedTrackJoinTest, MaterializedOutputMatchesCardinalityAndDigest) {
   EXPECT_TRUE(pipelined->checksum == barrier->checksum);
 }
 
+/// A node's materialized <key | payloadR | payloadS> rows, sorted.
+std::vector<std::vector<uint8_t>> SortedRows(const TupleBlock& block) {
+  std::vector<std::vector<uint8_t>> rows(block.size());
+  for (uint64_t row = 0; row < block.size(); ++row) {
+    for (int byte = 7; byte >= 0; --byte) {
+      rows[row].push_back(static_cast<uint8_t>(block.Key(row) >> (8 * byte)));
+    }
+    const uint8_t* payload = block.Payload(row);
+    rows[row].insert(rows[row].end(), payload,
+                     payload + block.payload_width());
+  }
+  std::sort(rows.begin(), rows.end());
+  return rows;
+}
+
+TEST(PipelinedTrackJoinTest, ZipfHotSplitTinyChunksMaterializeBarrierRows) {
+  // Skewed keys that migrate and split, one- or two-row chunks, so hot keys
+  // arrive over many small runs of both kinds: each node must materialize
+  // exactly the barrier's rows, in any order, under either egress policy.
+  ZipfWorkloadSpec spec;
+  spec.num_nodes = 4;
+  spec.key_domain = 300;
+  spec.r_rows = 1000;
+  spec.s_rows = 1200;
+  spec.r_theta = 0.8;
+  spec.s_theta = 0.8;
+  spec.r_payload = 4;
+  spec.s_payload = 6;
+  const Workload w = ValueOrDie(TryGenerateZipfWorkload(spec));
+  JoinConfig config = BaseConfig();
+  config.materialize = true;
+  config.hot_key_threshold = 40;
+  config.hot_key_max_split = 3;
+  config.pipeline.chunk_bytes = 16;
+  ScheduleAuditLog audit;
+  JoinConfig barrier_config = config;
+  barrier_config.schedule_audit = &audit;
+  const JoinResult barrier = ValueOrDie(
+      TryRunTrackJoin(w.r, w.s, barrier_config, TrackJoinVersion::k4Phase));
+  EXPECT_TRUE(AnyKeyMigrates(audit));
+  const std::vector<KeyScheduleAudit> keys = audit.Collect();
+  EXPECT_TRUE(std::any_of(
+      keys.begin(), keys.end(),
+      [](const KeyScheduleAudit& key) { return key.chosen_split > 0; }));
+  for (bool drr : {false, true}) {
+    SCOPED_TRACE(drr ? "drr" : "fifo");
+    config.pipeline.drr = drr;
+    const JoinResult pipelined = ValueOrDie(TryRunPipelinedTrackJoin(
+        w.r, w.s, config, TrackJoinVersion::k4Phase));
+    EXPECT_EQ(pipelined.output_rows, w.expected_output_rows);
+    EXPECT_TRUE(pipelined.checksum == barrier.checksum);
+    for (uint32_t node = 0; node < spec.num_nodes; ++node) {
+      EXPECT_EQ(SortedRows(pipelined.output->node(node)),
+                SortedRows(barrier.output->node(node)))
+          << "node " << node;
+    }
+  }
+}
+
+// A data chunk that is not a key-ascending run of whole rows fails the
+// pipelined run with Corruption, as barrier phase 8 does, instead of
+// aborting in the join. Node 1's R partition carries 3-byte payloads where
+// the table declares 2, and S rows are too wide to move, so node 1's R rows
+// of key 7 travel to node 2 as one chunk. One such row is not a whole row;
+// six of them make seven rows whose misread keys descend.
+TEST(PipelinedTrackJoinTest, MalformedDataChunkFailsWithCorruption) {
+  const uint8_t payload[64] = {0xff, 0xff, 0xff};
+  for (int rows : {1, 6}) {
+    SCOPED_TRACE("rows=" + std::to_string(rows));
+    PartitionedTable r("R", 3, 2);
+    PartitionedTable s("S", 3, 64);
+    r.node(1) = TupleBlock(3);
+    for (int row = 0; row < rows; ++row) r.node(1).Append(7, payload);
+    s.node(2).Append(7, payload);
+    const std::string error =
+        rows == 1 ? "not a multiple of row size" : "descends";
+    for (TrackJoinVersion version :
+         {TrackJoinVersion::k2Phase, TrackJoinVersion::k3Phase,
+          TrackJoinVersion::k4Phase}) {
+      for (bool pipelined : {false, true}) {
+        const Result<JoinResult> result =
+            pipelined ? TryRunPipelinedTrackJoin(r, s, BaseConfig(), version)
+                      : TryRunTrackJoin(r, s, BaseConfig(), version);
+        ASSERT_FALSE(result.ok());
+        EXPECT_EQ(result.status().code(), StatusCode::kCorruption)
+            << result.status().ToString();
+        EXPECT_NE(result.status().ToString().find(error), std::string::npos)
+            << result.status().ToString();
+      }
+    }
+  }
+}
+
 TEST(PipelinedTrackJoinTest, SingleKeyTablesAreOneRange) {
   // Every tuple shares one key: the whole run is a single key range whose
   // final frontier batch does all the work, and the key is hot enough to
@@ -293,9 +403,9 @@ TEST(PipelinedTrackJoinTest, TinyChunksAndInboxBudgetStayByteIdentical) {
 
 // Benchmark-shaped inputs: a real workload on 8 nodes, in original and
 // shuffled placement, pipelined 4TJ with DRR egress at the default chunk
-// size and at one entry per chunk. Workload X migrates no keys, so the
-// joiner never builds its lazy index; Y builds it mid-stream. One-entry
-// chunks start a fresh holder and joiner cursor for every entry.
+// size and at one entry per chunk. Workload X migrates no keys, so no
+// broadcast chunk meets a migrated run; Y's do, mid-stream. One-entry
+// chunks start a fresh holder cursor and joiner view for every entry.
 void ExpectRealWorkloadByteIdentical(const RealJoinSpec& spec,
                                      uint64_t divisor, bool migrates) {
   JoinConfig config;

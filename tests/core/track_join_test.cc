@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -333,34 +334,65 @@ TEST(MergeReceivedRowsTest, RejectsPartialRowsAndDescendingRuns) {
   }
 }
 
-/// One side of a final join as phase 8 leaves it: a kept block (rows with
-/// payloads that name their row) and `runs` received messages, keys from a
-/// small domain so they tie within runs, across runs and with the kept rows;
-/// some runs are empty.
+/// One side of a final join: a kept run, rows [first, last) of `block`
+/// (payloads that name their row), and `runs` received messages, keys from
+/// a small domain so they tie within runs, across runs and with the kept
+/// rows; some runs are empty. Rows outside the kept run carry keys out of
+/// order, so a view that strays past its range shows.
 struct JoinSide {
-  TupleBlock kept{0};
+  TupleBlock block{0};
+  uint64_t first = 0;
+  uint64_t last = 0;
   std::vector<Message> runs;
+
+  /// The kept run as a block of its own.
+  TupleBlock Kept() const {
+    TupleBlock kept(block.payload_width());
+    for (uint64_t row = first; row < last; ++row) kept.AppendFrom(block, row);
+    return kept;
+  }
 };
 
 JoinSide RandomSide(Rng* rng, uint32_t width, uint32_t key_bytes,
-                    size_t kept_rows, uint32_t runs) {
+                    size_t kept_rows, uint32_t runs, uint64_t domain) {
   JoinSide side;
-  side.kept = TupleBlock(width);
+  side.block = TupleBlock(width);
   std::vector<uint8_t> payload(width);
   uint32_t row = 0;
-  for (uint64_t key : SortedKeys(rng, kept_rows, 25)) {
+  auto append = [&](uint64_t key) {
     for (uint32_t b = 0; b < width; ++b) {
       payload[b] = static_cast<uint8_t>(200 + row * 3 + b);
     }
-    side.kept.Append(key, payload.data());
+    side.block.Append(key, payload.data());
     ++row;
-  }
+  };
+  const uint64_t padding = kept_rows > 0 ? rng->Below(3) : 0;
+  for (uint64_t i = 0; i < padding; ++i) append(domain - 1 - i);
+  side.first = side.block.size();
+  for (uint64_t key : SortedKeys(rng, kept_rows, domain)) append(key);
+  side.last = side.block.size();
+  for (uint64_t i = 0; i < padding; ++i) append(i);
   for (uint32_t src = 0; src < runs; ++src) {
     const size_t rows = rng->Below(3) == 0 ? 0 : rng->Below(20);
     side.runs.push_back(
-        RowMessage(src, SortedKeys(rng, rows, 25), width, key_bytes));
+        RowMessage(src, SortedKeys(rng, rows, domain), width, key_bytes));
   }
   return side;
+}
+
+/// The longest stretch of the kept run's rows, below the other side's
+/// largest key, whose keys the other side lacks: rows a merge join skips.
+uint64_t LongestSkip(const JoinSide& kept_side, const TupleBlock& other) {
+  if (other.empty()) return 0;
+  uint64_t longest = 0, stretch = 0;
+  for (uint64_t row = kept_side.first; row < kept_side.last; ++row) {
+    const uint64_t key = kept_side.block.Key(row);
+    if (key >= other.keys().back()) break;
+    const auto [lo, hi] = other.EqualRange(key);
+    stretch = lo == hi ? stretch + 1 : 0;
+    longest = std::max(longest, stretch);
+  }
+  return longest;
 }
 
 /// Every key group a join hands its sink, payloads copied out in order.
@@ -387,48 +419,63 @@ JoinSink RecordingSink(std::vector<RecordedGroup>* groups) {
       });
 }
 
-// Phases 9-10 join straight from the received runs. On random sides (kept
-// rows or none, any number of runs, empty runs, zero-width payloads, ties
-// everywhere) the merged views hand the sink the same groups, with the same
-// payload order, as merging the runs into blocks and merge-joining those,
-// and materialize the same rows byte for byte.
+// Both drivers' final joins read merged views. On random sides (a kept
+// run or none, inside a larger block or not, any number of runs, empty
+// runs, zero-width payloads, ties everywhere, and long kept runs whose
+// skips gallop past more than 16 rows) the views hand the sink the same
+// groups, with the same payload order, as merging the runs into blocks and
+// merge-joining those, and materialize the same rows byte for byte.
 TEST(MergedRunsTest, JoinEqualsMergeThenMergeJoinSorted) {
   Rng rng(43);
+  uint64_t longest_skip = 0;
   for (uint32_t key_bytes : {1u, 3u, 8u}) {
     for (uint32_t width_r : {0u, 6u}) {
       for (uint32_t width_s : {0u, 9u}) {
-        for (int trial = 0; trial < 12; ++trial) {
+        for (int trial = 0; trial < 16; ++trial) {
           const bool r_kept = trial % 2 == 0;
           const bool s_kept = trial % 3 == 0;
+          // Half the trials: a long kept run over a wider domain, so the
+          // other side's keys sit tens of kept rows apart.
+          const bool long_runs = trial % 4 == 1 || trial % 4 == 2;
+          const uint64_t domain = long_runs ? 100 : 25;
+          auto kept_rows = [&](bool kept) -> size_t {
+            if (!kept) return 0;
+            return long_runs ? 100 + rng.Below(300) : rng.Below(30);
+          };
           const JoinSide r_side =
-              RandomSide(&rng, width_r, key_bytes, r_kept ? rng.Below(30) : 0,
-                         static_cast<uint32_t>(rng.Below(6)));
+              RandomSide(&rng, width_r, key_bytes, kept_rows(r_kept),
+                         static_cast<uint32_t>(rng.Below(6)), domain);
           const JoinSide s_side =
-              RandomSide(&rng, width_s, key_bytes, s_kept ? rng.Below(30) : 0,
-                         static_cast<uint32_t>(rng.Below(6)));
+              RandomSide(&rng, width_s, key_bytes, kept_rows(s_kept),
+                         static_cast<uint32_t>(rng.Below(6)), domain);
           ASSERT_TRUE(
               TryCheckReceivedRuns(r_side.runs, key_bytes, width_r).ok());
           ASSERT_TRUE(
               TryCheckReceivedRuns(s_side.runs, key_bytes, width_s).ok());
 
-          TupleBlock r_block = r_side.kept;
-          TupleBlock s_block = s_side.kept;
+          TupleBlock r_block = r_side.Kept();
+          TupleBlock s_block = s_side.Kept();
           ASSERT_TRUE(
               TryMergeReceivedRows(r_side.runs, key_bytes, &r_block).ok());
           ASSERT_TRUE(
               TryMergeReceivedRows(s_side.runs, key_bytes, &s_block).ok());
+          longest_skip = std::max({longest_skip, LongestSkip(r_side, s_block),
+                                   LongestSkip(s_side, r_block)});
           std::vector<RecordedGroup> expected, actual;
           const uint64_t expected_rows =
               MergeJoinSorted(r_block, s_block, RecordingSink(&expected));
 
+          auto view = [&](const JoinSide& side, bool kept, uint32_t width) {
+            return std::make_unique<MergedRuns>(
+                kept ? &side.block : nullptr, side.first, side.last,
+                BytesOf(side.runs), key_bytes, width);
+          };
           auto join = [&](const JoinSink& sink) {
-            MergedRuns r_runs(r_kept ? &r_side.kept : nullptr, r_side.runs,
-                              key_bytes, width_r);
-            MergedRuns s_runs(s_kept ? &s_side.kept : nullptr, s_side.runs,
-                              key_bytes, width_s);
-            EXPECT_EQ(r_runs.rows(), r_block.size());
-            EXPECT_EQ(s_runs.rows(), s_block.size());
-            return MergeJoinRuns(&r_runs, &s_runs, sink);
+            auto r_runs = view(r_side, r_kept, width_r);
+            auto s_runs = view(s_side, s_kept, width_s);
+            EXPECT_EQ(r_runs->rows(), r_block.size());
+            EXPECT_EQ(s_runs->rows(), s_block.size());
+            return MergeJoinRuns(r_runs.get(), s_runs.get(), sink);
           };
           EXPECT_EQ(join(RecordingSink(&actual)), expected_rows);
           EXPECT_EQ(actual, expected)
@@ -453,6 +500,8 @@ TEST(MergedRunsTest, JoinEqualsMergeThenMergeJoinSorted) {
       }
     }
   }
+  // The skips reached GallopPast's galloping branch.
+  EXPECT_GT(longest_skip, 16u);
 }
 
 // A malformed data run fails the query in phase 8, before any join output:

@@ -35,13 +35,20 @@ gate cross-checks three independent makespan computations to the exact
 microsecond: the blame bucket sum, the pipeline.makespan_us counter, and
 the critical path recomputed from the exported micro-batch spans.
 
-local_kernels also reports five wall-time ratios measured within one
+local_kernels also reports six wall-time ratios measured within one
 process, so they need no checked-in baseline:
   tj4_pipelined_over_barrier_wall: serial pipelined 4TJ (DRR) wall over
     serial barrier 4TJ wall on one workload X input, the median of 15
     alternating pairs. It fails above MAX_PIPELINED_OVER_BARRIER_WALL: both
     drivers move the same bytes, so the pipelined one must not cost much
     more to run.
+  tj4_pipelined_over_barrier_wall_zipf: the same ratio on a small Zipf 0.8
+    input (20,000 keys and rows per table, 8 nodes), the median of 15
+    alternating pairs. It fails above MAX_PIPELINED_OVER_BARRIER_WALL_ZIPF:
+    the pipelined joiner merge-joins each arriving chunk by key group, as
+    the barrier's final join does, and reads about 1.6 on a 4-vCPU VM;
+    pairing each arriving row with each migrated match on its own read
+    about 4.4.
   tj4_pipelined_scaling: pipelined 4TJ wall at twice the keys over its wall
     at the base scale. It fails above MAX_PIPELINED_SCALING, so a path
     that grows superlinearly cannot hide at smoke scale.
@@ -126,6 +133,7 @@ BENCH_TIMEOUT_S = 600
 KERNEL_RUNS = 3
 # Ceilings on local_kernels' same-run wall ratios.
 MAX_PIPELINED_OVER_BARRIER_WALL = 1.6
+MAX_PIPELINED_OVER_BARRIER_WALL_ZIPF = 1.76
 MAX_PIPELINED_SCALING = 2.4
 MAX_Y_CHECKSUM_JOIN_OVER_JOIN = 68
 MAX_BARRIER_NODE_SCALING = 10
@@ -466,6 +474,8 @@ def main():
     for metric, ceiling in (
             ("tj4_pipelined_over_barrier_wall",
              MAX_PIPELINED_OVER_BARRIER_WALL),
+            ("tj4_pipelined_over_barrier_wall_zipf",
+             MAX_PIPELINED_OVER_BARRIER_WALL_ZIPF),
             ("tj4_pipelined_scaling", MAX_PIPELINED_SCALING),
             ("y_checksum_join_over_join", MAX_Y_CHECKSUM_JOIN_OVER_JOIN),
             ("barrier_node_scaling", MAX_BARRIER_NODE_SCALING),
