@@ -11,7 +11,6 @@
 #include "common/logging.h"
 #include "core/schedule.h"
 #include "core/tracker.h"
-#include "exec/key_aggregate.h"
 #include "exec/local_join.h"
 #include "exec/partition.h"
 #include "net/pipelined_fabric.h"
@@ -149,9 +148,9 @@ struct PipelineNodeState {
   // home_bounds[t + 1]) being the keys tracker t tracks, sorted by key.
   // Instructions from one tracker and the data they route touch only that
   // tracker's run, so the holder and the joiner scan it densely instead of
-  // striding across the whole block. Never filtered — data for a key only
-  // ever travels to its surviving locations, so a run that migrated or
-  // fragmented away is simply never probed again.
+  // striding across the whole block. Never filtered: a run that migrated or
+  // fragmented away meets no broadcast of its key (DESIGN.md §3, "Moved
+  // rows"), so it is never probed again.
   TupleBlock home[2] = {TupleBlock(0), TupleBlock(0)};
   std::vector<uint64_t> home_bounds[2];
 
@@ -270,24 +269,6 @@ Result<JoinResult> TryRunPipelinedTrackJoin(const PartitionedTable& r,
   JoinOutputs outputs(r, s, config);
   const uint32_t out_width = r.payload_width() + s.payload_width();
 
-  // Sends `message` as entry-aligned chunks on one (src, dst, type) stream.
-  // With `eos` the last chunk terminates the stream, and an empty message
-  // still sends a zero-byte EOS chunk so receivers can count it.
-  auto send_sliced = [&](uint32_t src, uint32_t dst, MessageType type,
-                         const ByteBuffer& message, uint32_t entry_bytes,
-                         bool eos) {
-    if (message.empty()) {
-      if (eos) fabric.SendChunk(src, dst, type, ByteBuffer{}, /*eos=*/true);
-      return;
-    }
-    std::vector<WireChunk> chunks = SliceEntryMessage(
-        message, entry_bytes, config.key_bytes, config.pipeline.chunk_bytes);
-    for (size_t i = 0; i < chunks.size(); ++i) {
-      fabric.SendChunk(src, dst, type, std::move(chunks[i].data),
-                       eos && i + 1 == chunks.size(), chunks[i].watermark);
-    }
-  };
-
   // --- Source role: three tasks per node on its serial CPU, in order. ---
   for (uint32_t node = 0; node < n; ++node) {
     for (int table : {0, 1}) {
@@ -306,33 +287,26 @@ Result<JoinResult> TryRunPipelinedTrackJoin(const PartitionedTable& r,
       });
     }
     fabric.Post(node, "source", "source.track", [&, node]() {
-      PipelineNodeState& st = nodes[node];
-      // Tracker by tracker, so each tracker's keys reach the encoder
-      // ascending.
-      std::vector<KeyCount> keys[2];
-      for (int table : {0, 1}) {
-        const std::span<const uint64_t> home_keys(st.home[table].keys());
-        const std::vector<uint64_t>& bounds = st.home_bounds[table];
-        for (uint32_t t = 0; t < n; ++t) {
-          AggregateSortedKeys(
-              home_keys.subspan(bounds[t], bounds[t + 1] - bounds[t]),
-              &keys[table]);
-        }
-      }
+      const PipelineNodeState& st = nodes[node];
       fabric.ChargeCpuBytes((st.home[0].size() + st.home[1].size()) *
                             config.key_bytes);
-      auto r_msgs = EncodeTrackingMessages(keys[0], config, with_counts, n);
-      auto s_msgs = EncodeTrackingMessages(keys[1], config, with_counts, n);
+      // A home run holds one tracker's keys ascending, so it is written as
+      // that tracker's tracking stream as it stands.
       for (uint32_t step = 0; step < n; ++step) {
         const uint32_t dst = fan_out_dst(node, step);
-        fabric.ChargeCpuBytes(r_msgs[dst].size() + s_msgs[dst].size());
-        send_sliced(node, dst, MessageType::kTrackR, r_msgs[dst],
-                    track_entry_bytes, /*eos=*/true);
-        send_sliced(node, dst, MessageType::kTrackS, s_msgs[dst],
-                    track_entry_bytes, /*eos=*/true);
-        // Sliced into chunks, each message is dead.
-        ByteBuffer().swap(r_msgs[dst]);
-        ByteBuffer().swap(s_msgs[dst]);
+        for (int table : {0, 1}) {
+          const std::vector<uint64_t>& bounds = st.home_bounds[table];
+          const MessageType type =
+              table == 0 ? MessageType::kTrackR : MessageType::kTrackS;
+          fabric.ChargeCpuBytes(WriteTrackingChunks(
+              std::span<const uint64_t>(st.home[table].keys())
+                  .subspan(bounds[dst], bounds[dst + 1] - bounds[dst]),
+              config, with_counts, config.pipeline.chunk_bytes,
+              [&](ByteBuffer data, bool eos, uint64_t watermark) {
+                fabric.SendChunk(node, dst, type, std::move(data), eos,
+                                 watermark);
+              }));
+        }
       }
       return Status::OK();
     });

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
 
 #include "common/hash.h"
 #include "common/kway_merge.h"
@@ -9,6 +10,64 @@
 #include "encoding/varint.h"
 
 namespace tj {
+
+namespace {
+
+/// Writes the plain tracking entries of one key, storing each field as one
+/// 8-byte word, so a buffer needs 8 bytes of slack past its last entry. A
+/// count that count_bytes cannot hold ships as saturated entries, the
+/// remainder last, which the tracker re-aggregates ("we can aggregate at
+/// the destination").
+class TrackingEntryWriter {
+ public:
+  TrackingEntryWriter(const JoinConfig& config, bool with_counts)
+      : key_bytes_(config.key_bytes),
+        count_bytes_(with_counts ? config.count_bytes : 0),
+        key_mask_(FieldMask(key_bytes_)),
+        max_count_(FieldMask(with_counts ? count_bytes_ : 8)) {
+    TJ_CHECK(key_bytes_ >= 1 && key_bytes_ <= 8) << "key_bytes=" << key_bytes_;
+    TJ_CHECK(!with_counts || (count_bytes_ >= 1 && count_bytes_ <= 8))
+        << "count_bytes=" << count_bytes_;
+  }
+
+  uint32_t entry_bytes() const { return key_bytes_ + count_bytes_; }
+
+  /// Entries of a key held `count` times; only saturated counts divide.
+  uint64_t Entries(uint64_t count) const {
+    return count <= max_count_
+               ? 1
+               : count / max_count_ + (count % max_count_ != 0);
+  }
+
+  /// Checks that keys fit in key_bytes: given their bitwise OR, or the
+  /// largest of them, every key fits iff it does.
+  void CheckKeysFit(uint64_t keys) const {
+    TJ_CHECK((keys & ~key_mask_) == 0) << "key does not fit in key_bytes";
+  }
+
+  /// Writes the entries of `key`, each where `at()` says. CheckKeysFit
+  /// must have covered `key`.
+  template <typename At>
+  void Write(uint64_t key, uint64_t count, At at) const {
+    for (; count > max_count_; count -= max_count_) {
+      Store(at(), key, max_count_);
+    }
+    Store(at(), key, count);
+  }
+
+ private:
+  void Store(uint8_t* p, uint64_t key, uint64_t count) const {
+    StoreLe64(p, key);
+    if (count_bytes_ != 0) StoreLe64(p + key_bytes_, count);
+  }
+
+  uint32_t key_bytes_;
+  uint32_t count_bytes_;
+  uint64_t key_mask_;
+  uint64_t max_count_;
+};
+
+}  // namespace
 
 std::vector<ByteBuffer> EncodeTrackingMessages(
     const std::vector<KeyCount>& keys, const JoinConfig& config,
@@ -45,17 +104,9 @@ std::vector<ByteBuffer> EncodeTrackingMessages(
     return per_dest;
   }
 
-  const uint32_t key_bytes = config.key_bytes;
-  const uint32_t count_bytes = with_counts ? config.count_bytes : 0;
-  const uint32_t entry_bytes = key_bytes + count_bytes;
-  TJ_CHECK(key_bytes >= 1 && key_bytes <= 8) << "key_bytes=" << key_bytes;
-  TJ_CHECK(!with_counts || (count_bytes >= 1 && count_bytes <= 8))
-      << "count_bytes=" << count_bytes;
-  const uint64_t max_count = FieldMask(with_counts ? count_bytes : 8);
-
   // Pass 1: each key's destination and the exact bytes per destination.
-  // A count above max_count ships as saturated chunks the tracker
-  // re-aggregates; only those pay a division.
+  const TrackingEntryWriter writer(config, with_counts);
+  const uint32_t entry_bytes = writer.entry_bytes();
   std::vector<uint32_t> dests(keys.size());
   std::vector<uint64_t> bytes(num_nodes, 0);
   uint64_t all_keys = 0;
@@ -64,17 +115,12 @@ std::vector<ByteBuffer> EncodeTrackingMessages(
     const uint32_t dest = HashPartition(kc.key, num_nodes);
     dests[i] = dest;
     all_keys |= kc.key;
-    uint64_t chunks = 1;
-    if (with_counts && kc.count > max_count) {
-      chunks = kc.count / max_count + (kc.count % max_count != 0);
-    }
-    bytes[dest] += chunks * entry_bytes;
+    bytes[dest] += writer.Entries(kc.count) * entry_bytes;
   }
-  TJ_CHECK((all_keys & ~FieldMask(key_bytes)) == 0)
-      << "key does not fit in key_bytes";
+  writer.CheckKeysFit(all_keys);
 
-  // Pass 2: one word store per field into buffers sized exactly plus 8
-  // bytes of slack for the last field's word.
+  // Pass 2: the entries, into buffers sized exactly plus the writer's 8
+  // bytes of slack.
   std::vector<uint8_t*> cursor(num_nodes);
   for (uint32_t d = 0; d < num_nodes; ++d) {
     if (bytes[d] == 0) continue;
@@ -82,29 +128,53 @@ std::vector<ByteBuffer> EncodeTrackingMessages(
     cursor[d] = per_dest[d].data();
   }
   for (size_t i = 0; i < keys.size(); ++i) {
-    const KeyCount& kc = keys[i];
-    uint8_t* p = cursor[dests[i]];
-    if (!with_counts) {
-      StoreLe64(p, kc.key);
-      p += entry_bytes;
-    } else if (kc.count <= max_count) {
-      StoreLe64(p, kc.key);
-      StoreLe64(p + key_bytes, kc.count);
-      p += entry_bytes;
-    } else {
-      // Saturating chunks, the remainder last.
-      for (uint64_t remaining = kc.count; remaining > 0;) {
-        const uint64_t chunk = std::min(remaining, max_count);
-        StoreLe64(p, kc.key);
-        StoreLe64(p + key_bytes, chunk);
-        p += entry_bytes;
-        remaining -= chunk;
-      }
-    }
-    cursor[dests[i]] = p;
+    uint8_t*& p = cursor[dests[i]];
+    writer.Write(keys[i].key, keys[i].count,
+                 [&] { return std::exchange(p, p + entry_bytes); });
   }
   for (uint32_t d = 0; d < num_nodes; ++d) per_dest[d].resize(bytes[d]);
   return per_dest;
+}
+
+uint64_t WriteTrackingChunks(std::span<const uint64_t> keys,
+                             const JoinConfig& config, bool with_counts,
+                             uint64_t chunk_bytes,
+                             const TrackingChunkSink& emit) {
+  TJ_CHECK(!config.delta_tracking) << "tracking chunks need the plain format";
+  const TrackingEntryWriter writer(config, with_counts);
+  if (!keys.empty()) writer.CheckKeysFit(keys.back());
+  const uint64_t entry_bytes = writer.entry_bytes();
+  const uint64_t per_chunk = std::max<uint64_t>(1, chunk_bytes / entry_bytes);
+  uint64_t written = 0;
+  ByteBuffer chunk;
+  uint64_t entries = 0;   // In `chunk`.
+  uint64_t capacity = 0;  // Entries `chunk` has room for.
+  uint64_t watermark = 0;
+  auto flush = [&](bool eos) {
+    chunk.resize(entries * entry_bytes);
+    written += chunk.size();
+    emit(std::move(chunk), eos, watermark);
+    chunk = ByteBuffer();
+    entries = capacity = 0;
+  };
+  for (size_t first = 0; first < keys.size();) {
+    size_t last = first + 1;
+    while (last < keys.size() && keys[last] == keys[first]) ++last;
+    writer.Write(keys[first], last - first, [&] {
+      if (entries == capacity) {
+        if (entries > 0) flush(/*eos=*/false);
+        // A key has no more entries than rows, so the rows left bound the
+        // entries left.
+        capacity = std::min<uint64_t>(per_chunk, keys.size() - first);
+        chunk.resize(capacity * entry_bytes + 8);
+      }
+      watermark = keys[first];
+      return chunk.data() + entry_bytes * entries++;
+    });
+    first = last;
+  }
+  flush(/*eos=*/true);
+  return written;
 }
 
 namespace {
@@ -487,35 +557,6 @@ ByteBuffer EncodeKeyNodePairs(std::span<const KeyNodePair> pairs,
   }
   out.resize(bytes);
   return out;
-}
-
-std::vector<WireChunk> SliceEntryMessage(const ByteBuffer& message,
-                                         uint32_t entry_bytes,
-                                         uint32_t key_bytes,
-                                         uint64_t chunk_bytes) {
-  TJ_CHECK_GT(key_bytes, 0u);
-  TJ_CHECK_LE(key_bytes, entry_bytes);
-  TJ_CHECK_EQ(message.size() % entry_bytes, 0u);
-  const uint64_t total_entries = message.size() / entry_bytes;
-  const uint64_t per_chunk =
-      std::max<uint64_t>(1, chunk_bytes / entry_bytes);
-  std::vector<WireChunk> chunks;
-  chunks.reserve((total_entries + per_chunk - 1) / per_chunk);
-  for (uint64_t first = 0; first < total_entries; first += per_chunk) {
-    const uint64_t count = std::min(per_chunk, total_entries - first);
-    WireChunk chunk;
-    chunk.data.assign(message.begin() + first * entry_bytes,
-                      message.begin() + (first + count) * entry_bytes);
-    const uint8_t* last_entry =
-        message.data() + (first + count - 1) * entry_bytes;
-    uint64_t key = 0;
-    for (uint32_t b = 0; b < key_bytes; ++b) {
-      key |= static_cast<uint64_t>(last_entry[b]) << (8 * b);
-    }
-    chunk.watermark = key;
-    chunks.push_back(std::move(chunk));
-  }
-  return chunks;
 }
 
 Status TryDecodeKeyNodePairs(const ByteBuffer& data, const JoinConfig& config,

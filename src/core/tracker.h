@@ -8,6 +8,7 @@
 #define TJ_CORE_TRACKER_H_
 
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <vector>
 
@@ -45,6 +46,26 @@ struct TrackEntry {
 std::vector<ByteBuffer> EncodeTrackingMessages(
     const std::vector<KeyCount>& keys, const JoinConfig& config,
     bool with_counts, uint32_t num_nodes);
+
+/// Receives one chunk of a pipelined wire stream: `eos` marks the stream's
+/// last chunk, and `watermark` is the chunk's last key, which promises that
+/// no later chunk carries a key below it (a saturated count's later entries
+/// may repeat it), so the tracker's frontier can advance.
+using TrackingChunkSink =
+    std::function<void(ByteBuffer data, bool eos, uint64_t watermark)>;
+
+/// The pipelined source's tracking stream to one tracker, written straight
+/// from `keys`, the non-decreasing keys of its home run for that tracker:
+/// each distinct key with its number of rows as count, saturated like
+/// EncodeTrackingMessages, so the chunks concatenate to that function's
+/// message for the tracker. Chunks are cut at entry boundaries,
+/// max(1, chunk_bytes / entry bytes) entries each, and an empty run is one
+/// zero-byte EOS chunk with watermark 0. Requires the plain wire format.
+/// Returns the bytes written.
+uint64_t WriteTrackingChunks(std::span<const uint64_t> keys,
+                             const JoinConfig& config, bool with_counts,
+                             uint64_t chunk_bytes,
+                             const TrackingChunkSink& emit);
 
 /// Reference decoder: parses one tracking message back into (key, src,
 /// count) entries with a byte reader, checking nothing about key order.
@@ -190,29 +211,6 @@ class PlacementIterator {
   uint64_t s_rows_ = 0;
   KeyPlacement placement_;
 };
-
-/// One micro-batch slice of an entry-aligned wire stream (the pipelined
-/// driver's unit of transfer). `watermark` is the last entry's key: for
-/// key-sorted streams it promises "no later chunk of this stream carries a
-/// key below the watermark" (saturated-count duplicates may carry a key
-/// *equal* to it), which is what lets the tracker's frontier advance.
-struct WireChunk {
-  ByteBuffer data;
-  uint64_t watermark = 0;
-};
-
-/// Slices a plain fixed-width entry stream (tracking entries, <key, node>
-/// pairs) into chunks of at most `chunk_bytes`, cutting only at entry
-/// boundaries; concatenating the chunks reproduces `message` byte for
-/// byte. Each entry's leading `key_bytes` little-endian bytes are its key;
-/// each chunk's watermark is its last entry's key. Preconditions:
-/// 0 < key_bytes <= entry_bytes, message.size() % entry_bytes == 0.
-/// Requires the plain wire format — delta-coded or node-grouped streams
-/// carry cross-entry context and cannot be sliced.
-std::vector<WireChunk> SliceEntryMessage(const ByteBuffer& message,
-                                         uint32_t entry_bytes,
-                                         uint32_t key_bytes,
-                                         uint64_t chunk_bytes);
 
 /// Serializes / parses <key, node> pair messages (location lists and
 /// migration instructions). With cfg.group_locations the node-grouped

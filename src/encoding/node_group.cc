@@ -2,32 +2,31 @@
 
 #include <algorithm>
 
-#include "common/flat_table.h"
 #include "encoding/varint.h"
 
 namespace tj {
 
 void NodeGroupEncode(std::vector<KeyNodePair> pairs, uint32_t key_bytes,
                      ByteBuffer* out) {
-  // Flat table for grouping; the wire format orders groups by node, so emit
-  // over an explicitly sorted node list (byte-identical to the former
-  // ordered-map implementation).
-  FlatMap<std::vector<uint64_t>> groups;
-  for (const auto& p : pairs) groups[p.node].push_back(p.key);
-  std::vector<uint32_t> nodes;
-  nodes.reserve(groups.size());
-  groups.ForEach([&](uint64_t node, const std::vector<uint64_t>&) {
-    nodes.push_back(static_cast<uint32_t>(node));
-  });
-  std::sort(nodes.begin(), nodes.end());
-  EncodeLeb128(groups.size(), out);
+  // Sorted by (node, key), each node's pairs are one run: its group.
+  std::sort(pairs.begin(), pairs.end(),
+            [](const KeyNodePair& a, const KeyNodePair& b) {
+              return a.node != b.node ? a.node < b.node : a.key < b.key;
+            });
+  uint64_t num_groups = 0;
+  for (size_t i = 0; i < pairs.size(); ++i) {
+    num_groups += i == 0 || pairs[i].node != pairs[i - 1].node;
+  }
+  EncodeLeb128(num_groups, out);
   ByteWriter writer(out);
-  for (uint32_t node : nodes) {
-    std::vector<uint64_t>& keys = *groups.Find(node);
-    std::sort(keys.begin(), keys.end());
-    EncodeLeb128(node, out);
-    EncodeLeb128(keys.size(), out);
-    for (uint64_t k : keys) writer.PutUint(k, key_bytes);
+  for (size_t first = 0; first < pairs.size();) {
+    size_t last = first + 1;
+    while (last < pairs.size() && pairs[last].node == pairs[first].node) {
+      ++last;
+    }
+    EncodeLeb128(pairs[first].node, out);
+    EncodeLeb128(last - first, out);
+    for (; first < last; ++first) writer.PutUint(pairs[first].key, key_bytes);
   }
 }
 
@@ -52,18 +51,6 @@ Status TryNodeGroupDecode(ByteReader* in, uint32_t key_bytes,
   }
   if (!in->Done()) return Status::Corruption("trailing bytes in node groups");
   return Status::OK();
-}
-
-uint64_t NodeGroupEncodedSize(const std::vector<KeyNodePair>& pairs,
-                              uint32_t key_bytes) {
-  // The size is a sum over groups, so iteration order is irrelevant here.
-  FlatMap<uint64_t> counts;
-  for (const auto& p : pairs) ++counts[p.node];
-  uint64_t bytes = Leb128Size(counts.size());
-  counts.ForEach([&](uint64_t node, const uint64_t& count) {
-    bytes += Leb128Size(node) + Leb128Size(count) + count * key_bytes;
-  });
-  return bytes;
 }
 
 }  // namespace tj

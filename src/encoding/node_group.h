@@ -38,17 +38,6 @@ void NodeGroupEncode(std::vector<KeyNodePair> pairs, uint32_t key_bytes,
 Status TryNodeGroupDecode(ByteReader* in, uint32_t key_bytes,
                           std::vector<KeyNodePair>* out);
 
-/// Exact encoded size in bytes.
-uint64_t NodeGroupEncodedSize(const std::vector<KeyNodePair>& pairs,
-                              uint32_t key_bytes);
-
-/// Baseline for comparison: ungrouped size, one <key, node> pair at a time
-/// with a 1-byte node label.
-inline uint64_t UngroupedSize(const std::vector<KeyNodePair>& pairs,
-                              uint32_t key_bytes) {
-  return pairs.size() * (key_bytes + 1ULL);
-}
-
 }  // namespace tj
 
 #endif  // TJ_ENCODING_NODE_GROUP_H_

@@ -27,13 +27,7 @@ std::vector<KeyCount> AggregateKeys(const TupleBlock& block) {
   std::vector<uint64_t> keys = block.keys();
   RadixSortKeys(&keys);
   std::vector<KeyCount> out;
-  uint64_t i = 0;
-  while (i < keys.size()) {
-    uint64_t j = i;
-    while (j < keys.size() && keys[j] == keys[i]) ++j;
-    out.push_back(KeyCount{keys[i], j - i});
-    i = j;
-  }
+  AggregateSortedKeys(keys, &out);
   return out;
 }
 

@@ -261,10 +261,12 @@ void PipelinedFabric::FinishTask(uint32_t node, double now) {
   }
   for (uint64_t send : fl.sends) AdmitChunk(send, now);
 
-  if (task.returns_credit) {
-    ReturnCredit(task.credit_src, task.credit_dst, task.credit_bytes, now);
-  }
   if (task.handler_chunk >= 0) {
+    const ChunkTiming& chunk = chunk_timing_[task.handler_chunk];
+    if (!chunk.local) {
+      ReturnCredit(chunk.src, chunk.dst, chunk_credit_[task.handler_chunk],
+                   now);
+    }
     // Handler ran; its chunk payload is no longer needed.
     ByteBuffer().swap(chunks_[task.handler_chunk].data);
   }
@@ -665,12 +667,6 @@ Status PipelinedFabric::Run() {
               {"watermark", static_cast<int64_t>(chunk.watermark)},
               {"eos", chunk.eos ? 1 : 0},
               {"bytes", static_cast<int64_t>(chunk.data.size())}};
-        }
-        if (chunk.src != chunk.dst) {
-          task.returns_credit = true;
-          task.credit_src = chunk.src;
-          task.credit_dst = chunk.dst;
-          task.credit_bytes = chunk_credit_[chunk_index];
         }
         task.handler_chunk = static_cast<int64_t>(chunk_index);
         TaskTiming timing;

@@ -275,14 +275,10 @@ class PipelinedFabric {
     /// A plain task's body; a handler task runs its chunk's handler.
     Task fn;
     TraceArgs trace_args;  ///< Kept only while tracing.
-    /// Credit to return (and blocked queue to drain) when this task —
-    /// a network chunk's handler — completes.
-    bool returns_credit = false;
-    uint32_t credit_src = 0;
-    uint32_t credit_dst = 0;
-    uint64_t credit_bytes = 0;
-    /// Index of the chunk this (handler) task consumes, -1 for plain tasks;
-    /// its payload is released once the handler completes.
+    /// Index of the chunk this (handler) task consumes, -1 for plain tasks.
+    /// When the handler completes, its payload is released and, unless it
+    /// is a local copy, its link credit returns (draining the blocked
+    /// queue).
     int64_t handler_chunk = -1;
   };
 

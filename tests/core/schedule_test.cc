@@ -6,6 +6,12 @@
 
 #include <algorithm>
 #include <iterator>
+#include <set>
+#include <tuple>
+#include <utility>
+
+#include "common/rng.h"
+#include "core/tracker.h"
 
 namespace tj {
 namespace {
@@ -179,6 +185,82 @@ TEST(InstructionStreamTest, EachInstructionTypeOnceWithItsDataType) {
     const auto few = InstructionStreams(version);
     ASSERT_EQ(few.size(), 2u);
     EXPECT_FALSE(few[0].migrates() || few[1].migrates());
+  }
+}
+
+// The pipelined holder never drops the rows it migrates or fragments away
+// from its home runs (DESIGN.md §3, "Moved rows"). That is exact only
+// because (a) a holder instructed to move one side's rows of a key is
+// never a location of the other side's broadcast of that key, so its dead
+// rows meet nothing, and (b) no migration or fragment names its own
+// holder, which would leave the rows both kept and moved.
+TEST(KeyPlannerTest, MovedRowsMeetNoBroadcast) {
+  Rng rng(11);
+  for (bool hot_split : {false, true}) {
+    for (bool balance : {false, true}) {
+      JoinConfig config;
+      config.hot_key_threshold = hot_split ? 40 : 0;
+      config.balance_loads = balance;
+      uint64_t migrations = 0;
+      uint64_t fragments = 0;
+      for (int trial = 0; trial < 60; ++trial) {
+        const uint32_t n = 2 + static_cast<uint32_t>(rng.Below(7));
+        // Random placements of 80 keys, some nodes holding many rows of a
+        // key, so that migrations and hot splits both pay off.
+        std::vector<TrackEntry> tracked[2];
+        for (uint64_t key = 0; key < 80; ++key) {
+          for (std::vector<TrackEntry>& side : tracked) {
+            for (uint32_t node = 0; node < n; ++node) {
+              if (rng.Below(3) != 0) continue;
+              const uint64_t rows =
+                  rng.Below(4) == 0 ? 10 + rng.Below(60) : 1 + rng.Below(3);
+              side.push_back({key, node, static_cast<uint32_t>(rows)});
+            }
+          }
+        }
+        SCOPED_TRACE("hot_split=" + std::to_string(hot_split) +
+                     " balance=" + std::to_string(balance) +
+                     " trial=" + std::to_string(trial));
+        KeyPlanOutputs outs(n);
+        KeyPlanner(config, TrackJoinVersion::k4Phase, Direction::kRtoS, n,
+                   /*tracker=*/trial % n, /*width_r=*/12, /*width_s=*/20,
+                   /*audit=*/nullptr)
+            .PlanBatch(tracked[0], tracked[1], &outs);
+        // (key, node) pairs: broadcast receivers per side, movers per side.
+        std::set<std::pair<uint64_t, uint32_t>> receives[2], moves[2];
+        for (uint32_t holder = 0; holder < n; ++holder) {
+          for (const KeyNodePair& pair : outs.loc_to_r[holder]) {
+            receives[0].emplace(pair.key, pair.node);
+          }
+          for (const KeyNodePair& pair : outs.loc_to_s[holder]) {
+            receives[1].emplace(pair.key, pair.node);
+          }
+          for (int side : {0, 1}) {
+            const auto& migr = side == 0 ? outs.migr_r : outs.migr_s;
+            const auto& frag = side == 0 ? outs.frag_r : outs.frag_s;
+            for (const KeyNodePair& pair : migr[holder]) {
+              EXPECT_NE(pair.node, holder) << "key " << pair.key;
+              moves[side].emplace(pair.key, holder);
+              ++migrations;
+            }
+            for (const KeyNodePair& pair : frag[holder]) {
+              EXPECT_NE(pair.node, holder) << "key " << pair.key;
+              moves[side].emplace(pair.key, holder);
+              ++fragments;
+            }
+          }
+        }
+        for (int side : {0, 1}) {
+          for (const auto& [key, holder] : moves[side]) {
+            EXPECT_FALSE(receives[1 - side].count({key, holder}))
+                << "node " << holder << " moves key " << key
+                << " away and receives the other side's broadcast of it";
+          }
+        }
+      }
+      EXPECT_GT(migrations, 0u);
+      EXPECT_EQ(fragments > 0, hot_split);
+    }
   }
 }
 

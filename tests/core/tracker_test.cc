@@ -223,48 +223,87 @@ TEST(TrackerTest, GroupedKeyNodePairCodecs) {
   for (const auto& p : decoded) EXPECT_EQ(p.node, 2u);
 }
 
-// The pipelined chunker over random entry bytes, so each entry's bytes past
-// its key are nonzero: a watermark that read past `key_bytes` would show.
-TEST(TrackerTest, SliceEntryMessageCutsAtEntryBoundaries) {
+// The pipelined source's tracking chunks, written from each tracker's home
+// run, concatenate to the barrier encoder's message for that tracker, cut
+// every max(1, chunk_bytes / entry bytes) entries with the last entry's key
+// as watermark and EOS on the last chunk. Count bytes of 1 saturate at 255,
+// so the 300-700-row keys ship as saturated entries that may straddle a cut.
+TEST(TrackerTest, TrackingChunksConcatenateToEncodedMessage) {
+  constexpr uint32_t kTrackers = 3;
   Rng rng(5);
-  for (uint32_t key_bytes : {1u, 3u, 4u, 8u}) {
-    for (uint32_t entry_bytes : {key_bytes, key_bytes + 1, key_bytes + 4}) {
-      for (uint64_t entries : {0u, 1u, 7u, 100u}) {
-        ByteBuffer message(entries * entry_bytes);
-        for (uint8_t& b : message) b = static_cast<uint8_t>(rng.Next());
-        for (uint64_t chunk_bytes :
-             {uint64_t{1}, uint64_t{entry_bytes - 1}, uint64_t{entry_bytes},
-              uint64_t{3 * entry_bytes + 1}, uint64_t{4096}}) {
+  for (uint32_t key_bytes = 1; key_bytes <= 8; ++key_bytes) {
+    std::vector<uint64_t> keys;
+    for (int i = 0; i < 60; ++i) {
+      const uint64_t key = rng.Next() & FieldMask(key_bytes);
+      const uint64_t rows = i % 20 == 0 ? 300 + rng.Below(400) : 1 + rng.Below(3);
+      keys.insert(keys.end(), rows, key);
+    }
+    std::sort(keys.begin(), keys.end());
+    std::vector<uint64_t> home[kTrackers];
+    for (uint64_t key : keys) home[HashPartition(key, kTrackers)].push_back(key);
+    std::vector<KeyCount> counts;
+    AggregateSortedKeys(keys, &counts);
+    for (bool with_counts : {false, true}) {
+      JoinConfig config;
+      config.key_bytes = key_bytes;
+      config.count_bytes = 1;
+      const uint32_t entry_bytes = key_bytes + (with_counts ? 1 : 0);
+      const std::vector<ByteBuffer> messages =
+          EncodeTrackingMessages(counts, config, with_counts, kTrackers);
+      for (uint64_t chunk_bytes :
+           {uint64_t{1}, uint64_t{entry_bytes - 1}, uint64_t{entry_bytes},
+            uint64_t{3 * entry_bytes + 1}, uint64_t{4096}}) {
+        const uint64_t per_chunk =
+            std::max<uint64_t>(1, chunk_bytes / entry_bytes);
+        for (uint32_t t = 0; t < kTrackers; ++t) {
           SCOPED_TRACE("key_bytes=" + std::to_string(key_bytes) +
-                       " entry_bytes=" + std::to_string(entry_bytes) +
-                       " entries=" + std::to_string(entries) +
-                       " chunk_bytes=" + std::to_string(chunk_bytes));
-          const std::vector<WireChunk> chunks =
-              SliceEntryMessage(message, entry_bytes, key_bytes, chunk_bytes);
-          const uint64_t per_chunk =
-              std::max<uint64_t>(1, chunk_bytes / entry_bytes);
-          EXPECT_EQ(chunks.size(), (entries + per_chunk - 1) / per_chunk);
+                       " with_counts=" + std::to_string(with_counts) +
+                       " chunk_bytes=" + std::to_string(chunk_bytes) +
+                       " tracker=" + std::to_string(t));
+          std::vector<TrackEntry> entries;
+          ASSERT_TRUE(TryDecodeTrackingMessage(Msg(0, messages[t]), config,
+                                               with_counts, &entries)
+                          .ok());
           ByteBuffer joined;
-          for (const WireChunk& chunk : chunks) {
-            ASSERT_FALSE(chunk.data.empty());
-            EXPECT_EQ(chunk.data.size() % entry_bytes, 0u);
-            EXPECT_LE(chunk.data.size(),
-                      std::max<uint64_t>(chunk_bytes, entry_bytes));
-            if (chunk_bytes < entry_bytes) {
-              EXPECT_EQ(chunk.data.size(), entry_bytes);
-            }
-            // The last entry's key: its first key_bytes bytes, little-endian.
-            uint8_t last[8] = {};
-            std::copy_n(chunk.data.end() - entry_bytes, key_bytes, last);
-            EXPECT_EQ(chunk.watermark, LoadLe64(last));
-            EXPECT_EQ(chunk.watermark & ~FieldMask(key_bytes), 0u);
-            joined.insert(joined.end(), chunk.data.begin(), chunk.data.end());
-          }
-          EXPECT_EQ(joined, message);
+          uint64_t chunks = 0;
+          bool ended = false;
+          const uint64_t written = WriteTrackingChunks(
+              home[t], config, with_counts, chunk_bytes,
+              [&](ByteBuffer data, bool eos, uint64_t watermark) {
+                ASSERT_FALSE(ended);
+                const uint64_t first = chunks++ * per_chunk;
+                const uint64_t count =
+                    std::min(per_chunk, entries.size() - first);
+                EXPECT_EQ(data.size(), count * entry_bytes);
+                EXPECT_EQ(eos, first + count == entries.size());
+                EXPECT_EQ(watermark, entries[first + count - 1].key);
+                joined.insert(joined.end(), data.begin(), data.end());
+                ended = eos;
+              });
+          EXPECT_TRUE(ended);
+          EXPECT_EQ(chunks, (entries.size() + per_chunk - 1) / per_chunk);
+          EXPECT_EQ(joined, messages[t]);
+          EXPECT_EQ(written, messages[t].size());
         }
       }
     }
   }
+}
+
+// An empty home run is one zero-byte EOS chunk, which the tracker counts.
+TEST(TrackerTest, EmptyTrackingRunIsOneEosChunk) {
+  JoinConfig config;
+  int chunks = 0;
+  EXPECT_EQ(WriteTrackingChunks({}, config, /*with_counts=*/true, 4096,
+                                [&](ByteBuffer data, bool eos,
+                                    uint64_t watermark) {
+                                  ++chunks;
+                                  EXPECT_TRUE(data.empty());
+                                  EXPECT_TRUE(eos);
+                                  EXPECT_EQ(watermark, 0u);
+                                }),
+            0u);
+  EXPECT_EQ(chunks, 1);
 }
 
 TEST(TrackerMergeTest, MatchesReferenceOnRandomStreams) {

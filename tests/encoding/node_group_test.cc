@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 
 #include "common/rng.h"
+#include "encoding/varint.h"
 
 namespace tj {
 namespace {
@@ -38,22 +40,47 @@ TEST(NodeGroupTest, RoundTrip) {
   EXPECT_TRUE(reader.Done());
 }
 
-TEST(NodeGroupTest, SizeMatchesEncoding) {
+TEST(NodeGroupTest, SizeIsGroupHeadersPlusKeys) {
   Rng rng(3);
   std::vector<KeyNodePair> pairs;
+  std::map<uint32_t, uint64_t> group_sizes;
   for (int i = 0; i < 1000; ++i) {
     pairs.push_back({rng.Below(1 << 20), static_cast<uint32_t>(rng.Below(8))});
+    ++group_sizes[pairs.back().node];
+  }
+  uint64_t expected = Leb128Size(group_sizes.size());
+  for (const auto& [node, count] : group_sizes) {
+    expected += Leb128Size(node) + Leb128Size(count) + count * 3;
   }
   ByteBuffer buf;
   NodeGroupEncode(pairs, 3, &buf);
-  EXPECT_EQ(buf.size(), NodeGroupEncodedSize(pairs, 3));
+  EXPECT_EQ(buf.size(), expected);
 }
 
 TEST(NodeGroupTest, GroupingBeatsUngroupedForManyKeysPerNode) {
   std::vector<KeyNodePair> pairs;
   for (uint64_t k = 0; k < 500; ++k) pairs.push_back({k, 3});
+  ByteBuffer buf;
+  NodeGroupEncode(pairs, 4, &buf);
   // Grouped: ~1 node label total. Ungrouped: 1 node byte per pair.
-  EXPECT_LT(NodeGroupEncodedSize(pairs, 4), UngroupedSize(pairs, 4));
+  EXPECT_LT(buf.size(), pairs.size() * (4 + 1));
+}
+
+// Pins the wire bytes: groups in node order, each group's keys sorted with
+// duplicates kept, whatever order the pairs come in.
+TEST(NodeGroupTest, GoldenBytes) {
+  const std::vector<KeyNodePair> pairs = {
+      {0x0A0B0C, 5}, {7, 200},   {0x0A0B0C, 5}, {300, 0},
+      {2, 200},      {7, 5},     {0x0A0B0C, 0}};
+  ByteBuffer buf;
+  NodeGroupEncode(pairs, /*key_bytes=*/3, &buf);
+  const ByteBuffer golden = {
+      0x03,                                      // three groups
+      0x00, 0x02, 0x2C, 0x01, 0x00, 0x0C, 0x0B, 0x0A,  // node 0: 300, 0x0A0B0C
+      0x05, 0x03, 0x07, 0x00, 0x00, 0x0C, 0x0B, 0x0A,  // node 5: 7, 0x0A0B0C,
+      0x0C, 0x0B, 0x0A,                                //   0x0A0B0C
+      0xC8, 0x01, 0x02, 0x02, 0x00, 0x00, 0x07, 0x00, 0x00};  // node 200: 2, 7
+  EXPECT_EQ(buf, golden);
 }
 
 TEST(NodeGroupTest, EmptyInput) {
