@@ -3,7 +3,7 @@
 // small hash-join / 4-phase-track-join run (the StepProfile rows Tables 3
 // and 4 are built from).
 //
-// Also reports six same-run ratios of serial wall times, which hold
+// Also reports seven same-run ratios of serial wall times, which hold
 // across machines (best of 3 runs each unless noted):
 //   tj4_pipelined_over_barrier_wall  pipelined 4TJ (DRR) ÷ barrier 4TJ on
 //                                    workload X at scale 1/2000, the
@@ -18,6 +18,9 @@
 //   barrier_node_scaling             barrier 4TJ on one small input over
 //                                    256 nodes ÷ over 16 nodes, near 1
 //                                    when a phase costs O(messages + N);
+//   pipelined_node_scaling           pipelined 4TJ (DRR) on one small input
+//                                    over 64 nodes ÷ over 8 nodes, what
+//                                    per-link state costs the event fabric;
 //   merge_received_over_sort         the received-run merge the barrier
 //                                    joins read (MergedRuns), drained
 //                                    from 8 key-ascending serialized
@@ -278,6 +281,27 @@ int main(int argc, char** argv) {
   }
   TJ_CHECK(spread_sum[0] == spread_sum[1]) << "cluster width changed 4TJ";
 
+  // Pipelined 4TJ under DRR on the same 8,000 keys per table spread over 8
+  // and over 64 nodes, serial, best of kReps each, reps alternating: what
+  // cluster width alone costs the event fabric and its driver.
+  JoinConfig wide_config;
+  wide_config.pipeline.enabled = true;
+  wide_config.pipeline.drr = true;
+  const Workload wide[2] = {spread_over(8), spread_over(64)};
+  double wide_s[2] = {1e300, 1e300};
+  JoinChecksum wide_sum[2];
+  for (int rep = 0; rep < bench::kReps; ++rep) {
+    for (int i = 0; i < 2; ++i) {
+      wide_s[i] = std::min(wide_s[i], bench::Seconds([&] {
+        wide_sum[i] = ValueOrDie(TryRunPipelinedTrackJoin(
+                                     wide[i].r, wide[i].s, wide_config,
+                                     TrackJoinVersion::k4Phase))
+                          .checksum;
+      }));
+    }
+  }
+  TJ_CHECK(wide_sum[0] == wide_sum[1]) << "cluster width changed pipelined 4TJ";
+
   // The join checksum's cost on workload Y's large key groups: a merge
   // join of Y/200's sorted blocks (one node) with the checksum sink over
   // the same join with a no-op per-pair sink. Best of kReps each, reps
@@ -372,6 +396,9 @@ int main(int argc, char** argv) {
   std::printf("  \"barrier_256_nodes_wall_s\": %.6f,\n", spread_s[1]);
   std::printf("  \"barrier_node_scaling\": %.4f,\n",
               spread_s[1] / spread_s[0]);
+  std::printf("  \"pipelined_8_nodes_wall_s\": %.6f,\n", wide_s[0]);
+  std::printf("  \"pipelined_64_nodes_wall_s\": %.6f,\n", wide_s[1]);
+  std::printf("  \"pipelined_node_scaling\": %.4f,\n", wide_s[1] / wide_s[0]);
   std::printf("  \"merge_received_wall_s\": %.6f,\n", merge_received_s);
   std::printf("  \"sort_received_wall_s\": %.6f,\n", sort_received_s);
   std::printf("  \"merge_received_over_sort\": %.4f,\n", merge_ratio);

@@ -213,15 +213,6 @@ Result<JoinResult> TryRunPipelinedTrackJoin(const PartitionedTable& r,
   const uint32_t pair_bytes = config.key_bytes + config.node_bytes;
   const std::span<const InstructionStream> streams =
       InstructionStreams(version);
-  // EOS fan-in: every tracker terminates every instruction stream to every
-  // holder; every holder then terminates every data stream (one per
-  // non-split instruction stream) to every joiner.
-  const uint32_t expected_instr_eos = n * static_cast<uint32_t>(streams.size());
-  const uint32_t expected_data_eos =
-      n * static_cast<uint32_t>(std::count_if(
-              streams.begin(), streams.end(),
-              [](const InstructionStream& stream) { return !stream.split; }));
-
   PipelinedFabric::Params params;
   params.num_nodes = n;
   params.cost.cpu_bandwidth_bytes_per_sec =
@@ -365,12 +356,13 @@ Result<JoinResult> TryRunPipelinedTrackJoin(const PartitionedTable& r,
             }
           }
           if (final_batch) {
-            // Terminate every instruction stream so holders can count.
+            // One EOS chunk per holder ends all of this tracker's
+            // instruction streams to it: the fabric delivers a link's
+            // chunks in send order whatever their types. Each holder counts
+            // n of them, then ends its data streams the same way.
             for (uint32_t dst = 0; dst < n; ++dst) {
-              for (const InstructionStream& stream : streams) {
-                fabric.SendChunk(node, dst, stream.instr, ByteBuffer{},
-                                 /*eos=*/true);
-              }
+              fabric.SendChunk(node, dst, streams.front().instr, ByteBuffer{},
+                               /*eos=*/true);
             }
           }
           return Status::OK();
@@ -439,13 +431,11 @@ Result<JoinResult> TryRunPipelinedTrackJoin(const PartitionedTable& r,
   // out as the stream's data type. ---
   auto close_data_streams = [&](uint32_t node) {
     PipelineNodeState& st = nodes[node];
-    if (st.data_eos_sent || st.instr_eos < expected_instr_eos) return;
+    if (st.data_eos_sent || st.instr_eos < n) return;
     st.data_eos_sent = true;
     for (uint32_t dst = 0; dst < n; ++dst) {
-      for (const InstructionStream& stream : streams) {
-        if (stream.split) continue;  // Fragments share migration data.
-        fabric.SendChunk(node, dst, stream.data, ByteBuffer{}, /*eos=*/true);
-      }
+      fabric.SendChunk(node, dst, streams.front().data, ByteBuffer{},
+                       /*eos=*/true);
     }
   };
   for (const InstructionStream& stream : streams) {
@@ -557,8 +547,7 @@ Result<JoinResult> TryRunPipelinedTrackJoin(const PartitionedTable& r,
   // driver's fail-stop DataLoss.
   for (uint32_t node = 0; node < n; ++node) {
     const PipelineNodeState& st = nodes[node];
-    bool complete = st.instr_eos == expected_instr_eos &&
-                    st.data_eos == expected_data_eos;
+    bool complete = st.instr_eos == n && st.data_eos == n;
     for (uint32_t src = 0; src < n && complete; ++src) {
       complete = st.streams[0][src].eos && st.streams[1][src].eos;
     }

@@ -91,9 +91,6 @@ Result<JoinResult> RecoveryManager::Run(const ReplicatedTable& r,
     JoinConfig cfg = config;
     RunDiagnostics diag;
     cfg.diagnostics = &diag;
-    if (options_.phase_deadline_seconds > 0) {
-      cfg.phase_deadline_seconds = options_.phase_deadline_seconds;
-    }
     FaultPolicy remapped;
     if (config.fault_policy != nullptr) {
       remapped = RemapPolicy(*config.fault_policy, plan);

@@ -47,10 +47,6 @@ struct RecoveryOptions {
   /// off — the replacement topology is available immediately.
   double backoff_initial_seconds = 0.05;
   double backoff_multiplier = 2.0;
-  /// Modeled per-phase deadline forwarded to the fabric (0 keeps the
-  /// caller's JoinConfig value): stragglers past it are promoted to
-  /// suspected-dead and failed over like crashes.
-  double phase_deadline_seconds = 0;
 };
 
 /// What recovery did for one query.

@@ -23,7 +23,6 @@ PipelinedFabric::PipelinedFabric(const Params& params)
   TJ_CHECK_GT(params_.num_nodes, 0u);
   const uint32_t n = params_.num_nodes;
   runnable_.assign(n, {});
-  cpu_busy_.assign(n, false);
   cpu_free_.assign(n, 0.0);
   egress_free_.assign(n, 0.0);
   ingress_free_.assign(n, 0.0);
@@ -31,7 +30,7 @@ PipelinedFabric::PipelinedFabric(const Params& params)
   links_.assign(static_cast<size_t>(n) * n, Link{});
   for (Link& link : links_) link.credit = LinkWindowBytes();
   if (params_.egress_policy == EgressSchedPolicy::kDrr) {
-    egress_queues_.assign(static_cast<size_t>(n) * n, EgressQueue{});
+    egress_settled_.assign(n, false);
     TJ_CHECK_GT(DrrQuantumBytes(), 0u) << "DRR needs a positive quantum";
   }
   dead_.assign(n, false);
@@ -64,10 +63,20 @@ uint64_t PipelinedFabric::LinkWindowBytes() const {
                             params_.inbox_budget_bytes / params_.num_nodes);
 }
 
-uint64_t PipelinedFabric::CreditNeed(const Chunk& chunk) const {
+uint64_t PipelinedFabric::CreditNeed(const ChunkTiming& timing) const {
   // An oversized chunk takes the whole window instead of deadlocking on
   // credit it can never accumulate.
-  return std::min<uint64_t>(chunk.data.size(), LinkWindowBytes());
+  return std::min<uint64_t>(timing.bytes, LinkWindowBytes());
+}
+
+void PipelinedFabric::Link::PopFront() {
+  if (++head == chunks.size()) {
+    chunks.clear();
+    head = 0;
+  } else if (head * 2 >= chunks.size()) {
+    chunks.erase(chunks.begin(), chunks.begin() + head);
+    head = 0;
+  }
 }
 
 uint64_t PipelinedFabric::DrrQuantumBytes() const {
@@ -120,7 +129,7 @@ void PipelinedFabric::Post(uint32_t node, const char* stage,
   task_timing_.push_back(timing);
   const uint64_t index = tasks_.size() - 1;
   if (in_task_) {
-    buffered_posts_.push_back(index);
+    in_flight_[running_node_]->posts.push_back(index);
   } else {
     TJ_CHECK(!ran_) << "Post after Run finished";
     PushEvent(0.0, Event::kTaskReady, index, node);
@@ -150,8 +159,7 @@ void PipelinedFabric::SendChunk(uint32_t src, uint32_t dst, MessageType type,
   timing.local = (src == dst);
   chunks_.push_back(std::move(chunk));
   chunk_timing_.push_back(timing);
-  chunk_credit_.push_back(0);
-  buffered_sends_.push_back(chunks_.size() - 1);
+  in_flight_[src]->sends.push_back(chunks_.size() - 1);
 }
 
 void PipelinedFabric::ChargeCpuBytes(uint64_t bytes) {
@@ -182,7 +190,7 @@ void PipelinedFabric::RecordLinkCounter(const char* prefix, uint32_t src,
 }
 
 void PipelinedFabric::TryStartTask(uint32_t node, double now) {
-  if (cpu_busy_[node] || runnable_[node].empty()) return;
+  if (in_flight_[node].has_value() || runnable_[node].empty()) return;
   const uint64_t index = runnable_[node].front();
   runnable_[node].pop_front();
   const double start = std::max(now, cpu_free_[node]);
@@ -190,10 +198,8 @@ void PipelinedFabric::TryStartTask(uint32_t node, double now) {
   in_task_ = true;
   running_node_ = node;
   running_task_ = index;
-  running_start_ = start;
   running_charged_bytes_ = 0;
-  buffered_posts_.clear();
-  buffered_sends_.clear();
+  in_flight_[node].emplace().task = index;
   Status status;
   if (const int64_t chunk_index = tasks_[index].handler_chunk;
       chunk_index >= 0) {
@@ -229,16 +235,6 @@ void PipelinedFabric::TryStartTask(uint32_t node, double now) {
     Tracer::Global().Record(std::move(event));
   }
 
-  InFlight fl;
-  fl.task = index;
-  fl.start = start;
-  fl.finish = finish;
-  fl.posts = std::move(buffered_posts_);
-  fl.sends = std::move(buffered_sends_);
-  buffered_posts_.clear();
-  buffered_sends_.clear();
-  in_flight_[node] = std::move(fl);
-  cpu_busy_[node] = true;
   cpu_free_[node] = finish;
   PushEvent(finish, Event::kTaskFinish, 0, node);
 
@@ -253,7 +249,6 @@ void PipelinedFabric::FinishTask(uint32_t node, double now) {
   TJ_CHECK(in_flight_[node].has_value());
   InFlight fl = std::move(*in_flight_[node]);
   in_flight_[node].reset();
-  cpu_busy_[node] = false;
   TaskRecord& task = tasks_[fl.task];
 
   for (uint64_t post : fl.posts) {
@@ -264,11 +259,8 @@ void PipelinedFabric::FinishTask(uint32_t node, double now) {
   if (task.handler_chunk >= 0) {
     const ChunkTiming& chunk = chunk_timing_[task.handler_chunk];
     if (!chunk.local) {
-      ReturnCredit(chunk.src, chunk.dst, chunk_credit_[task.handler_chunk],
-                   now);
+      ReturnCredit(chunk.src, chunk.dst, CreditNeed(chunk), now);
     }
-    // Handler ran; its chunk payload is no longer needed.
-    ByteBuffer().swap(chunks_[task.handler_chunk].data);
   }
   // Release the task closure (captured buffers) once it can never rerun.
   task.fn = nullptr;
@@ -292,24 +284,22 @@ void PipelinedFabric::AdmitChunk(uint64_t chunk_index, double ready) {
     PushEvent(ready, Event::kChunkArrive, chunk_index, chunk.dst);
     return;
   }
-  Link& link = links_[static_cast<size_t>(chunk.src) * params_.num_nodes +
-                      chunk.dst];
-  const uint64_t need = CreditNeed(chunk);
-  chunk_credit_[chunk_index] = need;
-  // FIFO per link: a chunk never overtakes an earlier blocked one, even if
-  // it would fit the remaining credit.
-  if (!link.blocked.empty() || need > link.credit) {
+  Link& link = LinkOf(chunk.src, chunk.dst);
+  const uint64_t need = CreditNeed(timing);
+  // FIFO per link: a chunk never overtakes an earlier one waiting for
+  // credit, even if it would fit the remaining credit.
+  if (link.waiting() || need > link.credit) {
     // Classify the stall by its cause at admission: queued behind earlier
-    // blocked chunks is head-of-line blocking; an empty queue with an
+    // waiting chunks is head-of-line blocking; none waiting with an
     // insufficient window is genuine inbox-credit exhaustion.
-    if (link.blocked.empty()) {
-      timing.head = ready;  // Immediately the FIFO front, waiting on credit.
-      stall_exhausted_total_->Increment();
-    } else {
+    if (link.waiting()) {
       stall_hol_total_->Increment();
+    } else {
+      timing.head = ready;  // Immediately the first to wait, on credit.
+      stall_exhausted_total_->Increment();
     }
     timing.stalled = true;
-    link.blocked.emplace_back(chunk_index, ready);
+    link.chunks.push_back(chunk_index);
     link.queued_bytes += timing.bytes;
     RecordLinkCounter("flow.queued.d", chunk.src, chunk.dst, ready,
                       link.queued_bytes);
@@ -320,11 +310,8 @@ void PipelinedFabric::AdmitChunk(uint64_t chunk_index, double ready) {
   link.credit -= need;
   RecordLinkCounter("flow.credit.d", chunk.src, chunk.dst, ready,
                     link.credit);
-  DispatchGranted(chunk_index, ready);
-}
-
-void PipelinedFabric::DispatchGranted(uint64_t chunk_index, double ready) {
   if (params_.egress_policy == EgressSchedPolicy::kDrr) {
+    link.chunks.push_back(chunk_index);
     EnqueueEgress(chunk_index, ready);
   } else {
     LaunchChunk(chunk_index, ready);
@@ -333,24 +320,29 @@ void PipelinedFabric::DispatchGranted(uint64_t chunk_index, double ready) {
 
 void PipelinedFabric::ReturnCredit(uint32_t src, uint32_t dst, uint64_t bytes,
                                    double now) {
-  Link& link = links_[static_cast<size_t>(src) * params_.num_nodes + dst];
+  Link& link = LinkOf(src, dst);
   link.credit += bytes;
   RecordLinkCounter("flow.credit.d", src, dst, now, link.credit);
-  while (!link.blocked.empty()) {
-    const auto [chunk_index, ready] = link.blocked.front();
-    // The front either launches now or starts waiting on credit now; both
-    // end its head-of-line segment.
-    if (chunk_timing_[chunk_index].head < 0) {
-      chunk_timing_[chunk_index].head = now;
-    }
-    const uint64_t need = chunk_credit_[chunk_index];
+  while (link.waiting()) {
+    const uint64_t chunk_index = link.first_waiting();
+    ChunkTiming& timing = chunk_timing_[chunk_index];
+    // The first waiting chunk either is granted now or starts waiting on
+    // credit now; both end its head-of-line segment.
+    if (timing.head < 0) timing.head = now;
+    const uint64_t need = CreditNeed(timing);
     if (need > link.credit) break;
-    link.blocked.pop_front();
-    link.queued_bytes -= chunk_timing_[chunk_index].bytes;
+    link.queued_bytes -= timing.bytes;
     link.credit -= need;
     RecordLinkCounter("flow.credit.d", src, dst, now, link.credit);
     RecordLinkCounter("flow.queued.d", src, dst, now, link.queued_bytes);
-    DispatchGranted(chunk_index, std::max(ready, now));
+    const double grant = std::max(timing.admit, now);
+    if (params_.egress_policy == EgressSchedPolicy::kDrr) {
+      EnqueueEgress(chunk_index, grant);
+    } else {
+      // kFifo transmits on grant, so no chunk waits for its NIC on a link.
+      link.PopFront();
+      LaunchChunk(chunk_index, grant);
+    }
   }
 }
 
@@ -398,35 +390,36 @@ void PipelinedFabric::MarkEgressWait(uint64_t chunk_index, double now,
   marks.emplace_back(now, state);
 }
 
+PipelinedFabric::ChunkTiming::EgressWait PipelinedFabric::BusyNicWait(
+    uint32_t node, uint32_t dst) const {
+  return egress_occupant_dst_[node] == dst ? ChunkTiming::EgressWait::kQueue
+                                           : ChunkTiming::EgressWait::kHol;
+}
+
 void PipelinedFabric::RefreshFrontMarks(uint32_t node, double now,
                                         bool after_pick) {
   const uint32_t n = params_.num_nodes;
   const bool egress_busy = egress_free_[node] > now;
   for (uint32_t dst = 0; dst < n; ++dst) {
-    EgressQueue& q = egress_queues_[static_cast<size_t>(node) * n + dst];
-    if (q.chunks.empty()) continue;
-    const uint64_t front = q.chunks.front();
+    const Link& link = LinkOf(node, dst);
+    if (link.granted == 0) continue;
+    const uint64_t front = link.chunks[link.head];
+    const bool short_deficit = link.deficit < chunk_timing_[front].bytes;
     const bool ingress_busy = ingress_free_[dst] > now;
     ChunkTiming::EgressWait state;
     if (egress_busy) {
       // A front that was ready but lacked deficit when the pick happened
       // lost its turn to the quantum cursor, not to NIC occupancy per se.
-      if (after_pick && !ingress_busy &&
-          q.deficit < chunks_[front].data.size()) {
-        state = ChunkTiming::EgressWait::kDeficit;
-      } else {
-        state = (egress_occupant_dst_[node] == dst)
-                    ? ChunkTiming::EgressWait::kQueue
-                    : ChunkTiming::EgressWait::kHol;
-      }
+      state = after_pick && !ingress_busy && short_deficit
+                  ? ChunkTiming::EgressWait::kDeficit
+                  : BusyNicWait(node, dst);
     } else if (ingress_busy) {
       state = ChunkTiming::EgressWait::kIngress;
     } else {
       // Idle NIC, idle ingress: only reachable transiently (the scheduler
       // serves such a front before exiting); classify by the deficit.
-      state = (q.deficit < chunks_[front].data.size())
-                  ? ChunkTiming::EgressWait::kDeficit
-                  : ChunkTiming::EgressWait::kIngress;
+      state = short_deficit ? ChunkTiming::EgressWait::kDeficit
+                            : ChunkTiming::EgressWait::kIngress;
     }
     MarkEgressWait(front, now, state);
   }
@@ -434,22 +427,27 @@ void PipelinedFabric::RefreshFrontMarks(uint32_t node, double now,
 
 void PipelinedFabric::EnqueueEgress(uint64_t chunk_index, double now) {
   AccountGrant(chunk_index, now);
-  Chunk& chunk = chunks_[chunk_index];
-  EgressQueue& q =
-      egress_queues_[static_cast<size_t>(chunk.src) * params_.num_nodes +
-                     chunk.dst];
-  q.chunks.push_back(chunk_index);
-  q.queued_bytes += chunk.data.size();
-  RecordLinkCounter("egress.queued.d", chunk.src, chunk.dst, now,
-                    q.queued_bytes);
+  const ChunkTiming& timing = chunk_timing_[chunk_index];
+  Link& link = LinkOf(timing.src, timing.dst);
+  ++link.granted;
+  link.granted_bytes += timing.bytes;
+  RecordLinkCounter("egress.queued.d", timing.src, timing.dst, now,
+                    link.granted_bytes);
   // Anchor the blame chain exactly at the grant boundary; the scheduler
   // pass below reclassifies the mark in place if the chunk is already the
   // queue front.
   MarkEgressWait(chunk_index, now, ChunkTiming::EgressWait::kQueue);
-  RunEgressScheduler(chunk.src, now);
+  if (link.granted == 1 && egress_settled_[timing.src] &&
+      egress_free_[timing.src] > now) {
+    // The pass returns at once; the new front is the one mark it would
+    // change.
+    MarkEgressWait(chunk_index, now, BusyNicWait(timing.src, timing.dst));
+  }
+  RunEgressScheduler(timing.src, now);
 }
 
 void PipelinedFabric::RunEgressScheduler(uint32_t node, double now) {
+  if (egress_settled_[node] && egress_free_[node] > now) return;
   const uint32_t n = params_.num_nodes;
   const uint64_t quantum = DrrQuantumBytes();
   bool picked = false;
@@ -461,11 +459,11 @@ void PipelinedFabric::RunEgressScheduler(uint32_t node, double now) {
     double pick_grant = 0;
     uint64_t pick_chunk = 0;
     auto consider = [&](uint32_t dst) {
-      EgressQueue& q = egress_queues_[static_cast<size_t>(node) * n + dst];
-      if (q.chunks.empty() || ingress_free_[dst] > now) return;
+      const Link& link = LinkOf(node, dst);
+      if (link.granted == 0 || ingress_free_[dst] > now) return;
       any_ready = true;
-      const uint64_t front = q.chunks.front();
-      if (q.deficit < chunks_[front].data.size()) return;
+      const uint64_t front = link.chunks[link.head];
+      if (link.deficit < chunk_timing_[front].bytes) return;
       const double grant = chunk_timing_[front].grant;
       // Oldest grant wins; chunk index (send order) breaks exact ties, so
       // an infinite quantum degenerates to the global FIFO order.
@@ -483,30 +481,33 @@ void PipelinedFabric::RunEgressScheduler(uint32_t node, double now) {
       // eligibility, in destination order. Rounds are instantaneous in
       // modeled time; they repeat only for chunks larger than the quantum.
       for (uint32_t dst = 0; dst < n; ++dst) {
-        EgressQueue& q = egress_queues_[static_cast<size_t>(node) * n + dst];
-        if (q.chunks.empty()) continue;
-        q.deficit = (q.deficit > std::numeric_limits<uint64_t>::max() - quantum)
-                        ? std::numeric_limits<uint64_t>::max()
-                        : q.deficit + quantum;
+        Link& link = LinkOf(node, dst);
+        if (link.granted == 0) continue;
+        link.deficit =
+            (link.deficit > std::numeric_limits<uint64_t>::max() - quantum)
+                ? std::numeric_limits<uint64_t>::max()
+                : link.deficit + quantum;
       }
       for (uint32_t dst = 0; dst < n; ++dst) consider(dst);
     }
     const uint32_t dst = static_cast<uint32_t>(pick);
-    EgressQueue& q = egress_queues_[static_cast<size_t>(node) * n + dst];
-    const uint64_t chunk_index = q.chunks.front();
-    q.chunks.pop_front();
-    q.queued_bytes -= chunks_[chunk_index].data.size();
-    q.deficit -= chunks_[chunk_index].data.size();
-    if (q.chunks.empty()) q.deficit = 0;  // No hoarding across idle spells.
-    RecordLinkCounter("egress.queued.d", node, dst, now, q.queued_bytes);
-    RecordLinkCounter("drr.deficit.d", node, dst, now, q.deficit);
+    Link& link = LinkOf(node, dst);
+    const uint64_t chunk_index = pick_chunk;
+    const uint64_t bytes = chunk_timing_[chunk_index].bytes;
+    link.PopFront();
+    --link.granted;
+    link.granted_bytes -= bytes;
+    link.deficit -= bytes;
+    if (link.granted == 0) link.deficit = 0;  // No hoarding across idle spells.
+    RecordLinkCounter("egress.queued.d", node, dst, now, link.granted_bytes);
+    RecordLinkCounter("drr.deficit.d", node, dst, now, link.deficit);
     egress_occupant_dst_[node] = dst;
-    ChunkTiming& timing = chunk_timing_[chunk_index];
-    timing.egress_clear = now;
+    chunk_timing_[chunk_index].egress_clear = now;
     StartTransfer(chunk_index, now);
     picked = true;
   }
   RefreshFrontMarks(node, now, picked);
+  egress_settled_[node] = !picked && egress_free_[node] > now;
 }
 
 void PipelinedFabric::StartTransfer(uint64_t chunk_index, double wire_start) {
@@ -591,7 +592,6 @@ void PipelinedFabric::StartTransfer(uint64_t chunk_index, double wire_start) {
   }
 
   if (!delivered) {
-    lost_link_ = true;
     LinkLoss loss;
     loss.src = chunk.src;
     loss.dst = chunk.dst;
@@ -629,13 +629,10 @@ Status PipelinedFabric::Run() {
         // kDrr: the transfer's NIC pair is free. The source's egress picks
         // its next chunk, then senders parked toward the freed ingress get
         // a chance (in node order — deterministic).
-        const Chunk& chunk = chunks_[event.payload];
+        const ChunkTiming& chunk = chunk_timing_[event.payload];
         RunEgressScheduler(chunk.src, event.time);
-        const uint32_t n = params_.num_nodes;
-        for (uint32_t m = 0; m < n; ++m) {
-          if (m == chunk.src) continue;
-          if (!egress_queues_[static_cast<size_t>(m) * n + chunk.dst]
-                   .chunks.empty()) {
+        for (uint32_t m = 0; m < params_.num_nodes; ++m) {
+          if (m != chunk.src && LinkOf(m, chunk.dst).granted > 0) {
             RunEgressScheduler(m, event.time);
           }
         }
@@ -646,11 +643,11 @@ Status PipelinedFabric::Run() {
         const Chunk& chunk = chunks_[chunk_index];
         if (dead_[chunk.dst]) {
           // The wire delivered it, but nobody is home: hand the credit
-          // back (and drain the link's blocked queue) so surviving
-          // streams on the link keep flowing.
-          if (chunk.src != chunk.dst && chunk_credit_[chunk_index] > 0) {
-            ReturnCredit(chunk.src, chunk.dst, chunk_credit_[chunk_index],
-                         event.time);
+          // back (granting the link's waiting chunks) so surviving streams
+          // on the link keep flowing.
+          const ChunkTiming& timing = chunk_timing_[chunk_index];
+          if (!timing.local && timing.bytes > 0) {
+            ReturnCredit(chunk.src, chunk.dst, CreditNeed(timing), event.time);
           }
           break;
         }
@@ -709,7 +706,7 @@ Status PipelinedFabric::Run() {
   }
 
   if (!first_error_.ok()) return first_error_;
-  if (lost_link_) {
+  if (!failure_.lost_links.empty()) {
     const LinkLoss& loss = failure_.lost_links.front();
     return Status::DataLoss(
         "pipelined link " + std::to_string(loss.src) + "->" +

@@ -23,7 +23,7 @@
 // bytes; a chunk's credit is returned only when the receiver's handler
 // task *completes*, so the window bounds receiver inbox memory (stashed
 // chunks included). Senders never block — a chunk without credit waits in
-// the link's FIFO while the sending CPU moves on (transmission is modeled
+// the link's queue while the sending CPU moves on (transmission is modeled
 // as offloaded). Zero-byte chunks (pure EOS markers) never need credit, so
 // stream termination cannot deadlock.
 //
@@ -32,7 +32,13 @@
 // (kFifo) or per-destination queues drained by deficit round-robin (kDrr),
 // which keeps a chunk bound for a congested destination from holding the
 // NIC hostage for transfers to idle links. The policy changes modeled
-// timing only — ledgers, checksums and per-stream order are identical.
+// timing only — ledgers, checksums and per-link order are identical.
+//
+// Every directed link delivers its chunks, whatever their message types, in
+// send order, and their handlers run in that order: credit waits in one
+// FIFO per link, a DRR queue is per link, kFifo reserves the NIC in grant
+// order, and local copies arrive as they are sent. So one end-of-stream
+// chunk on a link can close every stream the sender had on it.
 //
 // Fault mode mirrors the barrier fabric's semantics at chunk granularity:
 // chunks are framed (payload + kFrameHeaderBytes on the wire), a seeded
@@ -149,8 +155,8 @@ class PipelinedFabric {
 
   /// Queues one chunk from inside a running task at `src`. The chunk
   /// leaves the node when the task finishes; transfer start additionally
-  /// waits for link credit and for both NICs. Sends on one (src, dst,
-  /// type) stream arrive in send order.
+  /// waits for link credit and for both NICs. Sends on one (src, dst) link
+  /// arrive, and their handlers run, in send order whatever their types.
   void SendChunk(uint32_t src, uint32_t dst, MessageType type,
                  ByteBuffer data, bool eos, uint64_t watermark = 0);
 
@@ -210,9 +216,9 @@ class PipelinedFabric {
 
   /// Passive per-chunk timing record: exclusive, non-overlapping boundaries
   /// of the chunk's life between its sender's finish and its arrival.
-  ///   [admit, head)              blocked behind earlier chunks in the link
-  ///                              FIFO (head-of-line)
-  ///   [head, grant)              at the FIFO head, credit window exhausted
+  ///   [admit, head)              behind earlier chunks waiting for the
+  ///                              link's credit (head-of-line)
+  ///   [head, grant)              first to wait, credit window exhausted
   ///   [grant, egress_clear)      waiting for the source egress NIC
   ///   [egress_clear, wire_start) waiting for the destination ingress NIC
   ///   [wire_start, arrival)      on the wire (fault retries included)
@@ -226,7 +232,7 @@ class PipelinedFabric {
     MessageType type = MessageType::kTrackR;
     uint64_t bytes = 0;  ///< Payload size at send time.
     double admit = -1;         ///< Sender task finished; chunk hit the link.
-    double head = -1;          ///< Became the link FIFO's front.
+    double head = -1;          ///< First of the link's chunks to wait.
     double grant = -1;         ///< Credit granted; eligible for the NICs.
     double egress_clear = -1;  ///< Source egress NIC free.
     double wire_start = -1;    ///< Destination ingress NIC also free.
@@ -238,7 +244,7 @@ class PipelinedFabric {
     /// a *different* destination: head-of-line blocking at the egress NIC.
     /// (kFifo only; kDrr classifies the wait through `egress_marks`.)
     bool egress_hol = false;
-    bool stalled = false;  ///< Entered the link's blocked FIFO.
+    bool stalled = false;  ///< Waited for the link's credit.
 
     /// What a chunk parked in a per-destination egress queue is waiting on.
     enum class EgressWait : uint8_t {
@@ -276,9 +282,8 @@ class PipelinedFabric {
     Task fn;
     TraceArgs trace_args;  ///< Kept only while tracing.
     /// Index of the chunk this (handler) task consumes, -1 for plain tasks.
-    /// When the handler completes, its payload is released and, unless it
-    /// is a local copy, its link credit returns (draining the blocked
-    /// queue).
+    /// When the handler completes, unless its chunk is a local copy, the
+    /// chunk's link credit returns (granting the chunks waiting for it).
     int64_t handler_chunk = -1;
   };
 
@@ -303,13 +308,28 @@ class PipelinedFabric {
     }
   };
 
+  /// One directed link. `chunks[head..]` are its chunks that have not yet
+  /// gone on the wire, in send order: the first `granted` hold credit and
+  /// wait for the egress NIC (kDrr only; kFifo transmits on grant), the rest
+  /// wait for credit. A vector and an offset, so an idle link allocates
+  /// nothing.
   struct Link {
     uint64_t credit = 0;
-    /// Chunks waiting for credit: (chunk index, ready time).
-    std::deque<std::pair<uint64_t, double>> blocked;
-    /// Payload bytes currently parked in `blocked` (traced as the
-    /// flow.queued.d<dst> counter track).
+    uint64_t deficit = 0;  ///< kDrr eligibility (payload bytes).
+    /// Payload bytes waiting for credit and for the NIC (traced as the
+    /// flow.queued.d and egress.queued.d counter tracks).
     uint64_t queued_bytes = 0;
+    uint64_t granted_bytes = 0;
+    std::vector<uint64_t> chunks;
+    uint32_t head = 0;
+    uint32_t granted = 0;
+
+    /// Whether some chunk waits for credit, and the first that does.
+    bool waiting() const { return chunks.size() > head + granted; }
+    uint64_t first_waiting() const { return chunks[head + granted]; }
+    /// Drops the front chunk, compacting once the dropped prefix is half
+    /// the vector.
+    void PopFront();
   };
 
   uint32_t StageIndex(const char* stage);
@@ -317,8 +337,8 @@ class PipelinedFabric {
                  uint32_t node);
   /// Starts the next runnable task on `node` if its CPU is idle.
   void TryStartTask(uint32_t node, double now);
-  /// Applies a finished task's effects: releases buffered posts/sends,
-  /// returns handler credit, drains the link's blocked queue.
+  /// Applies a finished task's effects: releases its posts and sends and
+  /// returns its chunk's credit.
   void FinishTask(uint32_t node, double now);
   /// Ledger effects of a credit grant: the first transmission into the
   /// stage's accumulator, timing.grant, the credit-stall histogram. Shared by
@@ -326,16 +346,16 @@ class PipelinedFabric {
   void AccountGrant(uint64_t chunk_index, double ready);
   /// kFifo: eagerly reserves the NIC pair in grant order and transmits.
   void LaunchChunk(uint64_t chunk_index, double ready);
-  /// Routes a credit-granted chunk to the configured egress scheduler.
-  void DispatchGranted(uint64_t chunk_index, double ready);
-  /// kDrr: parks the granted chunk in its per-destination egress queue and
-  /// gives the scheduler a chance to assign the NIC.
+  /// kDrr: counts the link's next chunk as granted, so it waits in the
+  /// link's egress queue, and gives the scheduler a chance to assign the NIC.
   void EnqueueEgress(uint64_t chunk_index, double now);
   /// kDrr: while the egress NIC is free, picks the next chunk by deficit
   /// round-robin (top-up rounds in destination order, oldest-grant-first
   /// among eligible queue fronts, ingress-busy destinations skipped) and
   /// transmits it. Refreshes the waiting fronts' blame marks on exit.
   void RunEgressScheduler(uint32_t node, double now);
+  /// The wait of a queue front toward `dst` while `node`'s NIC is busy.
+  ChunkTiming::EgressWait BusyNicWait(uint32_t node, uint32_t dst) const;
   /// Appends (or same-timestamp-overwrites) a wait-state mark.
   void MarkEgressWait(uint64_t chunk_index, double now,
                       ChunkTiming::EgressWait state);
@@ -347,12 +367,17 @@ class PipelinedFabric {
   /// NIC pair, schedules the arrival (and, under kDrr, the NIC release).
   void StartTransfer(uint64_t chunk_index, double wire_start);
   uint64_t DrrQuantumBytes() const;
-  /// Grants credit and dispatches, or queues on the link's blocked FIFO.
+  /// Grants credit and hands the chunk to the egress policy, or queues it
+  /// on its link to wait for credit.
   void AdmitChunk(uint64_t chunk_index, double ready);
+  Link& LinkOf(uint32_t src, uint32_t dst) {
+    return links_[static_cast<size_t>(src) * params_.num_nodes + dst];
+  }
   uint64_t LinkWindowBytes() const;
-  uint64_t CreditNeed(const Chunk& chunk) const;
-  /// Hands `bytes` of credit back to the src->dst link and drains its
-  /// blocked FIFO in order as far as the restored window allows.
+  /// The credit a network chunk holds from grant until its handler ends.
+  uint64_t CreditNeed(const ChunkTiming& timing) const;
+  /// Hands `bytes` of credit back to the src->dst link and grants its
+  /// waiting chunks in order as far as the restored window allows.
   void ReturnCredit(uint32_t src, uint32_t dst, uint64_t bytes, double now);
   /// Emits a 'C' counter sample stamped with modeled (not wall) time.
   void RecordModeledCounter(std::string name, uint32_t node, double now,
@@ -392,9 +417,7 @@ class PipelinedFabric {
   uint64_t next_event_seq_ = 0;
   std::vector<TaskRecord> tasks_;
   std::vector<Chunk> chunks_;
-  std::vector<uint64_t> chunk_credit_;  ///< Link credit held, per chunk.
   std::vector<std::deque<uint64_t>> runnable_;  ///< Task indices per node.
-  std::vector<bool> cpu_busy_;
   std::vector<double> cpu_free_;
   std::vector<double> egress_free_;
   std::vector<double> ingress_free_;
@@ -403,14 +426,11 @@ class PipelinedFabric {
   /// (different destination) vs same-destination queueing.
   std::vector<uint32_t> egress_occupant_dst_;
   std::vector<Link> links_;  ///< [src * n + dst].
-  /// kDrr per-destination egress queues, [src * n + dst]: credit-granted
-  /// chunks waiting for the source NIC, FIFO per destination.
-  struct EgressQueue {
-    std::deque<uint64_t> chunks;  ///< Chunk indices, grant order.
-    uint64_t deficit = 0;         ///< DRR eligibility (payload bytes).
-    uint64_t queued_bytes = 0;    ///< Payload bytes parked here (traced).
-  };
-  std::vector<EgressQueue> egress_queues_;  ///< Empty under kFifo.
+  /// kDrr: the node's last scheduler pass ended with its NIC busy and
+  /// nothing picked. Until the NIC frees or a pass picks, every queue
+  /// front's wait depends only on the NIC's occupant, so a wake changes
+  /// nothing.
+  std::vector<bool> egress_settled_;
   std::vector<bool> dead_;
   std::vector<TaskTiming> task_timing_;    ///< Aligned with tasks_.
   std::vector<ChunkTiming> chunk_timing_;  ///< Aligned with chunks_.
@@ -422,21 +442,16 @@ class PipelinedFabric {
   Counter* stall_hol_total_ = nullptr;
   Counter* stall_exhausted_total_ = nullptr;
 
-  // The currently executing task (set while its fn runs) and the effects
-  // it buffers: posts and sends are released at the task's finish time.
+  // The currently executing task (set while its fn runs).
   bool in_task_ = false;
   uint32_t running_node_ = 0;
   uint64_t running_task_ = 0;
-  double running_start_ = 0;
   uint64_t running_charged_bytes_ = 0;
-  std::vector<uint64_t> buffered_posts_;   ///< Task indices.
-  std::vector<uint64_t> buffered_sends_;   ///< Chunk indices.
-  /// Finish effects queued for the in-flight task of each node:
-  /// (task index, buffered posts, buffered sends).
+  /// Each node's task on the CPU, if any, and the effects it buffers: its
+  /// posts (task indices) and sends (chunk indices) are released at its
+  /// finish time.
   struct InFlight {
     uint64_t task = 0;
-    double start = 0;
-    double finish = 0;
     std::vector<uint64_t> posts;
     std::vector<uint64_t> sends;
   };
@@ -446,7 +461,6 @@ class PipelinedFabric {
   double makespan_seconds_ = 0;
   Status first_error_;
   FailureReport failure_;
-  bool lost_link_ = false;
   uint64_t credit_stall_events_ = 0;
 
   std::optional<Rng> fault_rng_;

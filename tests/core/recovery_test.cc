@@ -141,9 +141,9 @@ TEST(RecoveryTest, DeadlinePromotesStragglerAndFailsOver) {
   JoinConfig config = pristine;
   config.fault_policy = &policy;
   config.fault_seed = 3;
+  config.phase_deadline_seconds = 1.0;
 
   RecoveryOptions options;
-  options.phase_deadline_seconds = 1.0;
   RecoveryReport report;
   Result<JoinResult> run = RunWithRecovery(
       rw.r, rw.s, config, options,

@@ -276,6 +276,8 @@ TEST_P(RecoveryChaosTest, WithinBudgetSchedulesRecoverExactly) {
 
     FaultPolicy policy;
     RecoveryOptions options;
+    JoinConfig config;
+    config.key_bytes = 4;
     const uint32_t shape = static_cast<uint32_t>(rng.Below(3));
     if (shape == 0) {  // Fail-stop crash at a random phase.
       policy.crash_node = static_cast<uint32_t>(rng.Below(spec.num_nodes));
@@ -287,11 +289,9 @@ TEST_P(RecoveryChaosTest, WithinBudgetSchedulesRecoverExactly) {
     } else {  // Straggler past the modeled deadline.
       policy.slow_node = static_cast<uint32_t>(rng.Below(spec.num_nodes));
       policy.slowdown_seconds = 2.0;
-      options.phase_deadline_seconds = 0.5;
+      config.phase_deadline_seconds = 0.5;
     }
 
-    JoinConfig config;
-    config.key_bytes = 4;
     config.fault_policy = &policy;
     config.fault_seed = rng.Next();
 

@@ -1,13 +1,13 @@
 #!/usr/bin/env python3
 """Seeded flag sweep over the tjsim CLI.
 
-Runs a fixed list of small tjsim runs (1-8 nodes, at most 5,000 keys, each
+Runs a fixed list of small tjsim runs (1-64 nodes, at most 5,000 keys, each
 with its own --seed) that cross the CLI's modes: every algorithm, Zipf skew
 with hot-key splitting and balancing, delta/grouped wire formats, shuffled
 input, every fault kind, crashes with and without replicas, the pipelined
-driver under both egress policies down to 1-byte chunks, and the EXPLAIN,
-blame and profile outputs. Each run must end in the outcome its entry
-expects, and only in one of three ways:
+driver under both egress policies down to 1-byte chunks and out to 64
+nodes, and the EXPLAIN, blame and profile outputs. Each run must end in
+the outcome its entry expects, and only in one of three ways:
 
   ok     exit 0, and stdout says "all algorithms verified equal" (tjsim
          cross-checks every algorithm's digest in-run and exits 1 on a
@@ -90,7 +90,8 @@ RUNS = [
       "--phase-deadline=1", "--algo=4tj,hj"], "ok"),
     (SMALL + ["--seed=25", "--fault-slow-node=3", "--fault-slow-seconds=2",
               "--algo=all"], "ok"),
-    # The pipelined driver under FIFO and DRR, down to 1-byte chunks.
+    # The pipelined driver under FIFO and DRR, down to 1-byte chunks and
+    # out to 64 nodes.
     (SMALL + ["--seed=26", "--pipeline", "--algo=2tj-r,2tj-s,3tj,4tj"],
      "ok"),
     (SMALL + ["--seed=27", "--pipeline", "--egress-sched=drr",
@@ -110,6 +111,10 @@ RUNS = [
               "--algo=2tj-r,4tj"], "ok"),
     (SMALL + ["--seed=33", "--pipeline", "--fault-crash-node=2",
               "--fault-crash-phase=1", "--algo=4tj"], "fault"),
+    (["--nodes=64", "--keys=5000", "--seed=41", "--pipeline",
+      "--algo=2tj-r,4tj"], "ok"),
+    (["--nodes=64", "--keys=5000", "--seed=42", "--pipeline",
+      "--egress-sched=drr", "--algo=2tj-r,4tj"], "ok"),
     # EXPLAIN, blame and profile outputs.
     (SMALL + ["--seed=34", "--explain=table", "--explain-top=3",
               "--algo=2tj-r,3tj,4tj"], "ok"),

@@ -1,7 +1,8 @@
 // Event-loop and flow-control tests for the pipelined fabric: modeled-time
-// arithmetic, per-link credit accounting (stall and resume), oversized
-// chunks, EOS without credit, per-stage accounting and the
-// barrier-equivalent reference, plus determinism and node-failure modes.
+// arithmetic, per-link credit accounting (stall and resume), per-link
+// order across message types, oversized chunks, EOS without credit,
+// per-stage accounting and the barrier-equivalent reference, plus
+// determinism and node-failure modes.
 #include "net/pipelined_fabric.h"
 
 #include <gtest/gtest.h>
@@ -163,6 +164,60 @@ TEST(PipelinedFabricTest, PerStreamOrderSurvivesCreditStalls) {
   ASSERT_TRUE(fabric.Run().ok());
   EXPECT_EQ(watermarks, (std::vector<uint64_t>{1, 2, 3}));
   EXPECT_EQ(fabric.credit_stall_events(), 2u);
+}
+
+/// One task sends on the link 0 -> `dst` chunks of kDataR and kDataS
+/// alternately (watermarks 1..6; most fill the one-chunk credit window),
+/// with a rival chunk to node 2 after each unless `dst` is 2, then a
+/// zero-byte EOS of a third type (watermark 7). Returns the watermarks of
+/// the link's chunks in the order their handlers ran.
+std::vector<uint64_t> LinkHandlerOrder(EgressSchedPolicy policy,
+                                       uint32_t dst) {
+  PipelinedFabric::Params params = SmallParams(3);
+  params.egress_policy = policy;
+  PipelinedFabric fabric(params);
+  std::vector<uint64_t> order;
+  for (MessageType type : {MessageType::kDataR, MessageType::kDataS,
+                           MessageType::kMigrationDataR}) {
+    fabric.OnChunk(type, "recv", [&](const Chunk& chunk) {
+      if (chunk.dst == dst) order.push_back(chunk.watermark);
+      fabric.ChargeCpuBytes(chunk.data.size());
+      return Status::OK();
+    });
+  }
+  fabric.Post(0, "send", "s", [&] {
+    for (uint64_t i = 1; i <= 6; ++i) {
+      fabric.SendChunk(0, dst,
+                       i % 2 == 1 ? MessageType::kDataR : MessageType::kDataS,
+                       Bytes(i % 3 == 0 ? 16 : 64), /*eos=*/false, i);
+      if (dst != 2) {
+        fabric.SendChunk(0, 2, MessageType::kDataR, Bytes(64), /*eos=*/false,
+                         100 + i);
+      }
+    }
+    fabric.SendChunk(0, dst, MessageType::kMigrationDataR, ByteBuffer{},
+                     /*eos=*/true, 7);
+    return Status::OK();
+  });
+  EXPECT_TRUE(fabric.Run().ok());
+  if (dst != 0) {
+    EXPECT_GT(fabric.credit_stall_events(), 0u);
+  }
+  return order;
+}
+
+TEST(PipelinedFabricTest, LinkRunsHandlersInSendOrderAcrossTypes) {
+  // One EOS per link may close every stream on it only because a link's
+  // chunks reach their handlers in send order whatever their types: under
+  // credit stalls, under both egress policies and on a local link.
+  const std::vector<uint64_t> sent = {1, 2, 3, 4, 5, 6, 7};
+  for (EgressSchedPolicy policy :
+       {EgressSchedPolicy::kFifo, EgressSchedPolicy::kDrr}) {
+    for (uint32_t dst : {1u, 2u, 0u}) {
+      EXPECT_EQ(LinkHandlerOrder(policy, dst), sent)
+          << "policy " << static_cast<int>(policy) << " dst " << dst;
+    }
+  }
 }
 
 TEST(PipelinedFabricTest, BarrierReferenceSumsStageMaximaAndMakespanBeatsIt) {

@@ -35,7 +35,7 @@ gate cross-checks three independent makespan computations to the exact
 microsecond: the blame bucket sum, the pipeline.makespan_us counter, and
 the critical path recomputed from the exported micro-batch spans.
 
-local_kernels also reports six wall-time ratios measured within one
+local_kernels also reports seven wall-time ratios measured within one
 process, so they need no checked-in baseline:
   tj4_pipelined_over_barrier_wall: serial pipelined 4TJ (DRR) wall over
     serial barrier 4TJ wall on one workload X input, the median of 15
@@ -61,6 +61,13 @@ process, so they need no checked-in baseline:
     spread over 256 nodes over the same at 16 nodes. It fails above
     MAX_BARRIER_NODE_SCALING: at O(messages + nodes) per phase it sits near
     6 on a 4-vCPU VM; rescanning the N x N traffic matrix per barrier: ~50.
+  pipelined_node_scaling: serial pipelined 4TJ (DRR) wall on 8,000 keys per
+    table spread over 64 nodes over the same at 8 nodes. It fails above
+    MAX_PIPELINED_NODE_SCALING, the median of five runs (41 on a 4-vCPU VM)
+    times 1.3: with one record per link, one end-of-stream chunk per link
+    and role, and DRR passes that skip a busy NIC's unchanged fronts, it
+    reads 33-42; per-type end-of-stream chunks, two deques per link and a
+    full rescan of every front on each wake read 256-272.
   merge_received_over_sort: the loser-tree merge of received runs that
     the barrier joins read (MergedRuns), drained from 8 key-ascending
     serialized runs into a block, over deserializing the same bytes and
@@ -137,6 +144,7 @@ MAX_PIPELINED_OVER_BARRIER_WALL_ZIPF = 1.76
 MAX_PIPELINED_SCALING = 2.4
 MAX_Y_CHECKSUM_JOIN_OVER_JOIN = 68
 MAX_BARRIER_NODE_SCALING = 10
+MAX_PIPELINED_NODE_SCALING = 53
 MAX_MERGE_RECEIVED_OVER_SORT = 0.7
 # Floor on micro_tracker's same-run merge / reference throughput ratio.
 MIN_TRACKER_MERGE_OVER_REFERENCE = 4.0
@@ -187,6 +195,59 @@ def median_metrics(runs):
         if isinstance(value, (int, float)) and not isinstance(value, bool):
             merged[metric] = statistics.median(run[metric] for run in runs)
     return merged
+
+
+def traced_makespan_run(tjsim, workload, trace_path, blame_path, prefix):
+    """Runs tjsim on `workload` traced, with --blame=json (saved to
+    blame_path), and cross-checks three independent makespan computations
+    to the exact microsecond: the pipeline.makespan_us counter, the end of
+    the last micro-batch span, and each blame report's bucket sum and
+    makespan. Returns None when the trace lacks micro-batch spans or the
+    makespan counter; else a dict of the trace events, the makespan
+    counters' last values (None when absent), the span makespan, the blame
+    reports and the failure messages, each opened by `prefix`."""
+    blame_out, _ = run([tjsim] + workload +
+                       [f"--trace={trace_path}", "--blame=json"])
+    with open(blame_path, "w") as f:
+        f.write(blame_out)
+    with open(trace_path) as f:
+        events = json.load(f).get("traceEvents", [])
+    mb_spans = [e for e in events
+                if e.get("ph") == "X" and e.get("cat") == "mb"]
+    counters = {name: [e["args"]["value"] for e in events
+                       if e.get("ph") == "C" and e.get("name") == name]
+                for name in ("pipeline.makespan_us", "pipeline.barrier_us")}
+    if not mb_spans or not counters["pipeline.makespan_us"]:
+        return None
+    makespan_us = counters["pipeline.makespan_us"][-1]
+    # The critical path ends where the last micro-batch span ends; it must
+    # agree with the fabric's own makespan counter.
+    span_us = max(e["ts"] + e["dur"] for e in mb_spans)
+    failures = []
+    if abs(span_us - makespan_us) > 1:
+        failures.append(
+            f"{prefix}trace critical path {span_us}us disagrees with "
+            f"pipeline.makespan_us {makespan_us}us")
+    # Blame cross-check: the critical-path decomposition must reconcile
+    # exactly with both the fabric's makespan counter and the critical path
+    # recomputed from the exported spans. Three independent paths to the
+    # same microsecond count, or the gate fails.
+    reports = json.loads(blame_out)
+    for blame in reports:
+        if not blame.get("reconciled"):
+            failures.append(
+                f"{prefix}blame report {blame.get('algorithm')} did not "
+                f"reconcile: bucket sum {blame.get('bucket_sum_us')}us "
+                f"vs makespan {blame.get('makespan_us')}us")
+        if blame.get("makespan_us") != makespan_us:
+            failures.append(
+                f"{prefix}blame report {blame.get('algorithm')} makespan "
+                f"{blame.get('makespan_us')}us disagrees with "
+                f"pipeline.makespan_us {makespan_us}us")
+    barrier = counters["pipeline.barrier_us"]
+    return {"events": events, "makespan_us": makespan_us,
+            "barrier_us": barrier[-1] if barrier else None,
+            "span_us": span_us, "blame": reports, "failures": failures}
 
 
 def main():
@@ -275,33 +336,18 @@ def main():
     makespan_failures = []
     if makespan_section:
         print("=== pipelined makespan (modeled) ===", flush=True)
-        pipeline_trace = os.path.join(args.build_dir,
-                                      "bench_smoke_pipeline_trace.json")
-        tjsim = os.path.join(args.build_dir, "tools", "tjsim")
-        blame_out, _ = run([tjsim] + makespan_section["workload"] +
-                           [f"--trace={pipeline_trace}", "--blame=json"])
-        with open(pipeline_trace) as f:
-            pipeline_doc = json.load(f)
-        pipeline_events = pipeline_doc.get("traceEvents", [])
-        mb_spans = [e for e in pipeline_events
-                    if e.get("ph") == "X" and e.get("cat") == "mb"]
-        counters = {name: [e["args"]["value"] for e in pipeline_events
-                           if e.get("ph") == "C" and e.get("name") == name]
-                    for name in ("pipeline.makespan_us",
-                                 "pipeline.barrier_us")}
-        if not mb_spans or not all(counters.values()):
+        traced = traced_makespan_run(
+            os.path.join(args.build_dir, "tools", "tjsim"),
+            makespan_section["workload"],
+            os.path.join(args.build_dir, "bench_smoke_pipeline_trace.json"),
+            os.path.join(args.build_dir, "bench_smoke_blame.json"), "")
+        if traced is None or traced["barrier_us"] is None:
             sys.stderr.write("FAIL: pipelined trace is missing micro-batch "
                              "spans or makespan counters\n")
             return 1
-        # The critical path ends where the last micro-batch span ends; it
-        # must agree with the fabric's own makespan counter.
-        span_makespan_us = max(e["ts"] + e["dur"] for e in mb_spans)
-        makespan_us = counters["pipeline.makespan_us"][-1]
-        barrier_us = counters["pipeline.barrier_us"][-1]
-        if abs(span_makespan_us - makespan_us) > 1:
-            makespan_failures.append(
-                f"trace critical path {span_makespan_us}us disagrees with "
-                f"pipeline.makespan_us {makespan_us}us")
+        makespan_us = traced["makespan_us"]
+        barrier_us = traced["barrier_us"]
+        makespan_failures = list(traced["failures"])
         base_us = makespan_section["makespan_us"]
         max_regression = makespan_section.get("max_regression", 0.10)
         barrier_fraction = makespan_section.get("barrier_fraction", 0.9)
@@ -315,26 +361,8 @@ def main():
                 f"pipelined makespan {makespan_us}us is not below "
                 f"{barrier_fraction:.0%} of the barrier sum-of-phases "
                 f"{barrier_us}us (overlap lost)")
-        # Blame cross-check: the critical-path decomposition must reconcile
-        # exactly with both the fabric's makespan counter and the critical
-        # path recomputed from the exported spans. Three independent paths
-        # to the same microsecond count, or the gate fails.
-        blame_reports = json.loads(blame_out)
-        blame_path = os.path.join(args.build_dir, "bench_smoke_blame.json")
-        with open(blame_path, "w") as f:
-            f.write(blame_out)
         blame_summary = []
-        for blame in blame_reports:
-            if not blame.get("reconciled"):
-                makespan_failures.append(
-                    f"blame report {blame.get('algorithm')} did not "
-                    f"reconcile: bucket sum {blame.get('bucket_sum_us')}us "
-                    f"vs makespan {blame.get('makespan_us')}us")
-            if blame.get("makespan_us") != makespan_us:
-                makespan_failures.append(
-                    f"blame report {blame.get('algorithm')} makespan "
-                    f"{blame.get('makespan_us')}us disagrees with "
-                    f"pipeline.makespan_us {makespan_us}us")
+        for blame in traced["blame"]:
             blame_summary.append({
                 "algorithm": blame.get("algorithm"),
                 "makespan_us": blame.get("makespan_us"),
@@ -345,7 +373,7 @@ def main():
         makespan_report = {
             "workload": makespan_section["workload"],
             "makespan_us": makespan_us,
-            "span_makespan_us": span_makespan_us,
+            "span_makespan_us": traced["span_us"],
             "barrier_us": barrier_us,
             "baseline_us": base_us,
             "ceiling_us": round(ceiling_us),
@@ -377,50 +405,27 @@ def main():
     if drr_section:
         print("=== DRR egress scheduler (modeled) ===", flush=True)
         tjsim = os.path.join(args.build_dir, "tools", "tjsim")
-        drr_trace = os.path.join(args.build_dir, "bench_smoke_drr_trace.json")
-        blame_out, _ = run([tjsim] + drr_section["workload"] +
-                           [f"--trace={drr_trace}", "--blame=json"])
-        with open(drr_trace) as f:
-            drr_doc = json.load(f)
-        drr_events = drr_doc.get("traceEvents", [])
-        mb_spans = [e for e in drr_events
-                    if e.get("ph") == "X" and e.get("cat") == "mb"]
-        counter_vals = [e["args"]["value"] for e in drr_events
-                        if e.get("ph") == "C"
-                        and e.get("name") == "pipeline.makespan_us"]
-        deficit_tracks = {e.get("name") for e in drr_events
-                          if e.get("ph") == "C" and
-                          str(e.get("name", "")).startswith("drr.deficit.")}
-        if not mb_spans or not counter_vals:
+        traced = traced_makespan_run(
+            tjsim, drr_section["workload"],
+            os.path.join(args.build_dir, "bench_smoke_drr_trace.json"),
+            os.path.join(args.build_dir, "bench_smoke_drr_blame.json"),
+            "DRR ")
+        if traced is None:
             sys.stderr.write("FAIL: DRR trace is missing micro-batch spans "
                              "or the makespan counter\n")
             return 1
+        deficit_tracks = {e.get("name") for e in traced["events"]
+                          if e.get("ph") == "C" and
+                          str(e.get("name", "")).startswith("drr.deficit.")}
+        drr_failures = list(traced["failures"])
         if not deficit_tracks:
             drr_failures.append(
                 "DRR trace exports no drr.deficit.* counter tracks (egress "
                 "scheduler not engaged?)")
-        drr_makespan_us = counter_vals[-1]
-        span_us = max(e["ts"] + e["dur"] for e in mb_spans)
-        if abs(span_us - drr_makespan_us) > 1:
-            drr_failures.append(
-                f"DRR trace critical path {span_us}us disagrees with "
-                f"pipeline.makespan_us {drr_makespan_us}us")
-        blame_reports = json.loads(blame_out)
-        with open(os.path.join(args.build_dir,
-                               "bench_smoke_drr_blame.json"), "w") as f:
-            f.write(blame_out)
+        drr_makespan_us = traced["makespan_us"]
+        span_us = traced["span_us"]
         hol_share = None
-        for blame in blame_reports:
-            if not blame.get("reconciled"):
-                drr_failures.append(
-                    f"DRR blame report {blame.get('algorithm')} did not "
-                    f"reconcile: bucket sum {blame.get('bucket_sum_us')}us "
-                    f"vs makespan {blame.get('makespan_us')}us")
-            if blame.get("makespan_us") != drr_makespan_us:
-                drr_failures.append(
-                    f"DRR blame report {blame.get('algorithm')} makespan "
-                    f"{blame.get('makespan_us')}us disagrees with "
-                    f"pipeline.makespan_us {drr_makespan_us}us")
+        for blame in traced["blame"]:
             hol_share = blame.get("hol_share")
         base_us = drr_section["makespan_us"]
         max_regression = drr_section.get("max_regression", 0.10)
@@ -479,6 +484,7 @@ def main():
             ("tj4_pipelined_scaling", MAX_PIPELINED_SCALING),
             ("y_checksum_join_over_join", MAX_Y_CHECKSUM_JOIN_OVER_JOIN),
             ("barrier_node_scaling", MAX_BARRIER_NODE_SCALING),
+            ("pipelined_node_scaling", MAX_PIPELINED_NODE_SCALING),
             ("merge_received_over_sort", MAX_MERGE_RECEIVED_OVER_SORT)):
         ratio = kernels.get(metric)
         ok = ratio is not None and ratio <= ceiling

@@ -729,7 +729,6 @@ int main(int argc, char** argv) {
   recovery_options.max_attempts =
       opt.recovery_attempts > 0 ? opt.recovery_attempts : 4;
   recovery_options.backoff_initial_seconds = opt.recovery_backoff;
-  recovery_options.phase_deadline_seconds = opt.phase_deadline;
 
   std::vector<std::string> algos = opt.algos;
   if (algos.size() == 1 && algos[0] == "all") {
