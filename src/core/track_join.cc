@@ -7,7 +7,6 @@
 #include "common/logging.h"
 #include "core/schedule.h"
 #include "core/tracker.h"
-#include "exec/key_aggregate.h"
 #include "exec/local_join.h"
 #include "exec/radix_sort.h"
 #include "net/fabric.h"
@@ -22,13 +21,11 @@ namespace {
 struct NodeState {
   TupleBlock r{0};
   TupleBlock s{0};
-  // Distinct-key projections: phase 3 to phase 4.
-  std::vector<KeyCount> r_keys;
-  std::vector<KeyCount> s_keys;
-  // Tracker role: merged (key, node, count) facts for both tables, phase 5
-  // to phase 6.
-  std::vector<TrackEntry> track_r;
-  std::vector<TrackEntry> track_s;
+  // Tracking messages per table (0 = R, 1 = S): encoded per tracker in
+  // phase 3 and sent in phase 4; received in phase 5, checked there, and
+  // merged into the schedule in phase 6.
+  std::vector<ByteBuffer> tracking_out[2];
+  std::vector<Message> tracking_in[2];
   // Received data runs per table (0 = R, 1 = S), phase 8 to the final join
   // that reads them: selective-broadcast tuples (including free local
   // copies), and migrated rows with hot-split fragments, which join as part
@@ -83,61 +80,76 @@ Result<JoinResult> TryRunTrackJoin(const PartitionedTable& r,
         return Status::OK();
       }));
 
-  // Phase 3: aggregate distinct keys and local counts.
+  // Phase 3: aggregate each sorted block's runs of equal keys, distinct
+  // keys with local counts, straight into its per-tracker tracking
+  // messages.
   TJ_RETURN_IF_ERROR(fabric.RunPhaseReliable("aggregate keys", [&](uint32_t node) {
-    nodes[node].r_keys = AggregateSortedKeys(nodes[node].r);
-    nodes[node].s_keys = AggregateSortedKeys(nodes[node].s);
+    NodeState& st = nodes[node];
+    st.tracking_out[0] =
+        EncodeSortedTrackingMessages(st.r.keys(), config, with_counts, n);
+    st.tracking_out[1] =
+        EncodeSortedTrackingMessages(st.s.keys(), config, with_counts, n);
     return Status::OK();
   }));
 
-  // Phase 4: hash partition the key projections and send them to the
-  // trackers (the tracking phase proper).
+  // Phase 4: send the tracking messages to their trackers (the tracking
+  // phase proper).
   TJ_RETURN_IF_ERROR(fabric.RunPhaseReliable(
       "hash partition & transfer keys", [&](uint32_t node) {
-    auto send = [&](const std::vector<KeyCount>& keys, MessageType type) {
-      auto msgs = EncodeTrackingMessages(keys, config, with_counts, n);
+    NodeState& st = nodes[node];
+    for (int table : {0, 1}) {
+      const MessageType type =
+          table == 0 ? MessageType::kTrackR : MessageType::kTrackS;
       for (uint32_t dst = 0; dst < n; ++dst) {
-        if (!msgs[dst].empty()) {
-          fabric.Send(node, dst, type, std::move(msgs[dst]));
-        }
+        ByteBuffer& msg = st.tracking_out[table][dst];
+        if (!msg.empty()) fabric.Send(node, dst, type, std::move(msg));
       }
-    };
-    send(nodes[node].r_keys, MessageType::kTrackR);
-    send(nodes[node].s_keys, MessageType::kTrackS);
-    std::vector<KeyCount>().swap(nodes[node].r_keys);
-    std::vector<KeyCount>().swap(nodes[node].s_keys);
+      std::vector<ByteBuffer>().swap(st.tracking_out[table]);
+    }
     return Status::OK();
   }));
 
-  // Phase 5: trackers merge the received key streams. Every per-source
-  // stream arrives key-sorted, so this is a streaming k-way merge with
-  // inline (key, node) aggregation — O(n log k), no comparison sort ("we
-  // can aggregate at the destination", Section 2.2).
+  // Phase 5: trackers take the received key streams and check them in
+  // place; phase 6 merges them as it reads them ("we can aggregate at the
+  // destination", Section 2.2).
   TJ_RETURN_IF_ERROR(fabric.RunPhaseReliable(
       "merge received keys", [&](uint32_t node) -> Status {
         NodeState& st = nodes[node];
-        auto merge = [&](MessageType type, std::vector<TrackEntry>* out) {
-          return TryMergeTrackingMessages(fabric.TakeInbox(node, type), config,
-                                          with_counts, out);
-        };
-        TJ_RETURN_IF_ERROR(merge(MessageType::kTrackR, &st.track_r));
-        return merge(MessageType::kTrackS, &st.track_s);
+        for (int table : {0, 1}) {
+          st.tracking_in[table] = fabric.TakeInbox(
+              node, table == 0 ? MessageType::kTrackR : MessageType::kTrackS);
+          TJ_RETURN_IF_ERROR(TryCheckTrackingMessages(st.tracking_in[table],
+                                                      config, with_counts));
+        }
+        return Status::OK();
       }));
 
   // Phase 6: generate per-key schedules; send location lists to the
   // broadcast-side nodes and (4-phase) migration and fragment instructions
-  // to the target-side holders. The per-key decision logic is shared with
-  // the pipelined driver via KeyPlanner; the balance-aware LoadBalancer
-  // lives inside it. Each tracker owns a uniform random ~1/N of the keys,
-  // so local balancing approximates global balancing (Section 5).
+  // to the target-side holders. Every per-source stream arrives key-sorted,
+  // so the tracker merges them with inline (key, node) aggregation in
+  // ascending key-range batches, O(n log k) with no comparison sort, and
+  // plans each batch as it is merged. The per-key decision logic is shared
+  // with the pipelined driver via KeyPlanner, whose balance state carries
+  // across batches in key order as across the pipelined frontier's; the
+  // balance-aware LoadBalancer lives inside it. Each tracker owns a uniform
+  // random ~1/N of the keys, so local balancing approximates global
+  // balancing (Section 5).
   TJ_RETURN_IF_ERROR(fabric.RunPhaseReliable(
-      "generate schedules & send locations", [&](uint32_t node) {
+      "generate schedules & send locations", [&](uint32_t node) -> Status {
     NodeState& st = nodes[node];
     KeyPlanOutputs outs(n);
-    KeyPlanner(config, version, direction, n, node, width_r, width_s, audit)
-        .PlanBatch(st.track_r, st.track_s, &outs);
-    std::vector<TrackEntry>().swap(st.track_r);
-    std::vector<TrackEntry>().swap(st.track_s);
+    KeyPlanner planner(config, version, direction, n, node, width_r, width_s,
+                       audit);
+    TJ_RETURN_IF_ERROR(TryMergeTrackBatches(
+        st.tracking_in[0], st.tracking_in[1], config, with_counts,
+        [&](const std::vector<TrackEntry>& batch_r,
+            const std::vector<TrackEntry>& batch_s) {
+          planner.PlanBatch(batch_r, batch_s, &outs);
+        }));
+    for (std::vector<Message>& inbox : st.tracking_in) {
+      std::vector<Message>().swap(inbox);
+    }
     for (uint32_t dst = 0; dst < n; ++dst) {
       for (const InstructionStream& stream : streams) {
         const std::vector<KeyNodePair>& pairs = (outs.*stream.pairs)[dst];

@@ -1,6 +1,7 @@
 #include "core/tracker.h"
 
 #include <algorithm>
+#include <memory>
 #include <string>
 #include <utility>
 
@@ -67,56 +68,82 @@ class TrackingEntryWriter {
   uint64_t max_count_;
 };
 
-}  // namespace
+/// Calls fn(key, count) for each run of equal keys in non-decreasing
+/// `keys`, in order, with the run's length as count.
+template <typename Fn>
+void ForEachKeyRun(std::span<const uint64_t> keys, Fn fn) {
+  for (size_t first = 0; first < keys.size();) {
+    size_t last = first + 1;
+    while (last < keys.size() && keys[last] == keys[first]) ++last;
+    fn(keys[first], last - first);
+    first = last;
+  }
+}
 
-std::vector<ByteBuffer> EncodeTrackingMessages(
-    const std::vector<KeyCount>& keys, const JoinConfig& config,
-    bool with_counts, uint32_t num_nodes) {
+/// The tracking encoder: `for_each_key(fn)` calls fn(key, count) once per
+/// distinct key, at most `max_keys` times, and is walked twice, first to
+/// hash each key to its destination and size every destination's message
+/// exactly, then to write it.
+template <typename ForEachKey>
+std::vector<ByteBuffer> EncodeKeyCounts(const ForEachKey& for_each_key,
+                                        size_t max_keys,
+                                        const JoinConfig& config,
+                                        bool with_counts, uint32_t num_nodes) {
   std::vector<ByteBuffer> per_dest(num_nodes);
+  // Each key's destination, in walk order.
+  const std::unique_ptr<uint32_t[]> dests =
+      std::make_unique_for_overwrite<uint32_t[]>(max_keys);
+  uint32_t* hashed = dests.get();
+  auto dest_of = [&](uint64_t key) {
+    return *hashed++ = HashPartition(key, num_nodes);
+  };
   if (config.delta_tracking) {
-    // Sorted keys per destination, delta-coded; counts (if any) follow as
-    // LEB128 in key order. Input keys arrive sorted, so per-destination
-    // streams stay sorted.
-    if (num_nodes > 0 && keys.size() >= static_cast<size_t>(num_nodes) * 4) {
-      // Hash partitioning spreads keys near-uniformly, so pre-size each
-      // destination close to its final footprint. Delta streams come in
-      // under the hint; the hint only bounds the growth-reallocation chain,
-      // never the emitted bytes.
-      const uint32_t entry_bytes =
-          config.key_bytes + (with_counts ? config.count_bytes : 0);
-      const size_t hint = keys.size() * entry_bytes / num_nodes + 16;
-      for (auto& buf : per_dest) buf.reserve(hint);
+    // Per destination: an LEB128 entry count, the keys' LEB128 gaps from 0,
+    // then (with counts) the LEB128 counts, in key order.
+    struct Dest {
+      uint64_t entries = 0;
+      uint64_t gap_bytes = 0;
+      uint64_t count_bytes = 0;
+      uint64_t last = 0;
+      uint8_t* gap = nullptr;
+      uint8_t* count = nullptr;
+    };
+    std::vector<Dest> sized(num_nodes);
+    for_each_key([&](uint64_t key, uint64_t count) {
+      Dest& d = sized[dest_of(key)];
+      ++d.entries;
+      d.gap_bytes += Leb128Size(key - d.last);
+      d.last = key;
+      if (with_counts) d.count_bytes += Leb128Size(count);
+    });
+    for (uint32_t dst = 0; dst < num_nodes; ++dst) {
+      Dest& d = sized[dst];
+      if (d.entries == 0) continue;
+      per_dest[dst].resize(Leb128Size(d.entries) + d.gap_bytes +
+                           d.count_bytes);
+      d.gap = StoreLeb128(d.entries, per_dest[dst].data());
+      d.count = d.gap + d.gap_bytes;
+      d.last = 0;
     }
-    std::vector<std::vector<uint64_t>> dest_keys(num_nodes);
-    std::vector<std::vector<uint64_t>> dest_counts(num_nodes);
-    for (const auto& kc : keys) {
-      uint32_t dest = HashPartition(kc.key, num_nodes);
-      dest_keys[dest].push_back(kc.key);
-      if (with_counts) dest_counts[dest].push_back(kc.count);
-    }
-    for (uint32_t d = 0; d < num_nodes; ++d) {
-      if (dest_keys[d].empty()) continue;
-      DeltaEncode(dest_keys[d], /*presorted=*/true, &per_dest[d]);
-      if (with_counts) {
-        for (uint64_t c : dest_counts[d]) EncodeLeb128(c, &per_dest[d]);
-      }
-    }
+    const uint32_t* dest = dests.get();
+    for_each_key([&](uint64_t key, uint64_t count) {
+      Dest& d = sized[*dest++];
+      d.gap = StoreLeb128(key - d.last, d.gap);
+      d.last = key;
+      if (with_counts) d.count = StoreLeb128(count, d.count);
+    });
     return per_dest;
   }
 
   // Pass 1: each key's destination and the exact bytes per destination.
   const TrackingEntryWriter writer(config, with_counts);
   const uint32_t entry_bytes = writer.entry_bytes();
-  std::vector<uint32_t> dests(keys.size());
   std::vector<uint64_t> bytes(num_nodes, 0);
   uint64_t all_keys = 0;
-  for (size_t i = 0; i < keys.size(); ++i) {
-    const KeyCount& kc = keys[i];
-    const uint32_t dest = HashPartition(kc.key, num_nodes);
-    dests[i] = dest;
-    all_keys |= kc.key;
-    bytes[dest] += writer.Entries(kc.count) * entry_bytes;
-  }
+  for_each_key([&](uint64_t key, uint64_t count) {
+    all_keys |= key;
+    bytes[dest_of(key)] += writer.Entries(count) * entry_bytes;
+  });
   writer.CheckKeysFit(all_keys);
 
   // Pass 2: the entries, into buffers sized exactly plus the writer's 8
@@ -127,13 +154,32 @@ std::vector<ByteBuffer> EncodeTrackingMessages(
     per_dest[d].resize(bytes[d] + 8);
     cursor[d] = per_dest[d].data();
   }
-  for (size_t i = 0; i < keys.size(); ++i) {
-    uint8_t*& p = cursor[dests[i]];
-    writer.Write(keys[i].key, keys[i].count,
-                 [&] { return std::exchange(p, p + entry_bytes); });
-  }
+  const uint32_t* dest = dests.get();
+  for_each_key([&](uint64_t key, uint64_t count) {
+    uint8_t*& p = cursor[*dest++];
+    writer.Write(key, count, [&] { return std::exchange(p, p + entry_bytes); });
+  });
   for (uint32_t d = 0; d < num_nodes; ++d) per_dest[d].resize(bytes[d]);
   return per_dest;
+}
+
+}  // namespace
+
+std::vector<ByteBuffer> EncodeSortedTrackingMessages(
+    std::span<const uint64_t> keys, const JoinConfig& config, bool with_counts,
+    uint32_t num_nodes) {
+  return EncodeKeyCounts([keys](auto fn) { ForEachKeyRun(keys, fn); },
+                         keys.size(), config, with_counts, num_nodes);
+}
+
+std::vector<ByteBuffer> EncodeTrackingMessages(
+    const std::vector<KeyCount>& keys, const JoinConfig& config,
+    bool with_counts, uint32_t num_nodes) {
+  return EncodeKeyCounts(
+      [&keys](auto fn) {
+        for (const KeyCount& kc : keys) fn(kc.key, kc.count);
+      },
+      keys.size(), config, with_counts, num_nodes);
 }
 
 uint64_t WriteTrackingChunks(std::span<const uint64_t> keys,
@@ -157,22 +203,21 @@ uint64_t WriteTrackingChunks(std::span<const uint64_t> keys,
     chunk = ByteBuffer();
     entries = capacity = 0;
   };
-  for (size_t first = 0; first < keys.size();) {
-    size_t last = first + 1;
-    while (last < keys.size() && keys[last] == keys[first]) ++last;
-    writer.Write(keys[first], last - first, [&] {
+  size_t rows_left = keys.size();
+  ForEachKeyRun(keys, [&](uint64_t key, uint64_t count) {
+    writer.Write(key, count, [&] {
       if (entries == capacity) {
         if (entries > 0) flush(/*eos=*/false);
         // A key has no more entries than rows, so the rows left bound the
         // entries left.
-        capacity = std::min<uint64_t>(per_chunk, keys.size() - first);
+        capacity = std::min<uint64_t>(per_chunk, rows_left);
         chunk.resize(capacity * entry_bytes + 8);
       }
-      watermark = keys[first];
+      watermark = key;
       return chunk.data() + entry_bytes * entries++;
     });
-    first = last;
-  }
+    rows_left -= count;
+  });
   flush(/*eos=*/true);
   return written;
 }
@@ -275,60 +320,118 @@ PlainEntryLayout::PlainEntryLayout(uint32_t key_bytes, uint32_t value_bytes)
   TJ_CHECK_LE(value_bytes, 8u);
 }
 
-Status TryAppendTrackingEntries(const ByteBuffer& data, uint32_t src,
-                                const JoinConfig& config, bool with_counts,
-                                uint64_t* last_key,
-                                std::vector<TrackEntry>* run) {
-  // Descents and count overflows are counted, not branched on, so the
-  // decode loops stay branch-free; a delta gap that wraps uint64_t decodes
-  // as a descent.
-  const size_t base = run->size();
-  uint64_t prev = *last_key;
-  uint64_t descents = 0;
-  uint64_t overflow = 0;
-  if (config.delta_tracking) {
+namespace {
+
+/// Reads one tracking message or pipelined chunk entry by entry, plain or
+/// delta-coded per the config, in place. Open checks the framing, so Next
+/// reads without bounds checks.
+class TrackingEntryReader {
+ public:
+  TrackingEntryReader(const JoinConfig& config, bool with_counts)
+      : delta_(config.delta_tracking),
+        with_counts_(with_counts),
+        layout_(config, with_counts) {}
+
+  /// Starts reading `data`: a plain payload must be whole entries; a delta
+  /// payload must hold exactly the varints of its declared entries' gaps
+  /// and (with counts) counts, each complete. Otherwise Corruption.
+  Status Open(const ByteBuffer& data) {
+    data_ = data.data();
+    size_ = data.size();
+    if (!delta_) {
+      if (size_ % layout_.entry_bytes() != 0) {
+        return Status::Corruption(
+            "tracking message not a multiple of entry size");
+      }
+      left_ = size_ / layout_.entry_bytes();
+      pos_ = 0;
+      return Status::OK();
+    }
     ByteReader reader(data);
-    uint64_t n = 0;
-    TJ_RETURN_IF_ERROR(TryDecodeLeb128(&reader, &n));
-    if (n > reader.remaining()) {
+    TJ_RETURN_IF_ERROR(TryDecodeLeb128(&reader, &left_));
+    if (left_ > reader.remaining()) {
       return Status::Corruption("delta stream count exceeds payload");
     }
-    ReserveGeometric(run, base + n);
-    uint64_t key = 0;  // Gaps accumulate from zero.
-    for (uint64_t i = 0; i < n; ++i) {
-      uint64_t gap = 0;
-      TJ_RETURN_IF_ERROR(TryDecodeLeb128(&reader, &gap));
-      key += gap;
-      run->push_back(TrackEntry{key, src, 1});
-      descents += key < prev;
-      prev = key;
-    }
-    for (size_t i = base; with_counts && i < run->size(); ++i) {
-      uint64_t count = 0;
-      TJ_RETURN_IF_ERROR(TryDecodeLeb128(&reader, &count));
-      overflow |= count >> 32;
-      (*run)[i].count = static_cast<uint32_t>(count);
+    gap_ = reader.Current();
+    uint64_t skipped = 0;
+    for (uint64_t i = 0; i < left_ * (with_counts_ ? 2 : 1); ++i) {
+      if (i == left_) count_ = reader.Current();
+      TJ_RETURN_IF_ERROR(TryDecodeLeb128(&reader, &skipped));
     }
     if (!reader.Done()) {
       return Status::Corruption("trailing bytes in tracking message");
     }
-  } else {
-    const PlainEntryLayout layout(config, with_counts);
-    const size_t size = data.size();
-    if (size % layout.entry_bytes() != 0) {
-      return Status::Corruption(
-          "tracking message not a multiple of entry size");
-    }
-    ReserveGeometric(run, base + size / layout.entry_bytes());
-    for (size_t pos = 0; pos < size; pos += layout.entry_bytes()) {
+    key_ = 0;  // Gaps accumulate from zero, wrapping.
+    return Status::OK();
+  }
+
+  /// Entries not yet read.
+  uint64_t left() const { return left_; }
+
+  /// The next entry's key, without reading it. Requires left() > 0.
+  uint64_t PeekKey() const {
+    if (!delta_) {
       uint64_t key = 0;
       uint64_t count = 0;
-      layout.Decode(data.data(), pos, size, &key, &count);
-      run->push_back(TrackEntry{key, src, static_cast<uint32_t>(count)});
-      overflow |= count >> 32;
-      descents += key < prev;
-      prev = key;
+      layout_.Decode(data_, pos_, size_, &key, &count);
+      return key;
     }
+    const uint8_t* gap = gap_;
+    return key_ + LoadLeb128(&gap);
+  }
+
+  /// Reads the next entry; its count may exceed TrackEntry::count. Requires
+  /// left() > 0.
+  void Next(uint64_t* key, uint64_t* count) {
+    --left_;
+    if (!delta_) {
+      layout_.Decode(data_, pos_, size_, key, count);
+      pos_ += layout_.entry_bytes();
+      return;
+    }
+    key_ += LoadLeb128(&gap_);
+    *key = key_;
+    *count = with_counts_ ? LoadLeb128(&count_) : 1;
+  }
+
+ private:
+  bool delta_;
+  bool with_counts_;
+  PlainEntryLayout layout_;
+  const uint8_t* data_ = nullptr;
+  size_t size_ = 0;
+  uint64_t left_ = 0;
+  size_t pos_ = 0;               // Plain: the next entry's offset.
+  const uint8_t* gap_ = nullptr;    // Delta: the next key's gap,
+  const uint8_t* count_ = nullptr;  // and its count.
+  uint64_t key_ = 0;             // Delta: the last key read.
+};
+
+/// Reads every entry of `data` from `src` in order and hands each to
+/// emit(key, count), then checks that no key descends, from `*last_key`
+/// on, and that every count, and the counts of a key repeated in a row
+/// summed, fit TrackEntry::count; `*last_key` becomes the last key read.
+/// Faults are counted, not branched on, so the read loop stays
+/// branch-free; a delta gap that wraps uint64_t reads as a descent.
+template <typename Emit>
+Status TryReadTrackingEntries(const ByteBuffer& data, uint32_t src,
+                              const JoinConfig& config, bool with_counts,
+                              uint64_t* last_key, Emit emit) {
+  TrackingEntryReader reader(config, with_counts);
+  TJ_RETURN_IF_ERROR(reader.Open(data));
+  uint64_t prev = *last_key;
+  uint64_t sum = 0;  // Of the counts of `prev`'s repeats in this payload.
+  uint64_t descents = 0;
+  uint64_t overflow = 0;
+  while (reader.left() > 0) {
+    uint64_t key = 0;
+    uint64_t count = 0;
+    reader.Next(&key, &count);
+    emit(key, count);
+    sum = (key == prev ? sum : 0) + count;
+    overflow |= (count | sum) >> 32;
+    descents += key < prev;
+    prev = key;
   }
   if (overflow != 0) return CountOverflow(src);
   if (descents != 0) {
@@ -337,6 +440,44 @@ Status TryAppendTrackingEntries(const ByteBuffer& data, uint32_t src,
                               " descends: keys must arrive ascending");
   }
   *last_key = prev;
+  return Status::OK();
+}
+
+}  // namespace
+
+Status TryAppendTrackingEntries(const ByteBuffer& data, uint32_t src,
+                                const JoinConfig& config, bool with_counts,
+                                uint64_t* last_key,
+                                std::vector<TrackEntry>* run) {
+  if (!config.delta_tracking) {
+    ReserveGeometric(run, run->size() + data.size() /
+                              PlainEntryLayout(config, with_counts)
+                                  .entry_bytes());
+  }
+  return TryReadTrackingEntries(
+      data, src, config, with_counts, last_key,
+      [run, src](uint64_t key, uint64_t count) {
+        run->push_back(TrackEntry{key, src, static_cast<uint32_t>(count)});
+      });
+}
+
+Status TryCheckTrackingMessages(std::span<const Message> messages,
+                                const JoinConfig& config, bool with_counts) {
+  std::vector<uint32_t> sources;
+  sources.reserve(messages.size());
+  for (const Message& msg : messages) {
+    uint64_t last_key = 0;
+    TJ_RETURN_IF_ERROR(TryReadTrackingEntries(msg.data, msg.src, config,
+                                              with_counts, &last_key,
+                                              [](uint64_t, uint64_t) {}));
+    sources.push_back(msg.src);
+  }
+  std::sort(sources.begin(), sources.end());
+  const auto twice = std::adjacent_find(sources.begin(), sources.end());
+  if (twice != sources.end()) {
+    return Status::Corruption("node " + std::to_string(*twice) +
+                              " sent two tracking messages to one tracker");
+  }
   return Status::OK();
 }
 
@@ -383,38 +524,127 @@ Status RunFault(std::span<const std::span<const TrackEntry>> runs) {
   return Status::Internal("tracking merge fault not found in its runs");
 }
 
+/// One checked tracking message being merged batch by batch: its entries
+/// decoded ahead into `entries_`, always to the end of a key.
+class BatchedMessage {
+ public:
+  BatchedMessage(uint32_t src, const JoinConfig& config, bool with_counts)
+      : src_(src), reader_(config, with_counts) {}
+
+  Status Open(const ByteBuffer& data) { return reader_.Open(data); }
+
+  /// Drops the entries taken and decodes until at least `quota` are held
+  /// and the next entry starts a new key.
+  void Fill(size_t quota) {
+    entries_.erase(entries_.begin(), entries_.begin() + taken_);
+    taken_ = 0;
+    const size_t want = quota - std::min(quota, entries_.size());
+    for (uint64_t n = std::min<uint64_t>(want, reader_.left()); n > 0; --n) {
+      Read();
+    }
+    while (reader_.left() > 0 && reader_.PeekKey() == entries_.back().key) {
+      Read();
+    }
+  }
+
+  /// True when every entry is decoded; otherwise every key below
+  /// NextKey() is.
+  bool decoded_all() const { return reader_.left() == 0; }
+  uint64_t NextKey() const { return reader_.PeekKey(); }
+
+  /// Takes the held entries with key below `bound`, or all with `all`.
+  std::span<const TrackEntry> Take(uint64_t bound, bool all) {
+    const auto first = entries_.begin() + taken_;
+    const auto last =
+        all ? entries_.end()
+            : std::lower_bound(first, entries_.end(), bound,
+                               [](const TrackEntry& e, uint64_t key) {
+                                 return e.key < key;
+                               });
+    taken_ = last - entries_.begin();
+    return {first, last};
+  }
+
+ private:
+  void Read() {
+    uint64_t key = 0;
+    uint64_t count = 0;
+    reader_.Next(&key, &count);
+    entries_.push_back(TrackEntry{key, src_, static_cast<uint32_t>(count)});
+  }
+
+  uint32_t src_;
+  TrackingEntryReader reader_;
+  std::vector<TrackEntry> entries_;
+  size_t taken_ = 0;
+};
+
 }  // namespace
+
+Status TryMergeTrackBatches(std::span<const Message> r_messages,
+                            std::span<const Message> s_messages,
+                            const JoinConfig& config, bool with_counts,
+                            const TrackBatchSink& sink, size_t batch_entries) {
+  std::vector<BatchedMessage> tables[2];
+  const std::span<const Message> inboxes[2] = {r_messages, s_messages};
+  for (int t : {0, 1}) {
+    tables[t].reserve(inboxes[t].size());
+    for (const Message& msg : inboxes[t]) {
+      if (msg.data.empty()) continue;
+      tables[t].emplace_back(msg.src, config, with_counts);
+      TJ_RETURN_IF_ERROR(tables[t].back().Open(msg.data));
+    }
+  }
+  const size_t quota = std::max<size_t>(
+      1, batch_entries / std::max<size_t>(
+                             1, tables[0].size() + tables[1].size()));
+  std::vector<std::span<const TrackEntry>> runs;
+  std::vector<TrackEntry> merged[2];
+  for (uint64_t lo = 0;;) {
+    // Every key below the smallest key still undecoded is held in full.
+    bool all = true;
+    uint64_t bound = ~0ULL;
+    for (auto& table : tables) {
+      for (BatchedMessage& msg : table) {
+        msg.Fill(quota);
+        if (msg.decoded_all()) continue;
+        all = false;
+        bound = std::min(bound, msg.NextKey());
+      }
+    }
+    for (int t : {0, 1}) {
+      runs.clear();
+      for (BatchedMessage& msg : tables[t]) {
+        const std::span<const TrackEntry> run = msg.Take(bound, all);
+        if (!run.empty()) runs.push_back(run);
+      }
+      TJ_RETURN_IF_ERROR(TryMergeTrackRuns(runs, lo, &merged[t]));
+    }
+    if (!merged[0].empty() || !merged[1].empty()) sink(merged[0], merged[1]);
+    if (all) return Status::OK();
+    lo = bound;
+  }
+}
 
 Status TryMergeTrackingMessages(const std::vector<Message>& messages,
                                 const JoinConfig& config, bool with_counts,
                                 std::vector<TrackEntry>* out) {
   out->clear();
-  // One buffer for every message's entries; the runs view it once all
-  // are decoded, since appending may move it.
-  std::vector<TrackEntry> entries;
-  if (!config.delta_tracking) {
-    const uint32_t entry_bytes = PlainEntryLayout(config, with_counts)
-                                     .entry_bytes();
-    size_t bytes = 0;
-    for (const Message& msg : messages) bytes += msg.data.size();
-    entries.reserve(bytes / entry_bytes);
-  }
-  std::vector<size_t> ends;
-  ends.reserve(messages.size());
-  for (const Message& msg : messages) {
-    uint64_t last_key = 0;
-    TJ_RETURN_IF_ERROR(TryAppendTrackingEntries(
-        msg.data, msg.src, config, with_counts, &last_key, &entries));
-    ends.push_back(entries.size());
-  }
-  std::vector<std::span<const TrackEntry>> runs;
-  runs.reserve(ends.size());
-  size_t begin = 0;
-  for (size_t end : ends) {
-    runs.emplace_back(entries.data() + begin, end - begin);
-    begin = end;
-  }
-  return TryMergeTrackRuns(runs, /*min_key=*/0, out);
+  TJ_RETURN_IF_ERROR(TryCheckTrackingMessages(messages, config, with_counts));
+  // At most one entry per plain entry's bytes, or per delta varint (two
+  // with counts).
+  const uint32_t min_entry_bytes =
+      config.delta_tracking ? (with_counts ? 2 : 1)
+                            : PlainEntryLayout(config, with_counts)
+                                  .entry_bytes();
+  size_t bytes = 0;
+  for (const Message& msg : messages) bytes += msg.data.size();
+  out->reserve(bytes / min_entry_bytes);
+  return TryMergeTrackBatches(
+      messages, {}, config, with_counts,
+      [out](const std::vector<TrackEntry>& r, const std::vector<TrackEntry>&) {
+        out->insert(out->end(), r.begin(), r.end());
+      });
 }
 
 Status TryMergeTrackRuns(std::span<const std::span<const TrackEntry>> runs,

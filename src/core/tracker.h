@@ -4,9 +4,20 @@
 // the 3-/4-phase versions) and ships them to the tracker responsible for
 // each key: processT at hash(key) mod N. The tracker merges the incoming
 // streams into per-key placements that the scheduler consumes.
+//
+// The barrier driver encodes each table's messages in one walk over its
+// sorted block (EncodeSortedTrackingMessages), checks each received inbox
+// in place (TryCheckTrackingMessages) and merges the checked messages in
+// key-range batches straight into the scheduler (TryMergeTrackBatches), so
+// neither per-key projections nor a tracker's whole merged entry table
+// ever exist. The pipelined driver writes its tracking chunks from its home
+// runs (WriteTrackingChunks), decodes each arriving chunk into its
+// stream's run (TryAppendTrackingEntries) and merges frontier batches of
+// those runs (TryMergeTrackRuns), the same merge the barrier batches use.
 #ifndef TJ_CORE_TRACKER_H_
 #define TJ_CORE_TRACKER_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <span>
@@ -33,16 +44,26 @@ struct TrackEntry {
   bool operator==(const TrackEntry&) const = default;
 };
 
-/// Serializes one node's aggregated distinct keys into per-destination
-/// tracking messages (destination = hash(key) mod num_nodes). The plain
-/// format is written in two passes: the first sizes every destination
-/// exactly, the second stores each field as one 8-byte word into buffers
-/// with 8 bytes of slack, trimmed at the end.
-/// With `with_counts` false (2-phase), only keys travel; counts are implied 1
-/// ("present"). Counts wider than cfg.count_bytes are split into saturated
-/// chunks the tracker re-aggregates ("we can aggregate at the destination").
-/// With cfg.delta_tracking, key streams are sorted+delta coded and counts
-/// are LEB128.
+/// Serializes one node's sorted table into per-destination tracking
+/// messages (destination = hash(key) mod num_nodes) in two walks over the
+/// runs of equal keys in `keys`, non-decreasing: the first sizes every
+/// destination exactly, the second writes each run as its key's entry,
+/// with the run's length as count. Plain entries store each field as one
+/// 8-byte word into buffers with 8 bytes of slack, trimmed at the end.
+/// With `with_counts` false (2-phase), only keys travel; counts are implied
+/// 1 ("present"). Counts wider than cfg.count_bytes are split into
+/// saturated entries the tracker re-aggregates ("we can aggregate at the
+/// destination"). With cfg.delta_tracking, each destination's keys are
+/// delta coded (an LEB128 entry count, then LEB128 gaps from 0) and counts
+/// follow as LEB128 in key order; a destination without keys gets an empty
+/// message.
+std::vector<ByteBuffer> EncodeSortedTrackingMessages(
+    std::span<const uint64_t> keys, const JoinConfig& config, bool with_counts,
+    uint32_t num_nodes);
+
+/// The same encoder over keys already aggregated (AggregateSortedKeys), one
+/// entry per KeyCount in the given order: byte-identical to
+/// EncodeSortedTrackingMessages over the keys they aggregate.
 std::vector<ByteBuffer> EncodeTrackingMessages(
     const std::vector<KeyCount>& keys, const JoinConfig& config,
     bool with_counts, uint32_t num_nodes);
@@ -57,8 +78,8 @@ using TrackingChunkSink =
 /// The pipelined source's tracking stream to one tracker, written straight
 /// from `keys`, the non-decreasing keys of its home run for that tracker:
 /// each distinct key with its number of rows as count, saturated like
-/// EncodeTrackingMessages, so the chunks concatenate to that function's
-/// message for the tracker. Chunks are cut at entry boundaries,
+/// EncodeSortedTrackingMessages, so the chunks concatenate to that
+/// function's message for the tracker. Chunks are cut at entry boundaries,
 /// max(1, chunk_bytes / entry bytes) entries each, and an empty run is one
 /// zero-byte EOS chunk with watermark 0. Requires the plain wire format.
 /// Returns the bytes written.
@@ -77,14 +98,15 @@ Status TryDecodeTrackingMessage(const Message& message,
                                 const JoinConfig& config, bool with_counts,
                                 std::vector<TrackEntry>* out);
 
-/// The tracker intake of both drivers: appends the (key, `src`, count)
-/// facts of one tracking message or pipelined chunk, plain or delta-coded
-/// per `config`, to `run`. Keys must not descend, within the payload or
+/// The pipelined tracker's intake: appends the (key, `src`, count) facts
+/// of one pipelined chunk or tracking message, plain or delta-coded per
+/// `config`, to `run`. Keys must not descend, within the payload or
 /// from `*last_key` (the stream's last key so far, 0 for a fresh stream);
 /// saturated count chunks repeat a key. `*last_key` becomes the payload's
-/// last key. TryDecodeTrackingMessage's rejection set and descending keys
-/// (a plain stream out of order, or a delta stream whose gaps wrap
-/// uint64_t) return Status::Corruption and leave `run` unspecified. Entries
+/// last key. TryDecodeTrackingMessage's rejection set, descending keys (a
+/// plain stream out of order, or a delta stream whose gaps wrap uint64_t)
+/// and a key's saturated counts summing past UINT32_MAX within the payload
+/// return Status::Corruption and leave `run` unspecified. Entries
 /// are decoded into reserved capacity, never zero-filled first.
 Status TryAppendTrackingEntries(const ByteBuffer& data, uint32_t src,
                                 const JoinConfig& config, bool with_counts,
@@ -145,12 +167,48 @@ class PlainEntryLayout {
   uint64_t value_floor_ = 1;  ///< 1 without a value field (the implied count).
 };
 
-/// Merges all tracking messages of one inbox into a merged (key, node)
-/// entry vector: decodes every message into one buffer, one run per message
-/// (TryAppendTrackingEntries), and merges the runs with TryMergeTrackRuns.
-/// Output is byte-identical to decoding every message and running
-/// MergeTrackEntries. A malformed message, or one whose keys descend,
-/// returns Status::Corruption.
+/// The barrier tracker's intake (phase 5, "merge received keys"): checks
+/// one inbox of tracking messages in place, as TryMergeTrackBatches reads
+/// them, without decoding them into entries. A message must be whole
+/// entries (plain) or exactly its declared entries' complete varints
+/// (delta), its keys must not descend (a delta gap that wraps uint64_t
+/// decodes as a descent), and every count, and the saturated counts of a
+/// key summed, must fit TrackEntry::count; an inbox holds at most one
+/// message per source. The first fault returns Status::Corruption.
+Status TryCheckTrackingMessages(std::span<const Message> messages,
+                                const JoinConfig& config, bool with_counts);
+
+/// Receives one key-range batch of a tracker's merged R and S entries.
+using TrackBatchSink = std::function<void(const std::vector<TrackEntry>& r,
+                                          const std::vector<TrackEntry>& s)>;
+
+/// Entries the barrier tracker decodes ahead per merge batch, over all its
+/// messages: 256 KiB of TrackEntry, so a batch's runs and merged output
+/// stay in cache.
+inline constexpr size_t kTrackBatchEntries = size_t{1} << 14;
+
+/// Merges a tracker's R and S tracking messages, which
+/// TryCheckTrackingMessages has accepted, in ascending key-range batches,
+/// and hands each batch's merged entries (the MergeTrackEntries order, with
+/// duplicate (key, node) counts summed) to `sink`. Each message decodes
+/// about batch_entries / messages entries ahead, extended to the end of
+/// their last key; a batch takes every key strictly below the smallest key
+/// any message has not yet decoded, so a key's entries, saturated repeats
+/// included, are never split across batches and the batches concatenate to
+/// the one-batch merge. Merging is TryMergeTrackRuns, whose Status this
+/// returns; memory beyond the messages is one batch's decoded and merged
+/// entries.
+Status TryMergeTrackBatches(std::span<const Message> r_messages,
+                            std::span<const Message> s_messages,
+                            const JoinConfig& config, bool with_counts,
+                            const TrackBatchSink& sink,
+                            size_t batch_entries = kTrackBatchEntries);
+
+/// Merges all tracking messages of one inbox into one merged (key, node)
+/// entry vector: TryCheckTrackingMessages, then TryMergeTrackBatches with
+/// the batches appended to `out`. Output is byte-identical to decoding
+/// every message and running MergeTrackEntries. A malformed message, or
+/// one whose keys descend, returns Status::Corruption.
 Status TryMergeTrackingMessages(const std::vector<Message>& messages,
                                 const JoinConfig& config, bool with_counts,
                                 std::vector<TrackEntry>* out);

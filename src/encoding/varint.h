@@ -41,6 +41,28 @@ inline void EncodeLeb128(uint64_t v, ByteBuffer* out) {
   out->push_back(static_cast<uint8_t>(v));
 }
 
+/// Writes v in LEB128 form at `p`, which has room for Leb128Size(v) bytes,
+/// and returns the byte past it.
+inline uint8_t* StoreLeb128(uint64_t v, uint8_t* p) {
+  while (v >= 0x80) {
+    *p++ = static_cast<uint8_t>(v) | 0x80;
+    v >>= 7;
+  }
+  *p++ = static_cast<uint8_t>(v);
+  return p;
+}
+
+/// Reads the LEB128 value at `*p` and advances `*p` past it, checking
+/// nothing: the bytes must be a varint TryDecodeLeb128 accepts.
+inline uint64_t LoadLeb128(const uint8_t** p) {
+  uint64_t v = 0;
+  for (uint32_t shift = 0;; shift += 7) {
+    const uint8_t b = *(*p)++;
+    v |= static_cast<uint64_t>(b & 0x7f) << shift;
+    if ((b & 0x80) == 0) return v;
+  }
+}
+
 /// Decodes one LEB128 value at the reader's cursor. Truncated or overlong
 /// varints return Status::Corruption and never read past the buffer.
 inline Status TryDecodeLeb128(ByteReader* in, uint64_t* out) {

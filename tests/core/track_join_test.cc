@@ -16,6 +16,7 @@
 #include "common/hash.h"
 #include "common/logging.h"
 #include "common/rng.h"
+#include "core/pipelined_track_join.h"
 #include "core/schedule.h"
 #include "core/tracker.h"
 #include "exec/key_aggregate.h"
@@ -548,6 +549,57 @@ TEST(TrackJoinTest, ConcatenatedInstructionListsRouteInKeyOrder) {
   RouteInstructedRows(block, pairs, /*split=*/false, &rows);
   EXPECT_EQ(rows[0], (std::vector<uint32_t>{0, 1, 3, 4, 6, 7, 8}));
   EXPECT_EQ(rows[1], (std::vector<uint32_t>{2, 5, 7, 8}));
+}
+
+// The barrier tracker merges its received runs in key-range batches of
+// about kTrackBatchEntries entries and plans each as it is merged; the
+// planner's balance state carries across batches in key order, so a run
+// whose trackers each hold several batches schedules every key exactly as
+// the pipelined driver's frontier batches do, hot splits included.
+TEST(TrackJoinTest, BatchedTrackerPlansLikeThePipelinedDriver) {
+  WorkloadSpec spec;
+  spec.num_nodes = 4;
+  spec.matched_keys = 12000;
+  spec.r_multiplicity = 6;
+  spec.s_multiplicity = 12;
+  spec.r_pattern = {3, 2, 1};
+  spec.s_pattern = {6, 4, 2};
+  const Workload w = GenerateWorkload(spec);
+  // Every tracker receives one entry per distinct (key, node) of each
+  // table: more than one batch's worth.
+  std::vector<uint64_t> tracked(spec.num_nodes, 0);
+  for (const PartitionedTable* table : {&w.r, &w.s}) {
+    for (uint32_t node = 0; node < spec.num_nodes; ++node) {
+      for (const KeyCount& kc : AggregateKeys(table->node(node))) {
+        ++tracked[HashPartition(kc.key, spec.num_nodes)];
+      }
+    }
+  }
+  for (uint64_t entries : tracked) EXPECT_GT(entries, kTrackBatchEntries);
+
+  JoinConfig config = TestConfig();
+  config.balance_loads = true;
+  config.hot_key_threshold = 36;
+  config.hot_key_max_split = 3;
+  ScheduleAuditLog barrier_audit, pipelined_audit;
+  config.schedule_audit = &barrier_audit;
+  const Result<JoinResult> barrier =
+      TryRunTrackJoin(w.r, w.s, config, TrackJoinVersion::k4Phase);
+  ASSERT_TRUE(barrier.ok()) << barrier.status().ToString();
+  config.schedule_audit = &pipelined_audit;
+  const Result<JoinResult> pipelined =
+      TryRunPipelinedTrackJoin(w.r, w.s, config, TrackJoinVersion::k4Phase);
+  ASSERT_TRUE(pipelined.ok()) << pipelined.status().ToString();
+
+  EXPECT_EQ(barrier->output_rows, w.expected_output_rows);
+  EXPECT_TRUE(barrier->checksum == pipelined->checksum);
+  EXPECT_TRUE(barrier->traffic == pipelined->traffic);
+  const std::vector<KeyScheduleAudit> keys = barrier_audit.Collect();
+  EXPECT_EQ(keys, pipelined_audit.Collect());
+  EXPECT_TRUE(std::any_of(keys.begin(), keys.end(),
+                          [](const KeyScheduleAudit& key) {
+                            return key.chosen_split > 0;
+                          }));
 }
 
 }  // namespace

@@ -704,8 +704,8 @@ ByteBuffer PlainTracking(std::initializer_list<uint64_t> keys) {
 
 TEST(TrackerIntakeTest, MalformedPayloadsAreCorruptionOnBothDrivers) {
   // Each case is the chunks one tracker receives on one tracking stream, in
-  // order, as (source, payload). The barrier merge takes every chunk as one
-  // inbox message; the pipelined intake decodes the chunks in order into
+  // order, as (source, payload). The barrier tracker takes every chunk as
+  // one inbox message; the pipelined intake decodes the chunks in order into
   // the stream's run, carrying its last key, and merges that run.
   struct Case {
     const char* name;
@@ -723,6 +723,13 @@ TEST(TrackerIntakeTest, MalformedPayloadsAreCorruptionOnBothDrivers) {
   wide.delta_tracking = true;
   const ByteBuffer big_delta =
       EncodeTrackingMessages(too_many, wide, true, 1)[0];
+  // Two entries of key 7 whose counts sum one past UINT32_MAX.
+  ByteBuffer saturated;
+  ByteWriter saturated_writer(&saturated);
+  for (uint64_t count : {uint64_t{UINT32_MAX}, uint64_t{1}}) {
+    saturated_writer.PutUint(7, 4);
+    saturated_writer.PutUint(count, 4);
+  }
   ByteBuffer partial = PlainTracking({1, 2});
   partial.resize(partial.size() - 3);
   ByteBuffer wrap;
@@ -742,6 +749,7 @@ TEST(TrackerIntakeTest, MalformedPayloadsAreCorruptionOnBothDrivers) {
         {0, PlainTracking({4})}}},
       {"plain count past UINT32_MAX", false, {{0, big_plain}}, 8},
       {"delta count past UINT32_MAX", true, {{0, big_delta}}, 8},
+      {"saturated counts sum past UINT32_MAX", false, {{0, saturated}}, 4},
   };
   for (const Case& c : cases) {
     SCOPED_TRACE(c.name);
@@ -754,9 +762,18 @@ TEST(TrackerIntakeTest, MalformedPayloadsAreCorruptionOnBothDrivers) {
     for (const auto& [src, payload] : c.chunks) {
       inbox.push_back(Msg(src, payload));
     }
-    std::vector<TrackEntry> merged;
-    Status barrier = TryMergeTrackingMessages(inbox, config, true, &merged);
+    // The barrier's phase 5 rejects the inbox before phase 6 merges it.
+    Status barrier = TryCheckTrackingMessages(inbox, config, true);
+    if (barrier.ok()) {
+      barrier = TryMergeTrackBatches(
+          inbox, {}, config, true,
+          [](const std::vector<TrackEntry>&, const std::vector<TrackEntry>&) {
+          });
+    }
     EXPECT_EQ(barrier.code(), StatusCode::kCorruption) << barrier.ToString();
+    std::vector<TrackEntry> merged;
+    EXPECT_EQ(TryMergeTrackingMessages(inbox, config, true, &merged).code(),
+              StatusCode::kCorruption);
 
     std::vector<std::vector<TrackEntry>> runs(1);
     uint64_t last_key = 0;
@@ -793,6 +810,114 @@ TEST(TrackerMergeTest, RunMergeRejectsCountSumPastUint32) {
   Status s = TryMergeTrackRuns(Views(runs), 0, &merged);
   EXPECT_EQ(s.code(), StatusCode::kCorruption) << s.ToString();
   EXPECT_TRUE(merged.empty());
+}
+
+// The barrier's sorted-run encoder is the KeyCount encoder over the keys
+// it aggregates, byte for byte: plain and delta, with and without counts,
+// on one and on eight destinations. Count bytes of 1 saturate at 255, so
+// the key held 600 times ships as three entries.
+TEST(TrackerTest, SortedRunEncoderEqualsAggregateThenEncode) {
+  Rng rng(17);
+  TupleBlock mixed(0);
+  std::vector<uint64_t> keys;
+  for (int i = 0; i < 500; ++i) {
+    keys.insert(keys.end(), 1 + rng.Below(4), rng.Below(5000));
+  }
+  keys.insert(keys.end(), 600, 777);
+  std::sort(keys.begin(), keys.end());
+  for (uint64_t key : keys) mixed.Append(key, nullptr);
+  TupleBlock repeated(0);
+  for (int i = 0; i < 600; ++i) repeated.Append(42, nullptr);
+  TupleBlock empty(0);
+  for (const TupleBlock* block : {&mixed, &repeated, &empty}) {
+    for (bool delta : {false, true}) {
+      for (bool with_counts : {false, true}) {
+        for (uint32_t dests : {1u, 8u}) {
+          SCOPED_TRACE("rows=" + std::to_string(block->size()) +
+                       " delta=" + std::to_string(delta) +
+                       " with_counts=" + std::to_string(with_counts) +
+                       " dests=" + std::to_string(dests));
+          JoinConfig config;
+          config.key_bytes = 2;
+          config.count_bytes = 1;
+          config.delta_tracking = delta;
+          EXPECT_EQ(EncodeSortedTrackingMessages(block->keys(), config,
+                                                 with_counts, dests),
+                    EncodeTrackingMessages(AggregateSortedKeys(*block), config,
+                                           with_counts, dests));
+        }
+      }
+    }
+  }
+}
+
+/// Merges `r` and `s` with TryMergeTrackBatches at `batch_entries`, and
+/// returns each batch's entries.
+std::vector<std::pair<std::vector<TrackEntry>, std::vector<TrackEntry>>>
+Batches(const std::vector<Message>& r, const std::vector<Message>& s,
+        const JoinConfig& config, size_t batch_entries) {
+  std::vector<std::pair<std::vector<TrackEntry>, std::vector<TrackEntry>>> out;
+  EXPECT_TRUE(TryCheckTrackingMessages(r, config, true).ok());
+  EXPECT_TRUE(TryCheckTrackingMessages(s, config, true).ok());
+  const Status status = TryMergeTrackBatches(
+      r, s, config, true,
+      [&](const std::vector<TrackEntry>& batch_r,
+          const std::vector<TrackEntry>& batch_s) {
+        out.emplace_back(batch_r, batch_s);
+      },
+      batch_entries);
+  EXPECT_TRUE(status.ok()) << status.ToString();
+  return out;
+}
+
+// A batch takes every key below a bound no message has decoded past, so a
+// key whose saturated entries straddle the decode-ahead of a tiny batch
+// still merges whole, in one batch: the batches concatenate to the
+// one-batch merge on both tables, and no key spans two batches.
+TEST(TrackerMergeTest, SaturatedEntriesStraddlingABatchBoundMergeAsOne) {
+  JoinConfig config;
+  config.key_bytes = 4;
+  config.count_bytes = 1;
+  for (bool delta : {false, true}) {
+    config.delta_tracking = delta;
+    std::vector<Message> r, s;
+    for (uint32_t src = 0; src < 3; ++src) {
+      // Key 20 carries 700 rows from every source: three entries each
+      // in the plain format, one in the delta format.
+      r.push_back(Msg(src, EncodeTrackingMessages(
+                               {{5, 1}, {20, 700}, {21 + src, 2}}, config,
+                               true, 1)[0]));
+      s.push_back(Msg(src, EncodeTrackingMessages(
+                               {{20, 300 + src}, {40, 1}}, config, true,
+                               1)[0]));
+    }
+    const auto whole = Batches(r, s, config, 1 << 20);
+    ASSERT_EQ(whole.size(), 1u);
+    EXPECT_EQ(whole[0].first, ReferenceMerge(r, config, true));
+    EXPECT_EQ(whole[0].second, ReferenceMerge(s, config, true));
+    for (size_t batch_entries : {1, 2, 3, 4, 7}) {
+      SCOPED_TRACE("delta=" + std::to_string(delta) +
+                   " batch_entries=" + std::to_string(batch_entries));
+      const auto batches = Batches(r, s, config, batch_entries);
+      EXPECT_GT(batches.size(), 1u);
+      std::vector<TrackEntry> joined[2];
+      uint64_t next = 0;  // Keys below it went out in earlier batches.
+      for (const auto& [batch_r, batch_s] : batches) {
+        uint64_t last = next;
+        for (const std::vector<TrackEntry>* batch : {&batch_r, &batch_s}) {
+          for (const TrackEntry& e : *batch) {
+            EXPECT_GE(e.key, next) << "key " << e.key << " split";
+            last = std::max(last, e.key + 1);
+          }
+        }
+        next = last;
+        joined[0].insert(joined[0].end(), batch_r.begin(), batch_r.end());
+        joined[1].insert(joined[1].end(), batch_s.begin(), batch_s.end());
+      }
+      EXPECT_EQ(joined[0], whole[0].first);
+      EXPECT_EQ(joined[1], whole[0].second);
+    }
+  }
 }
 
 }  // namespace

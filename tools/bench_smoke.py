@@ -50,8 +50,9 @@ process, so they need no checked-in baseline:
     pairing each arriving row with each migrated match on its own read
     about 4.4.
   tj4_pipelined_scaling: pipelined 4TJ wall at twice the keys over its wall
-    at the base scale. It fails above MAX_PIPELINED_SCALING, so a path
-    that grows superlinearly cannot hide at smoke scale.
+    at the base scale, the median of the per-rep ratios over alternating
+    reps. It fails above MAX_PIPELINED_SCALING, so a path that grows
+    superlinearly cannot hide at smoke scale.
   y_checksum_join_over_join: a merge join of workload Y's sorted blocks
     with the output checksum sink over the same join with a no-op sink. It
     fails above MAX_Y_CHECKSUM_JOIN_OVER_JOIN: the checksum hashes each
@@ -90,11 +91,13 @@ the ROADMAP's tjsim baseline: 8 nodes, 1M keys, R x2, S x3). They run
 before anything else, while this script's own footprint, which a child
 inherits into its mark, is far below the children's:
   tj4_peak_rss_over_hj: --algo=4tj. It fails above MAX_TJ4_PEAK_RSS_OVER_HJ:
-    with every intermediate freed after its last reader, 16-byte tracker
-    entries and the final joins reading the received runs in place it
-    reads about 1.21; copying the runs into merged blocks in phase 8 read
-    1.25, and holding the key projections and tracker entries to the end
-    of the query read 1.99.
+    with the tracking messages encoded straight from the sorted blocks and
+    planned in key-range batches as they are merged, every intermediate
+    freed after its last reader and the final joins reading the received
+    runs in place, it reads about 1.15, its peak in phase 7; materializing
+    the key projections and the merged tracker entries read 1.21, copying
+    the runs into merged blocks in phase 8 1.25, and holding the key
+    projections and tracker entries to the end of the query 1.99.
   tj2r_peak_rss_over_hj: --algo=2tj-r. It fails above
     MAX_TJ2R_PEAK_RSS_OVER_HJ: it reads about 1.29; the phase-8 copies
     read 1.38, and 2.37 when the broadcast side's kept block and the inbox
@@ -150,7 +153,7 @@ MAX_MERGE_RECEIVED_OVER_SORT = 0.7
 MIN_TRACKER_MERGE_OVER_REFERENCE = 4.0
 # Ceilings on tjsim's same-run peak-RSS ratios over HJ, on one fixed input.
 PEAK_RSS_WORKLOAD = ["--nodes=8", "--keys=1000000", "--rmult=2", "--smult=3"]
-MAX_TJ4_PEAK_RSS_OVER_HJ = 1.33
+MAX_TJ4_PEAK_RSS_OVER_HJ = 1.26
 MAX_TJ2R_PEAK_RSS_OVER_HJ = 1.42
 
 

@@ -45,8 +45,9 @@ for san in "${sanitizers[@]}"; do
   fi
   cmake -B "${dir}" -S . -DTJ_SANITIZE="${san}" "${launcher_flags[@]}" >/dev/null
   cmake --build "${dir}" -j "$(nproc)"
-  # The hot-path containers, the tracker merge and the wire decoders must
-  # stay in the sanitized unit leg: their probe and cursor arithmetic and
+  # The hot-path containers, the tracker merge, the wire decoders and the
+  # barrier driver that checks and merges its inboxes in place must stay in
+  # the sanitized unit leg: their probe and cursor arithmetic and
   # their bounds checks on untrusted bytes are exactly what ASan/UBSan
   # exist to check. Guard against a CMake registration regression silently
   # shrinking that coverage.
@@ -57,7 +58,7 @@ for san in "${sanitizers[@]}"; do
                   tracker_test hot_split_test zipf_workload_test \
                   pipelined_fabric_test pipelined_track_join_test \
                   blame_test egress_sched_test codec_fuzz_test bloom_test \
-                  semi_join_test; do
+                  semi_join_test track_join_test; do
     if ! grep -q " ${required}\$" <<<"${unit_listing}"; then
       echo "ci.sh: ${required} missing from the unit label in ${dir}" >&2
       exit 1
