@@ -18,10 +18,12 @@
 //                                    checksum sink ÷ with a no-op sink;
 //   barrier_node_scaling             barrier 4TJ on one small input over
 //                                    256 nodes ÷ over 16 nodes, near 1
-//                                    when a phase costs O(messages + N);
+//                                    when a phase costs O(messages + N),
+//                                    the median of 15 alternating pairs;
 //   pipelined_node_scaling           pipelined 4TJ (DRR) on one small input
 //                                    over 64 nodes ÷ over 8 nodes, what
-//                                    per-link state costs the event fabric;
+//                                    per-link state costs the event fabric,
+//                                    the median of 15 alternating pairs;
 //   merge_received_over_sort         the received-run merge the barrier
 //                                    joins read (MergedRuns), drained
 //                                    from 8 key-ascending serialized
@@ -45,6 +47,7 @@
 #include <cstdio>
 #include <cstring>
 #include <numeric>
+#include <span>
 #include <string>
 
 #include "bench/real_bench.h"
@@ -62,8 +65,10 @@ namespace tj {
 namespace bench {
 
 constexpr int kReps = 3;
-/// Alternating barrier/pipelined pairs behind the pipelined-over-barrier
-/// wall ratio: the best of 3 per side spread 1.32-1.79 between runs.
+/// Alternating pairs behind each wall ratio of two drivers or two inputs:
+/// the best of 3 per side spread 1.32-1.79 between runs of the
+/// pipelined-over-barrier ratio, and the node-scaling ratios followed
+/// machine load the same way.
 constexpr int kWallRatioPairs = 15;
 /// Alternating merge/sort pairs behind the merge-received-over-sort ratio.
 constexpr int kMergeRatioPairs = 15;
@@ -109,6 +114,13 @@ KernelSeconds TimeKernel(Rep&& rep, bool tracing) {
   }
   if (tracing) Tracer::Global().Enable();
   return out;
+}
+
+/// The median of per-rep ratios, which it reorders.
+double Median(std::span<double> ratios) {
+  std::nth_element(ratios.begin(), ratios.begin() + ratios.size() / 2,
+                   ratios.end());
+  return ratios[ratios.size() / 2];
 }
 
 /// Prints "<name>_tps" and, for a traced run, "<name>_traced_tps".
@@ -232,13 +244,8 @@ int main(int argc, char** argv) {
     pipelined_s = std::min(pipelined_s, p);
     pipelined_2x_s = std::min(pipelined_2x_s, p2);
   }
-  std::nth_element(wall_ratios, wall_ratios + bench::kWallRatioPairs / 2,
-                   wall_ratios + bench::kWallRatioPairs);
-  const double wall_ratio = wall_ratios[bench::kWallRatioPairs / 2];
-  std::nth_element(scaling_ratios,
-                   scaling_ratios + bench::kWallRatioPairs / 2,
-                   scaling_ratios + bench::kWallRatioPairs);
-  const double scaling_ratio = scaling_ratios[bench::kWallRatioPairs / 2];
+  const double wall_ratio = bench::Median(wall_ratios);
+  const double scaling_ratio = bench::Median(scaling_ratios);
   TJ_CHECK(barrier_sum == pipelined_sum) << "pipelined 4TJ result differs";
 
   // The same ratio on a small Zipf 0.8 input (20,000 keys and rows per
@@ -257,14 +264,13 @@ int main(int argc, char** argv) {
     const double p = bench::Seconds([&] { pipelined_sum = pipelined(wz); });
     wall_ratios[rep] = p / b;
   }
-  std::nth_element(wall_ratios, wall_ratios + bench::kWallRatioPairs / 2,
-                   wall_ratios + bench::kWallRatioPairs);
-  const double zipf_wall_ratio = wall_ratios[bench::kWallRatioPairs / 2];
+  const double zipf_wall_ratio = bench::Median(wall_ratios);
   TJ_CHECK(barrier_sum == pipelined_sum) << "pipelined Zipf 4TJ result differs";
 
   // Barrier 4TJ on the same 8,000 keys per table spread over 16 and over
-  // 256 nodes, serial, best of kReps each, reps alternating: what cluster
-  // width alone costs a barrier run.
+  // 256 nodes, serial, kWallRatioPairs reps alternating: what cluster width
+  // alone costs a barrier run, the median of each rep's 256 ÷ 16 ratio
+  // (each wall reported is the best of its reps).
   auto spread_over = [&](uint32_t nodes) {
     WorkloadSpec spec;
     spec.num_nodes = nodes;
@@ -274,37 +280,47 @@ int main(int argc, char** argv) {
   };
   const Workload spread[2] = {spread_over(16), spread_over(256)};
   double spread_s[2] = {1e300, 1e300};
+  double spread_ratios[bench::kWallRatioPairs];
   JoinChecksum spread_sum[2];
-  for (int rep = 0; rep < bench::kReps; ++rep) {
+  for (int rep = 0; rep < bench::kWallRatioPairs; ++rep) {
+    double rep_s[2];
     for (int i = 0; i < 2; ++i) {
-      spread_s[i] = std::min(spread_s[i], bench::Seconds([&] {
+      rep_s[i] = bench::Seconds([&] {
         spread_sum[i] = ValueOrDie(TryRunTrackJoin(spread[i].r, spread[i].s,
                                                    JoinConfig(),
                                                    TrackJoinVersion::k4Phase))
                             .checksum;
-      }));
+      });
+      spread_s[i] = std::min(spread_s[i], rep_s[i]);
     }
+    spread_ratios[rep] = rep_s[1] / rep_s[0];
   }
   TJ_CHECK(spread_sum[0] == spread_sum[1]) << "cluster width changed 4TJ";
 
   // Pipelined 4TJ under DRR on the same 8,000 keys per table spread over 8
-  // and over 64 nodes, serial, best of kReps each, reps alternating: what
-  // cluster width alone costs the event fabric and its driver.
+  // and over 64 nodes, serial, kWallRatioPairs reps alternating: what
+  // cluster width alone costs the event fabric and its driver, the median
+  // of each rep's 64 ÷ 8 ratio (each wall reported is the best of its
+  // reps).
   JoinConfig wide_config;
   wide_config.pipeline.enabled = true;
   wide_config.pipeline.drr = true;
   const Workload wide[2] = {spread_over(8), spread_over(64)};
   double wide_s[2] = {1e300, 1e300};
+  double wide_ratios[bench::kWallRatioPairs];
   JoinChecksum wide_sum[2];
-  for (int rep = 0; rep < bench::kReps; ++rep) {
+  for (int rep = 0; rep < bench::kWallRatioPairs; ++rep) {
+    double rep_s[2];
     for (int i = 0; i < 2; ++i) {
-      wide_s[i] = std::min(wide_s[i], bench::Seconds([&] {
+      rep_s[i] = bench::Seconds([&] {
         wide_sum[i] = ValueOrDie(TryRunPipelinedTrackJoin(
                                      wide[i].r, wide[i].s, wide_config,
                                      TrackJoinVersion::k4Phase))
                           .checksum;
-      }));
+      });
+      wide_s[i] = std::min(wide_s[i], rep_s[i]);
     }
+    wide_ratios[rep] = rep_s[1] / rep_s[0];
   }
   TJ_CHECK(wide_sum[0] == wide_sum[1]) << "cluster width changed pipelined 4TJ";
 
@@ -371,9 +387,7 @@ int main(int argc, char** argv) {
     merge_received_s = std::min(merge_received_s, merge_s);
     sort_received_s = std::min(sort_received_s, sort_s);
   }
-  std::nth_element(merge_ratios, merge_ratios + bench::kMergeRatioPairs / 2,
-                   merge_ratios + bench::kMergeRatioPairs);
-  const double merge_ratio = merge_ratios[bench::kMergeRatioPairs / 2];
+  const double merge_ratio = bench::Median(merge_ratios);
 
   double n = static_cast<double>(rows);
   std::printf("{\n");
@@ -400,10 +414,11 @@ int main(int argc, char** argv) {
   std::printf("  \"barrier_16_nodes_wall_s\": %.6f,\n", spread_s[0]);
   std::printf("  \"barrier_256_nodes_wall_s\": %.6f,\n", spread_s[1]);
   std::printf("  \"barrier_node_scaling\": %.4f,\n",
-              spread_s[1] / spread_s[0]);
+              bench::Median(spread_ratios));
   std::printf("  \"pipelined_8_nodes_wall_s\": %.6f,\n", wide_s[0]);
   std::printf("  \"pipelined_64_nodes_wall_s\": %.6f,\n", wide_s[1]);
-  std::printf("  \"pipelined_node_scaling\": %.4f,\n", wide_s[1] / wide_s[0]);
+  std::printf("  \"pipelined_node_scaling\": %.4f,\n",
+              bench::Median(wide_ratios));
   std::printf("  \"merge_received_wall_s\": %.6f,\n", merge_received_s);
   std::printf("  \"sort_received_wall_s\": %.6f,\n", sort_received_s);
   std::printf("  \"merge_received_over_sort\": %.4f,\n", merge_ratio);

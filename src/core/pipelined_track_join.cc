@@ -32,14 +32,12 @@ std::vector<std::span<const TrackEntry>> Views(const TrackRuns& runs) {
   return {runs.begin(), runs.end()};
 }
 
-/// One tracker-side incoming tracking stream (one source, one table).
-/// Entries arrive key-sorted, which intake checks; `watermark` promises no
-/// later chunk carries a key strictly below it. `pending[consumed..]` are
-/// the entries not yet handed to a schedule batch.
+/// One tracker-side incoming tracking stream (one source, one table): its
+/// chunks, checked on arrival and kept as wire bytes until a frontier batch
+/// decodes them. `watermark` promises no later chunk carries a key strictly
+/// below it.
 struct TrackStream {
-  std::vector<TrackEntry> pending;
-  size_t consumed = 0;
-  uint64_t last_key = 0;
+  TrackingChunkStream chunks;
   uint64_t watermark = 0;
   bool started = false;
   bool eos = false;
@@ -48,42 +46,6 @@ struct TrackStream {
   uint64_t Bound() const {
     if (eos) return kStreamDone;
     return started ? watermark : 0;
-  }
-
-  /// Hands the pending entries with key < `bound` (all of them when
-  /// `take_all`) to a new run; empty when none qualify. Memory the stream
-  /// no longer needs goes with the run or back to the allocator, as a
-  /// deque's consumed blocks would.
-  std::vector<TrackEntry> TakeBelow(uint64_t bound, bool take_all) {
-    const auto first = pending.begin() + consumed;
-    const auto last =
-        take_all ? pending.end()
-                 : std::lower_bound(first, pending.end(), bound,
-                                    [](const TrackEntry& e, uint64_t key) {
-                                      return e.key < key;
-                                    });
-    std::vector<TrackEntry> run;
-    if (first == pending.begin() && last - first >= pending.end() - last) {
-      // At least half of what is pending: hand over the storage and keep a
-      // copy of the rest, the smaller side.
-      std::vector<TrackEntry> rest(last, pending.end());
-      pending.erase(last, pending.end());
-      run.swap(pending);
-      pending = std::move(rest);
-      return run;
-    }
-    run.assign(first, last);
-    consumed = last - pending.begin();
-    if (consumed == pending.size()) {
-      std::vector<TrackEntry>().swap(pending);
-      consumed = 0;
-    } else if (consumed * 2 >= pending.size()) {
-      // Compact the consumed prefix once it is half the vector, so pending
-      // memory stays proportional to what is actually pending.
-      pending.erase(pending.begin(), pending.begin() + consumed);
-      consumed = 0;
-    }
-    return run;
   }
 };
 
@@ -372,7 +334,7 @@ Result<JoinResult> TryRunPipelinedTrackJoin(const PartitionedTable& r,
           final_batch ? int64_t{-1} : static_cast<int64_t>(hi)}});
   };
 
-  auto advance_frontier = [&](uint32_t node) {
+  auto advance_frontier = [&](uint32_t node) -> Status {
     PipelineNodeState& st = nodes[node];
     uint64_t bound = kStreamDone;
     for (const std::vector<TrackStream>& table_streams : st.streams) {
@@ -381,46 +343,46 @@ Result<JoinResult> TryRunPipelinedTrackJoin(const PartitionedTable& r,
       }
     }
     const bool final_batch = bound == kStreamDone;
-    if (final_batch ? st.final_batch_posted : bound <= st.frontier) return;
+    if (final_batch ? st.final_batch_posted : bound <= st.frontier) {
+      return Status::OK();
+    }
 
-    bool batch_empty = true;
-    auto take_below = [&](std::vector<TrackStream>& table_streams) {
-      TrackRuns runs;
-      for (TrackStream& stream : table_streams) {
-        std::vector<TrackEntry> run = stream.TakeBelow(bound, final_batch);
-        if (run.empty()) continue;
-        runs.push_back(std::move(run));
-        batch_empty = false;
+    // Each stream's entries below the bound, decoded into one run.
+    TrackRuns runs[2];
+    for (int table : {0, 1}) {
+      for (uint32_t src = 0; src < n; ++src) {
+        std::vector<TrackEntry> run;
+        TJ_RETURN_IF_ERROR(st.streams[table][src].chunks.TryTakeBelow(
+            bound, final_batch, src, config, with_counts, &run));
+        if (!run.empty()) runs[table].push_back(std::move(run));
       }
-      return runs;
-    };
-    TrackRuns runs_r = take_below(st.streams[0]);
-    TrackRuns runs_s = take_below(st.streams[1]);
+    }
     const uint64_t lo = st.frontier;
     st.frontier = bound;
     if (final_batch) st.final_batch_posted = true;
     // Empty mid-stream ranges schedule nothing; the final range always
     // runs so instruction EOS goes out even for empty trackers.
-    if (!final_batch && batch_empty) return;
-    post_schedule_batch(node, lo, bound, final_batch, std::move(runs_r),
-                        std::move(runs_s));
+    if (!final_batch && runs[0].empty() && runs[1].empty()) {
+      return Status::OK();
+    }
+    post_schedule_batch(node, lo, bound, final_batch, std::move(runs[0]),
+                        std::move(runs[1]));
+    return Status::OK();
   };
 
-  auto on_tracking = [&](const Chunk& chunk) -> Status {
+  auto on_tracking = [&](Chunk& chunk) -> Status {
     PipelineNodeState& st = nodes[chunk.dst];
     fabric.ChargeCpuBytes(chunk.data.size());
     TrackStream& stream =
         st.streams[chunk.type == MessageType::kTrackR ? 0 : 1][chunk.src];
-    TJ_RETURN_IF_ERROR(TryAppendTrackingEntries(chunk.data, chunk.src, config,
-                                                with_counts, &stream.last_key,
-                                                &stream.pending));
     if (!chunk.data.empty()) {
       stream.started = true;
       stream.watermark = chunk.watermark;
     }
+    TJ_RETURN_IF_ERROR(stream.chunks.TryPush(std::move(chunk.data), chunk.src,
+                                             config, with_counts));
     if (chunk.eos) stream.eos = true;
-    advance_frontier(chunk.dst);
-    return Status::OK();
+    return advance_frontier(chunk.dst);
   };
   fabric.OnChunk(MessageType::kTrackR, "track", on_tracking);
   fabric.OnChunk(MessageType::kTrackS, "track", on_tracking);

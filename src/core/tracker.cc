@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <ranges>
 #include <string>
 #include <utility>
 
@@ -234,14 +235,6 @@ Status CheckCount(uint64_t count, uint32_t src) {
   return count > UINT32_MAX ? CountOverflow(src) : Status::OK();
 }
 
-/// Grows `run`'s capacity to at least `size` entries geometrically, so
-/// chunk-by-chunk appends stay amortized O(1) without resize's zero fill.
-void ReserveGeometric(std::vector<TrackEntry>* run, size_t size) {
-  if (run->capacity() < size) {
-    run->reserve(std::max(size, 2 * run->capacity()));
-  }
-}
-
 }  // namespace
 
 Status TryDecodeTrackingMessage(const Message& message,
@@ -335,7 +328,7 @@ class TrackingEntryReader {
   /// Starts reading `data`: a plain payload must be whole entries; a delta
   /// payload must hold exactly the varints of its declared entries' gaps
   /// and (with counts) counts, each complete. Otherwise Corruption.
-  Status Open(const ByteBuffer& data) {
+  Status Open(std::span<const uint8_t> data) {
     data_ = data.data();
     size_ = data.size();
     if (!delta_) {
@@ -347,7 +340,7 @@ class TrackingEntryReader {
       pos_ = 0;
       return Status::OK();
     }
-    ByteReader reader(data);
+    ByteReader reader(data_, size_);
     TJ_RETURN_IF_ERROR(TryDecodeLeb128(&reader, &left_));
     if (left_ > reader.remaining()) {
       return Status::Corruption("delta stream count exceeds payload");
@@ -445,20 +438,81 @@ Status TryReadTrackingEntries(const ByteBuffer& data, uint32_t src,
 
 }  // namespace
 
-Status TryAppendTrackingEntries(const ByteBuffer& data, uint32_t src,
-                                const JoinConfig& config, bool with_counts,
-                                uint64_t* last_key,
-                                std::vector<TrackEntry>* run) {
-  if (!config.delta_tracking) {
-    ReserveGeometric(run, run->size() + data.size() /
-                              PlainEntryLayout(config, with_counts)
-                                  .entry_bytes());
+Status TrackingChunkStream::TryPush(ByteBuffer data, uint32_t src,
+                                    const JoinConfig& config,
+                                    bool with_counts) {
+  TJ_RETURN_IF_ERROR(TryReadTrackingEntries(data, src, config, with_counts,
+                                            &last_key_,
+                                            [](uint64_t, uint64_t) {}));
+  if (!data.empty()) chunks_.push_back(Chunk{std::move(data), last_key_});
+  return Status::OK();
+}
+
+Status TrackingChunkStream::TryTakeBelow(uint64_t bound, bool all,
+                                         uint32_t src,
+                                         const JoinConfig& config,
+                                         bool with_counts,
+                                         std::vector<TrackEntry>* run) {
+  TJ_CHECK(!config.delta_tracking) << "tracking chunks need the plain format";
+  const PlainEntryLayout layout(config, with_counts);
+  const size_t entry_bytes = layout.entry_bytes();
+  // The batch takes chunks_[head_, last) whole, from byte offset_ of the
+  // first, and chunks_[last], which straddles the bound, up to byte `cut`:
+  // its first entry with key >= bound.
+  size_t last = head_;
+  size_t bytes = 0;
+  for (; last < chunks_.size() && (all || chunks_[last].last_key < bound);
+       ++last) {
+    bytes += chunks_[last].bytes.size();
   }
-  return TryReadTrackingEntries(
-      data, src, config, with_counts, last_key,
-      [run, src](uint64_t key, uint64_t count) {
-        run->push_back(TrackEntry{key, src, static_cast<uint32_t>(count)});
-      });
+  size_t cut = 0;
+  if (last < chunks_.size()) {
+    const ByteBuffer& straddling = chunks_[last].bytes;
+    const auto entries =
+        std::views::iota((last == head_ ? offset_ : 0) / entry_bytes,
+                         straddling.size() / entry_bytes);
+    cut = *std::ranges::partition_point(entries, [&](size_t i) {
+      uint64_t key = 0;
+      uint64_t count = 0;
+      layout.Decode(straddling.data(), i * entry_bytes, straddling.size(),
+                    &key, &count);
+      return key < bound;
+    }) * entry_bytes;
+  }
+  run->reserve(run->size() + (bytes + cut - offset_) / entry_bytes);
+
+  TrackingEntryReader reader(config, with_counts);
+  auto decode = [&](const ByteBuffer& chunk, size_t from,
+                    size_t to) -> Status {
+    TJ_RETURN_IF_ERROR(reader.Open(
+        std::span<const uint8_t>(chunk).subspan(from, to - from)));
+    while (reader.left() > 0) {
+      uint64_t key = 0;
+      uint64_t count = 0;
+      reader.Next(&key, &count);
+      run->push_back(TrackEntry{key, src, static_cast<uint32_t>(count)});
+    }
+    return Status::OK();
+  };
+  for (; head_ < last; ++head_, offset_ = 0) {
+    ByteBuffer& chunk = chunks_[head_].bytes;
+    TJ_RETURN_IF_ERROR(decode(chunk, offset_, chunk.size()));
+    ByteBuffer().swap(chunk);
+  }
+  if (head_ < chunks_.size()) {
+    TJ_RETURN_IF_ERROR(decode(chunks_[head_].bytes, offset_, cut));
+    offset_ = cut;
+  }
+  if (head_ == chunks_.size()) {
+    std::vector<Chunk>().swap(chunks_);
+    head_ = 0;
+  } else if (head_ * 2 >= chunks_.size()) {
+    // Drop the taken prefix once it is half the vector, so the stream's
+    // records stay proportional to what is pending.
+    chunks_.erase(chunks_.begin(), chunks_.begin() + head_);
+    head_ = 0;
+  }
+  return Status::OK();
 }
 
 Status TryCheckTrackingMessages(std::span<const Message> messages,

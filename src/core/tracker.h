@@ -11,9 +11,11 @@
 // key-range batches straight into the scheduler (TryMergeTrackBatches), so
 // neither per-key projections nor a tracker's whole merged entry table
 // ever exist. The pipelined driver writes its tracking chunks from its home
-// runs (WriteTrackingChunks), decodes each arriving chunk into its
-// stream's run (TryAppendTrackingEntries) and merges frontier batches of
-// those runs (TryMergeTrackRuns), the same merge the barrier batches use.
+// runs (WriteTrackingChunks), checks each arriving chunk in place and keeps
+// it as wire bytes in its stream (TrackingChunkStream), decodes only the
+// entries a frontier batch takes, and merges them (TryMergeTrackRuns), the
+// same merge the barrier batches use. Neither driver holds a stream's
+// decoded entries outside one batch.
 #ifndef TJ_CORE_TRACKER_H_
 #define TJ_CORE_TRACKER_H_
 
@@ -98,21 +100,6 @@ Status TryDecodeTrackingMessage(const Message& message,
                                 const JoinConfig& config, bool with_counts,
                                 std::vector<TrackEntry>* out);
 
-/// The pipelined tracker's intake: appends the (key, `src`, count) facts
-/// of one pipelined chunk or tracking message, plain or delta-coded per
-/// `config`, to `run`. Keys must not descend, within the payload or
-/// from `*last_key` (the stream's last key so far, 0 for a fresh stream);
-/// saturated count chunks repeat a key. `*last_key` becomes the payload's
-/// last key. TryDecodeTrackingMessage's rejection set, descending keys (a
-/// plain stream out of order, or a delta stream whose gaps wrap uint64_t)
-/// and a key's saturated counts summing past UINT32_MAX within the payload
-/// return Status::Corruption and leave `run` unspecified. Entries
-/// are decoded into reserved capacity, never zero-filled first.
-Status TryAppendTrackingEntries(const ByteBuffer& data, uint32_t src,
-                                const JoinConfig& config, bool with_counts,
-                                uint64_t* last_key,
-                                std::vector<TrackEntry>* run);
-
 /// Sorts entries by (key, node) and merges duplicate (key, node) counts;
 /// a merged count past UINT32_MAX is a checked failure.
 /// Reference implementation: the streaming path (TryMergeTrackingMessages)
@@ -177,6 +164,47 @@ class PlainEntryLayout {
 /// message per source. The first fault returns Status::Corruption.
 Status TryCheckTrackingMessages(std::span<const Message> messages,
                                 const JoinConfig& config, bool with_counts);
+
+/// One pipelined tracking stream (one source, one table) at its tracker,
+/// held as the wire bytes of its chunks until frontier batches take them.
+/// TryPush checks a chunk in place, as TryCheckTrackingMessages checks a
+/// message, continuing from the stream's last key, and keeps it.
+/// TryTakeBelow decodes only the entries a batch takes.
+class TrackingChunkStream {
+ public:
+  /// Checks `data`, the stream's next chunk from node `src`, and keeps it.
+  /// Its keys must not descend, within it or from last_key(); every count,
+  /// and a key's saturated counts summed within the chunk, must fit
+  /// TrackEntry::count; a plain chunk must be whole entries and a delta one
+  /// exactly its declared entries' complete varints. A fault returns
+  /// Status::Corruption and keeps nothing.
+  Status TryPush(ByteBuffer data, uint32_t src, const JoinConfig& config,
+                 bool with_counts);
+
+  /// Appends the kept entries with key below `bound` (all of them with
+  /// `all`) to `run` as node `src`'s, in stream order, and drops their
+  /// bytes: every chunk whose last key is below the bound, and the prefix
+  /// below it of the chunk that straddles it, found by a binary search over
+  /// its entry offsets without decoding. Requires the plain wire format.
+  /// A key's saturated entries all lie on one side of any bound, so none
+  /// is split across batches.
+  Status TryTakeBelow(uint64_t bound, bool all, uint32_t src,
+                      const JoinConfig& config, bool with_counts,
+                      std::vector<TrackEntry>* run);
+
+  /// The last key pushed, 0 before any.
+  uint64_t last_key() const { return last_key_; }
+
+ private:
+  struct Chunk {
+    ByteBuffer bytes;
+    uint64_t last_key;
+  };
+  std::vector<Chunk> chunks_;
+  size_t head_ = 0;    ///< chunks_[head_..] hold the pending entries,
+  size_t offset_ = 0;  ///< from byte offset_ of chunks_[head_] on.
+  uint64_t last_key_ = 0;
+};
 
 /// Receives one key-range batch of a tracker's merged R and S entries.
 using TrackBatchSink = std::function<void(const std::vector<TrackEntry>& r,

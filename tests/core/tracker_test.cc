@@ -390,12 +390,14 @@ TEST(TrackerMergeTest, UnsortedPlainStreamIsCorruption) {
   }
   std::vector<Message> msgs;
   msgs.push_back(Msg(0, std::move(data)));
-  std::vector<TrackEntry> run;
-  uint64_t last_key = 0;
-  EXPECT_EQ(TryAppendTrackingEntries(msgs[0].data, msgs[0].src, config, true,
-                                     &last_key, &run)
-                .code(),
+  TrackingChunkStream stream;
+  EXPECT_EQ(stream.TryPush(msgs[0].data, msgs[0].src, config, true).code(),
             StatusCode::kCorruption);
+  EXPECT_EQ(stream.last_key(), 0u);
+  std::vector<TrackEntry> kept;
+  ASSERT_TRUE(stream.TryTakeBelow(0, /*all=*/true, 0, config, true, &kept)
+                  .ok());
+  EXPECT_TRUE(kept.empty());
 
   auto bufs = EncodeTrackingMessages({{15, 1}, {25, 1}}, config, true, 1);
   msgs.push_back(Msg(1, std::move(bufs[0])));
@@ -416,11 +418,8 @@ TEST(TrackerMergeTest, DeltaWraparoundIsCorruption) {
   EncodeLeb128(~uint64_t{0}, &data);           // 1 + 2^64-1 wraps to 0.
   std::vector<Message> msgs;
   msgs.push_back(Msg(0, std::move(data)));
-  std::vector<TrackEntry> run;
-  uint64_t last_key = 0;
-  EXPECT_EQ(TryAppendTrackingEntries(msgs[0].data, msgs[0].src, config, false,
-                                     &last_key, &run)
-                .code(),
+  TrackingChunkStream stream;
+  EXPECT_EQ(stream.TryPush(msgs[0].data, msgs[0].src, config, false).code(),
             StatusCode::kCorruption);
 
   std::vector<TrackEntry> merged;
@@ -457,18 +456,84 @@ TEST(TrackerMergeTest, IntakeDecodesWireOrder) {
   config.key_bytes = 4;
   config.count_bytes = 2;
   auto bufs = EncodeTrackingMessages({{10, 3}, {20, 5}}, config, true, 1);
+  TrackingChunkStream stream;
+  ASSERT_TRUE(stream.TryPush(bufs[0], 6, config, true).ok());
+  EXPECT_EQ(stream.last_key(), 20u);
   std::vector<TrackEntry> run;
-  uint64_t last_key = 0;
   ASSERT_TRUE(
-      TryAppendTrackingEntries(bufs[0], 6, config, true, &last_key, &run)
-          .ok());
+      stream.TryTakeBelow(0, /*all=*/true, 6, config, true, &run).ok());
   ASSERT_EQ(run.size(), 2u);
   EXPECT_EQ(run[0].key, 10u);
   EXPECT_EQ(run[0].node, 6u);
   EXPECT_EQ(run[0].count, 3u);
   EXPECT_EQ(run[1].key, 20u);
   EXPECT_EQ(run[1].count, 5u);
-  EXPECT_EQ(last_key, 20u);
+}
+
+// Frontier batches over checked wire chunks: key 5's four saturated
+// entries (count_bytes 1 holds 255) span three two-entry chunks of node 1's
+// stream. Bounds at key 5, one above it and mid-chunk cut the chunks where
+// a binary search over entry offsets says; each batch merged as the
+// pipelined tracker merges it, the batches concatenate to the reference
+// decode + MergeTrackEntries, with no entry dropped and no key split.
+TEST(TrackerMergeTest, ChunkStreamBatchesEqualReferenceMerge) {
+  JoinConfig config;
+  config.key_bytes = 4;
+  config.count_bytes = 1;
+  // Rows of each source's tracking stream, non-decreasing keys.
+  std::vector<uint64_t> rows[2] = {{3}, {2, 5, 5, 14, 30}};
+  rows[0].insert(rows[0].end(), 1000, 5);  // 255 + 255 + 255 + 235.
+  rows[0].insert(rows[0].end(), {9, 12, 12, 20});
+  const uint32_t srcs[2] = {1, 4};
+  std::vector<std::vector<ByteBuffer>> chunks(2);
+  std::vector<Message> whole;
+  for (int i : {0, 1}) {
+    ByteBuffer message;
+    WriteTrackingChunks(rows[i], config, /*with_counts=*/true,
+                        /*chunk_bytes=*/10,
+                        [&](ByteBuffer data, bool, uint64_t) {
+                          message.insert(message.end(), data.begin(),
+                                         data.end());
+                          chunks[i].push_back(std::move(data));
+                        });
+    whole.push_back(Msg(srcs[i], std::move(message)));
+  }
+  // Node 1's chunks: [3, 5] [5, 5] [5, 9] [12, 20].
+  ASSERT_EQ(chunks[0].size(), 4u);
+  const std::vector<TrackEntry> expected = ReferenceMerge(whole, config, true);
+
+  const std::vector<std::vector<uint64_t>> bound_lists = {
+      {5, 6, 15}, {5}, {6}, {15}, {6, 15}, {1, 5, 5, 13, 100}, {}};
+  for (const std::vector<uint64_t>& bounds : bound_lists) {
+    TrackingChunkStream streams[2];
+    for (int i : {0, 1}) {
+      for (const ByteBuffer& chunk : chunks[i]) {
+        ASSERT_TRUE(streams[i].TryPush(chunk, srcs[i], config, true).ok());
+      }
+    }
+    std::vector<TrackEntry> merged;
+    uint64_t lo = 0;
+    for (size_t b = 0; b <= bounds.size(); ++b) {
+      const bool all = b == bounds.size();
+      const uint64_t bound = all ? ~0ULL : bounds[b];
+      std::vector<std::vector<TrackEntry>> runs(2);
+      for (int i : {0, 1}) {
+        ASSERT_TRUE(streams[i]
+                        .TryTakeBelow(bound, all, srcs[i], config, true,
+                                      &runs[i])
+                        .ok());
+        for (const TrackEntry& e : runs[i]) {
+          EXPECT_GE(e.key, lo);
+          EXPECT_LT(e.key, bound);
+        }
+      }
+      std::vector<TrackEntry> batch;
+      ASSERT_TRUE(TryMergeTrackRuns(Views(runs), lo, &batch).ok());
+      merged.insert(merged.end(), batch.begin(), batch.end());
+      lo = std::max(lo, bound);
+    }
+    EXPECT_EQ(merged, expected);
+  }
 }
 
 TEST(TrackerMergeTest, RunMergeMatchesReference) {
@@ -568,11 +633,22 @@ TEST(TrackerWordCodecTest, WidthGridMatchesByteReference) {
             ASSERT_TRUE(
                 TryDecodeTrackingMessage(msg, config, with_counts, &decoded)
                     .ok());
+            // The pipelined intake keeps the message as one chunk; a batch
+            // below its middle key cuts it mid-chunk, and the rest follows.
+            TrackingChunkStream stream;
+            ASSERT_TRUE(
+                stream.TryPush(msg.data, msg.src, config, with_counts).ok());
+            const uint64_t middle =
+                decoded.empty() ? 0 : decoded[decoded.size() / 2].key;
             std::vector<TrackEntry> walked;
-            uint64_t last_key = 0;
-            ASSERT_TRUE(TryAppendTrackingEntries(msg.data, msg.src, config,
-                                                 with_counts, &last_key,
-                                                 &walked)
+            ASSERT_TRUE(stream
+                            .TryTakeBelow(middle, /*all=*/false, msg.src,
+                                          config, with_counts, &walked)
+                            .ok());
+            for (const TrackEntry& e : walked) EXPECT_LT(e.key, middle);
+            ASSERT_TRUE(stream
+                            .TryTakeBelow(0, /*all=*/true, msg.src, config,
+                                          with_counts, &walked)
                             .ok());
             EXPECT_EQ(walked, decoded);
             runs.push_back(std::move(decoded));
@@ -705,8 +781,9 @@ ByteBuffer PlainTracking(std::initializer_list<uint64_t> keys) {
 TEST(TrackerIntakeTest, MalformedPayloadsAreCorruptionOnBothDrivers) {
   // Each case is the chunks one tracker receives on one tracking stream, in
   // order, as (source, payload). The barrier tracker takes every chunk as
-  // one inbox message; the pipelined intake decodes the chunks in order into
-  // the stream's run, carrying its last key, and merges that run.
+  // one inbox message; the pipelined intake checks the chunks in order on
+  // one stream, carrying its last key, a batch decodes each as its source's
+  // entries into one run, and the merge takes that run.
   struct Case {
     const char* name;
     bool delta;
@@ -776,11 +853,14 @@ TEST(TrackerIntakeTest, MalformedPayloadsAreCorruptionOnBothDrivers) {
               StatusCode::kCorruption);
 
     std::vector<std::vector<TrackEntry>> runs(1);
-    uint64_t last_key = 0;
+    TrackingChunkStream stream;
     Status pipelined;
     for (const auto& [src, payload] : c.chunks) {
-      pipelined = TryAppendTrackingEntries(payload, src, config, true,
-                                           &last_key, &runs[0]);
+      pipelined = stream.TryPush(payload, src, config, true);
+      if (pipelined.ok()) {
+        pipelined =
+            stream.TryTakeBelow(0, /*all=*/true, src, config, true, &runs[0]);
+      }
       if (!pipelined.ok()) break;
     }
     if (pipelined.ok()) pipelined = TryMergeTrackRuns(Views(runs), 0, &merged);

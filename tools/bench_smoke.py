@@ -59,11 +59,14 @@ process, so they need no checked-in baseline:
     input row once per key group, and a per-pair rehash of both payloads
     costs over 10 times more.
   barrier_node_scaling: serial barrier 4TJ wall on 8,000 keys per table
-    spread over 256 nodes over the same at 16 nodes. It fails above
+    spread over 256 nodes over the same at 16 nodes, the median of the
+    per-rep ratios over 15 alternating pairs. It fails above
     MAX_BARRIER_NODE_SCALING: at O(messages + nodes) per phase it sits near
     6 on a 4-vCPU VM; rescanning the N x N traffic matrix per barrier: ~50.
   pipelined_node_scaling: serial pipelined 4TJ (DRR) wall on 8,000 keys per
-    table spread over 64 nodes over the same at 8 nodes. It fails above
+    table spread over 64 nodes over the same at 8 nodes, the median of the
+    per-rep ratios over 15 alternating pairs (best of 3 walls each read up
+    to 58.9 under machine load). It fails above
     MAX_PIPELINED_NODE_SCALING, the median of five runs (41 on a 4-vCPU VM)
     times 1.3: with one record per link, one end-of-stream chunk per link
     and role, and DRR passes that skip a busy NIC's unchanged fronts, it
@@ -102,9 +105,20 @@ inherits into its mark, is far below the children's:
     MAX_TJ2R_PEAK_RSS_OVER_HJ: it reads about 1.29; the phase-8 copies
     read 1.38, and 2.37 when the broadcast side's kept block and the inbox
     buffers outlived phase 8.
-Each ceiling is the reading times the same 10% margin.
 HJ holds the inputs plus one received copy, so each ratio prices what
-track join holds beyond that.
+track join holds beyond that. One more ratio, in the same rounds, prices
+the pipelined driver against the barrier one:
+  tj4_pipelined_peak_rss_over_barrier: --pipeline --egress-sched=drr
+    --algo=4tj over --algo=4tj on PIPELINED_RSS_WORKLOAD (8 nodes, 2M
+    unique keys), where the pipelined tracker's streams set the pipelined
+    peak when they are held decoded. It fails above
+    MAX_TJ4_PIPELINED_PEAK_RSS_OVER_BARRIER: with each tracking stream
+    kept as checked wire bytes and decoded only a frontier batch at a time,
+    it reads about 1.05, its peak at the end of the run; decoding every
+    arriving chunk into 16-byte entries read 1.20. Under FIFO egress both
+    read about 1.12, the peak there being the kept data runs at the end of
+    the run, so the gate runs DRR, as perfbench's x_tj4_pipelined does.
+Each ceiling is the reading times the same 10% margin.
 
 The baseline section "drr_makespan" gates the DRR egress scheduler the
 same way at the head-of-line-worst configuration (4 nodes, 1 KiB chunks,
@@ -155,6 +169,10 @@ MIN_TRACKER_MERGE_OVER_REFERENCE = 4.0
 PEAK_RSS_WORKLOAD = ["--nodes=8", "--keys=1000000", "--rmult=2", "--smult=3"]
 MAX_TJ4_PEAK_RSS_OVER_HJ = 1.26
 MAX_TJ2R_PEAK_RSS_OVER_HJ = 1.42
+# Ceiling on the pipelined 4TJ's same-run peak RSS over the barrier 4TJ's.
+PIPELINED_RSS_WORKLOAD = ["--nodes=8", "--keys=2000000"]
+PIPELINED_RSS_FLAGS = ["--pipeline", "--egress-sched=drr"]
+MAX_TJ4_PIPELINED_PEAK_RSS_OVER_BARRIER = 1.16
 
 
 def run(cmd, timeout=BENCH_TIMEOUT_S):
@@ -282,16 +300,22 @@ def main():
 
     # Peak-RSS gates first, while this process is still small (see
     # child_peak_rss_kib). Each round runs hj, 4tj and 2tj-r once on the
-    # same input, so drift in the machine hits all three alike.
-    print(f"=== tjsim peak RSS over hj ({KERNEL_RUNS} rounds) ===",
+    # same input, then barrier and pipelined 4tj on the pipelined gate's
+    # input, so drift in the machine hits every reading of a ratio alike.
+    print(f"=== tjsim peak RSS ratios ({KERNEL_RUNS} rounds) ===",
           flush=True)
     tjsim = os.path.join(args.build_dir, "tools", "tjsim")
     rss_rounds = []
     for _ in range(KERNEL_RUNS):
-        rss_rounds.append({
+        readings = {
             algo: child_peak_rss_kib([tjsim] + PEAK_RSS_WORKLOAD +
                                      [f"--algo={algo}"])
-            for algo in ("hj", "4tj", "2tj-r")})
+            for algo in ("hj", "4tj", "2tj-r")}
+        for name, flags in (("4tj-wide", []),
+                            ("4tj-p-wide", PIPELINED_RSS_FLAGS)):
+            readings[name] = child_peak_rss_kib(
+                [tjsim] + PIPELINED_RSS_WORKLOAD + flags + ["--algo=4tj"])
+        rss_rounds.append(readings)
 
     table_wall = {}
     for name, flags in TABLE_BENCHES:
@@ -520,17 +544,20 @@ def main():
                 f"tracker_merge_over_reference median {ratio:.2f} is below "
                 f"its floor {MIN_TRACKER_MERGE_OVER_REFERENCE}")
     rss_gate = {}
-    for metric, algo, ceiling in (
-            ("tj4_peak_rss_over_hj", "4tj", MAX_TJ4_PEAK_RSS_OVER_HJ),
-            ("tj2r_peak_rss_over_hj", "2tj-r", MAX_TJ2R_PEAK_RSS_OVER_HJ)):
-        ratios = [r[algo] / r["hj"] for r in rss_rounds]
+    for metric, algo, base, ceiling in (
+            ("tj4_peak_rss_over_hj", "4tj", "hj", MAX_TJ4_PEAK_RSS_OVER_HJ),
+            ("tj2r_peak_rss_over_hj", "2tj-r", "hj",
+             MAX_TJ2R_PEAK_RSS_OVER_HJ),
+            ("tj4_pipelined_peak_rss_over_barrier", "4tj-p-wide", "4tj-wide",
+             MAX_TJ4_PIPELINED_PEAK_RSS_OVER_BARRIER)):
+        ratios = [r[algo] / r[base] for r in rss_rounds]
         ratio = statistics.median(ratios)
         ok = ratio <= ceiling
         rss_gate[metric] = {
             "median": round(ratio, 4), "ceiling": ceiling,
             "runs": [round(x, 4) for x in ratios],
             "peak_rss_kib": [r[algo] for r in rss_rounds],
-            "hj_peak_rss_kib": [r["hj"] for r in rss_rounds],
+            "base_peak_rss_kib": [r[base] for r in rss_rounds],
             "pass": ok}
         print(f"    {metric}: median {ratio:.3f} vs ceiling {ceiling} "
               f"{'ok' if ok else 'REGRESSION'}")
@@ -594,7 +621,9 @@ def main():
         "drr_gate": drr_report,
         "kernel_runs": KERNEL_RUNS,
         "wall_gate": wall_gate,
-        "rss_gate": {"workload": PEAK_RSS_WORKLOAD, **rss_gate},
+        "rss_gate": {"workload": PEAK_RSS_WORKLOAD,
+                     "pipelined_workload": PIPELINED_RSS_WORKLOAD +
+                     PIPELINED_RSS_FLAGS, **rss_gate},
     }
     with open(args.out, "w") as f:
         json.dump(report, f, indent=2)
