@@ -15,7 +15,8 @@
 //                                    about 2 for a linear-time driver,
 //                                    the median of the same 15 reps;
 //   y_checksum_join_over_join        merge join of workload Y/200 with the
-//                                    checksum sink ÷ with a no-op sink;
+//                                    checksum sink ÷ with a no-op sink,
+//                                    the median of 15 alternating pairs;
 //   barrier_node_scaling             barrier 4TJ on one small input over
 //                                    256 nodes ÷ over 16 nodes, near 1
 //                                    when a phase costs O(messages + N),
@@ -326,8 +327,9 @@ int main(int argc, char** argv) {
 
   // The join checksum's cost on workload Y's large key groups: a merge
   // join of Y/200's sorted blocks (one node) with the checksum sink over
-  // the same join with a no-op per-pair sink. Best of kReps each, reps
-  // alternating.
+  // the same join with a no-op per-pair sink, the median of the per-rep
+  // ratios over kWallRatioPairs alternating pairs (each wall reported is
+  // the best of its reps).
   Workload wy = InstantiateReal(WorkloadY(), 1, 200, true, args.seed);
   TupleBlock& yr = wy.r.node(0);
   TupleBlock& ys = wy.s.node(0);
@@ -335,17 +337,21 @@ int main(int argc, char** argv) {
   SortBlockByKey(&ys, p);
   const JoinSink no_op = [](uint64_t, const uint8_t*, const uint8_t*) {};
   double y_join_s = 1e300, y_checksum_join_s = 1e300;
+  double y_ratios[bench::kWallRatioPairs];
   uint64_t y_rows = 0;
   JoinChecksum y_sum;
-  for (int rep = 0; rep < bench::kReps; ++rep) {
-    y_join_s = std::min(y_join_s, bench::Seconds([&] {
-                          y_rows = MergeJoinSorted(yr, ys, no_op);
-                        }));
+  for (int rep = 0; rep < bench::kWallRatioPairs; ++rep) {
+    const double join_s = bench::Seconds([&] {
+      y_rows = MergeJoinSorted(yr, ys, no_op);
+    });
     y_sum = JoinChecksum();
-    y_checksum_join_s = std::min(y_checksum_join_s, bench::Seconds([&] {
+    const double checksum_join_s = bench::Seconds([&] {
       MergeJoinSorted(
           yr, ys, ChecksumSink(&y_sum, yr.payload_width(), ys.payload_width()));
-    }));
+    });
+    y_ratios[rep] = checksum_join_s / join_s;
+    y_join_s = std::min(y_join_s, join_s);
+    y_checksum_join_s = std::min(y_checksum_join_s, checksum_join_s);
   }
   TJ_CHECK_EQ(y_sum.count(), y_rows) << "checksum join row count differs";
 
@@ -410,7 +416,7 @@ int main(int argc, char** argv) {
   std::printf("  \"y_join_wall_s\": %.6f,\n", y_join_s);
   std::printf("  \"y_checksum_join_wall_s\": %.6f,\n", y_checksum_join_s);
   std::printf("  \"y_checksum_join_over_join\": %.4f,\n",
-              y_checksum_join_s / y_join_s);
+              bench::Median(y_ratios));
   std::printf("  \"barrier_16_nodes_wall_s\": %.6f,\n", spread_s[0]);
   std::printf("  \"barrier_256_nodes_wall_s\": %.6f,\n", spread_s[1]);
   std::printf("  \"barrier_node_scaling\": %.4f,\n",

@@ -20,35 +20,6 @@ namespace tj {
 
 namespace {
 
-/// Frontier bound of a fully-delivered stream: past every possible key.
-constexpr uint64_t kStreamDone = ~0ULL;
-
-/// Key-ascending runs of tracker entries, one per stream with entries in
-/// the batch's key range.
-using TrackRuns = std::vector<std::vector<TrackEntry>>;
-
-/// The runs as the views TryMergeTrackRuns merges.
-std::vector<std::span<const TrackEntry>> Views(const TrackRuns& runs) {
-  return {runs.begin(), runs.end()};
-}
-
-/// One tracker-side incoming tracking stream (one source, one table): its
-/// chunks, checked on arrival and kept as wire bytes until a frontier batch
-/// decodes them. `watermark` promises no later chunk carries a key strictly
-/// below it.
-struct TrackStream {
-  TrackingChunkStream chunks;
-  uint64_t watermark = 0;
-  bool started = false;
-  bool eos = false;
-
-  /// Keys strictly below the bound are final for this stream.
-  uint64_t Bound() const {
-    if (eos) return kStreamDone;
-    return started ? watermark : 0;
-  }
-};
-
 /// One tracker's received data runs of one kind and table, kept as wire
 /// bytes for later arrivals of the opposite kind, sorted by last key so an
 /// arrival skips the runs that end below it. A chunk under half of
@@ -116,11 +87,10 @@ struct PipelineNodeState {
   TupleBlock home[2] = {TupleBlock(0), TupleBlock(0)};
   std::vector<uint64_t> home_bounds[2];
 
-  // Tracker role: per-(table, source) streams, the merge frontier, and the
-  // persistent per-key planner (balance state spans frontier batches).
-  std::vector<TrackStream> streams[2];
-  uint64_t frontier = 0;
-  bool final_batch_posted = false;
+  // Tracker role: the intake of per-(table, source) streams with the merge
+  // frontier, and the persistent per-key planner (balance state spans
+  // frontier batches).
+  std::optional<TrackerIntake> intake;
   std::optional<KeyPlanner> planner;
 
   // Holder role: instruction-EOS countdown toward closing the data streams.
@@ -209,8 +179,10 @@ Result<JoinResult> TryRunPipelinedTrackJoin(const PartitionedTable& r,
   std::vector<PipelineNodeState> nodes(n);
   for (uint32_t node = 0; node < n; ++node) {
     PipelineNodeState& st = nodes[node];
+    st.intake.emplace(config, with_counts);
     for (int table : {0, 1}) {
-      st.streams[table].resize(n);
+      st.intake->Reserve(table, n);
+      for (uint32_t src = 0; src < n; ++src) st.intake->AddStream(table, src);
       for (int kind : {0, 1}) st.kept[kind][table].resize(n);
       st.view[table].emplace(nullptr, 0, 0, std::span<const RunBytes>(),
                              config.key_bytes, tables[table]->payload_width());
@@ -265,23 +237,18 @@ Result<JoinResult> TryRunPipelinedTrackJoin(const PartitionedTable& r,
     });
   }
 
-  // --- Tracker role: merge streams by watermark frontier, schedule each
-  // completed key range as its own micro-batch task. ---
-  auto post_schedule_batch = [&](uint32_t node, uint64_t lo, uint64_t hi,
-                                 bool final_batch, TrackRuns runs_r,
-                                 TrackRuns runs_s) {
+  // --- Tracker role: the intake merges its streams in frontier batches,
+  // each completed key range scheduled as its own micro-batch task. All
+  // entries of every key below the frontier are present, so aggregation is
+  // complete, and batch outputs concatenate to exactly the global merged
+  // stream. ---
+  auto post_schedule_batch = [&](uint32_t node, TrackBatch& batch) {
     fabric.Post(
         node, "schedule", "schedule",
-        [&, node, lo, final_batch, runs_r = std::move(runs_r),
-         runs_s = std::move(runs_s)]() -> Status {
+        [&, node, final_batch = batch.final,
+         batch_r = std::move(batch.entries[0]),
+         batch_s = std::move(batch.entries[1])]() -> Status {
           PipelineNodeState& st = nodes[node];
-          // Per-batch merge of the streams' key-ascending runs: all entries
-          // of every key below the frontier are present, so aggregation is
-          // complete, and batch outputs concatenate to exactly the global
-          // merged stream.
-          std::vector<TrackEntry> batch_r, batch_s;
-          TJ_RETURN_IF_ERROR(TryMergeTrackRuns(Views(runs_r), lo, &batch_r));
-          TJ_RETURN_IF_ERROR(TryMergeTrackRuns(Views(runs_s), lo, &batch_s));
           fabric.ChargeCpuBytes((batch_r.size() + batch_s.size()) *
                                 track_entry_bytes);
 
@@ -329,60 +296,23 @@ Result<JoinResult> TryRunPipelinedTrackJoin(const PartitionedTable& r,
           }
           return Status::OK();
         },
-        {{"range_lo", static_cast<int64_t>(lo)},
+        {{"range_lo", static_cast<int64_t>(batch.lo)},
          {"range_hi",
-          final_batch ? int64_t{-1} : static_cast<int64_t>(hi)}});
-  };
-
-  auto advance_frontier = [&](uint32_t node) -> Status {
-    PipelineNodeState& st = nodes[node];
-    uint64_t bound = kStreamDone;
-    for (const std::vector<TrackStream>& table_streams : st.streams) {
-      for (const TrackStream& stream : table_streams) {
-        bound = std::min(bound, stream.Bound());
-      }
-    }
-    const bool final_batch = bound == kStreamDone;
-    if (final_batch ? st.final_batch_posted : bound <= st.frontier) {
-      return Status::OK();
-    }
-
-    // Each stream's entries below the bound, decoded into one run.
-    TrackRuns runs[2];
-    for (int table : {0, 1}) {
-      for (uint32_t src = 0; src < n; ++src) {
-        std::vector<TrackEntry> run;
-        TJ_RETURN_IF_ERROR(st.streams[table][src].chunks.TryTakeBelow(
-            bound, final_batch, src, config, with_counts, &run));
-        if (!run.empty()) runs[table].push_back(std::move(run));
-      }
-    }
-    const uint64_t lo = st.frontier;
-    st.frontier = bound;
-    if (final_batch) st.final_batch_posted = true;
-    // Empty mid-stream ranges schedule nothing; the final range always
-    // runs so instruction EOS goes out even for empty trackers.
-    if (!final_batch && runs[0].empty() && runs[1].empty()) {
-      return Status::OK();
-    }
-    post_schedule_batch(node, lo, bound, final_batch, std::move(runs[0]),
-                        std::move(runs[1]));
-    return Status::OK();
+          batch.final ? int64_t{-1} : static_cast<int64_t>(batch.hi)}});
   };
 
   auto on_tracking = [&](Chunk& chunk) -> Status {
     PipelineNodeState& st = nodes[chunk.dst];
     fabric.ChargeCpuBytes(chunk.data.size());
-    TrackStream& stream =
-        st.streams[chunk.type == MessageType::kTrackR ? 0 : 1][chunk.src];
-    if (!chunk.data.empty()) {
-      stream.started = true;
-      stream.watermark = chunk.watermark;
-    }
-    TJ_RETURN_IF_ERROR(stream.chunks.TryPush(std::move(chunk.data), chunk.src,
-                                             config, with_counts));
-    if (chunk.eos) stream.eos = true;
-    return advance_frontier(chunk.dst);
+    TrackingStream& stream = st.intake->stream(
+        chunk.type == MessageType::kTrackR ? 0 : 1, chunk.src);
+    TJ_RETURN_IF_ERROR(stream.TryPush(std::move(chunk.data)));
+    if (chunk.eos) stream.End();
+    // Empty mid-stream ranges schedule nothing; the final range always
+    // runs so instruction EOS goes out even for empty trackers.
+    return st.intake->TryTakeBatches({}, [&](TrackBatch& batch) {
+      post_schedule_batch(chunk.dst, batch);
+    });
   };
   fabric.OnChunk(MessageType::kTrackR, "track", on_tracking);
   fabric.OnChunk(MessageType::kTrackS, "track", on_tracking);
@@ -509,11 +439,7 @@ Result<JoinResult> TryRunPipelinedTrackJoin(const PartitionedTable& r,
   // driver's fail-stop DataLoss.
   for (uint32_t node = 0; node < n; ++node) {
     const PipelineNodeState& st = nodes[node];
-    bool complete = st.instr_eos == n && st.data_eos == n;
-    for (uint32_t src = 0; src < n && complete; ++src) {
-      complete = st.streams[0][src].eos && st.streams[1][src].eos;
-    }
-    if (!complete) {
+    if (st.instr_eos != n || st.data_eos != n || !st.intake->done()) {
       fill_diagnostics(fabric.failure());
       return Status::DataLoss(
           "pipelined run incomplete at node " + std::to_string(node) +

@@ -23,9 +23,11 @@ struct NodeState {
   TupleBlock s{0};
   // Tracking messages per table (0 = R, 1 = S): encoded per tracker in
   // phase 3 and sent in phase 4; received in phase 5, checked there, and
-  // merged into the schedule in phase 6.
+  // merged into the schedule in phase 6, in batches cut at the keys phase
+  // 5 picks.
   std::vector<ByteBuffer> tracking_out[2];
   std::vector<Message> tracking_in[2];
+  std::vector<uint64_t> tracking_cuts;
   // Received data runs per table (0 = R, 1 = S), phase 8 to the final join
   // that reads them: selective-broadcast tuples (including free local
   // copies), and migrated rows with hot-split fragments, which join as part
@@ -109,19 +111,20 @@ Result<JoinResult> TryRunTrackJoin(const PartitionedTable& r,
     return Status::OK();
   }));
 
-  // Phase 5: trackers take the received key streams and check them in
-  // place; phase 6 merges them as it reads them ("we can aggregate at the
-  // destination", Section 2.2).
+  // Phase 5: trackers take the received key streams, check them in place
+  // and pick the keys at which phase 6 cuts its merge batches; phase 6
+  // merges them as it reads them ("we can aggregate at the destination",
+  // Section 2.2).
   TJ_RETURN_IF_ERROR(fabric.RunPhaseReliable(
       "merge received keys", [&](uint32_t node) -> Status {
         NodeState& st = nodes[node];
         for (int table : {0, 1}) {
           st.tracking_in[table] = fabric.TakeInbox(
               node, table == 0 ? MessageType::kTrackR : MessageType::kTrackS);
-          TJ_RETURN_IF_ERROR(TryCheckTrackingMessages(st.tracking_in[table],
-                                                      config, with_counts));
         }
-        return Status::OK();
+        return TryCheckTrackingMessages(st.tracking_in[0], st.tracking_in[1],
+                                        config, with_counts,
+                                        &st.tracking_cuts);
       }));
 
   // Phase 6: generate per-key schedules; send location lists to the
@@ -141,15 +144,23 @@ Result<JoinResult> TryRunTrackJoin(const PartitionedTable& r,
     KeyPlanOutputs outs(n);
     KeyPlanner planner(config, version, direction, n, node, width_r, width_s,
                        audit);
-    TJ_RETURN_IF_ERROR(TryMergeTrackBatches(
-        st.tracking_in[0], st.tracking_in[1], config, with_counts,
-        [&](const std::vector<TrackEntry>& batch_r,
-            const std::vector<TrackEntry>& batch_s) {
-          planner.PlanBatch(batch_r, batch_s, &outs);
-        }));
-    for (std::vector<Message>& inbox : st.tracking_in) {
-      std::vector<Message>().swap(inbox);
+    // The checked messages become the intake's streams here, not in phase
+    // 5: a stream is several times a Message's size.
+    TrackerIntake intake(config, with_counts);
+    for (int table : {0, 1}) {
+      intake.Reserve(table, st.tracking_in[table].size());
+      for (Message& msg : st.tracking_in[table]) {
+        TrackingStream& stream = intake.AddStream(table, msg.src);
+        stream.KeepChecked(std::move(msg.data));
+        stream.End();
+      }
+      std::vector<Message>().swap(st.tracking_in[table]);
     }
+    TJ_RETURN_IF_ERROR(intake.TryTakeBatches(
+        st.tracking_cuts, [&](TrackBatch& batch) {
+          planner.PlanBatch(batch.entries[0], batch.entries[1], &outs);
+        }));
+    std::vector<uint64_t>().swap(st.tracking_cuts);
     for (uint32_t dst = 0; dst < n; ++dst) {
       for (const InstructionStream& stream : streams) {
         const std::vector<KeyNodePair>& pairs = (outs.*stream.pairs)[dst];

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <ranges>
 #include <string>
 #include <utility>
 
@@ -313,119 +312,71 @@ PlainEntryLayout::PlainEntryLayout(uint32_t key_bytes, uint32_t value_bytes)
   TJ_CHECK_LE(value_bytes, 8u);
 }
 
-namespace {
+TrackingEntryReader::TrackingEntryReader(const JoinConfig& config,
+                                         bool with_counts)
+    : delta_(config.delta_tracking),
+      with_counts_(with_counts),
+      key_bytes_(static_cast<uint8_t>(config.key_bytes)),
+      count_bytes_(
+          static_cast<uint8_t>(with_counts ? config.count_bytes : 0)) {
+  // Checks both widths.
+  PlainEntryLayout(key_bytes_, count_bytes_);
+}
 
-/// Reads one tracking message or pipelined chunk entry by entry, plain or
-/// delta-coded per the config, in place. Open checks the framing, so Next
-/// reads without bounds checks.
-class TrackingEntryReader {
- public:
-  TrackingEntryReader(const JoinConfig& config, bool with_counts)
-      : delta_(config.delta_tracking),
-        with_counts_(with_counts),
-        layout_(config, with_counts) {}
-
-  /// Starts reading `data`: a plain payload must be whole entries; a delta
-  /// payload must hold exactly the varints of its declared entries' gaps
-  /// and (with counts) counts, each complete. Otherwise Corruption.
-  Status Open(std::span<const uint8_t> data) {
-    data_ = data.data();
-    size_ = data.size();
-    if (!delta_) {
-      if (size_ % layout_.entry_bytes() != 0) {
-        return Status::Corruption(
-            "tracking message not a multiple of entry size");
-      }
-      left_ = size_ / layout_.entry_bytes();
-      pos_ = 0;
-      return Status::OK();
+Status TrackingEntryReader::Open(std::span<const uint8_t> data) {
+  key_ = 0;  // Delta gaps accumulate from zero, wrapping.
+  if (!delta_) {
+    const uint32_t entry_bytes = key_bytes_ + count_bytes_;
+    if (data.size() % entry_bytes != 0) {
+      return Status::Corruption(
+          "tracking message not a multiple of entry size");
     }
-    ByteReader reader(data_, size_);
-    TJ_RETURN_IF_ERROR(TryDecodeLeb128(&reader, &left_));
-    if (left_ > reader.remaining()) {
-      return Status::Corruption("delta stream count exceeds payload");
-    }
-    gap_ = reader.Current();
-    uint64_t skipped = 0;
-    for (uint64_t i = 0; i < left_ * (with_counts_ ? 2 : 1); ++i) {
-      if (i == left_) count_ = reader.Current();
-      TJ_RETURN_IF_ERROR(TryDecodeLeb128(&reader, &skipped));
-    }
-    if (!reader.Done()) {
-      return Status::Corruption("trailing bytes in tracking message");
-    }
-    key_ = 0;  // Gaps accumulate from zero, wrapping.
+    left_ = data.size() / entry_bytes;
+    next_ = data.data();
+    end_ = data.data() + data.size();
     return Status::OK();
   }
-
-  /// Entries not yet read.
-  uint64_t left() const { return left_; }
-
-  /// The next entry's key, without reading it. Requires left() > 0.
-  uint64_t PeekKey() const {
-    if (!delta_) {
-      uint64_t key = 0;
-      uint64_t count = 0;
-      layout_.Decode(data_, pos_, size_, &key, &count);
-      return key;
-    }
-    const uint8_t* gap = gap_;
-    return key_ + LoadLeb128(&gap);
+  ByteReader reader(data.data(), data.size());
+  TJ_RETURN_IF_ERROR(TryDecodeLeb128(&reader, &left_));
+  if (left_ > reader.remaining()) {
+    return Status::Corruption("delta stream count exceeds payload");
   }
-
-  /// Reads the next entry; its count may exceed TrackEntry::count. Requires
-  /// left() > 0.
-  void Next(uint64_t* key, uint64_t* count) {
-    --left_;
-    if (!delta_) {
-      layout_.Decode(data_, pos_, size_, key, count);
-      pos_ += layout_.entry_bytes();
-      return;
-    }
-    key_ += LoadLeb128(&gap_);
-    *key = key_;
-    *count = with_counts_ ? LoadLeb128(&count_) : 1;
+  next_ = reader.Current();
+  uint64_t skipped = 0;
+  for (uint64_t i = 0; i < left_ * (with_counts_ ? 2 : 1); ++i) {
+    if (i == left_) end_ = reader.Current();
+    TJ_RETURN_IF_ERROR(TryDecodeLeb128(&reader, &skipped));
   }
+  if (!reader.Done()) {
+    return Status::Corruption("trailing bytes in tracking message");
+  }
+  return Status::OK();
+}
 
- private:
-  bool delta_;
-  bool with_counts_;
-  PlainEntryLayout layout_;
-  const uint8_t* data_ = nullptr;
-  size_t size_ = 0;
-  uint64_t left_ = 0;
-  size_t pos_ = 0;               // Plain: the next entry's offset.
-  const uint8_t* gap_ = nullptr;    // Delta: the next key's gap,
-  const uint8_t* count_ = nullptr;  // and its count.
-  uint64_t key_ = 0;             // Delta: the last key read.
-};
+namespace {
 
 /// Reads every entry of `data` from `src` in order and hands each to
-/// emit(key, count), then checks that no key descends, from `*last_key`
-/// on, and that every count, and the counts of a key repeated in a row
-/// summed, fit TrackEntry::count; `*last_key` becomes the last key read.
-/// Faults are counted, not branched on, so the read loop stays
-/// branch-free; a delta gap that wraps uint64_t reads as a descent.
+/// emit(key), then checks that no key descends, from `*last_key` on, and
+/// that every count, and the counts of a key repeated in a row summed, fit
+/// TrackEntry::count; `*last_key` becomes the last key read. Faults are
+/// counted, not branched on, so the read loop stays branch-free; a delta
+/// gap that wraps uint64_t reads as a descent.
 template <typename Emit>
-Status TryReadTrackingEntries(const ByteBuffer& data, uint32_t src,
-                              const JoinConfig& config, bool with_counts,
-                              uint64_t* last_key, Emit emit) {
-  TrackingEntryReader reader(config, with_counts);
+Status TryReadTrackingEntries(std::span<const uint8_t> data, uint32_t src,
+                              TrackingEntryReader reader, uint64_t* last_key,
+                              Emit emit) {
   TJ_RETURN_IF_ERROR(reader.Open(data));
   uint64_t prev = *last_key;
   uint64_t sum = 0;  // Of the counts of `prev`'s repeats in this payload.
   uint64_t descents = 0;
   uint64_t overflow = 0;
-  while (reader.left() > 0) {
-    uint64_t key = 0;
-    uint64_t count = 0;
-    reader.Next(&key, &count);
-    emit(key, count);
+  reader.ReadBelow(0, /*all=*/true, [&](uint64_t key, uint64_t count) {
+    emit(key);
     sum = (key == prev ? sum : 0) + count;
     overflow |= (count | sum) >> 32;
     descents += key < prev;
     prev = key;
-  }
+  });
   if (overflow != 0) return CountOverflow(src);
   if (descents != 0) {
     return Status::Corruption("tracking stream from node " +
@@ -438,99 +389,89 @@ Status TryReadTrackingEntries(const ByteBuffer& data, uint32_t src,
 
 }  // namespace
 
-Status TrackingChunkStream::TryPush(ByteBuffer data, uint32_t src,
-                                    const JoinConfig& config,
-                                    bool with_counts) {
-  TJ_RETURN_IF_ERROR(TryReadTrackingEntries(data, src, config, with_counts,
-                                            &last_key_,
-                                            [](uint64_t, uint64_t) {}));
-  if (!data.empty()) chunks_.push_back(Chunk{std::move(data), last_key_});
-  return Status::OK();
-}
-
-Status TrackingChunkStream::TryTakeBelow(uint64_t bound, bool all,
-                                         uint32_t src,
-                                         const JoinConfig& config,
-                                         bool with_counts,
-                                         std::vector<TrackEntry>* run) {
-  TJ_CHECK(!config.delta_tracking) << "tracking chunks need the plain format";
-  const PlainEntryLayout layout(config, with_counts);
-  const size_t entry_bytes = layout.entry_bytes();
-  // The batch takes chunks_[head_, last) whole, from byte offset_ of the
-  // first, and chunks_[last], which straddles the bound, up to byte `cut`:
-  // its first entry with key >= bound.
-  size_t last = head_;
-  size_t bytes = 0;
-  for (; last < chunks_.size() && (all || chunks_[last].last_key < bound);
-       ++last) {
-    bytes += chunks_[last].bytes.size();
-  }
-  size_t cut = 0;
-  if (last < chunks_.size()) {
-    const ByteBuffer& straddling = chunks_[last].bytes;
-    const auto entries =
-        std::views::iota((last == head_ ? offset_ : 0) / entry_bytes,
-                         straddling.size() / entry_bytes);
-    cut = *std::ranges::partition_point(entries, [&](size_t i) {
-      uint64_t key = 0;
-      uint64_t count = 0;
-      layout.Decode(straddling.data(), i * entry_bytes, straddling.size(),
-                    &key, &count);
-      return key < bound;
-    }) * entry_bytes;
-  }
-  run->reserve(run->size() + (bytes + cut - offset_) / entry_bytes);
-
-  TrackingEntryReader reader(config, with_counts);
-  auto decode = [&](const ByteBuffer& chunk, size_t from,
-                    size_t to) -> Status {
-    TJ_RETURN_IF_ERROR(reader.Open(
-        std::span<const uint8_t>(chunk).subspan(from, to - from)));
-    while (reader.left() > 0) {
-      uint64_t key = 0;
-      uint64_t count = 0;
-      reader.Next(&key, &count);
-      run->push_back(TrackEntry{key, src, static_cast<uint32_t>(count)});
+Status TryCheckTrackingMessages(std::span<const Message> r_messages,
+                                std::span<const Message> s_messages,
+                                const JoinConfig& config, bool with_counts,
+                                std::vector<uint64_t>* cuts,
+                                size_t batch_entries) {
+  const TrackingEntryReader reader(config, with_counts);
+  const size_t messages =
+      std::max<size_t>(1, r_messages.size() + s_messages.size());
+  const size_t stride =
+      std::max<size_t>(1, (batch_entries + messages - 1) / messages);
+  std::vector<uint64_t> sampled;
+  for (std::span<const Message> inbox : {r_messages, s_messages}) {
+    std::vector<uint32_t> sources;
+    sources.reserve(inbox.size());
+    for (const Message& msg : inbox) {
+      uint64_t last_key = 0;
+      size_t until_sample = stride;
+      TJ_RETURN_IF_ERROR(TryReadTrackingEntries(
+          msg.data, msg.src, reader, &last_key, [&](uint64_t key) {
+            if (--until_sample == 0) {
+              sampled.push_back(key);
+              until_sample = stride;
+            }
+          }));
+      sources.push_back(msg.src);
     }
-    return Status::OK();
-  };
-  for (; head_ < last; ++head_, offset_ = 0) {
-    ByteBuffer& chunk = chunks_[head_].bytes;
-    TJ_RETURN_IF_ERROR(decode(chunk, offset_, chunk.size()));
-    ByteBuffer().swap(chunk);
+    std::sort(sources.begin(), sources.end());
+    const auto twice = std::adjacent_find(sources.begin(), sources.end());
+    if (twice != sources.end()) {
+      return Status::Corruption("node " + std::to_string(*twice) +
+                                " sent two tracking messages to one tracker");
+    }
   }
-  if (head_ < chunks_.size()) {
-    TJ_RETURN_IF_ERROR(decode(chunks_[head_].bytes, offset_, cut));
-    offset_ = cut;
-  }
-  if (head_ == chunks_.size()) {
-    std::vector<Chunk>().swap(chunks_);
-    head_ = 0;
-  } else if (head_ * 2 >= chunks_.size()) {
-    // Drop the taken prefix once it is half the vector, so the stream's
-    // records stay proportional to what is pending.
-    chunks_.erase(chunks_.begin(), chunks_.begin() + head_);
-    head_ = 0;
+  std::sort(sampled.begin(), sampled.end());
+  cuts->clear();
+  for (size_t i = messages; i <= sampled.size(); i += messages) {
+    cuts->push_back(sampled[i - 1]);
   }
   return Status::OK();
 }
 
-Status TryCheckTrackingMessages(std::span<const Message> messages,
-                                const JoinConfig& config, bool with_counts) {
-  std::vector<uint32_t> sources;
-  sources.reserve(messages.size());
-  for (const Message& msg : messages) {
-    uint64_t last_key = 0;
-    TJ_RETURN_IF_ERROR(TryReadTrackingEntries(msg.data, msg.src, config,
-                                              with_counts, &last_key,
-                                              [](uint64_t, uint64_t) {}));
-    sources.push_back(msg.src);
+Status TrackingStream::TryPush(ByteBuffer data) {
+  TJ_RETURN_IF_ERROR(TryReadTrackingEntries(data, src_, reader_, &last_key_,
+                                            [](uint64_t) {}));
+  KeepChecked(std::move(data));
+  return Status::OK();
+}
+
+void TrackingStream::KeepChecked(ByteBuffer data) {
+  if (data.empty()) return;
+  if (reading_.empty()) {
+    reading_ = std::move(data);
+  } else {
+    queued_.push_back(std::move(data));
   }
-  std::sort(sources.begin(), sources.end());
-  const auto twice = std::adjacent_find(sources.begin(), sources.end());
-  if (twice != sources.end()) {
-    return Status::Corruption("node " + std::to_string(*twice) +
-                              " sent two tracking messages to one tracker");
+}
+
+Status TrackingStream::TryTakeBelow(uint64_t bound, bool all,
+                                    std::vector<TrackEntry>* run) {
+  while (!reading_.empty()) {
+    if (!open_) {
+      TJ_RETURN_IF_ERROR(reader_.Open(reading_));
+      open_ = true;
+    }
+    reader_.ReadBelow(bound, all, [&](uint64_t key, uint64_t count) {
+      run->push_back(TrackEntry{key, src_, static_cast<uint32_t>(count)});
+    });
+    if (reader_.left() > 0) break;
+    open_ = false;
+    if (head_ < queued_.size()) {
+      reading_ = std::move(queued_[head_++]);
+    } else {
+      ByteBuffer().swap(reading_);
+    }
+  }
+  if (head_ == queued_.size()) {
+    if (head_ > 0) std::vector<ByteBuffer>().swap(queued_);
+    head_ = 0;
+  } else if (head_ * 2 >= queued_.size()) {
+    // Drop the taken prefix once it is half the queue, so the stream's
+    // records stay proportional to what is pending.
+    queued_.erase(queued_.begin(), queued_.begin() + head_);
+    head_ = 0;
   }
   return Status::OK();
 }
@@ -578,113 +519,71 @@ Status RunFault(std::span<const std::span<const TrackEntry>> runs) {
   return Status::Internal("tracking merge fault not found in its runs");
 }
 
-/// One checked tracking message being merged batch by batch: its entries
-/// decoded ahead into `entries_`, always to the end of a key.
-class BatchedMessage {
- public:
-  BatchedMessage(uint32_t src, const JoinConfig& config, bool with_counts)
-      : src_(src), reader_(config, with_counts) {}
-
-  Status Open(const ByteBuffer& data) { return reader_.Open(data); }
-
-  /// Drops the entries taken and decodes until at least `quota` are held
-  /// and the next entry starts a new key.
-  void Fill(size_t quota) {
-    entries_.erase(entries_.begin(), entries_.begin() + taken_);
-    taken_ = 0;
-    const size_t want = quota - std::min(quota, entries_.size());
-    for (uint64_t n = std::min<uint64_t>(want, reader_.left()); n > 0; --n) {
-      Read();
-    }
-    while (reader_.left() > 0 && reader_.PeekKey() == entries_.back().key) {
-      Read();
-    }
-  }
-
-  /// True when every entry is decoded; otherwise every key below
-  /// NextKey() is.
-  bool decoded_all() const { return reader_.left() == 0; }
-  uint64_t NextKey() const { return reader_.PeekKey(); }
-
-  /// Takes the held entries with key below `bound`, or all with `all`.
-  std::span<const TrackEntry> Take(uint64_t bound, bool all) {
-    const auto first = entries_.begin() + taken_;
-    const auto last =
-        all ? entries_.end()
-            : std::lower_bound(first, entries_.end(), bound,
-                               [](const TrackEntry& e, uint64_t key) {
-                                 return e.key < key;
-                               });
-    taken_ = last - entries_.begin();
-    return {first, last};
-  }
-
- private:
-  void Read() {
-    uint64_t key = 0;
-    uint64_t count = 0;
-    reader_.Next(&key, &count);
-    entries_.push_back(TrackEntry{key, src_, static_cast<uint32_t>(count)});
-  }
-
-  uint32_t src_;
-  TrackingEntryReader reader_;
-  std::vector<TrackEntry> entries_;
-  size_t taken_ = 0;
-};
-
 }  // namespace
 
-Status TryMergeTrackBatches(std::span<const Message> r_messages,
-                            std::span<const Message> s_messages,
-                            const JoinConfig& config, bool with_counts,
-                            const TrackBatchSink& sink, size_t batch_entries) {
-  std::vector<BatchedMessage> tables[2];
-  const std::span<const Message> inboxes[2] = {r_messages, s_messages};
-  for (int t : {0, 1}) {
-    tables[t].reserve(inboxes[t].size());
-    for (const Message& msg : inboxes[t]) {
-      if (msg.data.empty()) continue;
-      tables[t].emplace_back(msg.src, config, with_counts);
-      TJ_RETURN_IF_ERROR(tables[t].back().Open(msg.data));
-    }
-  }
-  const size_t quota = std::max<size_t>(
-      1, batch_entries / std::max<size_t>(
-                             1, tables[0].size() + tables[1].size()));
+Status TrackerIntake::TryTakeBatches(std::span<const uint64_t> cuts,
+                                     const TrackBatchSink& sink) {
+  TrackBatch batch;
+  std::vector<TrackEntry> decoded;  // One table's runs, back to back,
+  std::vector<size_t> ends;         // each ending here.
   std::vector<std::span<const TrackEntry>> runs;
-  std::vector<TrackEntry> merged[2];
-  for (uint64_t lo = 0;;) {
-    // Every key below the smallest key still undecoded is held in full.
+  while (!final_taken_) {
+    // No open stream can still deliver a key below its last key.
     bool all = true;
     uint64_t bound = ~0ULL;
-    for (auto& table : tables) {
-      for (BatchedMessage& msg : table) {
-        msg.Fill(quota);
-        if (msg.decoded_all()) continue;
+    for (const std::vector<TrackingStream>& table : streams_) {
+      for (const TrackingStream& stream : table) {
+        if (stream.ended()) continue;
         all = false;
-        bound = std::min(bound, msg.NextKey());
+        bound = std::min(bound, stream.last_key());
       }
     }
+    const auto cut = std::upper_bound(cuts.begin(), cuts.end(), frontier_);
+    if (cut != cuts.end() && (all || *cut < bound)) {
+      all = false;
+      bound = *cut;
+    }
+    if (!all && bound <= frontier_) break;
+    batch.lo = frontier_;
+    batch.hi = bound;
+    batch.final = all;
     for (int t : {0, 1}) {
-      runs.clear();
-      for (BatchedMessage& msg : tables[t]) {
-        const std::span<const TrackEntry> run = msg.Take(bound, all);
-        if (!run.empty()) runs.push_back(run);
+      decoded.clear();
+      ends.clear();
+      for (TrackingStream& stream : streams_[t]) {
+        TJ_RETURN_IF_ERROR(stream.TryTakeBelow(bound, all, &decoded));
+        ends.push_back(decoded.size());
       }
-      TJ_RETURN_IF_ERROR(TryMergeTrackRuns(runs, lo, &merged[t]));
+      runs.clear();
+      for (size_t i = 0, begin = 0; i < ends.size(); begin = ends[i++]) {
+        if (ends[i] > begin) {
+          runs.emplace_back(decoded.data() + begin, ends[i] - begin);
+        }
+      }
+      TJ_RETURN_IF_ERROR(TryMergeTrackRuns(runs, frontier_, &batch.entries[t]));
     }
-    if (!merged[0].empty() || !merged[1].empty()) sink(merged[0], merged[1]);
-    if (all) return Status::OK();
-    lo = bound;
+    if (all || !batch.entries[0].empty() || !batch.entries[1].empty()) {
+      sink(batch);
+    }
+    frontier_ = bound;
+    final_taken_ = all;
   }
+  return Status::OK();
 }
 
 Status TryMergeTrackingMessages(const std::vector<Message>& messages,
                                 const JoinConfig& config, bool with_counts,
                                 std::vector<TrackEntry>* out) {
   out->clear();
-  TJ_RETURN_IF_ERROR(TryCheckTrackingMessages(messages, config, with_counts));
+  std::vector<uint64_t> cuts;
+  TJ_RETURN_IF_ERROR(
+      TryCheckTrackingMessages(messages, {}, config, with_counts, &cuts));
+  TrackerIntake intake(config, with_counts);
+  for (const Message& msg : messages) {
+    TrackingStream& stream = intake.AddStream(0, msg.src);
+    stream.KeepChecked(msg.data);
+    stream.End();
+  }
   // At most one entry per plain entry's bytes, or per delta varint (two
   // with counts).
   const uint32_t min_entry_bytes =
@@ -694,11 +593,9 @@ Status TryMergeTrackingMessages(const std::vector<Message>& messages,
   size_t bytes = 0;
   for (const Message& msg : messages) bytes += msg.data.size();
   out->reserve(bytes / min_entry_bytes);
-  return TryMergeTrackBatches(
-      messages, {}, config, with_counts,
-      [out](const std::vector<TrackEntry>& r, const std::vector<TrackEntry>&) {
-        out->insert(out->end(), r.begin(), r.end());
-      });
+  return intake.TryTakeBatches(cuts, [out](TrackBatch& batch) {
+    out->insert(out->end(), batch.entries[0].begin(), batch.entries[0].end());
+  });
 }
 
 Status TryMergeTrackRuns(std::span<const std::span<const TrackEntry>> runs,

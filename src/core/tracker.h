@@ -6,16 +6,18 @@
 // streams into per-key placements that the scheduler consumes.
 //
 // The barrier driver encodes each table's messages in one walk over its
-// sorted block (EncodeSortedTrackingMessages), checks each received inbox
-// in place (TryCheckTrackingMessages) and merges the checked messages in
-// key-range batches straight into the scheduler (TryMergeTrackBatches), so
-// neither per-key projections nor a tracker's whole merged entry table
-// ever exist. The pipelined driver writes its tracking chunks from its home
-// runs (WriteTrackingChunks), checks each arriving chunk in place and keeps
-// it as wire bytes in its stream (TrackingChunkStream), decodes only the
-// entries a frontier batch takes, and merges them (TryMergeTrackRuns), the
-// same merge the barrier batches use. Neither driver holds a stream's
-// decoded entries outside one batch.
+// sorted block (EncodeSortedTrackingMessages); the pipelined driver writes
+// its tracking chunks from its home runs (WriteTrackingChunks). Both
+// trackers take what arrives through one intake (TrackerIntake): one
+// TrackingStream per source and table holds the checked wire bytes, and
+// one batch loop (TrackerIntake::TryTakeBatches) decodes only the entries
+// below each batch bound and merges them (TryMergeTrackRuns) straight into
+// the scheduler. The pipelined tracker checks each chunk as it arrives and
+// runs the loop after it, bounded by the streams' last keys; the barrier
+// tracker checks each inbox in phase 5 (TryCheckTrackingMessages), which
+// also picks the batch cut keys, and runs the loop once in phase 6. Neither
+// per-key projections, a tracker's whole merged entry table nor a stream's
+// decoded entries outside one batch ever exist.
 #ifndef TJ_CORE_TRACKER_H_
 #define TJ_CORE_TRACKER_H_
 
@@ -29,6 +31,7 @@
 #include "core/join_types.h"
 #include "core/schedule.h"
 #include "encoding/node_group.h"
+#include "encoding/varint.h"
 #include "exec/key_aggregate.h"
 #include "net/message.h"
 
@@ -154,89 +157,195 @@ class PlainEntryLayout {
   uint64_t value_floor_ = 1;  ///< 1 without a value field (the implied count).
 };
 
-/// The barrier tracker's intake (phase 5, "merge received keys"): checks
-/// one inbox of tracking messages in place, as TryMergeTrackBatches reads
-/// them, without decoding them into entries. A message must be whole
-/// entries (plain) or exactly its declared entries' complete varints
-/// (delta), its keys must not descend (a delta gap that wraps uint64_t
-/// decodes as a descent), and every count, and the saturated counts of a
-/// key summed, must fit TrackEntry::count; an inbox holds at most one
-/// message per source. The first fault returns Status::Corruption.
-Status TryCheckTrackingMessages(std::span<const Message> messages,
-                                const JoinConfig& config, bool with_counts);
-
-/// One pipelined tracking stream (one source, one table) at its tracker,
-/// held as the wire bytes of its chunks until frontier batches take them.
-/// TryPush checks a chunk in place, as TryCheckTrackingMessages checks a
-/// message, continuing from the stream's last key, and keeps it.
-/// TryTakeBelow decodes only the entries a batch takes.
-class TrackingChunkStream {
+/// Reads one tracking message or pipelined chunk entry by entry, plain or
+/// delta-coded per the config, in place. Open checks the framing, so the
+/// reads need no bounds checks. Small (40 bytes), since every tracking
+/// stream holds one.
+class TrackingEntryReader {
  public:
-  /// Checks `data`, the stream's next chunk from node `src`, and keeps it.
-  /// Its keys must not descend, within it or from last_key(); every count,
-  /// and a key's saturated counts summed within the chunk, must fit
-  /// TrackEntry::count; a plain chunk must be whole entries and a delta one
-  /// exactly its declared entries' complete varints. A fault returns
-  /// Status::Corruption and keeps nothing.
-  Status TryPush(ByteBuffer data, uint32_t src, const JoinConfig& config,
-                 bool with_counts);
+  TrackingEntryReader(const JoinConfig& config, bool with_counts);
 
-  /// Appends the kept entries with key below `bound` (all of them with
-  /// `all`) to `run` as node `src`'s, in stream order, and drops their
-  /// bytes: every chunk whose last key is below the bound, and the prefix
-  /// below it of the chunk that straddles it, found by a binary search over
-  /// its entry offsets without decoding. Requires the plain wire format.
-  /// A key's saturated entries all lie on one side of any bound, so none
-  /// is split across batches.
-  Status TryTakeBelow(uint64_t bound, bool all, uint32_t src,
-                      const JoinConfig& config, bool with_counts,
-                      std::vector<TrackEntry>* run);
+  /// Starts reading `data`: a plain payload must be whole entries; a delta
+  /// payload must hold exactly the varints of its declared entries' gaps
+  /// and (with counts) counts, each complete. Otherwise Corruption.
+  Status Open(std::span<const uint8_t> data);
 
-  /// The last key pushed, 0 before any.
-  uint64_t last_key() const { return last_key_; }
+  /// Entries not yet read.
+  uint64_t left() const { return left_; }
+
+  /// Reads the entries up to the first with key at or above `bound` (to
+  /// the end with `all`), calling emit(key, count) for each, and stops
+  /// before it. A count may exceed TrackEntry::count.
+  template <typename Emit>
+  void ReadBelow(uint64_t bound, bool all, Emit emit) {
+    if (!delta_) {
+      const PlainEntryLayout layout(key_bytes_, count_bytes_);
+      for (; left_ > 0; --left_, next_ += layout.entry_bytes()) {
+        uint64_t key = 0;
+        uint64_t count = 0;
+        layout.Decode(next_, 0, end_ - next_, &key, &count);
+        if (!all && key >= bound) return;
+        emit(key, count);
+      }
+      return;
+    }
+    for (; left_ > 0; --left_) {
+      const uint8_t* gap = next_;
+      const uint64_t key = key_ + LoadLeb128(&gap);
+      if (!all && key >= bound) return;
+      next_ = gap;
+      key_ = key;
+      emit(key, with_counts_ ? LoadLeb128(&end_) : uint64_t{1});
+    }
+  }
 
  private:
-  struct Chunk {
-    ByteBuffer bytes;
-    uint64_t last_key;
-  };
-  std::vector<Chunk> chunks_;
-  size_t head_ = 0;    ///< chunks_[head_..] hold the pending entries,
-  size_t offset_ = 0;  ///< from byte offset_ of chunks_[head_] on.
-  uint64_t last_key_ = 0;
+  bool delta_;
+  bool with_counts_;
+  uint8_t key_bytes_;
+  uint8_t count_bytes_;  ///< Of a plain entry: 0 without counts.
+  const uint8_t* next_ = nullptr;  ///< Plain: the next entry; delta: the
+                                   ///< next key's gap.
+  const uint8_t* end_ = nullptr;   ///< Plain: the payload's end; delta:
+                                   ///< the next count.
+  uint64_t key_ = 0;               ///< Delta: the last key read.
+  uint64_t left_ = 0;
 };
 
-/// Receives one key-range batch of a tracker's merged R and S entries.
-using TrackBatchSink = std::function<void(const std::vector<TrackEntry>& r,
-                                          const std::vector<TrackEntry>& s)>;
-
-/// Entries the barrier tracker decodes ahead per merge batch, over all its
-/// messages: 256 KiB of TrackEntry, so a batch's runs and merged output
-/// stay in cache.
+/// Entries per barrier merge batch, over all of a tracker's messages:
+/// 256 KiB of TrackEntry, so a batch's runs and merged output stay in
+/// cache.
 inline constexpr size_t kTrackBatchEntries = size_t{1} << 14;
 
-/// Merges a tracker's R and S tracking messages, which
-/// TryCheckTrackingMessages has accepted, in ascending key-range batches,
-/// and hands each batch's merged entries (the MergeTrackEntries order, with
-/// duplicate (key, node) counts summed) to `sink`. Each message decodes
-/// about batch_entries / messages entries ahead, extended to the end of
-/// their last key; a batch takes every key strictly below the smallest key
-/// any message has not yet decoded, so a key's entries, saturated repeats
-/// included, are never split across batches and the batches concatenate to
-/// the one-batch merge. Merging is TryMergeTrackRuns, whose Status this
-/// returns; memory beyond the messages is one batch's decoded and merged
-/// entries.
-Status TryMergeTrackBatches(std::span<const Message> r_messages,
-                            std::span<const Message> s_messages,
-                            const JoinConfig& config, bool with_counts,
-                            const TrackBatchSink& sink,
-                            size_t batch_entries = kTrackBatchEntries);
+/// The barrier tracker's phase-5 check ("merge received keys") of its R
+/// and S inboxes, in place, without decoding them into entries. A message
+/// must be whole entries (plain) or exactly its declared entries' complete
+/// varints (delta), its keys must not descend (a delta gap that wraps
+/// uint64_t decodes as a descent), and every count, and the saturated
+/// counts of a key summed, must fit TrackEntry::count; an inbox holds at
+/// most one message per source. The first fault returns
+/// Status::Corruption. The same walk picks the phase-6 batch bounds for
+/// TrackerIntake::TryTakeBatches into `cuts`: with m the messages in both
+/// inboxes, it records every ceil(batch_entries / m)-th key of each
+/// message, sorts them and keeps every m-th, so a batch holds about
+/// batch_entries entries.
+Status TryCheckTrackingMessages(std::span<const Message> r_messages,
+                                std::span<const Message> s_messages,
+                                const JoinConfig& config, bool with_counts,
+                                std::vector<uint64_t>* cuts,
+                                size_t batch_entries = kTrackBatchEntries);
+
+/// One tracking stream (one source, one table) at its tracker: the checked
+/// wire bytes of its chunks, plain or delta, kept until batches take their
+/// entries. The pipelined tracker pushes each chunk as it arrives; the
+/// barrier tracker keeps each message its phase-5 check accepted as its
+/// source's one chunk and ends the stream.
+class TrackingStream {
+ public:
+  /// A stream from node `src` read by `reader`, which need not be open.
+  TrackingStream(uint32_t src, const TrackingEntryReader& reader)
+      : src_(src), reader_(reader) {}
+  // Moves only: the open reader points into the kept chunk, whose buffer a
+  // move keeps and a copy would not.
+  TrackingStream(TrackingStream&&) = default;
+  TrackingStream& operator=(TrackingStream&&) = default;
+
+  /// Checks `data`, the stream's next chunk, and keeps it. Its keys must
+  /// not descend, within it or from last_key(); every count, and a key's
+  /// saturated counts summed within the chunk, must fit TrackEntry::count;
+  /// a plain chunk must be whole entries and a delta one exactly its
+  /// declared entries' complete varints. A fault returns
+  /// Status::Corruption and keeps nothing.
+  Status TryPush(ByteBuffer data);
+
+  /// Keeps `data`, which TryCheckTrackingMessages accepted, unchecked;
+  /// last_key() does not follow it.
+  void KeepChecked(ByteBuffer data);
+
+  /// No chunk follows: batches may take every kept entry.
+  void End() { ended_ = true; }
+  bool ended() const { return ended_; }
+
+  /// The last key pushed, 0 before any: no later chunk carries a key
+  /// below it (a saturated count's later entries may repeat it).
+  uint64_t last_key() const { return last_key_; }
+
+  /// Appends the kept entries with key below `bound` (all of them with
+  /// `all`) to `run` as the source's, in stream order, and drops each
+  /// chunk once it is taken whole. A key's saturated entries all lie on
+  /// one side of any bound, so none is split across batches.
+  Status TryTakeBelow(uint64_t bound, bool all, std::vector<TrackEntry>* run);
+
+ private:
+  uint32_t src_;
+  bool ended_ = false;
+  bool open_ = false;  ///< reader_ is reading reading_.
+  uint64_t last_key_ = 0;
+  /// The kept chunks in stream order: the first in reading_ (empty when
+  /// none is kept), the rest in queued_ from head_ on. A stream of one
+  /// chunk, a barrier message, allocates no queue.
+  ByteBuffer reading_;
+  std::vector<ByteBuffer> queued_;
+  size_t head_ = 0;
+  TrackingEntryReader reader_;
+};
+
+/// One key-range batch of a tracker's merged R and S entries.
+struct TrackBatch {
+  uint64_t lo = 0;     ///< Its keys are at or above lo,
+  uint64_t hi = 0;     ///< and below hi, unless it is
+  bool final = false;  ///< the final batch, which takes every key left.
+  /// R and S entries in the MergeTrackEntries order, duplicate (key, node)
+  /// counts summed. A sink may move them out.
+  std::vector<TrackEntry> entries[2];
+};
+using TrackBatchSink = std::function<void(TrackBatch& batch)>;
+
+/// A tracker's intake: its R and S tracking streams and its merge
+/// frontier, below which every key went out in a batch.
+class TrackerIntake {
+ public:
+  TrackerIntake(const JoinConfig& config, bool with_counts)
+      : reader_(config, with_counts) {}
+
+  /// Makes room for `streams` streams of `table`.
+  void Reserve(int table, size_t streams) {
+    streams_[table].reserve(streams);
+  }
+  /// Adds the next stream of `table` (0 = R, 1 = S), from node `src`.
+  TrackingStream& AddStream(int table, uint32_t src) {
+    return streams_[table].emplace_back(src, reader_);
+  }
+  /// The i-th stream added to `table`.
+  TrackingStream& stream(int table, size_t i) { return streams_[table][i]; }
+
+  /// Takes batches until none can advance the frontier. A batch's bound is
+  /// the smallest of the open streams' last keys and of the first cut key
+  /// above the frontier; once every stream has ended and no cut is left,
+  /// the final batch takes everything. Each batch takes every entry below
+  /// its bound from every stream and merges each table with
+  /// TryMergeTrackRuns, whose Status this returns, and goes to `sink` if it
+  /// holds entries or is the final one. `cuts` ascend. Memory beyond the
+  /// streams is one batch's decoded and merged entries.
+  Status TryTakeBatches(std::span<const uint64_t> cuts,
+                        const TrackBatchSink& sink);
+
+  /// True once the final batch is taken: every stream has ended.
+  bool done() const { return final_taken_; }
+
+ private:
+  TrackingEntryReader reader_;  ///< Unopened: every stream's format.
+  std::vector<TrackingStream> streams_[2];
+  uint64_t frontier_ = 0;
+  bool final_taken_ = false;
+};
 
 /// Merges all tracking messages of one inbox into one merged (key, node)
-/// entry vector: TryCheckTrackingMessages, then TryMergeTrackBatches with
-/// the batches appended to `out`. Output is byte-identical to decoding
-/// every message and running MergeTrackEntries. A malformed message, or
-/// one whose keys descend, returns Status::Corruption.
+/// entry vector: TryCheckTrackingMessages, then a TrackerIntake over
+/// copies of the messages with its batches appended to `out`. Output is
+/// byte-identical to decoding every message and running
+/// MergeTrackEntries. A malformed message, or one whose keys descend,
+/// returns Status::Corruption.
 Status TryMergeTrackingMessages(const std::vector<Message>& messages,
                                 const JoinConfig& config, bool with_counts,
                                 std::vector<TrackEntry>* out);

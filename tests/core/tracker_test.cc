@@ -390,13 +390,11 @@ TEST(TrackerMergeTest, UnsortedPlainStreamIsCorruption) {
   }
   std::vector<Message> msgs;
   msgs.push_back(Msg(0, std::move(data)));
-  TrackingChunkStream stream;
-  EXPECT_EQ(stream.TryPush(msgs[0].data, msgs[0].src, config, true).code(),
-            StatusCode::kCorruption);
+  TrackingStream stream(0, TrackingEntryReader(config, true));
+  EXPECT_EQ(stream.TryPush(msgs[0].data).code(), StatusCode::kCorruption);
   EXPECT_EQ(stream.last_key(), 0u);
   std::vector<TrackEntry> kept;
-  ASSERT_TRUE(stream.TryTakeBelow(0, /*all=*/true, 0, config, true, &kept)
-                  .ok());
+  ASSERT_TRUE(stream.TryTakeBelow(0, /*all=*/true, &kept).ok());
   EXPECT_TRUE(kept.empty());
 
   auto bufs = EncodeTrackingMessages({{15, 1}, {25, 1}}, config, true, 1);
@@ -418,9 +416,8 @@ TEST(TrackerMergeTest, DeltaWraparoundIsCorruption) {
   EncodeLeb128(~uint64_t{0}, &data);           // 1 + 2^64-1 wraps to 0.
   std::vector<Message> msgs;
   msgs.push_back(Msg(0, std::move(data)));
-  TrackingChunkStream stream;
-  EXPECT_EQ(stream.TryPush(msgs[0].data, msgs[0].src, config, false).code(),
-            StatusCode::kCorruption);
+  TrackingStream stream(0, TrackingEntryReader(config, false));
+  EXPECT_EQ(stream.TryPush(msgs[0].data).code(), StatusCode::kCorruption);
 
   std::vector<TrackEntry> merged;
   EXPECT_EQ(TryMergeTrackingMessages(msgs, config, false, &merged).code(),
@@ -456,12 +453,11 @@ TEST(TrackerMergeTest, IntakeDecodesWireOrder) {
   config.key_bytes = 4;
   config.count_bytes = 2;
   auto bufs = EncodeTrackingMessages({{10, 3}, {20, 5}}, config, true, 1);
-  TrackingChunkStream stream;
-  ASSERT_TRUE(stream.TryPush(bufs[0], 6, config, true).ok());
+  TrackingStream stream(6, TrackingEntryReader(config, true));
+  ASSERT_TRUE(stream.TryPush(bufs[0]).ok());
   EXPECT_EQ(stream.last_key(), 20u);
   std::vector<TrackEntry> run;
-  ASSERT_TRUE(
-      stream.TryTakeBelow(0, /*all=*/true, 6, config, true, &run).ok());
+  ASSERT_TRUE(stream.TryTakeBelow(0, /*all=*/true, &run).ok());
   ASSERT_EQ(run.size(), 2u);
   EXPECT_EQ(run[0].key, 10u);
   EXPECT_EQ(run[0].node, 6u);
@@ -470,12 +466,30 @@ TEST(TrackerMergeTest, IntakeDecodesWireOrder) {
   EXPECT_EQ(run[1].count, 5u);
 }
 
-// Frontier batches over checked wire chunks: key 5's four saturated
-// entries (count_bytes 1 holds 255) span three two-entry chunks of node 1's
-// stream. Bounds at key 5, one above it and mid-chunk cut the chunks where
-// a binary search over entry offsets says; each batch merged as the
-// pipelined tracker merges it, the batches concatenate to the reference
-// decode + MergeTrackEntries, with no entry dropped and no key split.
+/// A sink that appends each batch's R entries to `merged`, checks that they
+/// lie in the batch's key range, and counts the batches in `batches`.
+TrackBatchSink CollectR(std::vector<TrackEntry>* merged, int* batches) {
+  return [merged, batches](TrackBatch& batch) {
+    for (const TrackEntry& e : batch.entries[0]) {
+      EXPECT_GE(e.key, batch.lo);
+      if (!batch.final) {
+        EXPECT_LT(e.key, batch.hi);
+      }
+    }
+    merged->insert(merged->end(), batch.entries[0].begin(),
+                   batch.entries[0].end());
+    ++*batches;
+  };
+}
+
+// Batches over checked wire chunks: key 5's four saturated entries
+// (count_bytes 1 holds 255) span three two-entry chunks of node 1's
+// stream. Cut keys at key 5, one above it and mid-chunk stop each stream's
+// reader where the cut says, as the barrier tracker cuts its batches; and
+// taking a batch after every chunk, bounded by the streams' last keys, is
+// the pipelined tracker's frontier. Either way the batches concatenate to
+// the reference decode + MergeTrackEntries, with no entry dropped and no
+// key split.
 TEST(TrackerMergeTest, ChunkStreamBatchesEqualReferenceMerge) {
   JoinConfig config;
   config.key_bytes = 4;
@@ -502,38 +516,40 @@ TEST(TrackerMergeTest, ChunkStreamBatchesEqualReferenceMerge) {
   ASSERT_EQ(chunks[0].size(), 4u);
   const std::vector<TrackEntry> expected = ReferenceMerge(whole, config, true);
 
-  const std::vector<std::vector<uint64_t>> bound_lists = {
+  const std::vector<std::vector<uint64_t>> cut_lists = {
       {5, 6, 15}, {5}, {6}, {15}, {6, 15}, {1, 5, 5, 13, 100}, {}};
-  for (const std::vector<uint64_t>& bounds : bound_lists) {
-    TrackingChunkStream streams[2];
+  for (const std::vector<uint64_t>& cuts : cut_lists) {
+    TrackerIntake intake(config, true);
     for (int i : {0, 1}) {
+      TrackingStream& stream = intake.AddStream(0, srcs[i]);
       for (const ByteBuffer& chunk : chunks[i]) {
-        ASSERT_TRUE(streams[i].TryPush(chunk, srcs[i], config, true).ok());
+        ASSERT_TRUE(stream.TryPush(chunk).ok());
       }
+      stream.End();
     }
     std::vector<TrackEntry> merged;
-    uint64_t lo = 0;
-    for (size_t b = 0; b <= bounds.size(); ++b) {
-      const bool all = b == bounds.size();
-      const uint64_t bound = all ? ~0ULL : bounds[b];
-      std::vector<std::vector<TrackEntry>> runs(2);
-      for (int i : {0, 1}) {
-        ASSERT_TRUE(streams[i]
-                        .TryTakeBelow(bound, all, srcs[i], config, true,
-                                      &runs[i])
-                        .ok());
-        for (const TrackEntry& e : runs[i]) {
-          EXPECT_GE(e.key, lo);
-          EXPECT_LT(e.key, bound);
-        }
-      }
-      std::vector<TrackEntry> batch;
-      ASSERT_TRUE(TryMergeTrackRuns(Views(runs), lo, &batch).ok());
-      merged.insert(merged.end(), batch.begin(), batch.end());
-      lo = std::max(lo, bound);
-    }
+    int batches = 0;
+    ASSERT_TRUE(intake.TryTakeBatches(cuts, CollectR(&merged, &batches)).ok());
     EXPECT_EQ(merged, expected);
   }
+
+  // The frontier: the two streams' chunks arrive interleaved, and every
+  // arrival takes what the streams' last keys allow.
+  TrackerIntake intake(config, true);
+  for (int i : {0, 1}) intake.AddStream(0, srcs[i]);
+  std::vector<TrackEntry> merged;
+  int batches = 0;
+  for (size_t c = 0; c < chunks[0].size(); ++c) {
+    for (int i : {0, 1}) {
+      if (c >= chunks[i].size()) continue;
+      TrackingStream& stream = intake.stream(0, i);
+      ASSERT_TRUE(stream.TryPush(chunks[i][c]).ok());
+      if (c + 1 == chunks[i].size()) stream.End();
+      ASSERT_TRUE(intake.TryTakeBatches({}, CollectR(&merged, &batches)).ok());
+    }
+  }
+  EXPECT_GT(batches, 2);
+  EXPECT_EQ(merged, expected);
 }
 
 TEST(TrackerMergeTest, RunMergeMatchesReference) {
@@ -635,21 +651,16 @@ TEST(TrackerWordCodecTest, WidthGridMatchesByteReference) {
                     .ok());
             // The pipelined intake keeps the message as one chunk; a batch
             // below its middle key cuts it mid-chunk, and the rest follows.
-            TrackingChunkStream stream;
-            ASSERT_TRUE(
-                stream.TryPush(msg.data, msg.src, config, with_counts).ok());
+            TrackingStream stream(msg.src,
+                                  TrackingEntryReader(config, with_counts));
+            ASSERT_TRUE(stream.TryPush(msg.data).ok());
             const uint64_t middle =
                 decoded.empty() ? 0 : decoded[decoded.size() / 2].key;
             std::vector<TrackEntry> walked;
-            ASSERT_TRUE(stream
-                            .TryTakeBelow(middle, /*all=*/false, msg.src,
-                                          config, with_counts, &walked)
-                            .ok());
+            ASSERT_TRUE(
+                stream.TryTakeBelow(middle, /*all=*/false, &walked).ok());
             for (const TrackEntry& e : walked) EXPECT_LT(e.key, middle);
-            ASSERT_TRUE(stream
-                            .TryTakeBelow(0, /*all=*/true, msg.src, config,
-                                          with_counts, &walked)
-                            .ok());
+            ASSERT_TRUE(stream.TryTakeBelow(0, /*all=*/true, &walked).ok());
             EXPECT_EQ(walked, decoded);
             runs.push_back(std::move(decoded));
           }
@@ -779,11 +790,12 @@ ByteBuffer PlainTracking(std::initializer_list<uint64_t> keys) {
 }
 
 TEST(TrackerIntakeTest, MalformedPayloadsAreCorruptionOnBothDrivers) {
-  // Each case is the chunks one tracker receives on one tracking stream, in
-  // order, as (source, payload). The barrier tracker takes every chunk as
-  // one inbox message; the pipelined intake checks the chunks in order on
-  // one stream, carrying its last key, a batch decodes each as its source's
-  // entries into one run, and the merge takes that run.
+  // Each case is the chunks one tracker receives, in order, as (source,
+  // payload). The barrier tracker takes every chunk as one inbox message;
+  // the pipelined intake checks each chunk on its source's stream, carrying
+  // the stream's last key (a chunk from another source than the one before
+  // it opens a new stream), takes a batch after each chunk and a final one
+  // after the last.
   struct Case {
     const char* name;
     bool delta;
@@ -820,7 +832,7 @@ TEST(TrackerIntakeTest, MalformedPayloadsAreCorruptionOnBothDrivers) {
       {"keys descend across chunks", false,
        {{0, PlainTracking({10, 20})}, {0, PlainTracking({15, 40})}}},
       {"delta gaps wrap", true, {{0, wrap}}},
-      {"mixed nodes in one run", false,
+      {"one node's chunks on two streams", false,
        {{0, PlainTracking({1, 2})},
         {1, PlainTracking({3})},
         {0, PlainTracking({4})}}},
@@ -839,31 +851,41 @@ TEST(TrackerIntakeTest, MalformedPayloadsAreCorruptionOnBothDrivers) {
     for (const auto& [src, payload] : c.chunks) {
       inbox.push_back(Msg(src, payload));
     }
+    const TrackBatchSink ignore = [](TrackBatch&) {};
     // The barrier's phase 5 rejects the inbox before phase 6 merges it.
-    Status barrier = TryCheckTrackingMessages(inbox, config, true);
+    std::vector<uint64_t> cuts;
+    Status barrier =
+        TryCheckTrackingMessages(inbox, {}, config, true, &cuts);
     if (barrier.ok()) {
-      barrier = TryMergeTrackBatches(
-          inbox, {}, config, true,
-          [](const std::vector<TrackEntry>&, const std::vector<TrackEntry>&) {
-          });
+      TrackerIntake intake(config, true);
+      for (const Message& msg : inbox) {
+        TrackingStream& stream = intake.AddStream(0, msg.src);
+        stream.KeepChecked(msg.data);
+        stream.End();
+      }
+      barrier = intake.TryTakeBatches(cuts, ignore);
     }
     EXPECT_EQ(barrier.code(), StatusCode::kCorruption) << barrier.ToString();
     std::vector<TrackEntry> merged;
     EXPECT_EQ(TryMergeTrackingMessages(inbox, config, true, &merged).code(),
               StatusCode::kCorruption);
 
-    std::vector<std::vector<TrackEntry>> runs(1);
-    TrackingChunkStream stream;
+    TrackerIntake intake(config, true);
+    size_t streams = 0;
     Status pipelined;
-    for (const auto& [src, payload] : c.chunks) {
-      pipelined = stream.TryPush(payload, src, config, true);
-      if (pipelined.ok()) {
-        pipelined =
-            stream.TryTakeBelow(0, /*all=*/true, src, config, true, &runs[0]);
+    for (size_t i = 0; i < c.chunks.size() && pipelined.ok(); ++i) {
+      const auto& [src, payload] = c.chunks[i];
+      if (i == 0 || c.chunks[i - 1].first != src) {
+        intake.AddStream(0, src);
+        ++streams;
       }
-      if (!pipelined.ok()) break;
+      pipelined = intake.stream(0, streams - 1).TryPush(payload);
+      if (pipelined.ok()) pipelined = intake.TryTakeBatches({}, ignore);
     }
-    if (pipelined.ok()) pipelined = TryMergeTrackRuns(Views(runs), 0, &merged);
+    if (pipelined.ok()) {
+      for (size_t i = 0; i < streams; ++i) intake.stream(0, i).End();
+      pipelined = intake.TryTakeBatches({}, ignore);
+    }
     EXPECT_EQ(pipelined.code(), StatusCode::kCorruption)
         << pipelined.ToString();
 
@@ -931,29 +953,36 @@ TEST(TrackerTest, SortedRunEncoderEqualsAggregateThenEncode) {
   }
 }
 
-/// Merges `r` and `s` with TryMergeTrackBatches at `batch_entries`, and
-/// returns each batch's entries.
+/// Merges `r` and `s` as the barrier tracker does, with batches of about
+/// `batch_entries` entries: the phase-5 check picks the cut keys, and an
+/// intake over the checked messages takes the batches. Returns each
+/// batch's entries.
 std::vector<std::pair<std::vector<TrackEntry>, std::vector<TrackEntry>>>
 Batches(const std::vector<Message>& r, const std::vector<Message>& s,
         const JoinConfig& config, size_t batch_entries) {
   std::vector<std::pair<std::vector<TrackEntry>, std::vector<TrackEntry>>> out;
-  EXPECT_TRUE(TryCheckTrackingMessages(r, config, true).ok());
-  EXPECT_TRUE(TryCheckTrackingMessages(s, config, true).ok());
-  const Status status = TryMergeTrackBatches(
-      r, s, config, true,
-      [&](const std::vector<TrackEntry>& batch_r,
-          const std::vector<TrackEntry>& batch_s) {
-        out.emplace_back(batch_r, batch_s);
-      },
-      batch_entries);
+  std::vector<uint64_t> cuts;
+  EXPECT_TRUE(
+      TryCheckTrackingMessages(r, s, config, true, &cuts, batch_entries).ok());
+  TrackerIntake intake(config, true);
+  for (int table : {0, 1}) {
+    for (const Message& msg : table == 0 ? r : s) {
+      TrackingStream& stream = intake.AddStream(table, msg.src);
+      stream.KeepChecked(msg.data);
+      stream.End();
+    }
+  }
+  const Status status = intake.TryTakeBatches(cuts, [&](TrackBatch& batch) {
+    out.emplace_back(batch.entries[0], batch.entries[1]);
+  });
   EXPECT_TRUE(status.ok()) << status.ToString();
   return out;
 }
 
-// A batch takes every key below a bound no message has decoded past, so a
-// key whose saturated entries straddle the decode-ahead of a tiny batch
-// still merges whole, in one batch: the batches concatenate to the
-// one-batch merge on both tables, and no key spans two batches.
+// A batch takes every key below a cut key, so a key whose saturated
+// entries straddle a tiny batch's cut, or are the cut, still merges whole,
+// in one batch: the batches concatenate to the one-batch merge on both
+// tables, and no key spans two batches.
 TEST(TrackerMergeTest, SaturatedEntriesStraddlingABatchBoundMergeAsOne) {
   JoinConfig config;
   config.key_bytes = 4;
@@ -998,6 +1027,96 @@ TEST(TrackerMergeTest, SaturatedEntriesStraddlingABatchBoundMergeAsOne) {
       EXPECT_EQ(joined[1], whole[0].second);
     }
   }
+}
+
+/// A delta-coded tracking payload with counts, entries in the given order:
+/// an LEB128 entry count, the keys' LEB128 gaps from 0, then the counts.
+ByteBuffer DeltaTracking(std::initializer_list<KeyCount> entries) {
+  ByteBuffer data;
+  EncodeLeb128(entries.size(), &data);
+  uint64_t last = 0;
+  for (const KeyCount& e : entries) {
+    EncodeLeb128(e.key - last, &data);
+    last = e.key;
+  }
+  for (const KeyCount& e : entries) EncodeLeb128(e.count, &data);
+  return data;
+}
+
+// Delta-coded streams cut mid-message. Key 5 repeats (gap 0) as saturated
+// entries, within one message and across two chunks of one stream, and
+// cut keys at 5, at 6 and between other keys stop each stream's reader
+// inside a message, which resumes at its next gap. Every cut, and the
+// phase-5 check's own cuts at tiny batches, gives batches that
+// concatenate to the reference decode + MergeTrackEntries, with all of key
+// 5's entries in one batch.
+TEST(TrackerMergeTest, DeltaStreamCutMidMessageEqualsReferenceMerge) {
+  JoinConfig config;
+  config.key_bytes = 4;
+  config.count_bytes = 1;
+  config.delta_tracking = true;
+  const std::vector<Message> inbox = {
+      Msg(0, DeltaTracking({{1, 1}, {5, 255}, {5, 255}, {5, 190}, {8, 2},
+                            {30, 1}})),
+      Msg(3, DeltaTracking({{2, 1}, {5, 7}, {9, 1}, {31, 4}})),
+      Msg(2, DeltaTracking({{5, 255}, {5, 1}, {6, 3}}))};
+  const std::vector<TrackEntry> expected = ReferenceMerge(inbox, config, true);
+  ASSERT_EQ(expected[2], (TrackEntry{5, 0, 700}));
+
+  auto check_batches = [&](const std::vector<uint64_t>& cuts) {
+    TrackerIntake intake(config, true);
+    for (const Message& msg : inbox) {
+      TrackingStream& stream = intake.AddStream(0, msg.src);
+      stream.KeepChecked(msg.data);
+      stream.End();
+    }
+    std::vector<TrackEntry> merged;
+    int batches = 0;
+    int batches_with_key_5 = 0;
+    const TrackBatchSink collect = CollectR(&merged, &batches);
+    EXPECT_TRUE(intake
+                    .TryTakeBatches(cuts,
+                                    [&](TrackBatch& batch) {
+                                      for (const TrackEntry& e :
+                                           batch.entries[0]) {
+                                        if (e.key != 5) continue;
+                                        ++batches_with_key_5;
+                                        break;
+                                      }
+                                      collect(batch);
+                                    })
+                    .ok());
+    EXPECT_EQ(merged, expected);
+    EXPECT_EQ(batches_with_key_5, 1);
+    return batches;
+  };
+  for (const std::vector<uint64_t>& cuts : std::vector<std::vector<uint64_t>>{
+           {5}, {6}, {5, 6}, {2, 5, 9}, {3, 7, 31}, {}}) {
+    SCOPED_TRACE("cuts=" + std::to_string(cuts.size()));
+    check_batches(cuts);
+  }
+  std::vector<uint64_t> cuts;
+  ASSERT_TRUE(TryCheckTrackingMessages(inbox, {}, config, true, &cuts,
+                                       /*batch_entries=*/3)
+                  .ok());
+  EXPECT_FALSE(cuts.empty());
+  EXPECT_GT(check_batches(cuts), 1);
+
+  // One stream of two delta chunks, key 5 repeating across them, taken
+  // below 5, below 6 and then whole.
+  TrackingStream stream(7, TrackingEntryReader(config, true));
+  ASSERT_TRUE(stream.TryPush(DeltaTracking({{1, 1}, {5, 255}})).ok());
+  ASSERT_TRUE(stream.TryPush(DeltaTracking({{5, 45}, {9, 2}})).ok());
+  EXPECT_EQ(stream.last_key(), 9u);
+  std::vector<TrackEntry> run;
+  ASSERT_TRUE(stream.TryTakeBelow(5, /*all=*/false, &run).ok());
+  EXPECT_EQ(run, (std::vector<TrackEntry>{{1, 7, 1}}));
+  ASSERT_TRUE(stream.TryTakeBelow(6, /*all=*/false, &run).ok());
+  EXPECT_EQ(run, (std::vector<TrackEntry>{{1, 7, 1}, {5, 7, 255},
+                                          {5, 7, 45}}));
+  ASSERT_TRUE(stream.TryTakeBelow(0, /*all=*/true, &run).ok());
+  EXPECT_EQ(run.back(), (TrackEntry{9, 7, 2}));
+  EXPECT_EQ(run.size(), 4u);
 }
 
 }  // namespace

@@ -21,7 +21,16 @@ the outcome its entry expects, and only in one of three ways:
 
 A signal, any other exit code or a timeout fails the sweep.
 
+With --compare=<other tjsim>, the sweep instead checks that a change keeps
+every ok run byte-identical: it reruns each ok entry on both binaries and
+diffs, run by run, the exit code, stdout and stderr of the entry without
+its output flags, of the same with --explain=json, of the same with
+--profile=json (wall seconds and peak RSS stripped, the only fields that
+vary between runs) and, for a pipelined entry, of the same with
+--blame=json. Any difference fails the comparison.
+
 Usage: python3 tests/integration/flag_sweep_test.py <path to tjsim>
+           [--compare=<path to other tjsim>]
 """
 
 import json
@@ -38,6 +47,11 @@ OUTCOME_RE = re.compile(r"^outcome: digest=(\w+) rows=(\d+) ", re.M)
 PIPELINE_ONLY = ("--pipeline", "--pipeline-chunk", "--egress-sched",
                  "--drr-quantum", "--inbox-budget", "--blame", "--blame-top",
                  "--profile", "--algo")
+# Flags that only choose what a run reports, which --compare sets itself.
+OUTPUT_FLAGS = ("--explain", "--explain-top", "--blame", "--blame-top",
+                "--profile")
+# Profile fields measured on the machine, which --compare does not diff.
+MEASURED_FIELDS = ("wall_seconds", "peak_rss_bytes")
 
 SMALL = ["--nodes=4", "--keys=1000"]
 ZIPF = ["--nodes=8", "--keys=5000", "--zipf=0.8"]
@@ -72,6 +86,10 @@ RUNS = [
     (SMALL + ["--seed=14", "--shuffle", "--algo=all"], "ok"),
     (ZIPF + ["--seed=15", "--shuffle", "--group", "--hot-key-threshold=50",
              "--algo=4tj,2tj-s"], "ok"),
+    (ZIPF + ["--seed=43", "--delta", "--hot-key-threshold=50", "--balance",
+             "--algo=4tj,3tj,2tj-r"], "ok"),
+    # A wide barrier cluster: every tracker merges 128 messages.
+    (["--nodes=64", "--keys=5000", "--seed=44", "--algo=all"], "ok"),
     # Every fault kind on the barrier drivers.
     (SMALL + ["--seed=16", "--fault-drop=0.05", "--algo=all"], "ok"),
     (SMALL + ["--seed=17", "--fault-corrupt=0.05", "--fault-retries=64",
@@ -115,6 +133,8 @@ RUNS = [
       "--algo=2tj-r,4tj"], "ok"),
     (["--nodes=64", "--keys=5000", "--seed=42", "--pipeline",
       "--egress-sched=drr", "--algo=2tj-r,4tj"], "ok"),
+    (["--nodes=16", "--keys=5000", "--seed=45", "--rmult=3", "--smult=2",
+      "--pipeline", "--pipeline-chunk=64", "--algo=2tj-s,3tj"], "ok"),
     # EXPLAIN, blame and profile outputs.
     (SMALL + ["--seed=34", "--explain=table", "--explain-top=3",
               "--algo=2tj-r,3tj,4tj"], "ok"),
@@ -230,11 +250,65 @@ def check(tjsim, flags, expected):
     return None
 
 
+def strip_measured(value):
+    """A parsed profile without its MEASURED_FIELDS, at any depth."""
+    if isinstance(value, dict):
+        return {k: strip_measured(v) for k, v in value.items()
+                if k not in MEASURED_FIELDS}
+    if isinstance(value, list):
+        return [strip_measured(v) for v in value]
+    return value
+
+
+def compare(tjsim, other, flags):
+    """Returns what differs between the two binaries' runs of an ok
+    entry's views, an empty list if nothing does."""
+    base = [f for f in flags if flag_name(f) not in OUTPUT_FLAGS]
+    views = [("stdout", base), ("--explain=json", base + ["--explain=json"]),
+             ("--profile=json", base + ["--profile=json"])]
+    if "--pipeline" in flags:
+        views.append(("--blame=json", base + ["--blame=json"]))
+    problems = []
+    for name, view in views:
+        ran = [run(binary, view) for binary in (tjsim, other)]
+        if any(isinstance(r, str) for r in ran):
+            problems.append(f"{name}: {ran}")
+            continue
+        if name == "--profile=json" and ran[0][0] == 0 and ran[1][0] == 0:
+            ran = [(code, strip_measured(json.loads(out)), err)
+                   for code, out, err in ran]
+        if ran[0] != ran[1]:
+            problems.append(f"{name} differs (exit {ran[0][0]} and "
+                            f"{ran[1][0]})")
+    return problems
+
+
+def compare_main(tjsim, other):
+    start = time.monotonic()
+    entries = [flags for flags, expected in RUNS if expected == "ok"]
+    failures = 0
+    for flags in entries:
+        problems = compare(tjsim, other, flags)
+        if problems:
+            failures += 1
+            print(f"DIFF tjsim {' '.join(flags)}: {'; '.join(problems)}")
+    elapsed = time.monotonic() - start
+    print(f"{len(entries) - failures}/{len(entries)} ok runs identical "
+          f"between {tjsim} and {other} in {elapsed:.1f} s")
+    return 1 if failures else 0
+
+
 def main():
-    if len(sys.argv) != 2:
-        print(__doc__.strip().splitlines()[-1], file=sys.stderr)
+    args = sys.argv[1:]
+    other = None
+    if len(args) == 2 and args[1].startswith("--compare="):
+        other = args.pop().split("=", 1)[1]
+    if len(args) != 1 or other == "":
+        print("\n".join(__doc__.strip().splitlines()[-2:]), file=sys.stderr)
         return 2
-    tjsim = sys.argv[1]
+    tjsim = args[0]
+    if other is not None:
+        return compare_main(tjsim, other)
     start = time.monotonic()
     failures = 0
     for flags, expected in RUNS:

@@ -54,10 +54,11 @@ process, so they need no checked-in baseline:
     reps. It fails above MAX_PIPELINED_SCALING, so a path that grows
     superlinearly cannot hide at smoke scale.
   y_checksum_join_over_join: a merge join of workload Y's sorted blocks
-    with the output checksum sink over the same join with a no-op sink. It
-    fails above MAX_Y_CHECKSUM_JOIN_OVER_JOIN: the checksum hashes each
-    input row once per key group, and a per-pair rehash of both payloads
-    costs over 10 times more.
+    with the output checksum sink over the same join with a no-op sink,
+    the median of the per-rep ratios over 15 alternating pairs. It fails
+    above MAX_Y_CHECKSUM_JOIN_OVER_JOIN: the checksum hashes each input
+    row once per key group, and a per-pair rehash of both payloads costs
+    over 10 times more.
   barrier_node_scaling: serial barrier 4TJ wall on 8,000 keys per table
     spread over 256 nodes over the same at 16 nodes, the median of the
     per-rep ratios over 15 alternating pairs. It fails above
@@ -81,11 +82,14 @@ process, so they need no checked-in baseline:
     0.35-0.39), and falling back to sorting reads about 1.
 
 micro_tracker reports one more same-run ratio:
-  tracker_merge_over_reference: the loser-tree merge's throughput over the
-    decode + comparison-sort reference's on the same messages (8 sources,
-    each key on 4). It fails below MIN_TRACKER_MERGE_OVER_REFERENCE: the
-    word-decoding, branch-free merge runs several times the reference, and
-    a branchy or byte-wise merge falls back toward it.
+  tracker_merge_over_reference: the tracker merge as the barrier driver
+    runs it (the phase-5 check, then the intake's batches merged by the
+    loser tree) over the decode + comparison-sort reference on the same
+    messages (8 sources, each key on 4), the median of the per-rep
+    ratios over 15 alternating pairs. It fails below
+    MIN_TRACKER_MERGE_OVER_REFERENCE: the word-decoding, branch-free
+    merge runs several times the reference, and a branchy or byte-wise
+    merge falls back toward it.
 
 Two more same-run ratios gate memory, each the median over KERNEL_RUNS
 rounds of child-process peak RSS (ru_maxrss from os.wait4) of one tjsim
